@@ -376,21 +376,16 @@ type Options struct {
 	// deadline. Applies per run: each suite of a Sweep gets its own span.
 	Timeout time.Duration
 
-	// Parallelism bounds how many suites Sweep executes concurrently
+	// Parallelism bounds how many requests Sweep executes concurrently
 	// (default GOMAXPROCS; 1 forces the sequential path). Merged
 	// coverage and the Runs order are identical at any parallelism.
 	Parallelism int
 
-	// Workers, when > 0, makes Sweep execute its suites through a warm
-	// worker pool of up to this many serve-mode processes per compiled
-	// artifact, amortizing process startup across runs. The pool lives
-	// for the one call. Results are bit-identical to spawn-per-run mode.
-	Workers int
-
 	// Pool routes execution through an externally owned worker pool —
-	// how a long-lived service (accmosd) keeps workers warm across jobs
-	// that share an artifact. The caller closes it. When set, Simulate
-	// and Sweep both use it, and Workers is ignored.
+	// how a long-lived service (accmosd) keeps serve-mode processes warm
+	// across calls that share an artifact. The caller closes it. Without
+	// one, each Simulate or Sweep call runs on a pool of its own that
+	// dies with the call.
 	Pool *WorkerPool
 
 	// DisableBatch turns off batched lane execution for Sweep. By
@@ -401,8 +396,8 @@ type Options struct {
 	// bit-identical either way, but a batch reports coverage once,
 	// OR-merged over its lanes, so batched runs carry no per-suite
 	// coverage detail (Result.CoverageReport returns the zero report).
-	// Set this to force the per-run (pooled or spawn) path — for
-	// per-suite coverage breakdowns, or to compare the two modes.
+	// Set this to force one request per seed — for per-suite coverage
+	// breakdowns, or to compare the two modes.
 	DisableBatch bool
 
 	// RunID is the run's correlation ID — the job ID under accmosd, a
@@ -466,7 +461,7 @@ type Result struct {
 
 	// WorkerReuse reports that this run was served by an already-warm
 	// serve-mode worker — the per-run process startup was amortized away
-	// (false for spawn-per-run execution and for a pool's first run).
+	// (false for the first request a fresh worker serves).
 	WorkerReuse bool
 
 	// Batched reports that this run was one lane of a batched sweep
@@ -544,12 +539,7 @@ func Lint(m *Model) ([]LintFinding, error) {
 // GenerateSource returns the instrumented simulation program AccMoS
 // generates for m, without compiling it — useful for inspection.
 func GenerateSource(m *Model, opts Options) (string, error) {
-	or, tcs, err := prepare(m, &opts)
-	if err != nil {
-		return "", err
-	}
-	pp := partitionPlan(&opts, or.Compiled)
-	prog, err := codegen.Generate(or.Compiled, codegenOptions(opts, tcs, or, pp))
+	prog, _, _, err := generate(m, &opts)
 	if err != nil {
 		return "", err
 	}
@@ -565,16 +555,26 @@ func GenerateSource(m *Model, opts Options) (string, error) {
 // coverage on (exactly as Sweep does), so pass the options the job will
 // actually run with.
 func ProgramHash(m *Model, opts Options) (string, error) {
-	or, tcs, err := prepare(m, &opts)
-	if err != nil {
-		return "", err
-	}
-	pp := partitionPlan(&opts, or.Compiled)
-	prog, err := codegen.Generate(or.Compiled, codegenOptions(opts, tcs, or, pp))
+	prog, _, _, err := generate(m, &opts)
 	if err != nil {
 		return "", err
 	}
 	return prog.Hash(), nil
+}
+
+// generate runs the front end for the generated engine: prepare, the
+// partition plan, and code generation.
+func generate(m *Model, opts *Options) (*codegen.Program, *opt.Result, *partition.Plan, error) {
+	or, tcs, err := prepare(m, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pp := partitionPlan(opts, or.Compiled)
+	prog, err := codegen.Generate(or.Compiled, codegenOptions(*opts, tcs, or, pp))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return prog, or, pp, nil
 }
 
 // prepare compiles the model, fills the test-case default, and runs the
@@ -676,43 +676,15 @@ func Simulate(m *Model, opts Options) (*Result, error) {
 // cancellation (or Options.Timeout) kills the generated binary's process
 // group and surfaces an error instead of blocking on a wedged program.
 func SimulateContext(ctx context.Context, m *Model, opts Options) (*Result, error) {
-	or, tcs, err := prepare(m, &opts)
+	x, err := newExecutor(m, &opts, false)
 	if err != nil {
 		return nil, err
 	}
-	pp := partitionPlan(&opts, or.Compiled)
-	prog, err := codegen.Generate(or.Compiled, codegenOptions(opts, tcs, or, pp))
+	runs, _, err := x.execute(ctx, []uint64{0}, false)
 	if err != nil {
 		return nil, err
 	}
-	bin, compileTime, hit, err := buildProgram(prog, &opts)
-	if err != nil {
-		return nil, err
-	}
-	ro := harness.RunOptions{
-		Steps:     opts.runSteps(),
-		Budget:    opts.Budget,
-		Model:     m.Name,
-		RunID:     opts.RunID,
-		Timeout:   opts.Timeout,
-		Heartbeat: opts.progressEvery(),
-		Progress:  opts.Progress,
-		Trace:     opts.Trace,
-	}
-	var (
-		res    *simresult.Results
-		reused bool
-	)
-	if opts.Pool != nil {
-		res, reused, err = opts.Pool.RunContext(ctx, bin, ro)
-	} else {
-		res, err = harness.RunContext(ctx, bin, ro)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.CompileNanos = compileTime.Nanoseconds()
-	return &Result{Results: res, layout: prog.Layout, CacheHit: hit, WorkerReuse: reused, Opt: optStats(&opts, or), Part: partStats(pp), ArtifactHash: prog.Hash()}, nil
+	return runs[0], nil
 }
 
 // buildProgram compiles prog honouring the WorkDir contract: a pinned
@@ -721,7 +693,7 @@ func SimulateContext(ctx context.Context, m *Model, opts Options) (*Result, erro
 // the process-wide default — serves repeated builds of the same program.
 func buildProgram(prog *codegen.Program, opts *Options) (bin string, compileTime time.Duration, hit bool, err error) {
 	if opts.WorkDir != "" {
-		bin, compileTime, err = harness.BuildTraced(prog, opts.WorkDir, opts.Trace)
+		bin, compileTime, err = harness.Build(context.Background(), prog, opts.WorkDir, opts.Trace)
 		return bin, compileTime, false, err
 	}
 	cache := opts.Cache
@@ -761,13 +733,12 @@ func (s *SweepResult) MergedUncovered() []string {
 // keep adding random suites until the merged coverage stops growing.
 // Coverage is forced on. When the options allow it (no Budget,
 // DisableBatch unset), groups of seeds execute through the generated
-// batch entry point — one cache-hot step loop over all lanes — and
-// fall back to per-run execution (pooled or spawn) otherwise; hashes,
-// diagnostics and merged coverage are bit-identical either way, though
-// batched lanes skip per-suite coverage detail. Per-run suites run concurrently
-// across a bounded worker pool (Options.Parallelism, default
-// GOMAXPROCS); the merged coverage and the Runs order are deterministic
-// regardless of worker count or batching.
+// batch entry point — one cache-hot step loop over all lanes — and as
+// one request per seed otherwise; hashes, diagnostics and merged
+// coverage are bit-identical either way, though batched lanes skip
+// per-suite coverage detail. Requests run concurrently up to
+// Options.Parallelism (default GOMAXPROCS); the merged coverage and the
+// Runs order are deterministic regardless of concurrency or batching.
 func Sweep(m *Model, opts Options, seedXors []uint64) (*SweepResult, error) {
 	return SweepContext(context.Background(), m, opts, seedXors)
 }
@@ -783,47 +754,81 @@ func SweepContext(ctx context.Context, m *Model, opts Options, seedXors []uint64
 		return nil, fmt.Errorf("accmos: Sweep needs at least one seed")
 	}
 	opts.Coverage = true
-	or, tcs, err := prepare(m, &opts)
+	x, err := newExecutor(m, &opts, true)
 	if err != nil {
 		return nil, err
 	}
-	pp := partitionPlan(&opts, or.Compiled)
-	prog, err := codegen.Generate(or.Compiled, codegenOptions(opts, tcs, or, pp))
+	sw := &SweepResult{layout: x.prog.Layout}
+	sw.Runs, sw.merged, err = x.execute(ctx, seedXors, !opts.DisableBatch && opts.Budget == 0)
+	return sw, err
+}
+
+// executor runs one compiled generated program for Simulate and Sweep.
+type executor struct {
+	opts        *Options
+	model       string
+	suites      bool // tag runs with their 1-based suite index (sweeps)
+	or          *opt.Result
+	pp          *partition.Plan
+	prog        *codegen.Program
+	bin         string
+	compileTime time.Duration
+	cacheHit    bool
+}
+
+// newExecutor generates and builds the program for m under opts.
+func newExecutor(m *Model, opts *Options, suites bool) (*executor, error) {
+	prog, or, pp, err := generate(m, opts)
 	if err != nil {
 		return nil, err
 	}
-	bin, compileTime, cacheHit, err := buildProgram(prog, &opts)
+	bin, compileTime, hit, err := buildProgram(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Parallelism
+	return &executor{
+		opts: opts, model: m.Name, suites: suites, or: or, pp: pp, prog: prog,
+		bin: bin, compileTime: compileTime, cacheHit: hit,
+	}, nil
+}
+
+// minBatchLanes is the smallest batch the executor forms when the seed
+// count allows: below it, framing overhead eats the batching win, so
+// fewer, fuller batches beat maximal fan-out.
+const minBatchLanes = 8
+
+// execute runs the program once per seed and returns the runs in seed
+// order plus their OR-merged coverage. Seeds go out in contiguous
+// chunks, each one WorkerPool request: a single run per seed, or — with
+// lanes set — one batched lane request per chunk of at least
+// minBatchLanes seeds. Chunks run concurrently up to
+// Options.Parallelism (default GOMAXPROCS) on the caller's Options.Pool,
+// or on a pool local to the call. The first failure cancels the rest;
+// unfinished seeds leave nil Runs slots and the merged coverage covers
+// only what completed.
+func (x *executor) execute(ctx context.Context, seedXors []uint64, lanes bool) ([]*Result, *coverage.Raw, error) {
+	n := len(seedXors)
+	workers := x.opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(seedXors) {
-		workers = len(seedXors)
+	chunks := n
+	if lanes {
+		chunks = min(workers, (n+minBatchLanes-1)/minBatchLanes)
 	}
-	pool := opts.Pool
-	if pool == nil && opts.Workers > 0 {
-		pool = NewWorkerPool(opts.Workers)
+	workers = min(workers, chunks)
+	pool := x.opts.Pool
+	if pool == nil {
+		pool = NewWorkerPool(workers)
 		defer pool.Close()
 	}
 
-	// Batched lane execution: when nothing demands per-run semantics —
-	// no wall-clock Budget (batch runs are step-bounded) — groups of
-	// seeds run through the generated batch entry point instead of one
-	// request per seed. Progress still streams, but each heartbeat
-	// aggregates over a whole batch's lanes.
-	if !opts.DisableBatch && opts.Budget == 0 {
-		return sweepBatch(ctx, m, &opts, or, pp, prog, bin, compileTime, cacheHit, seedXors, workers, pool)
-	}
-
-	sw := &SweepResult{layout: prog.Layout, merged: prog.Layout.NewRaw()}
-	runs := make([]*Result, len(seedXors))
+	runs := make([]*Result, n)
+	merged := x.prog.Layout.NewRaw()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		mergeMu  sync.Mutex // guards sw.merged (bitwise OR: order-independent)
+		mu       sync.Mutex // guards runs and merged (bitwise OR: order-independent)
 		cbMu     sync.Mutex // serialises the caller's Progress callback
 		errOnce  sync.Once
 		firstErr error
@@ -832,7 +837,7 @@ func SweepContext(ctx context.Context, m *Model, opts Options, seedXors []uint64
 	fail := func(err error) {
 		errOnce.Do(func() {
 			firstErr = err
-			cancel() // kill in-flight suites; queued ones are skipped
+			cancel() // kill in-flight requests; queued ones are skipped
 		})
 	}
 	jobs := make(chan int)
@@ -840,194 +845,88 @@ func SweepContext(ctx context.Context, m *Model, opts Options, seedXors []uint64
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for i := range jobs {
+			for c := range jobs {
 				if runCtx.Err() != nil {
 					continue
 				}
-				ro := harness.RunOptions{
-					Steps:     opts.runSteps(),
-					Budget:    opts.Budget,
-					SeedXor:   seedXors[i],
-					Model:     m.Name,
-					Suite:     i + 1,
-					RunID:     opts.RunID,
-					Timeout:   opts.Timeout,
-					Heartbeat: opts.progressEvery(),
-					Trace:     opts.Trace,
-				}
-				if cb := opts.Progress; cb != nil {
-					suite := i + 1
-					ro.Progress = func(s Snapshot) {
-						s.Worker, s.Suite = worker, suite
-						cbMu.Lock()
-						defer cbMu.Unlock()
-						cb(s)
-					}
-				}
-				var (
-					res    *simresult.Results
-					reused bool
-					err    error
-				)
-				if pool != nil {
-					res, reused, err = pool.RunContext(runCtx, bin, ro)
-				} else {
-					res, err = harness.RunContext(runCtx, bin, ro)
-				}
+				lo, hi := c*n/chunks, (c+1)*n/chunks
+				res, cov, reused, err := x.runChunk(runCtx, pool, worker, lo, seedXors[lo:hi], lanes, &cbMu)
 				if err != nil {
 					fail(err)
 					continue
 				}
-				res.CompileNanos = compileTime.Nanoseconds()
-				if res.Coverage != nil {
-					mergeMu.Lock()
-					err = sw.merged.Merge(res.Coverage)
-					mergeMu.Unlock()
-					if err != nil {
-						fail(err)
-						continue
+				mu.Lock()
+				for j, r := range res {
+					if err == nil && r.Coverage != nil {
+						err = merged.Merge(r.Coverage)
+					}
+					r.CompileNanos = x.compileTime.Nanoseconds()
+					runs[lo+j] = &Result{
+						Results: r, layout: x.prog.Layout, CacheHit: x.cacheHit,
+						WorkerReuse: reused, Batched: lanes, Opt: optStats(x.opts, x.or),
+						Part: partStats(x.pp), ArtifactHash: x.prog.Hash(),
 					}
 				}
-				runs[i] = &Result{Results: res, layout: prog.Layout, CacheHit: cacheHit, WorkerReuse: reused, Opt: optStats(&opts, or), Part: partStats(pp), ArtifactHash: prog.Hash()}
+				// Lanes share the batch's monotone bitmaps, so a batch
+				// reports one OR-merged coverage section instead of a
+				// copy per lane; per-run coverage detail needs
+				// DisableBatch.
+				if err == nil && cov != nil {
+					err = merged.Merge(cov)
+				}
+				mu.Unlock()
+				if err != nil {
+					fail(err)
+				}
 			}
 		}(w)
 	}
-	for i := range seedXors {
-		jobs <- i
+	for c := 0; c < chunks; c++ {
+		jobs <- c
 	}
 	close(jobs)
 	wg.Wait()
-	// Errors still hand back the partial sweep: completed suites keep
-	// their Runs slots (unfinished ones stay nil) and the merged
-	// coverage reflects what actually ran.
-	sw.Runs = runs
 	if firstErr != nil {
-		return sw, firstErr
+		return runs, merged, firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return sw, err
-	}
-	return sw, nil
+	return runs, merged, ctx.Err()
 }
 
-// sweepBatch executes a sweep through the generated batch entry point:
-// the seeds are partitioned into contiguous chunks — at most `workers`
-// concurrent requests, each covering at least minBatchLanes lanes when
-// the seed count allows — and every chunk dispatches as one batched
-// lane run: pooled (one serve frame for the whole chunk) when a pool is
-// available, a single spawn otherwise. Per-lane results land in their
-// seed's Runs slot and coverage is OR-merged under the sweep mutex, so
-// Runs order and merged coverage match per-run execution exactly.
-func sweepBatch(ctx context.Context, m *Model, opts *Options, or *opt.Result, pp *partition.Plan, prog *codegen.Program, bin string, compileTime time.Duration, cacheHit bool, seedXors []uint64, workers int, pool *WorkerPool) (*SweepResult, error) {
-	// Below this many lanes per request, framing overhead eats the
-	// batching win; prefer fewer, fuller batches over maximal fan-out.
-	const minBatchLanes = 8
-	nb := workers
-	if maxNB := (len(seedXors) + minBatchLanes - 1) / minBatchLanes; nb > maxNB {
-		nb = maxNB
+// runChunk sends one chunk of seeds, starting at suite index lo, as one
+// pool request.
+func (x *executor) runChunk(ctx context.Context, pool *WorkerPool, worker, lo int, seeds []uint64, lanes bool, cbMu *sync.Mutex) ([]*simresult.Results, *coverage.Raw, bool, error) {
+	opts := x.opts
+	ro := harness.RunOptions{
+		Steps:     opts.runSteps(),
+		Budget:    opts.Budget,
+		SeedXor:   seeds[0],
+		Model:     x.model,
+		RunID:     opts.RunID,
+		Timeout:   opts.Timeout,
+		Heartbeat: opts.progressEvery(),
+		Progress:  opts.Progress,
+		Trace:     opts.Trace,
 	}
-	if nb < 1 {
-		nb = 1
-	}
-	sw := &SweepResult{layout: prog.Layout, merged: prog.Layout.NewRaw()}
-	runs := make([]*Result, len(seedXors))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mergeMu  sync.Mutex // guards sw.merged and runs
-		cbMu     sync.Mutex // serialises the caller's Progress callback
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel() // kill in-flight batches
-		})
-	}
-	for b := 0; b < nb; b++ {
-		lo, hi := b*len(seedXors)/nb, (b+1)*len(seedXors)/nb
-		if lo == hi {
-			continue
+	if x.suites {
+		ro.Suite = lo + 1 // the chunk's first suite, for error labels
+		if cb := opts.Progress; cb != nil {
+			ro.Progress = func(s Snapshot) {
+				// A batch heartbeat counts all of its lanes' steps.
+				s.Worker, s.Suite = worker, lo+1
+				cbMu.Lock()
+				defer cbMu.Unlock()
+				cb(s)
+			}
 		}
-		wg.Add(1)
-		go func(batch, lo, hi int) {
-			defer wg.Done()
-			if runCtx.Err() != nil {
-				return
-			}
-			chunk := seedXors[lo:hi]
-			ro := harness.RunOptions{
-				Steps:     opts.steps(),
-				Model:     m.Name,
-				Suite:     lo + 1, // first suite of the chunk, for error labels
-				RunID:     opts.RunID,
-				Heartbeat: opts.progressEvery(),
-				Trace:     opts.Trace,
-			}
-			if cb := opts.Progress; cb != nil {
-				suite := lo + 1
-				ro.Progress = func(s Snapshot) {
-					// One snapshot per batch heartbeat: Steps counts
-					// all lanes' progress combined, tagged with the
-					// chunk's first suite and its batch index.
-					s.Worker, s.Suite = batch, suite
-					cbMu.Lock()
-					defer cbMu.Unlock()
-					cb(s)
-				}
-			}
-			if opts.Timeout > 0 {
-				// Options.Timeout is a per-run bound; one batch request
-				// covers the whole chunk's worth of stepping.
-				ro.Timeout = opts.Timeout * time.Duration(len(chunk))
-			}
-			var (
-				res    []*simresult.Results
-				cov    *coverage.Raw
-				reused bool
-				err    error
-			)
-			if pool != nil {
-				res, cov, reused, err = pool.RunBatch(runCtx, bin, ro, chunk)
-			} else {
-				res, cov, err = harness.RunBatch(runCtx, bin, ro, chunk)
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
-			mergeMu.Lock()
-			defer mergeMu.Unlock()
-			// Lanes share the batch's monotone bitmaps, so the batch
-			// reports one OR-merged coverage section instead of a copy
-			// per lane; per-run coverage detail needs DisableBatch.
-			if cov != nil {
-				if err := sw.merged.Merge(cov); err != nil {
-					fail(err)
-					return
-				}
-			}
-			for j, r := range res {
-				r.CompileNanos = compileTime.Nanoseconds()
-				runs[lo+j] = &Result{
-					Results: r, layout: prog.Layout, CacheHit: cacheHit,
-					WorkerReuse: reused, Batched: true, Opt: optStats(opts, or),
-					ArtifactHash: prog.Hash(),
-				}
-			}
-		}(b+1, lo, hi)
 	}
-	wg.Wait()
-	sw.Runs = runs
-	if firstErr != nil {
-		return sw, firstErr
+	if !lanes {
+		res, reused, err := pool.RunContext(ctx, x.bin, ro)
+		return []*simresult.Results{res}, nil, reused, err
 	}
-	if err := ctx.Err(); err != nil {
-		return sw, err
-	}
-	return sw, nil
+	// Options.Timeout is a per-run bound; one batch request covers the
+	// whole chunk's worth of stepping.
+	ro.Timeout *= time.Duration(len(seeds))
+	return pool.RunBatch(ctx, x.bin, ro, seeds)
 }
 
 // Interpret runs m on the reference interpreted engine (the SSE baseline)

@@ -8,12 +8,13 @@ import (
 	"time"
 
 	accmos "accmos"
+	"accmos/internal/benchmodels"
 	"accmos/internal/testcase"
 )
 
 // xorSuite copies tcs with every uniform source seed XORed by xor — the
-// exact perturbation a batch lane's seedXor (and the generated binary's
-// -seed-xor flag) applies to its embedded seeds — so the interpreted
+// exact perturbation a batch lane's seedXor (and a single run request's)
+// applies to its embedded seeds — so the interpreted
 // engines can replay any sweep lane as a standalone run.
 func xorSuite(tcs *accmos.TestCases, xor uint64) *accmos.TestCases {
 	out := &accmos.TestCases{Sources: append([]testcase.Source(nil), tcs.Sources...)}
@@ -240,5 +241,43 @@ func TestSweepCancelReturnsPartialSweep(t *testing.T) {
 	}
 	if rep := sw.MergedCoverage(); rep.ActorCovered != 0 {
 		t.Errorf("no suite ran; merged coverage should be empty: %+v", rep)
+	}
+}
+
+// TestBatchedLanesReportPartition: batched sweep lanes report the same
+// partitioning decision as one-request-per-seed runs of the same sweep.
+func TestBatchedLanesReportPartition(t *testing.T) {
+	m := benchmodels.MustBuildPart("PARTW")
+	opts := accmos.Options{
+		Steps:       300,
+		Partitions:  2,
+		TestCases:   accmos.RandomTestCases(m, 5, -1, 1),
+		Parallelism: 1,
+	}
+	seeds := []uint64{1, 2, 3}
+	batched, err := accmos.Sweep(m, opts, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := opts
+	perRun.DisableBatch = true
+	single, err := accmos.Sweep(m, perRun, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seeds {
+		b, s := batched.Runs[i], single.Runs[i]
+		if !b.Batched || s.Batched {
+			t.Fatalf("run %d: batched %v / %v, want true / false", i, b.Batched, s.Batched)
+		}
+		if s.Part == nil || s.Part.Usable != 2 {
+			t.Fatalf("run %d: PARTW was not cut 2 ways: %+v", i, s.Part)
+		}
+		if !reflect.DeepEqual(b.Part, s.Part) {
+			t.Errorf("run %d: batched lane Part %+v, per-run Part %+v", i, b.Part, s.Part)
+		}
+		if b.OutputHash != s.OutputHash {
+			t.Errorf("run %d: hash %x vs %x", i, b.OutputHash, s.OutputHash)
+		}
 	}
 }

@@ -50,7 +50,6 @@ func TestServeModeMatchesOneShot(t *testing.T) {
 					t.Fatal(err)
 				}
 				pooled := opts
-				pooled.Workers = 1         // one warm worker, strictly sequential reuse
 				pooled.DisableBatch = true // force per-run serve frames; oneShot took the batch path
 				served, err := accmos.Sweep(tc.model, pooled, seeds)
 				if err != nil {

@@ -354,37 +354,3 @@ func BenchmarkSweep(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSweepPooled is the worker-pool counterpart: the same sweep at
-// a short horizon (where per-run process startup is the dominant cost),
-// spawn-per-run vs warm serve-mode workers. The workers=0 sub-benchmarks
-// are the baseline to beat.
-func BenchmarkSweepPooled(b *testing.B) {
-	m := sweepModel()
-	seeds := make([]uint64, 16)
-	for i := range seeds {
-		seeds[i] = uint64(i) * 0x9E3779B97F4A7C15
-	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"spawn", 0},
-		{"pooled", 1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			opts := accmos.Options{
-				Steps:       5_000,
-				TestCases:   accmos.RandomTestCases(m, 77, -100, 100),
-				Parallelism: 1,
-				Workers:     bc.workers,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := accmos.Sweep(m, opts, seeds); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -7,6 +7,7 @@
 package accmos_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -77,7 +78,7 @@ func binaryOf(b *testing.B, name string, opts codegen.Options) string {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin, _, err := harness.Build(prog, filepath.Join(benchWorkDir, sanitizeKey(key)))
+	bin, _, err := harness.Build(context.Background(), prog, filepath.Join(benchWorkDir, sanitizeKey(key)), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func BenchmarkTable2(b *testing.B) {
 			const steps = 500_000
 			var exec time.Duration
 			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(bin, harness.RunOptions{Steps: steps})
+				res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: steps})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -194,7 +195,7 @@ func BenchmarkTable3Coverage(b *testing.B) {
 	b.Run("AccMoS", func(b *testing.B) {
 		bin := binaryOf(b, modelName, codegen.Options{Coverage: true, Diagnose: true})
 		for i := 0; i < b.N; i++ {
-			res, err := harness.Run(bin, harness.RunOptions{Budget: budget})
+			res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Budget: budget})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -249,14 +250,14 @@ func BenchmarkFigure1Detection(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		bin, _, err := harness.Build(prog, dir)
+		bin, _, err := harness.Build(context.Background(), prog, dir, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var exec time.Duration
 		for i := 0; i < b.N; i++ {
-			res, err := harness.Run(bin, harness.RunOptions{Steps: maxSteps})
+			res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: maxSteps})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -313,14 +314,14 @@ func BenchmarkCaseStudyDetection(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		bin, _, err := harness.Build(prog, dir)
+		bin, _, err := harness.Build(context.Background(), prog, dir, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var exec time.Duration
 		for i := 0; i < b.N; i++ {
-			res, err := harness.Run(bin, harness.RunOptions{Steps: maxSteps})
+			res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: maxSteps})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,7 +373,7 @@ func BenchmarkAblationInstrumentation(b *testing.B) {
 			const steps = 500_000
 			var exec time.Duration
 			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(bin, harness.RunOptions{Steps: steps})
+				res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: steps})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -435,7 +436,7 @@ func BenchmarkAblationCompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := harness.Build(prog, filepath.Join(dir, fmt.Sprint(i%4))); err != nil {
+		if _, _, err := harness.Build(context.Background(), prog, filepath.Join(dir, fmt.Sprint(i%4)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

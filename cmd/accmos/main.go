@@ -49,7 +49,6 @@ func main() {
 		optLevel  = flag.Int("O", 1, "optimization level: 0 = off, 1 = constant folding + CSE + dead-actor elimination, 2 = O1 + expression fusion, invariant hoisting, storage narrowing")
 		sweep     = flag.Int("sweep", 0, "run N random test suites against one compiled binary, merging coverage")
 		parallel  = flag.Int("parallel", 0, "concurrent suite executions for -sweep (0 = GOMAXPROCS, 1 = sequential)")
-		workers   = flag.Int("workers", 0, "warm serve-mode worker processes for -sweep: suites reuse up to N live binaries instead of spawning one process per run (0 = spawn per run)")
 		noBatch   = flag.Bool("no-batch", false, "disable lane-vectorized batch execution for -sweep (one request per suite; results are bit-identical)")
 		timeout   = flag.Duration("timeout", 0, "kill a generated-binary run exceeding this wall-clock deadline, e.g. 30s (0 = none)")
 		progress  = flag.Bool("progress", false, "show a live progress line (steps/sec, coverage) on stderr")
@@ -133,7 +132,6 @@ func main() {
 		WorkDir:      *workDir,
 		Timeout:      *timeout,
 		Parallelism:  *parallel,
-		Workers:      *workers,
 		DisableBatch: *noBatch,
 		Trace:        tracer,
 	}
@@ -163,15 +161,6 @@ func main() {
 		for i := range xors {
 			xors[i] = uint64(i) * 0x9E3779B97F4A7C15
 		}
-		// Own the worker pool here (instead of Options.Workers handing its
-		// lifetime to Sweep) so the final telemetry line can report its
-		// reuse ratio.
-		var pool *accmos.WorkerPool
-		if *workers > 0 {
-			pool = accmos.NewWorkerPool(*workers)
-			defer pool.Close()
-			opts.Pool = pool
-		}
 		sw, err := accmos.Sweep(m, opts, xors)
 		if err != nil {
 			fatal(err)
@@ -194,18 +183,6 @@ func main() {
 		merged := sw.MergedCoverage()
 		fmt.Printf("  merged:   actor %5.1f%%  cond %5.1f%%  dec %5.1f%%  mc/dc %5.1f%%\n",
 			merged.Actor, merged.Cond, merged.Dec, merged.MCDC)
-		if *workers > 0 {
-			warm := 0
-			for _, run := range sw.Runs {
-				if run == nil {
-					continue
-				}
-				if run.WorkerReuse {
-					warm++
-				}
-			}
-			fmt.Printf("  workers:  %d of %d suites served by a warm worker\n", warm, len(sw.Runs))
-		}
 		if *uncovered {
 			missed := sw.MergedUncovered()
 			fmt.Printf("uncovered by every suite: %d\n", len(missed))
@@ -214,7 +191,7 @@ func main() {
 			}
 		}
 		if *progress {
-			fmt.Fprintln(os.Stderr, telemetrySummary(runID, *workDir == "", pool))
+			fmt.Fprintln(os.Stderr, telemetrySummary(runID, *workDir == ""))
 		}
 		return
 	}
@@ -236,7 +213,7 @@ func main() {
 		fatal(err)
 	}
 	if *progress {
-		fmt.Fprintln(os.Stderr, telemetrySummary(runID, *workDir == "" && *engine == "accmos", nil))
+		fmt.Fprintln(os.Stderr, telemetrySummary(runID, *workDir == "" && *engine == "accmos"))
 	}
 
 	if *jsonOut {
@@ -347,16 +324,12 @@ func liveProgressLine(s accmos.Snapshot) {
 
 // telemetrySummary renders the final -progress line: the run's
 // correlation ID, the build cache's hit rate (when the run went through
-// it), and the worker pool's reuse ratio (when one served the run).
-func telemetrySummary(runID string, usedCache bool, pool *accmos.WorkerPool) string {
+// it).
+func telemetrySummary(runID string, usedCache bool) string {
 	line := "accmos: run " + runID
 	if usedCache {
 		cs := accmos.DefaultBuildCache().Stats()
 		line += fmt.Sprintf("  cache %d hit / %d miss (%.0f%% hit rate)", cs.Hits, cs.Misses, cs.HitRate()*100)
-	}
-	if pool != nil {
-		ws := pool.Stats()
-		line += fmt.Sprintf("  workers %d reused / %d spawned (%.0f%% reuse)", ws.Reuses, ws.Spawns, ws.ReuseRatio()*100)
 	}
 	return line
 }

@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -43,11 +44,20 @@ func runBoth(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := harness.BuildAndRun(p, t.TempDir(), harness.RunOptions{Steps: steps})
+	gr, err := buildAndRun(p, t.TempDir(), steps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ir, gr
+}
+
+// buildAndRun compiles p under dir and runs it once for steps.
+func buildAndRun(p *codegen.Program, dir string, steps int64) (*simresult.Results, error) {
+	bin, _, err := harness.Build(context.Background(), p, dir, nil)
+	if err != nil {
+		return nil, err
+	}
+	return harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: steps})
 }
 
 // assertEquivalent checks the cross-engine oracle: identical steps, output

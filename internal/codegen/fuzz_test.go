@@ -7,7 +7,6 @@ import (
 	"accmos/internal/actors"
 	"accmos/internal/benchmodels"
 	"accmos/internal/codegen"
-	"accmos/internal/harness"
 	"accmos/internal/interp"
 	"accmos/internal/opt"
 	"accmos/internal/rapid"
@@ -117,7 +116,7 @@ func runAtLevel(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := harness.BuildAndRun(p, t.TempDir(), harness.RunOptions{Steps: steps})
+	gr, err := buildAndRun(p, t.TempDir(), steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func runPlainAtLevel(t *testing.T, c *actors.Compiled, set *testcase.Set, steps 
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := harness.BuildAndRun(p, t.TempDir(), harness.RunOptions{Steps: steps})
+	gr, err := buildAndRun(p, t.TempDir(), steps)
 	if err != nil {
 		t.Fatal(err)
 	}

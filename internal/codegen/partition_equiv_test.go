@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -202,11 +203,11 @@ func TestPartitionedEquivalence(t *testing.T) {
 				t.Parallel()
 				seqProg, parProg := buildPair(t, tc.c, tc.opts, tc.set, k)
 				dir := t.TempDir()
-				seqRes, err := harness.BuildAndRun(seqProg, dir, harness.RunOptions{Steps: tc.steps})
+				seqRes, err := buildAndRun(seqProg, dir, tc.steps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				parRes, err := harness.BuildAndRun(parProg, dir, harness.RunOptions{Steps: tc.steps})
+				parRes, err := buildAndRun(parProg, dir, tc.steps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -236,20 +237,22 @@ func TestPartitionedBatchLanes(t *testing.T) {
 	set := testcase.NewRandomSet(2, 47, -40, 40)
 	seqProg, parProg := buildPair(t, c, messyOpts(), set, 2)
 	dir := t.TempDir()
-	seqBin, _, err := harness.Build(seqProg, dir)
+	seqBin, _, err := harness.Build(context.Background(), seqProg, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parBin, _, err := harness.Build(parProg, dir)
+	parBin, _, err := harness.Build(context.Background(), parProg, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeds := []uint64{0, 1, 2, 0xdeadbeef}
-	seqLanes, seqCov, err := harness.RunBatch(t.Context(), seqBin, harness.RunOptions{Steps: 1500}, seeds)
+	pool := harness.NewWorkerPool(1)
+	defer pool.Close()
+	seqLanes, seqCov, _, err := pool.RunBatch(t.Context(), seqBin, harness.RunOptions{Steps: 1500}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parLanes, parCov, err := harness.RunBatch(t.Context(), parBin, harness.RunOptions{Steps: 1500}, seeds)
+	parLanes, parCov, _, err := pool.RunBatch(t.Context(), parBin, harness.RunOptions{Steps: 1500}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestPartitionedRaceHammer(t *testing.T) {
 
 	dir := t.TempDir()
 	const steps = 2000
-	ref, err := harness.BuildAndRun(seqProg, dir, harness.RunOptions{Steps: steps})
+	ref, err := buildAndRun(seqProg, dir, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPartitionedRaceHammer(t *testing.T) {
 	}
 
 	// The race runtime exits non-zero on any detected race, so a clean
-	// harness.Run already implies no report; the repeated runs then pin
+	// harness.RunContext already implies no report; the repeated runs then pin
 	// down scheduling-order determinism, not just memory safety.
 	for run := 0; run < 5; run++ {
 		res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: steps})

@@ -153,18 +153,18 @@ func fmtVecB(v []bool) string {
 	return s + "]"
 }
 
-// diagRecord matches the simresult JSON schema for diagnostics.
+// diagRecord is one verbatim diagnosis finding (simresult "diags").
 type diagRecord struct {
-	Step   int64  ` + "`json:\"step\"`" + `
-	Actor  string ` + "`json:\"actor\"`" + `
-	Kind   string ` + "`json:\"kind\"`" + `
-	Detail string ` + "`json:\"detail,omitempty\"`" + `
+	Step   int64
+	Actor  string
+	Kind   string
+	Detail string
 }
 
-// monitorSample matches the simresult JSON schema for monitor samples.
+// monitorSample is one recorded monitor observation (simresult "monitor").
 type monitorSample struct {
-	Step  int64  ` + "`json:\"step\"`" + `
-	Value string ` + "`json:\"value\"`" + `
+	Step  int64
+	Value string
 }
 
 var (
@@ -173,7 +173,8 @@ var (
 	stopRequested bool
 
 	// seedXor perturbs every embedded uniform test-case seed, so one
-	// compiled binary can run many random test suites (-seed-xor).
+	// compiled binary can run many random test suites (a request's
+	// seedXor).
 	seedXor uint64
 )
 
@@ -235,7 +236,7 @@ func jsonFloat(f float64) string {
 // shape is the contract obs.ParseHeartbeat decodes — keep in sync with
 // internal/obs. covEnabled is a generated constant; when false the
 // coverage field reports -1. runID tags serve-mode heartbeats with the
-// request they belong to ("" — and no "run" field — in one-shot mode).
+// request they belong to ("" — and no "run" field — in a -steps run).
 func emitHeartbeat(runID string, steps int64, elapsed time.Duration, final bool) {
 	sps := 0.0
 	if elapsed > 0 {
@@ -296,33 +297,136 @@ func emitHeartbeatPartial(runID string, steps int64, elapsed time.Duration) {
 // interleaved and the heartbeat cadence holds.
 const batchChunk = 64
 
-// parseSeedList decodes the -batch-seeds flag: comma-separated uint64
-// seed-xor values (0x-prefixed hex accepted), one lane per entry.
-func parseSeedList(s string) ([]uint64, error) {
-	var out []uint64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
+// appendStr appends s as a JSON string: quotes, backslashes and control
+// bytes escaped, invalid UTF-8 replaced by U+FFFD, as encoding/json does.
+func appendStr(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xF])
+		case r < 0x80:
+			b = append(b, byte(r))
+		default:
+			b = append(b, string(r)...)
 		}
-		v, err := strconv.ParseUint(f, 0, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty seed list")
-	}
-	return out, nil
+	return append(b, '"')
 }
 
-// serveRequest is one warm-worker request — a single NDJSON line on
-// stdin in serve mode. Keep in sync with the harness worker pool's
-// request encoder (internal/harness). A request with accmosBatch set
-// runs one lane per seedXors entry through runBatch instead of a
-// single run; steps and budgetMs both bound a single run when both are
-// positive (whichever is reached first wins).
+// appendCounts appends a JSON object mapping key(i) to vals[i] for every
+// slot i whose hits are positive.
+func appendCounts(b []byte, hits, vals []int64, key func(int) string) []byte {
+	b = append(b, '{')
+	n := 0
+	for i := range hits {
+		if hits[i] <= 0 {
+			continue
+		}
+		if n > 0 {
+			b = append(b, ',')
+		}
+		n++
+		b = appendStr(b, key(i))
+		b = append(b, ':')
+		b = strconv.AppendInt(b, vals[i], 10)
+	}
+	return append(b, '}')
+}
+
+func anyPositive(xs []int64) bool {
+	for _, x := range xs {
+		if x > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// appendSections appends the optional result sections that carry
+// anything: diagCounts+firstDetect keyed "actor|kind", the verbatim diag
+// records, and monitor+monitorHits keyed by monitored actor.
+func appendSections(b []byte) []byte {
+	if anyPositive(diagCounts[:]) {
+		diagKey := func(i int) string { return diagActors[i] + "|" + diagKinds[i] }
+		b = append(b, ` + "`" + `,"diagCounts":` + "`" + `...)
+		b = appendCounts(b, diagCounts[:], diagCounts[:], diagKey)
+		b = append(b, ` + "`" + `,"firstDetect":` + "`" + `...)
+		b = appendCounts(b, diagCounts[:], diagFirst[:], diagKey)
+	}
+	if len(diagRecords) > 0 {
+		b = append(b, ` + "`" + `,"diags":[` + "`" + `...)
+		for i, r := range diagRecords {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, ` + "`" + `{"step":` + "`" + `...)
+			b = strconv.AppendInt(b, r.Step, 10)
+			b = append(b, ` + "`" + `,"actor":` + "`" + `...)
+			b = appendStr(b, r.Actor)
+			b = append(b, ` + "`" + `,"kind":` + "`" + `...)
+			b = appendStr(b, r.Kind)
+			if r.Detail != "" {
+				b = append(b, ` + "`" + `,"detail":` + "`" + `...)
+				b = appendStr(b, r.Detail)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if anyPositive(monHits[:]) {
+		b = append(b, ` + "`" + `,"monitor":{` + "`" + `...)
+		n := 0
+		for i := range monHits {
+			if monHits[i] <= 0 {
+				continue
+			}
+			if n > 0 {
+				b = append(b, ',')
+			}
+			n++
+			b = appendStr(b, monNames[i])
+			if monSamples[i] == nil {
+				b = append(b, ":null"...)
+				continue
+			}
+			b = append(b, ":["...)
+			for j, s := range monSamples[i] {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, ` + "`" + `{"step":` + "`" + `...)
+				b = strconv.AppendInt(b, s.Step, 10)
+				b = append(b, ` + "`" + `,"value":` + "`" + `...)
+				b = appendStr(b, s.Value)
+				b = append(b, '}')
+			}
+			b = append(b, ']')
+		}
+		b = append(b, ` + "`" + `},"monitorHits":` + "`" + `...)
+		b = appendCounts(b, monHits[:], monHits[:], func(i int) string { return monNames[i] })
+	}
+	return b
+}
+
+// covJSON renders the coverage section once per batch (nil when coverage
+// is off): lanes share the monotone coverage bitmaps (every
+// instrumentation write is an idempotent 1-set), so when the batch
+// finishes the globals already hold the OR-merge of every lane.
+func covJSON() []byte {
+	if !covEnabled {
+		return nil
+	}
+	return appendCov(make([]byte, 0, covEncodedLen))
+}
+
+// serveRequest is one run request — a single NDJSON line on stdin in
+// serve mode. Keep in sync with the harness request encoder
+// (internal/harness). A request with accmosBatch set runs one lane per
+// seedXors entry through runBatch instead of a single run.
 type serveRequest struct {
 	Batch       int      ` + "`json:\"accmosBatch\"`" + `
 	ID          string   ` + "`json:\"id\"`" + `
@@ -333,14 +437,30 @@ type serveRequest struct {
 	HeartbeatMS int64    ` + "`json:\"heartbeatMs\"`" + `
 }
 
+// runRequest executes one single-run request against freshly reset
+// model state and returns its result document. steps and budgetMs each
+// bound the run when positive — with both set, whichever is reached
+// first wins; with both <= 0, the binary's -steps default applies.
+// heartbeatMs <= 0 disables heartbeats.
+func runRequest(req *serveRequest, defSteps int64) []byte {
+	seedXor = req.SeedXor
+	modelReset()
+	steps := req.Steps
+	if steps <= 0 && req.BudgetMS <= 0 {
+		steps = defSteps
+	}
+	executed, elapsed := runSim(steps, req.BudgetMS, time.Duration(req.HeartbeatMS)*time.Millisecond, req.ID)
+	return resultsJSON(executed, elapsed.Nanoseconds(), true)
+}
+
 // writeFrame emits one NDJSON response frame on stdout and flushes, so
 // the host sees exactly one line per request as soon as the run ends.
 func writeFrame(out *bufio.Writer, id string, result []byte, errMsg string) {
 	out.WriteString("{\"accmosRun\":1,\"id\":")
-	out.WriteString(strconv.Quote(id))
+	out.Write(appendStr(nil, id))
 	if errMsg != "" {
 		out.WriteString(",\"error\":")
-		out.WriteString(strconv.Quote(errMsg))
+		out.Write(appendStr(nil, errMsg))
 	} else {
 		out.WriteString(",\"result\":")
 		out.Write(result)
@@ -356,7 +476,7 @@ func writeFrame(out *bufio.Writer, id string, result []byte, errMsg string) {
 // JSON value.
 func writeBatchFrame(out *bufio.Writer, id string, lanes [][]byte, cov []byte) {
 	out.WriteString("{\"accmosRun\":1,\"id\":")
-	out.WriteString(strconv.Quote(id))
+	out.Write(appendStr(nil, id))
 	out.WriteString(",\"laneCount\":")
 	out.WriteString(strconv.Itoa(len(lanes)))
 	if cov != nil {
@@ -371,19 +491,15 @@ func writeBatchFrame(out *bufio.Writer, id string, lanes [][]byte, cov []byte) {
 	out.Flush()
 }
 
-// serveLoop is the warm-worker mode behind the -serve flag: read NDJSON
-// run requests from stdin, execute each against fully re-initialized
-// model state (modelReset), and answer with one NDJSON result frame per
-// request on stdout. Heartbeats stay on stderr, tagged with the request
-// id. The process exits when stdin reaches EOF — the host closes the
-// pipe to retire a worker gracefully.
-//
-// Request fields are used verbatim: steps and budgetMs each bound the
-// run when positive — with both set, whichever is reached first wins;
-// with both <= 0, the binary's -steps default applies. heartbeatMs <= 0
-// disables heartbeats for that run. Batch requests (accmosBatch set)
-// run every seedXors lane through the batched loop and answer with a
-// laneCount header frame followed by one result line per lane.
+// serveLoop is the -serve mode, the host's only way to run the program:
+// read NDJSON run requests from stdin, execute each against fully
+// re-initialized model state (modelReset), and answer with one NDJSON
+// frame per request on stdout. Heartbeats stay on stderr, tagged with
+// the request id. The process exits when stdin reaches EOF — the host
+// closes the pipe to retire a worker, or right after the one request of
+// an ephemeral run. Batch requests (accmosBatch set) run every seedXors
+// lane through the batched loop and answer with a laneCount header frame
+// followed by one result line per lane.
 func serveLoop(defSteps int64) {
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 64*1024), 8*1024*1024)
@@ -398,31 +514,24 @@ func serveLoop(defSteps int64) {
 			writeFrame(out, req.ID, nil, "decoding request: "+err.Error())
 			continue
 		}
-		hb := time.Duration(req.HeartbeatMS) * time.Millisecond
-		if req.Batch != 0 {
-			if len(req.SeedXors) == 0 {
-				writeFrame(out, req.ID, nil, "batch request carries no seedXors")
-				continue
-			}
-			if req.BudgetMS > 0 {
-				writeFrame(out, req.ID, nil, "batch requests are step-bounded; budgetMs is unsupported")
-				continue
-			}
-			steps := req.Steps
-			if steps <= 0 {
-				steps = defSteps
-			}
-			writeBatchFrame(out, req.ID, runBatch(req.SeedXors, steps, hb, req.ID), covJSON())
+		if req.Batch == 0 {
+			writeFrame(out, req.ID, runRequest(&req, defSteps), "")
 			continue
 		}
-		seedXor = req.SeedXor
-		modelReset()
+		if len(req.SeedXors) == 0 {
+			writeFrame(out, req.ID, nil, "batch request carries no seedXors")
+			continue
+		}
+		if req.BudgetMS > 0 {
+			writeFrame(out, req.ID, nil, "batch requests are step-bounded; budgetMs is unsupported")
+			continue
+		}
 		steps := req.Steps
-		if steps <= 0 && req.BudgetMS <= 0 {
+		if steps <= 0 {
 			steps = defSteps
 		}
-		executed, elapsed := runSim(steps, req.BudgetMS, hb, req.ID)
-		writeFrame(out, req.ID, resultsJSON(executed, elapsed.Nanoseconds(), true), "")
+		hb := time.Duration(req.HeartbeatMS) * time.Millisecond
+		writeBatchFrame(out, req.ID, runBatch(req.SeedXors, steps, hb, req.ID), covJSON())
 	}
 	if err := in.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "accmos: serve: reading requests:", err)

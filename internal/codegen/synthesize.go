@@ -28,14 +28,13 @@ func (g *Generator) synthesize() (string, error) {
 			g.Import("math")
 		}
 	}
-	// The runtime always references math, strconv, bufio (serve mode)
-	// and strings (-batch-seeds parsing).
+	// The runtime always references math, strconv and bufio (serve
+	// mode).
 	g.Import("math")
 	g.Import("strconv")
 	g.Import("bufio")
-	g.Import("strings")
 	if g.opts.Coverage {
-		// The fast result encoder renders coverage bitmaps itself.
+		// The result encoder renders coverage bitmaps itself.
 		g.Import("encoding/base64")
 	}
 	if g.parts > 1 {
@@ -257,69 +256,22 @@ func (g *Generator) emitHash(sb *strings.Builder, expr string, k types.Kind, wid
 	fmt.Fprintf(sb, "\tfor i := 0; i < %d; i++ {\n\t%s\t}\n", width, one(expr+"[i]"))
 }
 
-// emitMain renders the main function (flag parsing, one-shot vs serve
-// dispatch) and runSim, the simulation loop shared by both modes
-// (step-bounded or wall-clock-budgeted).
+// emitMain renders the main function and runSim, the simulation loop
+// (step-bounded or wall-clock-budgeted). The program runs requests only
+// through the shared request handler: -serve answers NDJSON requests on
+// stdin, and a plain -steps run is one request whose bare result
+// document goes to stdout.
 func (g *Generator) emitMain(sb *strings.Builder, tcExprs []string) {
 	fmt.Fprintf(sb, `
 func main() {
-	steps := flag.Int64("steps", %d, "simulation steps")
-	budgetMS := flag.Int64("budget-ms", 0, "wall-clock budget in ms (with an explicit -steps: whichever bound is reached first wins)")
-	seedXorFlag := flag.Uint64("seed-xor", 0, "perturbs embedded random test-case seeds")
-	batchSeeds := flag.String("batch-seeds", "", "comma-separated seed-xor list: one lane per seed, stepped through a single batched loop")
-	hbMS := flag.Int64("heartbeat-ms", 0, "NDJSON progress heartbeat interval on stderr in ms (0 = off)")
-	serve := flag.Bool("serve", false, "warm-worker mode: serve NDJSON run requests from stdin")
+	steps := flag.Int64("steps", %d, "simulation steps; without -serve, run once and print the result document")
+	serve := flag.Bool("serve", false, "serve NDJSON run requests from stdin until it closes")
 	flag.Parse()
 	if *serve {
 		serveLoop(*steps)
 		return
 	}
-	if *batchSeeds != "" {
-		xors, err := parseSeedList(*batchSeeds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "accmos: -batch-seeds:", err)
-			os.Exit(2)
-		}
-		if *budgetMS > 0 {
-			fmt.Fprintln(os.Stderr, "accmos: -batch-seeds runs are step-bounded; -budget-ms is unsupported")
-			os.Exit(2)
-		}
-		lanes := runBatch(xors, *steps, time.Duration(*hbMS)*time.Millisecond, "")
-		w := bufio.NewWriterSize(os.Stdout, 1<<16)
-		w.WriteString("{\"accmosBatch\":1,\"laneCount\":")
-		w.WriteString(strconv.Itoa(len(lanes)))
-		if cov := covJSON(); cov != nil {
-			w.WriteString(",\"coverage\":")
-			w.Write(cov)
-		}
-		w.WriteString("}\n")
-		for _, lane := range lanes {
-			w.Write(lane)
-			w.WriteByte('\n')
-		}
-		w.Flush()
-		return
-	}
-	// A budgeted run is bounded by -steps only when the caller set the
-	// flag explicitly: the baked-in default must not cap a budget-only
-	// run, but an explicit steps+budget combination means "whichever
-	// bound hits first" — the same semantics serve-mode requests carry.
-	runSteps := *steps
-	if *budgetMS > 0 {
-		stepsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "steps" {
-				stepsSet = true
-			}
-		})
-		if !stepsSet {
-			runSteps = 0
-		}
-	}
-	seedXor = *seedXorFlag
-	modelInit()
-	executed, elapsed := runSim(runSteps, *budgetMS, time.Duration(*hbMS)*time.Millisecond, "")
-	emitResults(executed, elapsed.Nanoseconds())
+	os.Stdout.Write(append(runRequest(&serveRequest{Steps: *steps}, *steps), '\n'))
 }
 `, g.opts.DefaultSteps)
 	if g.parts > 1 {
@@ -540,154 +492,39 @@ func runBatch(seedXors []uint64, steps int64, hbEvery time.Duration, runID strin
 `)
 }
 
-// emitResultsFunc renders the JSON result encoding matching the
-// simresult.Results schema: resultsJSON builds the document (serve mode
-// embeds it in a response frame), emitResults writes it to stdout.
+// emitResultsFunc renders resultsJSON, the one encoder of the result
+// document, plus the coverage-section helpers it shares with batch
+// frames.
 func (g *Generator) emitResultsFunc(sb *strings.Builder) {
 	sb.WriteString(`
-type rawCov struct {
-	Actor []byte ` + "`json:\"actor\"`" + `
-	Cond  []byte ` + "`json:\"cond\"`" + `
-	Dec   []byte ` + "`json:\"dec\"`" + `
-	MCDC  []byte ` + "`json:\"mcdc\"`" + `
-}
-
+// resultsJSON renders the result document in the simresult.Results
+// schema, append-based and in the fixed field order simresult.Decode
+// reads: model, engine, steps, execNanos, outputHash, coverage (withCov
+// only), diagTotal, then the diagnosis and monitor sections that carry
+// anything. Batch lanes pass withCov=false: the batch renders its
+// coverage once (covJSON), not per lane.
 func resultsJSON(steps, execNanos int64, withCov bool) []byte {
-	if b := resultsJSONFast(steps, execNanos, withCov); b != nil {
-		return b
-	}
 `)
 	if g.parts > 1 {
 		sb.WriteString("\tmergeDiags()\n")
 	}
-	sb.WriteString(`	counts := map[string]int64{}
-	first := map[string]int64{}
-	for i := range diagCounts {
-		if diagCounts[i] > 0 {
-			key := diagActors[i] + "|" + diagKinds[i]
-			counts[key] = diagCounts[i]
-			first[key] = diagFirst[i]
-		}
-	}
-	monitor := map[string][]monitorSample{}
-	monitorHits := map[string]int64{}
-	for i := range monHits {
-		if monHits[i] > 0 {
-			monitor[monNames[i]] = monSamples[i]
-			monitorHits[monNames[i]] = monHits[i]
-		}
-	}
-	res := struct {
-		Model       string                     ` + "`json:\"model\"`" + `
-		Engine      string                     ` + "`json:\"engine\"`" + `
-		Steps       int64                      ` + "`json:\"steps\"`" + `
-		ExecNanos   int64                      ` + "`json:\"execNanos\"`" + `
-		OutputHash  uint64                     ` + "`json:\"outputHash\"`" + `
-		Coverage    *rawCov                    ` + "`json:\"coverage,omitempty\"`" + `
-		DiagTotal   int64                      ` + "`json:\"diagTotal\"`" + `
-		DiagCounts  map[string]int64           ` + "`json:\"diagCounts,omitempty\"`" + `
-		FirstDetect map[string]int64           ` + "`json:\"firstDetect,omitempty\"`" + `
-		Diags       []diagRecord               ` + "`json:\"diags,omitempty\"`" + `
-		Monitor     map[string][]monitorSample ` + "`json:\"monitor,omitempty\"`" + `
-		MonitorHits map[string]int64           ` + "`json:\"monitorHits,omitempty\"`" + `
-	}{
-		Model:      modelName,
-		Engine:     "AccMoS",
-		Steps:      steps,
-		ExecNanos:  execNanos,
-		OutputHash: outputHash,
-		DiagTotal:  diagTotal,
-		Diags:      diagRecords,
-	}
-	if len(counts) > 0 {
-		res.DiagCounts = counts
-		res.FirstDetect = first
-	}
-	if len(monitor) > 0 {
-		res.Monitor = monitor
-		res.MonitorHits = monitorHits
-	}
-`)
-	if g.opts.Coverage {
-		sb.WriteString(`	if withCov {
-		res.Coverage = &rawCov{
-			Actor: actorBitmap[:],
-			Cond:  condBitmap[:],
-			Dec:   decBitmap[:],
-			MCDC:  mcdcBitmap[:],
-		}
-	}
-`)
-	}
-	sb.WriteString(`	b, err := json.Marshal(&res)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "accmos: encoding results:", err)
-		os.Exit(1)
-	}
-	return b
-}
-
-func emitResults(steps, execNanos int64) {
-	os.Stdout.Write(resultsJSON(steps, execNanos, true))
-	os.Stdout.Write([]byte("\n"))
-}
-
-// resultsJSONFast hand-renders the document for the common diag-free,
-// monitor-free run — append-based, no maps, no reflection — in the same
-// field order the encoding/json path produces, so the harness fast
-// decoder and every JSON consumer read both identically. Returns nil
-// when the run carries diagnoses or monitor hits (or the model name
-// needs escaping) and the reflective encoder must render the full
-// document. Per-lane encode is a fixed cost of every batch response;
-// this path cuts it by roughly 4x. Batch lanes pass withCov=false: the
-// coverage section is rendered once per batch (covJSON), not per lane.
-func resultsJSONFast(steps, execNanos int64, withCov bool) []byte {
-	if diagTotal != 0 || len(diagRecords) != 0 {
-		return nil
-	}
-	for i := range diagCounts {
-		if diagCounts[i] > 0 {
-			return nil
-		}
-	}
-	for i := range monHits {
-		if monHits[i] > 0 {
-			return nil
-		}
-	}
-	for i := 0; i < len(modelName); i++ {
-		if c := modelName[i]; c == '"' || c == '\\' || c < 0x20 || c > 0x7e {
-			return nil
-		}
-	}
-	b := make([]byte, 0, 192+len(modelName)+covEncodedLen)
-	b = append(b, ` + "`" + `{"model":"` + "`" + `...)
-	b = append(b, modelName...)
-	b = append(b, ` + "`" + `","engine":"AccMoS","steps":` + "`" + `...)
+	sb.WriteString(`	b := make([]byte, 0, 192+len(modelName)+covEncodedLen)
+	b = append(b, ` + "`" + `{"model":` + "`" + `...)
+	b = appendStr(b, modelName)
+	b = append(b, ` + "`" + `,"engine":"AccMoS","steps":` + "`" + `...)
 	b = strconv.AppendInt(b, steps, 10)
 	b = append(b, ` + "`" + `,"execNanos":` + "`" + `...)
 	b = strconv.AppendInt(b, execNanos, 10)
 	b = append(b, ` + "`" + `,"outputHash":` + "`" + `...)
 	b = strconv.AppendUint(b, outputHash, 10)
-`)
-	if g.opts.Coverage {
-		sb.WriteString(`	if withCov {
-		b = append(b, ` + "`" + `,"coverage":{"actor":"` + "`" + `...)
-		b = appendB64(b, actorBitmap[:])
-		b = append(b, ` + "`" + `","cond":"` + "`" + `...)
-		b = appendB64(b, condBitmap[:])
-		b = append(b, ` + "`" + `","dec":"` + "`" + `...)
-		b = appendB64(b, decBitmap[:])
-		b = append(b, ` + "`" + `","mcdc":"` + "`" + `...)
-		b = appendB64(b, mcdcBitmap[:])
-		b = append(b, ` + "`" + `"}` + "`" + `...)
+	if covEnabled && withCov {
+		b = append(b, ` + "`" + `,"coverage":` + "`" + `...)
+		b = appendCov(b)
 	}
-`)
-	} else {
-		sb.WriteString("	_ = withCov\n")
-	}
-	sb.WriteString(`	b = append(b, ` + "`" + `,"diagTotal":0}` + "`" + `...)
-	return b
+	b = append(b, ` + "`" + `,"diagTotal":` + "`" + `...)
+	b = strconv.AppendInt(b, diagTotal, 10)
+	b = appendSections(b)
+	return append(b, '}')
 }
 `)
 	if g.opts.Coverage {
@@ -707,13 +544,8 @@ func appendB64(b, src []byte) []byte {
 	return b
 }
 
-// covJSON renders the coverage section once per batch: lanes share the
-// monotone coverage bitmaps (every instrumentation write is an
-// idempotent 1-set), so when the batch finishes the globals already
-// hold the OR-merge of every lane — the per-lane bitmaps the paper
-// folds at batch end, without any copy.
-func covJSON() []byte {
-	b := make([]byte, 0, covEncodedLen)
+// appendCov appends the coverage object: the four bitmaps in base64.
+func appendCov(b []byte) []byte {
 	b = append(b, ` + "`" + `{"actor":"` + "`" + `...)
 	b = appendB64(b, actorBitmap[:])
 	b = append(b, ` + "`" + `","cond":"` + "`" + `...)
@@ -722,13 +554,12 @@ func covJSON() []byte {
 	b = appendB64(b, decBitmap[:])
 	b = append(b, ` + "`" + `","mcdc":"` + "`" + `...)
 	b = appendB64(b, mcdcBitmap[:])
-	b = append(b, ` + "`" + `"}` + "`" + `...)
-	return b
+	return append(b, ` + "`" + `"}` + "`" + `...)
 }
 `)
 	} else {
 		sb.WriteString("\nconst covEncodedLen = 0\n")
-		sb.WriteString("\n// covJSON is the batch coverage section: nil when coverage is off.\nfunc covJSON() []byte { return nil }\n")
+		sb.WriteString("\n// appendCov is unreachable: coverage is off.\nfunc appendCov(b []byte) []byte { return b }\n")
 	}
 	fmt.Fprintf(sb, "\nconst modelName = %q\n", g.c.Model.Name)
 }

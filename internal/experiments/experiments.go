@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -86,7 +87,7 @@ func (c *Config) fillDefaults() {
 // inspectable artifacts, which always gets a fresh build under dir.
 func (c *Config) build(prog *codegen.Program, dir string) (bin string, compileTime time.Duration, hit bool, err error) {
 	if c.WorkDir != "" {
-		bin, compileTime, err = harness.Build(prog, dir)
+		bin, compileTime, err = harness.Build(context.Background(), prog, dir, nil)
 		return bin, compileTime, false, err
 	}
 	return harness.DefaultCache.Build(prog, nil)
@@ -240,7 +241,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		}
 		row.Compile = compileTime
 		row.CacheHit = hit
-		accRes, err := harness.Run(bin, harness.RunOptions{
+		accRes, err := harness.RunContext(context.Background(), bin, harness.RunOptions{
 			Steps: cfg.Steps, Timeout: cfg.Timeout, Heartbeat: cfg.Heartbeat,
 		})
 		if err != nil {
@@ -360,7 +361,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		}
 		for j, budget := range cfg.Budgets {
 			row := Table3Row{Model: name, Budget: budget}
-			accRes, err := harness.Run(bin, harness.RunOptions{Budget: budget, Timeout: cfg.Timeout})
+			accRes, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Budget: budget, Timeout: cfg.Timeout})
 			if err != nil {
 				return err
 			}
@@ -431,7 +432,7 @@ func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 		if err != nil {
 			return Detection{}, Detection{}, err
 		}
-		accRes, err := harness.Run(bin, harness.RunOptions{Steps: maxSteps, Timeout: cfg.Timeout})
+		accRes, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: maxSteps, Timeout: cfg.Timeout})
 		if err != nil {
 			return Detection{}, Detection{}, err
 		}
@@ -508,7 +509,7 @@ func Figure1(cfg Config, increment int64) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	accRes, err := harness.Run(bin, harness.RunOptions{Steps: maxSteps, Timeout: cfg.Timeout})
+	accRes, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: maxSteps, Timeout: cfg.Timeout})
 	if err != nil {
 		return nil, err
 	}

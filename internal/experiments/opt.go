@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -155,7 +156,7 @@ func BenchOpt(cfg Config) ([]OptRow, error) {
 				return nil, err
 			}
 			*lv.cmpl = compileTime
-			res, err := harness.Run(bin, harness.RunOptions{Steps: cfg.Steps, Timeout: cfg.Timeout})
+			res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: cfg.Steps, Timeout: cfg.Timeout})
 			if err != nil {
 				return nil, err
 			}
@@ -328,7 +329,7 @@ func (cfg *Config) optEquivalent(dir, name string, c *actors.Compiled, set *test
 		if err != nil {
 			return nil, err
 		}
-		gr, err := harness.Run(bin, harness.RunOptions{Steps: equivSteps, Timeout: cfg.Timeout})
+		gr, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: equivSteps, Timeout: cfg.Timeout})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -102,7 +103,7 @@ func BenchPartition(cfg Config) ([]PartitionRow, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			res, err := harness.Run(bin, harness.RunOptions{Steps: cfg.Steps, Timeout: cfg.Timeout})
+			res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: cfg.Steps, Timeout: cfg.Timeout})
 			if err != nil {
 				return nil, 0, err
 			}
@@ -214,7 +215,7 @@ func (cfg *Config) partitionEquivalent(dir, name string, c *actors.Compiled, set
 		if err != nil {
 			return nil, err
 		}
-		return harness.Run(bin, harness.RunOptions{Steps: equivSteps, Timeout: cfg.Timeout})
+		return harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: equivSteps, Timeout: cfg.Timeout})
 	}
 	seq, err := run(nil, "P1")
 	if err != nil {

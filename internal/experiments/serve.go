@@ -87,7 +87,7 @@ func BenchServe(cfg Config) ([]ServeRow, error) {
 		spawnHashes := make([]uint64, len(seeds))
 		start := time.Now()
 		for i, seed := range seeds {
-			res, err := harness.Run(bin, ro(seed))
+			res, err := harness.RunContext(context.Background(), bin, ro(seed))
 			if err != nil {
 				return nil, fmt.Errorf("%s spawn run %d: %w", name, i+1, err)
 			}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -183,7 +184,7 @@ func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, comp
 		c.count(&c.hits)
 		return "", 0, true, e.err
 	}
-	e.bin, e.compile, e.err = BuildTraced(p, dir, tr)
+	e.bin, e.compile, e.err = Build(context.Background(), p, dir, tr)
 	e.src = srcPathFor(p, dir)
 	e.done = true
 	c.count(&c.misses)

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"context"
 	"os"
 	"strings"
 	"sync"
@@ -75,7 +76,7 @@ func TestBuildCacheHitAndMiss(t *testing.T) {
 		t.Error("distinct programs share a cached binary path")
 	}
 
-	if res, err := harness.Run(bin2, harness.RunOptions{Steps: 5}); err != nil || res.Steps != 5 {
+	if res, err := harness.RunContext(context.Background(), bin2, harness.RunOptions{Steps: 5}); err != nil || res.Steps != 5 {
 		t.Fatalf("cached binary does not run: %v %+v", err, res)
 	}
 }
@@ -292,7 +293,7 @@ func TestBuildCacheExportImportRoundTrip(t *testing.T) {
 	if !hit {
 		t.Error("Build after Import did not hit the cache")
 	}
-	if res, err := harness.Run(bin, harness.RunOptions{Steps: 7}); err != nil || res.Steps != 7 {
+	if res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 7}); err != nil || res.Steps != 7 {
 		t.Fatalf("imported binary does not run: %v %+v", err, res)
 	}
 

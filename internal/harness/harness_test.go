@@ -41,15 +41,19 @@ func program(t *testing.T) *codegen.Program {
 
 func TestBuildAndRun(t *testing.T) {
 	p := program(t)
-	res, err := harness.BuildAndRun(p, t.TempDir(), harness.RunOptions{Steps: 123})
+	bin, compileTime, err := harness.Build(context.Background(), p, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compileTime <= 0 {
+		t.Error("compile time not recorded")
+	}
+	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 123})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Steps != 123 || res.Engine != "AccMoS" || res.Model != "H" {
 		t.Errorf("results: %+v", res)
-	}
-	if res.CompileNanos <= 0 {
-		t.Error("compile time not recorded")
 	}
 	if res.Coverage == nil || len(res.Coverage.Actor) != 3 {
 		t.Errorf("coverage bitmaps: %+v", res.Coverage)
@@ -58,18 +62,18 @@ func TestBuildAndRun(t *testing.T) {
 
 func TestRunReusesBinary(t *testing.T) {
 	p := program(t)
-	bin, compileTime, err := harness.Build(p, t.TempDir())
+	bin, compileTime, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if compileTime <= 0 {
 		t.Error("no compile time")
 	}
-	r1, err := harness.Run(bin, harness.RunOptions{Steps: 10})
+	r1, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := harness.Run(bin, harness.RunOptions{Steps: 10})
+	r2, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +84,11 @@ func TestRunReusesBinary(t *testing.T) {
 
 func TestRunBudgetMode(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := harness.Run(bin, harness.RunOptions{Budget: 50 * time.Millisecond})
+	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Budget: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +99,7 @@ func TestRunBudgetMode(t *testing.T) {
 
 func TestBuildSurfacesCompilerErrors(t *testing.T) {
 	p := &codegen.Program{Model: "BAD", Source: "package main\nfunc main() { undefined() }\n"}
-	_, _, err := harness.Build(p, t.TempDir())
+	_, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err == nil {
 		t.Fatal("broken source must fail")
 	}
@@ -105,19 +109,19 @@ func TestBuildSurfacesCompilerErrors(t *testing.T) {
 }
 
 func TestRunMissingBinary(t *testing.T) {
-	if _, err := harness.Run("/nonexistent/bin", harness.RunOptions{Steps: 1}); err == nil {
+	if _, err := harness.RunContext(context.Background(), "/nonexistent/bin", harness.RunOptions{Steps: 1}); err == nil {
 		t.Fatal("missing binary must error")
 	}
 }
 
 func TestRunHeartbeatTimeline(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var viaCallback []obs.Snapshot
-	res, err := harness.Run(bin, harness.RunOptions{
+	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{
 		Steps:     5_000_000,
 		Heartbeat: time.Millisecond,
 		Progress:  func(s obs.Snapshot) { viaCallback = append(viaCallback, s) },
@@ -157,11 +161,11 @@ func TestRunHeartbeatTimeline(t *testing.T) {
 
 func TestRunHeartbeatOffByDefault(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := harness.Run(bin, harness.RunOptions{Steps: 1000})
+	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,8 @@ func TestRunHeartbeatOffByDefault(t *testing.T) {
 }
 
 // fakeBinary writes an executable shell script standing in for a
-// generated simulation binary, to exercise Run's stderr handling.
+// generated simulation binary, to exercise the harness's stderr and
+// protocol handling.
 func fakeBinary(t *testing.T, script string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fake_sim")
@@ -181,15 +186,23 @@ func fakeBinary(t *testing.T, script string) string {
 	return path
 }
 
+// answerFrame is the shell a fake binary runs to answer its one request
+// with a response frame carrying doc (which must not hold a single quote).
+func answerFrame(doc string) string {
+	return `read line
+id=$(echo "$line" | sed 's/.*"id":"\([^"]*\)".*/\1/')
+printf '{"accmosRun":1,"id":"%s","result":%s}\n' "$id" '` + doc + `'
+`
+}
+
 func TestRunDecodesResultsWithInterleavedStderr(t *testing.T) {
 	bin := fakeBinary(t, `
 echo 'warming up' >&2
 echo '{"accmosHB":1,"model":"F","engine":"AccMoS","steps":100,"elapsedNanos":5,"stepsPerSec":1,"coverage":50,"diags":0}' >&2
 echo 'midway note' >&2
 echo '{"accmosHB":1,"model":"F","engine":"AccMoS","steps":200,"elapsedNanos":9,"stepsPerSec":1,"coverage":75,"diags":1,"final":true}' >&2
-echo '{"model":"F","engine":"AccMoS","steps":200}'
-`)
-	res, err := harness.Run(bin, harness.RunOptions{Steps: 200})
+`+answerFrame(`{"model":"F","engine":"AccMoS","steps":200,"execNanos":9,"outputHash":1,"diagTotal":0}`))
+	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +228,7 @@ func hungBinary(t *testing.T) string {
 func TestRunTimeoutKillsHungBinary(t *testing.T) {
 	bin := hungBinary(t)
 	start := time.Now()
-	_, err := harness.Run(bin, harness.RunOptions{Steps: 1, Timeout: 250 * time.Millisecond})
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1, Timeout: 250 * time.Millisecond})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("a hung binary must surface as an error")
@@ -263,9 +276,8 @@ func TestRunSurvivesOversizedStderrLine(t *testing.T) {
 	bin := fakeBinary(t, `
 head -c 2097152 /dev/zero | tr '\0' 'x' >&2
 echo >&2
-echo '{"model":"F","engine":"AccMoS","steps":7}'
-`)
-	res, err := harness.Run(bin, harness.RunOptions{Steps: 7})
+`+answerFrame(`{"model":"F","engine":"AccMoS","steps":7,"execNanos":1,"outputHash":1,"diagTotal":0}`))
+	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 7})
 	if err != nil {
 		t.Fatalf("oversized stderr line broke a successful run: %v", err)
 	}
@@ -281,7 +293,7 @@ head -c 2097152 /dev/zero | tr '\0' 'x' >&2
 echo >&2
 exit 1
 `)
-	_, err := harness.Run(bin, harness.RunOptions{Steps: 1})
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1})
 	if err == nil {
 		t.Fatal("exit 1 must surface as an error")
 	}
@@ -310,11 +322,11 @@ func TestRunSubMillisecondBudgetClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := harness.Run(bin, harness.RunOptions{
+	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{
 		Budget:  500 * time.Microsecond,
 		Timeout: 30 * time.Second, // backstop so a regression fails fast
 	})
@@ -334,18 +346,21 @@ func TestSharedWorkDirDistinctPrograms(t *testing.T) {
 	// keep their sources and binaries apart in one shared WorkDir.
 	src := func(steps string) string {
 		return `package main
-import "fmt"
-func main() { fmt.Println(` + "`" + `{"model":"X","engine":"AccMoS","steps":` + steps + `}` + "`" + `) }
+import ("bufio"; "fmt"; "os")
+func main() {
+	bufio.NewReader(os.Stdin).ReadString('\n')
+	fmt.Println(` + "`" + `{"accmosRun":1,"id":"r1","result":{"model":"X","engine":"AccMoS","steps":` + steps + `,"execNanos":0,"outputHash":0,"diagTotal":0}}` + "`" + `)
+}
 `
 	}
 	dir := t.TempDir()
 	pa := &codegen.Program{Model: "m.1", Source: src("1")}
 	pb := &codegen.Program{Model: "m_1", Source: src("2")}
-	binA, _, err := harness.Build(pa, dir)
+	binA, _, err := harness.Build(context.Background(), pa, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binB, _, err := harness.Build(pb, dir)
+	binB, _, err := harness.Build(context.Background(), pb, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +369,11 @@ func main() { fmt.Println(` + "`" + `{"model":"X","engine":"AccMoS","steps":` + 
 	}
 	// Both binaries must still exist and behave as their own program —
 	// i.e. the second build must not have overwritten the first.
-	resA, err := harness.Run(binA, harness.RunOptions{Steps: 1})
+	resA, err := harness.RunContext(context.Background(), binA, harness.RunOptions{Steps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := harness.Run(binB, harness.RunOptions{Steps: 1})
+	resB, err := harness.RunContext(context.Background(), binB, harness.RunOptions{Steps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +390,7 @@ func TestRunErrorCarriesDiagnosticTailNotHeartbeats(t *testing.T) {
 	}
 	sb.WriteString("exit 1\n")
 	bin := fakeBinary(t, sb.String())
-	_, err := harness.Run(bin, harness.RunOptions{Steps: 1})
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1})
 	if err == nil {
 		t.Fatal("exit 1 must surface as an error")
 	}
@@ -393,7 +408,7 @@ func TestRunErrorCarriesDiagnosticTailNotHeartbeats(t *testing.T) {
 
 func TestRunErrorsCarryModelAndSuiteLabel(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-binary")
-	_, err := harness.Run(missing, harness.RunOptions{Model: "CSEV", Suite: 3})
+	_, err := harness.RunContext(context.Background(), missing, harness.RunOptions{Model: "CSEV", Suite: 3})
 	if err == nil {
 		t.Fatal("running a missing binary must fail")
 	}
@@ -404,7 +419,7 @@ func TestRunErrorsCarryModelAndSuiteLabel(t *testing.T) {
 	}
 
 	// Without labels the error falls back to the binary path alone.
-	_, err = harness.Run(missing, harness.RunOptions{})
+	_, err = harness.RunContext(context.Background(), missing, harness.RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), missing) {
 		t.Fatalf("unlabeled error should carry the path: %v", err)
 	}

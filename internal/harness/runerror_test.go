@@ -17,7 +17,7 @@ import (
 // still sees the deadline cause.
 func TestRunErrorStructuredOnTimeout(t *testing.T) {
 	bin := hungBinary(t)
-	_, err := harness.Run(bin, harness.RunOptions{
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{
 		Steps: 1, Timeout: 250 * time.Millisecond,
 		Model: "HT", RunID: "r-timeout-test",
 	})
@@ -53,7 +53,7 @@ echo 'boom: stack trace line' >&2
 echo '{"accmosHB":1,"model":"X","engine":"AccMoS","steps":7}' >&2
 exit 3
 `)
-	_, err := harness.Run(bin, harness.RunOptions{Steps: 1, RunID: "r-exit-test"})
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1, RunID: "r-exit-test"})
 	if err == nil {
 		t.Fatal("exit 3 must surface as an error")
 	}
@@ -92,7 +92,7 @@ func TestRunErrorHeartbeatTailBounded(t *testing.T) {
 		sb.WriteString(`echo '{"accmosHB":1,"steps":` + strconv.Itoa(i) + `}' >&2` + "\n")
 	}
 	sb.WriteString("exit 1\n")
-	_, err := harness.Run(fakeBinary(t, sb.String()), harness.RunOptions{Steps: 1})
+	_, err := harness.RunContext(context.Background(), fakeBinary(t, sb.String()), harness.RunOptions{Steps: 1})
 	var re *harness.RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("not a RunError: %v", err)
@@ -106,7 +106,7 @@ func TestRunErrorHeartbeatTailBounded(t *testing.T) {
 }
 
 // TestWorkerRunErrorStructuredOnTimeout: the pooled serve-mode path
-// produces the same structured errors as spawn-per-run.
+// produces the same structured errors as an ephemeral run.
 func TestWorkerRunErrorStructuredOnTimeout(t *testing.T) {
 	bin := hungBinary(t)
 	pool := harness.NewWorkerPool(1)
@@ -283,35 +283,66 @@ exit 2
 	}
 }
 
-// TestSpawnBatchTruncatedDoc: the spawn-per-batch path (-batch-seeds)
-// reads a header plus N lane lines from a one-shot process; a document
-// that ends early must name the missing lane rather than decode garbage.
-func TestSpawnBatchTruncatedDoc(t *testing.T) {
+// The ephemeral run path — spawn, one request, close stdin, reap — must
+// turn every way a binary can misbehave into a prompt, structured
+// *RunError, never a hang. (A binary that exits non-zero before
+// answering is TestRunErrorStructuredOnExit.)
+
+// TestEphemeralTruncatedFrame: a binary that writes half a frame and
+// exits cleanly broke the protocol.
+func TestEphemeralTruncatedFrame(t *testing.T) {
 	bin := fakeBinary(t, `
-echo '{"accmosBatch":1,"laneCount":2}'
-echo '{"model":"X","engine":"AccMoS","steps":4,"execNanos":1,"outputHash":7,"diagTotal":0}'
+read line
+printf '{"accmosRun":1,"id":"r1","result":{"model":"X"'
+exit 0
 `)
-	_, _, err := harness.RunBatch(context.Background(), bin,
-		harness.RunOptions{Steps: 4}, []uint64{1, 2})
-	if err == nil || !strings.Contains(err.Error(), "reading batch lane 2 of 2") {
-		t.Fatalf("truncated batch document must name the missing lane: %v", err)
+	start := time.Now()
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1, RunID: "r-trunc"})
+	var re *harness.RunError
+	if !errors.As(err, &re) || re.Reason != harness.ReasonProtocol {
+		t.Fatalf("a truncated frame must be a protocol RunError: %v", err)
+	}
+	if re.Corr != "r-trunc" || re.Bin != bin {
+		t.Errorf("identity fields: %+v", re)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("took %v to report a truncated frame", elapsed)
 	}
 }
 
-// TestSpawnBatchHeaderMismatch: a spawn batch header promising a lane
-// count other than the requested seed count is rejected up front.
-func TestSpawnBatchHeaderMismatch(t *testing.T) {
+// TestEphemeralIgnoresRequestAndStdin: a binary that neither answers nor
+// exits when its stdin closes is killed by the Timeout.
+func TestEphemeralIgnoresRequestAndStdin(t *testing.T) {
 	bin := fakeBinary(t, `
-echo '{"accmosBatch":1,"laneCount":5}'
-echo '{}'
-echo '{}'
-echo '{}'
-echo '{}'
-echo '{}'
+while :; do sleep 0.05; done
 `)
-	_, _, err := harness.RunBatch(context.Background(), bin,
-		harness.RunOptions{Steps: 4}, []uint64{1, 2})
-	if err == nil || !strings.Contains(err.Error(), "batch document mismatch (marker 1, 5 lanes for 2 seeds)") {
-		t.Fatalf("header mismatch must be rejected: %v", err)
+	start := time.Now()
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1, Timeout: 300 * time.Millisecond})
+	var re *harness.RunError
+	if !errors.As(err, &re) || re.Reason != harness.ReasonTimeout {
+		t.Fatalf("an unresponsive binary must be a timeout RunError: %v", err)
+	}
+	if re.Timeout != 300*time.Millisecond || !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("timeout fields: %+v", re)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("kill took %v after a 300ms timeout", elapsed)
+	}
+}
+
+// TestEphemeralExitAfterAnswer: a binary that answers and then exits
+// non-zero still failed.
+func TestEphemeralExitAfterAnswer(t *testing.T) {
+	bin := fakeBinary(t, answerFrame(`{"model":"X","engine":"AccMoS","steps":1,"execNanos":0,"outputHash":0,"diagTotal":0}`)+`
+echo 'panic after the answer' >&2
+exit 4
+`)
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1})
+	var re *harness.RunError
+	if !errors.As(err, &re) || re.Reason != harness.ReasonExit || re.ExitCode != 4 {
+		t.Fatalf("a non-zero exit after answering must be an exit RunError: %v", err)
+	}
+	if len(re.StderrTail) == 0 || re.StderrTail[len(re.StderrTail)-1] != "panic after the answer" {
+		t.Errorf("stderr tail: %q", re.StderrTail)
 	}
 }

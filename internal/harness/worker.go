@@ -65,15 +65,6 @@ type WorkerStats struct {
 	Warm      int   `json:"warm"`
 }
 
-// ReuseRatio is the fraction of requests an already-warm worker served:
-// Reuses / (Spawns + Reuses). Zero when the pool has done nothing.
-func (s WorkerStats) ReuseRatio() float64 {
-	if total := s.Spawns + s.Reuses; total > 0 {
-		return float64(s.Reuses) / float64(total)
-	}
-	return 0
-}
-
 // WorkerPool keeps warm serve-mode processes per built artifact, so a
 // sweep of many short runs pays Go process startup once per worker
 // instead of once per run. Workers are spawned on demand, up to
@@ -130,23 +121,19 @@ func (p *WorkerPool) Stats() WorkerStats {
 
 // RunContext executes one simulation request on a warm worker for
 // binPath, spawning one if none is idle and the per-artifact cap allows.
-// It honors RunOptions exactly like RunContext: Steps/Budget/SeedXor
-// select the simulated span, Timeout bounds the request (the worker is
-// killed and left to respawn on overrun), Heartbeat/Progress stream
-// run-tagged snapshots. reused reports whether an already-warm worker
-// served the request.
+// It honors RunOptions exactly like the package-level RunContext:
+// Steps/Budget/SeedXor select the simulated span, Timeout bounds the
+// request (the worker is killed and left to respawn on overrun),
+// Heartbeat/Progress stream run-tagged snapshots. reused reports whether
+// an already-warm worker served the request.
 func (p *WorkerPool) RunContext(ctx context.Context, binPath string, opts RunOptions) (res *simresult.Results, reused bool, err error) {
 	defer opts.Trace.Start("run").End()
-	art, err := p.artifact(binPath)
-	if err != nil {
-		return nil, false, err
-	}
-	w, reused, err := p.acquire(ctx, art, &opts)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err = w.run(ctx, opts)
-	p.release(art, w, reused, err != nil)
+	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) error {
+		if res, err = w.run(ctx, opts); err == nil {
+			res.Timeline = w.endRun()
+		}
+		return err
+	})
 	if err != nil {
 		return nil, reused, err
 	}
@@ -168,16 +155,12 @@ func (p *WorkerPool) RunBatch(ctx context.Context, binPath string, opts RunOptio
 	if opts.Budget > 0 {
 		return nil, nil, false, errors.New("harness: RunBatch is step-bounded; Budget is unsupported")
 	}
-	art, err := p.artifact(binPath)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	w, reused, err := p.acquire(ctx, art, &opts)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	res, cov, err = w.runBatch(ctx, opts, seedXors)
-	p.release(art, w, reused, err != nil)
+	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) error {
+		if res, cov, err = w.runBatch(ctx, opts, seedXors); err == nil {
+			w.endRun() // batch heartbeats aggregate lanes; no lane owns them
+		}
+		return err
+	})
 	if err != nil {
 		return nil, nil, reused, err
 	}
@@ -185,6 +168,22 @@ func (p *WorkerPool) RunBatch(ctx context.Context, binPath string, opts RunOptio
 	p.batches++
 	p.mu.Unlock()
 	return res, cov, reused, nil
+}
+
+// withWorker runs fn on a worker for binPath, acquired and released around
+// the call; a worker that fn fails on is destroyed.
+func (p *WorkerPool) withWorker(ctx context.Context, binPath string, opts *RunOptions, fn func(*serveWorker) error) (reused bool, err error) {
+	art, err := p.artifact(binPath)
+	if err != nil {
+		return false, err
+	}
+	w, reused, err := p.acquire(ctx, art, opts)
+	if err != nil {
+		return false, err
+	}
+	err = fn(w)
+	p.release(art, w, reused, err != nil)
+	return reused, err
 }
 
 // artifact returns (creating on first use) the per-binary worker set.
@@ -315,7 +314,8 @@ type serveWorker struct {
 }
 
 // spawnWorker starts binPath in serve mode with its pipes wired up and
-// the stderr drain running.
+// the stderr drain running. It is the only place the harness execs a
+// generated binary.
 func spawnWorker(binPath string) (*serveWorker, error) {
 	cmd := exec.Command(binPath, "-serve")
 	setProcGroup(cmd)
@@ -360,7 +360,10 @@ func (w *serveWorker) drain(r io.Reader) {
 			w.hbMu.Lock()
 			var cb func(obs.Snapshot)
 			var fin chan struct{}
-			if snap.Run != "" && snap.Run == w.curRun {
+			// Untagged heartbeats belong to whichever run is current: a
+			// serving binary tags its own, so only a -steps style
+			// program emits them.
+			if snap.Run == "" || snap.Run == w.curRun {
 				snap.Corr = w.curCorr
 				w.timeline = append(w.timeline, snap)
 				cb = w.progress
@@ -388,7 +391,10 @@ func (w *serveWorker) drain(r io.Reader) {
 		}
 		w.hbMu.Unlock()
 	}
-	if sc.Err() != nil {
+	if err := sc.Err(); err != nil {
+		w.hbMu.Lock()
+		w.tail = append(w.tail, fmt.Sprintf("harness: stderr scan aborted (diagnostic tail truncated): %v", err))
+		w.hbMu.Unlock()
 		io.Copy(io.Discard, r)
 	}
 }
@@ -400,49 +406,38 @@ func (w *serveWorker) errTail() string {
 	return strings.Join(w.tail, "\n")
 }
 
-// evidence snapshots the bounded forensic state a RunError carries: the
-// diagnostic stderr tail and the current run's trailing heartbeats.
-func (w *serveWorker) evidence() ([]string, []obs.Snapshot) {
+// fail builds a structured RunError around the worker's current
+// evidence: the diagnostic stderr tail and the run's trailing heartbeats.
+func (w *serveWorker) fail(opts RunOptions, reason string, cause error, msg string) *RunError {
 	w.hbMu.Lock()
 	defer w.hbMu.Unlock()
-	return append([]string(nil), w.tail...), heartbeatTail(w.timeline)
-}
-
-// fail builds a structured RunError around the worker's current
-// evidence (diagnostic stderr tail, trailing heartbeats).
-func (w *serveWorker) fail(opts RunOptions, reason string, cause error, msg string) *RunError {
-	tail, hbs := w.evidence()
 	return &RunError{
 		Model: opts.Model, Suite: opts.Suite, Bin: w.bin, Corr: opts.RunID,
 		Reason: reason, ExitCode: -1,
-		StderrTail: tail, Heartbeats: hbs,
+		StderrTail: append([]string(nil), w.tail...), Heartbeats: heartbeatTail(w.timeline),
 		Err: cause, msg: msg,
 	}
 }
 
-// run sends one simulation request and decodes its result document.
-// A worker that errors here must not be reused; the pool destroys it.
+// run sends one simulation request and decodes its result document;
+// the caller collects the run's timeline with endRun. A worker that
+// errors here must not be reused.
 func (w *serveWorker) run(ctx context.Context, opts RunOptions) (*simresult.Results, error) {
 	// The frame carries the step count AND the budget: with both set the
-	// worker stops at whichever bound is reached first — the same
-	// semantics spawn-per-run passes via flags, so pooled and spawned
-	// execution of a steps+budget run stay bit-identical.
+	// worker stops at whichever bound is reached first.
 	req := serveRequest{SeedXor: opts.SeedXor, Steps: opts.Steps}
 	if opts.Budget > 0 {
 		req.BudgetMS = clampMS(opts.Budget)
 	}
-	frame, _, timeline, err := w.exchange(ctx, opts, req)
+	frame, _, err := w.exchange(ctx, opts, req)
 	if err != nil {
 		return nil, err
 	}
 	var res simresult.Results
-	if !simresult.DecodeGenerated(frame.Result, &res) {
-		if err := json.Unmarshal(frame.Result, &res); err != nil {
-			return nil, w.fail(opts, ReasonDecode, err,
-				fmt.Sprintf("harness: running %s: decoding worker results: %v", opts.label(w.bin), err))
-		}
+	if err := simresult.Decode(frame.Result, &res); err != nil {
+		return nil, w.fail(opts, ReasonDecode, err,
+			fmt.Sprintf("harness: running %s: %v", opts.label(w.bin), err))
 	}
-	res.Timeline = timeline
 	return &res, nil
 }
 
@@ -451,7 +446,7 @@ func (w *serveWorker) run(ctx context.Context, opts RunOptions) (*simresult.Resu
 // aggregate batch heartbeats are not attached to any single lane.
 func (w *serveWorker) runBatch(ctx context.Context, opts RunOptions, seedXors []uint64) ([]*simresult.Results, *coverage.Raw, error) {
 	req := serveRequest{Batch: 1, SeedXors: seedXors, Steps: opts.Steps}
-	frame, lanes, _, err := w.exchange(ctx, opts, req)
+	frame, lanes, err := w.exchange(ctx, opts, req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -471,18 +466,18 @@ func (w *serveWorker) runBatch(ctx context.Context, opts RunOptions, seedXors []
 // exchange assigns the request id, sends one request frame and reads
 // its validated response frame, enforcing the per-request Timeout by
 // killing the process group — the exchange goroutine then unblocks on
-// the closed pipe. It owns the heartbeat registration for the request
-// and returns the collected timeline alongside the frame. Frame
-// validation (marker, id, worker error) happens here; result decoding
-// is the caller's.
-func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req serveRequest) (*serveFrame, [][]byte, []obs.Snapshot, error) {
+// the closed pipe. It registers the request for heartbeats; endRun
+// collects the timeline and clears the registration. Frame validation
+// (marker, id, worker error) happens here; result decoding is the
+// caller's.
+func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req serveRequest) (*serveFrame, [][]byte, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: running %s: %w", opts.label(w.bin), err)
+		return nil, nil, fmt.Errorf("harness: running %s: %w", opts.label(w.bin), err)
 	}
 	w.nextID++
 	id := fmt.Sprintf("r%d", w.nextID)
@@ -492,12 +487,15 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req serveRe
 	}
 	line, err := json.Marshal(req)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: encoding request: %w", err)
+		return nil, nil, fmt.Errorf("harness: encoding request: %w", err)
 	}
 	line = append(line, '\n')
 
 	w.hbMu.Lock()
-	w.curRun, w.curCorr, w.timeline, w.progress = id, opts.RunID, nil, opts.Progress
+	w.curRun, w.curCorr, w.progress = id, opts.RunID, opts.Progress
+	for i := range w.timeline {
+		w.timeline[i].Corr = opts.RunID // untagged heartbeats that beat the request in
+	}
 	var finalSeen chan struct{}
 	if req.HeartbeatMS > 0 {
 		finalSeen = make(chan struct{})
@@ -506,9 +504,10 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req serveRe
 	w.hbMu.Unlock()
 
 	type exchanged struct {
-		frame []byte
-		lanes [][]byte
-		err   error
+		frame    serveFrame
+		frameErr error // the frame line arrived but did not decode
+		lanes    [][]byte
+		err      error // the pipe broke
 	}
 	ch := make(chan exchanged, 1)
 	go func() {
@@ -516,32 +515,25 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req serveRe
 			ch <- exchanged{err: fmt.Errorf("writing request: %w", err)}
 			return
 		}
-		frame, err := w.out.ReadBytes('\n')
+		raw, err := w.out.ReadBytes('\n')
 		if err != nil {
-			ch <- exchanged{frame: frame, err: err}
+			ch <- exchanged{err: err}
 			return
 		}
+		var ex exchanged
+		ex.frameErr = json.Unmarshal(raw, &ex.frame)
 		// Batch responses follow the header frame with one raw result
 		// line per lane; read them here so the cancellation kill path
 		// below covers a worker wedged mid-batch too.
-		var lanes [][]byte
-		if req.Batch != 0 {
-			var hdr struct {
-				LaneCount int `json:"laneCount"`
+		for i := 0; ex.frameErr == nil && i < ex.frame.LaneCount; i++ {
+			lane, err := w.out.ReadBytes('\n')
+			if err != nil {
+				ch <- exchanged{err: fmt.Errorf("reading batch lane %d of %d: %w", i+1, ex.frame.LaneCount, err)}
+				return
 			}
-			if json.Unmarshal(frame, &hdr) == nil && hdr.LaneCount > 0 {
-				lanes = make([][]byte, 0, hdr.LaneCount)
-				for i := 0; i < hdr.LaneCount; i++ {
-					lane, err := w.out.ReadBytes('\n')
-					if err != nil {
-						ch <- exchanged{frame: frame, err: fmt.Errorf("reading batch lane %d of %d: %w", i+1, hdr.LaneCount, err)}
-						return
-					}
-					lanes = append(lanes, lane)
-				}
-			}
+			ex.lanes = append(ex.lanes, lane)
 		}
-		ch <- exchanged{frame: frame, lanes: lanes}
+		ch <- ex
 	}()
 	var ex exchanged
 	select {
@@ -553,31 +545,39 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req serveRe
 				fmt.Sprintf("harness: running %s: worker killed after exceeding the %v timeout\n%s",
 					opts.label(w.bin), opts.Timeout, w.errTail()))
 			e.Timeout = opts.Timeout
-			return nil, nil, nil, e
+			return nil, nil, e
 		}
-		return nil, nil, nil, w.fail(opts, ReasonCanceled, ctx.Err(),
+		return nil, nil, w.fail(opts, ReasonCanceled, ctx.Err(),
 			fmt.Sprintf("harness: running %s: worker killed: %v\n%s",
 				opts.label(w.bin), ctx.Err(), w.errTail()))
 	case ex = <-ch:
 	}
 	if ex.err != nil {
-		return nil, nil, nil, w.fail(opts, ReasonProtocol, ex.err,
+		// A broken pipe usually means the worker is dying: give its
+		// stderr a moment to drain so the error carries its last words.
+		w.stdin.Close()
+		select {
+		case <-w.stderrDone:
+		case <-ctx.Done():
+		case <-time.After(time.Second):
+		}
+		return nil, nil, w.fail(opts, ReasonProtocol, ex.err,
 			fmt.Sprintf("harness: running %s: worker protocol failure: %v\n%s",
 				opts.label(w.bin), ex.err, w.errTail()))
 	}
-	var frame serveFrame
-	if err := json.Unmarshal(ex.frame, &frame); err != nil {
-		return nil, nil, nil, w.fail(opts, ReasonProtocol, err,
+	frame := &ex.frame
+	if err := ex.frameErr; err != nil {
+		return nil, nil, w.fail(opts, ReasonProtocol, err,
 			fmt.Sprintf("harness: running %s: decoding worker frame: %v\n%s",
 				opts.label(w.bin), err, w.errTail()))
 	}
 	if frame.Marker != 1 || frame.ID != id {
-		return nil, nil, nil, w.fail(opts, ReasonProtocol, nil,
+		return nil, nil, w.fail(opts, ReasonProtocol, nil,
 			fmt.Sprintf("harness: running %s: worker frame mismatch (marker %d, id %q, want %q)",
 				opts.label(w.bin), frame.Marker, frame.ID, id))
 	}
 	if frame.Error != "" {
-		return nil, nil, nil, w.fail(opts, ReasonWorker, nil,
+		return nil, nil, w.fail(opts, ReasonWorker, nil,
 			fmt.Sprintf("harness: running %s: worker: %s", opts.label(w.bin), frame.Error))
 	}
 	if finalSeen != nil {
@@ -592,11 +592,53 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req serveRe
 		case <-ctx.Done():
 		}
 	}
+	return frame, ex.lanes, nil
+}
+
+// endRun returns the current run's timeline and clears its heartbeat
+// registration.
+func (w *serveWorker) endRun() []obs.Snapshot {
 	w.hbMu.Lock()
+	defer w.hbMu.Unlock()
 	timeline := w.timeline
 	w.curRun, w.curCorr, w.timeline, w.progress, w.finalSeen = "", "", nil, nil, nil
-	w.hbMu.Unlock()
-	return &frame, ex.lanes, timeline, nil
+	return timeline
+}
+
+// reap retires an ephemeral worker: close its stdin — a serving binary
+// exits at EOF — and wait until it has exited and both output pipes are
+// drained, killing its process group if ctx ends first. It returns the
+// exit error of a binary that exited non-zero on its own, and nil for a
+// clean exit or a kill (the caller then already holds its answer or its
+// error).
+func (w *serveWorker) reap(ctx context.Context) error {
+	w.stdin.Close()
+	drained := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, w.out)
+		<-w.stderrDone
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		return w.cmd.Wait()
+	case <-ctx.Done():
+		killProcGroup(w.cmd)
+		<-drained
+		w.cmd.Wait()
+		return nil
+	}
+}
+
+// exitError is the failure of a binary that exited non-zero on its own,
+// carrying its exit code and complete stderr evidence.
+func (w *serveWorker) exitError(opts RunOptions, waitErr error) *RunError {
+	e := w.fail(opts, ReasonExit, waitErr, "")
+	if ps := w.cmd.ProcessState; ps != nil {
+		e.ExitCode = ps.ExitCode()
+	}
+	e.msg = fmt.Sprintf("harness: running %s: %v\n%s", opts.label(w.bin), waitErr, strings.Join(e.StderrTail, "\n"))
+	return e
 }
 
 // destroy kills the worker's process group and reaps it. Safe to call on

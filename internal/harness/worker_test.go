@@ -18,7 +18,7 @@ import (
 
 func TestWorkerPoolReuseMatchesOneShot(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestWorkerPoolReuseMatchesOneShot(t *testing.T) {
 	seeds := []uint64{0, 7, 0xDEAD, 0xBEEF}
 	for i, seed := range seeds {
 		opts := harness.RunOptions{Steps: 500, SeedXor: seed}
-		want, err := harness.Run(bin, opts)
+		want, err := harness.RunContext(context.Background(), bin, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestWorkerPoolReuseMatchesOneShot(t *testing.T) {
 
 func TestWorkerPoolTimeoutKillsAndRespawns(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestWorkerPoolClosedRejects(t *testing.T) {
 
 func TestWorkerPoolHeartbeatTimeline(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,18 +219,18 @@ func TestWorkerPoolHeartbeatTimeline(t *testing.T) {
 
 func TestWorkerPoolConcurrentRuns(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := harness.NewWorkerPool(2)
 	defer pool.Close()
 
-	// Baseline hashes per seed from one-shot mode.
+	// Baseline hashes per seed from ephemeral runs.
 	want := map[uint64]uint64{}
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, seed := range seeds {
-		res, err := harness.Run(bin, harness.RunOptions{Steps: 300, SeedXor: seed})
+		res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 300, SeedXor: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestWorkerPoolConcurrentRuns(t *testing.T) {
 
 func TestWorkerPoolBudgetMode(t *testing.T) {
 	// A sub-millisecond budget must clamp to 1ms rather than fall back to
-	// the embedded default step count (same contract as one-shot mode).
+	// the embedded default step count (same contract as an ephemeral run).
 	m := model.NewBuilder("WB").
 		Add("In", "Inport", 0, 1, model.WithOutKind(types.F64), model.WithParam("Port", "1")).
 		Add("G", "Gain", 1, 1, model.WithParam("Gain", "2")).
@@ -290,7 +290,7 @@ func TestWorkerPoolBudgetMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, _, err := harness.Build(p, t.TempDir())
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestBuildContextPreCanceled(t *testing.T) {
 	p := program(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := harness.BuildContext(ctx, p, t.TempDir(), nil)
+	_, _, err := harness.Build(ctx, p, t.TempDir(), nil)
 	if err == nil {
 		t.Fatal("a canceled context must abort the build")
 	}
@@ -328,7 +328,7 @@ func TestBuildContextDeadlineAbortsInFlightCompile(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := harness.BuildContext(ctx, p, t.TempDir(), nil)
+	_, _, err := harness.Build(ctx, p, t.TempDir(), nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		// The compiler beat the deadline on this machine; the pre-canceled
@@ -344,8 +344,8 @@ func TestBuildContextDeadlineAbortsInFlightCompile(t *testing.T) {
 }
 
 func TestRunDecodeErrorReportsByteOffset(t *testing.T) {
-	bin := fakeBinary(t, `echo '[1,2,3]'`)
-	_, err := harness.Run(bin, harness.RunOptions{Steps: 1})
+	bin := fakeBinary(t, answerFrame(`[1,2,3]`))
+	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1})
 	if err == nil {
 		t.Fatal("a non-object result document must fail to decode")
 	}

@@ -65,7 +65,7 @@ func ProgramKey(spec JobSpec) (string, error) {
 // point of the daemon — the second submission of an identical model pays
 // no compile. The optional pool extends the same amortization to process
 // startup: jobs sharing an artifact run through its warm serve-mode
-// workers (nil = spawn per run).
+// workers (nil = a fresh process per call).
 func PipelineRunner(cache *accmos.BuildCache, pool *accmos.WorkerPool) Runner {
 	return func(ctx context.Context, spec JobSpec, tr *accmos.Tracer, progress func(obs.Snapshot)) (*Outcome, error) {
 		opts := specOptions(spec, cache, pool, tr, progress)
