@@ -130,11 +130,8 @@ func joinStmts(stmts []string) string {
 }
 
 // NaNOrInfCond returns the Go condition evidencing a NaN/Inf result for a
-// float expression of kind k (callers must import math).
-func NaNOrInfCond(expr string, k types.Kind) string {
-	f := expr
-	if k == types.F32 {
-		f = "float64(" + expr + ")"
-	}
-	return fmt.Sprintf("(math.IsNaN(%s) || math.IsInf(%s, 0))", f, f)
+// float expression: x-x is NaN exactly when x is NaN or ±Inf, and 0
+// otherwise, in either float width.
+func NaNOrInfCond(expr string) string {
+	return fmt.Sprintf("(%s-%s != 0)", expr, expr)
 }

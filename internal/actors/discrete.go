@@ -194,10 +194,9 @@ func registerDiscreteIntegrator() {
 			inc := binExpr(k, aux[1].GoLiteral(), "*", u)
 			next := binExpr(k, sv, "+", inc)
 			if nanSlot := gc.Prog.DiagSlot(gc.Info, "NaNOrInf"); k.IsFloat() && nanSlot >= 0 {
-				gc.Prog.Import("math")
 				gc.Prog.UpdateStmt(fmt.Sprintf(
 					"{ next := %s; if %s { reportDiag(%d, step, \"\") }; %s = next }",
-					next, NaNOrInfCond("next", k), nanSlot, sv))
+					next, NaNOrInfCond("next"), nanSlot, sv))
 				return nil
 			}
 			gc.Prog.UpdateStmt(fmt.Sprintf("%s = %s", sv, next))

@@ -590,6 +590,9 @@ func registerPolynomial() {
 			}
 			v, cr := types.Convert(types.FloatVal(types.F64, p), ec.Info.OutKind())
 			ec.Flags.OutOfRange = ec.Flags.OutOfRange || cr.OutOfRange
+			if v.Kind == types.F32 {
+				p = v.F // flag the output, as types.MathUnary does
+			}
 			if math.IsNaN(p) || math.IsInf(p, 0) {
 				ec.Flags.NaNOrInf = true
 			}

@@ -484,10 +484,9 @@ func registerCounter() {
 			case k.IsFloat():
 				next := Cast(fmt.Sprintf("(float64(%s) + float64(%s))", sv, a.inc.GoLiteral()), types.F64, k)
 				if nanSlot := gc.Prog.DiagSlot(gc.Info, "NaNOrInf"); nanSlot >= 0 {
-					gc.Prog.Import("math")
 					gc.Prog.UpdateStmt(fmt.Sprintf(
 						"{ next := %s; if %s { reportDiag(%d, step, \"\") }; %s = next }",
-						next, NaNOrInfCond("next", k), nanSlot, sv))
+						next, NaNOrInfCond("next"), nanSlot, sv))
 					break
 				}
 				gc.Prog.UpdateStmt(fmt.Sprintf("%s = %s", sv, next))

@@ -9,12 +9,14 @@ import (
 	"accmos/internal/types"
 )
 
-// Diagnosis function generation (paper Figure 4): each actor on the
-// diagnose list gets a generated function, called right after the actor's
-// code (Figure 5, line 7), that re-derives the error conditions from the
-// actor's runtime inputs and output. Detection conditions mirror the
-// interpreter's flag semantics exactly, so both engines find the same
-// errors at the same steps.
+// Diagnosis generation (paper Figures 4-5). An actor whose NaN/Inf
+// diagnosis reduces to a test of its output (outputNaNCheck) gets one call
+// to the shared runtime checker on the value the step code already
+// computed. Every other actor on the diagnose list gets a generated
+// function, called right after the actor's code (Figure 5, line 7), that
+// re-derives the error conditions from the actor's runtime inputs and
+// output. Detection conditions mirror the interpreter's flag semantics
+// exactly, so both engines find the same errors at the same steps.
 
 // diagWriter accumulates one diagnosis function body.
 type diagWriter struct {
@@ -80,6 +82,15 @@ func (g *Generator) emitDiagnose(info *actors.Info, rules []diagnose.Kind, inExp
 	case "DiscreteIntegrator", "Counter":
 		return nil
 	}
+	if outputNaNCheck(info, rules) {
+		checker := "diagNaN64"
+		if info.OutKind() == types.F32 {
+			checker = "diagNaN32"
+		}
+		fmt.Fprintf(g.body, "\t%s(%d, step, %s)\n",
+			checker, g.DiagSlotFor(info.Actor.Name, diagnose.NaNOrInf), g.varName(info, 0))
+		return nil
+	}
 	fname := "diagnose_" + sanitize(info.Path)
 
 	// Build the parameter list: step, out (if any), then every input.
@@ -101,16 +112,16 @@ func (g *Generator) emitDiagnose(info *actors.Info, rules []diagnose.Kind, inExp
 		return err
 	}
 	reports := g.diagReports(d, info, rules)
-	if len(d.lines) == 0 && reports == "" {
-		return nil // nothing diagnosable survived
+	if reports == "" {
+		return nil // nothing reportable: e.g. a single-input "+" Sum performs no operation
 	}
 
 	// Call site.
 	fmt.Fprintf(g.body, "\t%s(%s)\n", fname, strings.Join(args, ", "))
 
 	// Function text.
-	fmt.Fprintf(&g.diagFuncs, "\n// %s checks %s (%s %s) for: %s\n",
-		fname, info.Path, info.Actor.Type, info.Operator, kindList(rules))
+	fmt.Fprintf(&g.diagFuncs, "\n// %s checks %s for: %s\n",
+		fname, actorComment(info), kindList(rules))
 	fmt.Fprintf(&g.diagFuncs, "func %s(%s) {\n", fname, strings.Join(params, ", "))
 	for _, f := range []string{"ovf", "dbz", "dom", "nan", "oor", "ploss"} {
 		if d.flags[f] {
@@ -121,6 +132,28 @@ func (g *Generator) emitDiagnose(info *actors.Info, rules []diagnose.Kind, inExp
 	g.diagFuncs.WriteString(reports)
 	g.diagFuncs.WriteString("}\n")
 	return nil
+}
+
+// outputNaNCheck reports whether an actor's diagnosis reduces to testing
+// its computed output for NaN/Inf: its rule set is exactly {NaNOrInf}, its
+// output is a scalar float, and the interpreter's flag fires exactly when
+// that output is NaN or ±Inf. NaN and ±Inf are absorbing under +, - and *,
+// so for a Sum, Bias, Gain or *-only Product chain with at least one
+// operation, some operation yields NaN/Inf exactly when the last one does.
+// Division is not absorbing (x/Inf = 0), and any "/" adds DivisionByZero
+// to the rules. Math, Rounding and Polynomial flag their output value.
+func outputNaNCheck(info *actors.Info, rules []diagnose.Kind) bool {
+	if len(rules) != 1 || rules[0] != diagnose.NaNOrInf || !info.OutKind().IsFloat() || info.OutWidth() > 1 {
+		return false
+	}
+	switch info.Actor.Type {
+	case "Sum", "Product":
+		signs := info.Aux.(string)
+		return len(signs) > 1 || signs[0] == '-'
+	case "Gain", "Bias", "Math", "Rounding", "Polynomial":
+		return true
+	}
+	return false
 }
 
 func kindList(rules []diagnose.Kind) string {
@@ -204,8 +237,7 @@ func (g *Generator) diagBody(d *diagWriter, info *actors.Info, rules []diagnose.
 	}
 	nanCheck := func(expr string) {
 		if k.IsFloat() && has(diagnose.NaNOrInf) {
-			g.Import("math")
-			d.L("%s = %s || %s", d.flag("nan"), "nan", actors.NaNOrInfCond(expr, k))
+			d.L("%s = %s || %s", d.flag("nan"), "nan", actors.NaNOrInfCond(expr))
 		}
 	}
 
@@ -374,8 +406,8 @@ func (g *Generator) diagBody(d *diagWriter, info *actors.Info, rules []diagnose.
 		d.L("%s := %s", iv, actors.Cast(ctrl, ctrlKind, types.I64))
 		d.L("%s = %s || %s < 1 || %s > %d", d.flag("oor"), "oor", iv, iv, n)
 
-	case "Polynomial", "DotProduct", "SumOfElements", "ProductOfElements", "DeadZone":
-		g.miscChecks(d, info, has, outParam, castElem, nanCheck)
+	case "DotProduct", "SumOfElements", "ProductOfElements", "DeadZone":
+		g.miscChecks(d, info, castElem, nanCheck)
 	}
 	return nil
 }

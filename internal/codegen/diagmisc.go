@@ -85,15 +85,11 @@ func (g *Generator) dtcChecks(d *diagWriter, info *actors.Info, has func(diagnos
 	})
 }
 
-// miscChecks covers Polynomial, DotProduct, the element reducers, and
-// DeadZone.
-func (g *Generator) miscChecks(d *diagWriter, info *actors.Info, has func(diagnose.Kind) bool,
-	outParam string, castElem func(int, string) string, nanCheck func(string)) {
+// miscChecks covers DotProduct, the element reducers, and DeadZone.
+func (g *Generator) miscChecks(d *diagWriter, info *actors.Info,
+	castElem func(int, string) string, nanCheck func(string)) {
 	k := info.OutKind()
 	switch info.Actor.Type {
-	case "Polynomial":
-		nanCheck(outParam)
-
 	case "DotProduct":
 		if !k.IsInteger() && !k.IsFloat() {
 			return

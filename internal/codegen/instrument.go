@@ -82,7 +82,7 @@ func (g *Generator) instrumentActor(info *actors.Info) error {
 		MCDCBase:   g.layout.MCDCBase(info.Actor.Name),
 		Prog:       g,
 	}
-	fmt.Fprintf(g.body, "\t// -- %s (%s %s)\n", info.Path, info.Actor.Type, info.Operator)
+	fmt.Fprintf(g.body, "\t// -- %s\n", actorComment(info))
 	if err := info.Spec.Gen(gc); err != nil {
 		return err
 	}
@@ -130,14 +130,19 @@ func (g *Generator) instrumentActor(info *actors.Info) error {
 	return nil
 }
 
+// actorComment is the "path (type operator)" text of an actor's
+// generated section header.
+func actorComment(info *actors.Info) string {
+	return commentText(fmt.Sprintf("%s (%s %s)", info.Path, info.Actor.Type, info.Operator))
+}
+
 // instrumentFused emits an actor whose expression the O2 planner inlined
 // into its single consumer: no variable, no statement — only the actor
 // coverage mark at the actor's own schedule position, so the bitmap's
 // end-of-step state is identical to an O0 run (the bit is monotone and
 // the fused consumer evaluates the same expression later this step).
 func (g *Generator) instrumentFused(info *actors.Info) error {
-	fmt.Fprintf(g.body, "\t// -- %s (%s %s) [fused into consumer]\n",
-		info.Path, info.Actor.Type, info.Operator)
+	fmt.Fprintf(g.body, "\t// -- %s [fused into consumer]\n", actorComment(info))
 	if g.opts.Coverage {
 		fmt.Fprintf(g.body, "\tactorBitmap[%d] = 1\n", g.layout.ActorIndex[info.Actor.Name])
 	}
@@ -159,7 +164,7 @@ func (g *Generator) instrumentRoot(info *actors.Info, root *irplan.Root) error {
 	if root.Store != root.Kind {
 		tag = fmt.Sprintf("fused expr, %s stored as %s", root.Kind, root.Store)
 	}
-	fmt.Fprintf(g.body, "\t// -- %s (%s %s) [%s]\n", info.Path, info.Actor.Type, info.Operator, tag)
+	fmt.Fprintf(g.body, "\t// -- %s [%s]\n", actorComment(info), tag)
 	for _, line := range g.emitter.RootAssign(root) {
 		g.body.WriteString("\t" + line + "\n")
 	}

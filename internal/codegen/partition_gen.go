@@ -27,7 +27,7 @@ var (
 	reTCVar    = regexp.MustCompile(`\btcIn(\d+)\b`)
 	reDiagFn   = regexp.MustCompile(`^func (diagnose_\w+)\(`)
 	reDiagCall = regexp.MustCompile(`\bdiagnose_\w+\(`)
-	reDiagSite = regexp.MustCompile(`reportDiag\((\d+),`)
+	reDiagSite = regexp.MustCompile(`\b(?:reportDiag|diagNaN64|diagNaN32)\((\d+),`)
 )
 
 // pipeChunk is the steps-per-frame granularity of the pipeline: large
@@ -344,9 +344,10 @@ func mergeDiags() {
 
 // diagSitePositions scans the assembled sequential statement stream
 // (stage bodies in order, then updates) for diagnosis call sites: direct
-// reportDiag statements (custom checks, stateful update-site rules) and
-// diagnose_* function calls, whose slots come from the generated
-// function text in reportDiag-appearance order.
+// reportDiag statements (custom checks, stateful update-site rules),
+// shared diagNaN64/diagNaN32 checker calls, and diagnose_* function
+// calls, whose slots come from the generated function text in
+// reportDiag-appearance order.
 func (g *Generator) diagSitePositions(stages []*stageText) []int32 {
 	m := len(g.diagNames)
 	pos := make([]int32, m)

@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"accmos/internal/actors"
@@ -395,6 +396,17 @@ func sanitize(s string) string {
 		}
 	}
 	return sb.String()
+}
+
+// commentText renders model-derived text (model name, actor path, type,
+// operator) for a generated "//" comment. A line break would end the
+// comment and turn the rest of the text into program source, so the text
+// is Go-escaped: "\n" and "\r" (and any byte the Go scanner rejects) are
+// written as escapes, never dropped. Simulink block names may contain
+// newlines, so such names are escaped, not rejected.
+func commentText(s string) string {
+	q := strconv.Quote(s)
+	return q[1 : len(q)-1]
 }
 
 // ---- actors.ProgramSink implementation ----

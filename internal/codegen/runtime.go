@@ -201,6 +201,12 @@ func reportDiag(slot int, step int64, detail string) {
 	}
 	diagTotal++
 	diagCounts[slot]++
+	if diagFirst[slot] >= 0 && len(diagRecords) >= maxDiagRecords {
+		// Counters only: the first detection is recorded and the record
+		// buffer is full. A stop-on request already fired at this slot's
+		// first detection.
+		return
+	}
 	if diagFirst[slot] < 0 {
 		diagFirst[slot] = step
 	}
@@ -211,6 +217,26 @@ func reportDiag(slot int, step int64, detail string) {
 	}
 	if diagStop[slot] {
 		stopRequested = true
+	}
+}
+
+// diagNaN64 and diagNaN32 are the shared NaN/Inf checkers, called on an
+// actor's computed output: v-v is NaN exactly when v is NaN or ±Inf. They
+// stay out of line: inlining them into modelExe reshapes the step code
+// around the checked value, which can change the NaN payloads the output
+// hash folds.
+//
+//go:noinline
+func diagNaN64(slot int, step int64, v float64) {
+	if v-v != 0 {
+		reportDiag(slot, step, "")
+	}
+}
+
+//go:noinline
+func diagNaN32(slot int, step int64, v float32) {
+	if v-v != 0 {
+		reportDiag(slot, step, "")
 	}
 }
 

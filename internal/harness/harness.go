@@ -44,7 +44,11 @@ func Build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) 
 	}
 	binPath := binPathFor(p, dir)
 	start := time.Now()
-	cmd := exec.CommandContext(ctx, "go", "build", "-o", binPath, srcPath)
+	// -s -w drops the symbol table and DWARF: the linker writes a third
+	// less, and the host never debugs a generated binary (panics still
+	// print symbolized stacks). No -trimpath: it changes the standard
+	// library's build IDs, so a cache warmed without it recompiles std.
+	cmd := exec.CommandContext(ctx, "go", "build", "-ldflags=-s -w", "-o", binPath, srcPath)
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0", "GOFLAGS=-mod=mod")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

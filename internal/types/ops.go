@@ -422,11 +422,16 @@ func MathUnary(name string, k Kind, a Value) (Value, OpResult) {
 		res.DomainErr = true
 		f = math.NaN()
 	}
+	out, cr := Convert(FloatVal(F64, f), k)
+	res.OutOfRange = res.OutOfRange || cr.OutOfRange
+	if k == F32 {
+		// The flag describes the output: a finite result beyond the
+		// float32 range is Inf there.
+		f = out.F
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		res.NaNOrInf = true
 	}
-	out, cr := Convert(FloatVal(F64, f), k)
-	res.OutOfRange = res.OutOfRange || cr.OutOfRange
 	return out, res
 }
 
