@@ -43,7 +43,6 @@ import (
 	"accmos/internal/model"
 	"accmos/internal/obs"
 	"accmos/internal/opt"
-	"accmos/internal/opt/partition"
 	"accmos/internal/rapid"
 	"accmos/internal/simresult"
 	"accmos/internal/slx"
@@ -243,57 +242,6 @@ func OptLevelFromInt(n int) (OptLevel, error) {
 	return OptDefault, fmt.Errorf("accmos: unsupported opt level -O%d (supported: 0, 1, 2)", n)
 }
 
-// PartitionsAuto asks the partitioner to pick the partition count from
-// GOMAXPROCS, bounded by a min-actors-per-partition threshold.
-const PartitionsAuto = -1
-
-// PartStats reports the partitioning decision behind one generated run.
-type PartStats struct {
-	// Requested is the partition count the options asked for (after
-	// auto resolution).
-	Requested int `json:"requested"`
-	// Usable is what the cut produced; 1 means the run was sequential.
-	Usable int `json:"usable"`
-	// CutEdges counts signals shipped between partitions each step.
-	CutEdges int `json:"cutEdges,omitempty"`
-	// Balance is maxPartitionWeight/idealWeight (1.0 = perfect).
-	Balance float64 `json:"balance,omitempty"`
-	// Declined records why a K-way request fell back to sequential.
-	Declined string `json:"declined,omitempty"`
-}
-
-// partitionPlan resolves Options.Partitions against the optimized
-// schedule. Nil when partitioning is off; a declined plan when the
-// request cannot be honoured (StopOnDiag needs the sequential
-// stop-flag protocol, and some graphs have no legal balanced cut).
-func partitionPlan(opts *Options, c *actors.Compiled) *partition.Plan {
-	k := opts.Partitions
-	if k == PartitionsAuto {
-		k = partition.AutoK(c)
-	}
-	if k < 2 && opts.Partitions != PartitionsAuto {
-		return nil
-	}
-	if opts.StopOnDiag != "" {
-		return &partition.Plan{Requested: k, Usable: 1, Declined: "stop-on-diag runs are sequential"}
-	}
-	return partition.Build(c, k)
-}
-
-// partStats renders a partition plan for the public Result.
-func partStats(pp *partition.Plan) *PartStats {
-	if pp == nil {
-		return nil
-	}
-	return &PartStats{
-		Requested: pp.Requested,
-		Usable:    pp.Usable,
-		CutEdges:  pp.CutEdges,
-		Balance:   pp.Balance,
-		Declined:  pp.Declined,
-	}
-}
-
 // OptPassStat records how many sites one optimizer pass rewrote.
 type OptPassStat = opt.PassStat
 
@@ -347,17 +295,6 @@ type Options struct {
 	// passes keep output hashes, coverage bitmaps and diagnosis counts
 	// byte-identical to an O0 run.
 	OptLevel OptLevel
-
-	// Partitions requests intra-model parallelism from the generated
-	// engine: the scheduled actor graph is cut into this many balanced
-	// contiguous sub-graphs and the step loop pipelines across one
-	// goroutine per partition (0 or 1 = sequential, the default;
-	// PartitionsAuto picks from GOMAXPROCS). Results are bit-identical
-	// to a sequential build; the request is declined — recorded on
-	// Result.Part — when the graph has no usable cut or the run uses
-	// StopOnDiag. Only the generated engine parallelizes; the in-process
-	// engines ignore this.
-	Partitions int
 
 	// WorkDir keeps generated sources and binaries (default: the
 	// process-wide build cache, so repeated calls on the same model and
@@ -476,16 +413,10 @@ type Result struct {
 	// results that never went through prepare).
 	Opt *OptStats
 
-	// Part reports the partitioning decision (nil when partitioning was
-	// not requested or the engine does not partition). A declined
-	// request still runs — sequentially — with the reason recorded.
-	Part *PartStats
-
 	// ArtifactHash is the content-hash key of the generated program
 	// (codegen.Program.Hash): the build-cache key of the binary this run
-	// executed. A fleet coordinator uses it to learn which nodes hold
-	// which artifacts ("" for the in-process engines, which compile
-	// nothing).
+	// executed, so a caller can tell which runs shared one binary ("" for
+	// the in-process engines, which compile nothing).
 	ArtifactHash string
 }
 
@@ -539,7 +470,7 @@ func Lint(m *Model) ([]LintFinding, error) {
 // GenerateSource returns the instrumented simulation program AccMoS
 // generates for m, without compiling it — useful for inspection.
 func GenerateSource(m *Model, opts Options) (string, error) {
-	prog, _, _, err := generate(m, &opts)
+	prog, _, err := generate(m, &opts)
 	if err != nil {
 		return "", err
 	}
@@ -549,32 +480,30 @@ func GenerateSource(m *Model, opts Options) (string, error) {
 // ProgramHash returns the content-hash key the build cache would use for
 // m under opts — the codegen.Program.Hash of the generated (but not
 // compiled) program. Two callers computing it with identical model
-// documents and options get identical keys, which is what lets a fleet
-// coordinator route jobs to the node whose cache already holds the
-// binary without ever compiling anything itself. Sweep jobs force
+// documents and options get identical keys, so a caller can tell whether
+// a job will hit the cache without compiling anything. Sweep jobs force
 // coverage on (exactly as Sweep does), so pass the options the job will
 // actually run with.
 func ProgramHash(m *Model, opts Options) (string, error) {
-	prog, _, _, err := generate(m, &opts)
+	prog, _, err := generate(m, &opts)
 	if err != nil {
 		return "", err
 	}
 	return prog.Hash(), nil
 }
 
-// generate runs the front end for the generated engine: prepare, the
-// partition plan, and code generation.
-func generate(m *Model, opts *Options) (*codegen.Program, *opt.Result, *partition.Plan, error) {
+// generate runs the front end for the generated engine: prepare and
+// code generation.
+func generate(m *Model, opts *Options) (*codegen.Program, *opt.Result, error) {
 	or, tcs, err := prepare(m, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	pp := partitionPlan(opts, or.Compiled)
-	prog, err := codegen.Generate(or.Compiled, codegenOptions(*opts, tcs, or, pp))
+	prog, err := codegen.Generate(or.Compiled, codegenOptions(*opts, tcs, or))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return prog, or, pp, nil
+	return prog, or, nil
 }
 
 // prepare compiles the model, fills the test-case default, and runs the
@@ -638,9 +567,8 @@ func optStats(opts *Options, or *opt.Result) *OptStats {
 	}
 }
 
-func codegenOptions(opts Options, tcs *TestCases, or *opt.Result, pp *partition.Plan) codegen.Options {
+func codegenOptions(opts Options, tcs *TestCases, or *opt.Result) codegen.Options {
 	return codegen.Options{
-		Partition:         pp,
 		Coverage:          opts.Coverage,
 		Diagnose:          opts.Diagnose,
 		Monitor:           opts.Monitor,
@@ -769,7 +697,6 @@ type executor struct {
 	model       string
 	suites      bool // tag runs with their 1-based suite index (sweeps)
 	or          *opt.Result
-	pp          *partition.Plan
 	prog        *codegen.Program
 	bin         string
 	compileTime time.Duration
@@ -778,7 +705,7 @@ type executor struct {
 
 // newExecutor generates and builds the program for m under opts.
 func newExecutor(m *Model, opts *Options, suites bool) (*executor, error) {
-	prog, or, pp, err := generate(m, opts)
+	prog, or, err := generate(m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -787,7 +714,7 @@ func newExecutor(m *Model, opts *Options, suites bool) (*executor, error) {
 		return nil, err
 	}
 	return &executor{
-		opts: opts, model: m.Name, suites: suites, or: or, pp: pp, prog: prog,
+		opts: opts, model: m.Name, suites: suites, or: or, prog: prog,
 		bin: bin, compileTime: compileTime, cacheHit: hit,
 	}, nil
 }
@@ -864,7 +791,7 @@ func (x *executor) execute(ctx context.Context, seedXors []uint64, lanes bool) (
 					runs[lo+j] = &Result{
 						Results: r, layout: x.prog.Layout, CacheHit: x.cacheHit,
 						WorkerReuse: reused, Batched: lanes, Opt: optStats(x.opts, x.or),
-						Part: partStats(x.pp), ArtifactHash: x.prog.Hash(),
+						ArtifactHash: x.prog.Hash(),
 					}
 				}
 				// Lanes share the batch's monotone bitmaps, so a batch

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	accmos "accmos"
-	"accmos/internal/benchmodels"
 	"accmos/internal/testcase"
 )
 
@@ -241,43 +240,5 @@ func TestSweepCancelReturnsPartialSweep(t *testing.T) {
 	}
 	if rep := sw.MergedCoverage(); rep.ActorCovered != 0 {
 		t.Errorf("no suite ran; merged coverage should be empty: %+v", rep)
-	}
-}
-
-// TestBatchedLanesReportPartition: batched sweep lanes report the same
-// partitioning decision as one-request-per-seed runs of the same sweep.
-func TestBatchedLanesReportPartition(t *testing.T) {
-	m := benchmodels.MustBuildPart("PARTW")
-	opts := accmos.Options{
-		Steps:       300,
-		Partitions:  2,
-		TestCases:   accmos.RandomTestCases(m, 5, -1, 1),
-		Parallelism: 1,
-	}
-	seeds := []uint64{1, 2, 3}
-	batched, err := accmos.Sweep(m, opts, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perRun := opts
-	perRun.DisableBatch = true
-	single, err := accmos.Sweep(m, perRun, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seeds {
-		b, s := batched.Runs[i], single.Runs[i]
-		if !b.Batched || s.Batched {
-			t.Fatalf("run %d: batched %v / %v, want true / false", i, b.Batched, s.Batched)
-		}
-		if s.Part == nil || s.Part.Usable != 2 {
-			t.Fatalf("run %d: PARTW was not cut 2 ways: %+v", i, s.Part)
-		}
-		if !reflect.DeepEqual(b.Part, s.Part) {
-			t.Errorf("run %d: batched lane Part %+v, per-run Part %+v", i, b.Part, s.Part)
-		}
-		if b.OutputHash != s.OutputHash {
-			t.Errorf("run %d: hash %x vs %x", i, b.OutputHash, s.OutputHash)
-		}
 	}
 }

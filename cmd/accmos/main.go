@@ -16,7 +16,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -45,7 +44,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the raw results as JSON instead of the summary")
 		verify    = flag.Bool("verify", false, "also run the reference interpreter and cross-check outputs")
 		lintOnly  = flag.Bool("lint", false, "run the static model checks and exit")
-		partsFlag = flag.String("partitions", "0", "pipeline the generated step loop across N goroutine partitions: 0 or 1 = sequential, N >= 2 = request an N-way cut, auto = pick from GOMAXPROCS (generated engine only; results stay bit-identical)")
 		optLevel  = flag.Int("O", 1, "optimization level: 0 = off, 1 = constant folding + CSE + dead-actor elimination, 2 = O1 + expression fusion, invariant hoisting, storage narrowing")
 		sweep     = flag.Int("sweep", 0, "run N random test suites against one compiled binary, merging coverage")
 		parallel  = flag.Int("parallel", 0, "concurrent suite executions for -sweep (0 = GOMAXPROCS, 1 = sequential)")
@@ -115,13 +113,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	partitions, err := parsePartitions(*partsFlag)
-	if err != nil {
-		fatal(err)
-	}
 	opts := accmos.Options{
 		OptLevel:     level,
-		Partitions:   partitions,
 		Steps:        *steps,
 		Budget:       time.Duration(*budgetMS) * time.Millisecond,
 		Coverage:     *coverage,
@@ -240,14 +233,6 @@ func main() {
 				o.FusedExprs, o.HoistedExprs, o.NarrowedSignals, o.EffectiveActors)
 		}
 	}
-	if p := res.Part; p != nil {
-		if p.Usable >= 2 {
-			fmt.Printf("partition: %d-way (requested %d), %d cut signals, balance %.2f\n",
-				p.Usable, p.Requested, p.CutEdges, p.Balance)
-		} else {
-			fmt.Printf("partition: sequential (%s)\n", p.Declined)
-		}
-	}
 	fmt.Printf("steps:    %d\n", res.Steps)
 	fmt.Printf("exec:     %v\n", time.Duration(res.ExecNanos))
 	// Normalize wall time by scheduled work. At O2 the denominator is the
@@ -332,20 +317,6 @@ func telemetrySummary(runID string, usedCache bool) string {
 		line += fmt.Sprintf("  cache %d hit / %d miss (%.0f%% hit rate)", cs.Hits, cs.Misses, cs.HitRate()*100)
 	}
 	return line
-}
-
-// parsePartitions maps the -partitions flag to Options.Partitions:
-// "auto" resolves at generation time from GOMAXPROCS; 0 and 1 mean
-// sequential.
-func parsePartitions(s string) (int, error) {
-	if s == "auto" {
-		return accmos.PartitionsAuto, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid -partitions %q (want 0, 1, N >= 2 or auto)", s)
-	}
-	return n, nil
 }
 
 func fatal(err error) {

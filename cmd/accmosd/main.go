@@ -17,18 +17,6 @@
 // SIGTERM (or SIGINT) starts a graceful drain: the listener stops, new
 // submissions get 503, admitted jobs finish (bounded by -drain-timeout),
 // then the process exits.
-//
-// Fleet mode turns several daemons into one service. A coordinator
-// accepts the same /v1/jobs API and shards jobs across runner nodes:
-//
-//	accmosd -coordinator -addr :7070 -store /var/lib/accmos/jobs
-//	accmosd -addr :7071 -join http://coordinator:7070
-//	accmosd -addr :7072 -join http://coordinator:7070
-//
-// Runners join by heartbeating; the coordinator routes repeat models to
-// the node that already compiled them, ships build artifacts to cold
-// nodes, retries jobs off dead runners, and recovers queued jobs from
-// -store after a restart.
 package main
 
 import (
@@ -45,7 +33,6 @@ import (
 	"time"
 
 	accmos "accmos"
-	"accmos/internal/fleet"
 	"accmos/internal/server"
 )
 
@@ -60,21 +47,10 @@ func main() {
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		maxBody      = flag.Int64("max-body", 8<<20, "max submission body bytes")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-drain bound on SIGTERM; afterwards remaining jobs are canceled")
-		partitions   = flag.Int("partitions", 0, "default goroutine-partition request for jobs that do not set partitions (0 or 1 = sequential, N >= 2 = N-way pipelined step loop, -1 = auto from GOMAXPROCS)")
 		optLevel     = flag.Int("opt", 1, "default optimization level for jobs that do not set optLevel (0 = off, 1 = constant folding + CSE + dead-actor elimination, 2 = O1 + expression fusion, invariant hoisting, storage narrowing)")
 		quiet        = flag.Bool("quiet", false, "suppress per-job logging")
 		logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
 		pprofAddr    = flag.String("pprof-addr", "", "optional separate listen address for net/http/pprof (e.g. localhost:6060); empty disables profiling")
-
-		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator: accept /v1/jobs and shard them across joined runners instead of executing locally")
-		storeDir    = flag.String("store", "", "coordinator job-store directory; queued jobs survive a coordinator restart (empty = in-memory only)")
-		tenantQuota = flag.Float64("tenant-quota", 0, "coordinator per-tenant submission quota in jobs/sec (0 = unlimited)")
-		tenantBurst = flag.Float64("tenant-burst", 0, "coordinator per-tenant burst allowance (0 = one second of -tenant-quota)")
-		deadAfter   = flag.Duration("dead-after", 5*time.Second, "coordinator evicts a runner silent for this long and retries its jobs elsewhere")
-		spillLoad   = flag.Int("spill-load", 4, "coordinator spills a job off its warm home node once that node has this many in-flight jobs")
-		join        = flag.String("join", "", "coordinator URL to join as a runner (e.g. http://coordinator:7070)")
-		advertise   = flag.String("advertise", "", "URL peers should reach this runner at (default http://<addr>)")
-		heartbeat   = flag.Duration("heartbeat", time.Second, "runner heartbeat interval when joined to a coordinator")
 	)
 	flag.Parse()
 
@@ -83,21 +59,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "accmosd:", err)
 		os.Exit(2)
 	}
-	if *partitions < accmos.PartitionsAuto {
-		fmt.Fprintf(os.Stderr, "accmosd: invalid -partitions %d (want 0, 1, N >= 2 or -1 for auto)\n", *partitions)
-		os.Exit(2)
-	}
 
 	cfg := server.Config{
-		Workers:           *workers,
-		QueueDepth:        *queueDepth,
-		CacheEntries:      *cacheEntries,
-		JobTimeout:        *jobTimeout,
-		PoolWorkers:       *poolWorkers,
-		RetryAfter:        *retryAfter,
-		MaxBodyBytes:      *maxBody,
-		DefaultOptLevel:   defaultOpt,
-		DefaultPartitions: *partitions,
+		Workers:         *workers,
+		QueueDepth:      *queueDepth,
+		CacheEntries:    *cacheEntries,
+		JobTimeout:      *jobTimeout,
+		PoolWorkers:     *poolWorkers,
+		RetryAfter:      *retryAfter,
+		MaxBodyBytes:    *maxBody,
+		DefaultOptLevel: defaultOpt,
 	}
 	var logger *slog.Logger
 	if !*quiet {
@@ -115,37 +86,8 @@ func main() {
 	} else {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
 	}
-	if *coordinator {
-		runCoordinator(coordinatorOpts{
-			addr: *addr, storeDir: *storeDir,
-			tenantQuota: *tenantQuota, tenantBurst: *tenantBurst,
-			deadAfter: *deadAfter, spillLoad: *spillLoad,
-			defaultOpt: defaultOpt, partitions: *partitions, jobTimeout: *jobTimeout,
-			maxBody: *maxBody, logger: logger,
-		})
-		return
-	}
-
 	srv := server.New(cfg)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	var agentCancel context.CancelFunc = func() {}
-	if *join != "" {
-		adv := *advertise
-		if adv == "" {
-			adv = "http://" + *addr
-		}
-		agent := &fleet.Agent{
-			Coordinator: *join,
-			Advertise:   adv,
-			Server:      srv,
-			Interval:    *heartbeat,
-			Logger:      logger,
-		}
-		var actx context.Context
-		actx, agentCancel = context.WithCancel(context.Background())
-		go agent.Run(actx)
-	}
 
 	if *pprofAddr != "" {
 		// pprof gets its own listener so profiling never shares the
@@ -175,9 +117,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Stop heartbeating first so the coordinator routes around this node
-	// while it drains.
-	agentCancel()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	// Drain and Shutdown run together: Drain flips the scheduler to
@@ -191,60 +130,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "accmosd: drained cleanly")
-}
-
-type coordinatorOpts struct {
-	addr        string
-	storeDir    string
-	tenantQuota float64
-	tenantBurst float64
-	deadAfter   time.Duration
-	spillLoad   int
-	defaultOpt  accmos.OptLevel
-	partitions  int
-	jobTimeout  time.Duration
-	maxBody     int64
-	logger      *slog.Logger
-}
-
-// runCoordinator serves the fleet coordinator until SIGTERM/SIGINT.
-// There is no drain phase: queued jobs persist in -store and recover on
-// the next start, and dispatched jobs finish on their runners.
-func runCoordinator(o coordinatorOpts) {
-	coord, err := fleet.NewCoordinator(fleet.Config{
-		StoreDir:          o.storeDir,
-		TenantRate:        o.tenantQuota,
-		TenantBurst:       o.tenantBurst,
-		DeadAfter:         o.deadAfter,
-		SpillLoad:         o.spillLoad,
-		DefaultOptLevel:   o.defaultOpt,
-		DefaultPartitions: o.partitions,
-		JobTimeout:        o.jobTimeout,
-		MaxBodyBytes:      o.maxBody,
-		Logger:            o.logger.With("component", "coordinator"),
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "accmosd:", err)
-		os.Exit(1)
-	}
-	httpSrv := &http.Server{Addr: o.addr, Handler: coord.Handler()}
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "accmosd: coordinator listening on %s (store %q)\n", o.addr, o.storeDir)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "accmosd: coordinator: %v: shutting down\n", sig)
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "accmosd:", err)
-		os.Exit(1)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	httpSrv.Shutdown(ctx)
-	coord.Close()
 }

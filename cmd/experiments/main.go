@@ -5,8 +5,6 @@
 //	experiments -run opt        # optimizing middle-end: O0 vs O1 vs O2 on all engines
 //	experiments -run serve      # worker pool: spawn-per-run vs warm serve-mode workers
 //	experiments -run batch      # batched lanes: per-run serve frames vs one batch request
-//	experiments -run fleet      # fleet scaling: 1 vs 2 vs 4 runners behind a coordinator
-//	experiments -run partition  # pipelined step loop: sequential vs K-way goroutine partitions
 //	experiments -run casestudy  # §4 error-injection study on CSEV
 //	experiments -run figure1    # Figure 1 motivating measurement
 //	experiments -run all
@@ -30,7 +28,7 @@ import (
 
 func main() {
 	var (
-		run         = flag.String("run", "all", "experiment: table2 | table3 | opt | serve | batch | fleet | partition | casestudy | figure1 | all")
+		run         = flag.String("run", "all", "experiment: table2 | table3 | opt | serve | batch | casestudy | figure1 | all")
 		steps       = flag.Int64("steps", 200_000, "Table 2 simulation steps (paper: 50000000)")
 		budgetScale = flag.Float64("budget-scale", 0.1, "Table 3 budget scale; 1.0 = the paper's 5/15/60s")
 		models      = flag.String("models", "", "comma-separated model subset (default: all ten)")
@@ -144,30 +142,6 @@ func main() {
 		fmt.Println()
 		if metrics != nil {
 			metrics.AddBatch(rows)
-		}
-	}
-	if want("fleet") {
-		ran = true
-		rows, err := experiments.BenchFleet(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.FormatFleet(os.Stdout, rows)
-		fmt.Println()
-		if metrics != nil {
-			metrics.AddFleet(rows)
-		}
-	}
-	if want("partition") {
-		ran = true
-		rows, err := experiments.BenchPartition(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.FormatPartition(os.Stdout, rows)
-		fmt.Println()
-		if metrics != nil {
-			metrics.AddPartition(rows)
 		}
 	}
 	if want("casestudy") {

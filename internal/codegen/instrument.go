@@ -19,14 +19,7 @@ import (
 // collect call, and the diagnosis function call — generating the
 // diagnosis implementation alongside.
 func (g *Generator) instrumentActors() error {
-	for i, info := range g.c.Order {
-		if g.parts > 1 {
-			// Route this actor's statements and state updates into its
-			// pipeline stage. Stages are contiguous schedule segments, so
-			// concatenating the stage streams reproduces the sequential body.
-			g.curPart = g.partAssign[i]
-			g.body = g.partBodies[g.curPart]
-		}
+	for _, info := range g.c.Order {
 		if err := g.instrumentActor(info); err != nil {
 			return fmt.Errorf("actor %s (%s): %w", info.Actor.Name, info.Actor.Type, err)
 		}

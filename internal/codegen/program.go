@@ -22,7 +22,6 @@ import (
 	"accmos/internal/obs"
 	"accmos/internal/opt/iremit"
 	"accmos/internal/opt/irplan"
-	"accmos/internal/opt/partition"
 	"accmos/internal/testcase"
 	"accmos/internal/types"
 )
@@ -72,11 +71,6 @@ type Options struct {
 	// (nil below O2). Actors the plan inlined emit no statement; planned
 	// roots emit one fused assignment in their storage kind.
 	Plan *irplan.Plan
-	// Partition carries a goroutine-pipelining plan (nil or Usable < 2 =
-	// sequential). Partitioned generation is declined when StopOnDiag is
-	// set: mid-step stop requests would have to propagate across pipeline
-	// stages mid-flight, which cannot reproduce the sequential stop step.
-	Partition *partition.Plan
 }
 
 func (o *Options) fillDefaults() {
@@ -99,9 +93,6 @@ type Program struct {
 	// Opt is the optimization level label ("O0", "O1", "O2"; "" for
 	// direct Generate calls that bypass the optimizer).
 	Opt string
-	// Partitions is the effective pipeline width baked into the program
-	// (1 = sequential, including declined partition requests).
-	Partitions int
 }
 
 // Hash returns a stable hex key identifying the program: the SHA-256 of
@@ -113,21 +104,12 @@ type Program struct {
 // artifact-name suffix. The opt level is hashed separately because two
 // levels can emit identical source (no pass fired) yet must never serve
 // each other's cache entries: a later submission at the other level would
-// otherwise inherit the wrong label in results and metrics. The effective
-// partition width is hashed for the same reason: a declined K-way request
-// emits sequential source and must share the sequential cache entry,
-// while a usable K-way build must never collide with the 1-way build.
+// otherwise inherit the wrong label in results and metrics.
 func (p *Program) Hash() string {
-	parts := p.Partitions
-	if parts < 1 {
-		parts = 1
-	}
 	h := sha256.New()
 	h.Write([]byte(p.Model))
 	h.Write([]byte{0})
 	h.Write([]byte(p.Opt))
-	h.Write([]byte{0})
-	h.Write([]byte(fmt.Sprintf("P%d", parts)))
 	h.Write([]byte{0})
 	h.Write([]byte(p.Source))
 	return hex.EncodeToString(h.Sum(nil))
@@ -152,18 +134,6 @@ type Generator struct {
 	globals []string
 	inits   []string
 	updates []string
-
-	// Partitioned generation: parts is the effective pipeline width (1 =
-	// sequential). partAssign maps schedule index -> partition; curPart
-	// tracks the partition of the actor being instrumented so statement
-	// sinks (body writes, UpdateStmt) land in the right stage; updateParts
-	// records the owning partition per updates entry; partBodies holds one
-	// step-statement stream per stage (g.body aliases the current one).
-	parts       int
-	partAssign  []int
-	curPart     int
-	updateParts []int
-	partBodies  []*strings.Builder
 
 	// stateVars lists every mutable zero-valued global ("var NAME TYPE"):
 	// the per-run state modelReset restores to its fresh-process value
@@ -239,25 +209,10 @@ func Generate(c *actors.Compiled, opts Options) (*Program, error) {
 			return nil, fmt.Errorf("codegen: premark bitmap sizes do not match the coverage layout")
 		}
 	}
-	// Effective pipeline width: a plan only takes hold when its cut is
-	// usable and no stop-on-diagnosis is requested (a mid-step stop cannot
-	// be replayed bit-identically across pipeline stages).
-	parts := 1
-	var assign []int
-	if pp := opts.Partition; pp != nil && pp.Usable >= 2 && opts.StopOnDiag == "" {
-		if len(pp.Assign) != len(c.Order) {
-			return nil, fmt.Errorf("codegen: partition plan covers %d actors, schedule has %d",
-				len(pp.Assign), len(c.Order))
-		}
-		parts = pp.Usable
-		assign = pp.Assign
-	}
 	g := &Generator{
 		c:           c,
 		opts:        opts,
 		body:        &strings.Builder{},
-		parts:       parts,
-		partAssign:  assign,
 		layout:      layout,
 		imports:     map[string]bool{"flag": true, "fmt": true, "os": true, "time": true, "encoding/json": true},
 		outVar:      make(map[string][]string),
@@ -270,13 +225,6 @@ func Generate(c *actors.Compiled, opts Options) (*Program, error) {
 	g.emitter = &iremit.Emitter{
 		VarName: func(index, port int) string { return fmt.Sprintf("v%d_%d", index, port) },
 		Plan:    opts.Plan,
-	}
-	if parts > 1 {
-		g.partBodies = make([]*strings.Builder, parts)
-		for i := range g.partBodies {
-			g.partBodies[i] = &strings.Builder{}
-		}
-		g.body = g.partBodies[0]
 	}
 	ins := opts.Trace.Start("instrument")
 	if err := g.prepare(); err != nil {
@@ -297,7 +245,7 @@ func Generate(c *actors.Compiled, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Source: src, Model: c.Model.Name, Layout: g.layout, Opt: opts.Opt, Partitions: parts}, nil
+	return &Program{Source: src, Model: c.Model.Name, Layout: g.layout, Opt: opts.Opt}, nil
 }
 
 // prepare assigns data-store variables, diagnosis slots, monitor slots and
@@ -434,7 +382,6 @@ func (g *Generator) UpdateStmt(stmt string) {
 		stmt = fmt.Sprintf("if %s { %s }", g.gateCond, stmt)
 	}
 	g.updates = append(g.updates, stmt)
-	g.updateParts = append(g.updateParts, g.curPart)
 }
 
 // Import requests an import.

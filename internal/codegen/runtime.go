@@ -180,25 +180,6 @@ var (
 
 // reportDiag records one diagnostic finding in slot's counters.
 func reportDiag(slot int, step int64, detail string) {
-	if partitionCount > 1 {
-		// Pipelined build: every slot belongs to exactly one pipeline
-		// stage, so per-slot counters and buffers are index-disjoint
-		// across goroutines. Verbatim records buffer per slot and merge
-		// into the sequential stream at result time (mergeDiags), and
-		// diagTotal is reconstructed from the counters there. Stop-on-
-		// diagnosis requests decline partitioning at generation time, so
-		// diagStop/stopRequested are never touched on this path.
-		diagCounts[slot]++
-		if diagFirst[slot] < 0 {
-			diagFirst[slot] = step
-		}
-		if len(diagBuf[slot]) < maxDiagRecords {
-			diagBuf[slot] = append(diagBuf[slot], diagRecord{
-				Step: step, Actor: diagActors[slot], Kind: diagKinds[slot], Detail: detail,
-			})
-		}
-		return
-	}
 	diagTotal++
 	diagCounts[slot]++
 	if diagFirst[slot] >= 0 && len(diagRecords) >= maxDiagRecords {
@@ -296,25 +277,6 @@ func emitHeartbeat(runID string, steps int64, elapsed time.Duration, final bool)
 	fmt.Fprintf(os.Stderr,
 		"{\"accmosHB\":1,\"model\":%q,\"engine\":\"AccMoS\",\"steps\":%d,\"elapsedNanos\":%d,\"stepsPerSec\":%s,\"coverage\":%s,\"diags\":%d%s%s}\n",
 		modelName, steps, elapsed.Nanoseconds(), jsonFloat(sps), jsonFloat(cov), diagTotal, fin, run)
-}
-
-// emitHeartbeatPartial is the mid-run heartbeat of a pipelined build: it
-// is emitted from the final pipeline stage while earlier stages are still
-// writing coverage bitmaps and diag counters, so it reports coverage -1
-// and diags 0 instead of scanning shared state. The post-join final
-// heartbeat uses emitHeartbeat as usual.
-func emitHeartbeatPartial(runID string, steps int64, elapsed time.Duration) {
-	sps := 0.0
-	if elapsed > 0 {
-		sps = float64(steps) / elapsed.Seconds()
-	}
-	run := ""
-	if runID != "" {
-		run = ",\"run\":" + strconv.Quote(runID)
-	}
-	fmt.Fprintf(os.Stderr,
-		"{\"accmosHB\":1,\"model\":%q,\"engine\":\"AccMoS\",\"steps\":%d,\"elapsedNanos\":%d,\"stepsPerSec\":%s,\"coverage\":-1,\"diags\":0%s}\n",
-		modelName, steps, elapsed.Nanoseconds(), jsonFloat(sps), run)
 }
 
 // batchChunk is how many steps a lane runs before runBatch rotates to

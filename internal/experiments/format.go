@@ -176,46 +176,6 @@ func FormatBatch(w io.Writer, rows []BatchRow) {
 	}
 }
 
-// FormatPartition prints the pipelined step-loop benchmark: one line per
-// (shape, width) with the sequential baseline, the cut's shape, the
-// speedup and the bit-identity verdict, then the aggregate gate row.
-func FormatPartition(w io.Writer, rows []PartitionRow) {
-	fmt.Fprintln(w, "Partitioned step loop: sequential vs K-way goroutine pipeline (generated engine)")
-	fmt.Fprintf(w, "%-6s %5s %7s | %10s %10s %8s | %4s %7s | %s\n",
-		"Model", "K", "steps", "seq", "pipelined", "speedup", "cut", "balance", "outputs")
-	seqWall := make(map[string]time.Duration)
-	var cpus int
-	for _, r := range rows {
-		cpus = r.CPUs
-		if r.Partitions == 1 {
-			seqWall[r.Model] = r.Wall
-			continue
-		}
-		ok := "match"
-		if !r.EquivOK {
-			ok = "MISMATCH"
-		}
-		if r.Model == "TOTAL" {
-			bar := "BELOW BAR"
-			switch {
-			case r.SpeedupOK && r.CPUs < 2:
-				bar = "ok (single-core host: speedup vacuous, all outputs match)"
-			case r.SpeedupOK:
-				bar = "ok (geomean >= 1.5x, all outputs match)"
-			case !r.EquivOK:
-				bar = "MISMATCH"
-			}
-			fmt.Fprintf(w, "%-6s %13s | %10s %10s %7.2fx | %s\n",
-				"total", "", "", "", r.Speedup, bar)
-			continue
-		}
-		fmt.Fprintf(w, "%-6s %5d %7d | %10s %10s %7.2fx | %4d %7.2f | %s\n",
-			r.Model, r.Partitions, r.Steps, fmtDur(seqWall[r.Model]), fmtDur(r.Wall),
-			r.Speedup, r.CutEdges, r.Balance, ok)
-	}
-	fmt.Fprintf(w, "Pipeline stages share this host's %d core(s) — that bounds the speedup column.\n", cpus)
-}
-
 // FormatCaseStudy prints the §4 error-injection study.
 func FormatCaseStudy(w io.Writer, r *CaseStudyResult) {
 	fmt.Fprintf(w, "Case study: injected errors in CSEV (charge rate %d/step, predicted overflow at step %d)\n",

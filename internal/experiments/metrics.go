@@ -58,22 +58,6 @@ type MetricRow struct {
 	Respawns  int64   `json:"respawns,omitempty"`
 	Speedup   float64 `json:"speedup,omitempty"`
 	SpeedupOK bool    `json:"speedupOK,omitempty"`
-	// Partition fields, set on "partition" experiment rows: the pipeline
-	// width this row ran at (1 = sequential baseline), the number of
-	// signals crossing a cut boundary, and the cut's max/mean cost
-	// balance. Speedup is sequential-over-partitioned; the TOTAL row's
-	// SpeedupOK verdict is vacuous when the document's cpus field is 1.
-	Partitions int     `json:"partitions,omitempty"`
-	CutEdges   int     `json:"cutEdges,omitempty"`
-	Balance    float64 `json:"balance,omitempty"`
-	// Fleet fields, set on "fleet" experiment rows: runner count, the
-	// job mix's routing counters, and retries off dead runners (zero on a
-	// healthy run). WallNanos is the whole mix's makespan; Speedup is
-	// over the single-node row.
-	Nodes      int   `json:"nodes,omitempty"`
-	WarmRoutes int64 `json:"warmRoutes,omitempty"`
-	Transfers  int64 `json:"transfers,omitempty"`
-	Retries    int64 `json:"retries,omitempty"`
 }
 
 // Metrics is the -metrics-json document: run configuration plus rows.
@@ -85,7 +69,7 @@ type Metrics struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	// CPUs is the host's usable core count — the ceiling on any
-	// parallelism speedup in these rows (fleet, serve, -parallel).
+	// parallelism speedup in these rows (serve, -parallel).
 	CPUs  int         `json:"cpus"`
 	Steps int64       `json:"steps"`
 	Seed  uint64      `json:"seed"`
@@ -248,47 +232,6 @@ func (m *Metrics) AddBatch(rows []BatchRow) {
 			HashOK:       &ok,
 			Mode:         r.Mode, Runs: r.Runs,
 			Speedup: r.Speedup, SpeedupOK: r.SpeedupOK,
-		})
-	}
-}
-
-// AddPartition appends one row per (shape, width) from the pipelined
-// step-loop benchmark, plus the aggregate TOTAL gate row. HashOK carries
-// the row's instrumented equivalence verdict; the speedup half of the
-// TOTAL verdict is vacuous when the document's cpus field is 1.
-func (m *Metrics) AddPartition(rows []PartitionRow) {
-	for _, r := range rows {
-		ok := r.EquivOK
-		m.Rows = append(m.Rows, MetricRow{
-			Experiment: "partition", Model: r.Model, Engine: "AccMoS",
-			Steps: r.Steps, WallNanos: r.Wall.Nanoseconds(),
-			StepsPerSec:  stepsPerSec(r.Steps, r.Wall),
-			CompileNanos: r.Compile.Nanoseconds(),
-			HashOK:       &ok,
-			Partitions:   r.Partitions, CutEdges: r.CutEdges, Balance: r.Balance,
-			Speedup: r.Speedup, SpeedupOK: r.SpeedupOK,
-		})
-	}
-}
-
-// AddFleet appends one row per fleet size from the scaling benchmark.
-// StepsPerSec here is jobs/sec over the mix's makespan (steps-per-sec
-// is meaningless across heterogeneous models).
-func (m *Metrics) AddFleet(rows []FleetRow) {
-	for _, r := range rows {
-		ok := r.HashOK
-		m.Rows = append(m.Rows, MetricRow{
-			Experiment: "fleet", Model: "mix", Engine: "AccMoS",
-			WallNanos:   r.Wall.Nanoseconds(),
-			StepsPerSec: r.JobsPerSec,
-			HashOK:      &ok,
-			Runs:        r.Jobs,
-			Speedup:     r.Speedup,
-			SpeedupOK:   r.Speedup >= 1,
-			Nodes:       r.Nodes,
-			WarmRoutes:  r.WarmRoutes,
-			Transfers:   r.Transfers,
-			Retries:     r.Retries,
 		})
 	}
 }

@@ -3,11 +3,8 @@ package harness
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -195,117 +192,6 @@ func (c *BuildCache) count(field *int64) {
 	c.mu.Lock()
 	*field++
 	c.mu.Unlock()
-}
-
-// Has reports whether key holds a completed, successful build whose
-// binary is still on disk — i.e. whether Export would succeed right now.
-// In-flight builds report false: a fleet coordinator probing for transfer
-// sources must not block on someone else's compile.
-func (c *BuildCache) Has(key string) bool {
-	c.mu.Lock()
-	e := c.entries[key]
-	c.mu.Unlock()
-	if e == nil {
-		return false
-	}
-	if !e.mu.TryLock() {
-		return false
-	}
-	defer e.mu.Unlock()
-	if !e.done || e.err != nil || e.bin == "" {
-		return false
-	}
-	_, statErr := os.Stat(e.bin)
-	return statErr == nil
-}
-
-// Export returns the compiled binary cached under key together with the
-// SHA-256 of its bytes — the integrity check a receiving Import verifies.
-// This is the fleet layer's artifact-shipping primitive: a model compiled
-// on one node travels to any other node by content hash, so it is
-// compiled everywhere once it is compiled anywhere.
-func (c *BuildCache) Export(key string) (data []byte, digest string, err error) {
-	c.mu.Lock()
-	e := c.entries[key]
-	if e != nil {
-		c.order.MoveToFront(e.elem)
-	}
-	c.mu.Unlock()
-	if e == nil {
-		return nil, "", fmt.Errorf("harness: export %s: not cached", shortKey(key))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.done || e.err != nil || e.bin == "" {
-		return nil, "", fmt.Errorf("harness: export %s: no successful build cached", shortKey(key))
-	}
-	data, err = os.ReadFile(e.bin)
-	if err != nil {
-		return nil, "", fmt.Errorf("harness: export %s: %w", shortKey(key), err)
-	}
-	sum := sha256.Sum256(data)
-	return data, hex.EncodeToString(sum[:]), nil
-}
-
-// Import installs an externally compiled binary under key after verifying
-// that the bytes hash to digest (SHA-256 hex). A mismatch — truncation or
-// corruption in transit — is rejected without touching the cache. The
-// installed entry behaves exactly like a locally built one: subsequent
-// Build calls for the same program are cache hits, and the LRU bound and
-// eviction apply. Importing over an existing successful entry is a no-op.
-func (c *BuildCache) Import(key, digest string, data []byte) error {
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != digest {
-		return fmt.Errorf("harness: import %s: digest mismatch: got %s want %s (corrupt transfer rejected)",
-			shortKey(key), shortKey(got), shortKey(digest))
-	}
-	c.mu.Lock()
-	if c.dir == "" {
-		dir, mkErr := os.MkdirTemp("", "accmos-cache-")
-		if mkErr != nil {
-			c.mu.Unlock()
-			return fmt.Errorf("harness: import: %w", mkErr)
-		}
-		c.dir = dir
-		c.owned = true
-	}
-	dir := c.dir
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
-		e.elem = c.order.PushFront(key)
-		c.evictOverLimitLocked()
-	} else {
-		c.order.MoveToFront(e.elem)
-	}
-	c.mu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done && e.err == nil && e.bin != "" {
-		if _, statErr := os.Stat(e.bin); statErr == nil {
-			return nil // already resident and healthy
-		}
-	}
-	bin := filepath.Join(dir, "sim_import_"+shortKey(key))
-	if err := os.WriteFile(bin, data, 0o755); err != nil {
-		return fmt.Errorf("harness: import %s: %w", shortKey(key), err)
-	}
-	e.bin = bin
-	e.src = ""
-	e.compile = 0
-	e.err = nil
-	e.done = true
-	return nil
-}
-
-// shortKey truncates a content hash for error messages and file names.
-func shortKey(key string) string {
-	if len(key) > 12 {
-		return key[:12]
-	}
-	return key
 }
 
 // Dir returns the cache's artifact directory ("" until the first build

@@ -251,116 +251,3 @@ func TestBuildCacheRemoveResetsEntriesKeepsCounters(t *testing.T) {
 		t.Errorf("counters should survive Remove: %+v", st)
 	}
 }
-
-func TestBuildCacheExportImportRoundTrip(t *testing.T) {
-	src := harness.NewBuildCache(t.TempDir())
-	defer src.Remove()
-
-	p := cacheProgram(t, 100)
-	key := p.Hash()
-	if src.Has(key) {
-		t.Fatal("Has reported an artifact before any build")
-	}
-	if _, _, _, err := src.Build(p, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !src.Has(key) {
-		t.Fatal("Has does not see the completed build")
-	}
-	data, digest, err := src.Export(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 || len(digest) != 64 {
-		t.Fatalf("export returned %d bytes, digest %q", len(data), digest)
-	}
-
-	// A fresh cache (the receiving node) imports the shipped binary and
-	// serves it as a hit: the next Build of the identical program pays no
-	// compile, and the binary actually runs.
-	dst := harness.NewBuildCache(t.TempDir())
-	defer dst.Remove()
-	if err := dst.Import(key, digest, data); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.Has(key) {
-		t.Fatal("imported artifact is not visible to Has")
-	}
-	bin, _, hit, err := dst.Build(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Error("Build after Import did not hit the cache")
-	}
-	if res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 7}); err != nil || res.Steps != 7 {
-		t.Fatalf("imported binary does not run: %v %+v", err, res)
-	}
-
-	// Round trip through wipe: exporting from the importer reproduces the
-	// exact bytes.
-	data2, digest2, err := dst.Export(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest2 != digest || len(data2) != len(data) {
-		t.Errorf("re-export diverged: %s (%d bytes) vs %s (%d bytes)", digest2, len(data2), digest, len(data))
-	}
-}
-
-func TestBuildCacheImportRejectsCorruption(t *testing.T) {
-	src := harness.NewBuildCache(t.TempDir())
-	defer src.Remove()
-	p := cacheProgram(t, 100)
-	key := p.Hash()
-	if _, _, _, err := src.Build(p, nil); err != nil {
-		t.Fatal(err)
-	}
-	data, digest, err := src.Export(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dst := harness.NewBuildCache(t.TempDir())
-	defer dst.Remove()
-
-	// Flipped byte: the digest no longer matches and the import must be
-	// rejected without installing anything.
-	corrupt := append([]byte(nil), data...)
-	corrupt[len(corrupt)/2] ^= 0xff
-	if err := dst.Import(key, digest, corrupt); err == nil {
-		t.Fatal("corrupted payload was accepted")
-	} else if !strings.Contains(err.Error(), "digest mismatch") {
-		t.Fatalf("unexpected rejection: %v", err)
-	}
-	// Truncation is corruption too.
-	if err := dst.Import(key, digest, data[:len(data)-1]); err == nil {
-		t.Fatal("truncated payload was accepted")
-	}
-	// A lying digest never installs either.
-	if err := dst.Import(key, strings.Repeat("0", 64), data); err == nil {
-		t.Fatal("wrong digest was accepted")
-	}
-	if dst.Has(key) {
-		t.Fatal("a rejected import left an entry behind")
-	}
-
-	// The happy path still works afterwards.
-	if err := dst.Import(key, digest, data); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.Has(key) {
-		t.Fatal("valid import after rejections failed")
-	}
-}
-
-func TestBuildCacheExportUnknownKey(t *testing.T) {
-	c := harness.NewBuildCache(t.TempDir())
-	defer c.Remove()
-	if _, _, err := c.Export("deadbeef"); err == nil {
-		t.Fatal("export of an unknown key succeeded")
-	}
-	if c.Has("deadbeef") {
-		t.Fatal("Has invented an artifact")
-	}
-}

@@ -17,7 +17,6 @@ import (
 	"accmos/internal/opt"
 	"accmos/internal/opt/ir"
 	"accmos/internal/opt/irplan"
-	"accmos/internal/opt/partition"
 )
 
 // Severity ranks a finding.
@@ -54,16 +53,11 @@ const (
 	RuleCoupledConditions    = "CoupledConditions"
 	RuleConstantEnable       = "ConstantEnable"
 	RuleNoFusion             = "NoFusion"
-	RuleNoPartition          = "NoPartition"
 )
 
 // NoFusionMinActors gates the NoFusion rule: below this actor count the
 // absence of fusable chains is expected, not a modeling smell.
 const NoFusionMinActors = 20
-
-// NoPartitionMinActors gates the NoPartition rule: below this actor
-// count a sequential step loop is the right answer anyway.
-const NoPartitionMinActors = 2 * partition.MinActorsPerPartition
 
 // Finding is one static diagnosis.
 type Finding struct {
@@ -222,21 +216,6 @@ func Check(c *actors.Compiled) []Finding {
 				Severity: Info, Rule: RuleNoFusion, Actor: c.Model.Name,
 				Message: fmt.Sprintf("no actor fuses at -O2 (%d actors, %d lowerable): every chain is broken by state, gating or multi-consumer fan-out",
 					len(c.Order), plan.Stats.LoweredActors),
-			})
-		}
-	}
-
-	// Rule: a 2-way partition request collapses to sequential on a
-	// non-trivial model. Mirrors NoFusion: informational, because dense
-	// state feedback or a schedule-spanning data store can be legitimate —
-	// but on a large model it means -partitions (and auto partitioning on
-	// multi-core runners) can never pipeline the step loop.
-	if len(c.Order) >= NoPartitionMinActors {
-		if plan := partition.Build(c, 2); plan.Usable < 2 {
-			out = append(out, Finding{
-				Severity: Info, Rule: RuleNoPartition, Actor: c.Model.Name,
-				Message: fmt.Sprintf("no usable partition cut at -partitions 2 (%d actors): %s",
-					len(c.Order), plan.Declined),
 			})
 		}
 	}

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -262,69 +261,6 @@ func TestLintNoFusion(t *testing.T) {
 	for _, f := range check(t, small) {
 		if f.Rule == RuleNoFusion {
 			t.Fatalf("small model flagged NoFusion below the size gate: %v", f)
-		}
-	}
-}
-
-func TestLintNoPartition(t *testing.T) {
-	// A data store read at the top of the schedule and written at the
-	// bottom pins the whole schedule into one segment: no legal cut, so
-	// the informational finding fires once, attached to the model name.
-	b := model.NewBuilder("NP")
-	b.Add("Mem", "DataStoreMemory", 0, 0, model.WithParam("Store", "s"))
-	b.Add("ARd", "DataStoreRead", 0, 1, model.WithParam("Store", "s"), model.WithOutKind(types.F64))
-	prev := "ARd"
-	for i := 0; i < NoPartitionMinActors; i++ {
-		n := fmt.Sprintf("S%03d", i)
-		b.Add(n, "Sign", 1, 1)
-		b.Connect(prev, 0, n, 0)
-		prev = n
-	}
-	b.Add("ZWr", "DataStoreWrite", 1, 0, model.WithParam("Store", "s"))
-	b.Connect(prev, 0, "ZWr", 0)
-	b.Add("Out", "Outport", 1, 0, model.WithParam("Port", "1"))
-	b.Connect(prev, 0, "Out", 0)
-	fs := check(t, b.MustBuild())
-	var hits int
-	for _, f := range fs {
-		if f.Rule == RuleNoPartition {
-			hits++
-			if f.Severity != Info {
-				t.Errorf("NoPartition severity = %s, want info", f.Severity)
-			}
-			if f.Actor != "NP" {
-				t.Errorf("NoPartition actor = %q, want the model name", f.Actor)
-			}
-		}
-	}
-	if hits != 1 {
-		t.Fatalf("NoPartition findings = %d, want 1: %v", hits, fs)
-	}
-
-	// The partition benchmark shapes must stay clean.
-	for _, name := range benchmodels.PartNames() {
-		c, err := actors.Compile(benchmodels.MustBuildPart(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range Check(c) {
-			if f.Rule == RuleNoPartition {
-				t.Fatalf("%s flagged NoPartition despite cutting: %v", name, f)
-			}
-		}
-	}
-
-	// Below the size gate the rule stays silent even though a tiny model
-	// never cuts.
-	small := model.NewBuilder("NPS").
-		Add("In", "Inport", 0, 1, model.WithOutKind(types.F64), model.WithParam("Port", "1")).
-		Add("S", "Sign", 1, 1).
-		Add("Out", "Outport", 1, 0, model.WithParam("Port", "1")).
-		Chain("In", "S", "Out").
-		MustBuild()
-	for _, f := range check(t, small) {
-		if f.Rule == RuleNoPartition {
-			t.Fatalf("small model flagged NoPartition below the size gate: %v", f)
 		}
 	}
 }

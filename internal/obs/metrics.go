@@ -14,10 +14,10 @@ import (
 // This file is the generic metrics layer behind the daemon's /metrics
 // endpoint: a registry of counters, gauges and fixed-bucket latency
 // histograms, each optionally split by labels, exposed in the Prometheus
-// text format so any scraper — and later the fleet coordinator — can
-// aggregate daemons. Hot-path updates are lock-cheap: counters and gauges
-// are single atomics, label-series lookup takes a read lock, and only
-// series creation and histogram observation take a short exclusive lock.
+// text format so any scraper can aggregate daemons. Hot-path updates are
+// lock-cheap: counters and gauges are single atomics, label-series lookup
+// takes a read lock, and only series creation and histogram observation
+// take a short exclusive lock.
 
 // Counter is a monotonically increasing metric. All methods are safe for
 // concurrent use and lock-free.

@@ -10,8 +10,7 @@ import (
 
 // AdmissionError is a submission rejected before it ever became a job:
 // the model failed to parse, elaborate, or passed lint with blocking
-// findings. Both accmosd's submit handler and the fleet coordinator map
-// it to a structured 400.
+// findings. accmosd's submit handler maps it to a structured 400.
 type AdmissionError struct {
 	Msg string
 	// Lint carries the blocking findings when lint caused the rejection.
@@ -23,11 +22,9 @@ func (e *AdmissionError) Error() string { return e.Msg }
 // SpecFromRequest validates a submission and builds the runnable JobSpec:
 // parse, elaborate, lint-gate, then map the wire fields onto the spec
 // with the daemon's defaults (opt level, heartbeat) and the job-timeout
-// clamp applied. It is the single admission path shared by a standalone
-// accmosd and the fleet coordinator, so a model admitted by the
-// coordinator is never rejected by the runner it lands on. The returned
-// findings are the full advisory list recorded on the job.
-func SpecFromRequest(req SubmitRequest, defaultOpt accmos.OptLevel, defaultPartitions int, jobTimeout time.Duration) (JobSpec, []lint.Finding, error) {
+// clamp applied. The returned findings are the full advisory list
+// recorded on the job.
+func SpecFromRequest(req SubmitRequest, defaultOpt accmos.OptLevel, jobTimeout time.Duration) (JobSpec, []lint.Finding, error) {
 	if req.Model == "" {
 		return JobSpec{}, nil, &AdmissionError{Msg: "submission has no model document"}
 	}
@@ -56,7 +53,6 @@ func SpecFromRequest(req SubmitRequest, defaultOpt accmos.OptLevel, defaultParti
 		Coverage:   req.Coverage,
 		Diagnose:   req.Diagnose,
 		OptLevel:   defaultOpt,
-		Partitions: defaultPartitions,
 		Seed:       req.Seed,
 		Lo:         req.Lo,
 		Hi:         req.Hi,
@@ -72,12 +68,6 @@ func SpecFromRequest(req SubmitRequest, defaultOpt accmos.OptLevel, defaultParti
 			return JobSpec{}, findings, &AdmissionError{Msg: fmt.Sprintf("optLevel: %v", err)}
 		}
 		spec.OptLevel = lv
-	}
-	if req.Partitions != nil {
-		if *req.Partitions < accmos.PartitionsAuto {
-			return JobSpec{}, findings, &AdmissionError{Msg: fmt.Sprintf("partitions: invalid count %d (want 0, 1, N >= 2 or -1 for auto)", *req.Partitions)}
-		}
-		spec.Partitions = *req.Partitions
 	}
 	if req.HeartbeatMS > 0 {
 		spec.Heartbeat = time.Duration(req.HeartbeatMS) * time.Millisecond

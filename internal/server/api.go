@@ -61,14 +61,6 @@ type SubmitRequest struct {
 	// never share build-cache entries.
 	OptLevel *int `json:"optLevel,omitempty"`
 
-	// Partitions pipelines the generated step loop across N goroutine
-	// partitions for this job: 0 or 1 = sequential, N >= 2 = request an
-	// N-way cut, -1 = auto from the runner's GOMAXPROCS. Absent = the
-	// daemon's -partitions default. Partitioned and sequential builds of
-	// one model never share a build-cache entry, and results stay
-	// bit-identical either way.
-	Partitions *int `json:"partitions,omitempty"`
-
 	// Seed (with Lo/Hi bounds, default [-1, 1]) selects deterministic
 	// uniform random stimuli; zero keeps the facade default.
 	Seed uint64  `json:"seed,omitempty"`
@@ -88,12 +80,6 @@ type SubmitRequest struct {
 	// HeartbeatMS is the progress-snapshot interval for the job's events
 	// stream (default 250 ms).
 	HeartbeatMS int64 `json:"heartbeatMs,omitempty"`
-
-	// Tenant names the submitting tenant for fleet-level quota accounting
-	// and fair scheduling. A single accmosd ignores it; the coordinator
-	// applies per-tenant token-bucket quotas to it ("" = the anonymous
-	// tenant).
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // SubmitResponse acknowledges an accepted job.
@@ -175,15 +161,8 @@ type JobView struct {
 	// (level, actors before/after, per-pass rewrite counts).
 	Opt *accmos.OptStats `json:"opt,omitempty"`
 
-	// Part reports the partitioning decision behind the job's generated
-	// run: usable partition count, cut signals, balance, or why a K-way
-	// request fell back to sequential. Nil when partitioning was never
-	// requested (or the job ran on an in-process engine).
-	Part *accmos.PartStats `json:"part,omitempty"`
-
 	// ArtifactHash is the content-hash build-cache key of the binary this
-	// job executed — the handle GET /v1/artifacts/{hash} serves, and what
-	// a fleet coordinator records to route repeat models to warm nodes.
+	// job executed: jobs that report the same hash shared one compile.
 	ArtifactHash string `json:"artifactHash,omitempty"`
 }
 
@@ -249,17 +228,6 @@ type WorkerPoolView struct {
 	Warm        int   `json:"warm"`
 }
 
-// PartTotals aggregates partitioned-execution activity across finished
-// jobs: how many jobs actually ran a pipelined step loop, how many had
-// their partition request declined to sequential, the partitions those
-// runs spanned and the cross-partition signals they shipped per step.
-type PartTotals struct {
-	PartitionedJobs int64 `json:"partitionedJobs"`
-	DeclinedJobs    int64 `json:"declinedJobs"`
-	Partitions      int64 `json:"partitions"`
-	CutSignals      int64 `json:"cutSignals"`
-}
-
 // MetricsView is the GET /metrics payload (the JSON rendering of the
 // same registry ?format=prom exposes as Prometheus text).
 type MetricsView struct {
@@ -275,7 +243,6 @@ type MetricsView struct {
 	Cache         CacheView             `json:"cache"`
 	WorkerPool    *WorkerPoolView       `json:"workerPool,omitempty"`
 	Opt           OptTotals             `json:"opt"`
-	Part          PartTotals            `json:"part"`
 	Phases        map[string]PhaseStats `json:"phases,omitempty"`
 }
 
@@ -325,8 +292,7 @@ type DebugBundle struct {
 }
 
 // HealthView is the GET /healthz payload: enough readiness detail for a
-// fleet coordinator or an external load balancer to make routing
-// decisions from one probe — how much work is queued and running against
+// load balancer to make routing decisions from one probe — how much work is queued and running against
 // what capacity, and whether the daemon is refusing new work.
 type HealthView struct {
 	Status     string `json:"status"` // "ok" | "draining"

@@ -26,7 +26,6 @@ type JobSpec struct {
 	Coverage   bool
 	Diagnose   bool
 	OptLevel   accmos.OptLevel
-	Partitions int
 	Seed       uint64
 	Lo, Hi     float64
 	SweepSeeds []uint64
@@ -53,12 +52,8 @@ type Outcome struct {
 	Merged    *coverage.Report
 	// Opt reports what the optimizing middle-end did.
 	Opt *accmos.OptStats
-	// Part reports the partitioning decision behind the generated run
-	// (nil when partitioning was never requested).
-	Part *accmos.PartStats
-	// ArtifactHash is the content-hash key of the compiled program — the
-	// build-cache key a fleet coordinator uses to track which nodes hold
-	// which binaries.
+	// ArtifactHash is the content-hash build-cache key of the compiled
+	// program.
 	ArtifactHash string
 }
 
@@ -123,7 +118,6 @@ func (j *job) view() JobView {
 		v.Batched = o.Batched
 		v.MergedCoverage = o.Merged
 		v.Opt = o.Opt
-		v.Part = o.Part
 		v.WorkerReuse = o.WorkerReuse
 		v.ArtifactHash = o.ArtifactHash
 	}

@@ -29,10 +29,6 @@ type metrics struct {
 	optFused    *obs.Counter      // accmosd_opt_fused_exprs_total
 	optHoisted  *obs.Counter      // accmosd_opt_hoisted_exprs_total
 	optNarrowed *obs.Counter      // accmosd_opt_narrowed_signals_total
-	partJobs    *obs.CounterVec   // accmosd_partition_jobs_total{outcome}
-	partParts   *obs.Counter      // accmosd_partitions_total
-	partCut     *obs.Counter      // accmosd_partition_cut_signals_total
-	imports     *obs.Counter      // accmosd_artifact_imports_total
 }
 
 // newMetrics builds the registry. Registration order is the exposition
@@ -97,16 +93,6 @@ func newMetrics(s *Server) *metrics {
 	m.optNarrowed = reg.Counter("accmosd_opt_narrowed_signals_total",
 		"Signals stored at a narrower width than their semantic kind by O2, summed over completed jobs.").With()
 
-	m.partJobs = reg.Counter("accmosd_partition_jobs_total",
-		"Completed jobs that requested partitioned execution, by outcome: partitioned ran a goroutine-pipelined step loop, declined fell back to sequential.",
-		"outcome")
-	m.partJobs.With("partitioned")
-	m.partJobs.With("declined")
-	m.partParts = reg.Counter("accmosd_partitions_total",
-		"Goroutine partitions spanned by partitioned jobs, summed over completed jobs.").With()
-	m.partCut = reg.Counter("accmosd_partition_cut_signals_total",
-		"Cross-partition signals shipped per step by partitioned jobs, summed over completed jobs.").With()
-
 	reg.GaugeFunc("accmosd_cache_entries", "Compiled binaries resident in the build cache.", func() float64 {
 		return float64(s.cache.Stats().Entries)
 	})
@@ -119,9 +105,6 @@ func newMetrics(s *Server) *metrics {
 	reg.CounterFunc("accmosd_cache_evictions_total", "Build-cache evictions.", func() float64 {
 		return float64(s.cache.Stats().Evictions)
 	})
-
-	m.imports = reg.Counter("accmosd_artifact_imports_total",
-		"Compiled binaries installed into the build cache by fleet artifact transfer (PUT /v1/artifacts).").With()
 
 	reg.CounterFunc("accmosd_events_dropped_total",
 		"Progress snapshots dropped across all job event streams because a subscriber fell behind.",
@@ -149,9 +132,6 @@ func newMetrics(s *Server) *metrics {
 
 // countJob bumps one accmosd_jobs_total series.
 func (m *metrics) countJob(state string) { m.jobs.With(state).Inc() }
-
-// countArtifactImport records one fleet artifact transfer landing here.
-func (m *metrics) countArtifactImport() { m.imports.Inc() }
 
 // writePrometheus renders the registry in the text exposition format.
 func (m *metrics) writePrometheus(w io.Writer) error { return m.reg.WritePrometheus(w) }
@@ -195,31 +175,6 @@ func (m *metrics) recordOpt(o *accmos.OptStats) {
 	m.optFused.Add(int64(o.FusedExprs))
 	m.optHoisted.Add(int64(o.HoistedExprs))
 	m.optNarrowed.Add(int64(o.NarrowedSignals))
-}
-
-// recordPart folds one finished job's partitioning decision into the
-// totals. Jobs that never requested partitioning carry no PartStats and
-// count nowhere.
-func (m *metrics) recordPart(p *accmos.PartStats) {
-	if p == nil {
-		return
-	}
-	if p.Usable >= 2 {
-		m.partJobs.With("partitioned").Inc()
-		m.partParts.Add(int64(p.Usable))
-		m.partCut.Add(int64(p.CutEdges))
-		return
-	}
-	m.partJobs.With("declined").Inc()
-}
-
-func (m *metrics) partTotals() PartTotals {
-	return PartTotals{
-		PartitionedJobs: m.partJobs.With("partitioned").Value(),
-		DeclinedJobs:    m.partJobs.With("declined").Value(),
-		Partitions:      m.partParts.Value(),
-		CutSignals:      m.partCut.Value(),
-	}
 }
 
 func (m *metrics) optTotals() OptTotals {

@@ -16,10 +16,7 @@ import (
 type Runner func(ctx context.Context, spec JobSpec, tr *accmos.Tracer, progress func(obs.Snapshot)) (*Outcome, error)
 
 // specOptions maps a validated JobSpec to the facade options its run
-// uses. PipelineRunner and ProgramKey share it: the coordinator's
-// routing key is only useful if it is computed from EXACTLY the options
-// the runner will execute with — any drift and repeat models stop
-// landing on their warm node.
+// uses.
 func specOptions(spec JobSpec, cache *accmos.BuildCache, pool *accmos.WorkerPool, tr *accmos.Tracer, progress func(obs.Snapshot)) accmos.Options {
 	opts := accmos.Options{
 		Steps:         spec.Steps,
@@ -27,7 +24,6 @@ func specOptions(spec JobSpec, cache *accmos.BuildCache, pool *accmos.WorkerPool
 		Coverage:      spec.Coverage,
 		Diagnose:      spec.Diagnose,
 		OptLevel:      spec.OptLevel,
-		Partitions:    spec.Partitions,
 		Timeout:       spec.Timeout,
 		Cache:         cache,
 		Pool:          pool,
@@ -44,19 +40,6 @@ func specOptions(spec JobSpec, cache *accmos.BuildCache, pool *accmos.WorkerPool
 		opts.TestCases = accmos.RandomTestCases(spec.Model, spec.Seed, lo, hi)
 	}
 	return opts
-}
-
-// ProgramKey returns the build-cache content hash the spec's generated
-// program will carry — without compiling anything. Sweep jobs force
-// coverage on, exactly as accmos.Sweep does, so the key matches the
-// artifact the runner really produces. The fleet coordinator hashes this
-// key onto its node ring for affinity routing and artifact shipping.
-func ProgramKey(spec JobSpec) (string, error) {
-	opts := specOptions(spec, nil, nil, nil, nil)
-	if len(spec.SweepSeeds) > 0 {
-		opts.Coverage = true
-	}
-	return accmos.ProgramHash(spec.Model, opts)
 }
 
 // PipelineRunner builds the production runner: generate, compile through
@@ -81,7 +64,6 @@ func PipelineRunner(cache *accmos.BuildCache, pool *accmos.WorkerPool) Runner {
 			if len(sw.Runs) > 0 && sw.Runs[0] != nil {
 				out.CacheHit = sw.Runs[0].CacheHit
 				out.Opt = sw.Runs[0].Opt
-				out.Part = sw.Runs[0].Part
 				out.Batched = sw.Runs[0].Batched
 				out.ArtifactHash = sw.Runs[0].ArtifactHash
 			}
@@ -94,7 +76,7 @@ func PipelineRunner(cache *accmos.BuildCache, pool *accmos.WorkerPool) Runner {
 		}
 		out := &Outcome{
 			Results: res.Results, CacheHit: res.CacheHit, WorkerReuse: res.WorkerReuse,
-			Opt: res.Opt, Part: res.Part, ArtifactHash: res.ArtifactHash,
+			Opt: res.Opt, ArtifactHash: res.ArtifactHash,
 		}
 		if spec.Coverage {
 			rep := res.CoverageReport()

@@ -53,9 +53,6 @@ type Config struct {
 	// default, O1).
 	DefaultOptLevel accmos.OptLevel
 
-	// DefaultPartitions is the partition request applied to submissions
-	// that do not set partitions themselves (0 = sequential, -1 = auto).
-	DefaultPartitions int
 	// RetainJobs bounds how many finished job records stay queryable
 	// (default 4096, oldest evicted first).
 	RetainJobs int
@@ -175,8 +172,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/debug", s.handleDebug)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/artifacts/{hash}", s.handleArtifactGet)
-	s.mux.HandleFunc("PUT /v1/artifacts/{hash}", s.handleArtifactPut)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	for i := 0; i < cfg.Workers; i++ {
@@ -324,7 +319,6 @@ func (s *Server) finishLocked(j *job, state JobState, errMsg string, tr *accmos.
 	}
 	if j.outcome != nil {
 		s.metrics.recordOpt(j.outcome.Opt)
-		s.metrics.recordPart(j.outcome.Part)
 	}
 	switch state {
 	case JobDone:
@@ -477,7 +471,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	spec, findings, err := SpecFromRequest(req, s.cfg.DefaultOptLevel, s.cfg.DefaultPartitions, s.cfg.JobTimeout)
+	spec, findings, err := SpecFromRequest(req, s.cfg.DefaultOptLevel, s.cfg.JobTimeout)
 	if err != nil {
 		var adm *AdmissionError
 		if errors.As(err, &adm) && len(adm.Lint) > 0 {
@@ -636,9 +630,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // Health snapshots the daemon's readiness detail — the same view
-// /healthz serves. The fleet agent embeds it in heartbeats so the
-// coordinator's routing decisions (load-aware spill, eviction) work from
-// live queue depth, running count and the draining flag.
+// /healthz serves.
 func (s *Server) Health() HealthView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -706,7 +698,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Cache:         cacheView(s.cache.Stats()),
 		WorkerPool:    s.poolView(),
 		Opt:           s.metrics.optTotals(),
-		Part:          s.metrics.partTotals(),
 		Phases:        s.metrics.phaseStats(),
 	}
 	writeJSON(w, http.StatusOK, view)

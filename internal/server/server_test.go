@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -217,6 +221,37 @@ func TestSubmitPollCacheHit(t *testing.T) {
 	}
 	if _, ok := mv.Phases["compile"]; !ok {
 		t.Errorf("metrics missing compile phase histogram: %v", mv.Phases)
+	}
+
+	// An older client may still send fields the daemon no longer reads
+	// ("partitions", "tenant"): the submission is admitted and computes
+	// the same result as the same job without them.
+	legacy, err := json.Marshal(map[string]any{
+		"model": req.Model, "steps": req.Steps, "coverage": req.Coverage,
+		"partitions": 2, "tenant": "acme",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("legacy submission: %s: %s", resp.Status, payload)
+	}
+	var ack server.SubmitResponse
+	if err := json.Unmarshal(payload, &ack); err != nil {
+		t.Fatal(err)
+	}
+	old := waitJob(t, ts, ack.ID)
+	if old.State != server.JobDone || old.Result == nil {
+		t.Fatalf("legacy job: %s (%s)", old.State, old.Error)
+	}
+	if old.Result.OutputHash != cold.Result.OutputHash {
+		t.Errorf("legacy job hash %d, want %d", old.Result.OutputHash, cold.Result.OutputHash)
 	}
 }
 
@@ -485,6 +520,96 @@ func TestSubmitValidation(t *testing.T) {
 	if r4.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job GET: %d", r4.StatusCode)
 	}
+}
+
+// TestArtifactUploadIsNotAccepted: the daemon has no route that installs
+// client-supplied bytes into its build cache. A script PUT under the
+// content hash of a real job's program must be refused, and a later
+// submission of that model must compile and run its own binary.
+func TestArtifactUploadIsNotAccepted(t *testing.T) {
+	_, tsA := newTestServer(t, server.Config{Workers: 1})
+	_, tsB := newTestServer(t, server.Config{Workers: 1})
+
+	req := server.SubmitRequest{Model: slxDoc(t, "PLANT", "3"), Steps: 50}
+	ref := waitJob(t, tsA, submitOK(t, tsA, req))
+	if ref.State != server.JobDone || ref.ArtifactHash == "" {
+		t.Fatalf("reference job: %s (%s), artifact %q", ref.State, ref.Error, ref.ArtifactHash)
+	}
+
+	marker := filepath.Join(t.TempDir(), "planted-ran")
+	script := []byte("#!/bin/sh\ntouch " + marker + "\n")
+	sum := sha256.Sum256(script)
+	put, err := http.NewRequest(http.MethodPut, tsB.URL+"/v1/artifacts/"+ref.ArtifactHash, bytes.NewReader(script))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put.Header.Set("X-Accmos-Digest", hex.EncodeToString(sum[:]))
+	resp, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("artifact upload: got %s, want 404 or 405", resp.Status)
+	}
+
+	view := waitJob(t, tsB, submitOK(t, tsB, req))
+	if view.State != server.JobDone {
+		t.Fatalf("job after upload attempt: %s (%s)", view.State, view.Error)
+	}
+	if view.CacheHit {
+		t.Error("job after upload attempt reported a cache hit; it must compile locally")
+	}
+	if view.Result == nil || ref.Result == nil || view.Result.OutputHash != ref.Result.OutputHash {
+		t.Errorf("result diverged from the reference: %+v vs %+v", view.Result, ref.Result)
+	}
+	if _, err := os.Stat(marker); err == nil {
+		t.Error("the uploaded script ran")
+	}
+}
+
+// TestHealthzReadinessDetail pins the /healthz readiness contract
+// external load balancers route on: queue depth, running count, capacity
+// and the draining flag.
+func TestHealthzReadinessDetail(t *testing.T) {
+	runner, release, _, _ := blockingRunner()
+	srv, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 7, Runner: runner, PoolWorkers: -1})
+	defer release()
+
+	id := submitOK(t, ts, server.SubmitRequest{Model: slxDoc(t, "HZ", "2")})
+	waitState(t, ts, id, server.JobRunning)
+	// A second job sits queued behind the blocked worker.
+	submitOK(t, ts, server.SubmitRequest{Model: slxDoc(t, "HZ2", "4")})
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hv server.HealthView
+	if err := json.NewDecoder(resp.Body).Decode(&hv); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %s", resp.Status)
+	}
+	if hv.Status != "ok" || hv.Draining {
+		t.Errorf("health status: %+v", hv)
+	}
+	if hv.Running != 1 || hv.QueueDepth != 1 {
+		t.Errorf("running/queued: %+v, want 1/1", hv)
+	}
+	if hv.Workers != 1 || hv.QueueCap != 7 {
+		t.Errorf("capacity: %+v, want workers 1 / queueCap 7", hv)
+	}
+	if hv.UptimeNanos <= 0 {
+		t.Errorf("uptime missing: %+v", hv)
+	}
+	if got := srv.Health(); got.Workers != 1 || got.QueueCap != 7 {
+		t.Errorf("Server.Health(): %+v", got)
+	}
+	release()
 }
 
 // TestSubmitLintRejection proves a model lint marks unsafe never reaches
