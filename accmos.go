@@ -298,7 +298,7 @@ type Options struct {
 
 	// WorkDir keeps generated sources and binaries (default: the
 	// process-wide build cache, so repeated calls on the same model and
-	// options reuse the compiled binary instead of re-invoking go build).
+	// options reuse the compiled binary instead of compiling again).
 	WorkDir string
 
 	// Cache overrides the process-wide build cache for this call — a
@@ -595,7 +595,7 @@ func codegenOptions(opts Options, tcs *TestCases, or *opt.Result) codegen.Option
 // simulation-oriented instrumentation, simulation code synthesis,
 // compilation, and execution. Compiled binaries are cached by program
 // content (unless WorkDir pins the artifacts), so repeated calls on the
-// same model and options skip the go build step.
+// same model and options skip the compile step.
 func Simulate(m *Model, opts Options) (*Result, error) {
 	return SimulateContext(context.Background(), m, opts)
 }

@@ -421,10 +421,12 @@ func BenchmarkAblationRapidSpecialization(b *testing.B) {
 }
 
 // BenchmarkAblationCompile measures the one-time cost of the AccMoS
-// pipeline front end: generation plus Go compilation.
+// pipeline front end: generation plus Go compilation. Every iteration
+// embeds a different test-case seed, taken from the clock so that neither
+// a later b.N round nor a later run repeats one, and so compiles a
+// distinct program that no build cache can answer.
 func BenchmarkAblationCompile(b *testing.B) {
 	c := compiledOf(b, "CSEV")
-	set := benchSet(c)
 	dir, err := os.MkdirTemp("", "compilebench-")
 	if err != nil {
 		b.Fatal(err)
@@ -432,11 +434,12 @@ func BenchmarkAblationCompile(b *testing.B) {
 	defer os.RemoveAll(dir)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		set := testcase.NewRandomSet(len(c.Inports), uint64(time.Now().UnixNano())+uint64(i), -100, 100)
 		prog, err := codegen.Generate(c, codegen.Options{Coverage: true, Diagnose: true, TestCases: set})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := harness.Build(context.Background(), prog, filepath.Join(dir, fmt.Sprint(i%4)), nil); err != nil {
+		if _, _, err := harness.Build(context.Background(), prog, dir, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

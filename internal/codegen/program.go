@@ -12,6 +12,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,7 +101,7 @@ type Program struct {
 // the model name, the opt level and the source text. The source embeds
 // the model structure, every codegen option (coverage, diagnosis,
 // monitors, stop conditions, default steps) and the test-case constants,
-// so two programs share a hash exactly when `go build` would produce the
+// so two programs share a hash exactly when a build would produce the
 // same binary — this is the build-cache key and the harness's
 // artifact-name suffix. The opt level is hashed separately because two
 // levels can emit identical source (no pass fired) yet must never serve
@@ -113,6 +115,25 @@ func (p *Program) Hash() string {
 	h.Write([]byte{0})
 	h.Write([]byte(p.Source))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Imports returns the import paths the program's source declares, in
+// source order: the generator's import set as emitted. The harness lists
+// export data for exactly these packages. A source whose import clause
+// does not parse yields the paths that did; the compiler then reports
+// the error.
+func (p *Program) Imports() []string {
+	f, _ := parser.ParseFile(token.NewFileSet(), "", p.Source, parser.ImportsOnly)
+	if f == nil {
+		return nil
+	}
+	out := make([]string, 0, len(f.Imports))
+	for _, spec := range f.Imports {
+		if path, err := strconv.Unquote(spec.Path.Value); err == nil {
+			out = append(out, path)
+		}
+	}
+	return out
 }
 
 // stateVar is one tracked mutable global: its name and its Go type.

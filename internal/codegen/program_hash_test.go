@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"strings"
 	"testing"
 
 	"accmos/internal/codegen"
@@ -78,5 +79,27 @@ func TestProgramHashDiscriminates(t *testing.T) {
 			t.Errorf("%s collides with %s", what, prev)
 		}
 		seen[h] = what
+	}
+}
+
+// TestProgramImportsMatchSource: Imports reports the import clause the
+// generator emitted, which is what the harness lists export data for.
+func TestProgramImportsMatchSource(t *testing.T) {
+	p := generateFor(t, "PI", codegen.Options{Coverage: true, Diagnose: true})
+	got := map[string]bool{}
+	for _, path := range p.Imports() {
+		got[path] = true
+		if !strings.Contains(p.Source, `"`+path+`"`) {
+			t.Errorf("import %q not in the source", path)
+		}
+	}
+	for _, want := range []string{"bufio", "encoding/json", "flag", "fmt", "math", "os", "strconv", "time"} {
+		if !got[want] {
+			t.Errorf("Imports() = %v, missing %q", p.Imports(), want)
+		}
+	}
+	broken := &codegen.Program{Source: "package main\nimport \"fmt\"\nimport (\n"}
+	if imps := broken.Imports(); len(imps) != 1 || imps[0] != "fmt" {
+		t.Errorf("unparsable import clause: Imports() = %v, want the parsed [fmt]", imps)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // BuildCache memoises compiled generated programs by content hash
 // (codegen.Program.Hash covers the model structure, every codegen option
 // and the embedded test cases), so repeated Simulate/Sweep/experiment
-// calls on the same model reuse the binary instead of re-invoking
-// `go build`. Safe for concurrent use; concurrent requests for the same
+// calls on the same model reuse the binary instead of compiling and
+// linking again. Safe for concurrent use; concurrent requests for the same
 // program block on one build.
 //
 // A cache can be bounded with SetLimit: once more than limit programs

@@ -1,0 +1,9 @@
+package harness
+
+// ResetToolchain drops the memoized toolchain, so the next build lists
+// it again as the first build of a process does.
+func ResetToolchain() {
+	tcLock <- struct{}{}
+	tcMemo = nil
+	<-tcLock
+}

@@ -13,12 +13,10 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
@@ -29,10 +27,14 @@ import (
 )
 
 // Build compiles a generated program into a binary under dir (created if
-// needed) and returns the binary path plus the compile duration. It
-// records a "compile" span on tr (nil ok), and cancelling ctx kills an
-// in-flight `go build` instead of letting the compile run to completion
-// after the caller has given up on the result.
+// needed) and returns the binary path plus the compile duration. It runs
+// the Go toolchain's compile and link tools directly against a memoized
+// import configuration (see loadToolchain), with the flags `go build
+// -ldflags="-s -w"` would pass them. It records a "compile" span on tr
+// (nil ok) with "compile.gc" and "compile.link" children, plus
+// "compile.toolchain" when the memo had to be (re)built. Cancelling ctx
+// kills an in-flight compile or link instead of letting it run to
+// completion after the caller has given up on the result.
 func Build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) (string, time.Duration, error) {
 	defer tr.Start("compile").End()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -44,19 +46,19 @@ func Build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) 
 	}
 	binPath := binPathFor(p, dir)
 	start := time.Now()
-	// -s -w drops the symbol table and DWARF: the linker writes a third
-	// less, and the host never debugs a generated binary (panics still
-	// print symbolized stacks). No -trimpath: it changes the standard
-	// library's build IDs, so a cache warmed without it recompiles std.
-	cmd := exec.CommandContext(ctx, "go", "build", "-ldflags=-s -w", "-o", binPath, srcPath)
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0", "GOFLAGS=-mod=mod")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
+	tc, err := loadToolchain(ctx, p.Imports(), tr)
+	if err == nil {
+		err = tc.build(ctx, srcPath, binPath, tr)
+	}
+	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return "", 0, fmt.Errorf("harness: compiling generated program for %s: %w", p.Model, ctxErr)
 		}
-		return "", 0, fmt.Errorf("harness: compiling generated program: %v\n%s", err, annotate(p.Source, stderr.String()))
+		var te *toolError
+		if errors.As(err, &te) {
+			return "", 0, fmt.Errorf("harness: compiling generated program: %v\n%s", te.err, annotate(p.Source, te.output))
+		}
+		return "", 0, fmt.Errorf("harness: compiling generated program: %w", err)
 	}
 	return binPath, time.Since(start), nil
 }

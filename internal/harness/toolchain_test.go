@@ -1,0 +1,247 @@
+package harness_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"accmos/internal/codegen"
+	"accmos/internal/harness"
+	"accmos/internal/obs"
+)
+
+// spans counts the spans named name that tr recorded.
+func spans(tr *obs.Tracer, name string) int { return len(tr.Trace().Find(name)) }
+
+// buildAndRun builds p into dir under its own tracer, runs the binary for
+// one step and returns the tracer.
+func buildAndRun(t *testing.T, p *codegen.Program, dir string) *obs.Tracer {
+	t.Helper()
+	tr := obs.NewTracer()
+	bin, _, err := harness.Build(context.Background(), p, dir, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Model != p.Model {
+		t.Errorf("ran model %q, want %q", res.Model, p.Model)
+	}
+	return tr
+}
+
+// chdir changes the working directory for the rest of the test.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+}
+
+// TestBuildSurvivesGOCACHESwap: a caller may point GOCACHE at a new
+// directory and delete the old one between builds, as the benchmark does
+// between set-ups. The memoized export files then name deleted paths, so
+// the next build must list the toolchain again instead of failing. The
+// first build starts from an empty cache and so compiles the standard
+// library packages once.
+func TestBuildSurvivesGOCACHESwap(t *testing.T) {
+	p := program(t)
+	first := t.TempDir()
+	t.Setenv("GOCACHE", first)
+	if n := spans(buildAndRun(t, p, t.TempDir()), "compile.toolchain"); n != 1 {
+		t.Errorf("first build under a new GOCACHE listed the toolchain %d times, want 1", n)
+	}
+
+	second := filepath.Join(t.TempDir(), "gocache")
+	if err := os.Rename(first, second); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("GOCACHE", second)
+	dir := t.TempDir()
+	tr := buildAndRun(t, p, dir)
+	if n := spans(tr, "compile.toolchain"); n != 1 {
+		t.Errorf("build after the GOCACHE swap listed the toolchain %d times, want 1", n)
+	}
+	for _, name := range []string{"compile.gc", "compile.link"} {
+		if n := spans(tr, name); n != 1 {
+			t.Errorf("%s recorded %d times, want 1", name, n)
+		}
+	}
+	// The importcfg and object file are gone: only the source and the
+	// binary stay behind.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	if len(names) != 2 || !strings.HasSuffix(names[1], ".go") || names[1] != names[0]+".go" {
+		t.Errorf("build dir holds %v, want just the source and the binary", names)
+	}
+}
+
+// TestConcurrentColdBuildsListToolchainOnce: builds that arrive together
+// at a cold memo wait for one listing instead of each running the go
+// command.
+func TestConcurrentColdBuildsListToolchainOnce(t *testing.T) {
+	p := program(t)
+	harness.ResetToolchain()
+	const n = 8
+	tracers := make([]*obs.Tracer, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		tracers[i] = obs.NewTracer()
+		dir := t.TempDir()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = harness.Build(context.Background(), p, dir, tracers[i])
+		}()
+	}
+	wg.Wait()
+	listings := 0
+	for i, tr := range tracers {
+		if errs[i] != nil {
+			t.Fatalf("build %d: %v", i, errs[i])
+		}
+		listings += spans(tr, "compile.toolchain")
+		if spans(tr, "compile.gc") != 1 || spans(tr, "compile.link") != 1 {
+			t.Errorf("build %d: trace lacks one compile.gc and one compile.link span:\n%s", i, tr.Summary())
+		}
+	}
+	if listings != 1 {
+		t.Errorf("%d concurrent cold builds listed the toolchain %d times, want 1", n, listings)
+	}
+}
+
+// slowProgram is a program whose one huge function takes the compiler
+// seconds (about 4 s on a 2-vCPU host).
+func slowProgram() *codegen.Program {
+	var sb strings.Builder
+	sb.WriteString("package main\n\nimport \"os\"\n\nvar x [64]float64\n\nfunc f() {\n")
+	for i := 0; i < 30000; i++ {
+		fmt.Fprintf(&sb, "\tx[%d] = x[%d]*1.0001 + x[%d]\n", i%64, (i*7+3)%64, (i*13+5)%64)
+	}
+	sb.WriteString("}\n\nfunc main() { f(); os.Exit(int(x[0])) }\n")
+	return &codegen.Program{Model: "SLOW", Source: sb.String()}
+}
+
+// TestBuildCancelKillsCompilerAndKeepsMemo: cancelling a build kills the
+// compiler at once and leaves the memo usable, both when the compile is
+// in flight and when the toolchain listing is.
+func TestBuildCancelKillsCompilerAndKeepsMemo(t *testing.T) {
+	p := program(t)
+	buildAndRun(t, p, t.TempDir()) // warm the memo
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(200*time.Millisecond, cancel)
+	start := time.Now()
+	_, _, err := harness.Build(ctx, slowProgram(), t.TempDir(), nil)
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("a build cancelled mid-compile succeeded")
+	}
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "SLOW") {
+		t.Errorf("error should wrap context.Canceled and name the model: %v", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("cancelled compile returned after %v, want well under the compile's own time", elapsed)
+	}
+	if n := spans(buildAndRun(t, p, t.TempDir()), "compile.toolchain"); n != 0 {
+		t.Errorf("build after a cancelled compile listed the toolchain %d times, want 0", n)
+	}
+
+	harness.ResetToolchain()
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	if _, _, err := harness.Build(dead, p, t.TempDir(), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("build with a cancelled listing: %v, want context.Canceled", err)
+	}
+	if n := spans(buildAndRun(t, p, t.TempDir()), "compile.toolchain"); n != 1 {
+		t.Errorf("build after a cancelled listing listed the toolchain %d times, want 1", n)
+	}
+}
+
+// TestBuildIgnoresCallerGoMod: the caller's working directory may sit in
+// a module whose go.mod would stop or redirect the go command (a future
+// go line, a toolchain line, a vendor directory). Builds do not depend on
+// it.
+func TestBuildIgnoresCallerGoMod(t *testing.T) {
+	p := program(t)
+	hostile := t.TempDir()
+	files := map[string]string{
+		"go.mod":             "module hostile\n\ngo 1.99\n\ntoolchain go1.99.0\n\nrequire example.com/x v1.0.0\n",
+		"vendor/modules.txt": "# example.com/x v1.0.0\n## explicit\nexample.com/x\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(hostile, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Were the go.mod consulted, GOTOOLCHAIN=local makes it fail here
+	// rather than try to fetch go1.99.
+	t.Setenv("GOTOOLCHAIN", "local")
+	t.Setenv("GOFLAGS", "-mod=vendor")
+	chdir(t, hostile)
+	harness.ResetToolchain()
+	buildAndRun(t, p, t.TempDir())
+}
+
+// TestBuildGrowsImportsForNewPackage: a program importing a package no
+// earlier program did grows the memo by that package, once. strings is
+// already a dependency of generated programs' imports; container/list is
+// not, so without the growth the compiler could not find it.
+func TestBuildGrowsImportsForNewPackage(t *testing.T) {
+	harness.ResetToolchain()
+	if n := spans(buildAndRun(t, program(t), t.TempDir()), "compile.toolchain"); n != 1 {
+		t.Errorf("cold build listed the toolchain %d times, want 1", n)
+	}
+	stub := &codegen.Program{Model: "STR", Source: `package main
+
+import (
+	"bufio"
+	"container/list"
+	"fmt"
+	"os"
+	"strings"
+)
+
+func main() {
+	bufio.NewReader(os.Stdin).ReadString('\n')
+	l := list.New()
+	l.PushBack("STR")
+	fmt.Println(strings.Replace(` + "`" + `{"accmosRun":1,"id":"r1","result":{"model":"M","engine":"AccMoS","steps":1,"execNanos":0,"outputHash":0,"diagTotal":0}}` + "`" + `, "M", l.Front().Value.(string), 1))
+}
+`}
+	if got := stub.Imports(); strings.Join(got, " ") != "bufio container/list fmt os strings" {
+		t.Fatalf("stub imports %v", got)
+	}
+	if n := spans(buildAndRun(t, stub, t.TempDir()), "compile.toolchain"); n != 1 {
+		t.Errorf("build with new imports listed the toolchain %d times, want 1", n)
+	}
+	if n := spans(buildAndRun(t, stub, t.TempDir()), "compile.toolchain"); n != 0 {
+		t.Errorf("second build with those imports listed the toolchain %d times, want 0", n)
+	}
+}
