@@ -119,8 +119,8 @@ const (
 // Options.RunID when the caller has no natural job ID of its own.
 func NewRunID() string { return obs.NewRunID() }
 
-// DefaultBuildCache returns the process-wide cache used when neither
-// Options.Cache nor Options.WorkDir is set.
+// DefaultBuildCache returns the process-wide cache used when
+// Options.Cache is not set.
 func DefaultBuildCache() *BuildCache { return harness.DefaultCache }
 
 // Diagnosis kinds (see internal/diagnose for the full catalogue).
@@ -296,15 +296,12 @@ type Options struct {
 	// byte-identical to an O0 run.
 	OptLevel OptLevel
 
-	// WorkDir keeps generated sources and binaries (default: the
-	// process-wide build cache, so repeated calls on the same model and
-	// options reuse the compiled binary instead of compiling again).
-	WorkDir string
-
-	// Cache overrides the process-wide build cache for this call — a
-	// long-lived service gives each daemon instance its own bounded
-	// cache instead of sharing the global one. Ignored when WorkDir pins
-	// the artifacts.
+	// Cache is the build cache that compiles and keeps the generated
+	// program (default: the process-wide cache, so repeated calls on the
+	// same model and options reuse the compiled binary instead of
+	// compiling again). A long-lived service gives each daemon instance
+	// its own bounded cache; NewBuildCache(dir) keeps the generated
+	// sources and binaries in dir for inspection.
 	Cache *BuildCache
 
 	// Timeout kills a generated-binary execution (its whole process
@@ -594,8 +591,8 @@ func codegenOptions(opts Options, tcs *TestCases, or *opt.Result) codegen.Option
 // Simulate runs the full AccMoS pipeline on m: model preprocessing,
 // simulation-oriented instrumentation, simulation code synthesis,
 // compilation, and execution. Compiled binaries are cached by program
-// content (unless WorkDir pins the artifacts), so repeated calls on the
-// same model and options skip the compile step.
+// content (see Options.Cache), so repeated calls on the same model and
+// options skip the compile step.
 func Simulate(m *Model, opts Options) (*Result, error) {
 	return SimulateContext(context.Background(), m, opts)
 }
@@ -613,22 +610,6 @@ func SimulateContext(ctx context.Context, m *Model, opts Options) (*Result, erro
 		return nil, err
 	}
 	return runs[0], nil
-}
-
-// buildProgram compiles prog honouring the WorkDir contract: a pinned
-// WorkDir gets a fresh uncached build (the caller wants inspectable
-// artifacts there); otherwise a content-hash cache — Options.Cache, or
-// the process-wide default — serves repeated builds of the same program.
-func buildProgram(prog *codegen.Program, opts *Options) (bin string, compileTime time.Duration, hit bool, err error) {
-	if opts.WorkDir != "" {
-		bin, compileTime, err = harness.Build(context.Background(), prog, opts.WorkDir, opts.Trace)
-		return bin, compileTime, false, err
-	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = harness.DefaultCache
-	}
-	return cache.Build(prog, opts.Trace)
 }
 
 // SweepResult aggregates a multi-suite coverage sweep.
@@ -709,7 +690,11 @@ func newExecutor(m *Model, opts *Options, suites bool) (*executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	bin, compileTime, hit, err := buildProgram(prog, opts)
+	cache := opts.Cache
+	if cache == nil {
+		cache = harness.DefaultCache
+	}
+	bin, compileTime, hit, err := cache.Build(prog, opts.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -860,82 +845,73 @@ func (x *executor) runChunk(ctx context.Context, pool *WorkerPool, worker, lo in
 // with the same functionality: full diagnostics, coverage, monitoring and
 // custom checks.
 func Interpret(m *Model, opts Options) (*Result, error) {
-	or, tcs, err := prepare(m, &opts)
-	if err != nil {
-		return nil, err
-	}
-	e, err := interp.New(or.Compiled, interp.Options{
-		Coverage:          opts.Coverage,
-		Diagnose:          opts.Diagnose,
-		Monitor:           opts.Monitor,
-		Custom:            opts.Custom,
-		MaxMonitorSamples: opts.MaxMonitorSamples,
-		StopOnDiag:        opts.StopOnDiag,
-		StopOnActor:       opts.StopOnActor,
-		Progress:          opts.Progress,
-		ProgressEvery:     opts.progressEvery(),
-		Layout:            or.Layout,
-		Premark:           or.Premark,
+	return runInProcess(m, opts, func(or *opt.Result, opts *Options) (engine, *coverage.Layout, error) {
+		e, err := interp.New(or.Compiled, interp.Options{
+			Coverage:          opts.Coverage,
+			Diagnose:          opts.Diagnose,
+			Monitor:           opts.Monitor,
+			Custom:            opts.Custom,
+			MaxMonitorSamples: opts.MaxMonitorSamples,
+			StopOnDiag:        opts.StopOnDiag,
+			StopOnActor:       opts.StopOnActor,
+			Progress:          opts.Progress,
+			ProgressEvery:     opts.progressEvery(),
+			Layout:            or.Layout,
+			Premark:           or.Premark,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return e, e.Layout(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sp := opts.Trace.Start("run")
-	var res *simresult.Results
-	if opts.Budget > 0 {
-		res, err = e.RunFor(tcs, opts.Budget)
-	} else {
-		res, err = e.Run(tcs, opts.steps())
-	}
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Results: res, layout: e.Layout(), Opt: optStats(&opts, or)}, nil
 }
 
 // Accelerate runs m on the Accelerator-mode baseline (compiled closures,
 // per-step host synchronisation, no diagnostics or coverage).
 func Accelerate(m *Model, opts Options) (*Result, error) {
-	or, tcs, err := prepare(m, &opts)
-	if err != nil {
-		return nil, err
-	}
-	e, err := interp.NewAccel(or.Compiled)
-	if err != nil {
-		return nil, err
-	}
-	if every := opts.progressEvery(); every > 0 {
-		e.SetProgress(every, opts.Progress)
-	}
-	sp := opts.Trace.Start("run")
-	var res *simresult.Results
-	if opts.Budget > 0 {
-		res, err = e.RunFor(tcs, opts.Budget)
-	} else {
-		res, err = e.Run(tcs, opts.steps())
-	}
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Results: res, Opt: optStats(&opts, or)}, nil
+	return runInProcess(m, opts, func(or *opt.Result, opts *Options) (engine, *coverage.Layout, error) {
+		e, err := interp.NewAccel(or.Compiled)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.SetProgress(opts.progressEvery(), opts.Progress)
+		return e, nil, nil
+	})
 }
 
 // RapidAccelerate runs m on the Rapid-Accelerator-mode baseline (unboxed
 // precompiled closures, batched host synchronisation, no diagnostics or
 // coverage).
 func RapidAccelerate(m *Model, opts Options) (*Result, error) {
+	return runInProcess(m, opts, func(or *opt.Result, opts *Options) (engine, *coverage.Layout, error) {
+		e, err := rapid.New(or.Compiled)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.SetProgress(opts.progressEvery(), opts.Progress)
+		return e, nil, nil
+	})
+}
+
+// engine is the run surface the three in-process engines share.
+type engine interface {
+	Run(tcs *TestCases, steps int64) (*simresult.Results, error)
+	RunFor(tcs *TestCases, budget time.Duration) (*simresult.Results, error)
+}
+
+// runInProcess runs m on the in-process engine newEngine builds from the
+// optimized model: prepare, then one "run" span bounded by Budget when
+// set and by the step count otherwise. newEngine wires progress reporting
+// from the prepared options; the layout it returns (nil without
+// coverage) backs Result.CoverageReport.
+func runInProcess(m *Model, opts Options, newEngine func(*opt.Result, *Options) (engine, *coverage.Layout, error)) (*Result, error) {
 	or, tcs, err := prepare(m, &opts)
 	if err != nil {
 		return nil, err
 	}
-	e, err := rapid.New(or.Compiled)
+	e, layout, err := newEngine(or, &opts)
 	if err != nil {
 		return nil, err
-	}
-	if every := opts.progressEvery(); every > 0 {
-		e.SetProgress(every, opts.Progress)
 	}
 	sp := opts.Trace.Start("run")
 	var res *simresult.Results
@@ -948,5 +924,5 @@ func RapidAccelerate(m *Model, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Results: res, Opt: optStats(&opts, or)}, nil
+	return &Result{Results: res, layout: layout, Opt: optStats(&opts, or)}, nil
 }

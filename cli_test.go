@@ -10,7 +10,7 @@ import (
 
 // TestCLIPipeline exercises the command-line tools the way a user would:
 // materialise the benchmark models, run the AccMoS pipeline on one with
-// cross-verification, lint it, and run the interpreted baseline tool.
+// cross-verification, lint it, and run the interpreted baseline engine.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CLI binaries")
@@ -25,7 +25,6 @@ func TestCLIPipeline(t *testing.T) {
 		return bin
 	}
 	accmosBin := build("accmos", "./cmd/accmos")
-	ssesimBin := build("ssesim", "./cmd/ssesim")
 	modelgenBin := build("modelgen", "./cmd/modelgen")
 
 	modelsDir := filepath.Join(dir, "models")
@@ -62,13 +61,13 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	_ = err // non-zero exit is fine when findings exist
 
-	// Interpreted baseline tool.
-	out, err = exec.Command(ssesimBin, "-model", spv, "-steps", "1000").CombinedOutput()
+	// Interpreted baseline engine.
+	out, err = exec.Command(accmosBin, "-model", spv, "-engine", "sse", "-steps", "1000").CombinedOutput()
 	if err != nil {
-		t.Fatalf("ssesim: %v\n%s", err, out)
+		t.Fatalf("accmos -engine sse: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "steps: 1000") {
-		t.Errorf("ssesim output unexpected:\n%s", out)
+	if !strings.Contains(string(out), "steps:    1000") {
+		t.Errorf("accmos -engine sse output unexpected:\n%s", out)
 	}
 
 	// JSON output mode decodes as JSON.

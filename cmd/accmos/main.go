@@ -21,6 +21,7 @@ import (
 
 	accmos "accmos"
 	"accmos/internal/diagnose"
+	"accmos/internal/simresult"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 		lo        = flag.Float64("lo", -100, "random stimulus lower bound")
 		hi        = flag.Float64("hi", 100, "random stimulus upper bound")
 		genOnly   = flag.Bool("gen", false, "print the generated simulation program and exit")
-		workDir   = flag.String("workdir", "", "keep generated artifacts in this directory")
+		workDir   = flag.String("workdir", "", "build through a cache rooted at this directory, keeping the generated sources and binaries there")
 		tcCSV     = flag.String("tc-csv", "", "load test cases from a CSV file (one column per inport)")
 		uncovered = flag.Bool("uncovered", false, "list the coverage points the run missed")
 		jsonOut   = flag.Bool("json", false, "emit the raw results as JSON instead of the summary")
@@ -113,6 +114,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	cache := accmos.DefaultBuildCache()
+	if *workDir != "" {
+		cache = accmos.NewBuildCache(*workDir)
+	}
 	opts := accmos.Options{
 		OptLevel:     level,
 		Steps:        *steps,
@@ -122,7 +127,7 @@ func main() {
 		StopOnDiag:   diagnose.Kind(*stopOn),
 		StopOnActor:  *stopActor,
 		TestCases:    tcs,
-		WorkDir:      *workDir,
+		Cache:        cache,
 		Timeout:      *timeout,
 		Parallelism:  *parallel,
 		DisableBatch: *noBatch,
@@ -184,7 +189,7 @@ func main() {
 			}
 		}
 		if *progress {
-			fmt.Fprintln(os.Stderr, telemetrySummary(runID, *workDir == ""))
+			fmt.Fprintln(os.Stderr, telemetrySummary(runID, cache))
 		}
 		return
 	}
@@ -206,7 +211,10 @@ func main() {
 		fatal(err)
 	}
 	if *progress {
-		fmt.Fprintln(os.Stderr, telemetrySummary(runID, *workDir == "" && *engine == "accmos"))
+		if *engine != "accmos" {
+			cache = nil
+		}
+		fmt.Fprintln(os.Stderr, telemetrySummary(runID, cache))
 	}
 
 	if *jsonOut {
@@ -278,17 +286,21 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		switch {
-		case ref.OutputHash != res.OutputHash:
-			fatal(fmt.Errorf("VERIFY FAILED: interpreter hash %016x != %016x", ref.OutputHash, res.OutputHash))
-		case ref.Steps != res.Steps:
-			fatal(fmt.Errorf("VERIFY FAILED: interpreter ran %d steps vs %d", ref.Steps, res.Steps))
-		case ref.DiagTotal != res.DiagTotal && *diag && *engine == "accmos":
-			fatal(fmt.Errorf("VERIFY FAILED: interpreter found %d diagnostics vs %d", ref.DiagTotal, res.DiagTotal))
-		default:
-			fmt.Printf("verify:   interpreter agrees (%d steps, hash %016x, %v)\n",
-				ref.Steps, ref.OutputHash, time.Duration(ref.ExecNanos))
+		var diff string
+		if *engine == "accmos" {
+			// The generated program instruments like the interpreter, so
+			// the oracle compares it in full.
+			diff = simresult.Diff(ref.Results, res.Results)
+		} else if !simresult.SameOutputs(ref.Results, res.Results) {
+			// The accelerator engines compute outputs only.
+			diff = fmt.Sprintf("output hash %016x after %d steps vs %016x after %d",
+				ref.OutputHash, ref.Steps, res.OutputHash, res.Steps)
 		}
+		if diff != "" {
+			fatal(fmt.Errorf("VERIFY FAILED: interpreter vs %s: %s", res.Engine, diff))
+		}
+		fmt.Printf("verify:   interpreter agrees (%d steps, hash %016x, %v)\n",
+			ref.Steps, ref.OutputHash, time.Duration(ref.ExecNanos))
 	}
 }
 
@@ -308,12 +320,12 @@ func liveProgressLine(s accmos.Snapshot) {
 }
 
 // telemetrySummary renders the final -progress line: the run's
-// correlation ID, the build cache's hit rate (when the run went through
-// it).
-func telemetrySummary(runID string, usedCache bool) string {
+// correlation ID and the hit rate of the build cache it went through
+// (nil for the in-process engines).
+func telemetrySummary(runID string, cache *accmos.BuildCache) string {
 	line := "accmos: run " + runID
-	if usedCache {
-		cs := accmos.DefaultBuildCache().Stats()
+	if cache != nil {
+		cs := cache.Stats()
 		line += fmt.Sprintf("  cache %d hit / %d miss (%.0f%% hit rate)", cs.Hits, cs.Misses, cs.HitRate()*100)
 	}
 	return line

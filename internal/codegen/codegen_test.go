@@ -60,53 +60,13 @@ func buildAndRun(p *codegen.Program, dir string, steps int64) (*simresult.Result
 	return harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: steps})
 }
 
-// assertEquivalent checks the cross-engine oracle: identical steps, output
-// hash, diagnosis aggregates, and coverage bitmaps.
+// assertEquivalent checks the cross-engine oracle (simresult.Diff):
+// identical steps, output hash, coverage bitmaps, diagnosis aggregates,
+// first-detect steps and verbatim diagnosis records.
 func assertEquivalent(t *testing.T, ir, gr *simresult.Results) {
 	t.Helper()
-	if ir.Steps != gr.Steps {
-		t.Errorf("steps: interp %d vs generated %d", ir.Steps, gr.Steps)
-	}
-	if ir.OutputHash != gr.OutputHash {
-		t.Errorf("output hash: interp %x vs generated %x", ir.OutputHash, gr.OutputHash)
-	}
-	if ir.DiagTotal != gr.DiagTotal {
-		t.Errorf("diag total: interp %d vs generated %d", ir.DiagTotal, gr.DiagTotal)
-	}
-	for k, v := range ir.DiagCounts {
-		if gr.DiagCounts[k] != v {
-			t.Errorf("diag count %q: interp %d vs generated %d", k, v, gr.DiagCounts[k])
-		}
-	}
-	for k := range gr.DiagCounts {
-		if _, ok := ir.DiagCounts[k]; !ok {
-			t.Errorf("generated-only diagnosis %q x%d", k, gr.DiagCounts[k])
-		}
-	}
-	for k, v := range ir.FirstDetect {
-		if gr.FirstDetect[k] != v {
-			t.Errorf("first detect %q: interp %d vs generated %d", k, v, gr.FirstDetect[k])
-		}
-	}
-	if (ir.Coverage == nil) != (gr.Coverage == nil) {
-		t.Fatalf("coverage presence differs: interp %v generated %v", ir.Coverage != nil, gr.Coverage != nil)
-	}
-	if ir.Coverage != nil {
-		cmp := func(name string, a, b []byte) {
-			if len(a) != len(b) {
-				t.Errorf("%s bitmap length: %d vs %d", name, len(a), len(b))
-				return
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Errorf("%s bitmap bit %d: interp %d vs generated %d", name, i, a[i], b[i])
-				}
-			}
-		}
-		cmp("actor", ir.Coverage.Actor, gr.Coverage.Actor)
-		cmp("cond", ir.Coverage.Cond, gr.Coverage.Cond)
-		cmp("dec", ir.Coverage.Dec, gr.Coverage.Dec)
-		cmp("mcdc", ir.Coverage.MCDC, gr.Coverage.MCDC)
+	if d := simresult.Diff(ir, gr); d != "" {
+		t.Errorf("interp vs generated: %s", d)
 	}
 }
 

@@ -5,25 +5,25 @@
 // study on CSEV, and the Figure-1 motivating measurement. Step counts and
 // budgets are scaled by configuration — the paper uses 50 M steps and
 // 5/15/60 s budgets; defaults here are laptop-scale with the same shape.
+//
+// Every engine run goes through the accmos facade (Simulate, Interpret,
+// Accelerate, RapidAccelerate), the same path the CLI and the daemon
+// use; compile time, cache hits, timelines and optimizer counters come
+// from its Result. Only the worker-pool and batch benchmarks drive
+// harness.WorkerPool directly, because they time request framing below
+// the facade.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"accmos/internal/actors"
+	accmos "accmos"
 	"accmos/internal/benchmodels"
-	"accmos/internal/codegen"
 	"accmos/internal/coverage"
-	"accmos/internal/diagnose"
-	"accmos/internal/harness"
-	"accmos/internal/interp"
 	"accmos/internal/obs"
-	"accmos/internal/rapid"
 	"accmos/internal/simresult"
 	"accmos/internal/testcase"
 )
@@ -36,8 +36,6 @@ type Config struct {
 	Budgets []time.Duration
 	// Models restricts the benchmark set (default: all ten).
 	Models []string
-	// WorkDir holds generated programs and binaries (default: temp dir).
-	WorkDir string
 	// Seed drives test-case generation.
 	Seed uint64
 	// ChargeRate tunes how long the case-study overflow stays latent.
@@ -79,18 +77,6 @@ func (c *Config) fillDefaults() {
 	if c.Parallel <= 0 {
 		c.Parallel = 1
 	}
-}
-
-// build compiles prog through the process-wide binary cache — so e.g.
-// Table 3 reuses Table 2's binaries within one invocation, and the hit is
-// reported in the metrics — unless the caller pinned a WorkDir for
-// inspectable artifacts, which always gets a fresh build under dir.
-func (c *Config) build(prog *codegen.Program, dir string) (bin string, compileTime time.Duration, hit bool, err error) {
-	if c.WorkDir != "" {
-		bin, compileTime, err = harness.Build(context.Background(), prog, dir, nil)
-		return bin, compileTime, false, err
-	}
-	return harness.DefaultCache.Build(prog, nil)
 }
 
 // runRows executes fn(0..n-1) with bounded parallelism, leaving callers'
@@ -150,36 +136,16 @@ func (c *Config) logf(format string, args ...interface{}) {
 	}
 }
 
-func (c *Config) workDir() (string, func(), error) {
-	if c.WorkDir != "" {
-		return c.WorkDir, func() {}, nil
+// options returns the facade options every experiment run on m starts
+// from: the unoptimized model (the paper simulates the model as written),
+// uniform random stimulus in [-100, 100] seeded by Config.Seed, and the
+// generated-binary deadline.
+func (c *Config) options(m *accmos.Model) accmos.Options {
+	return accmos.Options{
+		OptLevel:  accmos.OptO0,
+		TestCases: accmos.RandomTestCases(m, c.Seed, -100, 100),
+		Timeout:   c.Timeout,
 	}
-	dir, err := os.MkdirTemp("", "accmos-exp-")
-	if err != nil {
-		return "", nil, err
-	}
-	return dir, func() { os.RemoveAll(dir) }, nil
-}
-
-// prepared bundles everything needed to run one benchmark model on all
-// four engines.
-type prepared struct {
-	name string
-	c    *actors.Compiled
-	set  *testcase.Set
-}
-
-func (cfg *Config) prepare(name string) (*prepared, error) {
-	m, err := benchmodels.Build(name)
-	if err != nil {
-		return nil, err
-	}
-	c, err := actors.Compile(m)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	set := testcase.NewRandomSet(len(c.Inports), cfg.Seed, -100, 100)
-	return &prepared{name: name, c: c, set: set}, nil
 }
 
 // Table2Row is one line of the simulation-time comparison.
@@ -212,86 +178,57 @@ type Table2Row struct {
 // row's engine sequence) is identical to the sequential run.
 func Table2(cfg Config) ([]Table2Row, error) {
 	cfg.fillDefaults()
-	dir, cleanup, err := cfg.workDir()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-
 	rows := make([]Table2Row, len(cfg.Models))
-	err = runRows(len(cfg.Models), cfg.Parallel, func(i int) error {
+	err := runRows(len(cfg.Models), cfg.Parallel, func(i int) error {
 		name := cfg.Models[i]
-		p, err := cfg.prepare(name)
+		m, err := benchmodels.Build(name)
 		if err != nil {
 			return err
 		}
 		row := Table2Row{Model: name, Steps: cfg.Steps}
+		bare := cfg.options(m)
+		bare.Steps = cfg.Steps
+		// AccMoS and SSE run fully instrumented; the accelerator modes
+		// support neither coverage nor diagnosis.
+		full := bare
+		full.Coverage, full.Diagnose, full.ProgressEvery = true, true, cfg.Heartbeat
 
-		// AccMoS: generate, compile (cached), execute with full
-		// instrumentation.
-		prog, err := codegen.Generate(p.c, codegen.Options{
-			Coverage: true, Diagnose: true, TestCases: p.set,
-		})
+		// AccMoS: generate, compile (cached), execute.
+		acc, err := accmos.Simulate(m, full)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		bin, compileTime, hit, err := cfg.build(prog, filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		row.Compile = compileTime
-		row.CacheHit = hit
-		accRes, err := harness.RunContext(context.Background(), bin, harness.RunOptions{
-			Steps: cfg.Steps, Timeout: cfg.Timeout, Heartbeat: cfg.Heartbeat,
-		})
-		if err != nil {
-			return err
-		}
-		row.AccMoS = time.Duration(accRes.ExecNanos)
-		row.AccMoSTimeline = accRes.Timeline
-		cfg.logf("table2 %s: AccMoS %v (compile %v, cached %v)", name, row.AccMoS, compileTime, hit)
+		row.AccMoS = time.Duration(acc.ExecNanos)
+		row.Compile = time.Duration(acc.CompileNanos)
+		row.CacheHit = acc.CacheHit
+		row.AccMoSTimeline = acc.Timeline
+		cfg.logf("table2 %s: AccMoS %v (compile %v, cached %v)", name, row.AccMoS, row.Compile, row.CacheHit)
 
 		// SSE: full-service interpreter.
-		sse, err := interp.New(p.c, interp.Options{
-			Coverage: true, Diagnose: true, ProgressEvery: cfg.Heartbeat,
-		})
+		sse, err := accmos.Interpret(m, full)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		sseRes, err := sse.Run(p.set, cfg.Steps)
-		if err != nil {
-			return err
-		}
-		row.SSE = time.Duration(sseRes.ExecNanos)
-		row.SSETimeline = sseRes.Timeline
+		row.SSE = time.Duration(sse.ExecNanos)
+		row.SSETimeline = sse.Timeline
 		cfg.logf("table2 %s: SSE %v", name, row.SSE)
 
-		// SSE Accelerator mode.
-		ac, err := interp.NewAccel(p.c)
+		// SSE Accelerator and Rapid Accelerator modes.
+		ac, err := accmos.Accelerate(m, bare)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		acRes, err := ac.Run(p.set, cfg.Steps)
+		row.SSEac = time.Duration(ac.ExecNanos)
+		rac, err := accmos.RapidAccelerate(m, bare)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		row.SSEac = time.Duration(acRes.ExecNanos)
-
-		// SSE Rapid Accelerator mode.
-		rc, err := rapid.New(p.c)
-		if err != nil {
-			return err
-		}
-		rcRes, err := rc.Run(p.set, cfg.Steps)
-		if err != nil {
-			return err
-		}
-		row.SSErac = time.Duration(rcRes.ExecNanos)
+		row.SSErac = time.Duration(rac.ExecNanos)
 		cfg.logf("table2 %s: ac %v rac %v", name, row.SSEac, row.SSErac)
 
-		row.HashOK = simresult.SameOutputs(accRes, sseRes) &&
-			simresult.SameOutputs(accRes, acRes) &&
-			simresult.SameOutputs(accRes, rcRes)
+		row.HashOK = simresult.SameOutputs(acc.Results, sse.Results) &&
+			simresult.SameOutputs(acc.Results, ac.Results) &&
+			simresult.SameOutputs(acc.Results, rac.Results)
 		row.SpeedupSSE = ratio(row.SSE, row.AccMoS)
 		row.SpeedupAc = ratio(row.SSEac, row.AccMoS)
 		row.SpeedupRac = ratio(row.SSErac, row.AccMoS)
@@ -331,48 +268,31 @@ type Table3Row struct {
 // Table 2).
 func Table3(cfg Config) ([]Table3Row, error) {
 	cfg.fillDefaults()
-	dir, cleanup, err := cfg.workDir()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-
 	rows := make([]Table3Row, len(cfg.Models)*len(cfg.Budgets))
-	err = runRows(len(cfg.Models), cfg.Parallel, func(i int) error {
+	err := runRows(len(cfg.Models), cfg.Parallel, func(i int) error {
 		name := cfg.Models[i]
-		p, err := cfg.prepare(name)
+		m, err := benchmodels.Build(name)
 		if err != nil {
 			return err
 		}
-		layout := coverage.NewLayout(p.c)
-		prog, err := codegen.Generate(p.c, codegen.Options{
-			Coverage: true, Diagnose: true, TestCases: p.set,
-		})
-		if err != nil {
-			return err
-		}
-		bin, _, _, err := cfg.build(prog, filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		sse, err := interp.New(p.c, interp.Options{Coverage: true, Diagnose: true})
-		if err != nil {
-			return err
-		}
+		opts := cfg.options(m)
+		opts.Coverage, opts.Diagnose = true, true
 		for j, budget := range cfg.Budgets {
-			row := Table3Row{Model: name, Budget: budget}
-			accRes, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Budget: budget, Timeout: cfg.Timeout})
+			opts.Budget = budget
+			acc, err := accmos.Simulate(m, opts)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s: %w", name, err)
 			}
-			row.AccMoS = Table3Cell{Steps: accRes.Steps, Report: layout.Report(accRes.Coverage)}
-			sseRes, err := sse.RunFor(p.set, budget)
+			sse, err := accmos.Interpret(m, opts)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s: %w", name, err)
 			}
-			row.SSE = Table3Cell{Steps: sseRes.Steps, Report: layout.Report(sseRes.Coverage)}
-			cfg.logf("table3 %s @%v: AccMoS %d steps / SSE %d steps", name, budget, accRes.Steps, sseRes.Steps)
-			rows[i*len(cfg.Budgets)+j] = row
+			cfg.logf("table3 %s @%v: AccMoS %d steps / SSE %d steps", name, budget, acc.Steps, sse.Steps)
+			rows[i*len(cfg.Budgets)+j] = Table3Row{
+				Model: name, Budget: budget,
+				AccMoS: Table3Cell{Steps: acc.Steps, Report: acc.CoverageReport()},
+				SSE:    Table3Cell{Steps: sse.Steps, Report: sse.CoverageReport()},
+			}
 		}
 		return nil
 	})
@@ -402,71 +322,48 @@ type CaseStudyResult struct {
 // CaseStudy injects the two CSEV errors and measures detection latency.
 func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 	cfg.fillDefaults()
-	dir, cleanup, err := cfg.workDir()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-
 	m := benchmodels.CSEVInjected(cfg.ChargeRate)
-	c, err := actors.Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	set := testcase.NewRandomSet(len(c.Inports), cfg.Seed, -100, 100)
 	res := &CaseStudyResult{
 		ChargeRate:    cfg.ChargeRate,
 		PredictedStep: benchmodels.OverflowStepOf(cfg.ChargeRate),
 	}
-	maxSteps := res.PredictedStep * 4
+	opts := cfg.options(m)
+	opts.Steps, opts.Diagnose = res.PredictedStep*4, true
 
-	measure := func(stop diagnose.Kind, actor, key string) (Detection, Detection, error) {
-		// AccMoS.
-		prog, err := codegen.Generate(c, codegen.Options{
-			Diagnose: true, StopOnDiag: stop, StopOnActor: actor, TestCases: set,
-		})
+	measure := func(stop accmos.DiagKind, actor string) (acc, sse Detection, err error) {
+		opts.StopOnDiag, opts.StopOnActor = stop, actor
+		key := actor + "|" + string(stop)
+		a, err := accmos.Simulate(m, opts)
 		if err != nil {
-			return Detection{}, Detection{}, err
+			return acc, sse, err
 		}
-		bin, compileTime, _, err := cfg.build(prog, filepath.Join(dir, "csev_"+string(stop)))
+		s, err := accmos.Interpret(m, opts)
 		if err != nil {
-			return Detection{}, Detection{}, err
+			return acc, sse, err
 		}
-		accRes, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: maxSteps, Timeout: cfg.Timeout})
-		if err != nil {
-			return Detection{}, Detection{}, err
-		}
-		acc := Detection{Step: firstDetect(accRes, key), Wall: time.Duration(accRes.ExecNanos), Compile: compileTime}
-		// SSE.
-		sse, err := interp.New(c, interp.Options{Diagnose: true, StopOnDiag: stop, StopOnActor: actor})
-		if err != nil {
-			return Detection{}, Detection{}, err
-		}
-		sseRes, err := sse.Run(set, maxSteps)
-		if err != nil {
-			return Detection{}, Detection{}, err
-		}
-		return acc, Detection{Step: firstDetect(sseRes, key), Wall: time.Duration(sseRes.ExecNanos)}, nil
+		return detection(a, key), detection(s, key), nil
 	}
-
-	res.OverflowAccMoS, res.OverflowSSE, err = measure(diagnose.WrapOnOverflow,
-		"CSEVINJ_QuantityAdd", "CSEVINJ_QuantityAdd|WrapOnOverflow")
+	var err error
+	res.OverflowAccMoS, res.OverflowSSE, err = measure(accmos.WrapOnOverflow, "CSEVINJ_QuantityAdd")
 	if err != nil {
 		return nil, err
 	}
-	res.DowncastAccMoS, res.DowncastSSE, err = measure(diagnose.Downcast,
-		"CSEVINJ_ChargePower", "CSEVINJ_ChargePower|Downcast")
+	res.DowncastAccMoS, res.DowncastSSE, err = measure(accmos.Downcast, "CSEVINJ_ChargePower")
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-func firstDetect(r *simresult.Results, key string) int64 {
-	if step, ok := r.FirstDetect[key]; ok {
-		return step
+// detection reads one engine's detection of the (actor|kind) diagnosis
+// key from its result: the first-detect step (-1 = not found), the
+// simulation wall clock and, for AccMoS, the compile time.
+func detection(r *accmos.Result, key string) Detection {
+	step, ok := r.FirstDetect[key]
+	if !ok {
+		step = -1
 	}
-	return -1
+	return Detection{Step: step, Wall: time.Duration(r.ExecNanos), Compile: time.Duration(r.CompileNanos)}
 }
 
 // Figure1Result is the motivating measurement: time to detect the
@@ -483,54 +380,33 @@ type Figure1Result struct {
 // combining Sum overflows int32 near step 2^31 / (2*increment).
 func Figure1(cfg Config, increment int64) (*Figure1Result, error) {
 	cfg.fillDefaults()
-	dir, cleanup, err := cfg.workDir()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-
-	c, err := actors.Compile(benchmodels.Figure1Model())
-	if err != nil {
-		return nil, err
-	}
-	set := &testcase.Set{Sources: []testcase.Source{
+	m := benchmodels.Figure1Model()
+	opts := cfg.options(m)
+	opts.TestCases = &testcase.Set{Sources: []testcase.Source{
 		{Kind: testcase.Const, Value: float64(increment)},
 		{Kind: testcase.Const, Value: float64(increment)},
 	}}
-	maxSteps := int64(1)<<31/(2*increment) + 1000
+	opts.Steps = int64(1)<<31/(2*increment) + 1000
+	opts.Diagnose, opts.StopOnDiag = true, accmos.WrapOnOverflow
 
-	prog, err := codegen.Generate(c, codegen.Options{
-		Diagnose: true, StopOnDiag: diagnose.WrapOnOverflow, TestCases: set,
-	})
+	acc, err := accmos.Simulate(m, opts)
 	if err != nil {
 		return nil, err
 	}
-	bin, compileTime, _, err := cfg.build(prog, filepath.Join(dir, "fig1"))
-	if err != nil {
-		return nil, err
-	}
-	accRes, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: maxSteps, Timeout: cfg.Timeout})
-	if err != nil {
-		return nil, err
-	}
-	sse, err := interp.New(c, interp.Options{Diagnose: true, StopOnDiag: diagnose.WrapOnOverflow})
-	if err != nil {
-		return nil, err
-	}
-	sseRes, err := sse.Run(set, maxSteps)
+	sse, err := accmos.Interpret(m, opts)
 	if err != nil {
 		return nil, err
 	}
 	out := &Figure1Result{
 		Increment:  increment,
-		DetectStep: accRes.FirstDetectOf(diagnose.WrapOnOverflow),
+		DetectStep: acc.FirstDetectOf(accmos.WrapOnOverflow),
 		AccMoS: Detection{
-			Step: accRes.FirstDetectOf(diagnose.WrapOnOverflow),
-			Wall: time.Duration(accRes.ExecNanos), Compile: compileTime,
+			Step: acc.FirstDetectOf(accmos.WrapOnOverflow),
+			Wall: time.Duration(acc.ExecNanos), Compile: time.Duration(acc.CompileNanos),
 		},
 		SSE: Detection{
-			Step: sseRes.FirstDetectOf(diagnose.WrapOnOverflow),
-			Wall: time.Duration(sseRes.ExecNanos),
+			Step: sse.FirstDetectOf(accmos.WrapOnOverflow),
+			Wall: time.Duration(sse.ExecNanos),
 		},
 	}
 	out.SpeedupWall = ratio(out.SSE.Wall, out.AccMoS.Wall)

@@ -115,3 +115,39 @@ func TestFigure1Small(t *testing.T) {
 		t.Errorf("formatted figure incomplete:\n%s", buf.String())
 	}
 }
+
+// TestBenchOptSmall runs the optimizer benchmark on one O1 shape and one
+// O2-sensitive shape: every engine row and the TOTAL gate row must carry
+// a green O0-vs-O1-vs-O2 oracle, the O1 pipeline must shrink the O1
+// shape and the O2 lowering must fuse expressions of the O2 shape.
+func TestBenchOptSmall(t *testing.T) {
+	rows, err := BenchOpt(Config{Steps: 2000, Models: []string{"OPTC", "OPTF"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2*4+1 {
+		t.Fatalf("rows = %d, want 9", len(rows))
+	}
+	for _, r := range rows {
+		if !r.EquivOK {
+			t.Errorf("%s %s: O0/O1/O2 oracle failed", r.Model, r.Engine)
+		}
+		if r.Model == "TOTAL" {
+			continue
+		}
+		if r.O0 <= 0 || r.O1 <= 0 || r.O2 <= 0 {
+			t.Errorf("%s %s: missing timings %+v", r.Model, r.Engine, r)
+		}
+		if r.Model == "OPTC" && r.ActorsAfter >= r.ActorsBefore {
+			t.Errorf("%s %s: O1 kept %d of %d actors", r.Model, r.Engine, r.ActorsAfter, r.ActorsBefore)
+		}
+		if r.Model == "OPTF" && r.FusedExprs == 0 {
+			t.Errorf("%s %s: O2 fused no expressions", r.Model, r.Engine)
+		}
+	}
+	var buf bytes.Buffer
+	FormatOpt(&buf, rows)
+	if !strings.Contains(buf.String(), "OPTF") {
+		t.Errorf("formatted table incomplete:\n%s", buf.String())
+	}
+}

@@ -1,23 +1,13 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"math"
-	"path/filepath"
 	"time"
 
-	"accmos/internal/actors"
+	accmos "accmos"
 	"accmos/internal/benchmodels"
-	"accmos/internal/codegen"
-	"accmos/internal/harness"
-	"accmos/internal/interp"
-	"accmos/internal/opt"
-	"accmos/internal/opt/irplan"
-	"accmos/internal/rapid"
 	"accmos/internal/simresult"
-	"accmos/internal/testcase"
 )
 
 // OptRow is one (shape, engine) comparison of the optimizing middle-end:
@@ -33,7 +23,7 @@ type OptRow struct {
 	// O1 pipeline (identical for every engine of one model).
 	ActorsBefore int
 	ActorsAfter  int
-	Passes       []opt.PassStat
+	Passes       []accmos.OptPassStat
 
 	// O2 middle-end fusion report (identical for every engine of one
 	// model): how many actors the typed-lowering plan inlined, how many
@@ -62,10 +52,11 @@ type OptRow struct {
 	// speedup over the O2-sensitive shapes at or above the 1.3x bar.
 	SpeedupOK bool
 
-	// EquivOK reports the instrumented O0-vs-O1-vs-O2 oracle for this
-	// model: identical output hashes on all four engines, plus
-	// byte-identical coverage bitmaps and diagnosis aggregates on the
-	// instrumented ones.
+	// EquivOK reports the O0-vs-O1-vs-O2 oracle for this model:
+	// identical output hashes on this engine's timing runs, plus the
+	// instrumented runs of the generated program and the interpreter
+	// agreeing on every field simresult.Diff compares (coverage
+	// bitmaps, diagnosis counts, first-detect steps and records).
 	EquivOK bool
 }
 
@@ -78,6 +69,9 @@ const o2GeomeanBar = 1.3
 // full timing-step budget on the unoptimized instrumented interpreter.
 const equivSteps = 20_000
 
+// optLevels are the middle-end levels the optimizer benchmark compares.
+var optLevels = []accmos.OptLevel{accmos.OptO0, accmos.OptO1, accmos.OptO2}
+
 // BenchOpt measures the optimizer benchmark shapes (the O1 trio plus the
 // O2-sensitive quartet) at O0, O1 and O2 on all four engines. Timing runs
 // are uninstrumented — the configuration a perf-sensitive sweep uses —
@@ -89,11 +83,15 @@ const equivSteps = 20_000
 func BenchOpt(cfg Config) ([]OptRow, error) {
 	names := optBenchNames(cfg.Models)
 	cfg.fillDefaults()
-	dir, cleanup, err := cfg.workDir()
-	if err != nil {
-		return nil, err
+	engines := []struct {
+		name string
+		run  func(*accmos.Model, accmos.Options) (*accmos.Result, error)
+	}{
+		{"AccMoS", accmos.Simulate},
+		{"SSE", accmos.Interpret},
+		{"SSEac", accmos.Accelerate},
+		{"SSErac", accmos.RapidAccelerate},
 	}
-	defer cleanup()
 
 	var rows []OptRow
 	for _, name := range names {
@@ -101,130 +99,47 @@ func BenchOpt(cfg Config) ([]OptRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := actors.Compile(m)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		set := testcase.NewRandomSet(len(c.Inports), cfg.Seed, -100, 100)
-		or1, err := opt.Optimize(c, opt.Options{Level: opt.O1})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		or2, err := opt.Optimize(c, opt.Options{Level: opt.O2})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		cfg.logf("opt %s: %d -> %d actors (%v)", name, or1.ActorsBefore, or1.ActorsAfter, or1.Passes)
-		cfg.logf("opt %s: O2 fused %d, hoisted %d, narrowed %d (%d effective actors)",
-			name, or2.FusedExprs, or2.HoistedExprs, or2.NarrowedSignals, or2.EffectiveActors)
-
-		equivOK, err := cfg.optEquivalent(dir, name, c, set)
+		equivOK, err := cfg.optEquivalent(name, m)
 		if err != nil {
 			return nil, err
 		}
 
-		mk := func(engine string) OptRow {
-			return OptRow{
-				Model: name, Engine: engine, Steps: cfg.Steps,
-				ActorsBefore: or1.ActorsBefore, ActorsAfter: or1.ActorsAfter,
-				Passes: or1.Passes, EquivOK: equivOK,
-				FusedExprs: or2.FusedExprs, HoistedExprs: or2.HoistedExprs,
-				NarrowedSignals: or2.NarrowedSignals, ActorsEffective: or2.EffectiveActors,
-			}
-		}
-
-		// AccMoS: generated binaries at all three levels (distinct cache
-		// keys); only the O2 build carries the typed-lowering plan.
-		acc := mk("AccMoS")
-		for _, lv := range []struct {
-			tag  string
-			c    *actors.Compiled
-			plan *irplan.Plan
-			wall *time.Duration
-			cmpl *time.Duration
-		}{
-			{"O0", c, nil, &acc.O0, &acc.CompileO0},
-			{"O1", or1.Compiled, nil, &acc.O1, &acc.CompileO1},
-			{"O2", or2.Compiled, or2.Plan, &acc.O2, &acc.CompileO2},
-		} {
-			prog, err := codegen.Generate(lv.c, codegen.Options{TestCases: set, Opt: lv.tag, Plan: lv.plan})
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", name, lv.tag, err)
-			}
-			bin, compileTime, _, err := cfg.build(prog, filepath.Join(dir, name+"_"+lv.tag))
-			if err != nil {
-				return nil, err
-			}
-			*lv.cmpl = compileTime
-			res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: cfg.Steps, Timeout: cfg.Timeout})
-			if err != nil {
-				return nil, err
-			}
-			*lv.wall = time.Duration(res.ExecNanos)
-		}
-
-		// The three interpreter-family engines.
-		type runner func(cc *actors.Compiled) (*simresult.Results, error)
-		engines := []struct {
-			name string
-			run  runner
-		}{
-			{"SSE", func(cc *actors.Compiled) (*simresult.Results, error) {
-				e, err := interp.New(cc, interp.Options{})
-				if err != nil {
-					return nil, err
+		for i, eng := range engines {
+			row := OptRow{Model: name, Engine: eng.name, Steps: cfg.Steps, EquivOK: equivOK}
+			var res [3]*accmos.Result
+			for lv, level := range optLevels {
+				opts := cfg.options(m)
+				opts.OptLevel, opts.Steps = level, cfg.Steps
+				if res[lv], err = eng.run(m, opts); err != nil {
+					return nil, fmt.Errorf("%s %s %s: %w", name, eng.name, level, err)
 				}
-				return e.Run(set, cfg.Steps)
-			}},
-			{"SSEac", func(cc *actors.Compiled) (*simresult.Results, error) {
-				e, err := interp.NewAccel(cc)
-				if err != nil {
-					return nil, err
-				}
-				return e.Run(set, cfg.Steps)
-			}},
-			{"SSErac", func(cc *actors.Compiled) (*simresult.Results, error) {
-				e, err := rapid.New(cc)
-				if err != nil {
-					return nil, err
-				}
-				return e.Run(set, cfg.Steps)
-			}},
-		}
-		modelRows := []OptRow{acc}
-		for _, eng := range engines {
-			row := mk(eng.name)
-			r0, err := eng.run(c)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s O0: %w", name, eng.name, err)
 			}
-			r1, err := eng.run(or1.Compiled)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s O1: %w", name, eng.name, err)
-			}
-			// O2 changes generated code only: the interpreted engines
-			// execute or2.Compiled, the same O1-optimized graph.
-			r2, err := eng.run(or2.Compiled)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s O2: %w", name, eng.name, err)
-			}
-			if !simresult.SameOutputs(r0, r1) || !simresult.SameOutputs(r0, r2) {
+			row.O0, row.O1, row.O2 = time.Duration(res[0].ExecNanos), time.Duration(res[1].ExecNanos), time.Duration(res[2].ExecNanos)
+			// Zero for the in-process engines, which compile nothing.
+			row.CompileO0, row.CompileO1, row.CompileO2 = time.Duration(res[0].CompileNanos), time.Duration(res[1].CompileNanos), time.Duration(res[2].CompileNanos)
+			if !simresult.SameOutputs(res[0].Results, res[1].Results) || !simresult.SameOutputs(res[0].Results, res[2].Results) {
 				row.EquivOK = false
 			}
-			row.O0, row.O1, row.O2 = time.Duration(r0.ExecNanos), time.Duration(r1.ExecNanos), time.Duration(r2.ExecNanos)
-			modelRows = append(modelRows, row)
-		}
-		for i := range modelRows {
-			r := &modelRows[i]
-			r.Speedup = ratio(r.O0, r.O1)
-			r.SpeedupO2 = ratio(r.O1, r.O2)
-			r.NsPerActorStepO0 = nsPerActorStep(r.O0, r.Steps, r.ActorsBefore)
-			r.NsPerActorStepO1 = nsPerActorStep(r.O1, r.Steps, r.ActorsAfter)
-			r.NsPerActorStepO2 = nsPerActorStep(r.O2, r.Steps, r.ActorsEffective)
+			// The actor counts come from the O1 pipeline and the fusion
+			// report from the O2 one; both are identical for every engine.
+			o1, o2 := res[1].Opt, res[2].Opt
+			row.ActorsBefore, row.ActorsAfter, row.Passes = o1.ActorsBefore, o1.ActorsAfter, o1.Passes
+			row.FusedExprs, row.HoistedExprs = o2.FusedExprs, o2.HoistedExprs
+			row.NarrowedSignals, row.ActorsEffective = o2.NarrowedSignals, o2.EffectiveActors
+			row.Speedup = ratio(row.O0, row.O1)
+			row.SpeedupO2 = ratio(row.O1, row.O2)
+			row.NsPerActorStepO0 = nsPerActorStep(row.O0, row.Steps, row.ActorsBefore)
+			row.NsPerActorStepO1 = nsPerActorStep(row.O1, row.Steps, row.ActorsAfter)
+			row.NsPerActorStepO2 = nsPerActorStep(row.O2, row.Steps, row.ActorsEffective)
+			if i == 0 {
+				cfg.logf("opt %s: %d -> %d actors (%v)", name, row.ActorsBefore, row.ActorsAfter, row.Passes)
+				cfg.logf("opt %s: O2 fused %d, hoisted %d, narrowed %d (%d effective actors)",
+					name, row.FusedExprs, row.HoistedExprs, row.NarrowedSignals, row.ActorsEffective)
+			}
 			cfg.logf("opt %s %s: O0 %v O1 %v O2 %v (%.1fx, %.1fx)",
-				r.Model, r.Engine, r.O0, r.O1, r.O2, r.Speedup, r.SpeedupO2)
+				name, eng.name, row.O0, row.O1, row.O2, row.Speedup, row.SpeedupO2)
+			rows = append(rows, row)
 		}
-		rows = append(rows, modelRows...)
 	}
 	rows = append(rows, o2GateRow(rows))
 	return rows, nil
@@ -292,96 +207,32 @@ func nsPerActorStep(wall time.Duration, steps int64, actorCount int) float64 {
 }
 
 // optEquivalent runs the instrumented O0-vs-O1-vs-O2 oracle for one
-// model: coverage + diagnosis on, every level, on the generated program
-// and the interpreter (the instrumented engines), plus output-hash parity
-// on the accelerator pair. The optimized runs feed the optimizer's
-// original layout, premark bitmaps and (at O2) typed-lowering plan to the
-// engines — exactly what the facade does.
-func (cfg *Config) optEquivalent(dir, name string, c *actors.Compiled, set *testcase.Set) (bool, error) {
-	type outcome struct {
-		interp *simresult.Results
-		gen    *simresult.Results
-	}
-	run := func(level opt.Level) (*outcome, error) {
-		or, err := opt.Optimize(c, opt.Options{Level: level, Coverage: true, Diagnose: true})
+// model: with coverage and diagnosis on, the generated program and the
+// interpreter (the instrumented engines) at every level must match the
+// O0 interpreter run on every field simresult.Diff compares. The first
+// difference is logged under -v.
+func (cfg *Config) optEquivalent(name string, m *accmos.Model) (bool, error) {
+	var ref *simresult.Results
+	for _, level := range optLevels {
+		opts := cfg.options(m)
+		opts.OptLevel, opts.Steps, opts.Coverage, opts.Diagnose = level, equivSteps, true, true
+		ir, err := accmos.Interpret(m, opts)
 		if err != nil {
-			return nil, err
+			return false, fmt.Errorf("%s equivalence %s: %w", name, level, err)
 		}
-		e, err := interp.New(or.Compiled, interp.Options{
-			Coverage: true, Diagnose: true, Layout: or.Layout, Premark: or.Premark,
-		})
+		gen, err := accmos.Simulate(m, opts)
 		if err != nil {
-			return nil, err
+			return false, fmt.Errorf("%s equivalence %s: %w", name, level, err)
 		}
-		ir, err := e.Run(set, equivSteps)
-		if err != nil {
-			return nil, err
+		if ref == nil {
+			ref = ir.Results
 		}
-		prog, err := codegen.Generate(or.Compiled, codegen.Options{
-			Coverage: true, Diagnose: true, TestCases: set,
-			Layout: or.Layout, Premark: or.Premark, Opt: level.String(),
-			Plan: or.Plan,
-		})
-		if err != nil {
-			return nil, err
-		}
-		bin, _, _, err := cfg.build(prog, filepath.Join(dir, name+"_eq_"+level.String()))
-		if err != nil {
-			return nil, err
-		}
-		gr, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: equivSteps, Timeout: cfg.Timeout})
-		if err != nil {
-			return nil, err
-		}
-		return &outcome{interp: ir, gen: gr}, nil
-	}
-	o0, err := run(opt.O0)
-	if err != nil {
-		return false, fmt.Errorf("%s equivalence O0: %w", name, err)
-	}
-	o1, err := run(opt.O1)
-	if err != nil {
-		return false, fmt.Errorf("%s equivalence O1: %w", name, err)
-	}
-	o2, err := run(opt.O2)
-	if err != nil {
-		return false, fmt.Errorf("%s equivalence O2: %w", name, err)
-	}
-	ok := sameInstrumented(o0.interp, o1.interp) &&
-		sameInstrumented(o0.gen, o1.gen) &&
-		sameInstrumented(o0.interp, o2.interp) &&
-		sameInstrumented(o0.gen, o2.gen) &&
-		simresult.SameOutputs(o0.interp, o0.gen) &&
-		simresult.SameOutputs(o1.interp, o1.gen) &&
-		simresult.SameOutputs(o2.interp, o2.gen)
-	return ok, nil
-}
-
-// sameInstrumented is the full O0-vs-O1 oracle on one instrumented
-// engine: output hash, diagnosis aggregates, and byte-identical coverage
-// bitmaps.
-func sameInstrumented(a, b *simresult.Results) bool {
-	if !simresult.SameOutputs(a, b) || a.DiagTotal != b.DiagTotal {
-		return false
-	}
-	if len(a.DiagCounts) != len(b.DiagCounts) {
-		return false
-	}
-	for k, v := range a.DiagCounts {
-		if b.DiagCounts[k] != v {
-			return false
+		for _, r := range []*simresult.Results{ir.Results, gen.Results} {
+			if d := simresult.Diff(ref, r); d != "" {
+				cfg.logf("opt %s: %s %s differs from SSE O0: %s", name, r.Engine, level, d)
+				return false, nil
+			}
 		}
 	}
-	if (a.Coverage == nil) != (b.Coverage == nil) {
-		return false
-	}
-	if a.Coverage != nil {
-		if !bytes.Equal(a.Coverage.Actor, b.Coverage.Actor) ||
-			!bytes.Equal(a.Coverage.Cond, b.Coverage.Cond) ||
-			!bytes.Equal(a.Coverage.Dec, b.Coverage.Dec) ||
-			!bytes.Equal(a.Coverage.MCDC, b.Coverage.MCDC) {
-			return false
-		}
-	}
-	return true
+	return true, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"accmos/internal/codegen"
 	"accmos/internal/harness"
 )
 
@@ -50,12 +49,6 @@ const serveMaxSteps = 10_000
 // sequentially, so the comparison isolates process startup.
 func BenchServe(cfg Config) ([]ServeRow, error) {
 	cfg.fillDefaults()
-	dir, cleanup, err := cfg.workDir()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-
 	steps := cfg.Steps
 	if steps > serveMaxSteps {
 		steps = serveMaxSteps
@@ -67,15 +60,7 @@ func BenchServe(cfg Config) ([]ServeRow, error) {
 
 	var rows []ServeRow
 	for _, name := range cfg.Models {
-		p, err := cfg.prepare(name)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := codegen.Generate(p.c, codegen.Options{Coverage: true, TestCases: p.set})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		bin, compileTime, _, err := cfg.build(prog, dir)
+		bin, _, compileTime, err := cfg.buildForPool(name)
 		if err != nil {
 			return nil, err
 		}

@@ -77,7 +77,7 @@ func NewBuildCache(dir string) *BuildCache {
 }
 
 // DefaultCache is the process-wide cache the facade uses for callers that
-// did not pin a WorkDir.
+// set no Options.Cache.
 var DefaultCache = NewBuildCache("")
 
 // SetLimit bounds the cache to at most n resident programs (0 restores

@@ -65,7 +65,7 @@ func Build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) 
 
 // artifactTag names a program's on-disk artifacts. It carries a short
 // content hash: distinct models whose names sanitize identically (m.1 vs
-// m_1) get distinct binaries, and two builds sharing one WorkDir never
+// m_1) get distinct binaries, and two builds sharing one directory never
 // race on a common main.go.
 // Optimized programs additionally carry their opt level, so an -O0 and an
 // -O1 build of one model are tell-apart on disk and can never serve each

@@ -59,8 +59,6 @@ type Config struct {
 	// Runner executes admitted jobs (default: PipelineRunner over the
 	// daemon's cache). A test seam and a hook for remote backends.
 	Runner Runner
-	// Logf receives operational log lines (default: discarded).
-	Logf func(format string, args ...interface{})
 	// Logger receives structured operational logs; every per-job record
 	// carries a "corr" attribute equal to the job ID, joinable with the
 	// job's trace spans, heartbeats and debug bundle (default:
@@ -89,9 +87,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.PoolWorkers == 0 {
 		c.PoolWorkers = 2
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...interface{}) {}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -333,7 +328,6 @@ func (s *Server) finishLocked(j *job, state JobState, errMsg string, tr *accmos.
 	}
 	j.fanout.Close()
 	close(j.done)
-	s.cfg.Logf("accmosd: job %s %s (%s)", j.id, state, j.spec.ModelName)
 	attrs := []interface{}{
 		"corr", j.id, "state", string(state), "model", j.spec.ModelName,
 	}
@@ -527,7 +521,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	s.metrics.countJob("submitted")
-	s.cfg.Logf("accmosd: job %s queued (%s, depth %d)", j.id, spec.ModelName, depth)
 	s.cfg.Logger.Info("job queued",
 		"corr", j.id, "model", spec.ModelName, "priority", req.Priority, "queueDepth", depth)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: j.id, State: JobQueued, QueueDepth: depth})

@@ -112,3 +112,94 @@ func (r *Results) DiagSummary() []string {
 func SameOutputs(a, b *Results) bool {
 	return a.Steps == b.Steps && a.OutputHash == b.OutputHash
 }
+
+// Diff is the equivalence oracle: it compares two runs on steps, output
+// hash, coverage presence and the four coverage bitmaps, diagnosis total,
+// per-(actor, kind) counts, first-detect steps and the verbatim diagnosis
+// records, and names the first field that differs ("" when the runs
+// agree). Timing, engine name, monitor samples and timelines are not
+// compared.
+func Diff(a, b *Results) string {
+	if a.Steps != b.Steps {
+		return fmt.Sprintf("steps: %d vs %d", a.Steps, b.Steps)
+	}
+	if a.OutputHash != b.OutputHash {
+		return fmt.Sprintf("output hash: %016x vs %016x", a.OutputHash, b.OutputHash)
+	}
+	if (a.Coverage == nil) != (b.Coverage == nil) {
+		return fmt.Sprintf("coverage presence: %v vs %v", a.Coverage != nil, b.Coverage != nil)
+	}
+	if a.Coverage != nil {
+		for _, bm := range []struct {
+			name string
+			x, y []byte
+		}{
+			{"actor", a.Coverage.Actor, b.Coverage.Actor},
+			{"cond", a.Coverage.Cond, b.Coverage.Cond},
+			{"dec", a.Coverage.Dec, b.Coverage.Dec},
+			{"mcdc", a.Coverage.MCDC, b.Coverage.MCDC},
+		} {
+			if d := diffBitmap(bm.x, bm.y); d != "" {
+				return bm.name + " coverage bitmap: " + d
+			}
+		}
+	}
+	if a.DiagTotal != b.DiagTotal {
+		return fmt.Sprintf("diag total: %d vs %d", a.DiagTotal, b.DiagTotal)
+	}
+	if d := diffMap(a.DiagCounts, b.DiagCounts); d != "" {
+		return "diag count " + d
+	}
+	if d := diffMap(a.FirstDetect, b.FirstDetect); d != "" {
+		return "first detect " + d
+	}
+	if len(a.Diags) != len(b.Diags) {
+		return fmt.Sprintf("diag records: %d vs %d", len(a.Diags), len(b.Diags))
+	}
+	for i := range a.Diags {
+		if a.Diags[i] != b.Diags[i] {
+			return fmt.Sprintf("diag record %d: %q vs %q", i, a.Diags[i], b.Diags[i])
+		}
+	}
+	return ""
+}
+
+func diffBitmap(x, y []byte) string {
+	if len(x) != len(y) {
+		return fmt.Sprintf("length %d vs %d", len(x), len(y))
+	}
+	for i := range x {
+		if x[i] != y[i] {
+			return fmt.Sprintf("point %d: %d vs %d", i, x[i], y[i])
+		}
+	}
+	return ""
+}
+
+// diffMap names the first key, in sorted order, whose value or presence
+// differs between x and y.
+func diffMap(x, y map[string]int64) string {
+	keys := make([]string, 0, len(x)+len(y))
+	for k := range x {
+		keys = append(keys, k)
+	}
+	for k := range y {
+		if _, ok := x[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		vx, okx := x[k]
+		vy, oky := y[k]
+		switch {
+		case !okx:
+			return fmt.Sprintf("%q: absent vs %d", k, vy)
+		case !oky:
+			return fmt.Sprintf("%q: %d vs absent", k, vx)
+		case vx != vy:
+			return fmt.Sprintf("%q: %d vs %d", k, vx, vy)
+		}
+	}
+	return ""
+}

@@ -2,9 +2,11 @@ package simresult
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"accmos/internal/coverage"
 	"accmos/internal/diagnose"
 )
 
@@ -88,5 +90,60 @@ func TestSameOutputs(t *testing.T) {
 	d := &Results{Steps: 11, OutputHash: 7}
 	if !SameOutputs(a, b) || SameOutputs(a, c) || SameOutputs(a, d) {
 		t.Error("SameOutputs misbehaves")
+	}
+}
+
+// TestDiff mutates one oracle field at a time and requires Diff to name
+// it, while identical runs and runs differing only in timing, engine and
+// monitor samples agree.
+func TestDiff(t *testing.T) {
+	base := func() *Results {
+		return &Results{
+			Model: "M", Engine: "SSE", Steps: 100, ExecNanos: 5, OutputHash: 0xfeed,
+			Coverage: &coverage.Raw{
+				Actor: []byte{1, 0, 1}, Cond: []byte{1, 1}, Dec: []byte{0, 1}, MCDC: []byte{1},
+			},
+			DiagTotal:   3,
+			DiagCounts:  map[string]int64{"M_A|WrapOnOverflow": 2, "M_B|Downcast": 1},
+			FirstDetect: map[string]int64{"M_A|WrapOnOverflow": 4, "M_B|Downcast": 9},
+			Diags: []diagnose.Record{
+				{Step: 4, Actor: "M_A", Kind: diagnose.WrapOnOverflow},
+				{Step: 7, Actor: "M_A", Kind: diagnose.WrapOnOverflow},
+				{Step: 9, Actor: "M_B", Kind: diagnose.Downcast, Detail: "300 -> 44"},
+			},
+		}
+	}
+	same := base()
+	same.Engine, same.ExecNanos, same.CompileNanos = "AccMoS", 99, 1234
+	same.Monitor = map[string][]MonitorSample{"M_A": {{Step: 1, Value: "2"}}}
+	if d := Diff(base(), same); d != "" {
+		t.Fatalf("identical oracle fields: Diff = %q", d)
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(r *Results)
+	}{
+		{"steps", func(r *Results) { r.Steps++ }},
+		{"output hash", func(r *Results) { r.OutputHash ^= 1 }},
+		{"coverage presence", func(r *Results) { r.Coverage = nil }},
+		{"actor coverage bitmap", func(r *Results) { r.Coverage.Actor[1] = 1 }},
+		{"cond coverage bitmap", func(r *Results) { r.Coverage.Cond[0] = 0 }},
+		{"dec coverage bitmap", func(r *Results) { r.Coverage.Dec = r.Coverage.Dec[:1] }},
+		{"mcdc coverage bitmap", func(r *Results) { r.Coverage.MCDC[0] = 0 }},
+		{"diag total", func(r *Results) { r.DiagTotal++ }},
+		{"diag count", func(r *Results) { r.DiagCounts["M_B|Downcast"] = 2 }},
+		{"diag count", func(r *Results) { r.DiagCounts["M_C|Downcast"] = 0 }},
+		{"first detect", func(r *Results) { r.FirstDetect["M_B|Downcast"] = 8 }},
+		{"first detect", func(r *Results) { delete(r.FirstDetect, "M_A|WrapOnOverflow") }},
+		{"diag record 2", func(r *Results) { r.Diags[2].Detail = "300 -> 45" }},
+		{"diag records", func(r *Results) { r.Diags = r.Diags[:2] }},
+	} {
+		mutated := base()
+		tc.mutate(mutated)
+		for _, d := range []string{Diff(base(), mutated), Diff(mutated, base())} {
+			if !strings.HasPrefix(d, tc.field) {
+				t.Errorf("mutating %s: Diff = %q", tc.field, d)
+			}
+		}
 	}
 }

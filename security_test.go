@@ -34,7 +34,7 @@ func TestModelNamesCannotInjectCode(t *testing.T) {
 		Coverage:  true,
 		Diagnose:  true,
 		TestCases: accmos.RandomTestCases(m, 5, -1, 1),
-		WorkDir:   t.TempDir(),
+		Cache:     accmos.NewBuildCache(t.TempDir()),
 	}
 	src, err := accmos.GenerateSource(m, opts)
 	if err != nil {
