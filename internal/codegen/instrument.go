@@ -179,8 +179,9 @@ func (g *Generator) instrumentRoot(info *actors.Info, root *irplan.Root) error {
 	return nil
 }
 
-// emitMonitorCall emits the outputCollect instrumentation for one actor,
-// formatting the value exactly as the interpreter's value printer does.
+// emitMonitorCall emits the outputCollect instrumentation (rt.Collect)
+// for one actor, formatting the value exactly as the interpreter's value
+// printer does.
 func (g *Generator) emitMonitorCall(info *actors.Info, slot int) {
 	out := g.varName(info, 0)
 	k := info.OutKind()
@@ -188,17 +189,17 @@ func (g *Generator) emitMonitorCall(info *actors.Info, slot int) {
 	if info.OutWidth() > 1 {
 		switch {
 		case k == types.Bool:
-			fmtd = fmt.Sprintf("fmtVecB(%s[:])", out)
+			fmtd = fmt.Sprintf("simrt.FmtVecB(%s[:])", out)
 		case k.IsSigned():
-			fmtd = fmt.Sprintf("fmtVecI(%s[:])", out)
+			fmtd = fmt.Sprintf("simrt.FmtVecI(%s[:])", out)
 		case k.IsUnsigned():
-			fmtd = fmt.Sprintf("fmtVecU(%s[:])", out)
+			fmtd = fmt.Sprintf("simrt.FmtVecU(%s[:])", out)
 		case k == types.F32:
-			fmtd = fmt.Sprintf("fmtVecF32(%s[:])", out)
+			fmtd = fmt.Sprintf("simrt.FmtVecF32(%s[:])", out)
 		default:
-			fmtd = fmt.Sprintf("fmtVecF64(%s[:])", out)
+			fmtd = fmt.Sprintf("simrt.FmtVecF64(%s[:])", out)
 		}
-		fmt.Fprintf(g.body, "\toutputCollect(%d, step, %s)\n", slot, fmtd)
+		fmt.Fprintf(g.body, "\trt.Collect(%d, step, %s)\n", slot, fmtd)
 		return
 	}
 	switch {
@@ -213,7 +214,7 @@ func (g *Generator) emitMonitorCall(info *actors.Info, slot int) {
 	default:
 		fmtd = fmt.Sprintf("fmtF64(float64(%s))", out)
 	}
-	fmt.Fprintf(g.body, "\toutputCollect(%d, step, %s)\n", slot, fmtd)
+	fmt.Fprintf(g.body, "\trt.Collect(%d, step, %s)\n", slot, fmtd)
 }
 
 // emitCustomCheck inlines a range or delta custom signal diagnosis.
@@ -223,6 +224,7 @@ func (g *Generator) emitCustomCheck(info *actors.Info, chk *diagnose.CustomCheck
 	if info.OutKind() == types.Bool {
 		out = fmt.Sprintf("b2f(%s)", g.varName(info, 0))
 	}
+	g.Import("fmt") // the finding's detail
 	switch chk.Kind {
 	case diagnose.RangeCheck:
 		fmt.Fprintf(g.body,

@@ -24,6 +24,7 @@ import (
 	"accmos/internal/obs"
 	"accmos/internal/opt/iremit"
 	"accmos/internal/opt/irplan"
+	"accmos/internal/simrt"
 	"accmos/internal/testcase"
 	"accmos/internal/types"
 )
@@ -87,6 +88,10 @@ func (o *Options) fillDefaults() {
 	}
 }
 
+// simrtPath is the import path of the runtime every generated program
+// links (see internal/simrt).
+const simrtPath = "accmos/internal/simrt"
+
 // Program is a generated simulation program.
 type Program struct {
 	Source string
@@ -95,23 +100,32 @@ type Program struct {
 	// Opt is the optimization level label ("O0", "O1", "O2"; "" for
 	// direct Generate calls that bypass the optimizer).
 	Opt string
+	// Runtime is the fingerprint of the simrt runtime the source links
+	// against (simrt.Fingerprint at generation).
+	Runtime string
 }
 
 // Hash returns a stable hex key identifying the program: the SHA-256 of
-// the model name, the opt level and the source text. The source embeds
-// the model structure, every codegen option (coverage, diagnosis,
-// monitors, stop conditions, default steps) and the test-case constants,
-// so two programs share a hash exactly when a build would produce the
-// same binary — this is the build-cache key and the harness's
-// artifact-name suffix. The opt level is hashed separately because two
-// levels can emit identical source (no pass fired) yet must never serve
-// each other's cache entries: a later submission at the other level would
-// otherwise inherit the wrong label in results and metrics.
+// the model name, the opt level, the runtime fingerprint and the source
+// text. The source embeds the model structure, every codegen option
+// (coverage, diagnosis, monitors, stop conditions, default steps) and
+// the test-case constants, so two programs share a hash exactly when a
+// build would produce the same binary — this is the build-cache key and
+// the harness's artifact-name suffix. The opt level is hashed separately
+// because two levels can emit identical source (no pass fired) yet must
+// never serve each other's cache entries: a later submission at the
+// other level would otherwise inherit the wrong label in results and
+// metrics. The runtime
+// is linked, not embedded, so its fingerprint is hashed too: a
+// persistent cache must not serve a binary linked against an older
+// runtime.
 func (p *Program) Hash() string {
 	h := sha256.New()
 	h.Write([]byte(p.Model))
 	h.Write([]byte{0})
 	h.Write([]byte(p.Opt))
+	h.Write([]byte{0})
+	h.Write([]byte(p.Runtime))
 	h.Write([]byte{0})
 	h.Write([]byte(p.Source))
 	return hex.EncodeToString(h.Sum(nil))
@@ -235,7 +249,7 @@ func Generate(c *actors.Compiled, opts Options) (*Program, error) {
 		opts:        opts,
 		body:        &strings.Builder{},
 		layout:      layout,
-		imports:     map[string]bool{"flag": true, "fmt": true, "os": true, "time": true, "encoding/json": true},
+		imports:     map[string]bool{simrtPath: true, "time": true},
 		outVar:      make(map[string][]string),
 		outBindings: make(map[string]string),
 		storeVars:   make(map[string]string),
@@ -266,7 +280,7 @@ func Generate(c *actors.Compiled, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Source: src, Model: c.Model.Name, Layout: g.layout, Opt: opts.Opt}, nil
+	return &Program{Source: src, Model: c.Model.Name, Layout: g.layout, Opt: opts.Opt, Runtime: simrt.Fingerprint()}, nil
 }
 
 // prepare assigns data-store variables, diagnosis slots, monitor slots and

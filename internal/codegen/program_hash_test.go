@@ -6,6 +6,7 @@ import (
 
 	"accmos/internal/codegen"
 	"accmos/internal/model"
+	"accmos/internal/simrt"
 	"accmos/internal/testcase"
 	"accmos/internal/types"
 )
@@ -82,6 +83,22 @@ func TestProgramHashDiscriminates(t *testing.T) {
 	}
 }
 
+// TestProgramHashCoversRuntime: the runtime is linked, not part of the
+// source, so the key folds in its fingerprint. A build cache that
+// outlives a runtime change then never serves a binary linked against
+// the old runtime.
+func TestProgramHashCoversRuntime(t *testing.T) {
+	p := generateFor(t, "PR", codegen.Options{Coverage: true})
+	if p.Runtime != simrt.Fingerprint() {
+		t.Fatalf("generated program records runtime %q, want simrt.Fingerprint() %q", p.Runtime, simrt.Fingerprint())
+	}
+	changed := *p
+	changed.Runtime = strings.Repeat("0", len(p.Runtime))
+	if changed.Hash() == p.Hash() {
+		t.Error("a changed runtime fingerprint left the program hash unchanged")
+	}
+}
+
 // TestProgramImportsMatchSource: Imports reports the import clause the
 // generator emitted, which is what the harness lists export data for.
 func TestProgramImportsMatchSource(t *testing.T) {
@@ -93,9 +110,15 @@ func TestProgramImportsMatchSource(t *testing.T) {
 			t.Errorf("import %q not in the source", path)
 		}
 	}
-	for _, want := range []string{"bufio", "encoding/json", "flag", "fmt", "math", "os", "strconv", "time"} {
+	for _, want := range []string{"accmos/internal/simrt", "math", "strconv", "time"} {
 		if !got[want] {
 			t.Errorf("Imports() = %v, missing %q", p.Imports(), want)
+		}
+	}
+	// The serve loop, flags and encoders are the runtime's, compiled once.
+	for _, gone := range []string{"bufio", "encoding/json", "flag", "fmt", "os"} {
+		if got[gone] {
+			t.Errorf("Imports() = %v, want no %q", p.Imports(), gone)
 		}
 	}
 	broken := &codegen.Program{Source: "package main\nimport \"fmt\"\nimport (\n"}

@@ -9,10 +9,11 @@ import (
 )
 
 // synthesize assembles the final simulation program (paper §3.3): the
-// runtime support, instrumentation tables, generated state, the model
+// step-code support, instrumentation tables, generated state, the model
 // system function holding every actor's instrumented code, the generated
-// diagnosis functions, and the main function with its simulation loop,
-// test-case import and result output.
+// diagnosis functions, and the main function with its simulation loop
+// and test-case import. Request handling and result output come from
+// the simrt runtime the program links.
 func (g *Generator) synthesize() (string, error) {
 	// Test-case sources (import code).
 	tcExprs := make([]string, len(g.opts.TestCases.Sources))
@@ -28,15 +29,9 @@ func (g *Generator) synthesize() (string, error) {
 			g.Import("math")
 		}
 	}
-	// The runtime always references math, strconv and bufio (serve
-	// mode).
+	// The output hash and the value formatters of runtimeSrc.
 	g.Import("math")
 	g.Import("strconv")
-	g.Import("bufio")
-	if g.opts.Coverage {
-		// The result encoder renders coverage bitmaps itself.
-		g.Import("encoding/base64")
-	}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "// Code generated by AccMoS for model %s. DO NOT EDIT.\n", commentText(g.c.Model.Name))
@@ -49,7 +44,6 @@ func (g *Generator) synthesize() (string, error) {
 	// Configuration constants.
 	fmt.Fprintf(&sb, "\nconst maxDiagRecords = %d\n", g.opts.MaxDiagRecords)
 	fmt.Fprintf(&sb, "const maxMonitorSamples = %d\n", g.opts.MaxMonitorSamples)
-	fmt.Fprintf(&sb, "const covEnabled = %v\n", g.opts.Coverage)
 	fmt.Fprintf(&sb, "const optLevel = %q\n", g.opts.Opt)
 
 	sb.WriteString(runtimeSrc)
@@ -103,6 +97,7 @@ func (g *Generator) synthesize() (string, error) {
 	fmt.Fprintf(&sb, "var condBitmap [%d]uint8\n", g.layout.CondBits)
 	fmt.Fprintf(&sb, "var decBitmap [%d]uint8\n", g.layout.DecBits)
 	fmt.Fprintf(&sb, "var mcdcBitmap [%d]uint8\n", g.layout.MCDCBits)
+	g.emitRuntimeView(&sb)
 
 	// Actor/program state globals.
 	sb.WriteString("\n")
@@ -143,9 +138,10 @@ func (g *Generator) synthesize() (string, error) {
 	// fresh-process value, then replay modelInit. Serve mode calls this
 	// between runs so each request observes exactly the state a newly
 	// exec'd process would — the bit-identical-to-one-shot guarantee.
-	// seedXor must already hold the request's value when this runs,
-	// because modelInit derives the embedded RNG seeds from it.
-	sb.WriteString("\nfunc modelReset() {\n")
+	// seedXor is set first, because modelInit derives the embedded RNG
+	// seeds from it.
+	sb.WriteString("\nfunc modelReset(seed uint64) {\n")
+	sb.WriteString("\tseedXor = seed\n")
 	sb.WriteString("\toutputHash = 14695981039346656037\n")
 	sb.WriteString("\tdiagTotal = 0\n")
 	sb.WriteString("\tdiagRecords = diagRecords[:0]\n")
@@ -239,25 +235,18 @@ func (g *Generator) emitHash(sb *strings.Builder, expr string, k types.Kind, wid
 }
 
 // emitMain renders the main function and runSim, the simulation loop
-// (step-bounded or wall-clock-budgeted). The program runs requests only
-// through the shared request handler: -serve answers NDJSON requests on
-// stdin, and a plain -steps run is one request whose bare result
-// document goes to stdout.
+// (step-bounded or wall-clock-budgeted). main hands the model's hooks to
+// the runtime, whose entry point runs every request through one handler:
+// -serve answers NDJSON requests on stdin, and a plain -steps run is one
+// request whose bare result document goes to stdout.
 func (g *Generator) emitMain(sb *strings.Builder, tcExprs []string) {
 	fmt.Fprintf(sb, `
 func main() {
-	steps := flag.Int64("steps", %d, "simulation steps; without -serve, run once and print the result document")
-	serve := flag.Bool("serve", false, "serve NDJSON run requests from stdin until it closes")
-	flag.Parse()
-	if *serve {
-		serveLoop(*steps)
-		return
-	}
-	os.Stdout.Write(append(runRequest(&serveRequest{Steps: *steps}, *steps), '\n'))
+	rt.Reset, rt.Run, rt.Batch = modelReset, runSim, runBatch
+	rt.Main(%d)
 }
 `, g.opts.DefaultSteps)
 	g.emitRunSim(sb, tcExprs)
-	g.emitResultsFunc(sb)
 }
 
 // emitRunSim renders runSim, the step loop every run executes.
@@ -291,7 +280,7 @@ func runSim(steps, budgetMS int64, hbEvery time.Duration, runID string) (int64, 
 	}
 	elapsed := time.Since(start)
 	if hbEnabled {
-		emitHeartbeat(runID, executed, elapsed, true)
+		rt.Heartbeat(runID, executed, elapsed, true)
 	}
 	return executed, elapsed
 }
@@ -311,7 +300,7 @@ func (g *Generator) emitLoopBody(sb *strings.Builder, tcExprs []string, ind stri
 	// 1024 steps.
 	fmt.Fprintf(sb, "%sif hbEnabled && step&1023 == 0 {\n", ind)
 	fmt.Fprintf(sb, "%s\tif now := time.Now(); !now.Before(hbNext) {\n", ind)
-	fmt.Fprintf(sb, "%s\t\temitHeartbeat(runID, executed, now.Sub(start), false)\n", ind)
+	fmt.Fprintf(sb, "%s\t\trt.Heartbeat(runID, executed, now.Sub(start), false)\n", ind)
 	fmt.Fprintf(sb, "%s\t\thbNext = now.Add(hbEvery)\n", ind)
 	fmt.Fprintf(sb, "%s\t}\n%s}\n", ind, ind)
 	fmt.Fprintf(sb, "%sif stopRequested {\n%s\tbreak\n%s}\n", ind, ind, ind)
@@ -393,12 +382,11 @@ func runBatch(seedXors []uint64, steps int64, hbEvery time.Duration, runID strin
 	for i := range lanes {
 		ls := &lanes[i]
 		ls.laneSeedXor = seedXors[i]
-		seedXor = seedXors[i]
 		diagRecords = nil
 		for j := range monSamples {
 			monSamples[j] = nil
 		}
-		modelReset()
+		modelReset(seedXors[i])
 		laneSave(ls)
 	}
 	hbEnabled := hbEvery > 0
@@ -440,7 +428,7 @@ func runBatch(seedXors []uint64, steps int64, hbEvery time.Duration, runID strin
 			}
 			if hbEnabled {
 				if now := time.Now(); !now.Before(hbNext) {
-					emitHeartbeat(runID, total, now.Sub(start), false)
+					rt.Heartbeat(runID, total, now.Sub(start), false)
 					hbNext = now.Add(hbEvery)
 				}
 			}
@@ -448,7 +436,7 @@ func runBatch(seedXors []uint64, steps int64, hbEvery time.Duration, runID strin
 	}
 	elapsed := time.Since(start)
 	if hbEnabled {
-		emitHeartbeat(runID, total, elapsed, true)
+		rt.Heartbeat(runID, total, elapsed, true)
 	}
 	perLane := elapsed.Nanoseconds()
 	if len(lanes) > 0 {
@@ -457,78 +445,35 @@ func runBatch(seedXors []uint64, steps int64, hbEvery time.Duration, runID strin
 	out := make([][]byte, len(lanes))
 	for i := range lanes {
 		laneLoad(&lanes[i])
-		out[i] = resultsJSON(lanes[i].laneSteps, perLane, false)
+		out[i] = rt.Result(lanes[i].laneSteps, perLane, false)
 	}
 	return out
 }
 `)
 }
 
-// emitResultsFunc renders resultsJSON, the one encoder of the result
-// document, plus the coverage-section helpers it shares with batch
-// frames.
-func (g *Generator) emitResultsFunc(sb *strings.Builder) {
+// emitRuntimeView renders rt, the program as the simrt runtime sees it:
+// views of the result state above (the slices alias the arrays, the
+// pointers the variables) and the model name. main sets the hooks.
+func (g *Generator) emitRuntimeView(sb *strings.Builder) {
+	fmt.Fprintf(sb, "\nconst modelName = %q\n", g.c.Model.Name)
 	sb.WriteString(`
-// resultsJSON renders the result document in the simresult.Results
-// schema, append-based and in the fixed field order simresult.Decode
-// reads: model, engine, steps, execNanos, outputHash, coverage (withCov
-// only), diagTotal, then the diagnosis and monitor sections that carry
-// anything. Batch lanes pass withCov=false: the batch renders its
-// coverage once (covJSON), not per lane.
-func resultsJSON(steps, execNanos int64, withCov bool) []byte {
-`)
-	sb.WriteString(`	b := make([]byte, 0, 192+len(modelName)+covEncodedLen)
-	b = append(b, ` + "`" + `{"model":` + "`" + `...)
-	b = appendStr(b, modelName)
-	b = append(b, ` + "`" + `,"engine":"AccMoS","steps":` + "`" + `...)
-	b = strconv.AppendInt(b, steps, 10)
-	b = append(b, ` + "`" + `,"execNanos":` + "`" + `...)
-	b = strconv.AppendInt(b, execNanos, 10)
-	b = append(b, ` + "`" + `,"outputHash":` + "`" + `...)
-	b = strconv.AppendUint(b, outputHash, 10)
-	if covEnabled && withCov {
-		b = append(b, ` + "`" + `,"coverage":` + "`" + `...)
-		b = appendCov(b)
-	}
-	b = append(b, ` + "`" + `,"diagTotal":` + "`" + `...)
-	b = strconv.AppendInt(b, diagTotal, 10)
-	b = appendSections(b)
-	return append(b, '}')
-}
+var rt = &simrt.Program{
+	Model:             modelName,
+	OutputHash:        &outputHash,
+	DiagTotal:         &diagTotal,
+	Diags:             &diagRecords,
+	DiagCounts:        diagCounts[:],
+	DiagFirst:         diagFirst[:],
+	DiagActors:        diagActors[:],
+	DiagKinds:         diagKinds[:],
+	MonHits:           monHits[:],
+	MonSamples:        monSamples[:],
+	MonNames:          monNames[:],
+	MaxMonitorSamples: maxMonitorSamples,
 `)
 	if g.opts.Coverage {
-		sb.WriteString(`
-// covEncodedLen is the total base64 size of the coverage section.
-var covEncodedLen = base64.StdEncoding.EncodedLen(len(actorBitmap)) +
-	base64.StdEncoding.EncodedLen(len(condBitmap)) +
-	base64.StdEncoding.EncodedLen(len(decBitmap)) +
-	base64.StdEncoding.EncodedLen(len(mcdcBitmap)) + 64
-
-// appendB64 appends src base64-encoded, growing b once.
-func appendB64(b, src []byte) []byte {
-	n := len(b)
-	enc := base64.StdEncoding
-	b = append(b, make([]byte, enc.EncodedLen(len(src)))...)
-	enc.Encode(b[n:], src)
-	return b
-}
-
-// appendCov appends the coverage object: the four bitmaps in base64.
-func appendCov(b []byte) []byte {
-	b = append(b, ` + "`" + `{"actor":"` + "`" + `...)
-	b = appendB64(b, actorBitmap[:])
-	b = append(b, ` + "`" + `","cond":"` + "`" + `...)
-	b = appendB64(b, condBitmap[:])
-	b = append(b, ` + "`" + `","dec":"` + "`" + `...)
-	b = appendB64(b, decBitmap[:])
-	b = append(b, ` + "`" + `","mcdc":"` + "`" + `...)
-	b = appendB64(b, mcdcBitmap[:])
-	return append(b, ` + "`" + `"}` + "`" + `...)
-}
-`)
-	} else {
-		sb.WriteString("\nconst covEncodedLen = 0\n")
-		sb.WriteString("\n// appendCov is unreachable: coverage is off.\nfunc appendCov(b []byte) []byte { return b }\n")
+		sb.WriteString("\tCoverage:          &simrt.Coverage{Actor: actorBitmap[:], Cond: condBitmap[:], Dec: decBitmap[:], MCDC: mcdcBitmap[:]},\n")
 	}
-	fmt.Fprintf(sb, "\nconst modelName = %q\n", g.c.Model.Name)
+	sb.WriteString("}\n")
 }

@@ -7,3 +7,13 @@ func ResetToolchain() {
 	tcMemo = nil
 	<-tcLock
 }
+
+// RuntimeArchive returns the memoized simrt archive ("" when none).
+func RuntimeArchive() string {
+	tcLock <- struct{}{}
+	defer func() { <-tcLock }()
+	if tcMemo == nil {
+		return ""
+	}
+	return tcMemo.runtime
+}

@@ -6,26 +6,33 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"accmos/internal/obs"
+	"accmos/internal/simrt"
 )
 
 // toolchain is what a build needs from the Go installation: where the
 // compile and link tools live, the version flags `go build` would pass
-// them, and the export data of every package a generated program can
-// reach. Asking the go command for this costs ~150 ms of CPU; compiling and
-// linking a generated program against it skips the go command's module
-// load, action graph, build-ID hashing and cache writes on every build.
-// One value is memoized per process (see loadToolchain) and never
-// mutated once published, so a build may keep using the one it got.
+// them, the export data of every package a generated program can reach,
+// and the simrt runtime compiled into an archive. Asking the go command
+// for this costs ~150 ms of CPU and the archive ~100 ms; compiling and
+// linking a generated program against them skips the go command's module
+// load, action graph, build-ID hashing and cache writes, and the
+// runtime's compile, on every build. One value is memoized per process
+// (see loadToolchain) and never mutated once published, so a build may
+// keep using the one it got.
 type toolchain struct {
 	key     string
 	goBin   string
@@ -36,7 +43,29 @@ type toolchain struct {
 	// exports maps every package listed so far, with everything it
 	// imports, to its export file in the Go build cache.
 	exports map[string]string
+	// runtime is the simrt archive, in a directory of its own ("" until a
+	// program importing simrt is built).
+	runtime string
 }
+
+// runtimePkg is the import path of the runtime generated programs link.
+const runtimePkg = "accmos/internal/simrt"
+
+// runtimeImports lists the packages the runtime sources import.
+var runtimeImports = sync.OnceValue(func() []string {
+	var out []string
+	for _, src := range simrt.Sources() {
+		f, err := parser.ParseFile(token.NewFileSet(), "", src, parser.ImportsOnly)
+		if err != nil {
+			panic("harness: embedded runtime source does not parse: " + err.Error())
+		}
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value) // parsed, so quoted
+			out = append(out, path)
+		}
+	}
+	return out
+})
 
 // tcLock guards tcMemo. It is a channel, not a mutex, so a build waiting
 // for another one's toolchain listing still honours its own context.
@@ -57,13 +86,17 @@ func toolchainKey(goBin string) string {
 }
 
 // loadToolchain returns a toolchain whose export table covers imports
-// (and runtime, which every link needs). It reuses the memo while the
-// environment key is unchanged, every export file still exists (a
-// caller may swap GOCACHE and delete the old one) and no import is new.
-// A new import grows the memo by listing just that package; a changed
-// environment or a vanished export file starts it over from `go env`.
-// Either records a "compile.toolchain" span. A failed or cancelled
-// listing leaves the memo as it was.
+// (and runtime, which every link needs). An import of the simrt runtime
+// is served by its archive instead, which the toolchain compiles from
+// the sources the package embeds, recording a "compile.runtime" span.
+// It reuses the memo while the environment key is unchanged, every
+// export file and the archive still exist (a caller may swap GOCACHE and
+// delete the old one) and no import is new. A new import grows the memo
+// by listing just that package; a changed environment or a vanished
+// export file starts it over from `go env`, recording a
+// "compile.toolchain" span; a vanished archive is compiled again. A
+// failed or cancelled listing or archive compile leaves the memo as it
+// was.
 func loadToolchain(ctx context.Context, imports []string, tr *obs.Tracer) (*toolchain, error) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -81,30 +114,58 @@ func loadToolchain(ctx context.Context, imports []string, tr *obs.Tracer) (*tool
 	if old != nil && (old.key != key || !old.exportsExist()) {
 		old = nil
 	}
+	needRuntime := slices.Contains(imports, runtimePkg)
+	if needRuntime {
+		imports = append(slices.Clone(imports), runtimeImports()...)
+	}
 	var missing []string
 	for _, p := range append([]string{"runtime"}, imports...) {
-		if p != "unsafe" && (old == nil || old.exports[p] == "") { // unsafe has no export file
+		// unsafe has no export file; the runtime has its archive.
+		if p != "unsafe" && p != runtimePkg && (old == nil || old.exports[p] == "") {
 			missing = append(missing, p)
 		}
 	}
-	if len(missing) == 0 {
+	compileRuntime := needRuntime && (old == nil || !old.runtimeExists())
+	if len(missing) == 0 && !compileRuntime {
 		return old, nil
 	}
 
-	defer tr.Start("compile.toolchain").End()
 	next := &toolchain{key: key, goBin: goBin, exports: map[string]string{}}
 	if old != nil {
-		// Same environment, new imports: list only those.
+		// Same environment: list only the new imports.
 		next.toolDir, next.version, next.lang, next.env = old.toolDir, old.version, old.lang, old.env
 		maps.Copy(next.exports, old.exports)
-	} else if err := next.readEnv(ctx); err != nil {
-		return nil, err
+		next.runtime = old.runtime
 	}
-	if err := next.listExports(ctx, missing); err != nil {
-		return nil, err
+	if len(missing) > 0 { // always so when old is nil: runtime is missing
+		if err := next.list(ctx, old == nil, missing, tr); err != nil {
+			return nil, err
+		}
+	}
+	if compileRuntime {
+		archive, err := next.compileRuntime(ctx, tr)
+		if err != nil {
+			return nil, err
+		}
+		if next.runtime != "" {
+			os.Remove(filepath.Dir(next.runtime)) // the vanished archive's directory, once empty
+		}
+		next.runtime = archive
 	}
 	tcMemo = next
 	return next, nil
+}
+
+// list fills the export table for pkgs under a "compile.toolchain"
+// span, reading the environment first when the toolchain starts over.
+func (tc *toolchain) list(ctx context.Context, fresh bool, pkgs []string, tr *obs.Tracer) error {
+	defer tr.Start("compile.toolchain").End()
+	if fresh {
+		if err := tc.readEnv(ctx); err != nil {
+			return err
+		}
+	}
+	return tc.listExports(ctx, pkgs)
 }
 
 // goCmd runs the go command from a neutral directory in GOPATH mode:
@@ -197,6 +258,57 @@ func (tc *toolchain) exportsExist() bool {
 	return true
 }
 
+// runtimeExists reports whether the runtime archive was compiled and is
+// still on disk.
+func (tc *toolchain) runtimeExists() bool {
+	if tc.runtime == "" {
+		return false
+	}
+	_, err := os.Stat(tc.runtime)
+	return err == nil
+}
+
+// compileRuntime compiles the simrt sources into an archive in a new
+// private directory and returns its path. Positions are rewritten to the
+// package's import path, so the archive is the same whichever directory
+// holds it. On failure, cancellation included, the directory is removed
+// and nothing is returned. The directory is the process's: like the
+// export files it outlives the builds that link against it.
+func (tc *toolchain) compileRuntime(ctx context.Context, tr *obs.Tracer) (archive string, err error) {
+	dir, err := os.MkdirTemp("", "accmos-simrt-")
+	if err != nil {
+		return "", err
+	}
+	defer func() {
+		if err != nil {
+			os.RemoveAll(dir)
+		}
+	}()
+	args := []string{"-o", filepath.Join(dir, "simrt.a"), "-p", runtimePkg, "-lang=" + tc.lang,
+		"-complete", "-goversion", tc.version, "-c=" + strconv.Itoa(tc.concurrency()), "-nolocalimports",
+		"-importcfg", filepath.Join(dir, "importcfg"), "-pack", "-dwarf=false", "-trimpath", dir + "=>" + runtimePkg}
+	inputs := map[string][]byte{"importcfg": tc.importcfg()}
+	for name, src := range simrt.Sources() {
+		inputs[name] = src
+		args = append(args, filepath.Join(dir, name))
+	}
+	for name, data := range inputs {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			return "", err
+		}
+	}
+	if err := tc.tool(ctx, tr, "compile.runtime", "compile", args...); err != nil {
+		return "", err
+	}
+	for name := range inputs {
+		os.Remove(filepath.Join(dir, name))
+	}
+	return filepath.Join(dir, "simrt.a"), nil
+}
+
+// concurrency is the compiler's backend concurrency (-c).
+func (tc *toolchain) concurrency() int { return min(4, runtime.GOMAXPROCS(0)) }
+
 // importcfg renders the import configuration compile and link share.
 func (tc *toolchain) importcfg() []byte {
 	paths := make([]string, 0, len(tc.exports))
@@ -209,12 +321,16 @@ func (tc *toolchain) importcfg() []byte {
 	for _, p := range paths {
 		fmt.Fprintf(&b, "packagefile %s=%s\n", p, tc.exports[p])
 	}
+	if tc.runtime != "" {
+		fmt.Fprintf(&b, "packagefile %s=%s\n", runtimePkg, tc.runtime)
+	}
 	return b.Bytes()
 }
 
 // build compiles srcPath as package main and links it into binPath with
 // the flags `go build -ldflags="-s -w"` passes, so the machine code is
-// the same. The importcfg, the object file and the linker's output are
+// the same, plus -dwarf=false: the link drops DWARF (-w) anyway, so the
+// compiler need not generate it. The importcfg, the object file and the linker's output are
 // written next to the source under one unique prefix and removed
 // afterwards; the binary is renamed into place, so a process still
 // running an older binPath is not disturbed. Tool output (compile errors
@@ -238,10 +354,9 @@ func (tc *toolchain) build(ctx context.Context, srcPath, binPath string, tr *obs
 	if err != nil {
 		return err
 	}
-	concurrency := min(4, runtime.GOMAXPROCS(0))
 	if err := tc.tool(ctx, tr, "compile.gc", "compile", "-o", obj, "-p", "main", "-lang="+tc.lang,
-		"-complete", "-goversion", tc.version, "-c="+strconv.Itoa(concurrency), "-nolocalimports",
-		"-importcfg", cfg.Name(), "-pack", srcPath); err != nil {
+		"-complete", "-goversion", tc.version, "-c="+strconv.Itoa(tc.concurrency()), "-nolocalimports",
+		"-importcfg", cfg.Name(), "-pack", "-dwarf=false", srcPath); err != nil {
 		return err
 	}
 	// -s -w drops the symbol table and DWARF: the linker writes a third

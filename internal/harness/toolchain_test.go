@@ -55,9 +55,10 @@ func chdir(t *testing.T, dir string) {
 // TestBuildSurvivesGOCACHESwap: a caller may point GOCACHE at a new
 // directory and delete the old one between builds, as the benchmark does
 // between set-ups. The memoized export files then name deleted paths, so
-// the next build must list the toolchain again instead of failing. The
-// first build starts from an empty cache and so compiles the standard
-// library packages once.
+// the next build must list the toolchain again, and compile the runtime
+// archive against the new export files, instead of failing. The first
+// build starts from an empty cache and so compiles the standard library
+// packages once.
 func TestBuildSurvivesGOCACHESwap(t *testing.T) {
 	p := program(t)
 	first := t.TempDir()
@@ -76,7 +77,7 @@ func TestBuildSurvivesGOCACHESwap(t *testing.T) {
 	if n := spans(tr, "compile.toolchain"); n != 1 {
 		t.Errorf("build after the GOCACHE swap listed the toolchain %d times, want 1", n)
 	}
-	for _, name := range []string{"compile.gc", "compile.link"} {
+	for _, name := range []string{"compile.runtime", "compile.gc", "compile.link"} {
 		if n := spans(tr, name); n != 1 {
 			t.Errorf("%s recorded %d times, want 1", name, n)
 		}
@@ -98,8 +99,8 @@ func TestBuildSurvivesGOCACHESwap(t *testing.T) {
 }
 
 // TestConcurrentColdBuildsListToolchainOnce: builds that arrive together
-// at a cold memo wait for one listing instead of each running the go
-// command.
+// at a cold memo wait for one listing and one runtime archive compile
+// instead of each running the go command and the compiler.
 func TestConcurrentColdBuildsListToolchainOnce(t *testing.T) {
 	p := program(t)
 	harness.ResetToolchain()
@@ -117,18 +118,91 @@ func TestConcurrentColdBuildsListToolchainOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	listings := 0
+	listings, archives := 0, 0
 	for i, tr := range tracers {
 		if errs[i] != nil {
 			t.Fatalf("build %d: %v", i, errs[i])
 		}
 		listings += spans(tr, "compile.toolchain")
+		archives += spans(tr, "compile.runtime")
 		if spans(tr, "compile.gc") != 1 || spans(tr, "compile.link") != 1 {
 			t.Errorf("build %d: trace lacks one compile.gc and one compile.link span:\n%s", i, tr.Summary())
 		}
 	}
 	if listings != 1 {
 		t.Errorf("%d concurrent cold builds listed the toolchain %d times, want 1", n, listings)
+	}
+	if archives != 1 {
+		t.Errorf("%d concurrent cold builds compiled the runtime archive %d times, want 1", n, archives)
+	}
+}
+
+// TestRuntimeArchiveRecompiledWhenDeleted: the archive is compiled once
+// per process and revalidated on every build. Deleted (a temp cleaner),
+// it is compiled again, without listing the toolchain again.
+func TestRuntimeArchiveRecompiledWhenDeleted(t *testing.T) {
+	p := program(t)
+	harness.ResetToolchain()
+	if n := spans(buildAndRun(t, p, t.TempDir()), "compile.runtime"); n != 1 {
+		t.Errorf("cold build compiled the runtime archive %d times, want 1", n)
+	}
+	if n := spans(buildAndRun(t, p, t.TempDir()), "compile.runtime"); n != 0 {
+		t.Errorf("warm build compiled the runtime archive %d times, want 0", n)
+	}
+	archive := harness.RuntimeArchive()
+	if err := os.Remove(archive); err != nil {
+		t.Fatal(err)
+	}
+	tr := buildAndRun(t, p, t.TempDir())
+	if n := spans(tr, "compile.runtime"); n != 1 {
+		t.Errorf("build after deleting the archive compiled it %d times, want 1", n)
+	}
+	if n := spans(tr, "compile.toolchain"); n != 0 {
+		t.Errorf("build after deleting the archive listed the toolchain %d times, want 0", n)
+	}
+	if again := harness.RuntimeArchive(); again == archive || again == "" {
+		t.Errorf("archive after recompiling is %q, want a new path (was %q)", again, archive)
+	}
+	if _, err := os.Stat(filepath.Dir(archive)); !os.IsNotExist(err) {
+		t.Errorf("the deleted archive's directory is still there (%v)", err)
+	}
+}
+
+// TestRuntimeArchiveCancelKeepsMemo: a build cancelled while it compiles
+// the archive fails with the cancellation, publishes nothing and leaves
+// no directory behind; the next build compiles the archive and reuses
+// the memo's listing.
+func TestRuntimeArchiveCancelKeepsMemo(t *testing.T) {
+	p := program(t)
+	buildAndRun(t, p, t.TempDir()) // warm the memo
+	archive := harness.RuntimeArchive()
+	if err := os.Remove(archive); err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel) // the compile takes ~100 ms or more
+	tr := obs.NewTracer()
+	if _, _, err := harness.Build(ctx, p, t.TempDir(), tr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("build cancelled during the archive compile: %v, want context.Canceled", err)
+	}
+	if n := spans(tr, "compile.runtime"); n != 1 {
+		t.Fatalf("the cancelled build recorded %d compile.runtime spans, want 1:\n%s", n, tr.Summary())
+	}
+	if got := harness.RuntimeArchive(); got != archive {
+		t.Errorf("memo archive after a cancelled compile is %q, want the old %q", got, archive)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "accmos-simrt-*")); len(left) != 0 {
+		t.Errorf("cancelled compile left %v behind", left)
+	}
+	tr = buildAndRun(t, p, t.TempDir())
+	if n := spans(tr, "compile.runtime"); n != 1 {
+		t.Errorf("build after a cancelled archive compile compiled it %d times, want 1", n)
+	}
+	if n := spans(tr, "compile.toolchain"); n != 0 {
+		t.Errorf("build after a cancelled archive compile listed the toolchain %d times, want 0", n)
 	}
 }
 

@@ -15,25 +15,8 @@ import (
 	"accmos/internal/coverage"
 	"accmos/internal/obs"
 	"accmos/internal/simresult"
+	"accmos/internal/simrt"
 )
-
-// serveRequest is one request sent to a serve-mode worker — a single
-// NDJSON line on its stdin. Keep in sync with the serveRequest decoder in
-// internal/codegen's generated runtime. Steps and BudgetMS both bound a
-// run when both are positive (whichever is reached first wins). Batch
-// set to 1 with SeedXors turns the request into a batched lane run.
-type serveRequest struct {
-	Batch       int      `json:"accmosBatch,omitempty"`
-	ID          string   `json:"id"`
-	Steps       int64    `json:"steps"`
-	BudgetMS    int64    `json:"budgetMs"`
-	SeedXor     uint64   `json:"seedXor"`
-	SeedXors    []uint64 `json:"seedXors,omitempty"`
-	HeartbeatMS int64    `json:"heartbeatMs"`
-	// Corr is the run's correlation ID, carried for log joinability;
-	// generated decoders that predate it ignore the field.
-	Corr string `json:"corr,omitempty"`
-}
 
 // serveFrame is the response header line on a worker's stdout: exactly
 // one per request, carrying the simresult document (single runs), an
@@ -425,7 +408,7 @@ func (w *serveWorker) fail(opts RunOptions, reason string, cause error, msg stri
 func (w *serveWorker) run(ctx context.Context, opts RunOptions) (*simresult.Results, error) {
 	// The frame carries the step count AND the budget: with both set the
 	// worker stops at whichever bound is reached first.
-	req := serveRequest{SeedXor: opts.SeedXor, Steps: opts.Steps}
+	req := simrt.Request{SeedXor: opts.SeedXor, Steps: opts.Steps}
 	if opts.Budget > 0 {
 		req.BudgetMS = clampMS(opts.Budget)
 	}
@@ -445,7 +428,7 @@ func (w *serveWorker) run(ctx context.Context, opts RunOptions) (*simresult.Resu
 // stepped to opts.Steps) and decodes the per-lane result lines. The
 // aggregate batch heartbeats are not attached to any single lane.
 func (w *serveWorker) runBatch(ctx context.Context, opts RunOptions, seedXors []uint64) ([]*simresult.Results, *coverage.Raw, error) {
-	req := serveRequest{Batch: 1, SeedXors: seedXors, Steps: opts.Steps}
+	req := simrt.Request{Batch: 1, SeedXors: seedXors, Steps: opts.Steps}
 	frame, lanes, err := w.exchange(ctx, opts, req)
 	if err != nil {
 		return nil, nil, err
@@ -470,7 +453,7 @@ func (w *serveWorker) runBatch(ctx context.Context, opts RunOptions, seedXors []
 // collects the timeline and clears the registration. Frame validation
 // (marker, id, worker error) happens here; result decoding is the
 // caller's.
-func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req serveRequest) (*serveFrame, [][]byte, error) {
+func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.Request) (*serveFrame, [][]byte, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)

@@ -63,8 +63,6 @@ func (s Snapshot) Elapsed() time.Duration { return time.Duration(s.ElapsedNanos)
 
 // heartbeatPrefix starts every NDJSON heartbeat line a generated program
 // writes to stderr, distinguishing the stream from ordinary diagnostics.
-// Keep in sync with the emitHeartbeat function in internal/codegen's
-// generated runtime.
 var heartbeatPrefix = []byte(`{"accmosHB":`)
 
 // IsHeartbeat reports whether a stderr line is a heartbeat record.
