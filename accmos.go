@@ -323,9 +323,9 @@ type Options struct {
 	Pool *WorkerPool
 
 	// DisableBatch turns off batched lane execution for Sweep. By
-	// default a step-bounded sweep (no Budget)
-	// routes groups of seeds through the generated batch entry point —
-	// one step loop over all lanes — instead of one request per seed.
+	// default a step-bounded sweep (no Budget) sends groups of seeds as
+	// one batch request each, whose lanes the program runs back to back,
+	// instead of one request per seed.
 	// Output hashes, diagnostics and the sweep's merged coverage are
 	// bit-identical either way, but a batch reports coverage once,
 	// OR-merged over its lanes, so batched runs carry no per-suite
@@ -399,11 +399,12 @@ type Result struct {
 	WorkerReuse bool
 
 	// Batched reports that this run was one lane of a batched sweep
-	// request: its suite shared one generated step loop (and, pooled,
-	// one request frame) with the other lanes of its batch. ExecNanos is
-	// then the batch wall clock split evenly across lanes, and coverage
-	// lives only in the sweep's OR-merged record (Results.Coverage is
-	// nil — set Options.DisableBatch for per-suite coverage).
+	// request: its suite shared one request and response frame with the
+	// other lanes of its batch, which the program ran back to back.
+	// ExecNanos is the lane's own step-loop time, as for a single run;
+	// coverage lives only in the sweep's OR-merged record
+	// (Results.Coverage is nil — set Options.DisableBatch for per-suite
+	// coverage).
 	Batched bool
 
 	// Opt reports what the optimizing middle-end did (nil only for
@@ -641,9 +642,9 @@ func (s *SweepResult) MergedUncovered() []string {
 // coverage across suites — the test-adequacy workflow the paper motivates:
 // keep adding random suites until the merged coverage stops growing.
 // Coverage is forced on. When the options allow it (no Budget,
-// DisableBatch unset), groups of seeds execute through the generated
-// batch entry point — one cache-hot step loop over all lanes — and as
-// one request per seed otherwise; hashes, diagnostics and merged
+// DisableBatch unset), groups of seeds execute as one batch request
+// each, the lanes running back to back in one worker, and as one
+// request per seed otherwise; hashes, diagnostics and merged
 // coverage are bit-identical either way, though batched lanes skip
 // per-suite coverage detail. Requests run concurrently up to
 // Options.Parallelism (default GOMAXPROCS); the merged coverage and the

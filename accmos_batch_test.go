@@ -8,6 +8,8 @@ import (
 	"time"
 
 	accmos "accmos"
+	"accmos/internal/diagnose"
+	"accmos/internal/simresult"
 	"accmos/internal/testcase"
 )
 
@@ -26,8 +28,8 @@ func xorSuite(tcs *accmos.TestCases, xor uint64) *accmos.TestCases {
 }
 
 // TestBatchMatchesSequentialAllEngines is the acceptance gate for the
-// lane-vectorized batch path: a default Sweep (which routes step-bounded
-// suites through the generated batch entry point) must be bit-identical
+// batch path: a default Sweep (which sends step-bounded suites as batch
+// requests) must be bit-identical
 // to the per-run executor — and every lane must also match the three
 // interpreted engines replaying the same perturbed suite — at every opt
 // level. Batching is a pure scheduling change over shared monotone
@@ -240,5 +242,65 @@ func TestSweepCancelReturnsPartialSweep(t *testing.T) {
 	}
 	if rep := sw.MergedCoverage(); rep.ActorCovered != 0 {
 		t.Errorf("no suite ran; merged coverage should be empty: %+v", rep)
+	}
+}
+
+// TestBatchedLanesStopOnMonitorAndCustom: batched lanes run back to back
+// through the single-run loop, so a lane that stops early, records
+// monitor samples or latches a custom check must leave nothing behind
+// for the next lane. Lanes stop at seed-dependent steps on the first
+// custom finding; each must match its DisableBatch run on every field
+// simresult.Diff compares, and the merged coverage must agree.
+func TestBatchedLanesStopOnMonitorAndCustom(t *testing.T) {
+	m := demoModel()
+	seeds := []uint64{0, 1, 2, 3, 0xDEAD, 0xBEEF, 42, 0xF00D, 7, 0xFEED, 0xA5A5, 9}
+	opts := accmos.Options{
+		Steps:    2000,
+		Diagnose: true,
+		Monitor:  []string{"Acc"},
+		Custom: []accmos.CustomCheck{
+			{Actor: "Acc", Name: "acc-range", Kind: diagnose.RangeCheck, Lo: -400, Hi: 400},
+			{Actor: "Acc", Name: "acc-delta", Kind: diagnose.DeltaCheck, MaxDelta: 97},
+		},
+		StopOnDiag:  diagnose.Custom,
+		TestCases:   accmos.RandomTestCases(m, 77, -100, 100),
+		Parallelism: 2, // two batches of six lanes
+	}
+	batched, err := accmos.Sweep(m, opts, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := opts
+	seq.DisableBatch = true
+	sequential, err := accmos.Sweep(m, seq, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopSteps := map[int64]bool{}
+	for i := range seeds {
+		a, b := batched.Runs[i], sequential.Runs[i]
+		if !a.Batched || b.Batched {
+			t.Fatalf("run %d: Batched %v (batched sweep), %v (DisableBatch)", i, a.Batched, b.Batched)
+		}
+		// A batched lane reports coverage only in the merged record.
+		single := *b.Results
+		single.Coverage = nil
+		if d := simresult.Diff(a.Results, &single); d != "" {
+			t.Errorf("seed %#x: batched lane vs DisableBatch run: %s", seeds[i], d)
+		}
+		if a.MonitorHits["Acc"] != a.Steps || len(a.Results.Monitor["Acc"]) == 0 {
+			t.Errorf("seed %#x: %d monitor hits, %d samples over %d steps",
+				seeds[i], a.MonitorHits["Acc"], len(a.Results.Monitor["Acc"]), a.Steps)
+		}
+		if a.Steps < opts.Steps {
+			stopSteps[a.Steps] = true
+		}
+	}
+	if len(stopSteps) < 2 {
+		t.Errorf("lanes stopped early at %v; the test needs lanes stopping at different steps", stopSteps)
+	}
+	if batched.MergedCoverage() != sequential.MergedCoverage() {
+		t.Errorf("merged coverage diverges: %+v (batched) vs %+v (sequential)",
+			batched.MergedCoverage(), sequential.MergedCoverage())
 	}
 }

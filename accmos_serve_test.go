@@ -7,6 +7,7 @@ import (
 	accmos "accmos"
 	"accmos/internal/benchmodels"
 	"accmos/internal/diagnose"
+	"accmos/internal/simresult"
 )
 
 // TestServeModeMatchesOneShot is the acceptance gate for the warm worker
@@ -143,26 +144,8 @@ func TestServeModeResetsMonitorAndCustomState(t *testing.T) {
 		if got.WorkerReuse != (round > 0) {
 			t.Errorf("round %d: WorkerReuse = %v, want %v", round, got.WorkerReuse, round > 0)
 		}
-		if got.OutputHash != want.OutputHash {
-			t.Errorf("round %d: output hash diverged", round)
-		}
-		if got.DiagTotal != want.DiagTotal {
-			t.Errorf("round %d: diag total %d, want %d", round, got.DiagTotal, want.DiagTotal)
-		}
-		if !reflect.DeepEqual(got.DiagCounts, want.DiagCounts) {
-			t.Errorf("round %d: diag counts %v, want %v", round, got.DiagCounts, want.DiagCounts)
-		}
-		if !reflect.DeepEqual(got.FirstDetect, want.FirstDetect) {
-			t.Errorf("round %d: first-detect %v, want %v", round, got.FirstDetect, want.FirstDetect)
-		}
-		if !reflect.DeepEqual(got.Results.Monitor, want.Results.Monitor) {
-			t.Errorf("round %d: monitor samples diverged", round)
-		}
-		if !reflect.DeepEqual(got.Results.MonitorHits, want.Results.MonitorHits) {
-			t.Errorf("round %d: monitor hits %v, want %v", round, got.Results.MonitorHits, want.Results.MonitorHits)
-		}
-		if !reflect.DeepEqual(got.Results.Coverage, want.Results.Coverage) {
-			t.Errorf("round %d: coverage bitmaps diverged", round)
+		if d := simresult.Diff(got.Results, want.Results); d != "" {
+			t.Errorf("round %d: pooled run diverged from the fresh process: %s", round, d)
 		}
 		if got.CoverageReport() != want.CoverageReport() {
 			t.Errorf("round %d: coverage report %+v, want %+v", round, got.CoverageReport(), want.CoverageReport())
@@ -204,8 +187,8 @@ func TestSweepSharedPoolAcrossCalls(t *testing.T) {
 		}
 	}
 	st := pool.Stats()
-	// Step-bounded sweeps route through the batch entry point: one
-	// request per sweep, with the second hitting the warm worker.
+	// Step-bounded sweeps go out as batch requests: one request per
+	// sweep, with the second hitting the warm worker.
 	if st.Spawns != 1 || st.Reuses != 1 || st.Batches != 2 {
 		t.Errorf("one worker should serve both sweeps: %+v", st)
 	}

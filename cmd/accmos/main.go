@@ -48,7 +48,7 @@ func main() {
 		optLevel  = flag.Int("O", 1, "optimization level: 0 = off, 1 = constant folding + CSE + dead-actor elimination, 2 = O1 + expression fusion, invariant hoisting, storage narrowing")
 		sweep     = flag.Int("sweep", 0, "run N random test suites against one compiled binary, merging coverage")
 		parallel  = flag.Int("parallel", 0, "concurrent suite executions for -sweep (0 = GOMAXPROCS, 1 = sequential)")
-		noBatch   = flag.Bool("no-batch", false, "disable lane-vectorized batch execution for -sweep (one request per suite; results are bit-identical)")
+		noBatch   = flag.Bool("no-batch", false, "disable batched lane execution for -sweep (one request per suite; results are bit-identical)")
 		timeout   = flag.Duration("timeout", 0, "kill a generated-binary run exceeding this wall-clock deadline, e.g. 30s (0 = none)")
 		progress  = flag.Bool("progress", false, "show a live progress line (steps/sec, coverage) on stderr")
 		traceJSON = flag.String("trace-json", "", "write the pipeline phase trace (parse/schedule/instrument/generate/compile/run) as JSON to this file")

@@ -62,7 +62,7 @@ func buildAndRun(p *codegen.Program, dir string, steps int64) (*simresult.Result
 
 // assertEquivalent checks the cross-engine oracle (simresult.Diff):
 // identical steps, output hash, coverage bitmaps, diagnosis aggregates,
-// first-detect steps and verbatim diagnosis records.
+// first-detect steps, verbatim diagnosis records and monitor samples.
 func assertEquivalent(t *testing.T, ir, gr *simresult.Results) {
 	t.Helper()
 	if d := simresult.Diff(ir, gr); d != "" {

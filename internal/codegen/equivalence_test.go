@@ -418,18 +418,10 @@ func TestEquivalenceMonitorAndCustom(t *testing.T) {
 		Custom:  rangeAndDelta(),
 	}
 	ir, gr := runBoth(t, c, set, 500, iopts, gopts)
-	assertEquivalent(t, ir, gr)
-	if ir.MonitorHits["G"] != 500 || gr.MonitorHits["G"] != 500 {
-		t.Errorf("monitor hits: interp %d, generated %d", ir.MonitorHits["G"], gr.MonitorHits["G"])
-	}
-	is, gs := ir.Monitor["G"], gr.Monitor["G"]
-	if len(is) != len(gs) {
-		t.Fatalf("sample counts differ: %d vs %d", len(is), len(gs))
-	}
-	for i := range is {
-		if is[i] != gs[i] {
-			t.Errorf("sample %d: interp %+v vs generated %+v", i, is[i], gs[i])
-		}
+	assertEquivalent(t, ir, gr) // monitor hits and samples included
+	if ir.MonitorHits["G"] != 500 || len(ir.Monitor["G"]) == 0 {
+		t.Errorf("monitor recorded %d hits and %d samples; the comparison proves nothing",
+			ir.MonitorHits["G"], len(ir.Monitor["G"]))
 	}
 }
 

@@ -150,10 +150,8 @@ func (p *Program) Imports() []string {
 	return out
 }
 
-// stateVar is one tracked mutable global: its name and its Go type.
-// Plain assignment of the type must copy the value (scalars and arrays —
-// the shapes actor templates emit); slice-typed runtime state
-// (diagRecords, monSamples) is handled explicitly by laneState.
+// stateVar is one tracked mutable global: its name and its Go type,
+// which modelReset zeroes with "name = *new(type)".
 type stateVar struct {
 	name, typ string
 }
@@ -172,10 +170,9 @@ type Generator struct {
 
 	// stateVars lists every mutable zero-valued global ("var NAME TYPE"):
 	// the per-run state modelReset restores to its fresh-process value
-	// before replaying modelInit, and the state the batch entry point
-	// swaps in and out per seed lane (laneState holds one field per
-	// entry). Initializer-bearing declarations (read-only tables) and
-	// function declarations are excluded — they carry no per-run state.
+	// before replaying modelInit. Initializer-bearing declarations
+	// (read-only tables) and function declarations are excluded — they
+	// carry no per-run state.
 	stateVars []stateVar
 
 	// outVar names each actor output's generated variable.
@@ -351,8 +348,7 @@ func (g *Generator) prepare() error {
 	}
 	// O2 hoisted loop invariants: one global per folded subtree, assigned
 	// its pre-computed value in modelInit. Being stateVars they round-trip
-	// through modelReset (zeroed, then reassigned by the init replay) and
-	// the batch lane save/restore — both are value-preserving.
+	// through modelReset: zeroed, then reassigned by the init replay.
 	if p := g.opts.Plan; p != nil {
 		for _, h := range p.Hoisted {
 			g.Global(fmt.Sprintf("var %s %s", h.Name, h.Val.Kind.GoType()))

@@ -157,10 +157,4 @@ func diagNaN32(slot int, step int64, v float32) {
 		reportDiag(slot, step, "")
 	}
 }
-
-// batchChunk is how many steps a lane runs before runBatch rotates to
-// the next lane: large enough to amortize the laneSave/laneLoad state
-// swap (multi-KB on big models), small enough that lanes stay
-// interleaved and the heartbeat cadence holds.
-const batchChunk = 64
 `

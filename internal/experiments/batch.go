@@ -12,9 +12,10 @@ import (
 // BatchRow is one (model, suite size, mode) measurement from the batched
 // lane-execution benchmark: the same short-horizon sweep executed as one
 // per-run serve frame per seed through a warm worker, and as a single
-// lane-vectorized batch request over the same worker. Per-lane stepping
-// is identical in both modes, so the wall-clock gap is the per-run frame
-// round-trip plus result encode/decode the batch entry point amortizes.
+// batch request over the same worker. Per-lane stepping is identical in
+// both modes (the same runSim loop), so the wall-clock gap is the
+// per-run frame round-trip plus result encode/decode the batch
+// amortizes.
 type BatchRow struct {
 	Model string
 	Mode  string // "pooled" | "batch"
@@ -52,7 +53,7 @@ const batchMaxSteps = 4
 // alongside every row's hash equivalence.
 const batchSpeedupBar = 5.0
 
-// BenchBatch measures lane-vectorized batch execution: each configured
+// BenchBatch measures batched lane execution: each configured
 // model is compiled once, then for each suite size the sweep executes
 // twice over a single warm serve-mode worker — one serve frame per seed,
 // and one batch request covering every seed — with per-seed output
@@ -120,7 +121,7 @@ func BenchBatch(cfg Config) ([]BatchRow, error) {
 			}
 			pooledWall := time.Since(start)
 
-			// Batch: the whole sweep as one lane-vectorized request on
+			// Batch: the whole sweep as one batch request on
 			// the same warm worker. A batch request covers runs x steps
 			// of stepping, so the per-run timeout scales with the lane
 			// count.

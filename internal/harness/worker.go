@@ -124,12 +124,13 @@ func (p *WorkerPool) RunContext(ctx context.Context, binPath string, opts RunOpt
 }
 
 // RunBatch executes one batched lane request on a warm worker for
-// binPath: one lane per seedXor, all stepped to opts.Steps through the
-// generated batch loop in a single request/response frame, returning
-// per-lane results in seed order plus the batch's OR-merged coverage
-// (nil when coverage is off). Batch requests are step-bounded
-// (opts.Budget must be zero); opts.Timeout bounds the whole batch —
-// callers scale it by the lane count when they mean a per-run deadline.
+// binPath: one lane per seedXor, each a full run stepped to opts.Steps,
+// which the program runs back to back behind a single request/response
+// frame. It returns per-lane results in seed order plus the batch's
+// OR-merged coverage (nil when coverage is off). Batch requests are
+// step-bounded (opts.Budget must be zero); opts.Timeout bounds the whole
+// batch — callers scale it by the lane count when they mean a per-run
+// deadline. The batch's heartbeats sum steps over its lanes.
 func (p *WorkerPool) RunBatch(ctx context.Context, binPath string, opts RunOptions, seedXors []uint64) (res []*simresult.Results, cov *coverage.Raw, reused bool, err error) {
 	defer opts.Trace.Start("run").End()
 	if len(seedXors) == 0 {

@@ -71,7 +71,7 @@ type SubmitRequest struct {
 	// against a single compiled binary instead of a single simulation.
 	SweepSeeds []uint64 `json:"sweepSeeds,omitempty"`
 
-	// Batch controls lane-vectorized batch execution for sweep jobs:
+	// Batch controls batched lane execution for sweep jobs:
 	// absent or true keeps the default (batch whenever the sweep is
 	// step-bounded), false forces one request per suite. Results are
 	// bit-identical either way.

@@ -30,7 +30,7 @@ type JobSpec struct {
 	Lo, Hi     float64
 	SweepSeeds []uint64
 	// DisableBatch forces sweep suites through per-run dispatch instead
-	// of the lane-vectorized batch entry point.
+	// of batch requests.
 	DisableBatch bool
 	Heartbeat    time.Duration
 }
@@ -46,7 +46,7 @@ type Outcome struct {
 	// serve-mode worker (single-run jobs through a pool).
 	WorkerReuse bool
 	// SweepRuns and Merged describe a sweep job's outcome; Batched
-	// reports its suites ran through the lane-vectorized entry point.
+	// reports its suites ran as lanes of batch requests.
 	SweepRuns int
 	Batched   bool
 	Merged    *coverage.Report

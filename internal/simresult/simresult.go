@@ -115,10 +115,10 @@ func SameOutputs(a, b *Results) bool {
 
 // Diff is the equivalence oracle: it compares two runs on steps, output
 // hash, coverage presence and the four coverage bitmaps, diagnosis total,
-// per-(actor, kind) counts, first-detect steps and the verbatim diagnosis
-// records, and names the first field that differs ("" when the runs
-// agree). Timing, engine name, monitor samples and timelines are not
-// compared.
+// per-(actor, kind) counts, first-detect steps, the verbatim diagnosis
+// records, per-actor monitor hits and the recorded monitor samples, and
+// names the first field that differs ("" when the runs agree). Timing,
+// engine name and timelines are not compared.
 func Diff(a, b *Results) string {
 	if a.Steps != b.Steps {
 		return fmt.Sprintf("steps: %d vs %d", a.Steps, b.Steps)
@@ -161,6 +161,20 @@ func Diff(a, b *Results) string {
 			return fmt.Sprintf("diag record %d: %q vs %q", i, a.Diags[i], b.Diags[i])
 		}
 	}
+	if d := diffMap(a.MonitorHits, b.MonitorHits); d != "" {
+		return "monitor hits " + d
+	}
+	for _, k := range unionKeys(a.Monitor, b.Monitor) {
+		x, y := a.Monitor[k], b.Monitor[k]
+		if len(x) != len(y) {
+			return fmt.Sprintf("monitor %q samples: %d vs %d", k, len(x), len(y))
+		}
+		for i := range x {
+			if x[i] != y[i] {
+				return fmt.Sprintf("monitor %q sample %d: %+v vs %+v", k, i, x[i], y[i])
+			}
+		}
+	}
 	return ""
 }
 
@@ -176,9 +190,8 @@ func diffBitmap(x, y []byte) string {
 	return ""
 }
 
-// diffMap names the first key, in sorted order, whose value or presence
-// differs between x and y.
-func diffMap(x, y map[string]int64) string {
+// unionKeys returns the keys of x and y, sorted.
+func unionKeys[V any](x, y map[string]V) []string {
 	keys := make([]string, 0, len(x)+len(y))
 	for k := range x {
 		keys = append(keys, k)
@@ -189,7 +202,13 @@ func diffMap(x, y map[string]int64) string {
 		}
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
+	return keys
+}
+
+// diffMap names the first key, in sorted order, whose value or presence
+// differs between x and y.
+func diffMap(x, y map[string]int64) string {
+	for _, k := range unionKeys(x, y) {
 		vx, okx := x[k]
 		vy, oky := y[k]
 		switch {

@@ -8,6 +8,7 @@ import (
 
 	"accmos/internal/coverage"
 	"accmos/internal/diagnose"
+	"accmos/internal/obs"
 )
 
 func TestHashU64KnownVector(t *testing.T) {
@@ -95,7 +96,7 @@ func TestSameOutputs(t *testing.T) {
 
 // TestDiff mutates one oracle field at a time and requires Diff to name
 // it, while identical runs and runs differing only in timing, engine and
-// monitor samples agree.
+// timeline agree.
 func TestDiff(t *testing.T) {
 	base := func() *Results {
 		return &Results{
@@ -111,11 +112,13 @@ func TestDiff(t *testing.T) {
 				{Step: 7, Actor: "M_A", Kind: diagnose.WrapOnOverflow},
 				{Step: 9, Actor: "M_B", Kind: diagnose.Downcast, Detail: "300 -> 44"},
 			},
+			Monitor:     map[string][]MonitorSample{"M_A": {{Step: 0, Value: "1"}, {Step: 1, Value: "2"}}},
+			MonitorHits: map[string]int64{"M_A": 5},
 		}
 	}
 	same := base()
 	same.Engine, same.ExecNanos, same.CompileNanos = "AccMoS", 99, 1234
-	same.Monitor = map[string][]MonitorSample{"M_A": {{Step: 1, Value: "2"}}}
+	same.Timeline = []obs.Snapshot{{Steps: 50}}
 	if d := Diff(base(), same); d != "" {
 		t.Fatalf("identical oracle fields: Diff = %q", d)
 	}
@@ -137,6 +140,11 @@ func TestDiff(t *testing.T) {
 		{"first detect", func(r *Results) { delete(r.FirstDetect, "M_A|WrapOnOverflow") }},
 		{"diag record 2", func(r *Results) { r.Diags[2].Detail = "300 -> 45" }},
 		{"diag records", func(r *Results) { r.Diags = r.Diags[:2] }},
+		{"monitor hits", func(r *Results) { r.MonitorHits["M_A"] = 6 }},
+		{"monitor hits", func(r *Results) { r.MonitorHits["M_B"] = 1 }},
+		{`monitor "M_A" sample 1`, func(r *Results) { r.Monitor["M_A"][1].Value = "3" }},
+		{`monitor "M_A" samples`, func(r *Results) { r.Monitor["M_A"] = r.Monitor["M_A"][:1] }},
+		{`monitor "M_B" samples`, func(r *Results) { r.Monitor["M_B"] = []MonitorSample{{Step: 2, Value: "0"}} }},
 	} {
 		mutated := base()
 		tc.mutate(mutated)

@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"accmos/internal/coverage"
 	"accmos/internal/diagnose"
 	"accmos/internal/obs"
 	"accmos/internal/simresult"
@@ -67,7 +69,7 @@ func TestJSONFloatNonFinite(t *testing.T) {
 }
 
 // testProgram is a Program over hand-filled state whose Run hook
-// "executes" the requested steps at once.
+// "executes" the requested steps at once and sets a few coverage bits.
 func testProgram() *Program {
 	hash, total := uint64(0xdeadbeefcafe), int64(4)
 	diags := []DiagRecord{
@@ -88,7 +90,7 @@ func testProgram() *Program {
 		MonNames:          []string{"M/Gain", "M/Idle"},
 		MaxMonitorSamples: 2,
 		Coverage: &Coverage{
-			Actor: []uint8{1, 0, 1}, Cond: []uint8{1, 1}, Dec: []uint8{}, MCDC: []uint8{0},
+			Actor: []uint8{0, 0, 0}, Cond: []uint8{0, 0}, Dec: []uint8{}, MCDC: []uint8{0},
 		},
 	}
 	for step := int64(0); step < 3; step++ {
@@ -96,14 +98,9 @@ func testProgram() *Program {
 	}
 	p.Reset = func(uint64) {}
 	p.Run = func(steps, budgetMS int64, hb time.Duration, runID string) (int64, time.Duration) {
+		p.Coverage.Actor[0], p.Coverage.Actor[2] = 1, 1
+		p.Coverage.Cond[0], p.Coverage.Cond[1] = 1, 1
 		return steps, time.Millisecond
-	}
-	p.Batch = func(seeds []uint64, steps int64, hb time.Duration, runID string) [][]byte {
-		out := make([][]byte, len(seeds))
-		for i := range seeds {
-			out[i] = p.Result(steps, 7, false)
-		}
-		return out
 	}
 	return p
 }
@@ -170,8 +167,9 @@ func TestFramesDecodeWithSimresult(t *testing.T) {
 	}
 	for _, lane := range lines[2:4] {
 		var r simresult.Results
-		if err := simresult.Decode([]byte(lane), &r); err != nil || r.Steps != 8 || r.Coverage != nil {
-			t.Errorf("batch lane %s: steps %d, coverage %v, %v", lane, r.Steps, r.Coverage, err)
+		if err := simresult.Decode([]byte(lane), &r); err != nil || r.Steps != 8 || r.Coverage != nil ||
+			r.ExecNanos != int64(time.Millisecond) {
+			t.Errorf("batch lane %s: steps %d, execNanos %d, coverage %v, %v", lane, r.Steps, r.ExecNanos, r.Coverage, err)
 		}
 	}
 
@@ -185,6 +183,7 @@ func TestFramesDecodeWithSimresult(t *testing.T) {
 // reads back, including a model name JSON must escape.
 func TestHeartbeatParsesWithObs(t *testing.T) {
 	p := testProgram()
+	p.Run(1, 0, 0, "")
 	line := p.appendHeartbeat(nil, "r7", 5000, 2*time.Second, true)
 	if !bytes.HasSuffix(line, []byte("\n")) || bytes.Count(line, []byte("\n")) != 1 {
 		t.Fatalf("heartbeat is not one line: %q", line)
@@ -245,5 +244,181 @@ func TestServeReportsReadError(t *testing.T) {
 	err := testProgram().serve(strings.NewReader(long), &bytes.Buffer{}, 1)
 	if err == nil {
 		t.Error("an oversized request line ended serving without an error")
+	}
+}
+
+// laneProgram is a Program whose hooks stand in for a generated model
+// and log every call. Reset sets the premark bit Actor[0], as modelInit
+// does for bits the optimizer proved statically. Run marks Actor[seed]
+// and executes 10*seed steps (capped by the bound) in five slices,
+// heartbeating after each one and once more, final, at the end, the way
+// runSim does.
+type laneProgram struct {
+	*Program
+	log  []string
+	seed uint64
+}
+
+func newLaneProgram() *laneProgram {
+	var hash uint64
+	var total int64
+	var diags []DiagRecord
+	lp := &laneProgram{Program: &Program{
+		Model: "LANES", OutputHash: &hash, DiagTotal: &total, Diags: &diags,
+		Coverage: &Coverage{Actor: make([]uint8, 8), Cond: []uint8{0}, Dec: []uint8{0}, MCDC: []uint8{0}},
+	}}
+	lp.Reset = func(seed uint64) {
+		lp.log = append(lp.log, "reset "+strconv.FormatUint(seed, 10))
+		lp.seed = seed
+		lp.Coverage.Actor[0] = 1
+	}
+	lp.Run = func(steps, budgetMS int64, hb time.Duration, runID string) (int64, time.Duration) {
+		lp.log = append(lp.log, "run "+strconv.FormatUint(lp.seed, 10))
+		lp.Coverage.Actor[lp.seed] = 1
+		n := min(steps, 10*int64(lp.seed))
+		start := time.Now()
+		for k := int64(1); k <= 5; k++ {
+			if hb > 0 {
+				time.Sleep(time.Millisecond)
+				lp.Heartbeat(runID, n*k/5, time.Since(start), false)
+			}
+		}
+		if hb > 0 {
+			// A full interval later, so only the batch can hold the
+			// lane's final record back.
+			time.Sleep(hb)
+			lp.Heartbeat(runID, n, time.Since(start), true)
+		}
+		return n, time.Since(start)
+	}
+	return lp
+}
+
+// serveLines serves the NDJSON request lines and returns the output
+// lines.
+func serveLines(t *testing.T, p *Program, reqs ...string) []string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := p.serve(strings.NewReader(strings.Join(reqs, "\n")+"\n"), &out, 1000); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+}
+
+// TestBatchResetsEachLaneInSeedOrder: a batch runs its lanes back to
+// back, each from its own reset, in the request's seed order, and
+// answers with the lanes in that order.
+func TestBatchResetsEachLaneInSeedOrder(t *testing.T) {
+	lp := newLaneProgram()
+	lines := serveLines(t, lp.Program, `{"accmosBatch":1,"id":"b","steps":25,"seedXors":[3,1,2]}`)
+	want := []string{"reset 3", "run 3", "reset 1", "run 1", "reset 2", "run 2"}
+	if !reflect.DeepEqual(lp.log, want) {
+		t.Errorf("hook calls %v, want %v", lp.log, want)
+	}
+	if len(lines) != 4 {
+		t.Fatalf("batch wrote %d lines, want a header and 3 lanes", len(lines))
+	}
+	for i, steps := range []int64{25, 10, 20} {
+		var r simresult.Results
+		if err := simresult.Decode([]byte(lines[1+i]), &r); err != nil || r.Steps != steps {
+			t.Errorf("lane %d: %s (%v), want %d steps", i, lines[1+i], err, steps)
+		}
+	}
+}
+
+// TestCoverageClearedOncePerRequest: the runtime clears coverage once per
+// request, before the first reset. A batch's header carries every lane's
+// bits, a single run served after it carries only its own, and the
+// premark bits Reset sets survive the clear.
+func TestCoverageClearedOncePerRequest(t *testing.T) {
+	lp := newLaneProgram()
+	lines := serveLines(t, lp.Program,
+		`{"accmosBatch":1,"id":"b1","steps":100,"seedXors":[3,1]}`,
+		`{"id":"s","steps":100,"seedXor":5}`,
+		`{"accmosBatch":1,"id":"b2","steps":100,"seedXors":[2]}`,
+	)
+	if len(lines) != 3+1+2 {
+		t.Fatalf("serve wrote %d lines:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	var b1, b2 struct{ Coverage coverage.Raw }
+	var single struct{ Result json.RawMessage }
+	for _, f := range []struct {
+		line string
+		into any
+	}{{lines[0], &b1}, {lines[3], &single}, {lines[4], &b2}} {
+		if err := json.Unmarshal([]byte(f.line), f.into); err != nil {
+			t.Fatalf("frame %s: %v", f.line, err)
+		}
+	}
+	var s simresult.Results
+	if err := simresult.Decode(single.Result, &s); err != nil || s.Coverage == nil {
+		t.Fatalf("single-run result %s: %v", single.Result, err)
+	}
+	for _, c := range []struct {
+		name string
+		got  []byte
+		want []byte
+	}{
+		{"batch [3 1]", b1.Coverage.Actor, []byte{1, 1, 0, 1, 0, 0, 0, 0}},
+		{"single run 5 after it", s.Coverage.Actor, []byte{1, 0, 0, 0, 0, 1, 0, 0}},
+		{"batch [2] after that", b2.Coverage.Actor, []byte{1, 0, 1, 0, 0, 0, 0, 0}},
+	} {
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s: actor coverage %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestBatchHeartbeatContract: a batch heartbeats as one run. Steps sum
+// over lanes and never decrease, records come no faster than the
+// request's interval on the batch's clock, and exactly one final record
+// comes last, carrying the sum of the lanes' steps.
+func TestBatchHeartbeatContract(t *testing.T) {
+	const hbMS = 2
+	lp := newLaneProgram()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	lines := serveLines(t, lp.Program, `{"accmosBatch":1,"id":"hb","steps":25,"seedXors":[3,1,2],"heartbeatMs":2}`)
+	os.Stderr = stderr
+	if len(lines) != 4 {
+		t.Fatalf("batch wrote %d lines, want 4", len(lines))
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var beats []obs.Snapshot
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		s, ok := obs.ParseHeartbeat([]byte(line))
+		if !ok || s.Run != "hb" {
+			t.Fatalf("stderr line %q is not a heartbeat of the batch", line)
+		}
+		beats = append(beats, s)
+	}
+	if len(beats) < 3 {
+		t.Fatalf("%d heartbeats; the contract is not exercised", len(beats))
+	}
+	last := beats[len(beats)-1]
+	if !last.Final || last.Steps != 25+10+20 {
+		t.Errorf("last heartbeat %+v, want the final one with %d steps", last, 25+10+20)
+	}
+	var prev obs.Snapshot
+	for i, s := range beats {
+		if s.Final && i != len(beats)-1 {
+			t.Errorf("heartbeat %d of %d is final", i+1, len(beats))
+		}
+		if s.Steps < prev.Steps {
+			t.Errorf("heartbeat %d: steps fell from %d to %d", i+1, prev.Steps, s.Steps)
+		}
+		if !s.Final && s.ElapsedNanos-prev.ElapsedNanos < int64(hbMS*time.Millisecond) {
+			t.Errorf("heartbeat %d at %v, %v after the previous one: faster than %d ms",
+				i+1, time.Duration(s.ElapsedNanos), time.Duration(s.ElapsedNanos-prev.ElapsedNanos), hbMS)
+		}
+		prev = s
 	}
 }
