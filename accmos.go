@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -265,7 +266,8 @@ type OptStats struct {
 type Options struct {
 	// Steps bounds the simulation length (default 1000). With Budget
 	// also set, the run stops at whichever bound is reached first; zero
-	// with Budget set means budget-only.
+	// with Budget set means budget-only. Every engine reads the budget
+	// before every 1024th step. A negative Steps or Budget is an error.
 	Steps int64
 	// Budget bounds wall-clock execution instead of (or alongside) the
 	// step count.
@@ -365,22 +367,15 @@ func (o *Options) progressEvery() time.Duration {
 	return obs.DefaultInterval
 }
 
-func (o *Options) steps() int64 {
-	if o.Steps == 0 {
+// runSteps is the step bound of a run: the 1000-step default applies
+// only to unbudgeted runs — under a Budget, a zero Steps means
+// budget-only and an explicit Steps bounds the run alongside the budget
+// (whichever is reached first wins).
+func (o *Options) runSteps() int64 {
+	if o.Steps == 0 && o.Budget == 0 {
 		return 1000
 	}
 	return o.Steps
-}
-
-// runSteps is the step bound handed to the harness: the 1000-step
-// default applies only to unbudgeted runs — under a Budget, a zero
-// Steps means budget-only and an explicit Steps bounds the run
-// alongside the budget (whichever is reached first wins).
-func (o *Options) runSteps() int64 {
-	if o.Budget > 0 {
-		return o.Steps
-	}
-	return o.steps()
 }
 
 // Result is a simulation outcome.
@@ -504,11 +499,14 @@ func generate(m *Model, opts *Options) (*codegen.Program, *opt.Result, error) {
 	return prog, or, nil
 }
 
-// prepare compiles the model, fills the test-case default, and runs the
-// optimizing middle-end. Every entry point — all four engines and source
-// generation — consumes the returned opt.Result, so one pass pipeline
-// accelerates every execution path.
+// prepare validates the run bounds, compiles the model, fills the
+// test-case default, and runs the optimizing middle-end. Every entry
+// point — all four engines and source generation — consumes the returned
+// opt.Result, so one pass pipeline accelerates every execution path.
 func prepare(m *Model, opts *Options) (*opt.Result, *TestCases, error) {
+	if opts.Steps < 0 || opts.Budget < 0 {
+		return nil, nil, fmt.Errorf("accmos: negative run bound (Steps %d, Budget %v)", opts.Steps, opts.Budget)
+	}
 	if opts.RunID != "" {
 		// Stamp the correlation ID everywhere this call emits telemetry:
 		// the tracer's spans, and every progress snapshot (the harness
@@ -580,12 +578,7 @@ func codegenOptions(opts Options, tcs *TestCases, or *opt.Result) codegen.Option
 		Premark:           or.Premark,
 		Opt:               opts.OptLevel.String(),
 		Plan:              or.Plan,
-		DefaultSteps: func() int64 {
-			if opts.Steps > 0 {
-				return opts.Steps
-			}
-			return 1000
-		}(),
+		DefaultSteps:      opts.Steps, // 0 bakes in codegen's 1000
 	}
 }
 
@@ -894,17 +887,17 @@ func RapidAccelerate(m *Model, opts Options) (*Result, error) {
 	})
 }
 
-// engine is the run surface the three in-process engines share.
+// engine is the run surface the three in-process engines share: Run
+// stops at whichever of steps and budget is reached first.
 type engine interface {
-	Run(tcs *TestCases, steps int64) (*simresult.Results, error)
-	RunFor(tcs *TestCases, budget time.Duration) (*simresult.Results, error)
+	Run(tcs *TestCases, steps int64, budget time.Duration) (*simresult.Results, error)
 }
 
 // runInProcess runs m on the in-process engine newEngine builds from the
-// optimized model: prepare, then one "run" span bounded by Budget when
-// set and by the step count otherwise. newEngine wires progress reporting
-// from the prepared options; the layout it returns (nil without
-// coverage) backs Result.CoverageReport.
+// optimized model: prepare, then one "run" span bounded like a generated
+// run (see Options.Steps). newEngine wires progress reporting from the
+// prepared options; the layout it returns (nil without coverage) backs
+// Result.CoverageReport.
 func runInProcess(m *Model, opts Options, newEngine func(*opt.Result, *Options) (engine, *coverage.Layout, error)) (*Result, error) {
 	or, tcs, err := prepare(m, &opts)
 	if err != nil {
@@ -914,13 +907,12 @@ func runInProcess(m *Model, opts Options, newEngine func(*opt.Result, *Options) 
 	if err != nil {
 		return nil, err
 	}
-	sp := opts.Trace.Start("run")
-	var res *simresult.Results
-	if opts.Budget > 0 {
-		res, err = e.RunFor(tcs, opts.Budget)
-	} else {
-		res, err = e.Run(tcs, opts.steps())
+	steps := opts.runSteps()
+	if steps == 0 {
+		steps = math.MaxInt64 // budget-only
 	}
+	sp := opts.Trace.Start("run")
+	res, err := e.Run(tcs, steps, opts.Budget)
 	sp.End()
 	if err != nil {
 		return nil, err

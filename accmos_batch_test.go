@@ -304,3 +304,46 @@ func TestBatchedLanesStopOnMonitorAndCustom(t *testing.T) {
 			batched.MergedCoverage(), sequential.MergedCoverage())
 	}
 }
+
+// TestStopOnLastStepOfChunk: a stop-on diagnosis that fires on the last
+// step of a runtime chunk (step 1023) ends the generated run there, as it
+// ends the interpreter's, both in a single run and in batched lanes. The
+// accumulator counts 1 per step, so it first exceeds 1023 at step 1023.
+func TestStopOnLastStepOfChunk(t *testing.T) {
+	m := demoModel()
+	opts := accmos.Options{
+		Steps:      2500,
+		Diagnose:   true,
+		Custom:     []accmos.CustomCheck{{Actor: "Acc", Name: "acc-cap", Kind: diagnose.RangeCheck, Lo: -1, Hi: 1023}},
+		StopOnDiag: diagnose.Custom,
+		TestCases:  &accmos.TestCases{Sources: []accmos.TestSource{{Value: 1}}},
+	}
+	ref, err := accmos.Interpret(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Steps != 1024 {
+		t.Fatalf("interpreter ran %d steps, want 1024", ref.Steps)
+	}
+	sim, err := accmos.Simulate(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := simresult.Diff(sim.Results, ref.Results); d != "" {
+		t.Errorf("generated run vs interpreter: %s", d)
+	}
+	sw, err := accmos.Sweep(m, opts, []uint64{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refLane := *ref.Results
+	refLane.Coverage = nil
+	for i, r := range sw.Runs {
+		if !r.Batched {
+			t.Fatalf("run %d did not run as a batched lane", i)
+		}
+		if d := simresult.Diff(r.Results, &refLane); d != "" {
+			t.Errorf("lane %d vs interpreter: %s", i, d)
+		}
+	}
+}

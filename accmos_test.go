@@ -174,6 +174,53 @@ func TestFacadeDefaults(t *testing.T) {
 	}
 }
 
+// engines are the four facade entry points, by engine label.
+var engines = []struct {
+	name string
+	run  func(*accmos.Model, accmos.Options) (*accmos.Result, error)
+}{
+	{"Simulate", accmos.Simulate},
+	{"Interpret", accmos.Interpret},
+	{"Accelerate", accmos.Accelerate},
+	{"RapidAccelerate", accmos.RapidAccelerate},
+}
+
+// TestEnginesStepsAndBudgetTogether: with both Steps and a Budget set,
+// every engine stops at whichever bound is reached first. Under a
+// budget far longer than the steps take, all four run exactly Steps.
+func TestEnginesStepsAndBudgetTogether(t *testing.T) {
+	m := benchmodels.MustBuild("CSEV")
+	for _, e := range engines {
+		res, err := e.run(m, accmos.Options{Steps: 3000, Budget: time.Minute})
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if res.Steps != 3000 {
+			t.Errorf("%s ran %d steps under Steps 3000 and a 1m budget, want 3000", e.name, res.Steps)
+		}
+	}
+}
+
+// TestEnginesRejectNegativeBounds: a negative Steps or Budget is an
+// error at every facade entry point, not an engine-specific meaning.
+func TestEnginesRejectNegativeBounds(t *testing.T) {
+	m := demoModel()
+	for _, opts := range []accmos.Options{{Steps: -5}, {Budget: -time.Second}} {
+		for _, e := range engines {
+			if res, err := e.run(m, opts); err == nil || !strings.Contains(err.Error(), "negative run bound") {
+				t.Errorf("%s with Steps %d, Budget %v: %v, %v; want a negative-bound error",
+					e.name, opts.Steps, opts.Budget, res, err)
+			}
+		}
+		if _, err := accmos.Sweep(m, opts, []uint64{1}); err == nil {
+			t.Errorf("Sweep with Steps %d, Budget %v: no error", opts.Steps, opts.Budget)
+		}
+		if _, err := accmos.GenerateSource(m, opts); err == nil {
+			t.Errorf("GenerateSource with Steps %d, Budget %v: no error", opts.Steps, opts.Budget)
+		}
+	}
+}
+
 // sweepModel has a rare branch (input > 99): individual random suites
 // may miss it, so sweeps exercise real coverage merging.
 func sweepModel() *accmos.Model {

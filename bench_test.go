@@ -9,6 +9,7 @@ package accmos_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -134,7 +135,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.ResetTimer()
 			var exec time.Duration
 			for i := 0; i < b.N; i++ {
-				res, err := e.Run(set, steps)
+				res, err := e.Run(set, steps, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -153,7 +154,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.ResetTimer()
 			var exec time.Duration
 			for i := 0; i < b.N; i++ {
-				res, err := e.Run(set, steps)
+				res, err := e.Run(set, steps, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -172,7 +173,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.ResetTimer()
 			var exec time.Duration
 			for i := 0; i < b.N; i++ {
-				res, err := e.Run(set, steps)
+				res, err := e.Run(set, steps, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -212,7 +213,7 @@ func BenchmarkTable3Coverage(b *testing.B) {
 		}
 		set := benchSet(c)
 		for i := 0; i < b.N; i++ {
-			res, err := e.RunFor(set, budget)
+			res, err := e.Run(set, math.MaxInt64, budget)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -276,7 +277,7 @@ func BenchmarkFigure1Detection(b *testing.B) {
 		b.ResetTimer()
 		var exec time.Duration
 		for i := 0; i < b.N; i++ {
-			res, err := e.Run(set, maxSteps)
+			res, err := e.Run(set, maxSteps, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -340,7 +341,7 @@ func BenchmarkCaseStudyDetection(b *testing.B) {
 		b.ResetTimer()
 		var exec time.Duration
 		for i := 0; i < b.N; i++ {
-			res, err := e.Run(set, maxSteps)
+			res, err := e.Run(set, maxSteps, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -394,7 +395,7 @@ func BenchmarkAblationRapidSpecialization(b *testing.B) {
 	run := func(b *testing.B, e *rapid.Engine) {
 		var exec time.Duration
 		for i := 0; i < b.N; i++ {
-			res, err := e.Run(set, steps)
+			res, err := e.Run(set, steps, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

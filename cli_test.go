@@ -1,6 +1,7 @@
 package accmos_test
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -77,5 +78,26 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if !strings.HasPrefix(strings.TrimSpace(string(out)), "{") {
 		t.Errorf("-json did not emit JSON:\n%s", out)
+	}
+
+	// -budget-ms: -steps bounds the run only when given explicitly, so the
+	// -steps default does not cap a budgeted run.
+	for _, c := range []struct {
+		args []string
+		ok   func(steps int64) bool
+		want string
+	}{
+		{[]string{"-budget-ms", "300"}, func(n int64) bool { return n > 100000 }, "more than the 100000 -steps default"},
+		{[]string{"-engine", "sse", "-budget-ms", "60000", "-steps", "2000"}, func(n int64) bool { return n == 2000 }, "the explicit 2000"},
+	} {
+		args := append([]string{"-model", spv, "-json"}, c.args...)
+		out, err := exec.Command(accmosBin, args...).Output()
+		if err != nil {
+			t.Fatalf("accmos %v: %v\n%s", c.args, err, out)
+		}
+		var res struct{ Steps int64 }
+		if err := json.Unmarshal(out, &res); err != nil || !c.ok(res.Steps) {
+			t.Errorf("accmos %v ran %d steps (%v), want %s", c.args, res.Steps, err, c.want)
+		}
 	}
 }

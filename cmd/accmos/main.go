@@ -28,8 +28,8 @@ func main() {
 	var (
 		modelPath = flag.String("model", "", "model file (required)")
 		engine    = flag.String("engine", "accmos", "engine: accmos | sse | accel | rapid")
-		steps     = flag.Int64("steps", 100000, "simulation steps")
-		budgetMS  = flag.Int64("budget-ms", 0, "wall-clock budget in ms (overrides -steps)")
+		steps     = flag.Int64("steps", 100000, "simulation steps; with -budget-ms, a bound only when given explicitly")
+		budgetMS  = flag.Int64("budget-ms", 0, "wall-clock budget in ms; the run stops at the budget, or at an explicit -steps if reached first")
 		coverage  = flag.Bool("coverage", true, "collect coverage")
 		diag      = flag.Bool("diagnose", true, "run calculation diagnosis")
 		monitor   = flag.String("monitor", "", "comma-separated actor names to signal-monitor")
@@ -117,6 +117,9 @@ func main() {
 	cache := accmos.DefaultBuildCache()
 	if *workDir != "" {
 		cache = accmos.NewBuildCache(*workDir)
+	}
+	if *budgetMS > 0 && !flagGiven("steps") {
+		*steps = 0 // budget-only
 	}
 	opts := accmos.Options{
 		OptLevel:     level,
@@ -329,6 +332,13 @@ func telemetrySummary(runID string, cache *accmos.BuildCache) string {
 		line += fmt.Sprintf("  cache %d hit / %d miss (%.0f%% hit rate)", cs.Hits, cs.Misses, cs.HitRate()*100)
 	}
 	return line
+}
+
+// flagGiven reports whether the command line set the named flag.
+func flagGiven(name string) bool {
+	given := false
+	flag.Visit(func(f *flag.Flag) { given = given || f.Name == name })
+	return given
 }
 
 func fatal(err error) {

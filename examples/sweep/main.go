@@ -1,5 +1,5 @@
 // Test-suite adequacy sweep: compile the model once, then run it under
-// many random test suites (one -seed-xor per suite) and watch the merged
+// many random test suites (one seed XOR per suite) and watch the merged
 // coverage grow — the workflow the paper motivates ("validate that test
 // cases are comprehensive enough to cover different parts of models").
 // When adding suites stops growing the merged coverage, the remaining

@@ -53,7 +53,7 @@ func TestAllModelsCompileAndSimulate(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := testcase.NewRandomSet(len(c.Inports), 7, -100, 100)
-			res, err := e.Run(set, 200)
+			res, err := e.Run(set, 200, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestFigure1Overflows(t *testing.T) {
 		{Kind: testcase.Const, Value: 1e6},
 		{Kind: testcase.Const, Value: 1e6},
 	}}
-	res, err := e.Run(set, 1<<30)
+	res, err := e.Run(set, 1<<30, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCSEVInjectedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := testcase.NewRandomSet(len(c.Inports), 5, -10, 10)
-	res, err := e.Run(set, benchmodels.OverflowStepOf(rate)+100)
+	res, err := e.Run(set, benchmodels.OverflowStepOf(rate)+100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestBaseCSEVHasNoQuantityOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := testcase.NewRandomSet(len(c.Inports), 5, -10, 10)
-	res, err := e.Run(set, 3000)
+	res, err := e.Run(set, 3000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func runBoth(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := e.Run(set, steps)
+	ir, err := e.Run(set, steps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

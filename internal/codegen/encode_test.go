@@ -87,7 +87,7 @@ func TestResultEncoderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := e.Run(set, 3000)
+	ir, err := e.Run(set, 3000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestRandomModelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			acRes, err := ac.Run(set, steps)
+			acRes, err := ac.Run(set, steps, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestRandomModelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rcRes, err := rc.Run(set, steps)
+			rcRes, err := rc.Run(set, steps, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func runAtLevel(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := e.Run(set, steps)
+	ir, err := e.Run(set, steps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func runAtLevel(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err = ac.Run(set, steps)
+			res, err = ac.Run(set, steps, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func runAtLevel(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err = rc.Run(set, steps)
+			res, err = rc.Run(set, steps, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func runPlainAtLevel(t *testing.T, c *actors.Compiled, set *testcase.Set, steps 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := e.Run(set, steps)
+	ir, err := e.Run(set, steps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestGatedEquivalenceAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acRes, err := ac.Run(set, steps)
+	acRes, err := ac.Run(set, steps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGatedEquivalenceAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcRes, err := rc.Run(set, steps)
+	rcRes, err := rc.Run(set, steps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestGatedActorCoveragePartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(set, 50)
+	res, err := e.Run(set, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestGatedStateFreezes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(set, 8)
+	res, err := e.Run(set, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

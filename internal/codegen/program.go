@@ -246,7 +246,7 @@ func Generate(c *actors.Compiled, opts Options) (*Program, error) {
 		opts:        opts,
 		body:        &strings.Builder{},
 		layout:      layout,
-		imports:     map[string]bool{simrtPath: true, "time": true},
+		imports:     map[string]bool{simrtPath: true},
 		outVar:      make(map[string][]string),
 		outBindings: make(map[string]string),
 		storeVars:   make(map[string]string),

@@ -110,13 +110,14 @@ func TestProgramImportsMatchSource(t *testing.T) {
 			t.Errorf("import %q not in the source", path)
 		}
 	}
-	for _, want := range []string{"accmos/internal/simrt", "math", "strconv", "time"} {
+	for _, want := range []string{"accmos/internal/simrt", "math", "strconv"} {
 		if !got[want] {
 			t.Errorf("Imports() = %v, missing %q", p.Imports(), want)
 		}
 	}
-	// The serve loop, flags and encoders are the runtime's, compiled once.
-	for _, gone := range []string{"bufio", "encoding/json", "flag", "fmt", "os"} {
+	// The serve loop, step loop clock, flags and encoders are the
+	// runtime's, compiled once.
+	for _, gone := range []string{"bufio", "encoding/json", "flag", "fmt", "os", "time"} {
 		if got[gone] {
 			t.Errorf("Imports() = %v, want no %q", p.Imports(), gone)
 		}

@@ -11,9 +11,9 @@ import (
 // synthesize assembles the final simulation program (paper §3.3): the
 // step-code support, instrumentation tables, generated state, the model
 // system function holding every actor's instrumented code, the generated
-// diagnosis functions, and the main function with its simulation loop
-// and test-case import. Request handling and result output come from
-// the simrt runtime the program links.
+// diagnosis functions, the model's step loop with its test-case import,
+// and the main function. Request handling, the main simulation loop and
+// result output come from the simrt runtime the program links.
 func (g *Generator) synthesize() (string, error) {
 	// Test-case sources (import code).
 	tcExprs := make([]string, len(g.opts.TestCases.Sources))
@@ -136,11 +136,11 @@ func (g *Generator) synthesize() (string, error) {
 
 	// modelReset: restore every piece of mutable program state except the
 	// coverage bitmaps to its fresh-process value, then replay modelInit.
-	// The runtime calls this before every run (each lane of a batch too)
-	// so each run observes exactly the state a newly exec'd process would
-	// — the bit-identical-to-one-shot guarantee. The runtime clears the
-	// bitmaps itself, once per request, so a batch's lanes accumulate
-	// their OR-merge. seedXor is set first, because modelInit derives the
+	// The runtime calls this before every lane of a request, so each
+	// lane observes exactly the state a newly exec'd process would — the
+	// bit-identical-to-one-shot guarantee. The runtime clears the bitmaps
+	// itself, once per request, so a request's lanes accumulate their
+	// OR-merge. seedXor is set first, because modelInit derives the
 	// embedded RNG seeds from it.
 	sb.WriteString("\nfunc modelReset(seed uint64) {\n")
 	sb.WriteString("\tseedXor = seed\n")
@@ -227,77 +227,45 @@ func (g *Generator) emitHash(sb *strings.Builder, expr string, k types.Kind, wid
 	fmt.Fprintf(sb, "\tfor i := 0; i < %d; i++ {\n\t%s\t}\n", width, one(expr+"[i]"))
 }
 
-// emitMain renders the main function and runSim, the simulation loop
-// (step-bounded or wall-clock-budgeted). main hands the model's hooks to
-// the runtime, whose entry point runs every request through them: -serve
-// answers NDJSON requests on stdin (a batch request runs one lane after
-// another), and a plain -steps run is one request whose bare result
-// document goes to stdout.
+// emitMain renders modelRun, the model's step loop, and the main
+// function, which hands the model's hooks to the runtime. The runtime's
+// entry point runs every request through them: -serve answers NDJSON
+// requests on stdin, one lane after another, and a plain -steps run is a
+// one-lane request whose bare result document goes to stdout. The
+// runtime calls modelRun once per chunk of steps and does the budget,
+// heartbeat and lane accounting between chunks, so no step pays an
+// indirect call.
 func (g *Generator) emitMain(sb *strings.Builder, tcExprs []string) {
-	fmt.Fprintf(sb, `
-func main() {
-	rt.Reset, rt.Run = modelReset, runSim
-	rt.Main(%d)
-}
-`, g.opts.DefaultSteps)
-	g.emitRunSim(sb, tcExprs)
-}
-
-// emitRunSim renders runSim, the step loop every run executes.
-func (g *Generator) emitRunSim(sb *strings.Builder, tcExprs []string) {
 	sb.WriteString(`
-// runSim runs the simulation loop against the current model state and
-// returns executed steps and wall time. Callers initialize state first
-// (modelInit or modelReset). runID tags heartbeats in serve mode.
-// With budgetMS > 0 the loop stops when the budget elapses OR — when
-// steps > 0 — when the step bound is reached, whichever comes first;
-// steps <= 0 under a budget means budget-only.
-func runSim(steps, budgetMS int64, hbEvery time.Duration, runID string) (int64, time.Duration) {
-	executed := int64(0)
-	hbEnabled := hbEvery > 0
-	start := time.Now()
-	hbNext := start.Add(hbEvery)
-	if budgetMS > 0 {
-		budget := time.Duration(budgetMS) * time.Millisecond
-		for step := int64(0); steps <= 0 || step < steps; step++ {
-			if step%1024 == 0 && time.Since(start) >= budget {
-				break
-			}
-`)
-	g.emitLoopBody(sb, tcExprs, "\t\t\t")
-	sb.WriteString(`		}
-	} else {
-		for step := int64(0); step < steps; step++ {
-`)
-	g.emitLoopBody(sb, tcExprs, "\t\t\t")
-	sb.WriteString(`		}
+// modelRun executes steps from, ..., to-1 against the current model
+// state, drawing each step's test inputs, and returns the step after the
+// last one it ran: to, or earlier when a stop-on diagnosis fires. A stop
+// outlives the call until modelReset, so a lane stopped on the last step
+// of a chunk runs nothing in the next one.
+func modelRun(from, to int64) int64 {
+	if stopRequested {
+		return from
 	}
-	elapsed := time.Since(start)
-	if hbEnabled {
-		rt.Heartbeat(runID, executed, elapsed, true)
-	}
-	return executed, elapsed
-}
+	for step := from; step < to; step++ {
 `)
-}
-
-func (g *Generator) emitLoopBody(sb *strings.Builder, tcExprs []string, ind string) {
 	args := "step"
 	for i, expr := range tcExprs {
-		fmt.Fprintf(sb, "%sin%d := %s\n", ind, i, expr)
+		fmt.Fprintf(sb, "\t\tin%d := %s\n", i, expr)
 		args += fmt.Sprintf(", in%d", i)
 	}
-	fmt.Fprintf(sb, "%smodelExe(%s)\n", ind, args)
-	fmt.Fprintf(sb, "%sexecuted = step + 1\n", ind)
-	// Heartbeat check: the flag guard evaluates first, so a run with
-	// heartbeats off (the default) pays only one predictable branch per
-	// 1024 steps.
-	fmt.Fprintf(sb, "%sif hbEnabled && step&1023 == 0 {\n", ind)
-	fmt.Fprintf(sb, "%s\tif now := time.Now(); !now.Before(hbNext) {\n", ind)
-	fmt.Fprintf(sb, "%s\t\trt.Heartbeat(runID, executed, now.Sub(start), false)\n", ind)
-	fmt.Fprintf(sb, "%s\t\thbNext = now.Add(hbEvery)\n", ind)
-	fmt.Fprintf(sb, "%s\t}\n%s}\n", ind, ind)
-	fmt.Fprintf(sb, "%sif stopRequested {\n%s\tbreak\n%s}\n", ind, ind, ind)
+	fmt.Fprintf(sb, `		modelExe(%s)
+		if stopRequested {
+			return step + 1
+		}
+	}
+	return to
+}
+
+func main() {
+	rt.Reset, rt.Run = modelReset, modelRun
+	rt.Main(%d)
+}
+`, args, g.opts.DefaultSteps)
 }
 
 // emitRuntimeView renders rt, the program as the simrt runtime sees it:

@@ -13,9 +13,9 @@ import (
 // lane-execution benchmark: the same short-horizon sweep executed as one
 // per-run serve frame per seed through a warm worker, and as a single
 // batch request over the same worker. Per-lane stepping is identical in
-// both modes (the same runSim loop), so the wall-clock gap is the
-// per-run frame round-trip plus result encode/decode the batch
-// amortizes.
+// both modes (the runtime's step loop over the same modelRun), so the
+// wall-clock gap is the per-run frame round-trip plus result
+// encode/decode the batch amortizes.
 type BatchRow struct {
 	Model string
 	Mode  string // "pooled" | "batch"

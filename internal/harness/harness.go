@@ -228,7 +228,7 @@ func RunContext(ctx context.Context, binPath string, opts RunOptions) (*simresul
 	if err != nil {
 		return nil, fmt.Errorf("harness: starting %s: %w", opts.label(binPath), err)
 	}
-	res, err := w.run(ctx, opts)
+	lanes, err := w.run(ctx, opts, []uint64{opts.SeedXor})
 	if waitErr := w.reap(ctx); waitErr != nil {
 		var re *RunError
 		if err == nil || errors.As(err, &re) && re.Reason != ReasonTimeout && re.Reason != ReasonCanceled {
@@ -238,20 +238,6 @@ func RunContext(ctx context.Context, binPath string, opts RunOptions) (*simresul
 	if err != nil {
 		return nil, err
 	}
-	res.Timeline = w.endRun()
-	return res, nil
-}
-
-// decodeLanes decodes the per-lane result documents of a batch run.
-// Returns the index of the first lane that failed to decode alongside
-// its error.
-func decodeLanes(lanes [][]byte) ([]*simresult.Results, int, error) {
-	out := make([]*simresult.Results, len(lanes))
-	for i, lane := range lanes {
-		out[i] = new(simresult.Results)
-		if err := simresult.Decode(lane, out[i]); err != nil {
-			return nil, i, err
-		}
-	}
-	return out, 0, nil
+	lanes[0].Timeline = w.endRun()
+	return lanes[0], nil
 }

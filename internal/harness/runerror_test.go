@@ -162,7 +162,7 @@ echo "{\"accmosRun\":1,\"id\":\"$id\",\"laneCount\":2}"
 	if re.Reason != harness.ReasonProtocol {
 		t.Errorf("reason %q, want %q", re.Reason, harness.ReasonProtocol)
 	}
-	if !strings.Contains(err.Error(), "reading batch lane 1 of 2") {
+	if !strings.Contains(err.Error(), "reading lane 1 of 2") {
 		t.Errorf("error must name the missing lane: %v", err)
 	}
 	st := pool.Stats()
@@ -194,7 +194,7 @@ echo '{}'
 	if !errors.As(err, &re) || re.Reason != harness.ReasonProtocol {
 		t.Fatalf("lane-count mismatch must be a protocol RunError: %v", err)
 	}
-	if !strings.Contains(err.Error(), "batch frame mismatch (3 lanes for 2 seeds)") {
+	if !strings.Contains(err.Error(), "frame mismatch (3 lanes for 2 seeds)") {
 		t.Errorf("error must name both counts: %v", err)
 	}
 }
@@ -218,7 +218,7 @@ echo 'not a result document'
 	if !errors.As(err, &re) || re.Reason != harness.ReasonDecode {
 		t.Fatalf("a garbage lane must be a decode RunError: %v", err)
 	}
-	if !strings.Contains(err.Error(), "decoding batch lane 1") {
+	if !strings.Contains(err.Error(), "decoding lane 1") {
 		t.Errorf("error must point at the bad lane: %v", err)
 	}
 }
@@ -293,7 +293,7 @@ exit 2
 func TestEphemeralTruncatedFrame(t *testing.T) {
 	bin := fakeBinary(t, `
 read line
-printf '{"accmosRun":1,"id":"r1","result":{"model":"X"'
+printf '{"accmosRun":1,"id":"r1","laneCount":1}\n{"model":"X"'
 exit 0
 `)
 	start := time.Now()

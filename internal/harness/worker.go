@@ -19,16 +19,13 @@ import (
 )
 
 // serveFrame is the response header line on a worker's stdout: exactly
-// one per request, carrying the simresult document (single runs), an
-// error, or — for batch requests — the count of raw result lines that
-// follow the frame, one per lane.
+// one per request, carrying an error or the count of raw result lines
+// that follow it, one per lane.
 type serveFrame struct {
-	Marker    int             `json:"accmosRun"`
-	ID        string          `json:"id"`
-	Error     string          `json:"error,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	LaneCount int             `json:"laneCount,omitempty"`
-	Coverage  *coverage.Raw   `json:"coverage,omitempty"`
+	Marker    int    `json:"accmosRun"`
+	ID        string `json:"id"`
+	Error     string `json:"error,omitempty"`
+	LaneCount int    `json:"laneCount,omitempty"`
 }
 
 // WorkerStats summarizes a pool's lifetime activity. Spawns counts
@@ -112,7 +109,9 @@ func (p *WorkerPool) Stats() WorkerStats {
 func (p *WorkerPool) RunContext(ctx context.Context, binPath string, opts RunOptions) (res *simresult.Results, reused bool, err error) {
 	defer opts.Trace.Start("run").End()
 	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) error {
-		if res, err = w.run(ctx, opts); err == nil {
+		lanes, err := w.run(ctx, opts, []uint64{opts.SeedXor})
+		if err == nil {
+			res = lanes[0]
 			res.Timeline = w.endRun()
 		}
 		return err
@@ -123,31 +122,31 @@ func (p *WorkerPool) RunContext(ctx context.Context, binPath string, opts RunOpt
 	return res, reused, nil
 }
 
-// RunBatch executes one batched lane request on a warm worker for
-// binPath: one lane per seedXor, each a full run stepped to opts.Steps,
-// which the program runs back to back behind a single request/response
-// frame. It returns per-lane results in seed order plus the batch's
-// OR-merged coverage (nil when coverage is off). Batch requests are
-// step-bounded (opts.Budget must be zero); opts.Timeout bounds the whole
-// batch — callers scale it by the lane count when they mean a per-run
-// deadline. The batch's heartbeats sum steps over its lanes.
+// RunBatch executes one multi-lane request on a warm worker for binPath:
+// one lane per seedXor, each a full run bounded by opts.Steps and
+// opts.Budget like a single run, which the program runs back to back
+// behind a single request/response frame. It returns per-lane results in
+// seed order plus the lanes' OR-merged coverage (nil when coverage is
+// off), which it moves off the last lane; the lanes carry no coverage.
+// opts.Timeout bounds the whole request — callers scale it by the lane
+// count when they mean a per-run deadline. The request's heartbeats sum
+// steps over its lanes.
 func (p *WorkerPool) RunBatch(ctx context.Context, binPath string, opts RunOptions, seedXors []uint64) (res []*simresult.Results, cov *coverage.Raw, reused bool, err error) {
 	defer opts.Trace.Start("run").End()
 	if len(seedXors) == 0 {
 		return nil, nil, false, errors.New("harness: RunBatch needs at least one seed")
 	}
-	if opts.Budget > 0 {
-		return nil, nil, false, errors.New("harness: RunBatch is step-bounded; Budget is unsupported")
-	}
 	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) error {
-		if res, cov, err = w.runBatch(ctx, opts, seedXors); err == nil {
-			w.endRun() // batch heartbeats aggregate lanes; no lane owns them
+		if res, err = w.run(ctx, opts, seedXors); err == nil {
+			w.endRun() // request heartbeats aggregate lanes; no lane owns them
 		}
 		return err
 	})
 	if err != nil {
 		return nil, nil, reused, err
 	}
+	last := res[len(res)-1]
+	cov, last.Coverage = last.Coverage, nil
 	p.mu.Lock()
 	p.batches++
 	p.mu.Unlock()
@@ -403,65 +402,51 @@ func (w *serveWorker) fail(opts RunOptions, reason string, cause error, msg stri
 	}
 }
 
-// run sends one simulation request and decodes its result document;
-// the caller collects the run's timeline with endRun. A worker that
-// errors here must not be reused.
-func (w *serveWorker) run(ctx context.Context, opts RunOptions) (*simresult.Results, error) {
-	// The frame carries the step count AND the budget: with both set the
-	// worker stops at whichever bound is reached first.
-	req := simrt.Request{SeedXor: opts.SeedXor, Steps: opts.Steps}
+// run sends one request, one lane per seed, and decodes the per-lane
+// result lines in seed order; the caller collects the request's timeline
+// with endRun. The request carries the step count AND the budget: with
+// both set each lane stops at whichever bound is reached first. A worker
+// that errors here must not be reused.
+func (w *serveWorker) run(ctx context.Context, opts RunOptions, seedXors []uint64) ([]*simresult.Results, error) {
+	req := simrt.Request{SeedXors: seedXors, Steps: opts.Steps}
 	if opts.Budget > 0 {
 		req.BudgetMS = clampMS(opts.Budget)
 	}
-	frame, _, err := w.exchange(ctx, opts, req)
+	lanes, err := w.exchange(ctx, opts, req)
 	if err != nil {
 		return nil, err
 	}
-	var res simresult.Results
-	if err := simresult.Decode(frame.Result, &res); err != nil {
-		return nil, w.fail(opts, ReasonDecode, err,
-			fmt.Sprintf("harness: running %s: %v", opts.label(w.bin), err))
-	}
-	return &res, nil
-}
-
-// runBatch sends one batched lane request (one lane per seedXor, all
-// stepped to opts.Steps) and decodes the per-lane result lines. The
-// aggregate batch heartbeats are not attached to any single lane.
-func (w *serveWorker) runBatch(ctx context.Context, opts RunOptions, seedXors []uint64) ([]*simresult.Results, *coverage.Raw, error) {
-	req := simrt.Request{Batch: 1, SeedXors: seedXors, Steps: opts.Steps}
-	frame, lanes, err := w.exchange(ctx, opts, req)
-	if err != nil {
-		return nil, nil, err
-	}
 	if len(lanes) != len(seedXors) {
-		return nil, nil, w.fail(opts, ReasonProtocol, nil,
-			fmt.Sprintf("harness: running %s: batch frame mismatch (%d lanes for %d seeds)",
+		return nil, w.fail(opts, ReasonProtocol, nil,
+			fmt.Sprintf("harness: running %s: frame mismatch (%d lanes for %d seeds)",
 				opts.label(w.bin), len(lanes), len(seedXors)))
 	}
-	out, i, err := decodeLanes(lanes)
-	if err != nil {
-		return nil, nil, w.fail(opts, ReasonDecode, err,
-			fmt.Sprintf("harness: running %s: decoding batch lane %d: %v", opts.label(w.bin), i, err))
+	out := make([]*simresult.Results, len(lanes))
+	for i, lane := range lanes {
+		out[i] = new(simresult.Results)
+		if err := simresult.Decode(lane, out[i]); err != nil {
+			return nil, w.fail(opts, ReasonDecode, err,
+				fmt.Sprintf("harness: running %s: decoding lane %d: %v", opts.label(w.bin), i, err))
+		}
 	}
-	return out, frame.Coverage, nil
+	return out, nil
 }
 
-// exchange assigns the request id, sends one request frame and reads
-// its validated response frame, enforcing the per-request Timeout by
-// killing the process group — the exchange goroutine then unblocks on
-// the closed pipe. It registers the request for heartbeats; endRun
-// collects the timeline and clears the registration. Frame validation
-// (marker, id, worker error) happens here; result decoding is the
-// caller's.
-func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.Request) (*serveFrame, [][]byte, error) {
+// exchange assigns the request id, sends one request line and reads its
+// validated response frame, returning the raw lane lines. It enforces
+// the per-request Timeout by killing the process group — the exchange
+// goroutine then unblocks on the closed pipe. It registers the request
+// for heartbeats; endRun collects the timeline and clears the
+// registration. Frame validation (marker, id, worker error) happens
+// here; result decoding is the caller's.
+func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.Request) ([][]byte, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("harness: running %s: %w", opts.label(w.bin), err)
+		return nil, fmt.Errorf("harness: running %s: %w", opts.label(w.bin), err)
 	}
 	w.nextID++
 	id := fmt.Sprintf("r%d", w.nextID)
@@ -471,7 +456,7 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 	}
 	line, err := json.Marshal(req)
 	if err != nil {
-		return nil, nil, fmt.Errorf("harness: encoding request: %w", err)
+		return nil, fmt.Errorf("harness: encoding request: %w", err)
 	}
 	line = append(line, '\n')
 
@@ -506,13 +491,13 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 		}
 		var ex exchanged
 		ex.frameErr = json.Unmarshal(raw, &ex.frame)
-		// Batch responses follow the header frame with one raw result
-		// line per lane; read them here so the cancellation kill path
-		// below covers a worker wedged mid-batch too.
+		// The header frame is followed by one raw result line per lane;
+		// read them here so the cancellation kill path below covers a
+		// worker wedged mid-request too.
 		for i := 0; ex.frameErr == nil && i < ex.frame.LaneCount; i++ {
 			lane, err := w.out.ReadBytes('\n')
 			if err != nil {
-				ch <- exchanged{err: fmt.Errorf("reading batch lane %d of %d: %w", i+1, ex.frame.LaneCount, err)}
+				ch <- exchanged{err: fmt.Errorf("reading lane %d of %d: %w", i+1, ex.frame.LaneCount, err)}
 				return
 			}
 			ex.lanes = append(ex.lanes, lane)
@@ -529,9 +514,9 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 				fmt.Sprintf("harness: running %s: worker killed after exceeding the %v timeout\n%s",
 					opts.label(w.bin), opts.Timeout, w.errTail()))
 			e.Timeout = opts.Timeout
-			return nil, nil, e
+			return nil, e
 		}
-		return nil, nil, w.fail(opts, ReasonCanceled, ctx.Err(),
+		return nil, w.fail(opts, ReasonCanceled, ctx.Err(),
 			fmt.Sprintf("harness: running %s: worker killed: %v\n%s",
 				opts.label(w.bin), ctx.Err(), w.errTail()))
 	case ex = <-ch:
@@ -545,23 +530,23 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 		case <-ctx.Done():
 		case <-time.After(time.Second):
 		}
-		return nil, nil, w.fail(opts, ReasonProtocol, ex.err,
+		return nil, w.fail(opts, ReasonProtocol, ex.err,
 			fmt.Sprintf("harness: running %s: worker protocol failure: %v\n%s",
 				opts.label(w.bin), ex.err, w.errTail()))
 	}
 	frame := &ex.frame
 	if err := ex.frameErr; err != nil {
-		return nil, nil, w.fail(opts, ReasonProtocol, err,
+		return nil, w.fail(opts, ReasonProtocol, err,
 			fmt.Sprintf("harness: running %s: decoding worker frame: %v\n%s",
 				opts.label(w.bin), err, w.errTail()))
 	}
 	if frame.Marker != 1 || frame.ID != id {
-		return nil, nil, w.fail(opts, ReasonProtocol, nil,
+		return nil, w.fail(opts, ReasonProtocol, nil,
 			fmt.Sprintf("harness: running %s: worker frame mismatch (marker %d, id %q, want %q)",
 				opts.label(w.bin), frame.Marker, frame.ID, id))
 	}
 	if frame.Error != "" {
-		return nil, nil, w.fail(opts, ReasonWorker, nil,
+		return nil, w.fail(opts, ReasonWorker, nil,
 			fmt.Sprintf("harness: running %s: worker: %s", opts.label(w.bin), frame.Error))
 	}
 	if finalSeen != nil {
@@ -576,7 +561,7 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 		case <-ctx.Done():
 		}
 	}
-	return frame, ex.lanes, nil
+	return ex.lanes, nil
 }
 
 // endRun returns the current run's timeline and clears its heartbeat

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -124,7 +125,8 @@ func TestWorkerPoolFrameMismatchRejected(t *testing.T) {
 	// attributed to this one.
 	bin := fakeBinary(t, `
 while read line; do
-  echo '{"accmosRun":1,"id":"bogus","result":{"model":"H","engine":"AccMoS","steps":1}}'
+  echo '{"accmosRun":1,"id":"bogus","laneCount":1}'
+  echo '{"model":"H","engine":"AccMoS","steps":1}'
 done
 `)
 	pool := harness.NewWorkerPool(1)
@@ -351,5 +353,79 @@ func TestRunDecodeErrorReportsByteOffset(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "decoding results at byte offset") {
 		t.Errorf("decode failure must report the byte offset: %v", err)
+	}
+}
+
+// TestWorkerBatchCoverageOnLastLane: the program puts a request's
+// OR-merged coverage on its last lane. RunBatch moves it off that lane
+// and returns it as the request's coverage, equal to the OR-merge of the
+// same seeds run one request each; RunContext leaves a run's own
+// coverage on its result.
+func TestWorkerBatchCoverageOnLastLane(t *testing.T) {
+	p := program(t)
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := harness.NewWorkerPool(1)
+	defer pool.Close()
+	seeds := []uint64{1, 2, 3}
+	merged := p.Layout.NewRaw()
+	for _, seed := range seeds {
+		res, _, err := pool.RunContext(context.Background(), bin, harness.RunOptions{Steps: 5, SeedXor: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Coverage == nil {
+			t.Fatalf("seed %d: a single run lost its coverage", seed)
+		}
+		if err := merged.Merge(res.Coverage); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lanes, cov, _, err := pool.RunBatch(context.Background(), bin, harness.RunOptions{Steps: 5}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range lanes {
+		if r.Coverage != nil || r.Steps != 5 {
+			t.Errorf("lane %d: steps %d, coverage %+v; want 5 steps and no coverage", i, r.Steps, r.Coverage)
+		}
+	}
+	if cov == nil || !reflect.DeepEqual(*cov, *merged) {
+		t.Errorf("request coverage %+v, want the per-run OR-merge %+v", cov, merged)
+	}
+}
+
+// TestWorkerBatchBudget: a budget bounds each lane of a multi-lane
+// request like a single run, read between chunks of 1024 steps; a
+// budget-only lane never falls back to the program's default step count.
+func TestWorkerBatchBudget(t *testing.T) {
+	p := program(t)
+	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := harness.NewWorkerPool(1)
+	defer pool.Close()
+	lanes, _, _, err := pool.RunBatch(context.Background(), bin,
+		harness.RunOptions{Budget: 5 * time.Millisecond, Timeout: 30 * time.Second}, []uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range lanes {
+		if r.Steps < 1024 || r.Steps%1024 != 0 {
+			t.Errorf("budget-only lane %d ran %d steps, want whole chunks of 1024", i, r.Steps)
+		}
+	}
+	lanes, _, _, err = pool.RunBatch(context.Background(), bin,
+		harness.RunOptions{Steps: 700, Budget: time.Minute}, []uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range lanes {
+		if r.Steps != 700 {
+			t.Errorf("lane %d under steps and a long budget ran %d steps, want 700", i, r.Steps)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func TestAccelMatchesSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sse.Run(set, 1000)
+	ref, err := sse.Run(set, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestAccelMatchesSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ac.Run(set, 1000)
+	got, err := ac.Run(set, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestAccelRunForBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ac.RunFor(testcase.NewRandomSet(1, 5, -10, 10), 20*time.Millisecond)
+	res, err := ac.Run(testcase.NewRandomSet(1, 5, -10, 10), math.MaxInt64, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestAccelRepeatedRunsAreClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := testcase.NewRandomSet(1, 9, -10, 10)
-	r1, err := ac.Run(set, 500)
+	r1, err := ac.Run(set, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ac.Run(set, 500)
+	r2, err := ac.Run(set, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestEnginesWithNoOutports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sse.Run(set, 100)
+	res, err := sse.Run(set, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestEnginesWithNoOutports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acRes, err := ac.Run(set, 100)
+	acRes, err := ac.Run(set, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func BenchmarkSSEPerActorStep(b *testing.B) {
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(set, steps)
+		res, err := e.Run(set, steps, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkAccelPerActorStep(b *testing.B) {
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(set, steps)
+		res, err := e.Run(set, steps, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -257,19 +257,11 @@ func (e *Engine) reset() {
 	e.stopFlag = false
 }
 
-// Run simulates the model for the given number of steps using the test
-// cases, returning the results. It always runs at least one step.
-func (e *Engine) Run(tcs *testcase.Set, steps int64) (*simresult.Results, error) {
-	return e.run(tcs, steps, 0)
-}
-
-// RunFor simulates until the wall-clock budget elapses (checked every
-// checkEvery steps; 1024 if zero), for the coverage-vs-time experiment.
-func (e *Engine) RunFor(tcs *testcase.Set, budget time.Duration) (*simresult.Results, error) {
-	return e.run(tcs, math.MaxInt64, budget)
-}
-
-func (e *Engine) run(tcs *testcase.Set, maxSteps int64, budget time.Duration) (*simresult.Results, error) {
+// Run simulates the model with the test cases until steps steps have
+// run or the wall-clock budget elapses, whichever comes first: a zero
+// budget bounds by steps alone. The budget is read before every 1024th
+// step.
+func (e *Engine) Run(tcs *testcase.Set, steps int64, budget time.Duration) (*simresult.Results, error) {
 	if len(tcs.Sources) != len(e.c.Inports) {
 		return nil, fmt.Errorf("interp: %d test-case sources for %d inports", len(tcs.Sources), len(e.c.Inports))
 	}
@@ -303,7 +295,7 @@ func (e *Engine) run(tcs *testcase.Set, maxSteps int64, budget time.Duration) (*
 	start := time.Now()
 	var step int64
 	const budgetCheckEvery = 1024
-	for step = 0; step < maxSteps; step++ {
+	for step = 0; step < steps; step++ {
 		if budget > 0 && step%budgetCheckEvery == 0 && time.Since(start) >= budget {
 			break
 		}

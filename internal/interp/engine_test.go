@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestAccumulatorOverflowDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1e6 per step per accumulator: wraps i32 (2^31) after ~2147 steps.
-	res, err := e.Run(constSet(1e6, 1e6), 5000)
+	res, err := e.Run(constSet(1e6, 1e6), 5000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestStopOnDiagStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(constSet(1e6, 1e6), 5000000)
+	res, err := e.Run(constSet(1e6, 1e6), 5000000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestAccumulatorValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(constSet(1, 2), 4)
+	res, err := e.Run(constSet(1, 2), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestSwitchConditionCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Constant positive control: only branch 0 executes.
-	res, err := e.Run(constSet(5), 10)
+	res, err := e.Run(constSet(5), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestSwitchConditionCoverage(t *testing.T) {
 	alt := &testcase.Set{Sources: []testcase.Source{{
 		Kind: testcase.Pulse, Period: 2, Width: 1, High: 1, Low: -1,
 	}}}
-	res, err = e.Run(alt, 10)
+	res, err = e.Run(alt, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestLogicDecisionAndMCDC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inputs (1,1): decision true only; both conds determine while true.
-	res, err := e.Run(constSet(1, 1), 3)
+	res, err := e.Run(constSet(1, 1), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestLogicDecisionAndMCDC(t *testing.T) {
 		{Kind: testcase.Table, Values: []float64{1, 1, 0}},
 		{Kind: testcase.Table, Values: []float64{1, 0, 1}},
 	}}
-	res, err = e.Run(seq, 3)
+	res, err = e.Run(seq, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestDataStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(constSet(5), 4)
+	res, err := e.Run(constSet(5), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestDataStoreOverflowCaseStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(constSet(1e6), 1<<40)
+	res, err := e.Run(constSet(1e6), 1<<40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestCustomRangeAndDeltaChecks(t *testing.T) {
 	alt := &testcase.Set{Sources: []testcase.Source{{
 		Kind: testcase.Pulse, Period: 2, Width: 1, High: 1, Low: -1,
 	}}}
-	res, err := e.Run(alt, 6)
+	res, err := e.Run(alt, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestCustomCallbackCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(constSet(1), 3)
+	res, err := e.Run(constSet(1), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,7 @@ func TestRunForBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunFor(constSet(1, 1), 30*time.Millisecond)
+	res, err := e.Run(constSet(1, 1), math.MaxInt64, 30*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,11 +392,11 @@ func TestDeterministicHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := testcase.NewRandomSet(2, 42, -100, 100)
-	r1, err := e.Run(set, 500)
+	r1, err := e.Run(set, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Run(set, 500)
+	r2, err := e.Run(set, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestDeterministicHash(t *testing.T) {
 		t.Errorf("hashes differ or zero: %x vs %x", r1.OutputHash, r2.OutputHash)
 	}
 	// Different seed must (overwhelmingly) change the hash.
-	r3, err := e.Run(testcase.NewRandomSet(2, 43, -100, 100), 500)
+	r3, err := e.Run(testcase.NewRandomSet(2, 43, -100, 100), 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestTestcaseSourceCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(constSet(1), 10); err == nil {
+	if _, err := e.Run(constSet(1), 10, 0); err == nil {
 		t.Fatal("source/inport count mismatch must error")
 	}
 }

@@ -42,7 +42,7 @@ func TestRoundTripBenchmarkModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(testcase.NewRandomSet(len(c.Inports), 3, -50, 50), 500)
+		res, err := e.Run(testcase.NewRandomSet(len(c.Inports), 3, -50, 50), 500, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestHandAuthoredPtolemyStyleDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(&testcase.Set{}, 3)
+	res, err := e.Run(&testcase.Set{}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func BenchmarkRapidPerActorStep(b *testing.B) {
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(set, steps)
+		res, err := e.Run(set, steps, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

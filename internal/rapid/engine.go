@@ -222,17 +222,11 @@ func (e *Engine) DSWrite(name string, v types.Value) {
 	e.stores[name] = cv
 }
 
-// Run simulates for the given number of steps.
-func (e *Engine) Run(tcs *testcase.Set, steps int64) (*simresult.Results, error) {
-	return e.run(tcs, steps, 0)
-}
-
-// RunFor simulates until the wall-clock budget elapses.
-func (e *Engine) RunFor(tcs *testcase.Set, budget time.Duration) (*simresult.Results, error) {
-	return e.run(tcs, 1<<62, budget)
-}
-
-func (e *Engine) run(tcs *testcase.Set, maxSteps int64, budget time.Duration) (*simresult.Results, error) {
+// Run simulates the model with the test cases until steps steps have
+// run or the wall-clock budget elapses, whichever comes first: a zero
+// budget bounds by steps alone. The budget is read before every 1024th
+// step.
+func (e *Engine) Run(tcs *testcase.Set, steps int64, budget time.Duration) (*simresult.Results, error) {
 	if len(tcs.Sources) != len(e.c.Inports) {
 		return nil, fmt.Errorf("rapid: %d test-case sources for %d inports", len(tcs.Sources), len(e.c.Inports))
 	}
@@ -269,7 +263,7 @@ func (e *Engine) run(tcs *testcase.Set, maxSteps int64, budget time.Duration) (*
 	hash := uint64(simresult.FNVOffset)
 	start := time.Now()
 	var step int64
-	for step = 0; step < maxSteps; step++ {
+	for step = 0; step < steps; step++ {
 		if budget > 0 && step%1024 == 0 && time.Since(start) >= budget {
 			break
 		}

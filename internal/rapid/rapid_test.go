@@ -2,6 +2,7 @@ package rapid_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"accmos/internal/actors"
@@ -32,7 +33,7 @@ func crossCheck(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, err := sse.Run(set, steps)
+	refRes, err := sse.Run(set, steps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func crossCheck(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	acRes, err := ac.Run(set, steps)
+	acRes, err := ac.Run(set, steps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func crossCheck(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcRes, err := rc.Run(set, steps)
+	rcRes, err := rc.Run(set, steps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +165,14 @@ func TestRapidSourceCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(&testcase.Set{}, 10); err == nil {
+	if _, err := e.Run(&testcase.Set{}, 10, 0); err == nil {
 		t.Fatal("source mismatch must error")
 	}
 	ac, err := interp.NewAccel(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ac.Run(&testcase.Set{}, 10); err == nil {
+	if _, err := ac.Run(&testcase.Set{}, 10, 0); err == nil {
 		t.Fatal("accel source mismatch must error")
 	}
 }
@@ -203,7 +204,7 @@ func TestRapidRunForBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunFor(testcase.NewRandomSet(1, 3, 0, 1), 20_000_000) // 20ms
+	res, err := e.Run(testcase.NewRandomSet(1, 3, 0, 1), math.MaxInt64, 20_000_000) // 20ms
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +243,11 @@ func TestBridgeOnlyMatchesSpecialized(t *testing.T) {
 	if _, n := bridge.Stats(); n == 0 {
 		t.Error("bridge-only build bridged nothing")
 	}
-	rs, err := spec.Run(set, 3000)
+	rs, err := spec.Run(set, 3000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := bridge.Run(set, 3000)
+	rb, err := bridge.Run(set, 3000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

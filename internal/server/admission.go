@@ -20,13 +20,18 @@ type AdmissionError struct {
 func (e *AdmissionError) Error() string { return e.Msg }
 
 // SpecFromRequest validates a submission and builds the runnable JobSpec:
-// parse, elaborate, lint-gate, then map the wire fields onto the spec
+// reject negative run bounds, parse, elaborate, lint-gate, then map the
+// wire fields onto the spec
 // with the daemon's defaults (opt level, heartbeat) and the job-timeout
 // clamp applied. The returned findings are the full advisory list
 // recorded on the job.
 func SpecFromRequest(req SubmitRequest, defaultOpt accmos.OptLevel, jobTimeout time.Duration) (JobSpec, []lint.Finding, error) {
 	if req.Model == "" {
 		return JobSpec{}, nil, &AdmissionError{Msg: "submission has no model document"}
+	}
+	if req.Steps < 0 || req.BudgetMS < 0 || req.TimeoutMS < 0 {
+		return JobSpec{}, nil, &AdmissionError{Msg: fmt.Sprintf(
+			"negative run bound (steps %d, budgetMs %d, timeoutMs %d)", req.Steps, req.BudgetMS, req.TimeoutMS)}
 	}
 	m, err := accmos.LoadModelBytes([]byte(req.Model))
 	if err != nil {

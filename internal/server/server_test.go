@@ -652,6 +652,27 @@ func TestSubmitLintRejection(t *testing.T) {
 	}
 }
 
+// TestSubmitNegativeBoundsRejected: a negative steps, budgetMs or
+// timeoutMs is refused at admission with a 400, before it becomes a job.
+func TestSubmitNegativeBoundsRejected(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Workers: 1})
+	doc := slxDoc(t, "NEG", "2")
+	for _, req := range []server.SubmitRequest{
+		{Model: doc, Steps: -5},
+		{Model: doc, BudgetMS: -1},
+		{Model: doc, TimeoutMS: -100},
+	} {
+		resp, payload := submit(t, ts, req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(payload), "negative run bound") {
+			t.Errorf("steps %d budgetMs %d timeoutMs %d: %s: %s",
+				req.Steps, req.BudgetMS, req.TimeoutMS, resp.Status, payload)
+		}
+	}
+	if mv := getMetrics(t, ts); mv.Jobs["submitted"] != 0 {
+		t.Errorf("a rejected submission became a job: %+v", mv.Jobs)
+	}
+}
+
 // TestFailedJobReportsError drives a stub runner failure through the job
 // record.
 func TestFailedJobReportsError(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // append-based and in the fixed field order simresult.Decode reads:
 // model, engine, steps, execNanos, outputHash, coverage (withCov only),
 // diagTotal, then the diagnosis and monitor sections that carry
-// anything. Batch lanes pass withCov=false: a batch renders its coverage
-// once, in its header frame.
+// anything. Only a request's last lane passes withCov: the bitmaps hold
+// the OR-merge of every lane, rendered once.
 func (p *Program) Result(steps, execNanos int64, withCov bool) []byte {
 	b := make([]byte, 0, 192+len(p.Model)+p.coverageLen())
 	b = append(b, `{"model":`...)
@@ -43,17 +43,6 @@ func (p *Program) coverageLen() int {
 	enc := base64.StdEncoding
 	return enc.EncodedLen(len(c.Actor)) + enc.EncodedLen(len(c.Cond)) +
 		enc.EncodedLen(len(c.Dec)) + enc.EncodedLen(len(c.MCDC)) + 64
-}
-
-// coverageJSON renders the coverage section of a batch frame (nil when
-// coverage is off). Lanes share the monotone coverage bitmaps (every
-// instrumentation write is an idempotent 1-set), so when a batch ends
-// they already hold the OR-merge of every lane.
-func (p *Program) coverageJSON() []byte {
-	if p.Coverage == nil {
-		return nil
-	}
-	return p.appendCov(make([]byte, 0, p.coverageLen()))
 }
 
 // appendCov appends the coverage object: the four bitmaps in base64.
@@ -239,35 +228,20 @@ func jsonFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// writeFrame emits one response frame and flushes, so the host sees
-// exactly one line per request as soon as the run ends.
-func writeFrame(out *bufio.Writer, id string, result []byte, errMsg string) {
+// writeFrame emits one response frame and flushes: a small header line
+// naming the request id and either the error or the lane count, then
+// one line per lane result, so the host reads the header with
+// encoding/json and hands each lane to simresult.Decode without scanning
+// one giant JSON value.
+func writeFrame(out *bufio.Writer, id string, lanes [][]byte, errMsg string) {
 	out.WriteString(`{"accmosRun":1,"id":`)
 	out.Write(appendStr(nil, id))
 	if errMsg != "" {
 		out.WriteString(`,"error":`)
 		out.Write(appendStr(nil, errMsg))
 	} else {
-		out.WriteString(`,"result":`)
-		out.Write(result)
-	}
-	out.WriteString("}\n")
-	out.Flush()
-}
-
-// writeBatchFrame emits one batch response: a small header frame naming
-// the request id, lane count and the batch's OR-merged coverage, then
-// one line per lane result, so the host can split lanes with cheap line
-// reads and decode them in parallel instead of scanning one giant JSON
-// value.
-func writeBatchFrame(out *bufio.Writer, id string, lanes [][]byte, cov []byte) {
-	out.WriteString(`{"accmosRun":1,"id":`)
-	out.Write(appendStr(nil, id))
-	out.WriteString(`,"laneCount":`)
-	out.WriteString(strconv.Itoa(len(lanes)))
-	if cov != nil {
-		out.WriteString(`,"coverage":`)
-		out.Write(cov)
+		out.WriteString(`,"laneCount":`)
+		out.WriteString(strconv.Itoa(len(lanes)))
 	}
 	out.WriteString("}\n")
 	for _, lane := range lanes {

@@ -1,8 +1,8 @@
 // Package simrt is the model-independent runtime every AccMoS-generated
 // program links: the -steps/-serve entry point, the NDJSON serve loop
-// and its request decoding, batch requests (one generated run per lane,
-// back to back), the response frames, heartbeats, the result document
-// encoder and the signal monitor's sample recorder.
+// and its request decoding, the step loop that drives the model's lanes,
+// the response frames, heartbeats, the result document encoder and the
+// signal monitor's sample recorder.
 //
 // The harness compiles this package once per process into an archive
 // and links every generated program against it, so a build compiles only
@@ -22,24 +22,23 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 )
 
 // Request is one run request: a single NDJSON line on a serve-mode
 // program's stdin. The harness encodes it and the serve loop decodes it.
-// Steps and BudgetMS each bound the run when positive; with both set,
-// whichever is reached first wins, and with neither the program's -steps
-// default applies. Batch set with SeedXors runs one lane per seed, each
-// a full run from a fresh reset, instead of a single run. HeartbeatMS
-// <= 0 disables heartbeats.
+// It runs one lane per seed in SeedXors, each a full run from a fresh
+// reset; a single run is a one-lane request. Steps and BudgetMS each
+// bound every lane when positive; with both set, whichever is reached
+// first wins, and with neither the program's -steps default applies.
+// HeartbeatMS <= 0 disables heartbeats.
 type Request struct {
-	Batch       int      `json:"accmosBatch,omitempty"`
 	ID          string   `json:"id"`
 	Steps       int64    `json:"steps"`
 	BudgetMS    int64    `json:"budgetMs"`
-	SeedXor     uint64   `json:"seedXor"`
-	SeedXors    []uint64 `json:"seedXors,omitempty"`
+	SeedXors    []uint64 `json:"seedXors"`
 	HeartbeatMS int64    `json:"heartbeatMs"`
 	// Corr is the run's correlation ID, carried for log joinability; the
 	// program ignores it.
@@ -92,28 +91,23 @@ type Program struct {
 	// Reset restores every piece of per-run state except coverage to its
 	// fresh-process value for a run with the given seedXor.
 	Reset func(seedXor uint64)
-	// Run steps the model from its current state (see Request for the
-	// bounds) and returns the executed steps and the loop's wall time.
-	// runID tags its heartbeats.
-	Run func(steps, budgetMS int64, heartbeat time.Duration, runID string) (int64, time.Duration)
-
-	// batch is the running batch's heartbeat clock (nil outside a batch).
-	batch *batchClock
+	// Run executes steps from, from+1, ..., to-1 against the current
+	// model state and returns the step after the last one it ran: to, or
+	// earlier when a stop-on diagnosis fires. A stop holds until the next
+	// Reset: Run then returns from at once, so a stop on the last step of
+	// a chunk ends the lane at the next call. The runtime calls it once
+	// per chunk of at most chunkSteps steps.
+	Run func(from, to int64) int64
 }
 
-// batchClock turns the heartbeats of a batch's back-to-back lane runs
-// into the batch's own: steps summed over lanes, elapsed time and
-// throttling on the batch's clock, and one final record after the last
-// lane.
-type batchClock struct {
-	start, next time.Time
-	every       time.Duration
-	steps       int64 // executed by the lanes already finished
-}
+// chunkSteps is the most steps one Run call executes. Between chunks the
+// runtime reads the lane's budget and the request's heartbeat clock, so
+// a chunk is the granularity of both.
+const chunkSteps = 1024
 
 // Main is the program's entry point. With -serve it answers requests on
-// stdin until EOF; otherwise it runs once for -steps steps (defSteps by
-// default) and prints the bare result document.
+// stdin until EOF; otherwise it runs one lane for -steps steps (defSteps
+// by default) and prints its bare result document.
 func (p *Program) Main(defSteps int64) {
 	steps := flag.Int64("steps", defSteps, "simulation steps; without -serve, run once and print the result document")
 	serve := flag.Bool("serve", false, "serve NDJSON run requests from stdin until it closes")
@@ -125,16 +119,16 @@ func (p *Program) Main(defSteps int64) {
 		}
 		return
 	}
-	os.Stdout.Write(append(p.runRequest(&Request{Steps: *steps}, *steps), '\n'))
+	lanes := p.run(&Request{Steps: *steps, SeedXors: []uint64{0}}, *steps)
+	os.Stdout.Write(append(lanes[0], '\n'))
 }
 
 // serve is the -serve mode, the host's only way to run the program: read
 // NDJSON requests from in, run each against freshly reset model state,
-// and answer with one frame per request on out, flushed at once.
-// Heartbeats go to stderr, tagged with the request id. A batch request
-// answers with a laneCount header frame carrying the lanes' OR-merged
-// coverage, followed by one result line per lane. It returns at EOF, or
-// with the error that ended reading.
+// and answer each on out with one frame, flushed at once: a header line
+// naming the request id and lane count (or an error), then one result
+// line per lane. Heartbeats go to stderr, tagged with the request id. It
+// returns at EOF, or with the error that ended reading.
 func (p *Program) serve(in io.Reader, out io.Writer, defSteps int64) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 64*1024), 8*1024*1024)
@@ -149,62 +143,60 @@ func (p *Program) serve(in io.Reader, out io.Writer, defSteps int64) error {
 			writeFrame(w, req.ID, nil, "decoding request: "+err.Error())
 			continue
 		}
-		if req.Batch == 0 {
-			writeFrame(w, req.ID, p.runRequest(&req, defSteps), "")
-			continue
-		}
 		if len(req.SeedXors) == 0 {
-			writeFrame(w, req.ID, nil, "batch request carries no seedXors")
+			writeFrame(w, req.ID, nil, "request carries no seedXors")
 			continue
 		}
-		if req.BudgetMS > 0 {
-			writeFrame(w, req.ID, nil, "batch requests are step-bounded; budgetMs is unsupported")
-			continue
-		}
-		writeBatchFrame(w, req.ID, p.runBatch(&req, defSteps), p.coverageJSON())
+		writeFrame(w, req.ID, p.run(&req, defSteps), "")
 	}
 	return sc.Err()
 }
 
-// runRequest executes one single-run request against freshly reset
-// model state and returns its result document.
-func (p *Program) runRequest(req *Request, defSteps int64) []byte {
-	p.clearCoverage()
-	p.Reset(req.SeedXor)
-	steps := req.Steps
-	if steps <= 0 && req.BudgetMS <= 0 {
-		steps = defSteps
-	}
-	executed, elapsed := p.Run(steps, req.BudgetMS, time.Duration(req.HeartbeatMS)*time.Millisecond, req.ID)
-	return p.Result(executed, elapsed.Nanoseconds(), true)
-}
-
-// runBatch executes a batch request: one run per seed, in order, each
-// from a fresh reset and stepped to the request's bound, returning one
-// result document per lane. Coverage is cleared once, so when the batch
-// ends the bitmaps hold the OR-merge of every lane (instrumentation
-// writes are idempotent 1-sets). A lane's execNanos is its own loop
-// time.
-func (p *Program) runBatch(req *Request, defSteps int64) [][]byte {
-	steps := req.Steps
+// run executes a request: one lane per seed, in order, each from a fresh
+// reset and stepped to the request's bounds, returning one result
+// document per lane. A lane's execNanos is its own loop time. Coverage is
+// cleared once, so when the request ends the bitmaps hold the OR-merge
+// of every lane (instrumentation writes are idempotent 1-sets); the last
+// lane's document carries them. The request heartbeats on one clock:
+// steps summed over its lanes, elapsed time from its start, records no
+// faster than its interval, and one final record after the last lane.
+func (p *Program) run(req *Request, defSteps int64) [][]byte {
+	steps, budget := req.Steps, time.Duration(req.BudgetMS)*time.Millisecond
 	if steps <= 0 {
 		steps = defSteps
+		if budget > 0 {
+			steps = math.MaxInt64 // budget-only
+		}
 	}
-	hb := time.Duration(req.HeartbeatMS) * time.Millisecond
-	now := time.Now()
-	b := &batchClock{start: now, next: now.Add(hb), every: hb}
-	p.batch = b
+	every := time.Duration(req.HeartbeatMS) * time.Millisecond
+	start := time.Now()
+	next := start.Add(every)
+	var done int64 // steps executed by the finished lanes
 	p.clearCoverage()
 	lanes := make([][]byte, len(req.SeedXors))
 	for i, seed := range req.SeedXors {
 		p.Reset(seed)
-		executed, elapsed := p.Run(steps, 0, hb, req.ID)
-		b.steps += executed
-		lanes[i] = p.Result(executed, elapsed.Nanoseconds(), false)
+		laneStart := time.Now()
+		step := int64(0)
+		for step < steps && (budget <= 0 || time.Since(laneStart) < budget) {
+			to := step + min(chunkSteps, steps-step)
+			step = p.Run(step, to)
+			if every > 0 {
+				if now := time.Now(); !now.Before(next) {
+					next = now.Add(every)
+					p.heartbeat(req.ID, done+step, now.Sub(start), false)
+				}
+			}
+			if step < to {
+				break // a stop-on diagnosis fired
+			}
+		}
+		elapsed := time.Since(laneStart)
+		done += step
+		lanes[i] = p.Result(step, elapsed.Nanoseconds(), i == len(lanes)-1)
 	}
-	p.batch = nil
-	if hb > 0 {
-		p.Heartbeat(req.ID, b.steps, time.Since(b.start), true)
+	if every > 0 {
+		p.heartbeat(req.ID, done, time.Since(start), true)
 	}
 	return lanes
 }
@@ -228,24 +220,8 @@ func (p *Program) Collect(slot int, step int64, value string) {
 	}
 }
 
-// Heartbeat writes one NDJSON progress record to stderr; the line is
-// what obs.ParseHeartbeat decodes. runID tags serve-mode heartbeats with
-// the request they belong to. During a batch, steps and elapsed describe
-// the current lane: the record reports the batch's summed steps and
-// elapsed time instead, no more often than the request's heartbeat
-// interval, and a lane's final record is dropped (the batch sends its
-// own after the last lane).
-func (p *Program) Heartbeat(runID string, steps int64, elapsed time.Duration, final bool) {
-	if b := p.batch; b != nil {
-		if final {
-			return
-		}
-		now := time.Now()
-		if now.Before(b.next) {
-			return
-		}
-		b.next = now.Add(b.every)
-		steps, elapsed = b.steps+steps, now.Sub(b.start)
-	}
+// heartbeat writes one NDJSON progress record to stderr; the line is
+// what obs.ParseHeartbeat decodes. runID tags it with its request.
+func (p *Program) heartbeat(runID string, steps int64, elapsed time.Duration, final bool) {
 	os.Stderr.Write(p.appendHeartbeat(nil, runID, steps, elapsed, final))
 }

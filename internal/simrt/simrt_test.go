@@ -3,6 +3,7 @@ package simrt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -69,7 +70,7 @@ func TestJSONFloatNonFinite(t *testing.T) {
 }
 
 // testProgram is a Program over hand-filled state whose Run hook
-// "executes" the requested steps at once and sets a few coverage bits.
+// "executes" each chunk at once and sets a few coverage bits.
 func testProgram() *Program {
 	hash, total := uint64(0xdeadbeefcafe), int64(4)
 	diags := []DiagRecord{
@@ -97,22 +98,23 @@ func testProgram() *Program {
 		p.Collect(0, step, FmtVecF64([]float64{float64(step), 0.5}))
 	}
 	p.Reset = func(uint64) {}
-	p.Run = func(steps, budgetMS int64, hb time.Duration, runID string) (int64, time.Duration) {
+	p.Run = func(from, to int64) int64 {
 		p.Coverage.Actor[0], p.Coverage.Actor[2] = 1, 1
 		p.Coverage.Cond[0], p.Coverage.Cond[1] = 1, 1
-		return steps, time.Millisecond
+		return to
 	}
 	return p
 }
 
 // TestFramesDecodeWithSimresult: the frames the serve loop writes for a
-// single run, a batch and a bad request are what the harness decodes:
-// each result document through simresult.Decode, field for field.
+// one-lane request, a two-lane request and a bad request are what the
+// harness decodes: a header through encoding/json, then each lane's
+// result document through simresult.Decode, field for field.
 func TestFramesDecodeWithSimresult(t *testing.T) {
 	p := testProgram()
 	in := strings.Join([]string{
-		`{"id":"r1","steps":42,"seedXor":5,"corr":"j-1"}`,
-		`{"accmosBatch":1,"id":"r2","steps":8,"seedXors":[1,2]}`,
+		`{"id":"r1","steps":42,"seedXors":[5],"corr":"j-1"}`,
+		`{"id":"r2","steps":8,"seedXors":[1,2]}`,
 		`{"id":"r3","steps":"many"}`,
 	}, "\n") + "\n"
 	var out bytes.Buffer
@@ -120,25 +122,24 @@ func TestFramesDecodeWithSimresult(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("serve wrote %d lines, want 1 + (1+2) + 1:\n%s", len(lines), out.String())
+	if len(lines) != 6 {
+		t.Fatalf("serve wrote %d lines, want (1+1) + (1+2) + 1:\n%s", len(lines), out.String())
 	}
 	var frame struct {
-		ID        string          `json:"id"`
-		Error     string          `json:"error"`
-		Result    json.RawMessage `json:"result"`
-		LaneCount int             `json:"laneCount"`
-		Coverage  json.RawMessage `json:"coverage"`
+		Marker    int    `json:"accmosRun"`
+		ID        string `json:"id"`
+		Error     string `json:"error"`
+		LaneCount int    `json:"laneCount"`
 	}
-	if err := json.Unmarshal([]byte(lines[0]), &frame); err != nil || frame.ID != "r1" {
-		t.Fatalf("single-run frame %s: %v", lines[0], err)
+	if err := json.Unmarshal([]byte(lines[0]), &frame); err != nil || frame.Marker != 1 || frame.ID != "r1" || frame.LaneCount != 1 {
+		t.Fatalf("one-lane header %s: %+v %v", lines[0], frame, err)
 	}
 	var res simresult.Results
-	if err := simresult.Decode(frame.Result, &res); err != nil {
-		t.Fatalf("simresult.Decode(%s): %v", frame.Result, err)
+	if err := simresult.Decode([]byte(lines[1]), &res); err != nil {
+		t.Fatalf("simresult.Decode(%s): %v", lines[1], err)
 	}
 	want := simresult.Results{
-		Model: p.Model, Engine: "AccMoS", Steps: 42, ExecNanos: int64(time.Millisecond),
+		Model: p.Model, Engine: "AccMoS", Steps: 42,
 		OutputHash: 0xdeadbeefcafe, DiagTotal: 4,
 		DiagCounts:  map[string]int64{"M/Div|DivisionByZero": 3, "M/Sum\n\"2\"|WrapOnOverflow": 1},
 		FirstDetect: map[string]int64{"M/Div|DivisionByZero": 3, "M/Sum\n\"2\"|WrapOnOverflow": 9},
@@ -153,29 +154,28 @@ func TestFramesDecodeWithSimresult(t *testing.T) {
 		!bytes.Equal(res.Coverage.Cond, []byte{1, 1}) || len(res.Coverage.Dec) != 0 || !bytes.Equal(res.Coverage.MCDC, []byte{0}) {
 		t.Errorf("coverage decoded as %+v", res.Coverage)
 	}
-	res.Coverage = nil
+	if res.ExecNanos < 0 {
+		t.Errorf("execNanos %d is negative", res.ExecNanos)
+	}
+	res.Coverage, res.ExecNanos = nil, 0
 	if !reflect.DeepEqual(res, want) {
 		t.Errorf("decoded result\n got  %+v\n want %+v", res, want)
 	}
 
-	frame.Result = nil
-	if err := json.Unmarshal([]byte(lines[1]), &frame); err != nil || frame.ID != "r2" || frame.LaneCount != 2 || frame.Result != nil {
-		t.Fatalf("batch header frame %s: %+v %v", lines[1], frame, err)
+	frame.LaneCount = 0
+	if err := json.Unmarshal([]byte(lines[2]), &frame); err != nil || frame.ID != "r2" || frame.LaneCount != 2 {
+		t.Fatalf("two-lane header %s: %+v %v", lines[2], frame, err)
 	}
-	if !json.Valid(frame.Coverage) {
-		t.Errorf("batch coverage %s is not JSON", frame.Coverage)
-	}
-	for _, lane := range lines[2:4] {
+	for i, lane := range lines[3:5] {
 		var r simresult.Results
-		if err := simresult.Decode([]byte(lane), &r); err != nil || r.Steps != 8 || r.Coverage != nil ||
-			r.ExecNanos != int64(time.Millisecond) {
-			t.Errorf("batch lane %s: steps %d, execNanos %d, coverage %v, %v", lane, r.Steps, r.ExecNanos, r.Coverage, err)
+		if err := simresult.Decode([]byte(lane), &r); err != nil || r.Steps != 8 || (r.Coverage != nil) != (i == 1) {
+			t.Errorf("lane %d %s: steps %d, coverage %v, %v", i, lane, r.Steps, r.Coverage, err)
 		}
 	}
 
-	frame.Error = ""
-	if err := json.Unmarshal([]byte(lines[4]), &frame); err != nil || !strings.Contains(frame.Error, "decoding request") {
-		t.Errorf("bad request frame %s: error %q, %v", lines[4], frame.Error, err)
+	frame.Error, frame.LaneCount = "", 0
+	if err := json.Unmarshal([]byte(lines[5]), &frame); err != nil || !strings.Contains(frame.Error, "decoding request") || frame.LaneCount != 0 {
+		t.Errorf("bad request frame %s: %+v, %v", lines[5], frame, err)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestFramesDecodeWithSimresult(t *testing.T) {
 // reads back, including a model name JSON must escape.
 func TestHeartbeatParsesWithObs(t *testing.T) {
 	p := testProgram()
-	p.Run(1, 0, 0, "")
+	p.Run(0, 1)
 	line := p.appendHeartbeat(nil, "r7", 5000, 2*time.Second, true)
 	if !bytes.HasSuffix(line, []byte("\n")) || bytes.Count(line, []byte("\n")) != 1 {
 		t.Fatalf("heartbeat is not one line: %q", line)
@@ -249,14 +249,17 @@ func TestServeReportsReadError(t *testing.T) {
 
 // laneProgram is a Program whose hooks stand in for a generated model
 // and log every call. Reset sets the premark bit Actor[0], as modelInit
-// does for bits the optimizer proved statically. Run marks Actor[seed]
-// and executes 10*seed steps (capped by the bound) in five slices,
-// heartbeating after each one and once more, final, at the end, the way
-// runSim does.
+// does for bits the optimizer proved statically. Run marks Actor[seed],
+// sleeps delay, and stops the lane of a seed listed in stopAt after that
+// many steps, the way a stop-on diagnosis ends modelRun early. As in a
+// generated program, the stop holds until the next Reset.
 type laneProgram struct {
 	*Program
-	log  []string
-	seed uint64
+	log     []string
+	seed    uint64
+	stopAt  map[uint64]int64
+	stopped bool
+	delay   time.Duration
 }
 
 func newLaneProgram() *laneProgram {
@@ -270,26 +273,24 @@ func newLaneProgram() *laneProgram {
 	lp.Reset = func(seed uint64) {
 		lp.log = append(lp.log, "reset "+strconv.FormatUint(seed, 10))
 		lp.seed = seed
+		lp.stopped = false
 		lp.Coverage.Actor[0] = 1
 	}
-	lp.Run = func(steps, budgetMS int64, hb time.Duration, runID string) (int64, time.Duration) {
-		lp.log = append(lp.log, "run "+strconv.FormatUint(lp.seed, 10))
+	lp.Run = func(from, to int64) int64 {
+		if len(lp.log) > 1000 {
+			panic("the runtime keeps calling Run: a lane never ends")
+		}
+		lp.log = append(lp.log, fmt.Sprintf("run %d [%d,%d)", lp.seed, from, to))
+		if lp.stopped {
+			return from
+		}
 		lp.Coverage.Actor[lp.seed] = 1
-		n := min(steps, 10*int64(lp.seed))
-		start := time.Now()
-		for k := int64(1); k <= 5; k++ {
-			if hb > 0 {
-				time.Sleep(time.Millisecond)
-				lp.Heartbeat(runID, n*k/5, time.Since(start), false)
-			}
+		time.Sleep(lp.delay)
+		if stop, ok := lp.stopAt[lp.seed]; ok && stop <= to {
+			lp.stopped = true
+			return stop
 		}
-		if hb > 0 {
-			// A full interval later, so only the batch can hold the
-			// lane's final record back.
-			time.Sleep(hb)
-			lp.Heartbeat(runID, n, time.Since(start), true)
-		}
-		return n, time.Since(start)
+		return to
 	}
 	return lp
 }
@@ -305,77 +306,190 @@ func serveLines(t *testing.T, p *Program, reqs ...string) []string {
 	return strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 }
 
-// TestBatchResetsEachLaneInSeedOrder: a batch runs its lanes back to
+// laneResults decodes the lanes of the one response frame in lines,
+// checking its header.
+func laneResults(t *testing.T, lines []string) []simresult.Results {
+	t.Helper()
+	var h struct{ LaneCount int }
+	if err := json.Unmarshal([]byte(lines[0]), &h); err != nil || h.LaneCount != len(lines)-1 {
+		t.Fatalf("header %s announces %d lanes, %d follow (%v)", lines[0], h.LaneCount, len(lines)-1, err)
+	}
+	out := make([]simresult.Results, len(lines)-1)
+	for i, lane := range lines[1:] {
+		if err := simresult.Decode([]byte(lane), &out[i]); err != nil {
+			t.Fatalf("lane %d %s: %v", i, lane, err)
+		}
+	}
+	return out
+}
+
+// TestBatchResetsEachLaneInSeedOrder: a request runs its lanes back to
 // back, each from its own reset, in the request's seed order, and
 // answers with the lanes in that order.
 func TestBatchResetsEachLaneInSeedOrder(t *testing.T) {
 	lp := newLaneProgram()
-	lines := serveLines(t, lp.Program, `{"accmosBatch":1,"id":"b","steps":25,"seedXors":[3,1,2]}`)
-	want := []string{"reset 3", "run 3", "reset 1", "run 1", "reset 2", "run 2"}
+	lp.stopAt = map[uint64]int64{1: 10, 2: 20}
+	lanes := laneResults(t, serveLines(t, lp.Program, `{"id":"b","steps":25,"seedXors":[3,1,2]}`))
+	want := []string{"reset 3", "run 3 [0,25)", "reset 1", "run 1 [0,25)", "reset 2", "run 2 [0,25)"}
 	if !reflect.DeepEqual(lp.log, want) {
 		t.Errorf("hook calls %v, want %v", lp.log, want)
 	}
-	if len(lines) != 4 {
-		t.Fatalf("batch wrote %d lines, want a header and 3 lanes", len(lines))
-	}
 	for i, steps := range []int64{25, 10, 20} {
-		var r simresult.Results
-		if err := simresult.Decode([]byte(lines[1+i]), &r); err != nil || r.Steps != steps {
-			t.Errorf("lane %d: %s (%v), want %d steps", i, lines[1+i], err, steps)
+		if lanes[i].Steps != steps {
+			t.Errorf("lane %d ran %d steps, want %d", i, lanes[i].Steps, steps)
+		}
+	}
+}
+
+// TestRunChunkBoundaries: the runtime steps a lane through the Run hook
+// in chunks of 1024 steps, the last one cut at the step bound.
+func TestRunChunkBoundaries(t *testing.T) {
+	lp := newLaneProgram()
+	lanes := laneResults(t, serveLines(t, lp.Program, `{"id":"c","steps":2500,"seedXors":[1]}`))
+	want := []string{"reset 1", "run 1 [0,1024)", "run 1 [1024,2048)", "run 1 [2048,2500)"}
+	if !reflect.DeepEqual(lp.log, want) {
+		t.Errorf("hook calls %v, want %v", lp.log, want)
+	}
+	if lanes[0].Steps != 2500 {
+		t.Errorf("lane ran %d steps, want 2500", lanes[0].Steps)
+	}
+}
+
+// TestStopMidChunkEndsLane: when Run returns before the end of its chunk
+// (a stop-on diagnosis fired) the lane ends at the step it returned, and
+// the next lane runs in full.
+func TestStopMidChunkEndsLane(t *testing.T) {
+	lp := newLaneProgram()
+	lp.stopAt = map[uint64]int64{1: 1500}
+	lanes := laneResults(t, serveLines(t, lp.Program, `{"id":"s","steps":2500,"seedXors":[1,2]}`))
+	want := []string{
+		"reset 1", "run 1 [0,1024)", "run 1 [1024,2048)",
+		"reset 2", "run 2 [0,1024)", "run 2 [1024,2048)", "run 2 [2048,2500)",
+	}
+	if !reflect.DeepEqual(lp.log, want) {
+		t.Errorf("hook calls %v, want %v", lp.log, want)
+	}
+	if lanes[0].Steps != 1500 || lanes[1].Steps != 2500 {
+		t.Errorf("lanes ran %d and %d steps, want 1500 and 2500", lanes[0].Steps, lanes[1].Steps)
+	}
+}
+
+// TestStopOnChunkEndEndsLane: a stop on the last step of a chunk leaves
+// Run returning the chunk's end, so the runtime calls it once more; that
+// call runs nothing and ends the lane at the stop.
+func TestStopOnChunkEndEndsLane(t *testing.T) {
+	lp := newLaneProgram()
+	lp.stopAt = map[uint64]int64{1: 1024}
+	lanes := laneResults(t, serveLines(t, lp.Program, `{"id":"e","steps":2500,"seedXors":[1,2]}`))
+	want := []string{
+		"reset 1", "run 1 [0,1024)", "run 1 [1024,2048)",
+		"reset 2", "run 2 [0,1024)", "run 2 [1024,2048)", "run 2 [2048,2500)",
+	}
+	if !reflect.DeepEqual(lp.log, want) {
+		t.Errorf("hook calls %v, want %v", lp.log, want)
+	}
+	if lanes[0].Steps != 1024 || lanes[1].Steps != 2500 {
+		t.Errorf("lanes ran %d and %d steps, want 1024 and 2500", lanes[0].Steps, lanes[1].Steps)
+	}
+}
+
+// TestBudgetLanesInOneRequest: a budget bounds every lane of a multi-lane
+// request on the lane's own clock, read before each chunk. Budget-only
+// lanes end on a chunk boundary after at least one chunk; with a step
+// bound too, whichever is reached first ends the lane.
+func TestBudgetLanesInOneRequest(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	// A chunk takes at least delay, so a 10 ms budget admits at most 5.
+	for _, c := range []struct {
+		req       string
+		exact     int64 // 0: ended by the budget
+		wantCalls int
+	}{
+		{`{"id":"b","budgetMs":10,"seedXors":[1,2,3]}`, 0, 0},
+		{`{"id":"sb","steps":1000000000,"budgetMs":10,"seedXors":[1,2,3]}`, 0, 0},
+		{`{"id":"s","steps":3000,"budgetMs":5000,"seedXors":[1,2,3]}`, 3000, 3 * (1 + 3)},
+	} {
+		lp := newLaneProgram()
+		lp.delay = delay
+		lanes := laneResults(t, serveLines(t, lp.Program, c.req))
+		for i, r := range lanes {
+			switch {
+			case c.exact > 0 && r.Steps != c.exact:
+				t.Errorf("%s: lane %d ran %d steps, want the step bound %d", c.req, i, r.Steps, c.exact)
+			case c.exact == 0 && (r.Steps < 1024 || r.Steps > 5*1024 || r.Steps%1024 != 0):
+				t.Errorf("%s: lane %d ran %d steps, want 1 to 5 whole chunks", c.req, i, r.Steps)
+			}
+		}
+		if c.wantCalls > 0 && len(lp.log) != c.wantCalls {
+			t.Errorf("%s: hook calls %v", c.req, lp.log)
+		}
+	}
+}
+
+// TestEmptySeedXorsErrorFrame: a request without seeds runs nothing and
+// answers with an error frame and no lanes.
+func TestEmptySeedXorsErrorFrame(t *testing.T) {
+	lp := newLaneProgram()
+	lines := serveLines(t, lp.Program, `{"id":"e","steps":5}`, `{"id":"f","steps":5,"seedXors":[]}`)
+	if len(lines) != 2 || len(lp.log) != 0 {
+		t.Fatalf("serve wrote %q and called %v", lines, lp.log)
+	}
+	for i, id := range []string{"e", "f"} {
+		var h struct {
+			ID, Error string
+			LaneCount int
+		}
+		if err := json.Unmarshal([]byte(lines[i]), &h); err != nil || h.ID != id ||
+			!strings.Contains(h.Error, "no seedXors") || h.LaneCount != 0 {
+			t.Errorf("frame %s: %+v %v", lines[i], h, err)
 		}
 	}
 }
 
 // TestCoverageClearedOncePerRequest: the runtime clears coverage once per
-// request, before the first reset. A batch's header carries every lane's
-// bits, a single run served after it carries only its own, and the
-// premark bits Reset sets survive the clear.
+// request, before the first reset. Only the last lane of a request
+// carries coverage, and it holds every lane's bits; a one-lane request
+// served after it carries only its own, and the premark bits Reset sets
+// survive the clear.
 func TestCoverageClearedOncePerRequest(t *testing.T) {
 	lp := newLaneProgram()
 	lines := serveLines(t, lp.Program,
-		`{"accmosBatch":1,"id":"b1","steps":100,"seedXors":[3,1]}`,
-		`{"id":"s","steps":100,"seedXor":5}`,
-		`{"accmosBatch":1,"id":"b2","steps":100,"seedXors":[2]}`,
+		`{"id":"b1","steps":100,"seedXors":[3,1]}`,
+		`{"id":"s","steps":100,"seedXors":[5]}`,
+		`{"id":"b2","steps":100,"seedXors":[2]}`,
 	)
-	if len(lines) != 3+1+2 {
+	if len(lines) != 3+2+2 {
 		t.Fatalf("serve wrote %d lines:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
-	var b1, b2 struct{ Coverage coverage.Raw }
-	var single struct{ Result json.RawMessage }
-	for _, f := range []struct {
-		line string
-		into any
-	}{{lines[0], &b1}, {lines[3], &single}, {lines[4], &b2}} {
-		if err := json.Unmarshal([]byte(f.line), f.into); err != nil {
-			t.Fatalf("frame %s: %v", f.line, err)
-		}
-	}
-	var s simresult.Results
-	if err := simresult.Decode(single.Result, &s); err != nil || s.Coverage == nil {
-		t.Fatalf("single-run result %s: %v", single.Result, err)
+	b1, s, b2 := laneResults(t, lines[0:3]), laneResults(t, lines[3:5]), laneResults(t, lines[5:7])
+	if b1[0].Coverage != nil {
+		t.Errorf("lane 0 of 2 carries coverage %+v", b1[0].Coverage)
 	}
 	for _, c := range []struct {
 		name string
-		got  []byte
+		cov  *coverage.Raw
 		want []byte
 	}{
-		{"batch [3 1]", b1.Coverage.Actor, []byte{1, 1, 0, 1, 0, 0, 0, 0}},
-		{"single run 5 after it", s.Coverage.Actor, []byte{1, 0, 0, 0, 0, 1, 0, 0}},
-		{"batch [2] after that", b2.Coverage.Actor, []byte{1, 0, 1, 0, 0, 0, 0, 0}},
+		{"request [3 1]", b1[1].Coverage, []byte{1, 1, 0, 1, 0, 0, 0, 0}},
+		{"request [5] after it", s[0].Coverage, []byte{1, 0, 0, 0, 0, 1, 0, 0}},
+		{"request [2] after that", b2[0].Coverage, []byte{1, 0, 1, 0, 0, 0, 0, 0}},
 	} {
-		if !bytes.Equal(c.got, c.want) {
-			t.Errorf("%s: actor coverage %v, want %v", c.name, c.got, c.want)
+		if c.cov == nil || !bytes.Equal(c.cov.Actor, c.want) {
+			t.Errorf("%s: last lane's coverage %+v, want actor bits %v", c.name, c.cov, c.want)
 		}
 	}
 }
 
-// TestBatchHeartbeatContract: a batch heartbeats as one run. Steps sum
-// over lanes and never decrease, records come no faster than the
-// request's interval on the batch's clock, and exactly one final record
-// comes last, carrying the sum of the lanes' steps.
+// TestBatchHeartbeatContract: a request heartbeats on one clock. Steps
+// sum over lanes and never decrease, elapsed time runs from the
+// request's start, records come no faster than the request's interval,
+// and exactly one final record comes last, carrying the sum of the
+// lanes' steps.
 func TestBatchHeartbeatContract(t *testing.T) {
 	const hbMS = 2
 	lp := newLaneProgram()
+	lp.delay = time.Millisecond
+	lp.stopAt = map[uint64]int64{1: 2100}
 	f, err := os.CreateTemp(t.TempDir(), "stderr")
 	if err != nil {
 		t.Fatal(err)
@@ -383,10 +497,12 @@ func TestBatchHeartbeatContract(t *testing.T) {
 	defer f.Close()
 	stderr := os.Stderr
 	os.Stderr = f
-	lines := serveLines(t, lp.Program, `{"accmosBatch":1,"id":"hb","steps":25,"seedXors":[3,1,2],"heartbeatMs":2}`)
+	lines := serveLines(t, lp.Program, `{"id":"hb","steps":5000,"seedXors":[3,1,2],"heartbeatMs":2}`)
 	os.Stderr = stderr
-	if len(lines) != 4 {
-		t.Fatalf("batch wrote %d lines, want 4", len(lines))
+	lanes := laneResults(t, lines)
+	var laneNanos int64
+	for _, r := range lanes {
+		laneNanos += r.ExecNanos
 	}
 	data, err := os.ReadFile(f.Name())
 	if err != nil {
@@ -396,7 +512,7 @@ func TestBatchHeartbeatContract(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
 		s, ok := obs.ParseHeartbeat([]byte(line))
 		if !ok || s.Run != "hb" {
-			t.Fatalf("stderr line %q is not a heartbeat of the batch", line)
+			t.Fatalf("stderr line %q is not a heartbeat of the request", line)
 		}
 		beats = append(beats, s)
 	}
@@ -404,8 +520,12 @@ func TestBatchHeartbeatContract(t *testing.T) {
 		t.Fatalf("%d heartbeats; the contract is not exercised", len(beats))
 	}
 	last := beats[len(beats)-1]
-	if !last.Final || last.Steps != 25+10+20 {
-		t.Errorf("last heartbeat %+v, want the final one with %d steps", last, 25+10+20)
+	if !last.Final || last.Steps != 5000+2100+5000 {
+		t.Errorf("last heartbeat %+v, want the final one with %d steps", last, 5000+2100+5000)
+	}
+	if last.ElapsedNanos < laneNanos {
+		t.Errorf("final heartbeat at %v, before the lanes' summed loop time %v: not the request's clock",
+			time.Duration(last.ElapsedNanos), time.Duration(laneNanos))
 	}
 	var prev obs.Snapshot
 	for i, s := range beats {

@@ -221,8 +221,8 @@ func EmitGo(s *Source, prefix string) (globals, inits []string, expr string) {
 	case Uniform:
 		sv := prefix + "_seed"
 		globals = []string{fmt.Sprintf("var %s uint64", sv)}
-		// seedXor is the generated program's -seed-xor flag: sweeping it
-		// reruns the same binary over fresh random suites.
+		// seedXor is the run request's seed, which modelReset sets:
+		// sweeping it reruns the same binary over fresh random suites.
 		inits = []string{fmt.Sprintf("%s = %d ^ seedXor", sv, s.Seed)}
 		// The advance must happen inside the loop; emit a helper function
 		// so the expression stays self-contained.
