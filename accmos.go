@@ -463,6 +463,9 @@ func Lint(m *Model) ([]LintFinding, error) {
 // GenerateSource returns the instrumented simulation program AccMoS
 // generates for m, without compiling it — useful for inspection.
 func GenerateSource(m *Model, opts Options) (string, error) {
+	if err := opts.begin(); err != nil {
+		return "", err
+	}
 	prog, _, err := generate(m, &opts)
 	if err != nil {
 		return "", err
@@ -478,6 +481,9 @@ func GenerateSource(m *Model, opts Options) (string, error) {
 // coverage on (exactly as Sweep does), so pass the options the job will
 // actually run with.
 func ProgramHash(m *Model, opts Options) (string, error) {
+	if err := opts.begin(); err != nil {
+		return "", err
+	}
 	prog, _, err := generate(m, &opts)
 	if err != nil {
 		return "", err
@@ -492,20 +498,21 @@ func generate(m *Model, opts *Options) (*codegen.Program, *opt.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	prog, err := codegen.Generate(or.Compiled, codegenOptions(*opts, tcs, or))
+	co := codegenOptions(*opts, tcs)
+	co.Layout, co.Premark, co.Plan = or.Layout, or.Premark, or.Plan
+	prog, err := codegen.Generate(or.Compiled, co)
 	if err != nil {
 		return nil, nil, err
 	}
 	return prog, or, nil
 }
 
-// prepare validates the run bounds, compiles the model, fills the
-// test-case default, and runs the optimizing middle-end. Every entry
-// point — all four engines and source generation — consumes the returned
-// opt.Result, so one pass pipeline accelerates every execution path.
-func prepare(m *Model, opts *Options) (*opt.Result, *TestCases, error) {
+// begin validates the run bounds and stamps the run's correlation ID on
+// its telemetry. Every public entry point calls it once, before the front
+// end runs or is skipped.
+func (opts *Options) begin() error {
 	if opts.Steps < 0 || opts.Budget < 0 {
-		return nil, nil, fmt.Errorf("accmos: negative run bound (Steps %d, Budget %v)", opts.Steps, opts.Budget)
+		return fmt.Errorf("accmos: negative run bound (Steps %d, Budget %v)", opts.Steps, opts.Budget)
 	}
 	if opts.RunID != "" {
 		// Stamp the correlation ID everywhere this call emits telemetry:
@@ -522,6 +529,14 @@ func prepare(m *Model, opts *Options) (*opt.Result, *TestCases, error) {
 			}
 		}
 	}
+	return nil
+}
+
+// prepare compiles the model, fills the test-case default, and runs the
+// optimizing middle-end. Every entry point — all four engines and source
+// generation — consumes the returned opt.Result, so one pass pipeline
+// accelerates every execution path.
+func prepare(m *Model, opts *Options) (*opt.Result, *TestCases, error) {
 	sp := opts.Trace.Start("schedule")
 	c, err := actors.Compile(m)
 	sp.End()
@@ -533,15 +548,7 @@ func prepare(m *Model, opts *Options) (*opt.Result, *TestCases, error) {
 		tcs = testcase.NewRandomSet(len(c.Inports), 1, -1, 1)
 	}
 	osp := opts.Trace.Start("optimize")
-	or, err := opt.Optimize(c, opt.Options{
-		Level:       opts.OptLevel.level(),
-		Coverage:    opts.Coverage,
-		Diagnose:    opts.Diagnose,
-		Monitor:     opts.Monitor,
-		Custom:      opts.Custom,
-		StopOnActor: opts.StopOnActor,
-		Trace:       opts.Trace,
-	})
+	or, err := opt.Optimize(c, optOptions(*opts))
 	osp.End()
 	if err != nil {
 		return nil, nil, err
@@ -563,7 +570,23 @@ func optStats(opts *Options, or *opt.Result) *OptStats {
 	}
 }
 
-func codegenOptions(opts Options, tcs *TestCases, or *opt.Result) codegen.Options {
+// optOptions maps the facade options onto the optimizer's.
+func optOptions(opts Options) opt.Options {
+	return opt.Options{
+		Level:       opts.OptLevel.level(),
+		Coverage:    opts.Coverage,
+		Diagnose:    opts.Diagnose,
+		Monitor:     opts.Monitor,
+		Custom:      opts.Custom,
+		StopOnActor: opts.StopOnActor,
+		Trace:       opts.Trace,
+	}
+}
+
+// codegenOptions maps the facade options onto the code generator's. The
+// fields the optimizer derives (Layout, Premark, Plan) are left for
+// generate to fill.
+func codegenOptions(opts Options, tcs *TestCases) codegen.Options {
 	return codegen.Options{
 		Coverage:          opts.Coverage,
 		Diagnose:          opts.Diagnose,
@@ -574,10 +597,7 @@ func codegenOptions(opts Options, tcs *TestCases, or *opt.Result) codegen.Option
 		StopOnActor:       opts.StopOnActor,
 		TestCases:         tcs,
 		Trace:             opts.Trace,
-		Layout:            or.Layout,
-		Premark:           or.Premark,
 		Opt:               opts.OptLevel.String(),
-		Plan:              or.Plan,
 		DefaultSteps:      opts.Steps, // 0 bakes in codegen's 1000
 	}
 }
@@ -661,7 +681,7 @@ func SweepContext(ctx context.Context, m *Model, opts Options, seedXors []uint64
 	if err != nil {
 		return nil, err
 	}
-	sw := &SweepResult{layout: x.prog.Layout}
+	sw := &SweepResult{layout: x.layout}
 	sw.Runs, sw.merged, err = x.execute(ctx, seedXors, !opts.DisableBatch && opts.Budget == 0)
 	return sw, err
 }
@@ -671,31 +691,57 @@ type executor struct {
 	opts        *Options
 	model       string
 	suites      bool // tag runs with their 1-based suite index (sweeps)
-	or          *opt.Result
-	prog        *codegen.Program
+	hash        string
+	layout      *coverage.Layout
+	stats       *OptStats
 	bin         string
 	compileTime time.Duration
 	cacheHit    bool
 }
 
-// newExecutor generates and builds the program for m under opts.
+// newExecutor gets the built program for m under opts. Inputs the cache's
+// front-end memo has seen (same model structure, options and test cases)
+// reuse the remembered program and its binary; new inputs go through the
+// front end and Build, and are remembered. A "frontend" span with a memo
+// attribute records which path ran; on a miss it holds the
+// schedule/optimize/instrument/generate spans.
 func newExecutor(m *Model, opts *Options, suites bool) (*executor, error) {
-	prog, or, err := generate(m, opts)
-	if err != nil {
+	if err := opts.begin(); err != nil {
 		return nil, err
 	}
 	cache := opts.Cache
 	if cache == nil {
 		cache = harness.DefaultCache
 	}
-	bin, compileTime, hit, err := cache.Build(prog, opts.Trace)
+	fp := m.Fingerprint()
+	oo, co := optOptions(*opts), codegenOptions(*opts, opts.TestCases)
+	digest := inputDigest(fp, &oo, &co)
+	x := &executor{opts: opts, model: m.Name, suites: suites}
+
+	sp := opts.Trace.Start("frontend")
+	if fr, bin, compileTime, ok := cache.Recall(digest); ok {
+		sp.Set("memo", "hit")
+		sp.End()
+		// The binary came from the cache: keep the traced pipeline's
+		// one-compile-per-run shape, as a Build hit does.
+		opts.Trace.Start("compile").End()
+		x.hash, x.layout, x.stats = fr.Hash, fr.Layout, fr.Opt.(*OptStats)
+		x.bin, x.compileTime, x.cacheHit = bin, compileTime, true
+		return x, nil
+	}
+	sp.Set("memo", "miss")
+	prog, or, err := generate(m, opts)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return &executor{
-		opts: opts, model: m.Name, suites: suites, or: or, prog: prog,
-		bin: bin, compileTime: compileTime, cacheHit: hit,
-	}, nil
+	x.bin, x.compileTime, x.cacheHit, err = cache.Build(prog, opts.Trace)
+	if err != nil {
+		return nil, err
+	}
+	x.hash, x.layout, x.stats = prog.Hash(), prog.Layout, optStats(opts, or)
+	cache.Remember(digest, &harness.Front{Model: fp, Hash: x.hash, Layout: x.layout, Opt: x.stats})
+	return x, nil
 }
 
 // minBatchLanes is the smallest batch the executor forms when the seed
@@ -730,7 +776,7 @@ func (x *executor) execute(ctx context.Context, seedXors []uint64, lanes bool) (
 	}
 
 	runs := make([]*Result, n)
-	merged := x.prog.Layout.NewRaw()
+	merged := x.layout.NewRaw()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -767,10 +813,11 @@ func (x *executor) execute(ctx context.Context, seedXors []uint64, lanes bool) (
 						err = merged.Merge(r.Coverage)
 					}
 					r.CompileNanos = x.compileTime.Nanoseconds()
+					stats := *x.stats
 					runs[lo+j] = &Result{
-						Results: r, layout: x.prog.Layout, CacheHit: x.cacheHit,
-						WorkerReuse: reused, Batched: lanes, Opt: optStats(x.opts, x.or),
-						ArtifactHash: x.prog.Hash(),
+						Results: r, layout: x.layout, CacheHit: x.cacheHit,
+						WorkerReuse: reused, Batched: lanes, Opt: &stats,
+						ArtifactHash: x.hash,
 					}
 				}
 				// Lanes share the batch's monotone bitmaps, so a batch
@@ -899,6 +946,9 @@ type engine interface {
 // prepared options; the layout it returns (nil without coverage) backs
 // Result.CoverageReport.
 func runInProcess(m *Model, opts Options, newEngine func(*opt.Result, *Options) (engine, *coverage.Layout, error)) (*Result, error) {
+	if err := opts.begin(); err != nil {
+		return nil, err
+	}
 	or, tcs, err := prepare(m, &opts)
 	if err != nil {
 		return nil, err

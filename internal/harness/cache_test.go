@@ -251,3 +251,121 @@ func TestBuildCacheRemoveResetsEntriesKeepsCounters(t *testing.T) {
 		t.Errorf("counters should survive Remove: %+v", st)
 	}
 }
+
+func TestBuildCacheFrontMemo(t *testing.T) {
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	digest := [32]byte{1}
+	if _, _, _, ok := cache.Recall(digest); ok {
+		t.Fatal("recall of an unknown digest hit")
+	}
+	p := cacheProgram(t, 100)
+	fr := &harness.Front{Model: [32]byte{9}, Hash: p.Hash(), Layout: p.Layout, Opt: "stats"}
+	// A record whose binary is not resident is not kept.
+	cache.Remember(digest, fr)
+	if _, _, _, ok := cache.Recall(digest); ok {
+		t.Fatal("recall served a record whose binary was never built")
+	}
+	bin, ct, _, err := cache.Build(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Remember(digest, fr)
+	got, gotBin, gotCT, ok := cache.Recall(digest)
+	if !ok || got != fr || gotBin != bin || gotCT != ct {
+		t.Fatalf("recall = %+v %q %v %v, want the remembered record, %q, %v", got, gotBin, gotCT, ok, bin, ct)
+	}
+	// A swept-away binary turns the record into a miss.
+	os.Remove(bin)
+	if _, _, _, ok := cache.Recall(digest); ok {
+		t.Fatal("recall served a deleted binary")
+	}
+	st := cache.Stats()
+	if st.FrontHits != 1 || st.FrontMisses != 3 || st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 1 front hit, 3 front misses, 1 hit, 1 miss", st)
+	}
+}
+
+func TestBuildCacheAdmitMemo(t *testing.T) {
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	var calls int
+	admit := func() (any, [32]byte) {
+		calls++
+		return calls, [32]byte{}
+	}
+	v1, hit1 := cache.Admit([]byte("doc"), admit)
+	v2, hit2 := cache.Admit([]byte("doc"), admit)
+	v3, hit3 := cache.Admit([]byte("other"), admit)
+	if calls != 2 || v1 != 1 || v2 != 1 || v3 != 2 || hit1 || !hit2 || hit3 {
+		t.Fatalf("calls %d, verdicts %v/%v/%v, hits %v/%v/%v", calls, v1, v2, v3, hit1, hit2, hit3)
+	}
+	if st := cache.Stats(); st.AdmitHits != 1 || st.AdmitMisses != 2 {
+		t.Errorf("stats = %+v, want 1 admit hit, 2 admit misses", st)
+	}
+}
+
+func TestBuildCacheAdmitSingleFlight(t *testing.T) {
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	var (
+		mu    sync.Mutex
+		calls int
+		wg    sync.WaitGroup
+	)
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = cache.Admit([]byte("doc"), func() (any, [32]byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				return new(int), [32]byte{}
+			})
+		}(i)
+	}
+	wg.Wait()
+	if calls != 1 {
+		t.Fatalf("admit ran %d times for one document", calls)
+	}
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatal("concurrent submissions got different verdicts")
+		}
+	}
+}
+
+// Both memos hold at most limit records, and evicting a binary drops the
+// front-end records naming it and the admission verdicts of their model.
+func TestBuildCacheMemosEvictWithBinary(t *testing.T) {
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	cache.SetLimit(1)
+	model := [32]byte{7}
+	cache.Admit([]byte("doc"), func() (any, [32]byte) { return "ok", model })
+	p1 := cacheProgram(t, 100)
+	if _, _, _, err := cache.Build(p1, nil); err != nil {
+		t.Fatal(err)
+	}
+	cache.Remember([32]byte{1}, &harness.Front{Model: model, Hash: p1.Hash()})
+	if _, _, _, ok := cache.Recall([32]byte{1}); !ok {
+		t.Fatal("remembered record missed")
+	}
+	// A second binary evicts the first under the limit of one.
+	if _, _, _, err := cache.Build(cacheProgram(t, 200), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := cache.Recall([32]byte{1}); ok {
+		t.Error("front-end record outlived its evicted binary")
+	}
+	if _, hit := cache.Admit([]byte("doc"), func() (any, [32]byte) { return "again", model }); hit {
+		t.Error("admission verdict outlived the evicted binary built from its model")
+	}
+	// The admission memo is bounded by the same limit.
+	cache.Admit([]byte("doc2"), func() (any, [32]byte) { return "ok", [32]byte{} })
+	if _, hit := cache.Admit([]byte("doc"), func() (any, [32]byte) { return "ok", model }); hit {
+		t.Error("admission memo kept two verdicts under a limit of one")
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -24,6 +25,8 @@ type Span struct {
 	StartNanos int64   `json:"startNanos"`
 	EndNanos   int64   `json:"endNanos"`
 	Children   []*Span `json:"children,omitempty"`
+	// Attrs qualifies the phase (e.g. memo=hit on a "frontend" span).
+	Attrs map[string]string `json:"attrs,omitempty"`
 
 	tracer *Tracer
 }
@@ -43,6 +46,19 @@ func (s *Span) End() {
 		return
 	}
 	s.tracer.end(s)
+}
+
+// Set attaches an attribute to the span. Nil-safe like End.
+func (s *Span) Set(key, value string) {
+	if s == nil || s.tracer == nil {
+		return
+	}
+	s.tracer.mu.Lock()
+	defer s.tracer.mu.Unlock()
+	if s.Attrs == nil {
+		s.Attrs = make(map[string]string)
+	}
+	s.Attrs[key] = value
 }
 
 // Tracer records a tree of phase spans. The zero value is not usable; a
@@ -150,13 +166,23 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 }
 
 // Summary renders the span tree as indented human-readable lines
-// ("schedule 1.2ms", nested phases indented beneath their parent).
+// ("schedule 1.2ms", nested phases indented beneath their parent, each
+// followed by its attributes in key order).
 func (t *Tracer) Summary() string {
 	var sb strings.Builder
 	var walk func(spans []*Span, depth int)
 	walk = func(spans []*Span, depth int) {
 		for _, s := range spans {
-			fmt.Fprintf(&sb, "%s%-12s %v\n", strings.Repeat("  ", depth), s.Name, s.Duration())
+			fmt.Fprintf(&sb, "%s%-12s %v", strings.Repeat("  ", depth), s.Name, s.Duration())
+			keys := make([]string, 0, len(s.Attrs))
+			for k := range s.Attrs {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				fmt.Fprintf(&sb, " %s=%s", k, s.Attrs[k])
+			}
+			sb.WriteByte('\n')
 			walk(s.Children, depth+1)
 		}
 	}

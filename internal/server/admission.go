@@ -20,12 +20,17 @@ type AdmissionError struct {
 func (e *AdmissionError) Error() string { return e.Msg }
 
 // SpecFromRequest validates a submission and builds the runnable JobSpec:
-// reject negative run bounds, parse, elaborate, lint-gate, then map the
-// wire fields onto the spec
-// with the daemon's defaults (opt level, heartbeat) and the job-timeout
-// clamp applied. The returned findings are the full advisory list
-// recorded on the job.
-func SpecFromRequest(req SubmitRequest, defaultOpt accmos.OptLevel, jobTimeout time.Duration) (JobSpec, []lint.Finding, error) {
+// reject negative run bounds, admit the model document (parse, elaborate,
+// lint-gate), then map the wire fields onto the spec with the daemon's
+// defaults (opt level, heartbeat) and the job-timeout clamp applied. The
+// returned findings are the full advisory list recorded on the job.
+//
+// The document's admission verdict is memoised in cache under the
+// document's SHA-256, so a repeat submission skips parse, elaboration and
+// lint and its job shares the first submission's model, which every
+// stage downstream only reads. A rejected document is rejected the same
+// way again.
+func SpecFromRequest(cache *accmos.BuildCache, req SubmitRequest, defaultOpt accmos.OptLevel, jobTimeout time.Duration) (JobSpec, []lint.Finding, error) {
 	if req.Model == "" {
 		return JobSpec{}, nil, &AdmissionError{Msg: "submission has no model document"}
 	}
@@ -33,21 +38,19 @@ func SpecFromRequest(req SubmitRequest, defaultOpt accmos.OptLevel, jobTimeout t
 		return JobSpec{}, nil, &AdmissionError{Msg: fmt.Sprintf(
 			"negative run bound (steps %d, budgetMs %d, timeoutMs %d)", req.Steps, req.BudgetMS, req.TimeoutMS)}
 	}
-	m, err := accmos.LoadModelBytes([]byte(req.Model))
-	if err != nil {
-		return JobSpec{}, nil, &AdmissionError{Msg: fmt.Sprintf("parsing model: %v", err)}
-	}
-	compiled, err := accmos.Compile(m)
-	if err != nil {
-		return JobSpec{}, nil, &AdmissionError{Msg: fmt.Sprintf("elaborating model: %v", err)}
-	}
-	findings := lint.Check(compiled)
-	if blocking := lint.Errors(findings); len(blocking) > 0 {
-		return JobSpec{}, findings, &AdmissionError{
-			Msg:  fmt.Sprintf("model %s failed lint with %d error(s)", m.Name, len(blocking)),
-			Lint: lintLines(blocking),
+	doc := []byte(req.Model)
+	v, _ := cache.Admit(doc, func() (any, [32]byte) {
+		ad := admitDocument(doc)
+		if ad.err != nil {
+			return ad, [32]byte{}
 		}
+		return ad, ad.model.Fingerprint()
+	})
+	ad := v.(*admission)
+	if ad.err != nil {
+		return JobSpec{}, ad.findings, ad.err
 	}
+	m, findings := ad.model, ad.findings
 
 	spec := JobSpec{
 		ModelName:  m.Name,
@@ -81,4 +84,33 @@ func SpecFromRequest(req SubmitRequest, defaultOpt accmos.OptLevel, jobTimeout t
 		spec.Timeout = cap
 	}
 	return spec, findings, nil
+}
+
+// admission is the verdict on one model document: the admitted model and
+// its advisory findings, or the AdmissionError that rejected it (with the
+// findings when lint did).
+type admission struct {
+	model    *accmos.Model
+	findings []lint.Finding
+	err      error
+}
+
+// admitDocument parses, elaborates and lint-gates one model document.
+func admitDocument(doc []byte) *admission {
+	m, err := accmos.LoadModelBytes(doc)
+	if err != nil {
+		return &admission{err: &AdmissionError{Msg: fmt.Sprintf("parsing model: %v", err)}}
+	}
+	compiled, err := accmos.Compile(m)
+	if err != nil {
+		return &admission{err: &AdmissionError{Msg: fmt.Sprintf("elaborating model: %v", err)}}
+	}
+	findings := lint.Check(compiled)
+	if blocking := lint.Errors(findings); len(blocking) > 0 {
+		return &admission{findings: findings, err: &AdmissionError{
+			Msg:  fmt.Sprintf("model %s failed lint with %d error(s)", m.Name, len(blocking)),
+			Lint: lintLines(blocking),
+		}}
+	}
+	return &admission{model: m, findings: findings}
 }

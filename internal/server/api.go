@@ -186,14 +186,22 @@ type PhaseStats struct {
 	P99Nanos   int64 `json:"p99Nanos"`
 }
 
-// CacheView is the build-cache section of /metrics.
+// CacheView is the build-cache section of /metrics. FrontHits and
+// FrontMisses count jobs that did and did not skip the front end
+// (schedule/optimize/instrument/generate) through the front-end memo;
+// AdmitHits and AdmitMisses count submissions that did and did not skip
+// parse, elaboration and lint through the admission memo.
 type CacheView struct {
-	Entries   int     `json:"entries"`
-	Limit     int     `json:"limit"`
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	HitRate   float64 `json:"hitRate"`
+	Entries     int     `json:"entries"`
+	Limit       int     `json:"limit"`
+	Hits        int64   `json:"hits"`
+	Misses      int64   `json:"misses"`
+	Evictions   int64   `json:"evictions"`
+	HitRate     float64 `json:"hitRate"`
+	FrontHits   int64   `json:"frontHits"`
+	FrontMisses int64   `json:"frontMisses"`
+	AdmitHits   int64   `json:"admitHits"`
+	AdmitMisses int64   `json:"admitMisses"`
 }
 
 // OptTotals aggregates optimizing-middle-end activity across finished

@@ -105,6 +105,20 @@ func newMetrics(s *Server) *metrics {
 	reg.CounterFunc("accmosd_cache_evictions_total", "Build-cache evictions.", func() float64 {
 		return float64(s.cache.Stats().Evictions)
 	})
+	reg.CounterFunc("accmosd_frontend_memo_hits_total",
+		"Front-end memo hits (jobs that skipped schedule/optimize/instrument/generate).", func() float64 {
+			return float64(s.cache.Stats().FrontHits)
+		})
+	reg.CounterFunc("accmosd_frontend_memo_misses_total", "Front-end memo misses (jobs that ran the front end).", func() float64 {
+		return float64(s.cache.Stats().FrontMisses)
+	})
+	reg.CounterFunc("accmosd_admission_memo_hits_total",
+		"Admission memo hits (submissions that skipped parse, elaboration and lint).", func() float64 {
+			return float64(s.cache.Stats().AdmitHits)
+		})
+	reg.CounterFunc("accmosd_admission_memo_misses_total", "Admission memo misses (submissions that were parsed and linted).", func() float64 {
+		return float64(s.cache.Stats().AdmitMisses)
+	})
 
 	reg.CounterFunc("accmosd_events_dropped_total",
 		"Progress snapshots dropped across all job event streams because a subscriber fell behind.",

@@ -465,7 +465,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	spec, findings, err := SpecFromRequest(req, s.cfg.DefaultOptLevel, s.cfg.JobTimeout)
+	// Shed load before admission, so a refused submission costs no
+	// parse, elaboration or lint. The check repeats at enqueue, where it
+	// holds the lock the queue does.
+	s.mu.Lock()
+	status := s.shedLocked()
+	s.mu.Unlock()
+	if status != 0 {
+		s.refuse(w, status, "")
+		return
+	}
+	spec, findings, err := SpecFromRequest(s.cache, req, s.cfg.DefaultOptLevel, s.cfg.JobTimeout)
 	if err != nil {
 		var adm *AdmissionError
 		if errors.As(err, &adm) && len(adm.Lint) > 0 {
@@ -476,28 +486,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission control: a draining daemon refuses outright; a full
-	// queue sheds load with 429 + Retry-After instead of accepting
-	// unbounded work.
 	s.mu.Lock()
-	if s.draining {
+	if status := s.shedLocked(); status != 0 {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "daemon is draining")
-		return
-	}
-	if len(s.queue) >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		s.metrics.countJob("rejected")
-		sec := int(s.cfg.RetryAfter.Round(time.Second) / time.Second)
-		if sec < 1 {
-			sec = 1
-		}
-		s.cfg.Logger.Warn("submission rejected", "model", spec.ModelName, "queueDepth", s.cfg.QueueDepth)
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-			Error:         fmt.Sprintf("queue is full (%d jobs)", s.cfg.QueueDepth),
-			RetryAfterSec: sec,
-		})
+		s.refuse(w, status, spec.ModelName)
 		return
 	}
 	s.seq++
@@ -524,6 +516,41 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Logger.Info("job queued",
 		"corr", j.id, "model", spec.ModelName, "priority", req.Priority, "queueDepth", depth)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: j.id, State: JobQueued, QueueDepth: depth})
+}
+
+// shedLocked is admission control: a draining daemon refuses outright
+// (503); a full queue sheds load (429) instead of accepting unbounded
+// work. It returns the refusal status, or 0 when a submission may be
+// queued. Caller holds s.mu.
+func (s *Server) shedLocked() int {
+	switch {
+	case s.draining:
+		return http.StatusServiceUnavailable
+	case len(s.queue) >= s.cfg.QueueDepth:
+		return http.StatusTooManyRequests
+	}
+	return 0
+}
+
+// refuse answers a submission shedLocked refused; a 429 carries
+// Retry-After. model names the submission in the log ("" before its
+// document is parsed).
+func (s *Server) refuse(w http.ResponseWriter, status int, model string) {
+	if status == http.StatusServiceUnavailable {
+		writeError(w, status, "daemon is draining")
+		return
+	}
+	s.metrics.countJob("rejected")
+	sec := int(s.cfg.RetryAfter.Round(time.Second) / time.Second)
+	if sec < 1 {
+		sec = 1
+	}
+	s.cfg.Logger.Warn("submission rejected", "model", model, "queueDepth", s.cfg.QueueDepth)
+	w.Header().Set("Retry-After", strconv.Itoa(sec))
+	writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+		Error:         fmt.Sprintf("queue is full (%d jobs)", s.cfg.QueueDepth),
+		RetryAfterSec: sec,
+	})
 }
 
 func lintLines(fs []lint.Finding) []LintLine {
@@ -699,12 +726,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // cacheView shapes build-cache stats for the wire.
 func cacheView(cs accmos.CacheStats) CacheView {
 	return CacheView{
-		Entries:   cs.Entries,
-		Limit:     cs.Limit,
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Evictions: cs.Evictions,
-		HitRate:   cs.HitRate(),
+		Entries:     cs.Entries,
+		Limit:       cs.Limit,
+		Hits:        cs.Hits,
+		Misses:      cs.Misses,
+		Evictions:   cs.Evictions,
+		HitRate:     cs.HitRate(),
+		FrontHits:   cs.FrontHits,
+		FrontMisses: cs.FrontMisses,
+		AdmitHits:   cs.AdmitHits,
+		AdmitMisses: cs.AdmitMisses,
 	}
 }
 
