@@ -324,18 +324,6 @@ type Options struct {
 	// dies with the call.
 	Pool *WorkerPool
 
-	// DisableBatch turns off batched lane execution for Sweep. By
-	// default a step-bounded sweep (no Budget) sends groups of seeds as
-	// one batch request each, whose lanes the program runs back to back,
-	// instead of one request per seed.
-	// Output hashes, diagnostics and the sweep's merged coverage are
-	// bit-identical either way, but a batch reports coverage once,
-	// OR-merged over its lanes, so batched runs carry no per-suite
-	// coverage detail (Result.CoverageReport returns the zero report).
-	// Set this to force one request per seed — for per-suite coverage
-	// breakdowns, or to compare the two modes.
-	DisableBatch bool
-
 	// RunID is the run's correlation ID — the job ID under accmosd, a
 	// NewRunID() value for CLI runs. When set, every progress snapshot,
 	// trace span set, and structured run error carries it, so logs and
@@ -392,15 +380,6 @@ type Result struct {
 	// serve-mode worker — the per-run process startup was amortized away
 	// (false for the first request a fresh worker serves).
 	WorkerReuse bool
-
-	// Batched reports that this run was one lane of a batched sweep
-	// request: its suite shared one request and response frame with the
-	// other lanes of its batch, which the program ran back to back.
-	// ExecNanos is the lane's own step-loop time, as for a single run;
-	// coverage lives only in the sweep's OR-merged record
-	// (Results.Coverage is nil — set Options.DisableBatch for per-suite
-	// coverage).
-	Batched bool
 
 	// Opt reports what the optimizing middle-end did (nil only for
 	// results that never went through prepare).
@@ -619,7 +598,7 @@ func SimulateContext(ctx context.Context, m *Model, opts Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	runs, _, err := x.execute(ctx, []uint64{0}, false)
+	runs, _, err := x.execute(ctx, []uint64{0})
 	if err != nil {
 		return nil, err
 	}
@@ -654,14 +633,10 @@ func (s *SweepResult) MergedUncovered() []string {
 // suite per seedXor (each XORed into the embedded uniform seeds), merging
 // coverage across suites — the test-adequacy workflow the paper motivates:
 // keep adding random suites until the merged coverage stops growing.
-// Coverage is forced on. When the options allow it (no Budget,
-// DisableBatch unset), groups of seeds execute as one batch request
-// each, the lanes running back to back in one worker, and as one
-// request per seed otherwise; hashes, diagnostics and merged
-// coverage are bit-identical either way, though batched lanes skip
-// per-suite coverage detail. Requests run concurrently up to
-// Options.Parallelism (default GOMAXPROCS); the merged coverage and the
-// Runs order are deterministic regardless of concurrency or batching.
+// Coverage is forced on, and every suite is one request that reports its
+// own coverage. Requests run concurrently up to Options.Parallelism
+// (default GOMAXPROCS); the merged coverage and the Runs order are
+// deterministic regardless of concurrency.
 func Sweep(m *Model, opts Options, seedXors []uint64) (*SweepResult, error) {
 	return SweepContext(context.Background(), m, opts, seedXors)
 }
@@ -682,7 +657,7 @@ func SweepContext(ctx context.Context, m *Model, opts Options, seedXors []uint64
 		return nil, err
 	}
 	sw := &SweepResult{layout: x.layout}
-	sw.Runs, sw.merged, err = x.execute(ctx, seedXors, !opts.DisableBatch && opts.Budget == 0)
+	sw.Runs, sw.merged, err = x.execute(ctx, seedXors)
 	return sw, err
 }
 
@@ -744,31 +719,19 @@ func newExecutor(m *Model, opts *Options, suites bool) (*executor, error) {
 	return x, nil
 }
 
-// minBatchLanes is the smallest batch the executor forms when the seed
-// count allows: below it, framing overhead eats the batching win, so
-// fewer, fuller batches beat maximal fan-out.
-const minBatchLanes = 8
-
-// execute runs the program once per seed and returns the runs in seed
-// order plus their OR-merged coverage. Seeds go out in contiguous
-// chunks, each one WorkerPool request: a single run per seed, or — with
-// lanes set — one batched lane request per chunk of at least
-// minBatchLanes seeds. Chunks run concurrently up to
-// Options.Parallelism (default GOMAXPROCS) on the caller's Options.Pool,
-// or on a pool local to the call. The first failure cancels the rest;
-// unfinished seeds leave nil Runs slots and the merged coverage covers
-// only what completed.
-func (x *executor) execute(ctx context.Context, seedXors []uint64, lanes bool) ([]*Result, *coverage.Raw, error) {
+// execute runs the program once per seed, one WorkerPool request each,
+// and returns the runs in seed order plus their OR-merged coverage. Runs
+// execute concurrently up to Options.Parallelism (default GOMAXPROCS) on
+// the caller's Options.Pool, or on a pool local to the call. The first
+// failure cancels the rest; unfinished seeds leave nil Runs slots and
+// the merged coverage covers only what completed.
+func (x *executor) execute(ctx context.Context, seedXors []uint64) ([]*Result, *coverage.Raw, error) {
 	n := len(seedXors)
 	workers := x.opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	chunks := n
-	if lanes {
-		chunks = min(workers, (n+minBatchLanes-1)/minBatchLanes)
-	}
-	workers = min(workers, chunks)
+	workers = min(workers, n)
 	pool := x.opts.Pool
 	if pool == nil {
 		pool = NewWorkerPool(workers)
@@ -797,35 +760,24 @@ func (x *executor) execute(ctx context.Context, seedXors []uint64, lanes bool) (
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for c := range jobs {
+			for i := range jobs {
 				if runCtx.Err() != nil {
 					continue
 				}
-				lo, hi := c*n/chunks, (c+1)*n/chunks
-				res, cov, reused, err := x.runChunk(runCtx, pool, worker, lo, seedXors[lo:hi], lanes, &cbMu)
+				res, reused, err := x.run(runCtx, pool, worker, i, seedXors[i], &cbMu)
 				if err != nil {
 					fail(err)
 					continue
 				}
+				res.CompileNanos = x.compileTime.Nanoseconds()
+				stats := *x.stats
 				mu.Lock()
-				for j, r := range res {
-					if err == nil && r.Coverage != nil {
-						err = merged.Merge(r.Coverage)
-					}
-					r.CompileNanos = x.compileTime.Nanoseconds()
-					stats := *x.stats
-					runs[lo+j] = &Result{
-						Results: r, layout: x.layout, CacheHit: x.cacheHit,
-						WorkerReuse: reused, Batched: lanes, Opt: &stats,
-						ArtifactHash: x.hash,
-					}
+				if res.Coverage != nil {
+					err = merged.Merge(res.Coverage)
 				}
-				// Lanes share the batch's monotone bitmaps, so a batch
-				// reports one OR-merged coverage section instead of a
-				// copy per lane; per-run coverage detail needs
-				// DisableBatch.
-				if err == nil && cov != nil {
-					err = merged.Merge(cov)
+				runs[i] = &Result{
+					Results: res, layout: x.layout, CacheHit: x.cacheHit,
+					WorkerReuse: reused, Opt: &stats, ArtifactHash: x.hash,
 				}
 				mu.Unlock()
 				if err != nil {
@@ -834,8 +786,8 @@ func (x *executor) execute(ctx context.Context, seedXors []uint64, lanes bool) (
 			}
 		}(w)
 	}
-	for c := 0; c < chunks; c++ {
-		jobs <- c
+	for i := 0; i < n; i++ {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
@@ -845,14 +797,13 @@ func (x *executor) execute(ctx context.Context, seedXors []uint64, lanes bool) (
 	return runs, merged, ctx.Err()
 }
 
-// runChunk sends one chunk of seeds, starting at suite index lo, as one
-// pool request.
-func (x *executor) runChunk(ctx context.Context, pool *WorkerPool, worker, lo int, seeds []uint64, lanes bool, cbMu *sync.Mutex) ([]*simresult.Results, *coverage.Raw, bool, error) {
+// run sends suite i (0-based) with its seedXor as one pool request.
+func (x *executor) run(ctx context.Context, pool *WorkerPool, worker, i int, seedXor uint64, cbMu *sync.Mutex) (*simresult.Results, bool, error) {
 	opts := x.opts
 	ro := harness.RunOptions{
 		Steps:     opts.runSteps(),
 		Budget:    opts.Budget,
-		SeedXor:   seeds[0],
+		SeedXor:   seedXor,
 		Model:     x.model,
 		RunID:     opts.RunID,
 		Timeout:   opts.Timeout,
@@ -861,25 +812,17 @@ func (x *executor) runChunk(ctx context.Context, pool *WorkerPool, worker, lo in
 		Trace:     opts.Trace,
 	}
 	if x.suites {
-		ro.Suite = lo + 1 // the chunk's first suite, for error labels
+		ro.Suite = i + 1 // 1-based, for error labels and snapshots
 		if cb := opts.Progress; cb != nil {
 			ro.Progress = func(s Snapshot) {
-				// A batch heartbeat counts all of its lanes' steps.
-				s.Worker, s.Suite = worker, lo+1
+				s.Worker, s.Suite = worker, i+1
 				cbMu.Lock()
 				defer cbMu.Unlock()
 				cb(s)
 			}
 		}
 	}
-	if !lanes {
-		res, reused, err := pool.RunContext(ctx, x.bin, ro)
-		return []*simresult.Results{res}, nil, reused, err
-	}
-	// Options.Timeout is a per-run bound; one batch request covers the
-	// whole chunk's worth of stepping.
-	ro.Timeout *= time.Duration(len(seeds))
-	return pool.RunBatch(ctx, x.bin, ro, seeds)
+	return pool.RunContext(ctx, x.bin, ro)
 }
 
 // Interpret runs m on the reference interpreted engine (the SSE baseline)

@@ -8,15 +8,17 @@ import (
 	"time"
 
 	accmos "accmos"
+	"accmos/internal/coverage"
 	"accmos/internal/diagnose"
+	"accmos/internal/harness"
 	"accmos/internal/simresult"
 	"accmos/internal/testcase"
 )
 
 // xorSuite copies tcs with every uniform source seed XORed by xor — the
 // exact perturbation a batch lane's seedXor (and a single run request's)
-// applies to its embedded seeds — so the interpreted
-// engines can replay any sweep lane as a standalone run.
+// applies to its embedded seeds — so the interpreted engines can replay
+// any lane as a standalone run.
 func xorSuite(tcs *accmos.TestCases, xor uint64) *accmos.TestCases {
 	out := &accmos.TestCases{Sources: append([]testcase.Source(nil), tcs.Sources...)}
 	for i := range out.Sources {
@@ -27,82 +29,104 @@ func xorSuite(tcs *accmos.TestCases, xor uint64) *accmos.TestCases {
 	return out
 }
 
-// TestBatchMatchesSequentialAllEngines is the acceptance gate for the
-// batch path: a default Sweep (which sends step-bounded suites as batch
-// requests) must be bit-identical
-// to the per-run executor — and every lane must also match the three
-// interpreted engines replaying the same perturbed suite — at every opt
-// level. Batching is a pure scheduling change over shared monotone
-// coverage bitmaps; any drift means a lane leaked state into another.
+// laneRuns builds m under opts as Sweep does and runs seeds on one warm
+// worker twice: as multi-lane WorkerPool.RunBatch requests of per lanes
+// each, and as one single-lane RunContext request per seed. It returns the
+// lanes, the OR of the batches' coverage, and the single runs.
+func laneRuns(t *testing.T, m *accmos.Model, opts accmos.Options, seeds []uint64, per int) (lanes []*simresult.Results, laneCov *coverage.Raw, singles []*simresult.Results) {
+	t.Helper()
+	bin, layout, err := accmos.SweepProgram(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := accmos.NewWorkerPool(1)
+	defer pool.Close()
+	ro := harness.RunOptions{Steps: opts.Steps, Model: m.Name}
+	laneCov = layout.NewRaw()
+	for lo := 0; lo < len(seeds); lo += per {
+		batch := seeds[lo:min(lo+per, len(seeds))]
+		res, cov, _, err := pool.RunBatch(context.Background(), bin, ro, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(batch) {
+			t.Fatalf("batch at %d: %d lanes, want %d", lo, len(res), len(batch))
+		}
+		if err := laneCov.Merge(cov); err != nil {
+			t.Fatal(err)
+		}
+		lanes = append(lanes, res...)
+	}
+	for _, seed := range seeds {
+		ro.SeedXor = seed
+		res, _, err := pool.RunContext(context.Background(), bin, ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles = append(singles, res)
+	}
+	return lanes, laneCov, singles
+}
+
+// matchLanes checks each lane against its single run on every field
+// simresult.Diff compares, and the lanes' OR-merged coverage against the
+// OR of the single runs' bitmaps. A batch reports coverage once, so the
+// lanes themselves carry none.
+func matchLanes(t *testing.T, seeds []uint64, lanes []*simresult.Results, laneCov *coverage.Raw, singles []*simresult.Results) {
+	t.Helper()
+	var merged *coverage.Raw
+	for i, single := range singles {
+		if single.Coverage == nil {
+			t.Fatalf("seed %#x: single run carries no coverage", seeds[i])
+		}
+		if merged == nil {
+			merged = &coverage.Raw{
+				Actor: make([]byte, len(single.Coverage.Actor)),
+				Cond:  make([]byte, len(single.Coverage.Cond)),
+				Dec:   make([]byte, len(single.Coverage.Dec)),
+				MCDC:  make([]byte, len(single.Coverage.MCDC)),
+			}
+		}
+		if err := merged.Merge(single.Coverage); err != nil {
+			t.Fatal(err)
+		}
+		if lanes[i].Coverage != nil {
+			t.Errorf("seed %#x: lane carries per-lane coverage", seeds[i])
+		}
+		bare := *single
+		bare.Coverage = nil
+		if d := simresult.Diff(lanes[i], &bare); d != "" {
+			t.Errorf("seed %#x: lane vs single run: %s", seeds[i], d)
+		}
+	}
+	if !reflect.DeepEqual(laneCov, merged) {
+		t.Errorf("lanes' merged coverage %+v differs from the single runs' %+v", laneCov, merged)
+	}
+}
+
+// TestBatchMatchesSequentialAllEngines is the acceptance gate for
+// WorkerPool.RunBatch: every lane of a multi-lane request must be
+// bit-identical to a single-lane request for its seed, and to the three
+// interpreted engines replaying the same perturbed suite, at every opt
+// level. Lanes run back to back over shared monotone coverage bitmaps;
+// any drift means a lane leaked state into another.
 func TestBatchMatchesSequentialAllEngines(t *testing.T) {
 	m := sweepModel()
-	// Ten seeds with Parallelism 2 split into two batch chunks, so the
-	// chunk partitioning and result reassembly are exercised too.
+	// Ten seeds in two requests of five lanes, so the worker also resets
+	// between batch requests.
 	seeds := []uint64{0, 1, 0xDEAD, 0xBEEF, 42, 0xF00D, 7, 0xFEED, 0xA5A5, 3}
 	for _, lvl := range []accmos.OptLevel{accmos.OptO0, accmos.OptO1, accmos.OptO2} {
 		t.Run(lvl.String(), func(t *testing.T) {
 			opts := accmos.Options{
-				Steps:       400,
-				Diagnose:    true,
-				OptLevel:    lvl,
-				TestCases:   accmos.RandomTestCases(m, 77, -100, 100),
-				Parallelism: 2,
+				Steps:     400,
+				Diagnose:  true,
+				OptLevel:  lvl,
+				TestCases: accmos.RandomTestCases(m, 77, -100, 100),
 			}
-			batched, err := accmos.Sweep(m, opts, seeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := opts
-			seq.DisableBatch = true
-			seq.Parallelism = 1
-			sequential, err := accmos.Sweep(m, seq, seeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(batched.Runs) != len(seeds) || len(sequential.Runs) != len(seeds) {
-				t.Fatalf("runs: batched %d, sequential %d, want %d",
-					len(batched.Runs), len(sequential.Runs), len(seeds))
-			}
-			for i := range seeds {
-				a, b := batched.Runs[i], sequential.Runs[i]
-				if !a.Batched {
-					t.Errorf("run %d: default step-bounded sweep skipped the batch path", i)
-				}
-				if b.Batched {
-					t.Errorf("run %d: DisableBatch run claims batching", i)
-				}
-				// A batch reports coverage once, OR-merged over its lanes;
-				// per-run bitmaps (and reports) exist only per-run.
-				if a.Results.Coverage != nil {
-					t.Errorf("run %d: batched lane carries per-run coverage", i)
-				}
-				if a.CoverageReport() != (accmos.CoverageReport{}) {
-					t.Errorf("run %d: batched lane coverage report should be zero, got %+v",
-						i, a.CoverageReport())
-				}
-				if a.OutputHash != b.OutputHash {
-					t.Errorf("run %d: output hash %x (batched) vs %x (sequential)",
-						i, a.OutputHash, b.OutputHash)
-				}
-				if a.Steps != b.Steps {
-					t.Errorf("run %d: steps %d vs %d", i, a.Steps, b.Steps)
-				}
-				if a.DiagTotal != b.DiagTotal {
-					t.Errorf("run %d: diag totals %d vs %d", i, a.DiagTotal, b.DiagTotal)
-				}
-				if !reflect.DeepEqual(a.DiagCounts, b.DiagCounts) {
-					t.Errorf("run %d: diag counts %v vs %v", i, a.DiagCounts, b.DiagCounts)
-				}
-				if !reflect.DeepEqual(a.FirstDetect, b.FirstDetect) {
-					t.Errorf("run %d: first-detect steps %v vs %v", i, a.FirstDetect, b.FirstDetect)
-				}
-			}
-			if batched.MergedCoverage() != sequential.MergedCoverage() {
-				t.Errorf("merged coverage diverges: %+v (batched) vs %+v (sequential)",
-					batched.MergedCoverage(), sequential.MergedCoverage())
-			}
+			lanes, laneCov, singles := laneRuns(t, m, opts, seeds, 5)
+			matchLanes(t, seeds, lanes, laneCov, singles)
 
-			// Cross-engine oracle: every batch lane equals the interpreted
+			// Cross-engine oracle: every lane equals the interpreted
 			// engines running the identically perturbed suite.
 			engines := []struct {
 				name string
@@ -125,13 +149,13 @@ func TestBatchMatchesSequentialAllEngines(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed %#x: %v", eng.name, xor, err)
 					}
-					if r.OutputHash != batched.Runs[i].OutputHash {
-						t.Errorf("seed %#x: %s hash %x vs batched lane %x",
-							xor, eng.name, r.OutputHash, batched.Runs[i].OutputHash)
+					if r.OutputHash != lanes[i].OutputHash {
+						t.Errorf("seed %#x: %s hash %x vs lane %x",
+							xor, eng.name, r.OutputHash, lanes[i].OutputHash)
 					}
-					if r.Steps != batched.Runs[i].Steps {
-						t.Errorf("seed %#x: %s steps %d vs batched lane %d",
-							xor, eng.name, r.Steps, batched.Runs[i].Steps)
+					if r.Steps != lanes[i].Steps {
+						t.Errorf("seed %#x: %s steps %d vs lane %d",
+							xor, eng.name, r.Steps, lanes[i].Steps)
 					}
 				}
 			}
@@ -245,11 +269,11 @@ func TestSweepCancelReturnsPartialSweep(t *testing.T) {
 	}
 }
 
-// TestBatchedLanesStopOnMonitorAndCustom: batched lanes run back to back
-// through the single-run loop, so a lane that stops early, records
-// monitor samples or latches a custom check must leave nothing behind
-// for the next lane. Lanes stop at seed-dependent steps on the first
-// custom finding; each must match its DisableBatch run on every field
+// TestBatchedLanesStopOnMonitorAndCustom: lanes run back to back through
+// the single-run loop, so a lane that stops early, records monitor
+// samples or latches a custom check must leave nothing behind for the
+// next lane. Lanes stop at seed-dependent steps on the first custom
+// finding; each must match its single-lane run on every field
 // simresult.Diff compares, and the merged coverage must agree.
 func TestBatchedLanesStopOnMonitorAndCustom(t *testing.T) {
 	m := demoModel()
@@ -262,35 +286,16 @@ func TestBatchedLanesStopOnMonitorAndCustom(t *testing.T) {
 			{Actor: "Acc", Name: "acc-range", Kind: diagnose.RangeCheck, Lo: -400, Hi: 400},
 			{Actor: "Acc", Name: "acc-delta", Kind: diagnose.DeltaCheck, MaxDelta: 97},
 		},
-		StopOnDiag:  diagnose.Custom,
-		TestCases:   accmos.RandomTestCases(m, 77, -100, 100),
-		Parallelism: 2, // two batches of six lanes
+		StopOnDiag: diagnose.Custom,
+		TestCases:  accmos.RandomTestCases(m, 77, -100, 100),
 	}
-	batched, err := accmos.Sweep(m, opts, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := opts
-	seq.DisableBatch = true
-	sequential, err := accmos.Sweep(m, seq, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lanes, laneCov, singles := laneRuns(t, m, opts, seeds, 6) // two batches of six lanes
+	matchLanes(t, seeds, lanes, laneCov, singles)
 	stopSteps := map[int64]bool{}
-	for i := range seeds {
-		a, b := batched.Runs[i], sequential.Runs[i]
-		if !a.Batched || b.Batched {
-			t.Fatalf("run %d: Batched %v (batched sweep), %v (DisableBatch)", i, a.Batched, b.Batched)
-		}
-		// A batched lane reports coverage only in the merged record.
-		single := *b.Results
-		single.Coverage = nil
-		if d := simresult.Diff(a.Results, &single); d != "" {
-			t.Errorf("seed %#x: batched lane vs DisableBatch run: %s", seeds[i], d)
-		}
-		if a.MonitorHits["Acc"] != a.Steps || len(a.Results.Monitor["Acc"]) == 0 {
+	for i, a := range lanes {
+		if a.MonitorHits["Acc"] != a.Steps || len(a.Monitor["Acc"]) == 0 {
 			t.Errorf("seed %#x: %d monitor hits, %d samples over %d steps",
-				seeds[i], a.MonitorHits["Acc"], len(a.Results.Monitor["Acc"]), a.Steps)
+				seeds[i], a.MonitorHits["Acc"], len(a.Monitor["Acc"]), a.Steps)
 		}
 		if a.Steps < opts.Steps {
 			stopSteps[a.Steps] = true
@@ -298,10 +303,6 @@ func TestBatchedLanesStopOnMonitorAndCustom(t *testing.T) {
 	}
 	if len(stopSteps) < 2 {
 		t.Errorf("lanes stopped early at %v; the test needs lanes stopping at different steps", stopSteps)
-	}
-	if batched.MergedCoverage() != sequential.MergedCoverage() {
-		t.Errorf("merged coverage diverges: %+v (batched) vs %+v (sequential)",
-			batched.MergedCoverage(), sequential.MergedCoverage())
 	}
 }
 
@@ -332,17 +333,13 @@ func TestStopOnLastStepOfChunk(t *testing.T) {
 	if d := simresult.Diff(sim.Results, ref.Results); d != "" {
 		t.Errorf("generated run vs interpreter: %s", d)
 	}
-	sw, err := accmos.Sweep(m, opts, []uint64{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeds := []uint64{0, 1, 2, 3}
+	lanes, laneCov, singles := laneRuns(t, m, opts, seeds, len(seeds))
+	matchLanes(t, seeds, lanes, laneCov, singles)
 	refLane := *ref.Results
 	refLane.Coverage = nil
-	for i, r := range sw.Runs {
-		if !r.Batched {
-			t.Fatalf("run %d did not run as a batched lane", i)
-		}
-		if d := simresult.Diff(r.Results, &refLane); d != "" {
+	for i, r := range lanes {
+		if d := simresult.Diff(r, &refLane); d != "" {
 			t.Errorf("lane %d vs interpreter: %s", i, d)
 		}
 	}

@@ -1,7 +1,6 @@
 package accmos_test
 
 import (
-	"reflect"
 	"testing"
 
 	accmos "accmos"
@@ -11,12 +10,13 @@ import (
 )
 
 // TestServeModeMatchesOneShot is the acceptance gate for the warm worker
-// pool: a sweep executed through serve-mode workers must be bit-identical
-// to the spawn-per-run executor — same output hashes, same coverage
-// bitmaps, same diagnosis aggregates, per run and merged — at every opt
-// level. The pool is a pure scheduling/amortization change; any drift
-// here means modelReset failed to restore some piece of generated state
-// between requests.
+// pool: a sweep whose suites all run on one warm serve-mode worker must be
+// bit-identical to one-suite sweeps, each on a fresh worker that serves a
+// single request — same output hashes, same coverage bitmaps, same
+// diagnosis aggregates, per run — at every opt level. The pool
+// is a pure scheduling/amortization change; any drift here means
+// modelReset failed to restore some piece of generated state between
+// requests.
 func TestServeModeMatchesOneShot(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -46,46 +46,26 @@ func TestServeModeMatchesOneShot(t *testing.T) {
 					TestCases:   accmos.RandomTestCases(tc.model, 77, -100, 100),
 					Parallelism: 1,
 				}
-				oneShot, err := accmos.Sweep(tc.model, opts, seeds)
+				served, err := accmos.Sweep(tc.model, opts, seeds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pooled := opts
-				pooled.DisableBatch = true // force per-run serve frames; oneShot took the batch path
-				served, err := accmos.Sweep(tc.model, pooled, seeds)
-				if err != nil {
-					t.Fatal(err)
+				if len(served.Runs) != len(seeds) {
+					t.Fatalf("runs: served %d, want %d", len(served.Runs), len(seeds))
 				}
-				if len(oneShot.Runs) != len(seeds) || len(served.Runs) != len(seeds) {
-					t.Fatalf("runs: one-shot %d, served %d, want %d",
-						len(oneShot.Runs), len(served.Runs), len(seeds))
-				}
-				for i := range seeds {
-					a, b := oneShot.Runs[i], served.Runs[i]
-					if a.OutputHash != b.OutputHash {
-						t.Errorf("run %d: output hash %x (one-shot) vs %x (served)",
-							i, a.OutputHash, b.OutputHash)
+				for i, seed := range seeds {
+					// A one-suite sweep runs on a pool of its own: a fresh
+					// worker serving exactly one request.
+					oneShot, err := accmos.Sweep(tc.model, opts, []uint64{seed})
+					if err != nil {
+						t.Fatal(err)
 					}
-					if a.Steps != b.Steps {
-						t.Errorf("run %d: steps %d vs %d", i, a.Steps, b.Steps)
+					a, b := oneShot.Runs[0], served.Runs[i]
+					if d := simresult.Diff(a.Results, b.Results); d != "" {
+						t.Errorf("run %d: one-shot vs served: %s", i, d)
 					}
-					// A batch reports coverage once, OR-merged over its
-					// lanes (checked against the per-run fold below);
-					// per-run bitmaps exist only on the per-run path.
-					if a.Results.Coverage != nil {
-						t.Errorf("run %d: batched lane carries per-run coverage", i)
-					}
-					if b.Results.Coverage == nil {
-						t.Errorf("run %d: per-run serve path dropped coverage", i)
-					}
-					if a.DiagTotal != b.DiagTotal {
-						t.Errorf("run %d: diag totals %d vs %d", i, a.DiagTotal, b.DiagTotal)
-					}
-					if !reflect.DeepEqual(a.DiagCounts, b.DiagCounts) {
-						t.Errorf("run %d: diag counts %v vs %v", i, a.DiagCounts, b.DiagCounts)
-					}
-					if !reflect.DeepEqual(a.FirstDetect, b.FirstDetect) {
-						t.Errorf("run %d: first-detect steps %v vs %v", i, a.FirstDetect, b.FirstDetect)
+					if a.Results.Coverage == nil || b.Results.Coverage == nil {
+						t.Errorf("run %d: a sweep run dropped its coverage", i)
 					}
 					if a.WorkerReuse {
 						t.Errorf("run %d: one-shot run claims worker reuse", i)
@@ -94,10 +74,6 @@ func TestServeModeMatchesOneShot(t *testing.T) {
 						t.Errorf("run %d: served WorkerReuse = %v, want %v (single sequential worker)",
 							i, b.WorkerReuse, i > 0)
 					}
-				}
-				if oneShot.MergedCoverage() != served.MergedCoverage() {
-					t.Errorf("merged coverage diverges: %+v vs %+v",
-						oneShot.MergedCoverage(), served.MergedCoverage())
 				}
 			})
 		}
@@ -187,9 +163,9 @@ func TestSweepSharedPoolAcrossCalls(t *testing.T) {
 		}
 	}
 	st := pool.Stats()
-	// Step-bounded sweeps go out as batch requests: one request per
-	// sweep, with the second hitting the warm worker.
-	if st.Spawns != 1 || st.Reuses != 1 || st.Batches != 2 {
+	// Every suite is one request: six requests on one worker, all but
+	// the first served warm, and no batch request.
+	if st.Spawns != 1 || st.Reuses != 5 || st.Batches != 0 {
 		t.Errorf("one worker should serve both sweeps: %+v", st)
 	}
 }

@@ -274,6 +274,42 @@ func TestSweepMergesCoverage(t *testing.T) {
 	}
 }
 
+// TestSweepReportsPerSuiteCoverage: a default sweep runs every suite as
+// its own request, so every run reports its own coverage, and the merged
+// record is exactly the OR of the runs' bitmaps — the per-suite view the
+// test-adequacy workflow reads to decide whether another suite helps.
+func TestSweepReportsPerSuiteCoverage(t *testing.T) {
+	m := sweepModel()
+	opts := accmos.Options{
+		Steps:     400,
+		TestCases: accmos.RandomTestCases(m, 77, -100, 100),
+	}
+	seeds := []uint64{0, 1, 0xDEAD, 0xBEEF, 42, 0xF00D, 7, 0xFEED, 0xA5A5, 3}
+	sw, err := accmos.Sweep(m, opts, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, layout, err := accmos.SweepProgram(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := layout.NewRaw()
+	for i, run := range sw.Runs {
+		if rep := run.CoverageReport(); rep.ActorCovered == 0 {
+			t.Errorf("suite %d: zero coverage report %+v", i, rep)
+		}
+		if run.Results.Coverage == nil {
+			t.Fatalf("suite %d: no coverage bitmaps", i)
+		}
+		if err := merged.Merge(run.Results.Coverage); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := sw.MergedCoverage(), layout.Report(merged); got != want {
+		t.Errorf("merged coverage %+v, want the OR of the runs' bitmaps %+v", got, want)
+	}
+}
+
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	// Acceptance: a parallel sweep must be a pure scheduling change — the
 	// per-run results (order included) and the merged coverage bitmaps
@@ -348,7 +384,6 @@ func TestSweepTagsSnapshotsWithWorkerAndSuite(t *testing.T) {
 		Steps:         5000,
 		TestCases:     accmos.RandomTestCases(m, 77, -100, 100),
 		Parallelism:   2,
-		DisableBatch:  true, // per-suite snapshot tagging is a per-run-path contract
 		ProgressEvery: time.Millisecond,
 		Progress: func(s accmos.Snapshot) {
 			mu.Lock()

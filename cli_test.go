@@ -80,6 +80,19 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("-json did not emit JSON:\n%s", out)
 	}
 
+	// -sweep prints each suite's own coverage, then the merged record.
+	out, err = exec.Command(accmosBin, "-model", spv, "-steps", "2000", "-sweep", "4").CombinedOutput()
+	if err != nil {
+		t.Fatalf("accmos -sweep: %v\n%s", err, out)
+	}
+	s = string(out)
+	if n := strings.Count(s, "  suite "); n != 4 || strings.Count(s, "mc/dc") != 5 {
+		t.Errorf("-sweep 4 printed %d suite lines, want 4 with coverage plus the merged line:\n%s", n, s)
+	}
+	if strings.Contains(s, "(batched)") {
+		t.Errorf("-sweep printed a suite without coverage:\n%s", s)
+	}
+
 	// -budget-ms: -steps bounds the run only when given explicitly, so the
 	// -steps default does not cap a budgeted run.
 	for _, c := range []struct {

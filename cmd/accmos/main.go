@@ -48,7 +48,6 @@ func main() {
 		optLevel  = flag.Int("O", 1, "optimization level: 0 = off, 1 = constant folding + CSE + dead-actor elimination, 2 = O1 + expression fusion, invariant hoisting, storage narrowing")
 		sweep     = flag.Int("sweep", 0, "run N random test suites against one compiled binary, merging coverage")
 		parallel  = flag.Int("parallel", 0, "concurrent suite executions for -sweep (0 = GOMAXPROCS, 1 = sequential)")
-		noBatch   = flag.Bool("no-batch", false, "disable batched lane execution for -sweep (one request per suite; results are bit-identical)")
 		timeout   = flag.Duration("timeout", 0, "kill a generated-binary run exceeding this wall-clock deadline, e.g. 30s (0 = none)")
 		progress  = flag.Bool("progress", false, "show a live progress line (steps/sec, coverage) on stderr")
 		traceJSON = flag.String("trace-json", "", "write the pipeline phase trace (parse/schedule/instrument/generate/compile/run) as JSON to this file")
@@ -122,19 +121,18 @@ func main() {
 		*steps = 0 // budget-only
 	}
 	opts := accmos.Options{
-		OptLevel:     level,
-		Steps:        *steps,
-		Budget:       time.Duration(*budgetMS) * time.Millisecond,
-		Coverage:     *coverage,
-		Diagnose:     *diag,
-		StopOnDiag:   diagnose.Kind(*stopOn),
-		StopOnActor:  *stopActor,
-		TestCases:    tcs,
-		Cache:        cache,
-		Timeout:      *timeout,
-		Parallelism:  *parallel,
-		DisableBatch: *noBatch,
-		Trace:        tracer,
+		OptLevel:    level,
+		Steps:       *steps,
+		Budget:      time.Duration(*budgetMS) * time.Millisecond,
+		Coverage:    *coverage,
+		Diagnose:    *diag,
+		StopOnDiag:  diagnose.Kind(*stopOn),
+		StopOnActor: *stopActor,
+		TestCases:   tcs,
+		Cache:       cache,
+		Timeout:     *timeout,
+		Parallelism: *parallel,
+		Trace:       tracer,
 	}
 	if *monitor != "" {
 		opts.Monitor = strings.Split(*monitor, ",")
@@ -169,12 +167,6 @@ func main() {
 		fmt.Printf("sweep: %d random suites x %d steps on %s\n", *sweep, opts.Steps, m.Name)
 		for i, run := range sw.Runs {
 			if run == nil { // suites cancelled mid-sweep leave nil slots
-				continue
-			}
-			if run.Results.Coverage == nil {
-				// Batched lanes report coverage only in the merged
-				// record below; -no-batch restores per-suite detail.
-				fmt.Printf("  suite %2d: (batched)  %v\n", i, time.Duration(run.ExecNanos))
 				continue
 			}
 			rep := run.CoverageReport()

@@ -43,7 +43,7 @@ func main() {
 		queueDepth   = flag.Int("queue", 64, "max queued jobs before submissions get 429")
 		cacheEntries = flag.Int("cache-entries", 128, "max programs resident in the build cache (-1 = unbounded)")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job execution cap (0 = none)")
-		poolWorkers  = flag.Int("pool-workers", 2, "warm serve-mode processes kept per compiled artifact, shared across jobs (-1 = spawn one process per run)")
+		poolWorkers  = flag.Int("pool-workers", 2, "warm serve-mode processes kept per compiled artifact, shared across jobs (minimum 1)")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		maxBody      = flag.Int64("max-body", 8<<20, "max submission body bytes")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-drain bound on SIGTERM; afterwards remaining jobs are canceled")

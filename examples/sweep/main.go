@@ -20,10 +20,6 @@ func main() {
 		Steps:     200_000,
 		Diagnose:  true,
 		TestCases: accmos.RandomTestCases(m, 1, -100, 100),
-		// This example prints a per-suite coverage breakdown, which the
-		// default batched execution trades away (a batch reports one
-		// OR-merged coverage record) — force the per-run path.
-		DisableBatch: true,
 	}
 	seeds := []uint64{0, 0xA5A5, 0x5A5A, 0xC0FFEE, 0xFACADE, 0xB0BA}
 

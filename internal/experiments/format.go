@@ -145,7 +145,7 @@ func FormatServe(w io.Writer, rows []ServeRow) {
 // (model, suite size) with both modes' wall clocks, the speedup, and the
 // bit-identity verdict.
 func FormatBatch(w io.Writer, rows []BatchRow) {
-	fmt.Fprintln(w, "Batched lanes: per-run serve frames vs one batch request (one warm worker)")
+	fmt.Fprintln(w, "Lane batches: per-run serve frames vs one batch request (one warm worker)")
 	fmt.Fprintf(w, "%-6s %5s %7s | %10s %10s %8s | %s\n",
 		"Model", "lanes", "steps", "pooled", "batch", "speedup", "outputs")
 	for _, r := range rows {

@@ -35,29 +35,29 @@ import (
 // admission verdict. Each is bounded by the same limit, and both drop
 // what hangs off a binary when the binary is evicted.
 type BuildCache struct {
-	mu      sync.Mutex
-	dir     string
-	owned   bool // dir was created (and may be deleted) by the cache
-	limit   int  // max resident entries per index; 0 = unbounded
-	entries map[string]*cacheEntry
-	order   *list.List // LRU order: front = most recently used
-	front   memo       // input digest -> *Front
-	admit   memo       // document digest -> admission verdict
-
-	hits      int64
-	misses    int64
-	evictions int64
+	mu        sync.Mutex
+	dir       string
+	owned     bool                      // dir was created (and may be deleted) by the cache
+	limit     int                       // max resident entries per index; 0 = unbounded
+	bins      memo[string, binary]      // program hash -> built binary
+	front     memo[[32]byte, *Front]    // input digest -> front-end record
+	admit     memo[[32]byte, admission] // document digest -> admission verdict
+	evictions int64                     // binaries dropped by the limit
 }
 
-type cacheEntry struct {
-	mu      sync.Mutex
-	done    bool
+// binary is one program's build: its artifacts, or the build error.
+type binary struct {
 	bin     string
 	src     string
 	compile time.Duration
 	err     error
+}
 
-	elem *list.Element // position in BuildCache.order; value is the key
+// admission is one document's admission verdict, tied to the fingerprint
+// of the model it admitted (zero when the document was rejected).
+type admission struct {
+	verdict any
+	model   [32]byte
 }
 
 // CacheStats is a point-in-time snapshot of a cache's counters. Hits
@@ -91,7 +91,8 @@ func (s CacheStats) HitRate() float64 {
 // NewBuildCache creates a cache rooted at dir; with dir == "" a private
 // temp directory is created on first use and lives for the process.
 func NewBuildCache(dir string) *BuildCache {
-	c := &BuildCache{dir: dir, entries: make(map[string]*cacheEntry), order: list.New()}
+	c := &BuildCache{dir: dir}
+	c.bins.init()
 	c.front.init()
 	c.admit.init()
 	return c
@@ -116,10 +117,10 @@ func (c *BuildCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:     len(c.entries),
+		Entries:     len(c.bins.entries),
 		Limit:       c.limit,
-		Hits:        c.hits,
-		Misses:      c.misses,
+		Hits:        c.bins.hits,
+		Misses:      c.bins.misses,
 		Evictions:   c.evictions,
 		FrontHits:   c.front.hits,
 		FrontMisses: c.front.misses,
@@ -137,29 +138,18 @@ func (c *BuildCache) evictOverLimitLocked() {
 	if c.limit <= 0 {
 		return
 	}
-	c.front.evictOver(c.limit)
-	c.admit.evictOver(c.limit)
-	for elem := c.order.Back(); elem != nil && len(c.entries) > c.limit; {
-		prev := elem.Prev()
-		key := elem.Value.(string)
-		e := c.entries[key]
-		if e != nil && e.mu.TryLock() {
-			if e.done {
-				if e.bin != "" {
-					os.Remove(e.bin)
-				}
-				if e.src != "" {
-					os.Remove(e.src)
-				}
-				delete(c.entries, key)
-				c.order.Remove(elem)
-				c.evictions++
-				c.dropMemosLocked(key)
-			}
-			e.mu.Unlock()
+	c.front.evictOver(c.limit, nil)
+	c.admit.evictOver(c.limit, nil)
+	c.bins.evictOver(c.limit, func(e *memoEntry[string, binary]) {
+		if e.val.bin != "" {
+			os.Remove(e.val.bin)
 		}
-		elem = prev
-	}
+		if e.val.src != "" {
+			os.Remove(e.val.src)
+		}
+		c.evictions++
+		c.dropMemosLocked(e.key)
+	})
 }
 
 // dropMemosLocked forgets what hangs off the evicted binary key: the
@@ -167,15 +157,15 @@ func (c *BuildCache) evictOverLimitLocked() {
 // models those records were generated from. Caller holds c.mu.
 func (c *BuildCache) dropMemosLocked(key string) {
 	models := make(map[[32]byte]bool)
-	c.front.drop(func(e *memoEntry) bool {
-		if fr, _ := e.val.(*Front); fr != nil && fr.Hash == key {
-			models[fr.Model] = true
+	c.front.drop(func(e *memoEntry[[32]byte, *Front]) bool {
+		if e.val.Hash == key {
+			models[e.val.Model] = true
 			return true
 		}
 		return false
 	})
 	if len(models) > 0 {
-		c.admit.drop(func(e *memoEntry) bool { return models[e.model] })
+		c.admit.drop(func(e *memoEntry[[32]byte, admission]) bool { return models[e.val.model] })
 	}
 }
 
@@ -201,11 +191,11 @@ type Front struct {
 func (c *BuildCache) Remember(digest [32]byte, fr *Front) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[fr.Hash]; !ok {
+	if c.bins.entries[fr.Hash] == nil {
 		return
 	}
 	e, _ := c.front.lookup(digest)
-	e.done, e.model, e.val = true, fr.Model, fr
+	e.done, e.val = true, fr
 	c.evictOverLimitLocked()
 }
 
@@ -217,19 +207,17 @@ func (c *BuildCache) Remember(digest [32]byte, fr *Front) {
 // compileTime is the original build's duration.
 func (c *BuildCache) Recall(digest [32]byte) (fr *Front, bin string, compileTime time.Duration, ok bool) {
 	c.mu.Lock()
-	var e *cacheEntry
-	if me, found := c.front.get(digest); found {
-		fr = me.val.(*Front)
-		if e = c.entries[fr.Hash]; e != nil {
-			c.order.MoveToFront(e.elem)
-		}
+	var e *memoEntry[string, binary]
+	if me := c.front.get(digest); me != nil && me.done {
+		fr = me.val
+		e = c.bins.get(fr.Hash)
 	}
 	c.mu.Unlock()
 	if e != nil {
 		e.mu.Lock()
-		if e.done && e.err == nil {
-			if _, err := os.Stat(e.bin); err == nil {
-				bin, compileTime, ok = e.bin, e.compile, true
+		if e.done && e.val.err == nil {
+			if _, err := os.Stat(e.val.bin); err == nil {
+				bin, compileTime, ok = e.val.bin, e.val.compile, true
 			}
 		}
 		e.mu.Unlock()
@@ -241,7 +229,7 @@ func (c *BuildCache) Recall(digest [32]byte) (fr *Front, bin string, compileTime
 		return nil, "", 0, false
 	}
 	c.front.hits++
-	c.hits++
+	c.bins.hits++
 	return fr, bin, compileTime, true
 }
 
@@ -264,7 +252,7 @@ func (c *BuildCache) Admit(doc []byte, admit func() (verdict any, model [32]byte
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.done {
-		e.val, e.model = admit()
+		e.val.verdict, e.val.model = admit()
 		e.done = true
 	}
 	c.mu.Lock()
@@ -274,7 +262,7 @@ func (c *BuildCache) Admit(doc []byte, admit func() (verdict any, model [32]byte
 		c.admit.misses++
 	}
 	c.mu.Unlock()
-	return e.val, found
+	return e.val.verdict, found
 }
 
 // Build returns a compiled binary for p, building at most once per
@@ -295,41 +283,37 @@ func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, comp
 		c.owned = true
 	}
 	dir := c.dir
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
-		e.elem = c.order.PushFront(key)
+	e, found := c.bins.lookup(key)
+	if !found {
 		c.evictOverLimitLocked()
-	} else {
-		c.order.MoveToFront(e.elem)
 	}
 	c.mu.Unlock()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.done && e.err == nil {
+	b := &e.val
+	if e.done && b.err == nil {
 		// Revalidate: the binary may have been swept away (temp cleaners,
 		// tests removing the cache dir); rebuild instead of returning a
 		// dangling path.
-		if _, statErr := os.Stat(e.bin); statErr == nil {
+		if _, statErr := os.Stat(b.bin); statErr == nil {
 			// A hit still records the (near-zero) compile span so a
 			// traced pipeline keeps its one-compile-per-run shape.
 			tr.Start("compile").End()
-			c.count(&c.hits)
-			return e.bin, e.compile, true, nil
+			c.count(&c.bins.hits)
+			return b.bin, b.compile, true, nil
 		}
 		e.done = false
 	}
 	if e.done {
-		c.count(&c.hits)
-		return "", 0, true, e.err
+		c.count(&c.bins.hits)
+		return "", 0, true, b.err
 	}
-	e.bin, e.compile, e.err = Build(context.Background(), p, dir, tr)
-	e.src = srcPathFor(p, dir)
+	b.bin, b.compile, b.err = Build(context.Background(), p, dir, tr)
+	b.src = srcPathFor(p, dir)
 	e.done = true
-	c.count(&c.misses)
-	return e.bin, e.compile, false, e.err
+	c.count(&c.bins.misses)
+	return b.bin, b.compile, false, b.err
 }
 
 func (c *BuildCache) count(field *int64) {
@@ -354,8 +338,7 @@ func (c *BuildCache) Dir() string {
 func (c *BuildCache) Remove() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*cacheEntry)
-	c.order.Init()
+	c.bins.init()
 	c.front.init()
 	c.admit.init()
 	if c.owned && c.dir != "" {
@@ -365,67 +348,70 @@ func (c *BuildCache) Remove() {
 	}
 }
 
-// memo is one LRU-ordered digest index of a BuildCache. Its counters and
-// structure are guarded by BuildCache.mu; an entry's own mutex guards its
-// value while it is being filled.
-type memo struct {
-	entries map[[32]byte]*memoEntry
-	order   *list.List // front = most recently used; values are *memoEntry
+// memo is one LRU-ordered index of a BuildCache: the binaries, the
+// front-end records and the admission verdicts each live in one. Its
+// counters and structure are guarded by BuildCache.mu; an entry's own
+// mutex guards its value while it is being filled.
+type memo[K comparable, V any] struct {
+	entries map[K]*memoEntry[K, V]
+	order   *list.List // front = most recently used; values are *memoEntry[K, V]
 	hits    int64
 	misses  int64
 }
 
-type memoEntry struct {
-	mu    sync.Mutex
-	done  bool
-	key   [32]byte
-	model [32]byte // fingerprint of the model the value derives from
-	val   any
-	elem  *list.Element
+type memoEntry[K comparable, V any] struct {
+	mu   sync.Mutex
+	done bool
+	key  K
+	val  V
+	elem *list.Element
 }
 
-func (m *memo) init() {
-	m.entries = make(map[[32]byte]*memoEntry)
+func (m *memo[K, V]) init() {
+	m.entries = make(map[K]*memoEntry[K, V])
 	m.order = list.New()
 }
 
-// get returns the filled entry under key, marking it recently used.
-func (m *memo) get(key [32]byte) (*memoEntry, bool) {
+// get returns the entry under key (nil if none), filled or not, marking
+// it recently used.
+func (m *memo[K, V]) get(key K) *memoEntry[K, V] {
 	e := m.entries[key]
-	if e == nil || !e.done {
-		return nil, false
+	if e != nil {
+		m.order.MoveToFront(e.elem)
 	}
-	m.order.MoveToFront(e.elem)
-	return e, true
+	return e
 }
 
 // lookup returns the entry under key, creating an empty one if there is
 // none; found reports whether it existed.
-func (m *memo) lookup(key [32]byte) (e *memoEntry, found bool) {
-	if e = m.entries[key]; e != nil {
-		m.order.MoveToFront(e.elem)
+func (m *memo[K, V]) lookup(key K) (e *memoEntry[K, V], found bool) {
+	if e = m.get(key); e != nil {
 		return e, true
 	}
-	e = &memoEntry{key: key}
+	e = &memoEntry[K, V]{key: key}
 	e.elem = m.order.PushFront(e)
 	m.entries[key] = e
 	return e, false
 }
 
-func (m *memo) remove(e *memoEntry) {
+func (m *memo[K, V]) remove(e *memoEntry[K, V]) {
 	delete(m.entries, e.key)
 	m.order.Remove(e.elem)
 }
 
 // evictOver drops least-recently-used filled entries until at most limit
-// remain; entries still being filled are skipped.
-func (m *memo) evictOver(limit int) {
+// remain, calling evicted (when non-nil) on each with its lock held;
+// entries still being filled, or being read, are skipped.
+func (m *memo[K, V]) evictOver(limit int, evicted func(*memoEntry[K, V])) {
 	for elem := m.order.Back(); elem != nil && len(m.entries) > limit; {
 		prev := elem.Prev()
-		e := elem.Value.(*memoEntry)
+		e := elem.Value.(*memoEntry[K, V])
 		if e.mu.TryLock() {
 			if e.done {
 				m.remove(e)
+				if evicted != nil {
+					evicted(e)
+				}
 			}
 			e.mu.Unlock()
 		}
@@ -434,10 +420,10 @@ func (m *memo) evictOver(limit int) {
 }
 
 // drop removes every filled entry for which match reports true.
-func (m *memo) drop(match func(*memoEntry) bool) {
+func (m *memo[K, V]) drop(match func(*memoEntry[K, V]) bool) {
 	for elem := m.order.Front(); elem != nil; {
 		next := elem.Next()
-		e := elem.Value.(*memoEntry)
+		e := elem.Value.(*memoEntry[K, V])
 		if e.mu.TryLock() {
 			if e.done && match(e) {
 				m.remove(e)

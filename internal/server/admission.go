@@ -67,9 +67,6 @@ func SpecFromRequest(cache *accmos.BuildCache, req SubmitRequest, defaultOpt acc
 		SweepSeeds: req.SweepSeeds,
 		Heartbeat:  defaultHeartbeat,
 	}
-	if req.Batch != nil {
-		spec.DisableBatch = !*req.Batch
-	}
 	if req.OptLevel != nil {
 		lv, err := accmos.OptLevelFromInt(*req.OptLevel)
 		if err != nil {

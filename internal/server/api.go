@@ -71,12 +71,6 @@ type SubmitRequest struct {
 	// against a single compiled binary instead of a single simulation.
 	SweepSeeds []uint64 `json:"sweepSeeds,omitempty"`
 
-	// Batch controls batched lane execution for sweep jobs:
-	// absent or true keeps the default (batch whenever the sweep is
-	// step-bounded), false forces one request per suite. Results are
-	// bit-identical either way.
-	Batch *bool `json:"batch,omitempty"`
-
 	// HeartbeatMS is the progress-snapshot interval for the job's events
 	// stream (default 250 ms).
 	HeartbeatMS int64 `json:"heartbeatMs,omitempty"`
@@ -154,7 +148,6 @@ type JobView struct {
 	Result         *simresult.Results `json:"result,omitempty"`
 	Coverage       *coverage.Report   `json:"coverage,omitempty"`
 	SweepRuns      int                `json:"sweepRuns,omitempty"`
-	Batched        bool               `json:"batched,omitempty"`
 	MergedCoverage *coverage.Report   `json:"mergedCoverage,omitempty"`
 
 	// Opt reports what the optimizing middle-end did for this job

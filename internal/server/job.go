@@ -29,10 +29,7 @@ type JobSpec struct {
 	Seed       uint64
 	Lo, Hi     float64
 	SweepSeeds []uint64
-	// DisableBatch forces sweep suites through per-run dispatch instead
-	// of batch requests.
-	DisableBatch bool
-	Heartbeat    time.Duration
+	Heartbeat  time.Duration
 }
 
 // Outcome is what a runner returns for a completed job.
@@ -45,10 +42,8 @@ type Outcome struct {
 	// WorkerReuse reports the run was served by an already-warm
 	// serve-mode worker (single-run jobs through a pool).
 	WorkerReuse bool
-	// SweepRuns and Merged describe a sweep job's outcome; Batched
-	// reports its suites ran as lanes of batch requests.
+	// SweepRuns and Merged describe a sweep job's outcome.
 	SweepRuns int
-	Batched   bool
 	Merged    *coverage.Report
 	// Opt reports what the optimizing middle-end did.
 	Opt *accmos.OptStats
@@ -115,7 +110,6 @@ func (j *job) view() JobView {
 		v.Result = o.Results
 		v.Coverage = o.Coverage
 		v.SweepRuns = o.SweepRuns
-		v.Batched = o.Batched
 		v.MergedCoverage = o.Merged
 		v.Opt = o.Opt
 		v.WorkerReuse = o.WorkerReuse

@@ -124,23 +124,21 @@ func newMetrics(s *Server) *metrics {
 		"Progress snapshots dropped across all job event streams because a subscriber fell behind.",
 		func() float64 { return float64(s.eventsDropped()) })
 
-	if s.pool != nil {
-		reg.CounterFunc("accmosd_pool_spawns_total", "Serve-mode worker processes started.", func() float64 {
-			return float64(s.pool.Stats().Spawns)
-		})
-		reg.CounterFunc("accmosd_pool_reuses_total", "Runs served by an already-warm worker.", func() float64 {
-			return float64(s.pool.Stats().Reuses)
-		})
-		reg.CounterFunc("accmosd_pool_respawns_total", "Workers killed after a deadline or protocol error.", func() float64 {
-			return float64(s.pool.Stats().Respawns)
-		})
-		reg.GaugeFunc("accmosd_pool_warm_workers", "Worker processes currently parked idle.", func() float64 {
-			return float64(s.pool.Stats().Warm)
-		})
-		reg.GaugeFunc("accmosd_pool_artifacts", "Distinct compiled artifacts with a worker set.", func() float64 {
-			return float64(s.pool.Stats().Artifacts)
-		})
-	}
+	reg.CounterFunc("accmosd_pool_spawns_total", "Serve-mode worker processes started.", func() float64 {
+		return float64(s.pool.Stats().Spawns)
+	})
+	reg.CounterFunc("accmosd_pool_reuses_total", "Runs served by an already-warm worker.", func() float64 {
+		return float64(s.pool.Stats().Reuses)
+	})
+	reg.CounterFunc("accmosd_pool_respawns_total", "Workers killed after a deadline or protocol error.", func() float64 {
+		return float64(s.pool.Stats().Respawns)
+	})
+	reg.GaugeFunc("accmosd_pool_warm_workers", "Worker processes currently parked idle.", func() float64 {
+		return float64(s.pool.Stats().Warm)
+	})
+	reg.GaugeFunc("accmosd_pool_artifacts", "Distinct compiled artifacts with a worker set.", func() float64 {
+		return float64(s.pool.Stats().Artifacts)
+	})
 	return m
 }
 

@@ -54,7 +54,6 @@ func PipelineRunner(cache *accmos.BuildCache, pool *accmos.WorkerPool) Runner {
 		opts := specOptions(spec, cache, pool, tr, progress)
 
 		if len(spec.SweepSeeds) > 0 {
-			opts.DisableBatch = spec.DisableBatch
 			sw, err := accmos.SweepContext(ctx, spec.Model, opts, spec.SweepSeeds)
 			if err != nil {
 				return nil, fmt.Errorf("sweep: %w", err)
@@ -64,7 +63,6 @@ func PipelineRunner(cache *accmos.BuildCache, pool *accmos.WorkerPool) Runner {
 			if len(sw.Runs) > 0 && sw.Runs[0] != nil {
 				out.CacheHit = sw.Runs[0].CacheHit
 				out.Opt = sw.Runs[0].Opt
-				out.Batched = sw.Runs[0].Batched
 				out.ArtifactHash = sw.Runs[0].ArtifactHash
 			}
 			return out, nil

@@ -45,8 +45,8 @@ type Config struct {
 	JobTimeout time.Duration
 	// PoolWorkers bounds the warm serve-mode processes the daemon keeps
 	// per compiled artifact, shared across jobs — the process-startup
-	// analogue of the build cache (default 2; < 0 disables the pool and
-	// spawns one process per run).
+	// analogue of the build cache (default 2; NewWorkerPool raises a
+	// negative value to 1).
 	PoolWorkers int
 	// DefaultOptLevel is the optimizing-middle-end level applied to
 	// submissions that do not choose one (zero value = the facade
@@ -102,7 +102,7 @@ const defaultHeartbeat = 250 * time.Millisecond
 type Server struct {
 	cfg   Config
 	cache *accmos.BuildCache
-	pool  *accmos.WorkerPool // nil when PoolWorkers < 0
+	pool  *accmos.WorkerPool
 	mux   *http.ServeMux
 	start time.Time
 
@@ -145,10 +145,7 @@ func New(cfg Config) *Server {
 			cache.SetLimit(cfg.CacheEntries)
 		}
 	}
-	var pool *accmos.WorkerPool
-	if cfg.PoolWorkers > 0 {
-		pool = accmos.NewWorkerPool(cfg.PoolWorkers)
-	}
+	pool := accmos.NewWorkerPool(cfg.PoolWorkers)
 	if cfg.Runner == nil {
 		cfg.Runner = PipelineRunner(cache, pool)
 	}
@@ -182,8 +179,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Cache exposes the daemon's build cache (read-only use: stats).
 func (s *Server) Cache() *accmos.BuildCache { return s.cache }
 
-// Pool exposes the daemon's warm worker pool (nil when disabled;
-// read-only use: stats).
+// Pool exposes the daemon's warm worker pool (read-only use: stats).
 func (s *Server) Pool() *accmos.WorkerPool { return s.pool }
 
 // Drain gracefully stops the scheduler: new submissions are refused with
@@ -206,14 +202,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	// Once the executors are idle no job can reach the pool again, so
 	// its warm child processes are safe to kill.
-	closePool := func() {
-		if s.pool != nil {
-			s.pool.Close()
-		}
-	}
 	select {
 	case <-idle:
-		closePool()
+		s.pool.Close()
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -229,7 +220,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		<-idle
-		closePool()
+		s.pool.Close()
 		return ctx.Err()
 	}
 }
@@ -739,11 +730,8 @@ func cacheView(cs accmos.CacheStats) CacheView {
 	}
 }
 
-// poolView shapes worker-pool stats for the wire (nil when disabled).
+// poolView shapes worker-pool stats for the wire.
 func (s *Server) poolView() *WorkerPoolView {
-	if s.pool == nil {
-		return nil
-	}
 	ws := s.pool.Stats()
 	return &WorkerPoolView{
 		PerArtifact: s.pool.PerArtifact(),

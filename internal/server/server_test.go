@@ -88,6 +88,30 @@ func submitOK(t *testing.T, ts *httptest.Server, req server.SubmitRequest) strin
 	return ack.ID
 }
 
+// submitRaw submits a body that need not fit SubmitRequest, as an older
+// or newer client might send it, and returns the accepted job's ID.
+func submitRaw(t *testing.T, ts *httptest.Server, body map[string]any) string {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	payload, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s: %s", resp.Status, payload)
+	}
+	var ack server.SubmitResponse
+	if err := json.Unmarshal(payload, &ack); err != nil {
+		t.Fatal(err)
+	}
+	return ack.ID
+}
+
 func getJob(t *testing.T, ts *httptest.Server, id string) server.JobView {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
@@ -226,32 +250,51 @@ func TestSubmitPollCacheHit(t *testing.T) {
 	// An older client may still send fields the daemon no longer reads
 	// ("partitions", "tenant"): the submission is admitted and computes
 	// the same result as the same job without them.
-	legacy, err := json.Marshal(map[string]any{
+	old := waitJob(t, ts, submitRaw(t, ts, map[string]any{
 		"model": req.Model, "steps": req.Steps, "coverage": req.Coverage,
 		"partitions": 2, "tenant": "acme",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy submission: %s: %s", resp.Status, payload)
-	}
-	var ack server.SubmitResponse
-	if err := json.Unmarshal(payload, &ack); err != nil {
-		t.Fatal(err)
-	}
-	old := waitJob(t, ts, ack.ID)
+	}))
 	if old.State != server.JobDone || old.Result == nil {
 		t.Fatalf("legacy job: %s (%s)", old.State, old.Error)
 	}
 	if old.Result.OutputHash != cold.Result.OutputHash {
 		t.Errorf("legacy job hash %d, want %d", old.Result.OutputHash, cold.Result.OutputHash)
+	}
+}
+
+// TestSweepJobIgnoresLegacyBatchField: a sweep job runs every suite as
+// its own request. An older client may still send "batch" (true or
+// false); the job succeeds exactly as the same job without it, and no
+// job view carries a "batched" flag.
+func TestSweepJobIgnoresLegacyBatchField(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Workers: 1})
+	doc := slxDoc(t, "SWB", "3")
+	var first server.JobView
+	for _, batch := range []any{nil, false, true} {
+		body := map[string]any{"model": doc, "steps": 200, "seed": 5, "sweepSeeds": []uint64{1, 2, 3}}
+		if batch != nil {
+			body["batch"] = batch
+		}
+		id := submitRaw(t, ts, body)
+		v := waitJob(t, ts, id)
+		if v.State != server.JobDone || v.SweepRuns != 3 || v.MergedCoverage == nil {
+			t.Fatalf("batch=%v: %s (%s), %d runs, merged %v", batch, v.State, v.Error, v.SweepRuns, v.MergedCoverage)
+		}
+		if batch == nil {
+			first = v
+		} else if *v.MergedCoverage != *first.MergedCoverage || v.ArtifactHash != first.ArtifactHash {
+			t.Errorf("batch=%v: merged %+v on %s, want %+v on %s",
+				batch, *v.MergedCoverage, v.ArtifactHash, *first.MergedCoverage, first.ArtifactHash)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if bytes.Contains(payload, []byte(`"batched"`)) {
+			t.Errorf("batch=%v: job view carries a batched flag: %s", batch, payload)
+		}
 	}
 }
 
@@ -574,7 +617,7 @@ func TestArtifactUploadIsNotAccepted(t *testing.T) {
 // and the draining flag.
 func TestHealthzReadinessDetail(t *testing.T) {
 	runner, release, _, _ := blockingRunner()
-	srv, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 7, Runner: runner, PoolWorkers: -1})
+	srv, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 7, Runner: runner})
 	defer release()
 
 	id := submitOK(t, ts, server.SubmitRequest{Model: slxDoc(t, "HZ", "2")})
