@@ -332,7 +332,7 @@ type Options struct {
 	RunID string
 
 	// Progress receives live progress snapshots while the simulation
-	// runs: for Simulate these are the generated program's stderr
+	// runs: for Simulate these are the generated program's
 	// heartbeats; for the in-process engines, step-loop ticks. Setting it
 	// (or ProgressEvery) also records the Timeline in the Result.
 	Progress func(Snapshot)

@@ -36,7 +36,6 @@ func main() {
 		chargeRate  = flag.Int64("charge-rate", 10_000, "case-study charge rate per step")
 		increment   = flag.Int64("fig1-increment", 100, "Figure 1 per-step accumulation")
 		verbose     = flag.Bool("v", false, "progress logging")
-		parallel    = flag.Int("parallel", 1, "run this many benchmark-model rows concurrently (contended timings; 1 = sequential)")
 		timeout     = flag.Duration("timeout", 0, "kill a generated-binary run exceeding this wall-clock deadline, e.g. 5m (0 = none)")
 		metricsJSON = flag.String("metrics-json", "", "write machine-readable benchmark rows (accmos-metrics/v1) to this file")
 		heartbeatMS = flag.Int64("heartbeat-ms", 25, "progress/heartbeat interval for -metrics-json timelines (0 disables)")
@@ -55,7 +54,6 @@ func main() {
 		Seed:       *seed,
 		ChargeRate: *chargeRate,
 		Verbose:    *verbose,
-		Parallel:   *parallel,
 		Timeout:    *timeout,
 	}
 	if *metricsJSON != "" && *heartbeatMS > 0 {

@@ -17,7 +17,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	accmos "accmos"
@@ -47,11 +46,6 @@ type Config struct {
 	// heartbeats for AccMoS, step-loop ticks for SSE) — the raw material
 	// of the -metrics-json coverage timeline.
 	Heartbeat time.Duration
-	// Parallel runs this many benchmark-model rows concurrently in
-	// Table2/Table3 (default 1, sequential — concurrent rows contend for
-	// cores and shift absolute timings, so parallelism is opt-in for
-	// smoke runs and CI, not paper-grade measurement).
-	Parallel int
 	// Timeout kills any generated-binary execution exceeding this
 	// wall-clock deadline (0 = none), so one wedged model cannot hang a
 	// whole experiment batch.
@@ -74,60 +68,6 @@ func (c *Config) fillDefaults() {
 	if c.ChargeRate == 0 {
 		c.ChargeRate = 10_000
 	}
-	if c.Parallel <= 0 {
-		c.Parallel = 1
-	}
-}
-
-// runRows executes fn(0..n-1) with bounded parallelism, leaving callers'
-// index-addressed row slices in deterministic order; the first error wins
-// and the remaining rows are skipped. parallel <= 1 is a plain loop so
-// sequential timing runs stay uncontended.
-func runRows(n, parallel int, fn func(i int) error) error {
-	if parallel <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if parallel > n {
-		parallel = n
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if failed {
-					continue
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
 }
 
 func (c *Config) logf(format string, args ...interface{}) {
@@ -173,17 +113,15 @@ type Table2Row struct {
 	SSETimeline    []obs.Snapshot
 }
 
-// Table2 measures simulation time on every configured model. Rows are
-// computed concurrently when Config.Parallel > 1; the row order (and each
-// row's engine sequence) is identical to the sequential run.
+// Table2 measures simulation time on every configured model, one row
+// after another so no two rows contend for cores.
 func Table2(cfg Config) ([]Table2Row, error) {
 	cfg.fillDefaults()
-	rows := make([]Table2Row, len(cfg.Models))
-	err := runRows(len(cfg.Models), cfg.Parallel, func(i int) error {
-		name := cfg.Models[i]
+	rows := make([]Table2Row, 0, len(cfg.Models))
+	for _, name := range cfg.Models {
 		m, err := benchmodels.Build(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		row := Table2Row{Model: name, Steps: cfg.Steps}
 		bare := cfg.options(m)
@@ -196,7 +134,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		// AccMoS: generate, compile (cached), execute.
 		acc, err := accmos.Simulate(m, full)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		row.AccMoS = time.Duration(acc.ExecNanos)
 		row.Compile = time.Duration(acc.CompileNanos)
@@ -207,7 +145,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		// SSE: full-service interpreter.
 		sse, err := accmos.Interpret(m, full)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		row.SSE = time.Duration(sse.ExecNanos)
 		row.SSETimeline = sse.Timeline
@@ -216,12 +154,12 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		// SSE Accelerator and Rapid Accelerator modes.
 		ac, err := accmos.Accelerate(m, bare)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		row.SSEac = time.Duration(ac.ExecNanos)
 		rac, err := accmos.RapidAccelerate(m, bare)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		row.SSErac = time.Duration(rac.ExecNanos)
 		cfg.logf("table2 %s: ac %v rac %v", name, row.SSEac, row.SSErac)
@@ -232,11 +170,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		row.SpeedupSSE = ratio(row.SSE, row.AccMoS)
 		row.SpeedupAc = ratio(row.SSEac, row.AccMoS)
 		row.SpeedupRac = ratio(row.SSErac, row.AccMoS)
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -268,36 +202,31 @@ type Table3Row struct {
 // Table 2).
 func Table3(cfg Config) ([]Table3Row, error) {
 	cfg.fillDefaults()
-	rows := make([]Table3Row, len(cfg.Models)*len(cfg.Budgets))
-	err := runRows(len(cfg.Models), cfg.Parallel, func(i int) error {
-		name := cfg.Models[i]
+	rows := make([]Table3Row, 0, len(cfg.Models)*len(cfg.Budgets))
+	for _, name := range cfg.Models {
 		m, err := benchmodels.Build(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		opts := cfg.options(m)
 		opts.Coverage, opts.Diagnose = true, true
-		for j, budget := range cfg.Budgets {
+		for _, budget := range cfg.Budgets {
 			opts.Budget = budget
 			acc, err := accmos.Simulate(m, opts)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			sse, err := accmos.Interpret(m, opts)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			cfg.logf("table3 %s @%v: AccMoS %d steps / SSE %d steps", name, budget, acc.Steps, sse.Steps)
-			rows[i*len(cfg.Budgets)+j] = Table3Row{
+			rows = append(rows, Table3Row{
 				Model: name, Budget: budget,
 				AccMoS: Table3Cell{Steps: acc.Steps, Report: acc.CoverageReport()},
 				SSE:    Table3Cell{Steps: sse.Steps, Report: sse.CoverageReport()},
-			}
+			})
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }

@@ -69,7 +69,7 @@ type Metrics struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	// CPUs is the host's usable core count — the ceiling on any
-	// parallelism speedup in these rows (serve, -parallel).
+	// parallelism speedup in these rows (serve).
 	CPUs  int         `json:"cpus"`
 	Steps int64       `json:"steps"`
 	Seed  uint64      `json:"seed"`

@@ -4,8 +4,9 @@
 // decodes its results into the shared simresult schema.
 //
 // Every run speaks one protocol: NDJSON requests on the binary's stdin
-// (-serve), one response frame per request on its stdout, heartbeats on
-// its stderr. A WorkerPool keeps such processes warm across requests;
+// (-serve) and, per request, one ordered stream on its stdout: the
+// request's heartbeats, then its response frame. Stderr carries only
+// diagnostics. A WorkerPool keeps such processes warm across requests;
 // RunContext is the ephemeral case, one request per process. Both kill a
 // wedged or runaway binary (its whole process group, so grandchildren
 // die too) when the context is cancelled or the per-run Timeout elapses,
@@ -160,10 +161,11 @@ type RunOptions struct {
 	// runaway generated program. Zero means no deadline.
 	Timeout time.Duration
 
-	// Heartbeat enables the binary's NDJSON progress stream on stderr at
-	// this interval. Zero leaves it off — the default.
+	// Heartbeat enables the binary's NDJSON progress records at this
+	// interval. Zero leaves them off — the default.
 	Heartbeat time.Duration
-	// Progress receives each heartbeat snapshot as it is decoded.
+	// Progress receives each heartbeat snapshot as it is decoded; every
+	// call has returned before the run does.
 	Progress func(obs.Snapshot)
 	// Trace records a "run" span when non-nil.
 	Trace *obs.Tracer
@@ -188,9 +190,8 @@ func (o *RunOptions) label(binPath string) string {
 	return binPath
 }
 
-// errTailLines bounds how many non-heartbeat stderr lines a run error
-// carries — enough to diagnose a crash without drowning the error in the
-// progress stream or a long panic trace.
+// errTailLines bounds how many stderr lines a run error carries — enough
+// to diagnose a crash without drowning the error in a long panic trace.
 const errTailLines = 20
 
 // clampMS renders a positive duration in the whole milliseconds the
@@ -206,14 +207,14 @@ func clampMS(d time.Duration) int64 {
 
 // RunContext executes a built simulation binary once as an ephemeral
 // serve-mode worker: spawn it, send one request, close its stdin and
-// reap it. The binary's stderr is consumed as a line stream: heartbeat
-// records become progress snapshots (delivered to opts.Progress and
-// collected as the result Timeline); everything else is diagnostics, of
-// which the last errTailLines accompany a run error. When ctx is
-// cancelled — or the opts.Timeout deadline passes — the binary's process
-// group is killed and the returned *RunError names the reason instead of
-// blocking until the process chooses to exit. A binary that exits
-// non-zero fails with ReasonExit whatever it wrote.
+// reap it. Heartbeat records ahead of the response frame become progress
+// snapshots, delivered to opts.Progress and collected as the result
+// Timeline. Stderr is diagnostics, of which the last errTailLines
+// accompany a run error. When ctx is cancelled — or the opts.Timeout
+// deadline passes — the binary's process group is killed and the
+// returned *RunError names the reason instead of blocking until the
+// process chooses to exit. A binary that exits non-zero fails with
+// ReasonExit whatever it wrote.
 func RunContext(ctx context.Context, binPath string, opts RunOptions) (*simresult.Results, error) {
 	defer opts.Trace.Start("run").End()
 	if opts.Timeout > 0 {
@@ -228,16 +229,16 @@ func RunContext(ctx context.Context, binPath string, opts RunOptions) (*simresul
 	if err != nil {
 		return nil, fmt.Errorf("harness: starting %s: %w", opts.label(binPath), err)
 	}
-	lanes, err := w.run(ctx, opts, []uint64{opts.SeedXor})
+	lanes, timeline, err := w.run(ctx, opts, []uint64{opts.SeedXor})
 	if waitErr := w.reap(ctx); waitErr != nil {
 		var re *RunError
 		if err == nil || errors.As(err, &re) && re.Reason != ReasonTimeout && re.Reason != ReasonCanceled {
-			return nil, w.exitError(opts, waitErr)
+			return nil, w.exitError(opts, timeline, waitErr)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	lanes[0].Timeline = w.endRun()
+	lanes[0].Timeline = timeline
 	return lanes[0], nil
 }

@@ -199,9 +199,9 @@ printf '{"accmosRun":1,"id":"%s","laneCount":1}\n%s\n' "$id" '` + doc + `'
 func TestRunDecodesResultsWithInterleavedStderr(t *testing.T) {
 	bin := fakeBinary(t, `
 echo 'warming up' >&2
-echo '{"accmosHB":1,"model":"F","engine":"AccMoS","steps":100,"elapsedNanos":5,"stepsPerSec":1,"coverage":50,"diags":0}' >&2
+echo '{"accmosHB":1,"model":"F","engine":"AccMoS","steps":100,"elapsedNanos":5,"stepsPerSec":1,"coverage":50,"diags":0}'
 echo 'midway note' >&2
-echo '{"accmosHB":1,"model":"F","engine":"AccMoS","steps":200,"elapsedNanos":9,"stepsPerSec":1,"coverage":75,"diags":1,"final":true}' >&2
+echo '{"accmosHB":1,"model":"F","engine":"AccMoS","steps":200,"elapsedNanos":9,"stepsPerSec":1,"coverage":75,"diags":1,"final":true}'
 `+answerFrame(`{"model":"F","engine":"AccMoS","steps":200,"execNanos":9,"outputHash":1,"diagTotal":0}`))
 	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 200})
 	if err != nil {
@@ -388,7 +388,7 @@ func TestRunErrorCarriesDiagnosticTailNotHeartbeats(t *testing.T) {
 	var sb strings.Builder
 	for i := 1; i <= 30; i++ {
 		fmt.Fprintf(&sb, "echo 'diag line %02d' >&2\n", i)
-		sb.WriteString(`echo '{"accmosHB":1,"steps":1}' >&2` + "\n")
+		sb.WriteString(`echo '{"accmosHB":1,"steps":1}'` + "\n")
 	}
 	sb.WriteString("exit 1\n")
 	bin := fakeBinary(t, sb.String())

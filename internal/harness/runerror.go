@@ -16,7 +16,8 @@ const (
 	ReasonTimeout = "timeout"
 	// ReasonCanceled: the caller's context was canceled mid-run.
 	ReasonCanceled = "canceled"
-	// ReasonExit: the generated binary exited non-zero on its own.
+	// ReasonExit: the generated binary exited non-zero on its own, either
+	// after answering or, ephemeral or pooled, by dying mid-request.
 	ReasonExit = "exit"
 	// ReasonProtocol: a serve-mode worker broke the NDJSON frame protocol
 	// (unreadable frame, marker/id mismatch) and was destroyed.
@@ -55,8 +56,7 @@ type RunError struct {
 	// ExitCode is the process exit code (-1 when unknown, e.g. killed by
 	// signal or still attributed to a live worker).
 	ExitCode int
-	// StderrTail holds the last non-heartbeat stderr lines (bounded by
-	// errTailLines).
+	// StderrTail holds the last stderr lines (bounded by errTailLines).
 	StderrTail []string
 	// Heartbeats holds the last progress snapshots seen before the
 	// failure (bounded by errHeartbeats).

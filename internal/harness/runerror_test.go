@@ -50,7 +50,7 @@ func TestRunErrorStructuredOnTimeout(t *testing.T) {
 func TestRunErrorStructuredOnExit(t *testing.T) {
 	bin := fakeBinary(t, `
 echo 'boom: stack trace line' >&2
-echo '{"accmosHB":1,"model":"X","engine":"AccMoS","steps":7}' >&2
+echo '{"accmosHB":1,"model":"X","engine":"AccMoS","steps":7}'
 exit 3
 `)
 	_, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1, RunID: "r-exit-test"})
@@ -89,7 +89,7 @@ exit 3
 func TestRunErrorHeartbeatTailBounded(t *testing.T) {
 	var sb strings.Builder
 	for i := 1; i <= 40; i++ {
-		sb.WriteString(`echo '{"accmosHB":1,"steps":` + strconv.Itoa(i) + `}' >&2` + "\n")
+		sb.WriteString(`echo '{"accmosHB":1,"steps":` + strconv.Itoa(i) + `}'` + "\n")
 	}
 	sb.WriteString("exit 1\n")
 	_, err := harness.RunContext(context.Background(), fakeBinary(t, sb.String()), harness.RunOptions{Steps: 1})
@@ -248,9 +248,37 @@ echo "{\"accmosRun\":1,\"id\":\"$id\",\"error\":\"lanes exploded\"}"
 	}
 }
 
+// TestWorkerPoolCrashReportsExit: a pooled worker that dies mid-request
+// is reaped before its error is built, so the error carries the same
+// verdict an ephemeral run gives: its exit code and its last words. The
+// pool destroys it and counts one respawn.
+func TestWorkerPoolCrashReportsExit(t *testing.T) {
+	bin := fakeBinary(t, `read line
+echo boom >&2
+exit 3
+`)
+	pool := harness.NewWorkerPool(1)
+	defer pool.Close()
+	_, _, err := pool.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1, RunID: "j-crash"})
+	var re *harness.RunError
+	if !errors.As(err, &re) || re.Reason != harness.ReasonExit || re.ExitCode != 3 {
+		t.Fatalf("a crashed worker must be an exit RunError with code 3: %v", err)
+	}
+	if n := len(re.StderrTail); n == 0 || re.StderrTail[n-1] != "boom" {
+		t.Errorf("stderr tail %q, want it to end in boom", re.StderrTail)
+	}
+	if re.Corr != "j-crash" || re.Bin != bin {
+		t.Errorf("identity fields: %+v", re)
+	}
+	if st := pool.Stats(); st.Respawns != 1 || st.Warm != 0 {
+		t.Errorf("pool stats %+v, want one respawn and no warm worker", st)
+	}
+}
+
 // TestWorkerBatchDeathMidBatchCarriesStderr: a worker that crashes
-// between lanes must fail the batch AND preserve its dying words in the
-// structured stderr tail — the forensic trail for "which lane killed it".
+// between lanes must fail the batch with its exit code AND preserve its
+// dying words in the structured stderr tail — the forensic trail for
+// "which lane killed it".
 func TestWorkerBatchDeathMidBatchCarriesStderr(t *testing.T) {
 	bin := fakeBinary(t, `
 read line
@@ -266,8 +294,8 @@ exit 2
 	_, _, _, err := pool.RunBatch(context.Background(), bin,
 		harness.RunOptions{Steps: 4, RunID: "b-death"}, []uint64{1, 2, 3})
 	var re *harness.RunError
-	if !errors.As(err, &re) || re.Reason != harness.ReasonProtocol {
-		t.Fatalf("mid-batch death must be a protocol RunError: %v", err)
+	if !errors.As(err, &re) || re.Reason != harness.ReasonExit || re.ExitCode != 2 {
+		t.Fatalf("mid-batch death must be an exit RunError with code 2: %v", err)
 	}
 	if re.Corr != "b-death" {
 		t.Errorf("correlation id %q, want b-death", re.Corr)

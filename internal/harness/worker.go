@@ -31,8 +31,9 @@ type serveFrame struct {
 // WorkerStats summarizes a pool's lifetime activity. Spawns counts
 // serve-mode processes started, Reuses counts requests served by an
 // already-warm worker (the startup cost the pool amortized away), and
-// Respawns counts workers killed after a deadline or protocol error —
-// their slot respawns lazily on the next request. Batches counts batch
+// Respawns counts workers destroyed after a failed request (a deadline,
+// a protocol error, the worker's own death) — their slot respawns lazily
+// on the next request. Batches counts batch
 // requests dispatched (each covering many lanes in one frame). Warm is
 // the number of workers currently parked idle (a live gauge, not a
 // lifetime counter).
@@ -109,10 +110,10 @@ func (p *WorkerPool) Stats() WorkerStats {
 func (p *WorkerPool) RunContext(ctx context.Context, binPath string, opts RunOptions) (res *simresult.Results, reused bool, err error) {
 	defer opts.Trace.Start("run").End()
 	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) error {
-		lanes, err := w.run(ctx, opts, []uint64{opts.SeedXor})
+		lanes, timeline, err := w.run(ctx, opts, []uint64{opts.SeedXor})
 		if err == nil {
 			res = lanes[0]
-			res.Timeline = w.endRun()
+			res.Timeline = timeline
 		}
 		return err
 	})
@@ -137,9 +138,7 @@ func (p *WorkerPool) RunBatch(ctx context.Context, binPath string, opts RunOptio
 		return nil, nil, false, errors.New("harness: RunBatch needs at least one seed")
 	}
 	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) error {
-		if res, err = w.run(ctx, opts, seedXors); err == nil {
-			w.endRun() // request heartbeats aggregate lanes; no lane owns them
-		}
+		res, _, err = w.run(ctx, opts, seedXors) // request heartbeats aggregate lanes; no lane owns them
 		return err
 	})
 	if err != nil {
@@ -277,8 +276,10 @@ func (p *WorkerPool) Close() {
 
 // serveWorker is one live serve-mode process. A worker serves requests
 // strictly one at a time (the pool guarantees exclusive ownership while a
-// request is in flight); hbMu only synchronizes the request goroutine
-// with the long-lived stderr drain goroutine.
+// request is in flight). Its stdout is the one ordered stream of a
+// request: heartbeats, then the response frame. Its stderr is
+// diagnostics only; tailMu synchronizes the request goroutine with the
+// long-lived stderr drain goroutine that keeps the tail.
 type serveWorker struct {
 	bin    string
 	cmd    *exec.Cmd
@@ -286,14 +287,13 @@ type serveWorker struct {
 	out    *bufio.Reader
 	nextID int64
 
-	hbMu       sync.Mutex
-	curRun     string
-	curCorr    string
-	progress   func(obs.Snapshot)
-	timeline   []obs.Snapshot
-	finalSeen  chan struct{} // closed when the current run's final heartbeat lands
+	tailMu     sync.Mutex
 	tail       []string
 	stderrDone chan struct{}
+
+	waitOnce sync.Once
+	exited   chan struct{} // closed once the process is reaped
+	waitErr  error         // the exit status, set before exited closes
 }
 
 // spawnWorker starts binPath in serve mode with its pipes wired up and
@@ -324,100 +324,74 @@ func spawnWorker(binPath string) (*serveWorker, error) {
 		out:   bufio.NewReaderSize(stdout, 64*1024),
 
 		stderrDone: make(chan struct{}),
+		exited:     make(chan struct{}),
 	}
 	go w.drain(stderr)
 	return w, nil
 }
 
-// drain consumes the worker's stderr for its whole life: heartbeats
-// tagged with the current request id feed that request's timeline and
-// progress callback (stale tags from an earlier request are dropped);
-// everything else lands in the diagnostic tail ring.
+// drain consumes the worker's stderr for its whole life, keeping the
+// last errTailLines lines as the diagnostic tail.
 func (w *serveWorker) drain(r io.Reader) {
 	defer close(w.stderrDone)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if snap, ok := obs.ParseHeartbeat(line); ok {
-			w.hbMu.Lock()
-			var cb func(obs.Snapshot)
-			var fin chan struct{}
-			// Untagged heartbeats belong to whichever run is current: a
-			// serving binary tags its own, so only a -steps style
-			// program emits them.
-			if snap.Run == "" || snap.Run == w.curRun {
-				snap.Corr = w.curCorr
-				w.timeline = append(w.timeline, snap)
-				cb = w.progress
-				if snap.Final && w.finalSeen != nil {
-					fin = w.finalSeen
-					w.finalSeen = nil
-				}
-			}
-			w.hbMu.Unlock()
-			if cb != nil {
-				cb(snap)
-			}
-			// Signal the final snapshot only after its callback returns,
-			// so a run that waits on finalSeen observes every progress
-			// invocation for its own run as already finished.
-			if fin != nil {
-				close(fin)
-			}
-			continue
-		}
-		w.hbMu.Lock()
-		w.tail = append(w.tail, string(line))
-		if len(w.tail) > errTailLines {
-			w.tail = w.tail[len(w.tail)-errTailLines:]
-		}
-		w.hbMu.Unlock()
+		w.addTail(sc.Text())
 	}
 	if err := sc.Err(); err != nil {
-		w.hbMu.Lock()
-		w.tail = append(w.tail, fmt.Sprintf("harness: stderr scan aborted (diagnostic tail truncated): %v", err))
-		w.hbMu.Unlock()
+		w.addTail(fmt.Sprintf("harness: stderr scan aborted (diagnostic tail truncated): %v", err))
 		io.Copy(io.Discard, r)
+	}
+}
+
+// addTail appends one line to the bounded diagnostic tail.
+func (w *serveWorker) addTail(line string) {
+	w.tailMu.Lock()
+	defer w.tailMu.Unlock()
+	w.tail = append(w.tail, line)
+	if len(w.tail) > errTailLines {
+		w.tail = w.tail[len(w.tail)-errTailLines:]
 	}
 }
 
 // errTail snapshots the worker's diagnostic stderr tail for an error.
 func (w *serveWorker) errTail() string {
-	w.hbMu.Lock()
-	defer w.hbMu.Unlock()
+	w.tailMu.Lock()
+	defer w.tailMu.Unlock()
 	return strings.Join(w.tail, "\n")
 }
 
 // fail builds a structured RunError around the worker's current
-// evidence: the diagnostic stderr tail and the run's trailing heartbeats.
-func (w *serveWorker) fail(opts RunOptions, reason string, cause error, msg string) *RunError {
-	w.hbMu.Lock()
-	defer w.hbMu.Unlock()
+// evidence: the diagnostic stderr tail and the request's trailing
+// heartbeats.
+func (w *serveWorker) fail(opts RunOptions, timeline []obs.Snapshot, reason string, cause error, msg string) *RunError {
+	w.tailMu.Lock()
+	defer w.tailMu.Unlock()
 	return &RunError{
 		Model: opts.Model, Suite: opts.Suite, Bin: w.bin, Corr: opts.RunID,
 		Reason: reason, ExitCode: -1,
-		StderrTail: append([]string(nil), w.tail...), Heartbeats: heartbeatTail(w.timeline),
+		StderrTail: append([]string(nil), w.tail...), Heartbeats: heartbeatTail(timeline),
 		Err: cause, msg: msg,
 	}
 }
 
 // run sends one request, one lane per seed, and decodes the per-lane
-// result lines in seed order; the caller collects the request's timeline
-// with endRun. The request carries the step count AND the budget: with
-// both set each lane stops at whichever bound is reached first. A worker
-// that errors here must not be reused.
-func (w *serveWorker) run(ctx context.Context, opts RunOptions, seedXors []uint64) ([]*simresult.Results, error) {
+// result lines in seed order, returning them with the request's
+// heartbeat timeline (on failure too). The request carries the step
+// count AND the budget: with both set each lane stops at whichever bound
+// is reached first. A worker that errors here must not be reused.
+func (w *serveWorker) run(ctx context.Context, opts RunOptions, seedXors []uint64) ([]*simresult.Results, []obs.Snapshot, error) {
 	req := simrt.Request{SeedXors: seedXors, Steps: opts.Steps}
 	if opts.Budget > 0 {
 		req.BudgetMS = clampMS(opts.Budget)
 	}
-	lanes, err := w.exchange(ctx, opts, req)
+	lanes, timeline, err := w.exchange(ctx, opts, req)
 	if err != nil {
-		return nil, err
+		return nil, timeline, err
 	}
 	if len(lanes) != len(seedXors) {
-		return nil, w.fail(opts, ReasonProtocol, nil,
+		return nil, timeline, w.fail(opts, timeline, ReasonProtocol, nil,
 			fmt.Sprintf("harness: running %s: frame mismatch (%d lanes for %d seeds)",
 				opts.label(w.bin), len(lanes), len(seedXors)))
 	}
@@ -425,28 +399,30 @@ func (w *serveWorker) run(ctx context.Context, opts RunOptions, seedXors []uint6
 	for i, lane := range lanes {
 		out[i] = new(simresult.Results)
 		if err := simresult.Decode(lane, out[i]); err != nil {
-			return nil, w.fail(opts, ReasonDecode, err,
+			return nil, timeline, w.fail(opts, timeline, ReasonDecode, err,
 				fmt.Sprintf("harness: running %s: decoding lane %d: %v", opts.label(w.bin), i, err))
 		}
 	}
-	return out, nil
+	return out, timeline, nil
 }
 
-// exchange assigns the request id, sends one request line and reads its
-// validated response frame, returning the raw lane lines. It enforces
-// the per-request Timeout by killing the process group — the exchange
-// goroutine then unblocks on the closed pipe. It registers the request
-// for heartbeats; endRun collects the timeline and clears the
-// registration. Frame validation (marker, id, worker error) happens
-// here; result decoding is the caller's.
-func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.Request) ([][]byte, error) {
+// exchange assigns the request id, sends one request line and reads the
+// worker's stdout up to and through the response frame, returning the
+// raw lane lines and the request's timeline. Heartbeat lines ahead of the
+// frame are handled as they arrive: stamped with opts.RunID, appended to
+// the timeline and passed to opts.Progress, so every Progress call has
+// returned when exchange does. It enforces the per-request Timeout by
+// killing the process group — the reading goroutine then unblocks on the
+// closed pipe. Frame validation (marker, id, worker error) happens here;
+// result decoding is the caller's.
+func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.Request) ([][]byte, []obs.Snapshot, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("harness: running %s: %w", opts.label(w.bin), err)
+		return nil, nil, fmt.Errorf("harness: running %s: %w", opts.label(w.bin), err)
 	}
 	w.nextID++
 	id := fmt.Sprintf("r%d", w.nextID)
@@ -456,40 +432,43 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 	}
 	line, err := json.Marshal(req)
 	if err != nil {
-		return nil, fmt.Errorf("harness: encoding request: %w", err)
+		return nil, nil, fmt.Errorf("harness: encoding request: %w", err)
 	}
 	line = append(line, '\n')
 
-	w.hbMu.Lock()
-	w.curRun, w.curCorr, w.progress = id, opts.RunID, opts.Progress
-	for i := range w.timeline {
-		w.timeline[i].Corr = opts.RunID // untagged heartbeats that beat the request in
-	}
-	var finalSeen chan struct{}
-	if req.HeartbeatMS > 0 {
-		finalSeen = make(chan struct{})
-	}
-	w.finalSeen = finalSeen
-	w.hbMu.Unlock()
-
 	type exchanged struct {
+		timeline []obs.Snapshot
 		frame    serveFrame
 		frameErr error // the frame line arrived but did not decode
 		lanes    [][]byte
-		err      error // the pipe broke
+		err      error // the stream broke
 	}
 	ch := make(chan exchanged, 1)
 	go func() {
-		if _, err := w.stdin.Write(line); err != nil {
-			ch <- exchanged{err: fmt.Errorf("writing request: %w", err)}
-			return
-		}
-		raw, err := w.out.ReadBytes('\n')
-		if err != nil {
-			ch <- exchanged{err: err}
-			return
-		}
 		var ex exchanged
+		defer func() { ch <- ex }()
+		// A worker that died before reading the request still left its
+		// heartbeats on stdout: read them, and report the failed write
+		// only when the stream ends without a frame.
+		_, werr := w.stdin.Write(line)
+		var raw []byte
+		for {
+			if raw, ex.err = w.out.ReadBytes('\n'); ex.err != nil {
+				if werr != nil {
+					ex.err = fmt.Errorf("writing request: %w", werr)
+				}
+				return
+			}
+			snap, ok := obs.ParseHeartbeat(raw)
+			if !ok {
+				break
+			}
+			snap.Corr = opts.RunID
+			ex.timeline = append(ex.timeline, snap)
+			if opts.Progress != nil {
+				opts.Progress(snap)
+			}
+		}
 		ex.frameErr = json.Unmarshal(raw, &ex.frame)
 		// The header frame is followed by one raw result line per lane;
 		// read them here so the cancellation kill path below covers a
@@ -497,124 +476,125 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 		for i := 0; ex.frameErr == nil && i < ex.frame.LaneCount; i++ {
 			lane, err := w.out.ReadBytes('\n')
 			if err != nil {
-				ch <- exchanged{err: fmt.Errorf("reading lane %d of %d: %w", i+1, ex.frame.LaneCount, err)}
+				ex.err = fmt.Errorf("reading lane %d of %d: %w", i+1, ex.frame.LaneCount, err)
 				return
 			}
 			ex.lanes = append(ex.lanes, lane)
 		}
-		ch <- ex
 	}()
 	var ex exchanged
 	select {
 	case <-ctx.Done():
 		killProcGroup(w.cmd)
-		<-ch
+		ex = <-ch
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) && opts.Timeout > 0 {
-			e := w.fail(opts, ReasonTimeout, context.DeadlineExceeded,
+			e := w.fail(opts, ex.timeline, ReasonTimeout, context.DeadlineExceeded,
 				fmt.Sprintf("harness: running %s: worker killed after exceeding the %v timeout\n%s",
 					opts.label(w.bin), opts.Timeout, w.errTail()))
 			e.Timeout = opts.Timeout
-			return nil, e
+			return nil, ex.timeline, e
 		}
-		return nil, w.fail(opts, ReasonCanceled, ctx.Err(),
+		return nil, ex.timeline, w.fail(opts, ex.timeline, ReasonCanceled, ctx.Err(),
 			fmt.Sprintf("harness: running %s: worker killed: %v\n%s",
 				opts.label(w.bin), ctx.Err(), w.errTail()))
 	case ex = <-ch:
 	}
+	timeline := ex.timeline
 	if ex.err != nil {
-		// A broken pipe usually means the worker is dying: give its
-		// stderr a moment to drain so the error carries its last words.
+		// The stream broke, which usually means the worker died: reap it,
+		// for a bounded while, so the error carries its exit code and its
+		// complete stderr. A worker still alive after that broke the
+		// protocol.
 		w.stdin.Close()
 		select {
-		case <-w.stderrDone:
+		case <-w.reaped():
+			if w.waitErr != nil {
+				return nil, timeline, w.exitError(opts, timeline, w.waitErr)
+			}
 		case <-ctx.Done():
 		case <-time.After(time.Second):
 		}
-		return nil, w.fail(opts, ReasonProtocol, ex.err,
+		return nil, timeline, w.fail(opts, timeline, ReasonProtocol, ex.err,
 			fmt.Sprintf("harness: running %s: worker protocol failure: %v\n%s",
 				opts.label(w.bin), ex.err, w.errTail()))
 	}
 	frame := &ex.frame
 	if err := ex.frameErr; err != nil {
-		return nil, w.fail(opts, ReasonProtocol, err,
+		return nil, timeline, w.fail(opts, timeline, ReasonProtocol, err,
 			fmt.Sprintf("harness: running %s: decoding worker frame: %v\n%s",
 				opts.label(w.bin), err, w.errTail()))
 	}
 	if frame.Marker != 1 || frame.ID != id {
-		return nil, w.fail(opts, ReasonProtocol, nil,
+		return nil, timeline, w.fail(opts, timeline, ReasonProtocol, nil,
 			fmt.Sprintf("harness: running %s: worker frame mismatch (marker %d, id %q, want %q)",
 				opts.label(w.bin), frame.Marker, frame.ID, id))
 	}
 	if frame.Error != "" {
-		return nil, w.fail(opts, ReasonWorker, nil,
+		return nil, timeline, w.fail(opts, timeline, ReasonWorker, nil,
 			fmt.Sprintf("harness: running %s: worker: %s", opts.label(w.bin), frame.Error))
 	}
-	if finalSeen != nil {
-		// The worker writes the run's final heartbeat to stderr before its
-		// stdout frame, so the bytes are already in flight — wait briefly
-		// for the drain goroutine to deliver it rather than return a
-		// timeline missing its final snapshot. Bounded so a pathological
-		// stderr consumer can't wedge the request.
-		select {
-		case <-finalSeen:
-		case <-time.After(time.Second):
-		case <-ctx.Done():
-		}
-	}
-	return ex.lanes, nil
+	return ex.lanes, timeline, nil
 }
 
-// endRun returns the current run's timeline and clears its heartbeat
-// registration.
-func (w *serveWorker) endRun() []obs.Snapshot {
-	w.hbMu.Lock()
-	defer w.hbMu.Unlock()
-	timeline := w.timeline
-	w.curRun, w.curCorr, w.timeline, w.progress, w.finalSeen = "", "", nil, nil, nil
-	return timeline
+// reaped starts, once, the goroutine that waits for the process to exit
+// and returns the channel it closes when it has; waitErr then holds the
+// exit status. The goroutine waits for stderr to drain first, so the
+// diagnostic tail is complete. Wait closes the stdout pipe, so call
+// reaped only once stdout holds nothing more the harness wants.
+func (w *serveWorker) reaped() <-chan struct{} {
+	w.waitOnce.Do(func() {
+		go func() {
+			<-w.stderrDone
+			w.waitErr = w.cmd.Wait()
+			close(w.exited)
+		}()
+	})
+	return w.exited
 }
 
 // reap retires an ephemeral worker: close its stdin — a serving binary
-// exits at EOF — and wait until it has exited and both output pipes are
-// drained, killing its process group if ctx ends first. It returns the
-// exit error of a binary that exited non-zero on its own, and nil for a
-// clean exit or a kill (the caller then already holds its answer or its
-// error).
+// exits at EOF — and wait until it has exited, discarding anything more
+// it writes to stdout, killing its process group if ctx ends first. It
+// returns the exit error of a binary that exited non-zero on its own,
+// and nil for a clean exit or a kill (the caller then already holds its
+// answer or its error).
 func (w *serveWorker) reap(ctx context.Context) error {
 	w.stdin.Close()
 	drained := make(chan struct{})
 	go func() {
-		io.Copy(io.Discard, w.out)
-		<-w.stderrDone
+		io.Copy(io.Discard, w.out) // ends at EOF, or when Wait closes the pipe
 		close(drained)
 	}()
+	var err error
 	select {
-	case <-drained:
-		return w.cmd.Wait()
+	case <-w.reaped():
+		err = w.waitErr
 	case <-ctx.Done():
-		killProcGroup(w.cmd)
-		<-drained
-		w.cmd.Wait()
-		return nil
+		w.destroy()
 	}
+	<-drained
+	return err
 }
 
 // exitError is the failure of a binary that exited non-zero on its own,
 // carrying its exit code and complete stderr evidence.
-func (w *serveWorker) exitError(opts RunOptions, waitErr error) *RunError {
-	e := w.fail(opts, ReasonExit, waitErr, "")
+func (w *serveWorker) exitError(opts RunOptions, timeline []obs.Snapshot, waitErr error) *RunError {
+	e := w.fail(opts, timeline, ReasonExit, waitErr,
+		fmt.Sprintf("harness: running %s: %v\n%s", opts.label(w.bin), waitErr, w.errTail()))
 	if ps := w.cmd.ProcessState; ps != nil {
 		e.ExitCode = ps.ExitCode()
 	}
-	e.msg = fmt.Sprintf("harness: running %s: %v\n%s", opts.label(w.bin), waitErr, strings.Join(e.StderrTail, "\n"))
 	return e
 }
 
-// destroy kills the worker's process group and reaps it. Safe to call on
-// an already-dead worker.
+// destroy kills the worker's process group, unless the process was
+// already reaped, and waits until it is.
 func (w *serveWorker) destroy() {
 	w.stdin.Close()
-	killProcGroup(w.cmd)
-	w.cmd.Wait()
-	<-w.stderrDone
+	select {
+	case <-w.exited:
+	default:
+		killProcGroup(w.cmd)
+	}
+	<-w.reaped()
 }

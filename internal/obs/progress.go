@@ -62,15 +62,15 @@ type Snapshot struct {
 func (s Snapshot) Elapsed() time.Duration { return time.Duration(s.ElapsedNanos) }
 
 // heartbeatPrefix starts every NDJSON heartbeat line a generated program
-// writes to stderr, distinguishing the stream from ordinary diagnostics.
+// writes to stdout ahead of its response frame, distinguishing a
+// heartbeat from the frame header.
 var heartbeatPrefix = []byte(`{"accmosHB":`)
 
-// IsHeartbeat reports whether a stderr line is a heartbeat record.
+// IsHeartbeat reports whether a line is a heartbeat record.
 func IsHeartbeat(line []byte) bool { return bytes.HasPrefix(line, heartbeatPrefix) }
 
 // ParseHeartbeat decodes one heartbeat line; ok is false for any other
-// stderr content (including malformed heartbeats, which callers should
-// treat as ordinary diagnostics).
+// line, a malformed heartbeat included.
 func ParseHeartbeat(line []byte) (Snapshot, bool) {
 	if !IsHeartbeat(line) {
 		return Snapshot{}, false

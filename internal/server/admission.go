@@ -21,8 +21,9 @@ func (e *AdmissionError) Error() string { return e.Msg }
 
 // SpecFromRequest validates a submission and builds the runnable JobSpec:
 // reject negative run bounds, admit the model document (parse, elaborate,
-// lint-gate), then map the wire fields onto the spec with the daemon's
-// defaults (opt level, heartbeat) and the job-timeout clamp applied. The
+// lint-gate), then map the wire fields onto the spec's facade options
+// with the daemon's defaults (opt level, heartbeat, the [-1, 1] stimulus
+// range of a seeded job) and the job-timeout clamp applied. The
 // returned findings are the full advisory list recorded on the job.
 //
 // The document's admission verdict is memoised in cache under the
@@ -52,35 +53,36 @@ func SpecFromRequest(cache *accmos.BuildCache, req SubmitRequest, defaultOpt acc
 	}
 	m, findings := ad.model, ad.findings
 
-	spec := JobSpec{
-		ModelName:  m.Name,
-		Model:      m,
-		Steps:      req.Steps,
-		Budget:     time.Duration(req.BudgetMS) * time.Millisecond,
-		Timeout:    time.Duration(req.TimeoutMS) * time.Millisecond,
-		Coverage:   req.Coverage,
-		Diagnose:   req.Diagnose,
-		OptLevel:   defaultOpt,
-		Seed:       req.Seed,
-		Lo:         req.Lo,
-		Hi:         req.Hi,
-		SweepSeeds: req.SweepSeeds,
-		Heartbeat:  defaultHeartbeat,
+	opts := accmos.Options{
+		Steps:         req.Steps,
+		Budget:        time.Duration(req.BudgetMS) * time.Millisecond,
+		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
+		Coverage:      req.Coverage,
+		Diagnose:      req.Diagnose,
+		OptLevel:      defaultOpt,
+		ProgressEvery: defaultHeartbeat,
+	}
+	if req.Seed != 0 {
+		lo, hi := req.Lo, req.Hi
+		if lo == 0 && hi == 0 {
+			lo, hi = -1, 1
+		}
+		opts.TestCases = accmos.RandomTestCases(m, req.Seed, lo, hi)
 	}
 	if req.OptLevel != nil {
 		lv, err := accmos.OptLevelFromInt(*req.OptLevel)
 		if err != nil {
 			return JobSpec{}, findings, &AdmissionError{Msg: fmt.Sprintf("optLevel: %v", err)}
 		}
-		spec.OptLevel = lv
+		opts.OptLevel = lv
 	}
 	if req.HeartbeatMS > 0 {
-		spec.Heartbeat = time.Duration(req.HeartbeatMS) * time.Millisecond
+		opts.ProgressEvery = time.Duration(req.HeartbeatMS) * time.Millisecond
 	}
-	if cap := jobTimeout; cap > 0 && (spec.Timeout <= 0 || spec.Timeout > cap) {
-		spec.Timeout = cap
+	if cap := jobTimeout; cap > 0 && (opts.Timeout <= 0 || opts.Timeout > cap) {
+		opts.Timeout = cap
 	}
-	return spec, findings, nil
+	return JobSpec{Model: m, Options: opts, SweepSeeds: req.SweepSeeds}, findings, nil
 }
 
 // admission is the verdict on one model document: the admitted model and

@@ -275,7 +275,7 @@ type DebugBundle struct {
 	TimeoutMS int64  `json:"timeoutMs,omitempty"`
 	Bin       string `json:"bin,omitempty"`
 
-	// StderrTail holds the last non-heartbeat stderr lines of the
+	// StderrTail holds the last stderr (diagnostic) lines of the
 	// generated binary; Heartbeats the last progress snapshots before
 	// death (each stamped with Corr); Trace the pipeline phase spans;
 	// Phases the flattened per-phase nanoseconds.

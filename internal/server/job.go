@@ -12,24 +12,15 @@ import (
 // JobSpec is the validated, parsed form of a submission — everything the
 // runner needs, with the model already decoded and admission-checked.
 type JobSpec struct {
-	ModelName string
-	Model     *accmos.Model
-
-	// Corr is the job's correlation ID (= the job ID). The runner
-	// threads it into the facade so trace spans, heartbeats and run
-	// errors all carry it.
-	Corr string
-
-	Steps      int64
-	Budget     time.Duration
-	Timeout    time.Duration
-	Coverage   bool
-	Diagnose   bool
-	OptLevel   accmos.OptLevel
-	Seed       uint64
-	Lo, Hi     float64
+	Model *accmos.Model
+	// Options is the job's run configuration, defaults applied. The
+	// runner adds only the cache, pool, trace and progress callback.
+	// RunID is the job ID, the job's correlation ID: trace spans,
+	// heartbeats and run errors all carry it.
+	Options accmos.Options
+	// SweepSeeds, when non-empty, makes the job a coverage sweep with
+	// one suite per seed.
 	SweepSeeds []uint64
-	Heartbeat  time.Duration
 }
 
 // Outcome is what a runner returns for a completed job.
@@ -86,7 +77,7 @@ func (j *job) view() JobView {
 	v := JobView{
 		ID:          j.id,
 		State:       j.state,
-		Model:       j.spec.ModelName,
+		Model:       j.spec.Model.Name,
 		Priority:    j.priority,
 		SubmittedAt: j.submitted,
 		CacheHit:    j.cacheHit,

@@ -9,49 +9,23 @@ import (
 )
 
 // Runner executes one admitted job. The default is the full AccMoS
-// pipeline (PipelineRunner); tests and alternative backends substitute
-// their own via Config.Runner. progress receives live snapshots to
-// re-broadcast on the job's events stream; tr records the pipeline phase
-// spans that feed the /metrics latency histograms.
+// pipeline (PipelineRunner); tests substitute their own via
+// Config.Runner. progress receives live snapshots to re-broadcast on the
+// job's events stream; tr records the pipeline phase spans that feed the
+// /metrics latency histograms.
 type Runner func(ctx context.Context, spec JobSpec, tr *accmos.Tracer, progress func(obs.Snapshot)) (*Outcome, error)
 
-// specOptions maps a validated JobSpec to the facade options its run
-// uses.
-func specOptions(spec JobSpec, cache *accmos.BuildCache, pool *accmos.WorkerPool, tr *accmos.Tracer, progress func(obs.Snapshot)) accmos.Options {
-	opts := accmos.Options{
-		Steps:         spec.Steps,
-		Budget:        spec.Budget,
-		Coverage:      spec.Coverage,
-		Diagnose:      spec.Diagnose,
-		OptLevel:      spec.OptLevel,
-		Timeout:       spec.Timeout,
-		Cache:         cache,
-		Pool:          pool,
-		RunID:         spec.Corr,
-		Trace:         tr,
-		Progress:      progress,
-		ProgressEvery: spec.Heartbeat,
-	}
-	if spec.Seed != 0 {
-		lo, hi := spec.Lo, spec.Hi
-		if lo == 0 && hi == 0 {
-			lo, hi = -1, 1
-		}
-		opts.TestCases = accmos.RandomTestCases(spec.Model, spec.Seed, lo, hi)
-	}
-	return opts
-}
-
 // PipelineRunner builds the production runner: generate, compile through
-// the shared bounded cache, execute under the job's context, and shape
-// the outcome for the job record. One cache across all jobs is the whole
-// point of the daemon — the second submission of an identical model pays
-// no compile. The optional pool extends the same amortization to process
-// startup: jobs sharing an artifact run through its warm serve-mode
-// workers (nil = a fresh process per call).
+// the shared bounded cache, execute on the shared worker pool under the
+// job's context, and shape the outcome for the job record. One cache
+// across all jobs is the whole point of the daemon — the second
+// submission of an identical model pays no compile — and the pool
+// extends the same amortization to process startup: jobs sharing an
+// artifact run through its warm serve-mode workers.
 func PipelineRunner(cache *accmos.BuildCache, pool *accmos.WorkerPool) Runner {
 	return func(ctx context.Context, spec JobSpec, tr *accmos.Tracer, progress func(obs.Snapshot)) (*Outcome, error) {
-		opts := specOptions(spec, cache, pool, tr, progress)
+		opts := spec.Options
+		opts.Cache, opts.Pool, opts.Trace, opts.Progress = cache, pool, tr, progress
 
 		if len(spec.SweepSeeds) > 0 {
 			sw, err := accmos.SweepContext(ctx, spec.Model, opts, spec.SweepSeeds)
@@ -76,7 +50,7 @@ func PipelineRunner(cache *accmos.BuildCache, pool *accmos.WorkerPool) Runner {
 			Results: res.Results, CacheHit: res.CacheHit, WorkerReuse: res.WorkerReuse,
 			Opt: res.Opt, ArtifactHash: res.ArtifactHash,
 		}
-		if spec.Coverage {
+		if opts.Coverage {
 			rep := res.CoverageReport()
 			out.Coverage = &rep
 		}

@@ -320,7 +320,7 @@ func (s *Server) finishLocked(j *job, state JobState, errMsg string, tr *accmos.
 	j.fanout.Close()
 	close(j.done)
 	attrs := []interface{}{
-		"corr", j.id, "state", string(state), "model", j.spec.ModelName,
+		"corr", j.id, "state", string(state), "model", j.spec.Model.Name,
 	}
 	if !j.started.IsZero() {
 		attrs = append(attrs,
@@ -364,7 +364,7 @@ func (s *Server) captureDebugLocked(j *job, tr *accmos.Tracer) {
 		ID:          j.id,
 		Corr:        j.id,
 		State:       j.state,
-		Model:       j.spec.ModelName,
+		Model:       j.spec.Model.Name,
 		SubmittedAt: j.submitted,
 		Error:       j.errMsg,
 		ExitCode:    -1,
@@ -480,12 +480,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if status := s.shedLocked(); status != 0 {
 		s.mu.Unlock()
-		s.refuse(w, status, spec.ModelName)
+		s.refuse(w, status, spec.Model.Name)
 		return
 	}
 	s.seq++
 	id := fmt.Sprintf("j-%06d", s.seq)
-	spec.Corr = id // the job ID doubles as the run's correlation ID
+	spec.Options.RunID = id // the job ID doubles as the run's correlation ID
 	j := &job{
 		id:        id,
 		seq:       s.seq,
@@ -505,7 +505,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.countJob("submitted")
 	s.cfg.Logger.Info("job queued",
-		"corr", j.id, "model", spec.ModelName, "priority", req.Priority, "queueDepth", depth)
+		"corr", j.id, "model", spec.Model.Name, "priority", req.Priority, "queueDepth", depth)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: j.id, State: JobQueued, QueueDepth: depth})
 }
 

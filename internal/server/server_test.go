@@ -185,7 +185,7 @@ func blockingRunner() (server.Runner, func(), *[]string, *sync.Mutex) {
 	)
 	runner := func(ctx context.Context, spec server.JobSpec, tr *accmos.Tracer, progress func(obs.Snapshot)) (*server.Outcome, error) {
 		mu.Lock()
-		order = append(order, spec.ModelName)
+		order = append(order, spec.Model.Name)
 		mu.Unlock()
 		select {
 		case <-release:
@@ -402,7 +402,7 @@ func TestCancelQueuedAndRunningJobs(t *testing.T) {
 func TestEventsStreamNDJSON(t *testing.T) {
 	runner := func(ctx context.Context, spec server.JobSpec, tr *accmos.Tracer, progress func(obs.Snapshot)) (*server.Outcome, error) {
 		for i := int64(1); i <= 3; i++ {
-			progress(obs.Snapshot{Model: spec.ModelName, Steps: i * 10})
+			progress(obs.Snapshot{Model: spec.Model.Name, Steps: i * 10})
 		}
 		return &server.Outcome{}, nil
 	}

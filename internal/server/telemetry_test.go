@@ -220,7 +220,7 @@ func TestMetricsChurnMonotonicAndFormatsAgree(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if strings.HasSuffix(spec.ModelName, "F") {
+		if strings.HasSuffix(spec.Model.Name, "F") {
 			return nil, fmt.Errorf("induced failure")
 		}
 		return &server.Outcome{}, nil
@@ -352,11 +352,11 @@ func TestFailedJobDebugBundle(t *testing.T) {
 		defer tr.Start("simulate").End()
 		progress(obs.Snapshot{Steps: 10})
 		progress(obs.Snapshot{Steps: 20})
-		if spec.ModelName == "DBGF" {
+		if spec.Model.Name == "DBGF" {
 			return nil, &accmos.RunError{
-				Model:      spec.ModelName,
+				Model:      spec.Model.Name,
 				Bin:        "/fake/bin/DBGF",
-				Corr:       spec.Corr,
+				Corr:       spec.Options.RunID,
 				Reason:     accmos.ReasonExit,
 				ExitCode:   7,
 				StderrTail: []string{"panic: numerical instability"},

@@ -1,8 +1,8 @@
 // Package simrt is the model-independent runtime every AccMoS-generated
 // program links: the -steps/-serve entry point, the NDJSON serve loop
 // and its request decoding, the step loop that drives the model's lanes,
-// the response frames, heartbeats, the result document encoder and the
-// signal monitor's sample recorder.
+// the response frames and the heartbeats that precede them on stdout, the
+// result document encoder and the signal monitor's sample recorder.
 //
 // The harness compiles this package once per process into an archive
 // and links every generated program against it, so a build compiles only
@@ -119,7 +119,7 @@ func (p *Program) Main(defSteps int64) {
 		}
 		return
 	}
-	lanes := p.run(&Request{Steps: *steps, SeedXors: []uint64{0}}, *steps)
+	lanes := p.run(&Request{Steps: *steps, SeedXors: []uint64{0}}, *steps, nil) // no heartbeats
 	os.Stdout.Write(append(lanes[0], '\n'))
 }
 
@@ -127,7 +127,9 @@ func (p *Program) Main(defSteps int64) {
 // NDJSON requests from in, run each against freshly reset model state,
 // and answer each on out with one frame, flushed at once: a header line
 // naming the request id and lane count (or an error), then one result
-// line per lane. Heartbeats go to stderr, tagged with the request id. It
+// line per lane. The request's heartbeats go to out too, each flushed as
+// it is written and tagged with the request id, so they reach the host
+// in order, ahead of the frame. Stderr carries only diagnostics. It
 // returns at EOF, or with the error that ended reading.
 func (p *Program) serve(in io.Reader, out io.Writer, defSteps int64) error {
 	sc := bufio.NewScanner(in)
@@ -147,7 +149,7 @@ func (p *Program) serve(in io.Reader, out io.Writer, defSteps int64) error {
 			writeFrame(w, req.ID, nil, "request carries no seedXors")
 			continue
 		}
-		writeFrame(w, req.ID, p.run(&req, defSteps), "")
+		writeFrame(w, req.ID, p.run(&req, defSteps, w), "")
 	}
 	return sc.Err()
 }
@@ -159,8 +161,9 @@ func (p *Program) serve(in io.Reader, out io.Writer, defSteps int64) error {
 // of every lane (instrumentation writes are idempotent 1-sets); the last
 // lane's document carries them. The request heartbeats on one clock:
 // steps summed over its lanes, elapsed time from its start, records no
-// faster than its interval, and one final record after the last lane.
-func (p *Program) run(req *Request, defSteps int64) [][]byte {
+// faster than its interval, and one final record after the last lane,
+// each written to hb (unused when the request's heartbeats are off).
+func (p *Program) run(req *Request, defSteps int64, hb *bufio.Writer) [][]byte {
 	steps, budget := req.Steps, time.Duration(req.BudgetMS)*time.Millisecond
 	if steps <= 0 {
 		steps = defSteps
@@ -184,7 +187,7 @@ func (p *Program) run(req *Request, defSteps int64) [][]byte {
 			if every > 0 {
 				if now := time.Now(); !now.Before(next) {
 					next = now.Add(every)
-					p.heartbeat(req.ID, done+step, now.Sub(start), false)
+					p.heartbeat(hb, req.ID, done+step, now.Sub(start), false)
 				}
 			}
 			if step < to {
@@ -196,7 +199,7 @@ func (p *Program) run(req *Request, defSteps int64) [][]byte {
 		lanes[i] = p.Result(step, elapsed.Nanoseconds(), i == len(lanes)-1)
 	}
 	if every > 0 {
-		p.heartbeat(req.ID, done, time.Since(start), true)
+		p.heartbeat(hb, req.ID, done, time.Since(start), true)
 	}
 	return lanes
 }
@@ -220,8 +223,10 @@ func (p *Program) Collect(slot int, step int64, value string) {
 	}
 }
 
-// heartbeat writes one NDJSON progress record to stderr; the line is
-// what obs.ParseHeartbeat decodes. runID tags it with its request.
-func (p *Program) heartbeat(runID string, steps int64, elapsed time.Duration, final bool) {
-	os.Stderr.Write(p.appendHeartbeat(nil, runID, steps, elapsed, final))
+// heartbeat writes one NDJSON progress record to out and flushes it, so
+// the host sees it live; the line is what obs.ParseHeartbeat decodes.
+// runID tags it with its request.
+func (p *Program) heartbeat(out *bufio.Writer, runID string, steps int64, elapsed time.Duration, final bool) {
+	out.Write(p.appendHeartbeat(nil, runID, steps, elapsed, final))
+	out.Flush()
 }

@@ -480,41 +480,33 @@ func TestCoverageClearedOncePerRequest(t *testing.T) {
 	}
 }
 
-// TestBatchHeartbeatContract: a request heartbeats on one clock. Steps
-// sum over lanes and never decrease, elapsed time runs from the
-// request's start, records come no faster than the request's interval,
-// and exactly one final record comes last, carrying the sum of the
-// lanes' steps.
+// TestBatchHeartbeatContract: a request heartbeats on one clock, on the
+// serve output ahead of its frame. Steps sum over lanes and never
+// decrease, elapsed time runs from the request's start, records come no
+// faster than the request's interval, and exactly one final record comes
+// last, carrying the sum of the lanes' steps.
 func TestBatchHeartbeatContract(t *testing.T) {
 	const hbMS = 2
 	lp := newLaneProgram()
 	lp.delay = time.Millisecond
 	lp.stopAt = map[uint64]int64{1: 2100}
-	f, err := os.CreateTemp(t.TempDir(), "stderr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	stderr := os.Stderr
-	os.Stderr = f
 	lines := serveLines(t, lp.Program, `{"id":"hb","steps":5000,"seedXors":[3,1,2],"heartbeatMs":2}`)
-	os.Stderr = stderr
-	lanes := laneResults(t, lines)
+	var beats []obs.Snapshot
+	for len(lines) > 0 {
+		s, ok := obs.ParseHeartbeat([]byte(lines[0]))
+		if !ok {
+			break
+		}
+		if s.Run != "hb" {
+			t.Fatalf("heartbeat %q is not tagged with the request", lines[0])
+		}
+		beats = append(beats, s)
+		lines = lines[1:]
+	}
+	lanes := laneResults(t, lines) // the frame follows its heartbeats, with nothing after
 	var laneNanos int64
 	for _, r := range lanes {
 		laneNanos += r.ExecNanos
-	}
-	data, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var beats []obs.Snapshot
-	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-		s, ok := obs.ParseHeartbeat([]byte(line))
-		if !ok || s.Run != "hb" {
-			t.Fatalf("stderr line %q is not a heartbeat of the request", line)
-		}
-		beats = append(beats, s)
 	}
 	if len(beats) < 3 {
 		t.Fatalf("%d heartbeats; the contract is not exercised", len(beats))
