@@ -426,7 +426,8 @@ func registerRandomNumber() {
 			gc.Prog.Global(fmt.Sprintf("var %s uint64", sv))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = %d", sv, a.seed))
 			gc.L("%s = %s*%d + %d", sv, sv, uint64(LCGMul), uint64(LCGInc))
-			expr := fmt.Sprintf("(float64(%s>>11)/9007199254740992.0*((%s)-(%s)) + (%s))",
+			// Typed bounds subtract in float64, as Eval does.
+			expr := fmt.Sprintf("(float64(%s>>11)/9007199254740992.0*(float64(%s)-float64(%s)) + (%s))",
 				sv, f64Lit(a.max), f64Lit(a.min), f64Lit(a.min))
 			gc.L("%s = %s", gc.Out[0], Cast(expr, types.F64, gc.Info.OutKind()))
 			return nil

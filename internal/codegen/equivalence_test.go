@@ -286,6 +286,19 @@ func TestEquivalenceSources(t *testing.T) {
 	equivCheck(t, "sources", compile(t, b.MustBuild()), &testcase.Set{}, 3000)
 }
 
+// TestEquivalenceRandomNumberNonDyadic: a RandomNumber actor whose
+// Max-Min is not exact in float64 scales like the engines do, which
+// subtract the bounds in float64, not as exact constants.
+func TestEquivalenceRandomNumberNonDyadic(t *testing.T) {
+	if 0.2-(-0.1) == float64(0.2)-float64(-0.1) {
+		t.Fatal("the bounds' difference is exact; the test proves nothing")
+	}
+	b := model.NewBuilder("RNND")
+	b.Add("Rn", "RandomNumber", 0, 1, model.WithParam("Seed", "5"), model.WithParam("Min", "-0.1"), model.WithParam("Max", "0.2"))
+	(&sinkCounter{}).out(b, "Rn", 0)
+	equivCheck(t, "random", compile(t, b.MustBuild()), &testcase.Set{}, 3000)
+}
+
 func TestEquivalenceVectorsAndLookup(t *testing.T) {
 	b := model.NewBuilder("VEC")
 	s := &sinkCounter{}

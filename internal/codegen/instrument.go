@@ -224,11 +224,12 @@ func (g *Generator) emitCustomCheck(info *actors.Info, chk *diagnose.CustomCheck
 	if info.OutKind() == types.Bool {
 		out = fmt.Sprintf("b2f(%s)", g.varName(info, 0))
 	}
-	g.Import("fmt") // the finding's detail
+	// The finding's detail is formatted by the runtime, so the program
+	// does not link fmt.
 	switch chk.Kind {
 	case diagnose.RangeCheck:
 		fmt.Fprintf(g.body,
-			"\tif %s < %s || %s > %s {\n\t\treportDiag(%d, step, %q+fmt.Sprintf(\": value %%g outside [%%g, %%g]\", %s, %s, %s))\n\t}\n",
+			"\tif %s < %s || %s > %s {\n\t\treportDiag(%d, step, simrt.RangeDetail(%q, %s, %s, %s))\n\t}\n",
 			out, fLit(chk.Lo), out, fLit(chk.Hi), slot, chk.Name, out, fLit(chk.Lo), fLit(chk.Hi))
 	case diagnose.DeltaCheck:
 		prev := fmt.Sprintf("cc%d_prev", slot)
@@ -237,7 +238,7 @@ func (g *Generator) emitCustomCheck(info *actors.Info, chk *diagnose.CustomCheck
 		g.Global(fmt.Sprintf("var %s bool", seen))
 		g.Import("math")
 		fmt.Fprintf(g.body,
-			"\tif %s {\n\t\tif d := math.Abs(%s - %s); d > %s {\n\t\t\treportDiag(%d, step, %q+fmt.Sprintf(\": jump %%g exceeds %%g\", d, %s))\n\t\t}\n\t}\n\t%s = %s\n\t%s = true\n",
+			"\tif %s {\n\t\tif d := math.Abs(%s - %s); d > %s {\n\t\t\treportDiag(%d, step, simrt.DeltaDetail(%q, d, %s))\n\t\t}\n\t}\n\t%s = %s\n\t%s = true\n",
 			seen, out, prev, fLit(chk.MaxDelta), slot, chk.Name, fLit(chk.MaxDelta), prev, out, seen)
 	}
 }

@@ -1,5 +1,7 @@
 package harness
 
+import "sort"
+
 // ResetToolchain drops the memoized toolchain, so the next build lists
 // it again as the first build of a process does.
 func ResetToolchain() {
@@ -16,4 +18,19 @@ func RuntimeArchive() string {
 		return ""
 	}
 	return tcMemo.runtime
+}
+
+// ToolchainPackages lists the memoized toolchain's export table: every
+// package a build's importcfg names.
+func ToolchainPackages() []string {
+	tcLock <- struct{}{}
+	defer func() { <-tcLock }()
+	var out []string
+	if tcMemo != nil {
+		for p := range tcMemo.exports {
+			out = append(out, p)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -27,7 +27,7 @@ import (
 // compile and link tools live, the version flags `go build` would pass
 // them, the export data of every package a generated program can reach,
 // and the simrt runtime compiled into an archive. Asking the go command
-// for this costs ~150 ms of CPU and the archive ~100 ms; compiling and
+// for this costs ~150 ms of CPU and the archive ~170 ms; compiling and
 // linking a generated program against them skips the go command's module
 // load, action graph, build-ID hashing and cache writes, and the
 // runtime's compile, on every build. One value is memoized per process

@@ -6,15 +6,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"accmos/internal/actors"
+	"accmos/internal/benchmodels"
 	"accmos/internal/codegen"
+	"accmos/internal/diagnose"
 	"accmos/internal/harness"
+	"accmos/internal/model"
 	"accmos/internal/obs"
+	"accmos/internal/testcase"
+	"accmos/internal/types"
 )
 
 // spans counts the spans named name that tr recorded.
@@ -318,5 +325,66 @@ func main() {
 	}
 	if n := spans(buildAndRun(t, stub, t.TempDir()), "compile.toolchain"); n != 0 {
 		t.Errorf("second build with those imports listed the toolchain %d times, want 0", n)
+	}
+}
+
+// TestLinkClosureExcludesReflect: a generated program links the runtime,
+// its standard imports and their closure, and no package built on
+// reflect. No Table-1 program imports one, and a cold build of one of
+// them, and of a program with a range and a delta check (whose details
+// the runtime formats), lists an export table, which is the build's
+// importcfg, that names none of them.
+func TestLinkClosureExcludesReflect(t *testing.T) {
+	banned := []string{"reflect", "fmt", "encoding/json", "flag", "encoding/base64", "encoding/binary"}
+	generate := func(m *model.Model, custom []diagnose.CustomCheck) *codegen.Program {
+		t.Helper()
+		c, err := actors.Compile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := codegen.Generate(c, codegen.Options{
+			Coverage: true, Diagnose: true, Custom: custom, TestCases: testcase.NewRandomSet(len(c.Inports), 1, -1, 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var table1 *codegen.Program
+	for _, name := range benchmodels.Names() {
+		p := generate(benchmodels.MustBuild(name), nil)
+		for _, imp := range p.Imports() {
+			if slices.Contains(banned, imp) {
+				t.Errorf("generated %s imports %s", name, imp)
+			}
+		}
+		if name == "SPV" {
+			table1 = p
+		}
+	}
+	checked := generate(model.NewBuilder("CC").
+		Add("In", "Inport", 0, 1, model.WithOutKind(types.F64), model.WithParam("Port", "1")).
+		Add("G", "Gain", 1, 1, model.WithParam("Gain", "2")).
+		Add("Out", "Outport", 1, 0, model.WithParam("Port", "1")).
+		Chain("In", "G", "Out").
+		MustBuild(), []diagnose.CustomCheck{
+		{Actor: "G", Name: "range", Kind: diagnose.RangeCheck, Lo: -1, Hi: 1},
+		{Actor: "G", Name: "delta", Kind: diagnose.DeltaCheck, MaxDelta: 0.5},
+	})
+	if !strings.Contains(checked.Source, "simrt.RangeDetail(") || !strings.Contains(checked.Source, "simrt.DeltaDetail(") {
+		t.Fatal("the custom-check program does not format its details through the runtime")
+	}
+	for _, p := range []*codegen.Program{table1, checked} {
+		harness.ResetToolchain()
+		buildAndRun(t, p, t.TempDir())
+		pkgs := harness.ToolchainPackages()
+		if !slices.Contains(pkgs, "strconv") {
+			t.Fatalf("%s: export table %v lacks strconv", p.Model, pkgs)
+		}
+		for _, pkg := range banned {
+			if slices.Contains(pkgs, pkg) {
+				t.Errorf("%s: export table names %s", p.Model, pkg)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package simrt
 
 import (
 	"bufio"
-	"encoding/base64"
 	"math"
 	"strconv"
 	"time"
@@ -40,23 +39,42 @@ func (p *Program) coverageLen() int {
 	if c == nil {
 		return 0
 	}
-	enc := base64.StdEncoding
-	return enc.EncodedLen(len(c.Actor)) + enc.EncodedLen(len(c.Cond)) +
-		enc.EncodedLen(len(c.Dec)) + enc.EncodedLen(len(c.MCDC)) + 64
+	n := 64
+	for _, bm := range [][]uint8{c.Actor, c.Cond, c.Dec, c.MCDC} {
+		n += (len(bm) + 2) / 3 * 4
+	}
+	return n
 }
 
 // appendCov appends the coverage object: the four bitmaps in base64.
 func (p *Program) appendCov(b []byte) []byte {
-	enc := base64.StdEncoding
 	b = append(b, `{"actor":"`...)
-	b = enc.AppendEncode(b, p.Coverage.Actor)
+	b = appendBase64(b, p.Coverage.Actor)
 	b = append(b, `","cond":"`...)
-	b = enc.AppendEncode(b, p.Coverage.Cond)
+	b = appendBase64(b, p.Coverage.Cond)
 	b = append(b, `","dec":"`...)
-	b = enc.AppendEncode(b, p.Coverage.Dec)
+	b = appendBase64(b, p.Coverage.Dec)
 	b = append(b, `","mcdc":"`...)
-	b = enc.AppendEncode(b, p.Coverage.MCDC)
+	b = appendBase64(b, p.Coverage.MCDC)
 	return append(b, `"}`...)
+}
+
+// appendBase64 appends src in padded standard base64, as
+// base64.StdEncoding encodes it.
+func appendBase64(b, src []byte) []byte {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	for len(src) > 0 {
+		var chunk [3]byte
+		n := copy(chunk[:], src)
+		src = src[n:]
+		v := uint(chunk[0])<<16 | uint(chunk[1])<<8 | uint(chunk[2])
+		quad := [4]byte{alphabet[v>>18], alphabet[v>>12&63], alphabet[v>>6&63], alphabet[v&63]}
+		for i := n + 1; i < 4; i++ {
+			quad[i] = '='
+		}
+		b = append(b, quad[:]...)
+	}
+	return b
 }
 
 // appendSections appends the optional result sections that carry
@@ -249,6 +267,27 @@ func writeFrame(out *bufio.Writer, id string, lanes [][]byte, errMsg string) {
 		out.WriteByte('\n')
 	}
 	out.Flush()
+}
+
+// RangeDetail is a range check's finding detail, formatted as the
+// engines' fmt.Sprintf("%s: value %g outside [%g, %g]", ...) formats it.
+func RangeDetail(name string, v, lo, hi float64) string {
+	b := append([]byte(name), ": value "...)
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	b = append(b, " outside ["...)
+	b = strconv.AppendFloat(b, lo, 'g', -1, 64)
+	b = append(b, ", "...)
+	b = strconv.AppendFloat(b, hi, 'g', -1, 64)
+	return string(append(b, ']'))
+}
+
+// DeltaDetail is a delta check's finding detail, formatted as the
+// engines' fmt.Sprintf("%s: jump %g exceeds %g", ...) formats it.
+func DeltaDetail(name string, d, limit float64) string {
+	b := append([]byte(name), ": jump "...)
+	b = strconv.AppendFloat(b, d, 'g', -1, 64)
+	b = append(b, " exceeds "...)
+	return string(strconv.AppendFloat(b, limit, 'g', -1, 64))
 }
 
 // FmtVecF64 and its siblings render a monitored vector like the

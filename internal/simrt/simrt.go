@@ -11,24 +11,27 @@
 // checkers, the tables and bitmaps) and hands its state to the runtime
 // as a Program: views of its globals plus the model-specific hooks.
 //
-// The runtime imports only the standard library, and simrt.go and
-// encode.go are all of it that a generated program links; source.go
-// serves the host.
+// simrt.go, encode.go and request.go are all of the runtime that a
+// generated program links; source.go serves the host. They import only
+// bufio, io, math, os, strconv, time and unicode/utf8. The request
+// reader, the argument parser, the base64 appender and the custom-check
+// detail formatters stand in for encoding/json, flag, encoding/base64
+// and fmt: those would bring reflect and the packages built on it into
+// every generated binary, and every link would load and lay them out.
 package simrt
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
-	"fmt"
 	"io"
 	"math"
 	"os"
+	"strconv"
 	"time"
 )
 
 // Request is one run request: a single NDJSON line on a serve-mode
-// program's stdin. The harness encodes it and the serve loop decodes it.
+// program's stdin. The harness encodes it with encoding/json, and the
+// serve loop decodes it with decodeRequest.
 // It runs one lane per seed in SeedXors, each a full run from a fresh
 // reset; a single run is a one-lane request. Steps and BudgetMS each
 // bound every lane when positive; with both set, whichever is reached
@@ -107,20 +110,50 @@ const chunkSteps = 1024
 
 // Main is the program's entry point. With -serve it answers requests on
 // stdin until EOF; otherwise it runs one lane for -steps steps (defSteps
-// by default) and prints its bare result document.
+// by default) and prints its bare result document. A bad argument exits
+// with status 2.
 func (p *Program) Main(defSteps int64) {
-	steps := flag.Int64("steps", defSteps, "simulation steps; without -serve, run once and print the result document")
-	serve := flag.Bool("serve", false, "serve NDJSON run requests from stdin until it closes")
-	flag.Parse()
-	if *serve {
-		if err := p.serve(os.Stdin, os.Stdout, *steps); err != nil {
-			fmt.Fprintln(os.Stderr, "accmos: serve: reading requests:", err)
+	steps, serve, err := parseArgs(os.Args[1:], defSteps)
+	if err != nil {
+		os.Stderr.WriteString("accmos: " + err.Error() + "\nusage: " + os.Args[0] + " [-steps N] [-serve]\n")
+		os.Exit(2)
+	}
+	if serve {
+		if err := p.serve(os.Stdin, os.Stdout, steps); err != nil {
+			os.Stderr.WriteString("accmos: serve: reading requests: " + err.Error() + "\n")
 			os.Exit(1)
 		}
 		return
 	}
-	lanes := p.run(&Request{Steps: *steps, SeedXors: []uint64{0}}, *steps, nil) // no heartbeats
+	lanes := p.run(&Request{Steps: steps, SeedXors: []uint64{0}}, steps, nil) // no heartbeats
 	os.Stdout.Write(append(lanes[0], '\n'))
+}
+
+// parseArgs reads the program's arguments: -steps N or -steps=N, the
+// step count (steps by default), and -serve.
+func parseArgs(args []string, steps int64) (int64, bool, error) {
+	serve := false
+	for i := 0; i < len(args); i++ {
+		arg := args[i]
+		switch {
+		case arg == "-serve":
+			serve = true
+			continue
+		case arg == "-steps":
+			if i++; i == len(args) {
+				return 0, false, inputError("-steps needs a value")
+			}
+			arg = "-steps=" + args[i]
+		case len(arg) < 7 || arg[:7] != "-steps=":
+			return 0, false, inputError("unknown argument " + strconv.Quote(arg))
+		}
+		n, err := strconv.ParseInt(arg[7:], 10, 64)
+		if err != nil {
+			return 0, false, inputError("-steps wants an integer, got " + strconv.Quote(arg[7:]))
+		}
+		steps = n
+	}
+	return steps, serve, nil
 }
 
 // serve is the -serve mode, the host's only way to run the program: read
@@ -141,7 +174,7 @@ func (p *Program) serve(in io.Reader, out io.Writer, defSteps int64) error {
 			continue
 		}
 		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := decodeRequest(line, &req); err != nil {
 			writeFrame(w, req.ID, nil, "decoding request: "+err.Error())
 			continue
 		}

@@ -12,7 +12,7 @@ import (
 // sources is the runtime a generated program links: every file of the
 // package but this one, which serves the host.
 //
-//go:embed simrt.go encode.go
+//go:embed simrt.go encode.go request.go
 var sources embed.FS
 
 // Sources returns the runtime's source files by file name: what the

@@ -225,10 +225,12 @@ func EmitGo(s *Source, prefix string) (globals, inits []string, expr string) {
 		// sweeping it reruns the same binary over fresh random suites.
 		inits = []string{fmt.Sprintf("%s = %d ^ seedXor", sv, s.Seed)}
 		// The advance must happen inside the loop; emit a helper function
-		// so the expression stays self-contained.
+		// so the expression stays self-contained. The bounds are typed
+		// before they are subtracted: At subtracts in float64, and an
+		// untyped constant difference would be exact.
 		fn := prefix + "_next"
 		globals = append(globals, fmt.Sprintf(
-			"func %s() float64 {\n\t%s = %s*%d + %d\n\treturn float64(%s>>11)/9007199254740992.0*((%s)-(%s)) + (%s)\n}",
+			"func %s() float64 {\n\t%s = %s*%d + %d\n\treturn float64(%s>>11)/9007199254740992.0*(float64(%s)-float64(%s)) + (%s)\n}",
 			fn, sv, sv, uint64(actors.LCGMul), uint64(actors.LCGInc), sv, lit(s.Hi), lit(s.Lo), lit(s.Lo)))
 		return globals, inits, fn + "()"
 	case Ramp:

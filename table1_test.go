@@ -55,3 +55,38 @@ func TestTable1GeneratedMatchesInterpreter(t *testing.T) {
 		})
 	}
 }
+
+// TestGeneratedNonDyadicStimulusMatchesInterpreter: with stimulus bounds
+// whose difference is not exact in float64 ([-0.1, 0.2]), the generated
+// program scales its uniform stimulus like the interpreter, which
+// subtracts the bounds in float64.
+func TestGeneratedNonDyadicStimulusMatchesInterpreter(t *testing.T) {
+	for _, name := range []string{"CPUT", "SPV"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			m, err := accmos.LoadModel(filepath.Join("models", name+".xml"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := accmos.Options{
+				Steps:     3000,
+				OptLevel:  accmos.OptO1,
+				Coverage:  true,
+				Diagnose:  true,
+				TestCases: accmos.RandomTestCases(m, 1, -0.1, 0.2),
+				Cache:     accmos.NewBuildCache(t.TempDir()),
+			}
+			gen, err := accmos.Simulate(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := accmos.Interpret(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := simresult.Diff(gen.Results, ref.Results); d != "" {
+				t.Errorf("generated vs interpreter: %s", d)
+			}
+		})
+	}
+}
