@@ -440,7 +440,11 @@ func Lint(m *Model) ([]LintFinding, error) {
 }
 
 // GenerateSource returns the instrumented simulation program AccMoS
-// generates for m, without compiling it — useful for inspection.
+// generates for m, without compiling it — useful for inspection. A
+// header comment gives the `go build -ldflags` value that links in the
+// run parameters (steps default, uniform seeds and ranges), which the
+// source itself does not hold: a binary built without it exits with
+// status 2.
 func GenerateSource(m *Model, opts Options) (string, error) {
 	if err := opts.begin(); err != nil {
 		return "", err
@@ -449,7 +453,7 @@ func GenerateSource(m *Model, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return prog.Source, nil
+	return "// Build inside module accmos: go build -ldflags='" + strings.Join(prog.LDFlags(), " ") + "'\n" + prog.Source, nil
 }
 
 // ProgramHash returns the content-hash key the build cache would use for
@@ -577,7 +581,7 @@ func codegenOptions(opts Options, tcs *TestCases) codegen.Options {
 		TestCases:         tcs,
 		Trace:             opts.Trace,
 		Opt:               opts.OptLevel.String(),
-		DefaultSteps:      opts.Steps, // 0 bakes in codegen's 1000
+		DefaultSteps:      opts.Steps, // 0 links in codegen's 1000
 	}
 }
 
@@ -630,8 +634,8 @@ func (s *SweepResult) MergedUncovered() []string {
 }
 
 // Sweep compiles the model once and executes it under one random test
-// suite per seedXor (each XORed into the embedded uniform seeds), merging
-// coverage across suites — the test-adequacy workflow the paper motivates:
+// suite per seedXor (each XORed into the uniform seeds the binary was
+// linked with), merging coverage across suites — the test-adequacy workflow the paper motivates:
 // keep adding random suites until the merged coverage stops growing.
 // Coverage is forced on, and every suite is one request that reports its
 // own coverage. Requests run concurrently up to Options.Parallelism

@@ -93,6 +93,65 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("-sweep printed a suite without coverage:\n%s", s)
 	}
 
+	// -gen prints source that holds no run parameters, under a header
+	// giving the -ldflags value that links them in. A plain go build of
+	// it exits 2 naming the missing -X flag; a build with the header's
+	// flags runs the header's step count and matches the interpreter.
+	// The source imports accmos/internal/simrt, so it is built as a
+	// package inside this module through an overlay.
+	out, err = exec.Command(accmosBin, "-model", spv, "-steps", "700", "-gen").Output()
+	if err != nil {
+		t.Fatalf("accmos -gen: %v\n%s", err, out)
+	}
+	header, _, _ := strings.Cut(string(out), "\n")
+	_, ldflags, ok := strings.Cut(header, "go build -ldflags='")
+	ldflags, quoted := strings.CutSuffix(ldflags, "'")
+	if !ok || !quoted || !strings.HasPrefix(ldflags, "-X main.runParams=steps=700,u=") || strings.Contains(string(out[len(header):]), "runParams=steps") {
+		t.Fatalf("-gen header %q does not give the run parameters' -ldflags", header)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	genSrc, overlay := filepath.Join(dir, "gen.go"), filepath.Join(dir, "overlay.json")
+	doc, _ := json.Marshal(map[string]map[string]string{"Replace": {filepath.Join(wd, "accmos_gen_overlay", "main.go"): genSrc}})
+	if err := os.WriteFile(genSrc, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(overlay, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	genBin := func(name string, flags ...string) string {
+		bin := filepath.Join(dir, name)
+		args := append([]string{"build", "-overlay", overlay, "-o", bin}, append(flags, "./accmos_gen_overlay")...)
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			t.Fatalf("go %v: %v\n%s", args, err, out)
+		}
+		return bin
+	}
+	cmd := exec.Command(genBin("plain"), "-steps=5")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err = cmd.Output()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 || len(out) != 0 || !strings.Contains(stderr.String(), "-X main.runParams=") {
+		t.Errorf("binary built without -ldflags: %v, stdout %q, stderr %q; want exit 2 naming the -X flag", err, out, stderr.String())
+	}
+	out, err = exec.Command(genBin("linked", "-ldflags="+ldflags)).Output()
+	if err != nil {
+		t.Fatalf("binary built with the header's -ldflags: %v\n%s", err, out)
+	}
+	var gen, ref struct {
+		Steps      int64
+		OutputHash uint64
+	}
+	refOut, err := exec.Command(accmosBin, "-model", spv, "-engine", "sse", "-steps", "700", "-json").Output()
+	if err != nil {
+		t.Fatalf("accmos -engine sse -json: %v\n%s", err, refOut)
+	}
+	if err := json.Unmarshal(out, &gen); err != nil || json.Unmarshal(refOut, &ref) != nil || gen.Steps != 700 || gen.OutputHash != ref.OutputHash {
+		t.Errorf("binary built from -gen ran %d steps with hash %#x (%v), interpreter %d steps with %#x", gen.Steps, gen.OutputHash, err, ref.Steps, ref.OutputHash)
+	}
+
 	// -budget-ms: -steps bounds the run only when given explicitly, so the
 	// -steps default does not cap a budgeted run.
 	for _, c := range []struct {

@@ -1,6 +1,9 @@
 package accmos
 
-import "accmos/internal/coverage"
+import (
+	"accmos/internal/codegen"
+	"accmos/internal/coverage"
+)
 
 // SweepProgram builds m under opts as Sweep does (coverage forced on) and
 // returns the generated binary and its coverage layout, for tests that
@@ -12,4 +15,14 @@ func SweepProgram(m *Model, opts Options) (bin string, layout *coverage.Layout, 
 		return "", nil, err
 	}
 	return x.bin, x.layout, nil
+}
+
+// GenerateProgram runs the front end for m under opts as Simulate does
+// and returns the generated program, without building it.
+func GenerateProgram(m *Model, opts Options) (*codegen.Program, error) {
+	if err := opts.begin(); err != nil {
+		return nil, err
+	}
+	prog, _, err := generate(m, &opts)
+	return prog, err
 }

@@ -51,9 +51,13 @@ type Options struct {
 	// narrows the trigger to one actor path.
 	StopOnDiag  diagnose.Kind
 	StopOnActor string
-	// TestCases embeds the stimulus generators; required.
+	// TestCases selects the stimulus generators; required. Uniform
+	// sources' seeds and ranges are run parameters (Program.Params); the
+	// other kinds are compiled in.
 	TestCases *testcase.Set
-	// DefaultSteps is the -steps default baked into the binary.
+	// DefaultSteps is the -steps default. Like the uniform sources'
+	// seeds and ranges it is a run parameter (Program.Params), set at
+	// link time rather than compiled in.
 	DefaultSteps int64
 	// Trace records "instrument" and "generate" phase spans (nil ok).
 	Trace *obs.Tracer
@@ -95,6 +99,12 @@ const simrtPath = "accmos/internal/simrt"
 // Program is a generated simulation program.
 type Program struct {
 	Source string
+	// Params is the program's run parameters in canonical form
+	// (simrt.FormatParams): the -steps default and each uniform stimulus
+	// source's seed and range. They are link-time data (LDFlags), not
+	// source, so programs that differ only in them share Source and a
+	// compiled object.
+	Params string
 	Model  string
 	Layout *coverage.Layout
 	// Opt is the optimization level label ("O0", "O1", "O2"; "" for
@@ -105,21 +115,20 @@ type Program struct {
 	Runtime string
 }
 
-// Hash returns a stable hex key identifying the program: the SHA-256 of
-// the model name, the opt level, the runtime fingerprint and the source
-// text. The source embeds the model structure, every codegen option
-// (coverage, diagnosis, monitors, stop conditions, default steps) and
-// the test-case constants, so two programs share a hash exactly when a
-// build would produce the same binary — this is the build-cache key and
-// the harness's artifact-name suffix. The opt level is hashed separately
+// CodeHash returns a stable hex key for what the compiler sees: the
+// SHA-256 of the model name, the opt level, the runtime fingerprint and
+// the source text. The source embeds the model structure, every codegen
+// option (coverage, diagnosis, monitors, stop conditions) and the
+// compiled-in stimulus kinds (const, ramp, sine, pulse, table), but no
+// run parameter, so two programs share a code hash exactly when they
+// compile to the same object. The opt level is hashed separately
 // because two levels can emit identical source (no pass fired) yet must
 // never serve each other's cache entries: a later submission at the
 // other level would otherwise inherit the wrong label in results and
-// metrics. The runtime
-// is linked, not embedded, so its fingerprint is hashed too: a
-// persistent cache must not serve a binary linked against an older
-// runtime.
-func (p *Program) Hash() string {
+// metrics. The runtime is linked, not embedded, so its fingerprint is
+// hashed too: a persistent cache must not serve an object compiled
+// against an older runtime.
+func (p *Program) CodeHash() string {
 	h := sha256.New()
 	h.Write([]byte(p.Model))
 	h.Write([]byte{0})
@@ -129,6 +138,26 @@ func (p *Program) Hash() string {
 	h.Write([]byte{0})
 	h.Write([]byte(p.Source))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Hash returns a stable hex key identifying the linked program: the
+// SHA-256 of its code hash and its run parameters. Two programs share a
+// hash exactly when a build would produce the same binary, so this is
+// the build cache's binary key and the harness's artifact-name suffix.
+func (p *Program) Hash() string {
+	h := sha256.New()
+	h.Write([]byte(p.CodeHash()))
+	h.Write([]byte{0})
+	h.Write([]byte(p.Params))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// LDFlags returns the linker flags that set the program's run
+// parameters: what the harness passes the link, and, space-joined, the
+// -ldflags value of a `go build` of Source. A program linked without
+// them exits with status 2 naming the flag.
+func (p *Program) LDFlags() []string {
+	return []string{"-X", simrt.ParamsSymbol + "=" + p.Params}
 }
 
 // Imports returns the import paths the program's source declares, in
@@ -277,7 +306,7 @@ func Generate(c *actors.Compiled, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Source: src, Model: c.Model.Name, Layout: g.layout, Opt: opts.Opt, Runtime: simrt.Fingerprint()}, nil
+	return &Program{Source: src, Params: g.params(), Model: c.Model.Name, Layout: g.layout, Opt: opts.Opt, Runtime: simrt.Fingerprint()}, nil
 }
 
 // prepare assigns data-store variables, diagnosis slots, monitor slots and

@@ -109,9 +109,8 @@ var (
 	diagRecords   []diagRecord
 	stopRequested bool
 
-	// seedXor perturbs every embedded uniform test-case seed, so one
-	// compiled binary can run many random test suites (a request's
-	// seedXor).
+	// seedXor perturbs every uniform test-case seed, so one binary can
+	// run many random test suites (a request's seedXor).
 	seedXor uint64
 )
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"accmos/internal/simrt"
 	"accmos/internal/testcase"
 	"accmos/internal/types"
 )
@@ -16,10 +17,17 @@ import (
 // result output come from the simrt runtime the program links.
 func (g *Generator) synthesize() (string, error) {
 	// Test-case sources (import code).
+	// Uniform sources read their seed and range from tcUniform, which
+	// the runtime fills from the link-time run parameters.
 	tcExprs := make([]string, len(g.opts.TestCases.Sources))
+	uniforms := 0
 	for i := range g.opts.TestCases.Sources {
 		src := &g.opts.TestCases.Sources[i]
-		globals, inits, expr := testcase.EmitGo(src, fmt.Sprintf("tc%d", i))
+		params := fmt.Sprintf("tcUniform[%d]", uniforms)
+		if src.Kind == testcase.Uniform {
+			uniforms++
+		}
+		globals, inits, expr := testcase.EmitGo(src, fmt.Sprintf("tc%d", i), params)
 		for _, decl := range globals {
 			g.Global(decl)
 		}
@@ -97,7 +105,7 @@ func (g *Generator) synthesize() (string, error) {
 	fmt.Fprintf(&sb, "var condBitmap [%d]uint8\n", g.layout.CondBits)
 	fmt.Fprintf(&sb, "var decBitmap [%d]uint8\n", g.layout.DecBits)
 	fmt.Fprintf(&sb, "var mcdcBitmap [%d]uint8\n", g.layout.MCDCBits)
-	g.emitRuntimeView(&sb)
+	g.emitRuntimeView(&sb, uniforms)
 
 	// Actor/program state globals.
 	sb.WriteString("\n")
@@ -141,7 +149,8 @@ func (g *Generator) synthesize() (string, error) {
 	// bit-identical-to-one-shot guarantee. The runtime clears the bitmaps
 	// itself, once per request, so a request's lanes accumulate their
 	// OR-merge. seedXor is set first, because modelInit derives the
-	// embedded RNG seeds from it.
+	// uniform sources' RNG seeds from it and from tcUniform, which no
+	// reset touches: it holds the link-time run parameters.
 	sb.WriteString("\nfunc modelReset(seed uint64) {\n")
 	sb.WriteString("\tseedXor = seed\n")
 	sb.WriteString("\toutputHash = 14695981039346656037\n")
@@ -263,16 +272,38 @@ func modelRun(from, to int64) int64 {
 
 func main() {
 	rt.Reset, rt.Run = modelReset, modelRun
-	rt.Main(%d)
+	rt.Main(runParams)
 }
-`, args, g.opts.DefaultSteps)
+`, args)
+}
+
+// params renders the program's run parameters: the -steps default and
+// the seed and range of each uniform source, in inport order.
+func (g *Generator) params() string {
+	var uniform []simrt.Uniform
+	for _, src := range g.opts.TestCases.Sources {
+		if src.Kind == testcase.Uniform {
+			uniform = append(uniform, simrt.Uniform{Seed: src.Seed, Lo: src.Lo, Hi: src.Hi})
+		}
+	}
+	return simrt.FormatParams(g.opts.DefaultSteps, uniform)
 }
 
 // emitRuntimeView renders rt, the program as the simrt runtime sees it:
 // views of the result state above (the slices alias the arrays, the
-// pointers the variables) and the model name. main sets the hooks.
-func (g *Generator) emitRuntimeView(sb *strings.Builder) {
+// pointers the variables), of the uniform sources' parameters, and the
+// model name. main sets the hooks. It also declares runParams, the
+// string the harness sets at link time: a program compiles once per
+// model and options, and links once per set of run parameters.
+func (g *Generator) emitRuntimeView(sb *strings.Builder, uniforms int) {
 	fmt.Fprintf(sb, "\nconst modelName = %q\n", g.c.Model.Name)
+	sb.WriteString(`
+// runParams holds the run parameters, set at link time with
+// -ldflags='-X main.runParams=...': the -steps default and each uniform
+// source's seed and range, which the runtime reads into tcUniform.
+var runParams string
+`)
+	fmt.Fprintf(sb, "\nvar tcUniform [%d]simrt.Uniform\n", uniforms)
 	sb.WriteString(`
 var rt = &simrt.Program{
 	Model:             modelName,
@@ -287,6 +318,7 @@ var rt = &simrt.Program{
 	MonSamples:        monSamples[:],
 	MonNames:          monNames[:],
 	MaxMonitorSamples: maxMonitorSamples,
+	Uniform:           tcUniform[:],
 `)
 	if g.opts.Coverage {
 		sb.WriteString("\tCoverage:          &simrt.Coverage{Actor: actorBitmap[:], Cond: condBitmap[:], Dec: decBitmap[:], MCDC: mcdcBitmap[:]},\n")

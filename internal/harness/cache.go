@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -15,17 +16,26 @@ import (
 )
 
 // BuildCache memoises compiled generated programs by content hash
-// (codegen.Program.Hash covers the model structure, every codegen option
-// and the embedded test cases), so repeated Simulate/Sweep/experiment
-// calls on the same model reuse the binary instead of compiling and
-// linking again. Safe for concurrent use; concurrent requests for the same
-// program block on one build.
+// (codegen.Program.Hash covers the model structure, every codegen option,
+// the test cases and the run parameters), so repeated
+// Simulate/Sweep/experiment calls on the same model reuse the binary
+// instead of compiling and linking again. Safe for concurrent use;
+// concurrent requests for the same program block on one build.
+//
+// Beside the binaries it keeps each program's compiled object, keyed by
+// codegen.Program.CodeHash, which leaves out the run parameters (the
+// -steps default and the uniform stimulus seeds and ranges): a binary
+// miss whose object is resident only links it with its own parameters, a
+// relink. Concurrent builds of one object block on one compile, and a
+// compile error is cached with the object, so a sibling that differs only
+// in its run parameters gets it without compiling.
 //
 // A cache can be bounded with SetLimit: once more than limit programs
 // are resident, the least-recently-used completed entry (and its on-disk
 // artifacts) is evicted — the correctness requirement for a long-lived
 // process like the accmosd daemon, where an unbounded cache is a slow
-// leak of heap and disk. Hit/miss/eviction counters are exposed through
+// leak of heap and disk. Objects are bounded by the same limit and
+// evicted apart from the binaries linked from them. Hit/miss/eviction counters are exposed through
 // Stats for the daemon's /metrics endpoint.
 //
 // Two memos ride on the binaries so a repeat job skips the work in front
@@ -40,17 +50,26 @@ type BuildCache struct {
 	owned     bool                      // dir was created (and may be deleted) by the cache
 	limit     int                       // max resident entries per index; 0 = unbounded
 	bins      memo[string, binary]      // program hash -> built binary
+	objs      memo[string, object]      // code hash -> compiled object
 	front     memo[[32]byte, *Front]    // input digest -> front-end record
 	admit     memo[[32]byte, admission] // document digest -> admission verdict
 	evictions int64                     // binaries dropped by the limit
+	relinks   int64                     // binary misses served by a resident object
 }
 
-// binary is one program's build: its artifacts, or the build error.
+// binary is one program's build: its binary, or the build error.
 type binary struct {
 	bin     string
-	src     string
 	compile time.Duration
 	err     error
+}
+
+// object is one program's compile: its source and archive, and the
+// toolchain's link key they were compiled under, or the compile error.
+type object struct {
+	src, obj string
+	linkKey  string
+	err      error
 }
 
 // admission is one document's admission verdict, tied to the fingerprint
@@ -63,15 +82,17 @@ type admission struct {
 // CacheStats is a point-in-time snapshot of a cache's counters. Hits
 // count lookups served by an existing binary (including waiters that
 // blocked on another goroutine's in-flight build, and front-end memo
-// hits); Misses count calls that had to compile; Evictions count
-// binaries dropped by the LRU bound. FrontHits/FrontMisses count
-// front-end memo lookups (Recall), AdmitHits/AdmitMisses admission memo
-// lookups (Admit).
+// hits); Misses count calls that had to build a binary; Relinks count
+// the misses among them whose object was resident, so they only linked;
+// Evictions count binaries dropped by the LRU bound.
+// FrontHits/FrontMisses count front-end memo lookups (Recall),
+// AdmitHits/AdmitMisses admission memo lookups (Admit).
 type CacheStats struct {
 	Entries     int   `json:"entries"`
 	Limit       int   `json:"limit"`
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
+	Relinks     int64 `json:"relinks"`
 	Evictions   int64 `json:"evictions"`
 	FrontHits   int64 `json:"frontHits"`
 	FrontMisses int64 `json:"frontMisses"`
@@ -93,6 +114,7 @@ func (s CacheStats) HitRate() float64 {
 func NewBuildCache(dir string) *BuildCache {
 	c := &BuildCache{dir: dir}
 	c.bins.init()
+	c.objs.init()
 	c.front.init()
 	c.admit.init()
 	return c
@@ -121,6 +143,7 @@ func (c *BuildCache) Stats() CacheStats {
 		Limit:       c.limit,
 		Hits:        c.bins.hits,
 		Misses:      c.bins.misses,
+		Relinks:     c.relinks,
 		Evictions:   c.evictions,
 		FrontHits:   c.front.hits,
 		FrontMisses: c.front.misses,
@@ -130,22 +153,25 @@ func (c *BuildCache) Stats() CacheStats {
 }
 
 // evictOverLimitLocked drops least-recently-used entries until the
-// population fits the limit, binaries and both memos alike. Entries whose
-// build is still in flight (or whose result is being read) hold their own
-// lock and are skipped — they are by definition recently used. Caller
-// holds c.mu.
+// population fits the limit, binaries, objects and both memos alike.
+// Entries whose build is still in flight (or whose result is being read
+// or linked) hold their own lock and are skipped — they are by definition
+// recently used. Caller holds c.mu.
 func (c *BuildCache) evictOverLimitLocked() {
 	if c.limit <= 0 {
 		return
 	}
 	c.front.evictOver(c.limit, nil)
 	c.admit.evictOver(c.limit, nil)
+	c.objs.evictOver(c.limit, func(e *memoEntry[string, object]) {
+		if e.val.obj != "" {
+			os.Remove(e.val.obj)
+			os.Remove(e.val.src)
+		}
+	})
 	c.bins.evictOver(c.limit, func(e *memoEntry[string, binary]) {
 		if e.val.bin != "" {
 			os.Remove(e.val.bin)
-		}
-		if e.val.src != "" {
-			os.Remove(e.val.src)
 		}
 		c.evictions++
 		c.dropMemosLocked(e.key)
@@ -268,8 +294,10 @@ func (c *BuildCache) Admit(doc []byte, admit func() (verdict any, model [32]byte
 // Build returns a compiled binary for p, building at most once per
 // program content. hit reports whether an existing binary was reused;
 // compileTime is the original build's duration either way (so amortised
-// callers still see the one-time cost). Compile errors are cached too —
-// the same source fails the same way.
+// callers still see the one-time cost). A miss whose object is resident
+// links it without compiling (Stats counts it in Relinks), and its
+// compileTime is the link's. Compile errors are cached too — the same
+// source fails the same way, whatever its run parameters.
 func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, compileTime time.Duration, hit bool, err error) {
 	key := p.Hash()
 	c.mu.Lock()
@@ -309,11 +337,70 @@ func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, comp
 		c.count(&c.bins.hits)
 		return "", 0, true, b.err
 	}
-	b.bin, b.compile, b.err = Build(context.Background(), p, dir, tr)
-	b.src = srcPathFor(p, dir)
+	var relinked bool
+	b.bin, b.compile, relinked, b.err = c.build(p, dir, tr)
 	e.done = true
-	c.count(&c.bins.misses)
+	c.mu.Lock()
+	c.bins.misses++
+	if relinked {
+		c.relinks++
+	}
+	c.mu.Unlock()
 	return b.bin, b.compile, false, b.err
+}
+
+// build links p's binary under dir from its object, compiling the object
+// first unless the object index holds one compiled under the current
+// toolchain: relinked reports that it did not. It records the spans
+// Build (the package function) does, without "compile.gc" on a relink.
+// The object's lock is held through the link, so eviction never removes
+// an object while it is being linked.
+func (c *BuildCache) build(p *codegen.Program, dir string, tr *obs.Tracer) (bin string, d time.Duration, relinked bool, err error) {
+	defer tr.Start("compile").End()
+	ctx := context.Background()
+	start := time.Now()
+	tc, err := loadToolchain(ctx, p.Imports(), tr)
+	if err == nil {
+		err = os.MkdirAll(dir, 0o755)
+	}
+	if err != nil {
+		return "", 0, false, buildError(ctx, p, err)
+	}
+	c.mu.Lock()
+	e, found := c.objs.lookup(p.CodeHash())
+	if !found {
+		c.evictOverLimitLocked()
+	}
+	c.mu.Unlock()
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	o := &e.val
+	if e.done && o.err == nil {
+		if _, statErr := os.Stat(o.obj); statErr != nil || o.linkKey != tc.linkKey() {
+			e.done = false
+		}
+	}
+	if e.done && o.err != nil {
+		return "", 0, false, o.err
+	}
+	relinked = e.done
+	if !e.done {
+		base := filepath.Join(dir, codeTag(p))
+		*o = object{src: base + ".go", obj: base + ".a", linkKey: tc.linkKey()}
+		if err := compileProgram(ctx, tc, p, o.src, o.obj, tr); err != nil {
+			o.err = buildError(ctx, p, err)
+		}
+		e.done = true
+		if o.err != nil {
+			return "", 0, false, o.err
+		}
+	}
+	bin = binPathFor(p, dir)
+	if err := tc.link(ctx, o.obj, bin, p.LDFlags(), tr); err != nil {
+		return "", 0, false, buildError(ctx, p, err)
+	}
+	return bin, time.Since(start), relinked, nil
 }
 
 func (c *BuildCache) count(field *int64) {
@@ -339,6 +426,7 @@ func (c *BuildCache) Remove() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bins.init()
+	c.objs.init()
 	c.front.init()
 	c.admit.init()
 	if c.owned && c.dir != "" {
@@ -349,9 +437,9 @@ func (c *BuildCache) Remove() {
 }
 
 // memo is one LRU-ordered index of a BuildCache: the binaries, the
-// front-end records and the admission verdicts each live in one. Its
-// counters and structure are guarded by BuildCache.mu; an entry's own
-// mutex guards its value while it is being filled.
+// objects, the front-end records and the admission verdicts each live in
+// one. Its counters and structure are guarded by BuildCache.mu; an
+// entry's own mutex guards its value while it is being filled.
 type memo[K comparable, V any] struct {
 	entries map[K]*memoEntry[K, V]
 	order   *list.List // front = most recently used; values are *memoEntry[K, V]

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -11,15 +12,24 @@ import (
 	"accmos/internal/codegen"
 	"accmos/internal/harness"
 	"accmos/internal/model"
+	"accmos/internal/obs"
 	"accmos/internal/testcase"
 	"accmos/internal/types"
 )
 
 func cacheProgram(t *testing.T, steps int64) *codegen.Program {
 	t.Helper()
+	return gainProgram(t, "2", 1, steps)
+}
+
+// gainProgram generates a one-gain model: programs with equal gains share
+// their code and differ only in their run parameters, the uniform seed
+// and the step default.
+func gainProgram(t *testing.T, gain string, seed uint64, steps int64) *codegen.Program {
+	t.Helper()
 	m := model.NewBuilder("C").
 		Add("In", "Inport", 0, 1, model.WithOutKind(types.F64), model.WithParam("Port", "1")).
-		Add("G", "Gain", 1, 1, model.WithParam("Gain", "2")).
+		Add("G", "Gain", 1, 1, model.WithParam("Gain", gain)).
 		Add("Out", "Outport", 1, 0, model.WithParam("Port", "1")).
 		Chain("In", "G", "Out").
 		MustBuild()
@@ -28,12 +38,144 @@ func cacheProgram(t *testing.T, steps int64) *codegen.Program {
 		t.Fatal(err)
 	}
 	p, err := codegen.Generate(c, codegen.Options{
-		Coverage: true, TestCases: testcase.NewRandomSet(1, 1, -1, 1), DefaultSteps: steps,
+		Coverage: true, TestCases: testcase.NewRandomSet(1, seed, -1, 1), DefaultSteps: steps,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestBuildCacheRelinksSeedOnlySibling: a program that differs from a
+// built one only in its seed is a binary miss that links the resident
+// object without compiling it: one miss, one relink, no compile.gc span.
+// The relinked binary runs its own seed.
+func TestBuildCacheRelinksSeedOnlySibling(t *testing.T) {
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	p1, p2 := gainProgram(t, "2", 1, 100), gainProgram(t, "2", 2, 100)
+	if p1.CodeHash() != p2.CodeHash() || p1.Hash() == p2.Hash() {
+		t.Fatal("seed-only siblings must share the code hash and differ in Hash")
+	}
+	bin1, _, _, err := cache.Build(p1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	tr := obs.NewTracer()
+	bin2, _, hit, err := cache.Build(p2, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
+	if hit || bin2 == bin1 || st.Misses-before.Misses != 1 || st.Relinks-before.Relinks != 1 || before.Relinks != 0 {
+		t.Errorf("seed-only sibling: hit %v, stats before %+v after %+v; want one miss and one relink", hit, before, st)
+	}
+	if gc, link := spans(tr, "compile.gc"), spans(tr, "compile.link"); gc != 0 || link != 1 {
+		t.Errorf("relink recorded %d compile.gc and %d compile.link spans, want 0 and 1", gc, link)
+	}
+	r1, err := harness.RunContext(context.Background(), bin1, harness.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := harness.RunContext(context.Background(), bin2, harness.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Steps != 100 || r2.Steps != 100 || r1.OutputHash == r2.OutputHash {
+		t.Errorf("seeds 1 and 2 ran %d and %d steps with hashes %#x and %#x; want 100 steps each, distinct hashes",
+			r1.Steps, r2.Steps, r1.OutputHash, r2.OutputHash)
+	}
+}
+
+// TestBuildCacheConcurrentSeedOnlyBuildsCompileOnce: seed-only siblings
+// built at once wait for one compile of their shared object; the others
+// relink it.
+func TestBuildCacheConcurrentSeedOnlyBuildsCompileOnce(t *testing.T) {
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	const n = 3
+	tracers := make([]*obs.Tracer, n)
+	var wg sync.WaitGroup
+	for i := range tracers {
+		tracers[i] = obs.NewTracer()
+		p := gainProgram(t, "3", uint64(10+i), 50)
+		wg.Add(1)
+		go func(tr *obs.Tracer) {
+			defer wg.Done()
+			if _, _, _, err := cache.Build(p, tr); err != nil {
+				t.Error(err)
+			}
+		}(tracers[i])
+	}
+	wg.Wait()
+	gc := 0
+	for _, tr := range tracers {
+		gc += spans(tr, "compile.gc")
+	}
+	if st := cache.Stats(); gc != 1 || st.Misses != n || st.Relinks != n-1 {
+		t.Errorf("%d concurrent seed-only builds compiled %d times, stats %+v; want 1 compile, %d misses, %d relinks", n, gc, st, n, n-1)
+	}
+}
+
+// TestBuildCacheEvictsObjects: objects are bounded by SetLimit apart
+// from binaries. Once an object is evicted, its file is gone and a
+// seed-only sibling compiles again instead of relinking.
+func TestBuildCacheEvictsObjects(t *testing.T) {
+	dir := t.TempDir()
+	cache := harness.NewBuildCache(dir)
+	defer cache.Remove()
+	cache.SetLimit(1)
+	objects := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "*.a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	if _, _, _, err := cache.Build(gainProgram(t, "4", 1, 10), nil); err != nil {
+		t.Fatal(err)
+	}
+	first := objects()
+	if len(first) != 1 {
+		t.Fatalf("objects after one build: %v, want one", first)
+	}
+	// A program with other code evicts the first object (and binary).
+	if _, _, _, err := cache.Build(gainProgram(t, "5", 1, 10), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := objects(); len(got) != 1 || got[0] == first[0] {
+		t.Errorf("objects after a second program under a limit of one: %v, first was %v", got, first)
+	}
+	tr := obs.NewTracer()
+	if _, _, _, err := cache.Build(gainProgram(t, "4", 2, 10), tr); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Relinks != 0 || st.Misses != 3 || spans(tr, "compile.gc") != 1 {
+		t.Errorf("sibling of an evicted object: stats %+v, %d compile.gc spans; want no relink and one compile",
+			st, spans(tr, "compile.gc"))
+	}
+}
+
+// TestBuildCacheServesCompileErrorToSibling: a program that fails to
+// compile fails the same way whatever its run parameters, so a sibling
+// differing only in them gets the cached error without compiling.
+func TestBuildCacheServesCompileErrorToSibling(t *testing.T) {
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	src := "package main\nfunc main() { undefined() }\n"
+	if _, _, _, err := cache.Build(&codegen.Program{Model: "BADS", Source: src, Params: "steps=1"}, nil); err == nil {
+		t.Fatal("broken source must fail")
+	}
+	tr := obs.NewTracer()
+	_, _, hit, err := cache.Build(&codegen.Program{Model: "BADS", Source: src, Params: "steps=2"}, tr)
+	if err == nil || !strings.Contains(err.Error(), "undefined") {
+		t.Fatalf("sibling of a failed compile: %v, want the cached compile error", err)
+	}
+	if st := cache.Stats(); hit || st.Misses != 2 || st.Relinks != 0 || spans(tr, "compile.gc") != 0 {
+		t.Errorf("sibling: hit %v, stats %+v, %d compile.gc spans; want a miss, no relink, no compile", hit, st, spans(tr, "compile.gc"))
+	}
 }
 
 func TestBuildCacheHitAndMiss(t *testing.T) {
@@ -62,8 +204,8 @@ func TestBuildCacheHitAndMiss(t *testing.T) {
 		t.Errorf("hit returned a different binary: %s vs %s", bin1, bin2)
 	}
 
-	// A different embedded option (DefaultSteps) changes the source, the
-	// hash, and therefore the cache key.
+	// A different run parameter (DefaultSteps) changes the hash, and
+	// therefore the binary's cache key.
 	other := cacheProgram(t, 200)
 	bin3, _, hit3, err := cache.Build(other, nil)
 	if err != nil {

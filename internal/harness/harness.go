@@ -31,70 +31,95 @@ import (
 // needed) and returns the binary path plus the compile duration. It runs
 // the Go toolchain's compile and link tools directly against a memoized
 // import configuration (see loadToolchain), with the flags `go build
-// -ldflags="-s -w"` would pass them. It records a "compile" span on tr
-// (nil ok) with "compile.gc" and "compile.link" children, plus
-// "compile.toolchain" when the memo had to be (re)built. Cancelling ctx
-// kills an in-flight compile or link instead of letting it run to
-// completion after the caller has given up on the result.
+// -ldflags="-s -w"` would pass them plus the -X flag that sets the
+// program's run parameters (codegen.Program.LDFlags). It records a
+// "compile" span on tr (nil ok) with "compile.gc" and "compile.link"
+// children, plus "compile.toolchain" when the memo had to be (re)built.
+// Cancelling ctx kills an in-flight compile or link instead of letting
+// it run to completion after the caller has given up on the result.
+// The compiled object is not kept: a BuildCache keeps it, so a program
+// that differs only in its run parameters is linked, not compiled.
 func Build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) (string, time.Duration, error) {
 	defer tr.Start("compile").End()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", 0, fmt.Errorf("harness: %w", err)
-	}
-	srcPath := srcPathFor(p, dir)
-	if err := os.WriteFile(srcPath, []byte(p.Source), 0o644); err != nil {
-		return "", 0, fmt.Errorf("harness: writing source: %w", err)
-	}
-	binPath := binPathFor(p, dir)
 	start := time.Now()
 	tc, err := loadToolchain(ctx, p.Imports(), tr)
 	if err == nil {
-		err = tc.build(ctx, srcPath, binPath, tr)
+		err = os.MkdirAll(dir, 0o755)
 	}
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return "", 0, fmt.Errorf("harness: compiling generated program for %s: %w", p.Model, ctxErr)
-		}
-		var te *toolError
-		if errors.As(err, &te) {
-			return "", 0, fmt.Errorf("harness: compiling generated program: %v\n%s", te.err, annotate(p.Source, te.output))
-		}
-		return "", 0, fmt.Errorf("harness: compiling generated program: %w", err)
+		return "", 0, buildError(ctx, p, err)
 	}
-	return binPath, time.Since(start), nil
+	obj, err := os.CreateTemp(dir, artifactTag(p)+".*.a")
+	if err == nil {
+		obj.Close()
+		defer os.Remove(obj.Name())
+		err = compileProgram(ctx, tc, p, binPathFor(p, dir)+".go", obj.Name(), tr)
+	}
+	if err == nil {
+		err = tc.link(ctx, obj.Name(), binPathFor(p, dir), p.LDFlags(), tr)
+	}
+	if err != nil {
+		return "", 0, buildError(ctx, p, err)
+	}
+	return binPathFor(p, dir), time.Since(start), nil
 }
 
-// artifactTag names a program's on-disk artifacts. It carries a short
-// content hash: distinct models whose names sanitize identically (m.1 vs
-// m_1) get distinct binaries, and two builds sharing one directory never
-// race on a common main.go.
-// Optimized programs additionally carry their opt level, so an -O0 and an
-// -O1 build of one model are tell-apart on disk and can never serve each
-// other's binary even if a hash were ever truncated into collision.
+// compileProgram writes p's source to src and compiles it into the archive
+// obj.
+func compileProgram(ctx context.Context, tc *toolchain, p *codegen.Program, src, obj string, tr *obs.Tracer) error {
+	if err := os.WriteFile(src, []byte(p.Source), 0o644); err != nil {
+		return fmt.Errorf("writing source: %w", err)
+	}
+	return tc.compile(ctx, src, obj, tr)
+}
+
+// buildError wraps a failed build of p: the context's error when it was
+// cancelled, else the tool's output with the offending source lines.
+func buildError(ctx context.Context, p *codegen.Program, err error) error {
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return fmt.Errorf("harness: compiling generated program for %s: %w", p.Model, ctxErr)
+	}
+	var te *toolError
+	if errors.As(err, &te) {
+		return fmt.Errorf("harness: compiling generated program: %v\n%s", te.err, annotate(p.Source, te.output))
+	}
+	return fmt.Errorf("harness: compiling generated program: %w", err)
+}
+
+// artifactTag names a program's binary. It carries a short content hash:
+// distinct models whose names sanitize identically (m.1 vs m_1) get
+// distinct binaries, and two builds sharing one directory never race on
+// a common file. Optimized programs additionally carry their opt level,
+// so an -O0 and an -O1 build of one model are tell-apart on disk and can
+// never serve each other's binary even if a hash were ever truncated
+// into collision.
 func artifactTag(p *codegen.Program) string {
-	if p.Opt != "" {
-		return "sim_" + sanitizeFile(p.Model) + "_" + sanitizeFile(p.Opt) + "_" + shortHash(p)
-	}
-	return "sim_" + sanitizeFile(p.Model) + "_" + shortHash(p)
+	return tagFor(p, p.Hash())
 }
 
-// srcPathFor returns the generated-source path a build under dir uses.
-func srcPathFor(p *codegen.Program, dir string) string {
-	return filepath.Join(dir, artifactTag(p)+".go")
+// codeTag names the source and compiled object a BuildCache keeps for a
+// program, which programs differing only in their run parameters share:
+// the same form as artifactTag, over the code hash. Build (uncached)
+// names the source after the binary instead.
+func codeTag(p *codegen.Program) string {
+	return tagFor(p, p.CodeHash())
+}
+
+// tagFor renders an artifact name from the model name, the opt level and
+// the first ten digits of hash.
+func tagFor(p *codegen.Program, hash string) string {
+	if len(hash) > 10 {
+		hash = hash[:10]
+	}
+	if p.Opt != "" {
+		return "sim_" + sanitizeFile(p.Model) + "_" + sanitizeFile(p.Opt) + "_" + hash
+	}
+	return "sim_" + sanitizeFile(p.Model) + "_" + hash
 }
 
 // binPathFor returns the binary path a build under dir produces.
 func binPathFor(p *codegen.Program, dir string) string {
 	return filepath.Join(dir, artifactTag(p))
-}
-
-// shortHash is the artifact-name fragment of a program's content hash.
-func shortHash(p *codegen.Program) string {
-	h := p.Hash()
-	if len(h) > 10 {
-		h = h[:10]
-	}
-	return h
 }
 
 // sanitizeFile keeps binary names filesystem-safe.
@@ -134,11 +159,11 @@ type RunOptions struct {
 	// Steps bounds the simulated step count. With Budget also set, the
 	// run stops at whichever bound is reached first; Steps <= 0 under a
 	// Budget means budget-only, and Steps <= 0 without one means the
-	// program's baked-in default.
+	// default the program was linked with.
 	Steps  int64
 	Budget time.Duration // wall-clock budget
-	// SeedXor perturbs the program's embedded uniform test-case seeds,
-	// so one binary sweeps many random suites.
+	// SeedXor perturbs the program's uniform test-case seeds, so one
+	// binary sweeps many random suites.
 	SeedXor uint64
 
 	// Model and Suite label this run in errors: in a multi-model,

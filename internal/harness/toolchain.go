@@ -327,24 +327,57 @@ func (tc *toolchain) importcfg() []byte {
 	return b.Bytes()
 }
 
-// build compiles srcPath as package main and links it into binPath with
-// the flags `go build -ldflags="-s -w"` passes, so the machine code is
-// the same, plus -dwarf=false: the link drops DWARF (-w) anyway, so the
-// compiler need not generate it. The importcfg, the object file and the linker's output are
-// written next to the source under one unique prefix and removed
-// afterwards; the binary is renamed into place, so a process still
-// running an older binPath is not disturbed. Tool output (compile errors
+// linkKey identifies what an object compiled against tc may be linked
+// with: the environment and the runtime archive. An object compiled under
+// another key is compiled again rather than linked against export data
+// it was not compiled against.
+func (tc *toolchain) linkKey() string { return tc.key + "\x00" + tc.runtime }
+
+// compile compiles srcPath as package main into the archive obj under a
+// "compile.gc" span, with the flags `go build` passes plus -dwarf=false:
+// the link drops DWARF (-w) anyway, so the compiler need not generate it.
+// The archive is written under a temporary name and renamed into place,
+// so obj is either whole or absent.
+func (tc *toolchain) compile(ctx context.Context, srcPath, obj string, tr *obs.Tracer) error {
+	return tc.withImportcfg(obj, func(cfg, out string) error {
+		if err := tc.tool(ctx, tr, "compile.gc", "compile", "-o", out, "-p", "main", "-lang="+tc.lang,
+			"-complete", "-goversion", tc.version, "-c="+strconv.Itoa(tc.concurrency()), "-nolocalimports",
+			"-importcfg", cfg, "-pack", "-dwarf=false", srcPath); err != nil {
+			return err
+		}
+		return os.Rename(out, obj)
+	})
+}
+
+// link links the archive obj into binPath under a "compile.link" span,
+// with the flags `go build -ldflags="-s -w"` passes, plus ldflags (the
+// program's run parameters). -s -w drops the symbol table and DWARF: the
+// linker writes a third less, and the host never debugs a generated
+// binary (panics still print symbolized stacks). The binary is renamed
+// into place, so a process still running an older binPath is not
+// disturbed.
+func (tc *toolchain) link(ctx context.Context, obj, binPath string, ldflags []string, tr *obs.Tracer) error {
+	return tc.withImportcfg(binPath, func(cfg, out string) error {
+		args := append([]string{"-o", out, "-importcfg", cfg, "-buildmode=exe", "-s", "-w"}, ldflags...)
+		if err := tc.tool(ctx, tr, "compile.link", "link", append(args, obj)...); err != nil {
+			return err
+		}
+		return os.Rename(out, binPath)
+	})
+}
+
+// withImportcfg writes the import configuration next to target under a
+// unique prefix and calls f with its path and an output path under the
+// same prefix; both are removed afterwards. Tool output (compile errors
 // print on stdout) is returned in the error.
-func (tc *toolchain) build(ctx context.Context, srcPath, binPath string, tr *obs.Tracer) error {
-	cfg, err := os.CreateTemp(filepath.Dir(binPath), filepath.Base(binPath)+".*.importcfg")
+func (tc *toolchain) withImportcfg(target string, f func(cfg, out string) error) error {
+	cfg, err := os.CreateTemp(filepath.Dir(target), filepath.Base(target)+".*.importcfg")
 	if err != nil {
 		return err
 	}
-	base := strings.TrimSuffix(cfg.Name(), ".importcfg")
-	obj, out := base+".a", base+".out"
+	out := strings.TrimSuffix(cfg.Name(), ".importcfg") + ".out"
 	defer func() {
 		os.Remove(cfg.Name())
-		os.Remove(obj)
 		os.Remove(out)
 	}()
 	_, err = cfg.Write(tc.importcfg())
@@ -354,19 +387,7 @@ func (tc *toolchain) build(ctx context.Context, srcPath, binPath string, tr *obs
 	if err != nil {
 		return err
 	}
-	if err := tc.tool(ctx, tr, "compile.gc", "compile", "-o", obj, "-p", "main", "-lang="+tc.lang,
-		"-complete", "-goversion", tc.version, "-c="+strconv.Itoa(tc.concurrency()), "-nolocalimports",
-		"-importcfg", cfg.Name(), "-pack", "-dwarf=false", srcPath); err != nil {
-		return err
-	}
-	// -s -w drops the symbol table and DWARF: the linker writes a third
-	// less, and the host never debugs a generated binary (panics still
-	// print symbolized stacks).
-	if err := tc.tool(ctx, tr, "compile.link", "link", "-o", out, "-importcfg", cfg.Name(),
-		"-buildmode=exe", "-s", "-w", obj); err != nil {
-		return err
-	}
-	return os.Rename(out, binPath)
+	return f(cfg.Name(), out)
 }
 
 // tool runs one tool from GOTOOLDIR under a span. ctx kills it.

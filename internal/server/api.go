@@ -179,7 +179,10 @@ type PhaseStats struct {
 	P99Nanos   int64 `json:"p99Nanos"`
 }
 
-// CacheView is the build-cache section of /metrics. FrontHits and
+// CacheView is the build-cache section of /metrics. Relinks counts the
+// misses whose compiled object was resident, so the job only linked
+// (a job that differs from a built one only in its run parameters).
+// FrontHits and
 // FrontMisses count jobs that did and did not skip the front end
 // (schedule/optimize/instrument/generate) through the front-end memo;
 // AdmitHits and AdmitMisses count submissions that did and did not skip
@@ -189,6 +192,7 @@ type CacheView struct {
 	Limit       int     `json:"limit"`
 	Hits        int64   `json:"hits"`
 	Misses      int64   `json:"misses"`
+	Relinks     int64   `json:"relinks"`
 	Evictions   int64   `json:"evictions"`
 	HitRate     float64 `json:"hitRate"`
 	FrontHits   int64   `json:"frontHits"`

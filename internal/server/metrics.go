@@ -99,9 +99,13 @@ func newMetrics(s *Server) *metrics {
 	reg.CounterFunc("accmosd_cache_hits_total", "Build-cache hits (jobs that paid no compile).", func() float64 {
 		return float64(s.cache.Stats().Hits)
 	})
-	reg.CounterFunc("accmosd_cache_misses_total", "Build-cache misses (jobs that compiled).", func() float64 {
+	reg.CounterFunc("accmosd_cache_misses_total", "Build-cache misses (jobs that built a binary).", func() float64 {
 		return float64(s.cache.Stats().Misses)
 	})
+	reg.CounterFunc("accmosd_cache_relinks_total",
+		"Build-cache misses served from a resident compiled object (jobs that linked but did not compile).", func() float64 {
+			return float64(s.cache.Stats().Relinks)
+		})
 	reg.CounterFunc("accmosd_cache_evictions_total", "Build-cache evictions.", func() float64 {
 		return float64(s.cache.Stats().Evictions)
 	})

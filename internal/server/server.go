@@ -721,6 +721,7 @@ func cacheView(cs accmos.CacheStats) CacheView {
 		Limit:       cs.Limit,
 		Hits:        cs.Hits,
 		Misses:      cs.Misses,
+		Relinks:     cs.Relinks,
 		Evictions:   cs.Evictions,
 		HitRate:     cs.HitRate(),
 		FrontHits:   cs.FrontHits,

@@ -262,6 +262,39 @@ func TestSubmitPollCacheHit(t *testing.T) {
 	}
 }
 
+// TestSeedOnlyJobRelinks: a job that differs from a built one only in its
+// seed is a cache miss whose compiled object is resident, so it links
+// without compiling: one miss and one relink, in /metrics and in the
+// Prometheus view. It runs its own seed.
+func TestSeedOnlyJobRelinks(t *testing.T) {
+	cache := accmos.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	_, ts := newTestServer(t, server.Config{Workers: 1, Cache: cache})
+
+	req := server.SubmitRequest{Model: slxDoc(t, "REL", "2"), Steps: 50, Coverage: true, Seed: 1}
+	first := waitJob(t, ts, submitOK(t, ts, req))
+	before := getMetrics(t, ts).Cache
+	req.Seed = 2
+	second := waitJob(t, ts, submitOK(t, ts, req))
+	if first.State != server.JobDone || second.State != server.JobDone {
+		t.Fatalf("jobs: %s (%s), %s (%s)", first.State, first.Error, second.State, second.Error)
+	}
+	if second.CacheHit {
+		t.Error("a job with a new seed reported a cache hit")
+	}
+	if first.Result.OutputHash == second.Result.OutputHash {
+		t.Error("seeds 1 and 2 produced the same output hash")
+	}
+	after := getMetrics(t, ts).Cache
+	if after.Misses-before.Misses != 1 || after.Relinks-before.Relinks != 1 || before.Relinks != 0 {
+		t.Errorf("cache before %+v, after %+v: want the second job to count one miss and one relink", before, after)
+	}
+	_, body := scrape(t, ts, "?format=prom", "")
+	if !strings.Contains(string(body), "\naccmosd_cache_relinks_total 1\n") {
+		t.Errorf("Prometheus view lacks accmosd_cache_relinks_total 1:\n%s", body)
+	}
+}
+
 // TestSweepJobIgnoresLegacyBatchField: a sweep job runs every suite as
 // its own request. An older client may still send "batch" (true or
 // false); the job succeeds exactly as the same job without it, and no

@@ -53,6 +53,74 @@ func decodeRequest(line []byte, req *Request) error {
 	return nil
 }
 
+// readParams reads the run parameters the program was linked with into
+// p.Uniform and returns the -steps default. The form is "steps=N"
+// followed by ",u=SEED:LO:HI" for each uniform source in order (see
+// FormatParams), with the bounds in strconv's shortest round-trip form,
+// so each arrives bit-exact. An empty string means the link set no -X
+// flag, and the error names the flag.
+func (p *Program) readParams(s string) (int64, error) {
+	if s == "" {
+		return 0, inputError("no run parameters: link the program with -X " + ParamsSymbol +
+			"=<params> (accmos -gen prints the flag in the source's header)")
+	}
+	bad := func(why string) (int64, error) {
+		return 0, inputError("run parameters " + strconv.Quote(s) + ": " + why)
+	}
+	field, rest, more := cutByte(s, ',')
+	v, ok := cutPrefix(field, "steps=")
+	if !ok {
+		return bad("want steps=N first")
+	}
+	steps, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return bad("bad step count")
+	}
+	n := 0
+	for ; more; n++ {
+		field, rest, more = cutByte(rest, ',')
+		v, ok := cutPrefix(field, "u=")
+		if !ok || n == len(p.Uniform) {
+			return bad("want " + strconv.Itoa(len(p.Uniform)) + " uniform sources")
+		}
+		seed, v, _ := cutByte(v, ':')
+		lo, hi, _ := cutByte(v, ':')
+		u := &p.Uniform[n]
+		var errs [3]error
+		u.Seed, errs[0] = strconv.ParseUint(seed, 10, 64)
+		u.Lo, errs[1] = strconv.ParseFloat(lo, 64)
+		u.Hi, errs[2] = strconv.ParseFloat(hi, 64)
+		for _, err := range errs {
+			if err != nil {
+				return bad("bad uniform source " + strconv.Itoa(n))
+			}
+		}
+	}
+	if n != len(p.Uniform) {
+		return bad("want " + strconv.Itoa(len(p.Uniform)) + " uniform sources")
+	}
+	return steps, nil
+}
+
+// cutByte splits s around the first sep, reporting whether there was
+// one; without one it returns s and "".
+func cutByte(s string, sep byte) (before, after string, found bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == sep {
+			return s[:i], s[i+1:], true
+		}
+	}
+	return s, "", false
+}
+
+// cutPrefix returns s without prefix, reporting whether s had it.
+func cutPrefix(s, prefix string) (string, bool) {
+	if len(s) < len(prefix) || s[:len(prefix)] != prefix {
+		return s, false
+	}
+	return s[len(prefix):], true
+}
+
 // inputError is a request line or an argument the program rejects.
 type inputError string
 

@@ -242,17 +242,19 @@ func TestParseArgs(t *testing.T) {
 }
 
 // TestMainExitCodes runs Main in a child process: -steps=N prints the
-// bare result document, and an unknown argument exits with status 2 and
-// a message on stderr.
+// bare result document, the run parameters' step count is the default,
+// and an unknown argument, missing run parameters (a binary linked
+// without its -X flag) or ones that do not fit the program exit with
+// status 2 and a message on stderr.
 func TestMainExitCodes(t *testing.T) {
-	if args := os.Getenv("SIMRT_TEST_MAIN_ARGS"); args != "" {
+	if args, ok := os.LookupEnv("SIMRT_TEST_MAIN_ARGS"); ok {
 		os.Args = append([]string{"prog"}, strings.Fields(args)...)
-		testProgram().Main(1)
+		testProgram().Main(os.Getenv("SIMRT_TEST_MAIN_PARAMS"))
 		os.Exit(0)
 	}
-	run := func(args string) (stdout, stderr string, code int) {
+	run := func(params, args string) (stdout, stderr string, code int) {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestMainExitCodes$")
-		cmd.Env = append(os.Environ(), "SIMRT_TEST_MAIN_ARGS="+args)
+		cmd.Env = append(os.Environ(), "SIMRT_TEST_MAIN_ARGS="+args, "SIMRT_TEST_MAIN_PARAMS="+params)
 		var out, errOut bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &out, &errOut
 		err := cmd.Run()
@@ -264,11 +266,57 @@ func TestMainExitCodes(t *testing.T) {
 		return out.String(), errOut.String(), code
 	}
 	for _, args := range []string{"-steps=5", "-steps 5"} {
-		if out, _, code := run(args); code != 0 || !strings.HasPrefix(out, `{"model":`) || !strings.Contains(out, `"steps":5,`) {
+		if out, _, code := run("steps=1", args); code != 0 || !strings.HasPrefix(out, `{"model":`) || !strings.Contains(out, `"steps":5,`) {
 			t.Errorf("%s: exit %d, stdout %q", args, code, out)
 		}
 	}
-	if _, errOut, code := run("-bogus"); code != 2 || !strings.Contains(errOut, `unknown argument "-bogus"`) {
+	if out, _, code := run("steps=7", ""); code != 0 || !strings.Contains(out, `"steps":7,`) {
+		t.Errorf("default steps from the run parameters: exit %d, stdout %q", code, out)
+	}
+	if _, errOut, code := run("steps=1", "-bogus"); code != 2 || !strings.Contains(errOut, `unknown argument "-bogus"`) {
 		t.Errorf("-bogus: exit %d, stderr %q", code, errOut)
+	}
+	if out, errOut, code := run("", "-steps=5"); code != 2 || out != "" || !strings.Contains(errOut, "-X "+ParamsSymbol+"=") {
+		t.Errorf("no run parameters: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	if _, errOut, code := run("steps=1,u=1:0:1", "-steps=5"); code != 2 || !strings.Contains(errOut, "want 0 uniform sources") {
+		t.Errorf("run parameters for another program: exit %d, stderr %q", code, errOut)
+	}
+}
+
+// TestParamsRoundTrip: FormatParams and readParams agree bit for bit,
+// signed zeros, infinities and NaN included, and readParams rejects
+// parameters that are malformed or do not fit the program.
+func TestParamsRoundTrip(t *testing.T) {
+	want := []Uniform{
+		{Seed: 0, Lo: -0.1, Hi: 0.2},
+		{Seed: math.MaxUint64, Lo: math.Copysign(0, -1), Hi: math.Inf(1)},
+		{Seed: 0x9E3779B97F4A7C15, Lo: math.Inf(-1), Hi: math.NaN()},
+		{Seed: 7, Lo: 5e-324, Hi: math.MaxFloat64},
+	}
+	s := FormatParams(-3, want)
+	p := &Program{Uniform: make([]Uniform, len(want))}
+	steps, err := p.readParams(s)
+	if err != nil || steps != -3 {
+		t.Fatalf("readParams(%q) = %d, %v", s, steps, err)
+	}
+	for i, u := range p.Uniform {
+		w := want[i]
+		if u.Seed != w.Seed || math.Float64bits(u.Lo) != math.Float64bits(w.Lo) ||
+			math.Float64bits(u.Hi) != math.Float64bits(w.Hi) && !(math.IsNaN(u.Hi) && math.IsNaN(w.Hi)) {
+			t.Errorf("source %d: read %+v, wrote %+v", i, u, w)
+		}
+	}
+	if strings.ContainsAny(s, " '\"$;&|<>()`\\") {
+		t.Errorf("FormatParams(...) = %q needs quoting", s)
+	}
+	for _, bad := range []string{
+		"", "u=1:0:1", "steps=x", "steps=1,u=1:0", "steps=1,u=1:0:1,u=1:0:1",
+		"steps=1,u=-1:0:1", "steps=1,u=1:0:x", "steps=1,v=1:0:1", "steps=1,u=1:0:1,",
+	} {
+		p := &Program{Uniform: make([]Uniform, 1)}
+		if _, err := p.readParams(bad); err == nil {
+			t.Errorf("readParams(%q) accepted", bad)
+		}
 	}
 }

@@ -48,6 +48,21 @@ type Request struct {
 	Corr string `json:"corr,omitempty"`
 }
 
+// ParamsSymbol is the string variable a generated program reads its run
+// parameters from. The harness sets it at link time with
+// "-X main.runParams=<params>", so the compiled object holds only the
+// model: programs that differ only in their run parameters share it, and
+// a new seed, range or step default costs a link, not a compile.
+const ParamsSymbol = "main.runParams"
+
+// Uniform is one uniform stimulus source's run parameters: its LCG seed
+// and its range [Lo, Hi). The generated source reads them, and Main
+// fills them from the run parameters.
+type Uniform struct {
+	Seed   uint64
+	Lo, Hi float64
+}
+
 // DiagRecord is one verbatim diagnosis finding (simresult "diags").
 type DiagRecord struct {
 	Step   int64
@@ -90,6 +105,9 @@ type Program struct {
 	// Coverage is nil when coverage is off. The runtime clears it once
 	// per request, before the first Reset.
 	Coverage *Coverage
+	// Uniform views the parameters of the program's uniform stimulus
+	// sources, in inport order; Main fills it from the run parameters.
+	Uniform []Uniform
 
 	// Reset restores every piece of per-run state except coverage to its
 	// fresh-process value for a run with the given seedXor.
@@ -108,11 +126,19 @@ type Program struct {
 // a chunk is the granularity of both.
 const chunkSteps = 1024
 
-// Main is the program's entry point. With -serve it answers requests on
-// stdin until EOF; otherwise it runs one lane for -steps steps (defSteps
-// by default) and prints its bare result document. A bad argument exits
-// with status 2.
-func (p *Program) Main(defSteps int64) {
+// Main is the program's entry point. params is the value of ParamsSymbol:
+// the -steps default and the uniform sources' parameters (see
+// readParams). With -serve it answers requests on stdin until EOF;
+// otherwise it runs one lane for -steps steps and prints its bare result
+// document. A program linked without its run parameters, or with ones
+// that do not fit it, exits with status 2 before running anything, as
+// does a bad argument.
+func (p *Program) Main(params string) {
+	defSteps, err := p.readParams(params)
+	if err != nil {
+		os.Stderr.WriteString("accmos: " + err.Error() + "\n")
+		os.Exit(2)
+	}
 	steps, serve, err := parseArgs(os.Args[1:], defSteps)
 	if err != nil {
 		os.Stderr.WriteString("accmos: " + err.Error() + "\nusage: " + os.Args[0] + " [-steps N] [-serve]\n")

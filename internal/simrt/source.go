@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"io/fs"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -46,3 +48,23 @@ var Fingerprint = sync.OnceValue(func() string {
 	}
 	return hex.EncodeToString(h.Sum(nil))
 })
+
+// FormatParams renders run parameters in the canonical form a program's
+// Main reads: "steps=N", then ",u=SEED:LO:HI" per uniform source. Floats
+// are written in strconv's shortest round-trip form ("NaN", "+Inf" and
+// "-0" included), so equal parameters always render alike and parse back
+// bit-exact. The form needs no quoting in a shell word or in -ldflags.
+func FormatParams(steps int64, uniform []Uniform) string {
+	var sb strings.Builder
+	sb.WriteString("steps=")
+	sb.WriteString(strconv.FormatInt(steps, 10))
+	for _, u := range uniform {
+		sb.WriteString(",u=")
+		sb.WriteString(strconv.FormatUint(u.Seed, 10))
+		sb.WriteByte(':')
+		sb.WriteString(strconv.FormatFloat(u.Lo, 'g', -1, 64))
+		sb.WriteByte(':')
+		sb.WriteString(strconv.FormatFloat(u.Hi, 'g', -1, 64))
+	}
+	return sb.String()
+}

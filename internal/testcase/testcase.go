@@ -197,7 +197,13 @@ func ReadCSV(r io.Reader) (*Set, error) {
 // package-level declarations, modelInit statements, and the expression
 // yielding the float64 stimulus inside the simulation loop (which may
 // reference the loop variable "step"). The formulas mirror At exactly.
-func EmitGo(s *Source, prefix string) (globals, inits []string, expr string) {
+//
+// A Uniform source's seed and range are run parameters, not code: its
+// code reads them from params, an expression naming the simrt.Uniform
+// value the program fills from its link-time data, so programs that
+// differ only in them compile to the same object. The other kinds are
+// compiled in as literals.
+func EmitGo(s *Source, prefix, params string) (globals, inits []string, expr string) {
 	lit := func(f float64) string {
 		switch {
 		case math.IsNaN(f):
@@ -223,15 +229,14 @@ func EmitGo(s *Source, prefix string) (globals, inits []string, expr string) {
 		globals = []string{fmt.Sprintf("var %s uint64", sv)}
 		// seedXor is the run request's seed, which modelReset sets:
 		// sweeping it reruns the same binary over fresh random suites.
-		inits = []string{fmt.Sprintf("%s = %d ^ seedXor", sv, s.Seed)}
+		inits = []string{fmt.Sprintf("%s = %s.Seed ^ seedXor", sv, params)}
 		// The advance must happen inside the loop; emit a helper function
-		// so the expression stays self-contained. The bounds are typed
-		// before they are subtracted: At subtracts in float64, and an
-		// untyped constant difference would be exact.
+		// so the expression stays self-contained. The bounds are float64
+		// variables, so the range is subtracted in float64 as At does.
 		fn := prefix + "_next"
 		globals = append(globals, fmt.Sprintf(
-			"func %s() float64 {\n\t%s = %s*%d + %d\n\treturn float64(%s>>11)/9007199254740992.0*(float64(%s)-float64(%s)) + (%s)\n}",
-			fn, sv, sv, uint64(actors.LCGMul), uint64(actors.LCGInc), sv, lit(s.Hi), lit(s.Lo), lit(s.Lo)))
+			"func %s() float64 {\n\t%s = %s*%d + %d\n\treturn float64(%s>>11)/9007199254740992.0*(%s.Hi-%s.Lo) + %s.Lo\n}",
+			fn, sv, sv, uint64(actors.LCGMul), uint64(actors.LCGInc), sv, params, params, params))
 		return globals, inits, fn + "()"
 	case Ramp:
 		return nil, nil, fmt.Sprintf("(%s + %s*float64(step))", lit(s.Start), lit(s.Slope))
@@ -260,6 +265,7 @@ func EmitGo(s *Source, prefix string) (globals, inits []string, expr string) {
 }
 
 // NeedsMath reports whether the emitted expression references package math.
+// A Uniform source's bounds are run parameters, so it never does.
 func NeedsMath(s *Source) bool {
 	if s.Kind == Sine {
 		return true
@@ -268,8 +274,6 @@ func NeedsMath(s *Source) bool {
 	switch s.Kind {
 	case Const:
 		return check(s.Value)
-	case Uniform:
-		return check(s.Lo) || check(s.Hi)
 	case Ramp:
 		return check(s.Start) || check(s.Slope)
 	case Pulse:

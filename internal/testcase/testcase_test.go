@@ -145,21 +145,25 @@ func TestEmitGoShapes(t *testing.T) {
 		{Kind: Table, Values: []float64{1, -2, 3.5}},
 	}
 	for i := range cases {
-		globals, inits, expr := EmitGo(&cases[i], "tcX")
+		globals, inits, expr := EmitGo(&cases[i], "tcX", "tcUniform[0]")
 		if expr == "" {
 			t.Errorf("case %d: empty expression", i)
 		}
 		_ = globals
 		_ = inits
 	}
-	// Uniform must emit its seed state and advance helper.
-	globals, inits, expr := EmitGo(&cases[1], "tc9")
+	// Uniform must emit its seed state and advance helper, reading its
+	// seed and range from the run parameters, never as literals.
+	globals, inits, expr := EmitGo(&cases[1], "tc9", "tcUniform[3]")
 	joined := strings.Join(globals, "\n")
 	if !strings.Contains(joined, "tc9_seed") || !strings.Contains(joined, "func tc9_next()") {
 		t.Errorf("uniform globals missing pieces:\n%s", joined)
 	}
-	if len(inits) != 1 || !strings.Contains(inits[0], "tc9_seed = 5") {
+	if len(inits) != 1 || inits[0] != "tc9_seed = tcUniform[3].Seed ^ seedXor" {
 		t.Errorf("uniform inits = %v", inits)
+	}
+	if !strings.Contains(joined, "(tcUniform[3].Hi-tcUniform[3].Lo) + tcUniform[3].Lo") || strings.Contains(joined, "1e+06") {
+		t.Errorf("uniform range is not read from the run parameters:\n%s", joined)
 	}
 	if expr != "tc9_next()" {
 		t.Errorf("uniform expr = %q", expr)
