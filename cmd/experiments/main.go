@@ -3,18 +3,19 @@
 //	experiments -run table2     # Table 2: simulation time, 4 engines x 10 models
 //	experiments -run table3     # Table 3: coverage within equal budgets
 //	experiments -run opt        # optimizing middle-end: O0 vs O1 vs O2 on all engines
-//	experiments -run serve      # worker pool: spawn-per-run vs warm serve-mode workers
-//	experiments -run batch      # batched lanes: per-run serve frames vs one batch request
 //	experiments -run casestudy  # §4 error-injection study on CSEV
 //	experiments -run figure1    # Figure 1 motivating measurement
 //	experiments -run all
 //
 // Scales default to laptop-size runs; raise -steps / -budget-scale to
 // approach the paper's setting (50 M steps, 5/15/60 s budgets).
+// -daemon URL runs Table 2 through a running accmosd instead; its rows
+// are printed only, so it cannot be combined with -metrics-json.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -28,7 +29,7 @@ import (
 
 func main() {
 	var (
-		run         = flag.String("run", "all", "experiment: table2 | table3 | opt | serve | batch | casestudy | figure1 | all")
+		run         = flag.String("run", "all", "experiment: table2 | table3 | opt | casestudy | figure1 | all")
 		steps       = flag.Int64("steps", 200_000, "Table 2 simulation steps (paper: 50000000)")
 		budgetScale = flag.Float64("budget-scale", 0.1, "Table 3 budget scale; 1.0 = the paper's 5/15/60s")
 		models      = flag.String("models", "", "comma-separated model subset (default: all ten)")
@@ -43,6 +44,9 @@ func main() {
 		daemon      = flag.String("daemon", "", "drive table2 through a running accmosd at this base URL (e.g. http://localhost:7070) instead of in-process")
 	)
 	flag.Parse()
+	if *daemon != "" && *metricsJSON != "" {
+		fatal(errors.New("-daemon and -metrics-json cannot be combined: daemon-driven Table 2 rows are not recorded as metrics"))
+	}
 	if *pprofAddr != "" {
 		go func() {
 			fmt.Fprintln(os.Stderr, "experiments: pprof:", http.ListenAndServe(*pprofAddr, nil))
@@ -116,30 +120,6 @@ func main() {
 		fmt.Println()
 		if metrics != nil {
 			metrics.AddOpt(rows)
-		}
-	}
-	if want("serve") {
-		ran = true
-		rows, err := experiments.BenchServe(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.FormatServe(os.Stdout, rows)
-		fmt.Println()
-		if metrics != nil {
-			metrics.AddServe(rows)
-		}
-	}
-	if want("batch") {
-		ran = true
-		rows, err := experiments.BenchBatch(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.FormatBatch(os.Stdout, rows)
-		fmt.Println()
-		if metrics != nil {
-			metrics.AddBatch(rows)
 		}
 	}
 	if want("casestudy") {

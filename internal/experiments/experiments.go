@@ -6,12 +6,13 @@
 // budgets are scaled by configuration — the paper uses 50 M steps and
 // 5/15/60 s budgets; defaults here are laptop-scale with the same shape.
 //
+// BenchOpt adds the optimizer benchmark (O0 vs O1 vs O2 on every engine),
+// and RemoteTable2 drives Table 2 through a running accmosd.
+//
 // Every engine run goes through the accmos facade (Simulate, Interpret,
 // Accelerate, RapidAccelerate), the same path the CLI and the daemon
 // use; compile time, cache hits, timelines and optimizer counters come
-// from its Result. Only the worker-pool and batch benchmarks drive
-// harness.WorkerPool directly, because they time request framing below
-// the facade.
+// from its Result. The package builds and runs nothing below the facade.
 package experiments
 
 import (

@@ -107,75 +107,6 @@ func FormatOpt(w io.Writer, rows []OptRow) {
 	}
 }
 
-// FormatServe prints the worker-pool benchmark: spawn-per-run vs pooled
-// wall clock for the same short-horizon sweep, with the pool counters and
-// the bit-identity verdict.
-func FormatServe(w io.Writer, rows []ServeRow) {
-	fmt.Fprintln(w, "Worker pool: spawn-per-run vs warm serve-mode workers (sequential sweep)")
-	fmt.Fprintf(w, "%-6s %5s %7s | %10s %10s %8s | %7s %7s | %s\n",
-		"Model", "runs", "steps", "spawn", "pooled", "speedup", "spawns", "reuses", "outputs")
-	var sum float64
-	var n int
-	for _, r := range rows {
-		if r.Mode != "pooled" {
-			continue
-		}
-		ok := "match"
-		if !r.HashOK {
-			ok = "MISMATCH"
-		}
-		var spawnWall time.Duration
-		for _, s := range rows {
-			if s.Model == r.Model && s.Mode == "spawn" {
-				spawnWall = s.Wall
-			}
-		}
-		fmt.Fprintf(w, "%-6s %5d %7d | %10s %10s %7.1fx | %7d %7d | %s\n",
-			r.Model, r.Runs, r.Steps, fmtDur(spawnWall), fmtDur(r.Wall), r.Speedup,
-			r.Spawns, r.Reuses, ok)
-		sum += r.Speedup
-		n++
-	}
-	if n > 0 {
-		fmt.Fprintf(w, "%-6s %36s %7.1fx\n", "mean", "", sum/float64(n))
-	}
-}
-
-// FormatBatch prints the batched lane-execution benchmark: one line per
-// (model, suite size) with both modes' wall clocks, the speedup, and the
-// bit-identity verdict.
-func FormatBatch(w io.Writer, rows []BatchRow) {
-	fmt.Fprintln(w, "Lane batches: per-run serve frames vs one batch request (one warm worker)")
-	fmt.Fprintf(w, "%-6s %5s %7s | %10s %10s %8s | %s\n",
-		"Model", "lanes", "steps", "pooled", "batch", "speedup", "outputs")
-	for _, r := range rows {
-		if r.Mode != "batch" {
-			continue
-		}
-		ok := "match"
-		if !r.HashOK {
-			ok = "MISMATCH"
-		}
-		if r.Model == "TOTAL" {
-			bar := "BELOW BAR"
-			if r.SpeedupOK {
-				bar = "ok (>=5x, all outputs match)"
-			}
-			fmt.Fprintf(w, "%-6s %13s | %10s %10s %7.1fx | %s\n",
-				"total", "", "", fmtDur(r.Wall), r.Speedup, bar)
-			continue
-		}
-		var pooledWall time.Duration
-		for _, s := range rows {
-			if s.Model == r.Model && s.Runs == r.Runs && s.Mode == "pooled" {
-				pooledWall = s.Wall
-			}
-		}
-		fmt.Fprintf(w, "%-6s %5d %7d | %10s %10s %7.1fx | %s\n",
-			r.Model, r.Runs, r.Steps, fmtDur(pooledWall), fmtDur(r.Wall), r.Speedup, ok)
-	}
-}
-
 // FormatCaseStudy prints the §4 error-injection study.
 func FormatCaseStudy(w io.Writer, r *CaseStudyResult) {
 	fmt.Fprintf(w, "Case study: injected errors in CSEV (charge rate %d/step, predicted overflow at step %d)\n",

@@ -38,7 +38,8 @@ type MetricRow struct {
 	// ran at, the scheduled actor counts around the O1 pipeline, and wall
 	// time normalized per actor evaluation at this row's level (the O2
 	// denominator is the post-fusion ActorsEffective). O2 rows also carry
-	// the typed-lowering fusion report.
+	// the typed-lowering fusion report and the O1-over-O2 speedup; the
+	// aggregate TOTAL row carries the gate verdict.
 	OptLevel        string  `json:"optLevel,omitempty"`
 	ActorsBefore    int     `json:"actorsBefore,omitempty"`
 	ActorsAfter     int     `json:"actorsAfter,omitempty"`
@@ -47,29 +48,20 @@ type MetricRow struct {
 	HoistedExprs    int     `json:"hoistedExprs,omitempty"`
 	NarrowedSignals int     `json:"narrowedSignals,omitempty"`
 	NsPerActorStep  float64 `json:"nsPerActorStep,omitempty"`
-	// Worker-pool fields, set on "serve" experiment rows: the execution
-	// mode ("spawn" | "pooled"), the sweep width, the pool's process
-	// counters, and — on pooled rows — the spawn-over-pooled speedup with
-	// its pass verdict (strictly faster and bit-identical).
-	Mode      string  `json:"mode,omitempty"`
-	Runs      int     `json:"runs,omitempty"`
-	Spawns    int64   `json:"spawns,omitempty"`
-	Reuses    int64   `json:"reuses,omitempty"`
-	Respawns  int64   `json:"respawns,omitempty"`
-	Speedup   float64 `json:"speedup,omitempty"`
-	SpeedupOK bool    `json:"speedupOK,omitempty"`
+	Speedup         float64 `json:"speedup,omitempty"`
+	SpeedupOK       bool    `json:"speedupOK,omitempty"`
 }
 
 // Metrics is the -metrics-json document: run configuration plus rows.
-// Host-identifying fields are limited to the Go platform triple so
-// committed baselines (BENCH_table2.json) diff cleanly.
+// Host-identifying fields are limited to the Go platform triple and the
+// core count so committed baselines (BENCH_table2.json) diff cleanly.
 type Metrics struct {
 	Schema    string `json:"schema"`
 	GoVersion string `json:"goVersion"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// CPUs is the host's usable core count — the ceiling on any
-	// parallelism speedup in these rows (serve).
+	// CPUs is the host's usable core count, which bounds how far any
+	// wall-clock row can be compared across hosts.
 	CPUs  int         `json:"cpus"`
 	Steps int64       `json:"steps"`
 	Seed  uint64      `json:"seed"`
@@ -193,46 +185,6 @@ func (m *Metrics) AddOpt(rows []OptRow) {
 				NsPerActorStep:  r.NsPerActorStepO2,
 				Speedup:         r.SpeedupO2,
 			})
-	}
-}
-
-// AddServe appends one row per (model, mode) from the worker-pool
-// benchmark. WallNanos is the whole-sweep wall clock; StepsPerSec is
-// sweep throughput (runs x steps over the sweep wall), the number the
-// pool is supposed to at least double on short-horizon sweeps.
-func (m *Metrics) AddServe(rows []ServeRow) {
-	for _, r := range rows {
-		ok := r.HashOK
-		m.Rows = append(m.Rows, MetricRow{
-			Experiment: "serve", Model: r.Model, Engine: "AccMoS",
-			Steps: r.Steps, WallNanos: r.Wall.Nanoseconds(),
-			StepsPerSec:  stepsPerSec(int64(r.Runs)*r.Steps, r.Wall),
-			CompileNanos: r.Compile.Nanoseconds(),
-			HashOK:       &ok,
-			Mode:         r.Mode, Runs: r.Runs,
-			Spawns: r.Spawns, Reuses: r.Reuses, Respawns: r.Respawns,
-			Speedup: r.Speedup, SpeedupOK: r.SpeedupOK,
-		})
-	}
-}
-
-// AddBatch appends one row per (model, suite size, mode) from the
-// batched lane-execution benchmark. WallNanos is the whole-sweep wall
-// clock; StepsPerSec is sweep throughput (runs x steps over the sweep
-// wall). Batch rows carry the pooled-over-batch speedup and its pass
-// verdict (>= the 5x acceptance bar and bit-identical).
-func (m *Metrics) AddBatch(rows []BatchRow) {
-	for _, r := range rows {
-		ok := r.HashOK
-		m.Rows = append(m.Rows, MetricRow{
-			Experiment: "batch", Model: r.Model, Engine: "AccMoS",
-			Steps: r.Steps, WallNanos: r.Wall.Nanoseconds(),
-			StepsPerSec:  stepsPerSec(int64(r.Runs)*r.Steps, r.Wall),
-			CompileNanos: r.Compile.Nanoseconds(),
-			HashOK:       &ok,
-			Mode:         r.Mode, Runs: r.Runs,
-			Speedup: r.Speedup, SpeedupOK: r.SpeedupOK,
-		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -70,5 +71,30 @@ func TestMetricsWriteFile(t *testing.T) {
 	}
 	if b[len(b)-1] != '\n' {
 		t.Error("file should end with a newline")
+	}
+}
+
+// TestCommittedBaselinesDecode pins that every committed -metrics-json
+// baseline still decodes into Metrics with no field left over, so a
+// MetricRow field can go only if no kept baseline sets it.
+func TestCommittedBaselinesDecode(t *testing.T) {
+	for _, name := range []string{"BENCH_table2.json", "BENCH_o2.json"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		var m Metrics
+		if err := dec.Decode(&m); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if m.Schema != MetricsSchema {
+			t.Errorf("%s: schema %q, want %q", name, m.Schema, MetricsSchema)
+		}
+		if len(m.Rows) == 0 {
+			t.Errorf("%s: no rows", name)
+		}
 	}
 }
