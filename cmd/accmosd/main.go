@@ -12,7 +12,7 @@
 //	curl -s -X POST localhost:7070/v1/jobs -d '{"model":"<slx xml>","steps":100000,"coverage":true}'
 //	curl -s localhost:7070/v1/jobs/j-000001
 //	curl -sN localhost:7070/v1/jobs/j-000001/events
-//	curl -s localhost:7070/metrics
+//	curl -s localhost:7070/metrics      # Prometheus text exposition 0.0.4
 //
 // SIGTERM (or SIGINT) starts a graceful drain: the listener stops, new
 // submissions get 503, admitted jobs finish (bounded by -drain-timeout),

@@ -12,12 +12,12 @@ import (
 )
 
 // This file is the generic metrics layer behind the daemon's /metrics
-// endpoint: a registry of counters, gauges and fixed-bucket latency
-// histograms, each optionally split by labels, exposed in the Prometheus
-// text format so any scraper can aggregate daemons. Hot-path updates are
-// lock-cheap: counters and gauges are single atomics, label-series lookup
-// takes a read lock, and only series creation and histogram observation
-// take a short exclusive lock.
+// endpoint: a registry of counters and fixed-bucket latency histograms,
+// each optionally split by labels, plus scrape-time gauge and counter
+// funcs, exposed in the Prometheus text format so any scraper can
+// aggregate daemons. Hot-path updates are lock-cheap: counters are single
+// atomics, label-series lookup takes a read lock, and only series
+// creation and histogram observation take a short exclusive lock.
 
 // Counter is a monotonically increasing metric. All methods are safe for
 // concurrent use and lock-free.
@@ -33,25 +33,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down. All methods are safe for
-// concurrent use and lock-free.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add shifts the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// histSamples bounds a histogram's quantile reservoir: quantiles are
-// computed over the most recent histSamples observations, so a long-lived
-// process reports current behaviour, not its whole history. The bucket
-// counts (the Prometheus view) are lifetime-cumulative regardless.
-const histSamples = 512
-
 // DefLatencyBuckets are the default histogram upper bounds (seconds) for
 // pipeline-phase latencies, spanning sub-millisecond schedule phases to
 // multi-second compiles.
@@ -60,9 +41,9 @@ var DefLatencyBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Histogram accumulates a distribution into fixed buckets (for Prometheus
-// exposition) plus a bounded recent-sample reservoir (for the JSON view's
-// quantiles). Safe for concurrent use.
+// Histogram accumulates a distribution into fixed cumulative buckets;
+// quantiles are the scraper's job (histogram_quantile over _bucket).
+// Safe for concurrent use.
 type Histogram struct {
 	bounds []float64 // upper bounds, ascending; +Inf is implicit
 
@@ -70,15 +51,9 @@ type Histogram struct {
 	counts []uint64 // len(bounds)+1; last is the +Inf bucket
 	count  int64
 	sum    float64
-	max    float64
-	ring   []float64
-	idx    int
 }
 
 func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefLatencyBuckets
-	}
 	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
@@ -89,42 +64,7 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.count++
 	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-	if len(h.ring) < histSamples {
-		h.ring = append(h.ring, v)
-	} else {
-		h.ring[h.idx] = v
-		h.idx = (h.idx + 1) % histSamples
-	}
 	h.mu.Unlock()
-}
-
-// HistStats is a point-in-time summary of a histogram: lifetime count,
-// sum and max, plus quantiles over the recent-sample reservoir.
-type HistStats struct {
-	Count         int64
-	Sum           float64
-	Max           float64
-	P50, P90, P99 float64
-}
-
-// Stats summarises the histogram.
-func (h *Histogram) Stats() HistStats {
-	h.mu.Lock()
-	s := HistStats{Count: h.count, Sum: h.sum, Max: h.max}
-	sorted := append([]float64(nil), h.ring...)
-	h.mu.Unlock()
-	if len(sorted) == 0 {
-		return s
-	}
-	sort.Float64s(sorted)
-	q := func(p float64) float64 {
-		return sorted[int(p*float64(len(sorted)-1))]
-	}
-	s.P50, s.P90, s.P99 = q(0.50), q(0.90), q(0.99)
-	return s
 }
 
 // snapshot returns the cumulative bucket counts, count and sum for
@@ -165,7 +105,6 @@ type family struct {
 type series struct {
 	labelValues []string
 	counter     *Counter
-	gauge       *Gauge
 	hist        *Histogram
 }
 
@@ -210,22 +149,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.lookup(values).counter
 }
 
-// GaugeVec declares a gauge family split by labels.
-type GaugeVec struct{ f *family }
-
-// Gauge registers a gauge family.
-func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
-	f := &family{name: name, help: help, typ: typeGauge, labels: labels, series: make(map[string]*series)}
-	r.register(f)
-	return &GaugeVec{f}
-}
-
-// With returns the gauge for the given label values, creating it on
-// first use.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.lookup(values).gauge
-}
-
 // HistogramVec declares a histogram family split by labels. bounds are
 // the bucket upper bounds in ascending order (nil selects
 // DefLatencyBuckets).
@@ -245,18 +168,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // first use.
 func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.lookup(values).hist
-}
-
-// Series snapshots the family's current label series as (values, stats)
-// pairs — the bridge to a JSON view that keys phase summaries by name.
-func (v *HistogramVec) Series() map[string]HistStats {
-	v.f.mu.RLock()
-	defer v.f.mu.RUnlock()
-	out := make(map[string]HistStats, len(v.f.series))
-	for _, s := range v.f.series {
-		out[strings.Join(s.labelValues, "\xff")] = s.hist.Stats()
-	}
-	return out
 }
 
 // GaugeFunc registers a gauge whose value is read at exposition time —
@@ -294,8 +205,6 @@ func (f *family) lookup(values []string) *series {
 	switch f.typ {
 	case typeCounter:
 		s.counter = &Counter{}
-	case typeGauge:
-		s.gauge = &Gauge{}
 	case typeHistogram:
 		s.hist = newHistogram(f.bounds)
 	}
@@ -401,8 +310,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch f.typ {
 			case typeCounter:
 				fmt.Fprintf(&sb, "%s%s %d\n", f.name, labelBlock(f.labels, s.labelValues, ""), s.counter.Value())
-			case typeGauge:
-				fmt.Fprintf(&sb, "%s%s %d\n", f.name, labelBlock(f.labels, s.labelValues, ""), s.gauge.Value())
 			case typeHistogram:
 				cum, count, sum := s.hist.snapshot()
 				for i, c := range cum {

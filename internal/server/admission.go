@@ -22,9 +22,10 @@ func (e *AdmissionError) Error() string { return e.Msg }
 // SpecFromRequest validates a submission and builds the runnable JobSpec:
 // reject negative run bounds, admit the model document (parse, elaborate,
 // lint-gate), then map the wire fields onto the spec's facade options
-// with the daemon's defaults (opt level, heartbeat, the [-1, 1] stimulus
-// range of a seeded job) and the job-timeout clamp applied. The
-// returned findings are the full advisory list recorded on the job.
+// with the daemon's defaults (opt level, heartbeat, seed 1 and the
+// [-1, 1] stimulus range of a job that sets only part of its stimulus)
+// and the job-timeout clamp applied. The returned findings are the full
+// advisory list recorded on the job.
 //
 // The document's admission verdict is memoised in cache under the
 // document's SHA-256, so a repeat submission skips parse, elaboration and
@@ -62,12 +63,15 @@ func SpecFromRequest(cache *accmos.BuildCache, req SubmitRequest, defaultOpt acc
 		OptLevel:      defaultOpt,
 		ProgressEvery: defaultHeartbeat,
 	}
-	if req.Seed != 0 {
-		lo, hi := req.Lo, req.Hi
+	if req.Seed != 0 || req.Lo != 0 || req.Hi != 0 {
+		seed, lo, hi := req.Seed, req.Lo, req.Hi
+		if seed == 0 {
+			seed = 1 // the facade's default seed
+		}
 		if lo == 0 && hi == 0 {
 			lo, hi = -1, 1
 		}
-		opts.TestCases = accmos.RandomTestCases(m, req.Seed, lo, hi)
+		opts.TestCases = accmos.RandomTestCases(m, seed, lo, hi)
 	}
 	if req.OptLevel != nil {
 		lv, err := accmos.OptLevelFromInt(*req.OptLevel)

@@ -56,8 +56,9 @@ func TestAdmissionMemoParsesOnce(t *testing.T) {
 	if ms := models(); len(ms) != 2 || ms[0] != ms[1] {
 		t.Fatal("repeat submission was handed a different model")
 	}
-	if mv := getMetrics(t, ts); mv.Cache.AdmitHits != 1 || mv.Cache.AdmitMisses != 1 {
-		t.Errorf("/metrics cache view %+v, want 1 admission hit and 1 miss", mv.Cache)
+	mv := getMetrics(t, ts)
+	if hits, misses := mv["accmosd_admission_memo_hits_total"], mv["accmosd_admission_memo_misses_total"]; hits != 1 || misses != 1 {
+		t.Errorf("/metrics admission memo: %v hits, %v misses, want 1 of each", hits, misses)
 	}
 }
 

@@ -16,8 +16,8 @@
 //	GET    /v1/jobs/{id}/debug  failure forensics        -> 200 DebugBundle
 //	DELETE /v1/jobs/{id}        cancel                   -> 200 JobView
 //	GET    /healthz             liveness / drain state
-//	GET    /metrics             queue, cache and latency counters
-//	                            (JSON; ?format=prom for Prometheus text)
+//	GET    /metrics             queue, cache, pool and phase-latency
+//	                            metrics (Prometheus text 0.0.4)
 //
 // Every job's ID doubles as its correlation ID: log lines, trace spans,
 // heartbeats on the events stream and debug bundles all carry it, so one
@@ -61,8 +61,10 @@ type SubmitRequest struct {
 	// never share build-cache entries.
 	OptLevel *int `json:"optLevel,omitempty"`
 
-	// Seed (with Lo/Hi bounds, default [-1, 1]) selects deterministic
-	// uniform random stimuli; zero keeps the facade default.
+	// Seed, Lo and Hi select deterministic uniform random stimuli on
+	// [Lo, Hi]. A zero Seed means the facade's default seed 1, and Lo and
+	// Hi both zero mean [-1, 1]; a submission that sets none of the three
+	// runs the facade's default stimulus.
 	Seed uint64  `json:"seed,omitempty"`
 	Lo   float64 `json:"lo,omitempty"`
 	Hi   float64 `json:"hi,omitempty"`
@@ -168,25 +170,13 @@ type ErrorResponse struct {
 	Lint          []LintLine `json:"lint,omitempty"`
 }
 
-// PhaseStats summarises one pipeline phase's latency distribution over
-// recent jobs.
-type PhaseStats struct {
-	Count      int64 `json:"count"`
-	TotalNanos int64 `json:"totalNanos"`
-	MaxNanos   int64 `json:"maxNanos"`
-	P50Nanos   int64 `json:"p50Nanos"`
-	P90Nanos   int64 `json:"p90Nanos"`
-	P99Nanos   int64 `json:"p99Nanos"`
-}
-
-// CacheView is the build-cache section of /metrics. Relinks counts the
-// misses whose compiled object was resident, so the job only linked
+// CacheView is the build-cache section of a debug bundle. Relinks counts
+// the misses whose compiled object was resident, so the job only linked
 // (a job that differs from a built one only in its run parameters).
-// FrontHits and
-// FrontMisses count jobs that did and did not skip the front end
-// (schedule/optimize/instrument/generate) through the front-end memo;
-// AdmitHits and AdmitMisses count submissions that did and did not skip
-// parse, elaboration and lint through the admission memo.
+// FrontHits and FrontMisses count jobs that did and did not skip the
+// front end (schedule/optimize/instrument/generate) through the front-end
+// memo; AdmitHits and AdmitMisses count submissions that did and did not
+// skip parse, elaboration and lint through the admission memo.
 type CacheView struct {
 	Entries     int     `json:"entries"`
 	Limit       int     `json:"limit"`
@@ -201,26 +191,8 @@ type CacheView struct {
 	AdmitMisses int64   `json:"admitMisses"`
 }
 
-// OptTotals aggregates optimizing-middle-end activity across finished
-// jobs: how many ran at each level, how many scheduled actors the
-// pipeline saw and kept in total, and what the O2 typed-lowering stage
-// did to them. ActorsEffective is the post-fusion step-loop statement
-// total — the denominator for any ns-per-actor-step derived from these
-// counters (below O2 it equals ActorsAfter).
-type OptTotals struct {
-	O0Jobs          int64 `json:"o0Jobs"`
-	O1Jobs          int64 `json:"o1Jobs"`
-	O2Jobs          int64 `json:"o2Jobs"`
-	ActorsBefore    int64 `json:"actorsBefore"`
-	ActorsAfter     int64 `json:"actorsAfter"`
-	ActorsEffective int64 `json:"actorsEffective"`
-	FusedExprs      int64 `json:"fusedExprs"`
-	HoistedExprs    int64 `json:"hoistedExprs"`
-	NarrowedSignals int64 `json:"narrowedSignals"`
-}
-
-// WorkerPoolView is the warm-worker-pool section of /metrics: how many
-// serve-mode processes were spawned, how many runs an already-warm
+// WorkerPoolView is the warm-worker-pool section of a debug bundle: how
+// many serve-mode processes were spawned, how many runs an already-warm
 // worker served (the amortized process startups), how many workers were
 // killed and left to respawn after a deadline or protocol error, and how
 // many are parked idle right now (Warm, a live gauge).
@@ -231,24 +203,6 @@ type WorkerPoolView struct {
 	Respawns    int64 `json:"respawns"`
 	Artifacts   int   `json:"artifacts"`
 	Warm        int   `json:"warm"`
-}
-
-// MetricsView is the GET /metrics payload (the JSON rendering of the
-// same registry ?format=prom exposes as Prometheus text).
-type MetricsView struct {
-	QueueDepth  int              `json:"queueDepth"`
-	Running     int              `json:"running"`
-	Workers     int              `json:"workers"`
-	Draining    bool             `json:"draining"`
-	UptimeNanos int64            `json:"uptimeNanos"`
-	Jobs        map[string]int64 `json:"jobs"`
-	// EventsDropped counts progress snapshots lost across all job event
-	// streams because a subscriber fell behind (lifetime total).
-	EventsDropped int64                 `json:"eventsDropped"`
-	Cache         CacheView             `json:"cache"`
-	WorkerPool    *WorkerPoolView       `json:"workerPool,omitempty"`
-	Opt           OptTotals             `json:"opt"`
-	Phases        map[string]PhaseStats `json:"phases,omitempty"`
 }
 
 // DebugBundle is the GET /v1/jobs/{id}/debug payload: the bounded

@@ -2,7 +2,6 @@ package server
 
 import (
 	"io"
-	"math"
 	"time"
 
 	accmos "accmos"
@@ -10,15 +9,15 @@ import (
 )
 
 // jobStates enumerates the accmosd_jobs_total label values. Every series
-// is pre-created at startup so the exposed skeleton — and the JSON
-// counters map — is complete and stable from the first scrape.
+// is pre-created at startup so the exposed skeleton is complete and
+// stable from the first scrape.
 var jobStates = []string{"submitted", "done", "failed", "canceled", "rejected"}
 
-// metrics is the daemon's telemetry: an obs.Registry exposed both as the
-// legacy JSON MetricsView and as Prometheus text exposition. Counter and
-// histogram updates are lock-cheap and independent of the Server mutex;
-// live state (queue depth, warm workers, cache population) is exported
-// through scrape-time gauge funcs so it can never go stale.
+// metrics is the daemon's telemetry: an obs.Registry exposed as
+// Prometheus text exposition. Counter and histogram updates are
+// lock-cheap and independent of the Server mutex; live state (queue
+// depth, warm workers, cache population) is exported through scrape-time
+// gauge funcs so it can never go stale.
 type metrics struct {
 	reg *obs.Registry
 
@@ -191,46 +190,4 @@ func (m *metrics) recordOpt(o *accmos.OptStats) {
 	m.optFused.Add(int64(o.FusedExprs))
 	m.optHoisted.Add(int64(o.HoistedExprs))
 	m.optNarrowed.Add(int64(o.NarrowedSignals))
-}
-
-func (m *metrics) optTotals() OptTotals {
-	return OptTotals{
-		O0Jobs:          m.optJobs.With("O0").Value(),
-		O1Jobs:          m.optJobs.With("O1").Value(),
-		O2Jobs:          m.optJobs.With("O2").Value(),
-		ActorsBefore:    m.optActors.With("before").Value(),
-		ActorsAfter:     m.optActors.With("after").Value(),
-		ActorsEffective: m.optActors.With("effective").Value(),
-		FusedExprs:      m.optFused.Value(),
-		HoistedExprs:    m.optHoisted.Value(),
-		NarrowedSignals: m.optNarrowed.Value(),
-	}
-}
-
-func (m *metrics) jobCounts() map[string]int64 {
-	out := make(map[string]int64, len(jobStates))
-	for _, st := range jobStates {
-		out[st] = m.jobs.With(st).Value()
-	}
-	return out
-}
-
-// secondsToNanos converts a histogram's float seconds back to the JSON
-// view's integer nanoseconds.
-func secondsToNanos(s float64) int64 { return int64(math.Round(s * 1e9)) }
-
-func (m *metrics) phaseStats() map[string]PhaseStats {
-	series := m.phases.Series()
-	out := make(map[string]PhaseStats, len(series))
-	for name, st := range series {
-		out[name] = PhaseStats{
-			Count:      st.Count,
-			TotalNanos: secondsToNanos(st.Sum),
-			MaxNanos:   secondsToNanos(st.Max),
-			P50Nanos:   secondsToNanos(st.P50),
-			P90Nanos:   secondsToNanos(st.P90),
-			P99Nanos:   secondsToNanos(st.P99),
-		}
-	}
-	return out
 }

@@ -57,7 +57,7 @@ type Config struct {
 	// (default 4096, oldest evicted first).
 	RetainJobs int
 	// Runner executes admitted jobs (default: PipelineRunner over the
-	// daemon's cache). A test seam and a hook for remote backends.
+	// daemon's cache and worker pool). Tests substitute stub runners.
 	Runner Runner
 	// Logger receives structured operational logs; every per-job record
 	// carries a "corr" attribute equal to the job ID, joinable with the
@@ -263,8 +263,8 @@ func (s *Server) execute(j *job, ctx context.Context, cancel context.CancelFunc)
 	tr := accmos.NewTracer()
 	tr.SetCorr(j.id)
 	// Stamp the correlation ID on every snapshot crossing the fanout:
-	// the pipeline runner stamps heartbeats itself, but stub runners (and
-	// future remote backends) publish raw snapshots.
+	// the pipeline runner stamps heartbeats itself, but a Runner may
+	// publish raw snapshots (the tests' stub runners do).
 	progress := func(snap obs.Snapshot) {
 		if snap.Corr == "" {
 			snap.Corr = j.id
@@ -669,52 +669,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-// wantsPrometheus decides the /metrics rendering: ?format=prom (or
-// =prometheus) forces the text exposition, ?format=json forces JSON, and
-// with no format parameter the Accept header decides — a Prometheus
-// scraper advertises text/plain or application/openmetrics-text, while
-// curl's */* (and the existing JSON consumers) keep the JSON default.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prom", "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "application/openmetrics-text") ||
-		strings.Contains(accept, "text/plain")
-}
-
+// handleMetrics serves the registry as Prometheus text exposition 0.0.4,
+// whatever the query string or Accept header asks for.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		s.metrics.writePrometheus(w)
-		return
-	}
-	s.mu.Lock()
-	depth := len(s.queue)
-	running := s.running
-	draining := s.draining
-	s.mu.Unlock()
-	view := MetricsView{
-		QueueDepth:    depth,
-		Running:       running,
-		Workers:       s.cfg.Workers,
-		Draining:      draining,
-		UptimeNanos:   time.Since(s.start).Nanoseconds(),
-		Jobs:          s.metrics.jobCounts(),
-		EventsDropped: s.eventsDropped(),
-		Cache:         cacheView(s.cache.Stats()),
-		WorkerPool:    s.poolView(),
-		Opt:           s.metrics.optTotals(),
-		Phases:        s.metrics.phaseStats(),
-	}
-	writeJSON(w, http.StatusOK, view)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	s.metrics.writePrometheus(w)
 }
 
-// cacheView shapes build-cache stats for the wire.
+// cacheView shapes build-cache stats for a debug bundle.
 func cacheView(cs accmos.CacheStats) CacheView {
 	return CacheView{
 		Entries:     cs.Entries,
@@ -731,7 +694,7 @@ func cacheView(cs accmos.CacheStats) CacheView {
 	}
 }
 
-// poolView shapes worker-pool stats for the wire.
+// poolView shapes worker-pool stats for a debug bundle.
 func (s *Server) poolView() *WorkerPoolView {
 	ws := s.pool.Stats()
 	return &WorkerPoolView{

@@ -160,19 +160,15 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want server.JobStat
 	}
 }
 
-func getMetrics(t *testing.T, ts *httptest.Server) server.MetricsView {
+// getMetrics scrapes /metrics and returns its samples keyed by series.
+func getMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var mv server.MetricsView
-	if err := json.NewDecoder(resp.Body).Decode(&mv); err != nil {
-		t.Fatal(err)
-	}
-	return mv
+	_, body := scrape(t, ts, "", "")
+	return promValues(t, body)
 }
+
+// jobsSeries names the accmosd_jobs_total series of one lifecycle state.
+func jobsSeries(state string) string { return fmt.Sprintf("accmosd_jobs_total{state=%q}", state) }
 
 // blockingRunner returns a stub runner that holds every job until release
 // is closed (honouring job cancellation), recording execution order.
@@ -237,14 +233,14 @@ func TestSubmitPollCacheHit(t *testing.T) {
 	}
 
 	mv := getMetrics(t, ts)
-	if mv.Cache.Hits < 1 || mv.Cache.Misses < 1 {
-		t.Errorf("cache counters: %+v, want >=1 hit and >=1 miss", mv.Cache)
+	if hits, misses := mv["accmosd_cache_hits_total"], mv["accmosd_cache_misses_total"]; hits < 1 || misses < 1 {
+		t.Errorf("cache counters: %v hits, %v misses, want >=1 of each", hits, misses)
 	}
-	if mv.Jobs["done"] != 2 {
-		t.Errorf("job counters: %+v, want done=2", mv.Jobs)
+	if got := mv[jobsSeries("done")]; got != 2 {
+		t.Errorf("done jobs %v, want 2", got)
 	}
-	if _, ok := mv.Phases["compile"]; !ok {
-		t.Errorf("metrics missing compile phase histogram: %v", mv.Phases)
+	if _, ok := mv[`accmosd_phase_seconds_count{phase="compile"}`]; !ok {
+		t.Errorf("metrics missing compile phase histogram: %v", mv)
 	}
 
 	// An older client may still send fields the daemon no longer reads
@@ -264,8 +260,8 @@ func TestSubmitPollCacheHit(t *testing.T) {
 
 // TestSeedOnlyJobRelinks: a job that differs from a built one only in its
 // seed is a cache miss whose compiled object is resident, so it links
-// without compiling: one miss and one relink, in /metrics and in the
-// Prometheus view. It runs its own seed.
+// without compiling: one miss and one relink in /metrics. It runs its own
+// seed.
 func TestSeedOnlyJobRelinks(t *testing.T) {
 	cache := accmos.NewBuildCache(t.TempDir())
 	defer cache.Remove()
@@ -273,7 +269,7 @@ func TestSeedOnlyJobRelinks(t *testing.T) {
 
 	req := server.SubmitRequest{Model: slxDoc(t, "REL", "2"), Steps: 50, Coverage: true, Seed: 1}
 	first := waitJob(t, ts, submitOK(t, ts, req))
-	before := getMetrics(t, ts).Cache
+	before := getMetrics(t, ts)
 	req.Seed = 2
 	second := waitJob(t, ts, submitOK(t, ts, req))
 	if first.State != server.JobDone || second.State != server.JobDone {
@@ -285,13 +281,49 @@ func TestSeedOnlyJobRelinks(t *testing.T) {
 	if first.Result.OutputHash == second.Result.OutputHash {
 		t.Error("seeds 1 and 2 produced the same output hash")
 	}
-	after := getMetrics(t, ts).Cache
-	if after.Misses-before.Misses != 1 || after.Relinks-before.Relinks != 1 || before.Relinks != 0 {
-		t.Errorf("cache before %+v, after %+v: want the second job to count one miss and one relink", before, after)
+	after := getMetrics(t, ts)
+	const misses, relinks = "accmosd_cache_misses_total", "accmosd_cache_relinks_total"
+	if after[misses]-before[misses] != 1 || after[relinks]-before[relinks] != 1 || before[relinks] != 0 {
+		t.Errorf("cache misses %v -> %v, relinks %v -> %v: want the second job to count one miss and one relink",
+			before[misses], after[misses], before[relinks], after[relinks])
 	}
-	_, body := scrape(t, ts, "?format=prom", "")
+	_, body := scrape(t, ts, "", "")
 	if !strings.Contains(string(body), "\naccmosd_cache_relinks_total 1\n") {
-		t.Errorf("Prometheus view lacks accmosd_cache_relinks_total 1:\n%s", body)
+		t.Errorf("exposition lacks accmosd_cache_relinks_total 1:\n%s", body)
+	}
+}
+
+// TestSeedlessRangeApplies: a submission that sets lo/hi but no seed runs
+// the facade's default seed 1 on the given range, not the default
+// [-1, 1] stimulus, while a submission that sets none of the three still
+// runs the facade's default stimulus.
+func TestSeedlessRangeApplies(t *testing.T) {
+	cache := accmos.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	_, ts := newTestServer(t, server.Config{Workers: 1, Cache: cache})
+
+	run := func(req server.SubmitRequest) server.JobView {
+		t.Helper()
+		req.Model, req.Steps = slxDoc(t, "RNG", "2"), 200
+		v := waitJob(t, ts, submitOK(t, ts, req))
+		if v.State != server.JobDone || v.Result == nil {
+			t.Fatalf("job seed %d lo %v hi %v: %s (%s)", req.Seed, req.Lo, req.Hi, v.State, v.Error)
+		}
+		return v
+	}
+	bare := run(server.SubmitRequest{})
+	seeded := run(server.SubmitRequest{Seed: 1})
+	ranged := run(server.SubmitRequest{Lo: -50, Hi: 50})
+	seededRanged := run(server.SubmitRequest{Seed: 1, Lo: -50, Hi: 50})
+	if seeded.Result.OutputHash != bare.Result.OutputHash {
+		t.Errorf("seed 1 output %d differs from the default stimulus's %d", seeded.Result.OutputHash, bare.Result.OutputHash)
+	}
+	if ranged.ArtifactHash == bare.ArtifactHash || ranged.Result.OutputHash == bare.Result.OutputHash {
+		t.Errorf("lo/hi without a seed ran the default stimulus (artifact %s)", ranged.ArtifactHash)
+	}
+	if ranged.ArtifactHash != seededRanged.ArtifactHash || ranged.Result.OutputHash != seededRanged.Result.OutputHash {
+		t.Errorf("seedless range %s/%d, want seed 1's %s/%d", ranged.ArtifactHash, ranged.Result.OutputHash,
+			seededRanged.ArtifactHash, seededRanged.Result.OutputHash)
 	}
 }
 
@@ -365,8 +397,8 @@ func TestQueueFullReturns429WithRetryAfter(t *testing.T) {
 			t.Errorf("job %s after release: %s (%s)", id, v.State, v.Error)
 		}
 	}
-	if mv := getMetrics(t, ts); mv.Jobs["rejected"] != 1 {
-		t.Errorf("rejected counter: %+v", mv.Jobs)
+	if got := getMetrics(t, ts)[jobsSeries("rejected")]; got != 1 {
+		t.Errorf("rejected counter %v, want 1", got)
 	}
 }
 
@@ -427,8 +459,8 @@ func TestCancelQueuedAndRunningJobs(t *testing.T) {
 	if v := waitJob(t, ts, running); v.State != server.JobCanceled {
 		t.Errorf("running job after DELETE: %s (%s)", v.State, v.Error)
 	}
-	if mv := getMetrics(t, ts); mv.Jobs["canceled"] != 2 {
-		t.Errorf("canceled counter: %+v", mv.Jobs)
+	if got := getMetrics(t, ts)[jobsSeries("canceled")]; got != 2 {
+		t.Errorf("canceled counter %v, want 2", got)
 	}
 }
 
@@ -744,8 +776,8 @@ func TestSubmitNegativeBoundsRejected(t *testing.T) {
 				req.Steps, req.BudgetMS, req.TimeoutMS, resp.Status, payload)
 		}
 	}
-	if mv := getMetrics(t, ts); mv.Jobs["submitted"] != 0 {
-		t.Errorf("a rejected submission became a job: %+v", mv.Jobs)
+	if got := getMetrics(t, ts)[jobsSeries("submitted")]; got != 0 {
+		t.Errorf("a rejected submission became a job: %v submitted", got)
 	}
 }
 
@@ -764,7 +796,7 @@ func TestFailedJobReportsError(t *testing.T) {
 	if !strings.Contains(v.Error, "simulated backend failure") {
 		t.Errorf("job error %q", v.Error)
 	}
-	if mv := getMetrics(t, ts); mv.Jobs["failed"] != 1 {
-		t.Errorf("failed counter: %+v", mv.Jobs)
+	if got := getMetrics(t, ts)[jobsSeries("failed")]; got != 1 {
+		t.Errorf("failed counter %v, want 1", got)
 	}
 }

@@ -84,7 +84,7 @@ func promValues(t *testing.T, exposition string) map[string]float64 {
 // after intentionally adding or renaming a metric.
 func TestMetricsPrometheusGoldenSkeleton(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
-	resp, body := scrape(t, ts, "?format=prom", "")
+	resp, body := scrape(t, ts, "", "")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("content type %q, want text/plain; version=0.0.4", ct)
 	}
@@ -121,7 +121,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	id := submitOK(t, ts, server.SubmitRequest{Model: slxDoc(t, "WF", "2.0")})
 	waitJob(t, ts, id)
 
-	_, body := scrape(t, ts, "?format=prom", "")
+	_, body := scrape(t, ts, "", "")
 	announced := make(map[string]bool)
 	for _, line := range strings.Split(body, "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
@@ -167,52 +167,38 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 }
 
-// TestMetricsFormatNegotiation covers the format selection matrix: the
-// query parameter always wins, Accept headers steer otherwise, and the
-// bare curl default stays JSON for backward compatibility.
-func TestMetricsFormatNegotiation(t *testing.T) {
+// TestMetricsIgnoresFormatAndAccept: /metrics has one format. Whatever
+// the query string or Accept header asks for, including JSON, the
+// response is the Prometheus text exposition 0.0.4.
+func TestMetricsIgnoresFormatAndAccept(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
-	cases := []struct {
-		query, accept string
-		wantProm      bool
-	}{
-		{"", "", false},                                  // bare default: JSON
-		{"", "*/*", false},                               // curl default: JSON
-		{"", "application/json", false},                  // explicit JSON
-		{"?format=json", "text/plain", false},            // query beats Accept
-		{"?format=prom", "", true},                       // query opt-in
-		{"?format=prometheus", "application/json", true}, // query beats Accept
-		{"", "text/plain", true},                         // scraper Accept
-		{"", "application/openmetrics-text;version=1.0.0,text/plain;q=0.5", true},
+	cases := []struct{ query, accept string }{
+		{"", ""},
+		{"", "*/*"},
+		{"", "application/json"},
+		{"?format=json", "text/plain"},
+		{"?format=prom", ""},
+		{"?format=prometheus", "application/json"},
+		{"", "text/plain"},
+		{"", "application/openmetrics-text;version=1.0.0,text/plain;q=0.5"},
 	}
 	for _, tc := range cases {
 		resp, body := scrape(t, ts, tc.query, tc.accept)
-		ct := resp.Header.Get("Content-Type")
-		isProm := strings.HasPrefix(ct, "text/plain")
-		if isProm != tc.wantProm {
-			t.Errorf("query=%q accept=%q: content type %q, want prom=%v", tc.query, tc.accept, ct, tc.wantProm)
-			continue
+		if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Errorf("query=%q accept=%q: content type %q", tc.query, tc.accept, ct)
 		}
-		if tc.wantProm {
-			if !strings.Contains(body, "# TYPE accmosd_jobs_total counter") {
-				t.Errorf("query=%q accept=%q: prom body missing jobs family", tc.query, tc.accept)
-			}
-		} else {
-			var mv server.MetricsView
-			if err := json.Unmarshal([]byte(body), &mv); err != nil {
-				t.Errorf("query=%q accept=%q: JSON body does not decode: %v", tc.query, tc.accept, err)
-			}
+		if !strings.Contains(body, "# TYPE accmosd_jobs_total counter") {
+			t.Errorf("query=%q accept=%q: body missing jobs family", tc.query, tc.accept)
 		}
 	}
 }
 
-// TestMetricsChurnMonotonicAndFormatsAgree hammers the daemon with
-// submissions and cancellations from several goroutines while other
-// goroutines scrape both representations, then asserts (a) every
-// accmosd_jobs_total series only ever moved up and (b) the final JSON
-// and Prometheus views agree exactly. Run under -race this also proves
-// the registry is data-race free against live traffic.
-func TestMetricsChurnMonotonicAndFormatsAgree(t *testing.T) {
+// TestMetricsChurnMonotonic hammers the daemon with submissions and
+// cancellations from several goroutines while other goroutines scrape
+// /metrics, then asserts that every accmosd_jobs_total series only ever
+// moved up and that the quiescent counters add up. Run under -race this
+// also proves the registry is data-race free against live traffic.
+func TestMetricsChurnMonotonic(t *testing.T) {
 	runner := func(ctx context.Context, spec server.JobSpec, tr *accmos.Tracer, progress func(obs.Snapshot)) (*server.Outcome, error) {
 		progress(obs.Snapshot{Steps: 1})
 		select {
@@ -276,7 +262,7 @@ func TestMetricsChurnMonotonicAndFormatsAgree(t *testing.T) {
 					return
 				default:
 				}
-				_, body := scrape(t, ts, "?format=prom", "")
+				_, body := scrape(t, ts, "", "")
 				vals := promValues(t, body)
 				for series, v := range vals {
 					if !strings.HasPrefix(series, "accmosd_jobs_total") {
@@ -287,7 +273,6 @@ func TestMetricsChurnMonotonicAndFormatsAgree(t *testing.T) {
 					}
 					prev[series] = v
 				}
-				getMetrics(t, ts) // concurrent JSON scrape, same registry
 			}
 		}()
 	}
@@ -300,21 +285,14 @@ func TestMetricsChurnMonotonicAndFormatsAgree(t *testing.T) {
 	close(stop)
 	scrWG.Wait()
 
-	// Quiescent now: the two representations must agree sample for sample.
-	mv := getMetrics(t, ts)
-	_, body := scrape(t, ts, "?format=prom", "")
-	vals := promValues(t, body)
-	for _, state := range []string{"submitted", "done", "failed", "canceled", "rejected"} {
-		series := fmt.Sprintf(`accmosd_jobs_total{state=%q}`, state)
-		if vals[series] != float64(mv.Jobs[state]) {
-			t.Errorf("jobs[%s]: prom %v != json %d", state, vals[series], mv.Jobs[state])
-		}
+	// Quiescent now: every admitted job reached exactly one terminal state.
+	vals := getMetrics(t, ts)
+	done, failed, canceled := vals[jobsSeries("done")], vals[jobsSeries("failed")], vals[jobsSeries("canceled")]
+	if done == 0 || failed == 0 {
+		t.Errorf("churn produced no terminal jobs: done %v, failed %v", done, failed)
 	}
-	if vals["accmosd_events_dropped_total"] != float64(mv.EventsDropped) {
-		t.Errorf("events dropped: prom %v != json %d", vals["accmosd_events_dropped_total"], mv.EventsDropped)
-	}
-	if mv.Jobs["done"] == 0 || mv.Jobs["failed"] == 0 {
-		t.Errorf("churn produced no terminal jobs: %v", mv.Jobs)
+	if submitted := vals[jobsSeries("submitted")]; done+failed+canceled != submitted {
+		t.Errorf("done %v + failed %v + canceled %v != submitted %v", done, failed, canceled, submitted)
 	}
 	if got := vals["accmosd_queue_depth"]; got != 0 {
 		t.Errorf("queue depth %v after quiescence", got)
@@ -483,13 +461,8 @@ func TestRealPipelineTimeoutForensics(t *testing.T) {
 	if b.Trace == nil || b.Trace.Corr != id {
 		t.Fatalf("trace missing or uncorrelated: %+v", b.Trace)
 	}
-	// The failure must also be visible in both metric representations.
-	mv := getMetrics(t, ts)
-	if mv.Jobs["failed"] != 1 {
-		t.Errorf("json failed count %d, want 1", mv.Jobs["failed"])
-	}
-	_, body := scrape(t, ts, "?format=prom", "")
-	if vals := promValues(t, body); vals[`accmosd_jobs_total{state="failed"}`] != 1 {
-		t.Errorf("prom failed count %v, want 1", vals[`accmosd_jobs_total{state="failed"}`])
+	// The failure must also be visible in /metrics.
+	if got := getMetrics(t, ts)[jobsSeries("failed")]; got != 1 {
+		t.Errorf("failed count %v, want 1", got)
 	}
 }
