@@ -82,9 +82,7 @@ func (g *Generator) instrumentActor(info *actors.Info) error {
 	g.body.WriteString(gc.Body())
 
 	// Actor coverage at the end of the actor's code.
-	if g.opts.Coverage {
-		fmt.Fprintf(g.body, "\tactorBitmap[%d] = 1\n", g.layout.ActorIndex[info.Actor.Name])
-	}
+	g.markActor(info)
 
 	// Signal collect call (collectList).
 	for slot, name := range g.monSlots {
@@ -129,16 +127,30 @@ func actorComment(info *actors.Info) string {
 	return commentText(fmt.Sprintf("%s (%s %s)", info.Path, info.Actor.Type, info.Operator))
 }
 
+// markActor attaches an actor's coverage mark. A gated actor marks its
+// bit inside its gate, on the steps it runs. An ungated actor runs on
+// every step, so after a lane's first step its mark carries nothing: its
+// index joins alwaysRun instead, whose bits modelRun sets once per call
+// that runs a step. The bitmap a lane reports is the same either way.
+func (g *Generator) markActor(info *actors.Info) {
+	if !g.opts.Coverage {
+		return
+	}
+	idx := g.layout.ActorIndex[info.Actor.Name]
+	if info.Gated() {
+		fmt.Fprintf(g.body, "\tactorBitmap[%d] = 1\n", idx)
+		return
+	}
+	g.alwaysRun = append(g.alwaysRun, idx)
+}
+
 // instrumentFused emits an actor whose expression the O2 planner inlined
-// into its single consumer: no variable, no statement — only the actor
-// coverage mark at the actor's own schedule position, so the bitmap's
-// end-of-step state is identical to an O0 run (the bit is monotone and
-// the fused consumer evaluates the same expression later this step).
+// into its single consumer: no variable, no statement, only a section
+// header. Fused actors are never gated, so their coverage bit is one of
+// modelRun's alwaysRun marks.
 func (g *Generator) instrumentFused(info *actors.Info) error {
 	fmt.Fprintf(g.body, "\t// -- %s [fused into consumer]\n", actorComment(info))
-	if g.opts.Coverage {
-		fmt.Fprintf(g.body, "\tactorBitmap[%d] = 1\n", g.layout.ActorIndex[info.Actor.Name])
-	}
+	g.markActor(info)
 	return nil
 }
 
@@ -162,9 +174,7 @@ func (g *Generator) instrumentRoot(info *actors.Info, root *irplan.Root) error {
 		g.body.WriteString("\t" + line + "\n")
 	}
 
-	if g.opts.Coverage {
-		fmt.Fprintf(g.body, "\tactorBitmap[%d] = 1\n", g.layout.ActorIndex[info.Actor.Name])
-	}
+	g.markActor(info)
 	for slot, mon := range g.monSlots {
 		if mon == info.Actor.Name {
 			g.emitMonitorCall(info, slot)

@@ -232,6 +232,10 @@ type Generator struct {
 	body      *strings.Builder
 	diagFuncs strings.Builder
 
+	// alwaysRun lists the actor-coverage indices of the ungated actors,
+	// in schedule order: modelRun marks them, not modelExe.
+	alwaysRun []int
+
 	// emitter renders O2 fused expressions (nil plan → unused).
 	emitter *iremit.Emitter
 }

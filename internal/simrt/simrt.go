@@ -117,7 +117,9 @@ type Program struct {
 	// earlier when a stop-on diagnosis fires. A stop holds until the next
 	// Reset: Run then returns from at once, so a stop on the last step of
 	// a chunk ends the lane at the next call. The runtime calls it once
-	// per chunk of at most chunkSteps steps.
+	// per chunk of at most chunkSteps steps, always with from < to: a
+	// generated program sets its always-run actors' coverage bits at the
+	// top of every call that runs a step.
 	Run func(from, to int64) int64
 }
 

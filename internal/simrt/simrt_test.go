@@ -280,6 +280,11 @@ func newLaneProgram() *laneProgram {
 		if len(lp.log) > 1000 {
 			panic("the runtime keeps calling Run: a lane never ends")
 		}
+		if from >= to {
+			// Generated programs mark their always-run actors on every
+			// call that gets past the stop check.
+			panic(fmt.Sprintf("Run(%d, %d): the runtime must call Run with from < to", from, to))
+		}
 		lp.log = append(lp.log, fmt.Sprintf("run %d [%d,%d)", lp.seed, from, to))
 		if lp.stopped {
 			return from
