@@ -25,6 +25,7 @@ package accmos
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -594,11 +595,12 @@ func Simulate(m *Model, opts Options) (*Result, error) {
 	return SimulateContext(context.Background(), m, opts)
 }
 
-// SimulateContext is Simulate with the execution phase bounded by ctx:
-// cancellation (or Options.Timeout) kills the generated binary's process
-// group and surfaces an error instead of blocking on a wedged program.
+// SimulateContext is Simulate bounded by ctx: cancellation kills the
+// compile or link in flight, or the generated binary's process group, and
+// returns an error wrapping ctx's error instead of waiting for either to
+// finish. Options.Timeout bounds the run alone.
 func SimulateContext(ctx context.Context, m *Model, opts Options) (*Result, error) {
-	x, err := newExecutor(m, &opts, false)
+	x, err := newExecutor(ctx, m, &opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -645,19 +647,24 @@ func Sweep(m *Model, opts Options, seedXors []uint64) (*SweepResult, error) {
 	return SweepContext(context.Background(), m, opts, seedXors)
 }
 
-// SweepContext is Sweep bounded by a context: cancelling ctx (or an
-// Options.Timeout expiring on any suite) kills the in-flight generated
-// binaries and returns the first error. Alongside a non-nil error the
-// returned SweepResult is the partial sweep: suites that never finished
-// leave nil entries in Runs (callers must nil-check before dereferencing)
-// and the merged coverage covers only the completed suites.
+// SweepContext is Sweep bounded by a context: cancelling ctx kills the
+// compile or link in flight, or the in-flight generated binaries, and an
+// Options.Timeout expiring on any suite kills that suite; either returns
+// the first error. Alongside a non-nil error the returned SweepResult is
+// the partial sweep: suites that never finished (all of them when the
+// build was cancelled) leave nil entries in Runs (callers must nil-check
+// before dereferencing) and the merged coverage covers only the
+// completed suites.
 func SweepContext(ctx context.Context, m *Model, opts Options, seedXors []uint64) (*SweepResult, error) {
 	if len(seedXors) == 0 {
 		return nil, fmt.Errorf("accmos: Sweep needs at least one seed")
 	}
 	opts.Coverage = true
-	x, err := newExecutor(m, &opts, true)
+	x, err := newExecutor(ctx, m, &opts, true)
 	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			return &SweepResult{Runs: make([]*Result, len(seedXors))}, err
+		}
 		return nil, err
 	}
 	sw := &SweepResult{layout: x.layout}
@@ -681,10 +688,10 @@ type executor struct {
 // newExecutor gets the built program for m under opts. Inputs the cache's
 // front-end memo has seen (same model structure, options and test cases)
 // reuse the remembered program and its binary; new inputs go through the
-// front end and Build, and are remembered. A "frontend" span with a memo
-// attribute records which path ran; on a miss it holds the
-// schedule/optimize/instrument/generate spans.
-func newExecutor(m *Model, opts *Options, suites bool) (*executor, error) {
+// front end and BuildContext under ctx, and are remembered. A "frontend"
+// span with a memo attribute records which path ran; on a miss it holds
+// the schedule/optimize/instrument/generate spans.
+func newExecutor(ctx context.Context, m *Model, opts *Options, suites bool) (*executor, error) {
 	if err := opts.begin(); err != nil {
 		return nil, err
 	}
@@ -714,7 +721,7 @@ func newExecutor(m *Model, opts *Options, suites bool) (*executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	x.bin, x.compileTime, x.cacheHit, err = cache.Build(prog, opts.Trace)
+	x.bin, x.compileTime, x.cacheHit, err = cache.BuildContext(ctx, prog, opts.Trace)
 	if err != nil {
 		return nil, err
 	}

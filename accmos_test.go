@@ -2,7 +2,9 @@ package accmos_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	accmos "accmos"
 	"accmos/internal/benchmodels"
 	"accmos/internal/model"
+	"accmos/internal/simresult"
 	"accmos/internal/types"
 )
 
@@ -434,5 +437,78 @@ func BenchmarkSweep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// gainChain builds a chain of n gains. At O0 every gain is a statement
+// of the generated step function, so its compile takes about a second
+// per 6,000 gains on a 2-vCPU host.
+func gainChain(n int) *accmos.Model {
+	b := accmos.NewModelBuilder("CHAIN").
+		Add("In", "Inport", 0, 1, model.WithOutKind(types.F64), model.WithParam("Port", "1"))
+	prev := "In"
+	for i := 0; i < n; i++ {
+		g := fmt.Sprintf("G%d", i)
+		b.Add(g, "Gain", 1, 1, model.WithParam("Gain", fmt.Sprintf("1.%d", i+1))).Wire(prev, g, 0)
+		prev = g
+	}
+	return b.Add("Out", "Outport", 1, 0, model.WithParam("Port", "1")).Wire(prev, "Out", 0).MustBuild()
+}
+
+// TestSimulateContextCancelStopsCompile: cancelling SimulateContext while
+// its program compiles kills the compiler. The call fails with the
+// cancellation well before that compile's uncancelled time, measured
+// here by the next call, and publishes nothing, so the next call on the
+// same cache builds the program and matches the interpreter.
+func TestSimulateContextCancelStopsCompile(t *testing.T) {
+	m := gainChain(6000)
+	dir := t.TempDir()
+	cache := accmos.NewBuildCache(dir)
+	opts := accmos.Options{
+		OptLevel: accmos.OptO0, Steps: 50, Coverage: true, Diagnose: true,
+		TestCases: accmos.RandomTestCases(m, 3, -1, 1), Cache: cache,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelledAt := make(chan time.Time, 1)
+	go func() {
+		// The source is written just before the compiler starts.
+		for ctx.Err() == nil {
+			if src, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(src) > 0 {
+				cancelledAt <- time.Now()
+				cancel()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	_, err := accmos.SimulateContext(ctx, m, opts)
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("SimulateContext cancelled mid-compile: %v, want context.Canceled", err)
+	}
+	stopped := returned.Sub(<-cancelledAt)
+	if left, _ := os.ReadDir(dir); len(left) != 0 || cache.Stats().Entries != 0 {
+		t.Errorf("the cancelled build published %d entries and left %v", cache.Stats().Entries, left)
+	}
+
+	res, err := accmos.SimulateContext(context.Background(), m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit {
+		t.Error("the call after the cancel was served a cached binary")
+	}
+	compile := time.Duration(res.CompileNanos)
+	t.Logf("returned %v after the cancel; the uncancelled compile took %v", stopped, compile)
+	if stopped > compile/2 {
+		t.Errorf("the cancelled call returned %v after the cancel, want well under the %v compile", stopped, compile)
+	}
+	ref, err := accmos.Interpret(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := simresult.Diff(ref.Results, res.Results); d != "" {
+		t.Errorf("generated vs interpreter after the cancel: %s", d)
 	}
 }

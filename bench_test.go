@@ -8,10 +8,8 @@ package accmos_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -34,9 +32,21 @@ var benchModels = benchmodels.Names()
 var (
 	compiledMu    sync.Mutex
 	compiledCache = map[string]*actors.Compiled{}
-	binaryCache   = map[string]string{}
-	benchWorkDir  string
 )
+
+// benchCache builds every generated binary the benchmarks run, once per
+// program content.
+var benchCache = harness.NewBuildCache("")
+
+// TestMain removes the build directories of benchCache and of the
+// facade's default cache, which the tests build through, when the test
+// binary exits.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	benchCache.Remove()
+	harness.DefaultCache.Remove()
+	os.Exit(code)
+}
 
 func compiledOf(b *testing.B, name string) *actors.Compiled {
 	b.Helper()
@@ -60,42 +70,23 @@ func benchSet(c *actors.Compiled) *testcase.Set {
 // binaryOf builds (once) the instrumented generated binary for a model.
 func binaryOf(b *testing.B, name string, opts codegen.Options) string {
 	b.Helper()
-	key := fmt.Sprintf("%s|cov=%v|diag=%v", name, opts.Coverage, opts.Diagnose)
-	compiledMu.Lock()
-	defer compiledMu.Unlock()
-	if bin, ok := binaryCache[key]; ok {
-		return bin
-	}
-	if benchWorkDir == "" {
-		dir, err := os.MkdirTemp("", "accmos-bench-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchWorkDir = dir
-	}
-	c := compiledCache[name]
+	c := compiledOf(b, name)
 	opts.TestCases = benchSet(c)
 	prog, err := codegen.Generate(c, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin, _, err := harness.Build(context.Background(), prog, filepath.Join(benchWorkDir, sanitizeKey(key)), nil)
+	return benchBuild(b, prog)
+}
+
+// benchBuild builds prog through benchCache.
+func benchBuild(b *testing.B, prog *codegen.Program) string {
+	b.Helper()
+	bin, _, _, err := benchCache.Build(prog, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	binaryCache[key] = bin
 	return bin
-}
-
-func sanitizeKey(s string) string {
-	out := []rune(s)
-	for i, r := range out {
-		switch r {
-		case '|', '=', '/':
-			out[i] = '_'
-		}
-	}
-	return string(out)
 }
 
 // reportPerStep converts a (duration, steps) measurement into the ns/step
@@ -246,15 +237,7 @@ func BenchmarkFigure1Detection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dir, err := os.MkdirTemp("", "fig1bench-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		bin, _, err := harness.Build(context.Background(), prog, dir, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bin := benchBuild(b, prog)
 		b.ResetTimer()
 		var exec time.Duration
 		for i := 0; i < b.N; i++ {
@@ -310,15 +293,7 @@ func BenchmarkCaseStudyDetection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dir, err := os.MkdirTemp("", "csevbench-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		bin, _, err := harness.Build(context.Background(), prog, dir, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bin := benchBuild(b, prog)
 		b.ResetTimer()
 		var exec time.Duration
 		for i := 0; i < b.N; i++ {
@@ -423,24 +398,17 @@ func BenchmarkAblationRapidSpecialization(b *testing.B) {
 
 // BenchmarkAblationCompile measures the one-time cost of the AccMoS
 // pipeline front end: generation plus Go compilation. Every iteration
-// embeds a different test-case seed, taken from the clock so that neither
-// a later b.N round nor a later run repeats one, and so compiles a
-// distinct program that no build cache can answer.
+// builds through a new build cache, so it compiles and links in full.
 func BenchmarkAblationCompile(b *testing.B) {
 	c := compiledOf(b, "CSEV")
-	dir, err := os.MkdirTemp("", "compilebench-")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
+	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set := testcase.NewRandomSet(len(c.Inports), uint64(time.Now().UnixNano())+uint64(i), -100, 100)
-		prog, err := codegen.Generate(c, codegen.Options{Coverage: true, Diagnose: true, TestCases: set})
+		prog, err := codegen.Generate(c, codegen.Options{Coverage: true, Diagnose: true, TestCases: benchSet(c)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := harness.Build(context.Background(), prog, dir, nil); err != nil {
+		if _, _, _, err := harness.NewBuildCache(dir).Build(prog, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

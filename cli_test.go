@@ -173,3 +173,36 @@ func TestCLIPipeline(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIRemovesBuildCache: the CLI builds through the default build
+// cache, whose directory under TMPDIR holds the run's source, object and
+// binary. Both a run that succeeds and one that fails after its build
+// (a run past its -timeout) remove it on exit.
+func TestCLIRemovesBuildCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary")
+	}
+	bin := filepath.Join(t.TempDir(), "accmos")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/accmos").CombinedOutput(); err != nil {
+		t.Fatalf("building the CLI: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		ok   bool
+	}{
+		{"success", nil, true},
+		{"fatal", []string{"-timeout", "1ns"}, false},
+	} {
+		tmp := t.TempDir()
+		cmd := exec.Command(bin, append([]string{"-model", "models/CSEV.xml", "-steps", "1000"}, tc.args...)...)
+		cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
+		out, err := cmd.CombinedOutput()
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s run: %v\n%s", tc.name, err, out)
+		}
+		if left, _ := filepath.Glob(filepath.Join(tmp, "accmos-cache-*")); len(left) != 0 {
+			t.Errorf("%s run left %v behind", tc.name, left)
+		}
+	}
+}

@@ -25,6 +25,9 @@ import (
 )
 
 func main() {
+	// The default build cache keeps its sources, objects and binaries in
+	// a private temporary directory; every exit removes it (fatal too).
+	defer accmos.DefaultBuildCache().Remove()
 	var (
 		modelPath = flag.String("model", "", "model file (required)")
 		engine    = flag.String("engine", "accmos", "engine: accmos | sse | accel | rapid")
@@ -335,5 +338,6 @@ func flagGiven(name string) bool {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "accmos:", err)
+	accmos.DefaultBuildCache().Remove()
 	os.Exit(1)
 }

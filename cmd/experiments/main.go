@@ -24,10 +24,14 @@ import (
 	"strings"
 	"time"
 
+	accmos "accmos"
 	"accmos/internal/experiments"
 )
 
 func main() {
+	// The experiments build through the default build cache, whose
+	// private temporary directory every exit removes (fatal too).
+	defer accmos.DefaultBuildCache().Remove()
 	var (
 		run         = flag.String("run", "all", "experiment: table2 | table3 | opt | casestudy | figure1 | all")
 		steps       = flag.Int64("steps", 200_000, "Table 2 simulation steps (paper: 50000000)")
@@ -152,5 +156,6 @@ func main() {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
+	accmos.DefaultBuildCache().Remove()
 	os.Exit(1)
 }

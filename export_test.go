@@ -1,6 +1,8 @@
 package accmos
 
 import (
+	"context"
+
 	"accmos/internal/codegen"
 	"accmos/internal/coverage"
 )
@@ -10,7 +12,7 @@ import (
 // drive a WorkerPool on the program directly.
 func SweepProgram(m *Model, opts Options) (bin string, layout *coverage.Layout, err error) {
 	opts.Coverage = true
-	x, err := newExecutor(m, &opts, true)
+	x, err := newExecutor(context.Background(), m, &opts, true)
 	if err != nil {
 		return "", nil, err
 	}

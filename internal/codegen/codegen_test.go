@@ -51,9 +51,10 @@ func runBoth(t *testing.T, c *actors.Compiled, set *testcase.Set, steps int64,
 	return ir, gr
 }
 
-// buildAndRun compiles p under dir and runs it once for steps.
+// buildAndRun compiles p through a build cache rooted at dir and runs
+// it once for steps.
 func buildAndRun(p *codegen.Program, dir string, steps int64) (*simresult.Results, error) {
-	bin, _, err := harness.Build(context.Background(), p, dir, nil)
+	bin, _, _, err := harness.NewBuildCache(dir).Build(p, nil)
 	if err != nil {
 		return nil, err
 	}

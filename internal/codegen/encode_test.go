@@ -1,7 +1,6 @@
 package codegen_test
 
 import (
-	"context"
 	"encoding/json"
 	"os/exec"
 	"reflect"
@@ -46,7 +45,7 @@ func TestResultEncoderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
+	bin, _, _, err := harness.NewBuildCache(t.TempDir()).Build(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

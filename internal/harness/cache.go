@@ -20,7 +20,8 @@ import (
 // the test cases and the run parameters), so repeated
 // Simulate/Sweep/experiment calls on the same model reuse the binary
 // instead of compiling and linking again. Safe for concurrent use;
-// concurrent requests for the same program block on one build.
+// concurrent requests for the same program block on one build, and a
+// build whose caller cancels it publishes nothing (BuildContext).
 //
 // Beside the binaries it keeps each program's compiled object, keyed by
 // codegen.Program.CodeHash, which leaves out the run parameters (the
@@ -267,15 +268,7 @@ func (c *BuildCache) Recall(digest [32]byte) (fr *Front, bin string, compileTime
 // document was rejected), which ties the verdict to the binaries built
 // from the model: evicting one of them drops the verdict too.
 func (c *BuildCache) Admit(doc []byte, admit func() (verdict any, model [32]byte)) (verdict any, hit bool) {
-	key := sha256.Sum256(doc)
-	c.mu.Lock()
-	e, found := c.admit.lookup(key)
-	if !found {
-		c.evictOverLimitLocked()
-	}
-	c.mu.Unlock()
-
-	e.mu.Lock()
+	e, found := acquire(c, &c.admit, sha256.Sum256(doc))
 	defer e.mu.Unlock()
 	if !e.done {
 		e.val.verdict, e.val.model = admit()
@@ -291,15 +284,24 @@ func (c *BuildCache) Admit(doc []byte, admit func() (verdict any, model [32]byte
 	return e.val.verdict, found
 }
 
-// Build returns a compiled binary for p, building at most once per
+// Build is BuildContext under context.Background().
+func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, compileTime time.Duration, hit bool, err error) {
+	return c.BuildContext(context.Background(), p, tr)
+}
+
+// BuildContext returns a compiled binary for p, building at most once per
 // program content. hit reports whether an existing binary was reused;
 // compileTime is the original build's duration either way (so amortised
 // callers still see the one-time cost). A miss whose object is resident
 // links it without compiling (Stats counts it in Relinks), and its
 // compileTime is the link's. Compile errors are cached too — the same
 // source fails the same way, whatever its run parameters.
-func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, compileTime time.Duration, hit bool, err error) {
-	key := p.Hash()
+//
+// Cancelling ctx kills the compile or link in flight. The build then
+// fails with ctx's error and publishes nothing: no binary, no cached
+// error, and an object only if its compile had finished. A caller
+// waiting on the same program builds it itself.
+func (c *BuildCache) BuildContext(ctx context.Context, p *codegen.Program, tr *obs.Tracer) (bin string, compileTime time.Duration, hit bool, err error) {
 	c.mu.Lock()
 	if c.dir == "" {
 		dir, mkErr := os.MkdirTemp("", "accmos-cache-")
@@ -311,13 +313,9 @@ func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, comp
 		c.owned = true
 	}
 	dir := c.dir
-	e, found := c.bins.lookup(key)
-	if !found {
-		c.evictOverLimitLocked()
-	}
 	c.mu.Unlock()
 
-	e.mu.Lock()
+	e, _ := acquire(c, &c.bins, p.Hash())
 	defer e.mu.Unlock()
 	b := &e.val
 	if e.done && b.err == nil {
@@ -338,7 +336,11 @@ func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, comp
 		return "", 0, true, b.err
 	}
 	var relinked bool
-	b.bin, b.compile, relinked, b.err = c.build(p, dir, tr)
+	b.bin, b.compile, relinked, b.err = c.build(ctx, p, dir, tr)
+	if b.err != nil && ctx.Err() != nil {
+		abandon(c, &c.bins, e)
+		return "", 0, false, b.err
+	}
 	e.done = true
 	c.mu.Lock()
 	c.bins.misses++
@@ -351,13 +353,13 @@ func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, comp
 
 // build links p's binary under dir from its object, compiling the object
 // first unless the object index holds one compiled under the current
-// toolchain: relinked reports that it did not. It records the spans
-// Build (the package function) does, without "compile.gc" on a relink.
-// The object's lock is held through the link, so eviction never removes
-// an object while it is being linked.
-func (c *BuildCache) build(p *codegen.Program, dir string, tr *obs.Tracer) (bin string, d time.Duration, relinked bool, err error) {
+// toolchain: relinked reports that it did not. It records a "compile"
+// span with "compile.gc" (not on a relink) and "compile.link" children,
+// plus "compile.toolchain" and "compile.runtime" when the toolchain memo
+// had to be filled. The object's lock is held through the link, so
+// eviction never removes an object while it is being linked.
+func (c *BuildCache) build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) (bin string, d time.Duration, relinked bool, err error) {
 	defer tr.Start("compile").End()
-	ctx := context.Background()
 	start := time.Now()
 	tc, err := loadToolchain(ctx, p.Imports(), tr)
 	if err == nil {
@@ -366,14 +368,7 @@ func (c *BuildCache) build(p *codegen.Program, dir string, tr *obs.Tracer) (bin 
 	if err != nil {
 		return "", 0, false, buildError(ctx, p, err)
 	}
-	c.mu.Lock()
-	e, found := c.objs.lookup(p.CodeHash())
-	if !found {
-		c.evictOverLimitLocked()
-	}
-	c.mu.Unlock()
-
-	e.mu.Lock()
+	e, _ := acquire(c, &c.objs, p.CodeHash())
 	defer e.mu.Unlock()
 	o := &e.val
 	if e.done && o.err == nil {
@@ -388,19 +383,58 @@ func (c *BuildCache) build(p *codegen.Program, dir string, tr *obs.Tracer) (bin 
 	if !e.done {
 		base := filepath.Join(dir, codeTag(p))
 		*o = object{src: base + ".go", obj: base + ".a", linkKey: tc.linkKey()}
-		if err := compileProgram(ctx, tc, p, o.src, o.obj, tr); err != nil {
-			o.err = buildError(ctx, p, err)
+		err := os.WriteFile(o.src, []byte(p.Source), 0o644)
+		if err == nil {
+			err = tc.compile(ctx, o.src, o.obj, tr)
+		}
+		if err != nil && ctx.Err() != nil {
+			os.Remove(o.src)
+			abandon(c, &c.objs, e)
+			return "", 0, false, buildError(ctx, p, err)
 		}
 		e.done = true
-		if o.err != nil {
+		if err != nil {
+			o.err = buildError(ctx, p, err)
 			return "", 0, false, o.err
 		}
 	}
-	bin = binPathFor(p, dir)
+	bin = filepath.Join(dir, artifactTag(p))
 	if err := tc.link(ctx, o.obj, bin, p.LDFlags(), tr); err != nil {
 		return "", 0, false, buildError(ctx, p, err)
 	}
 	return bin, time.Since(start), relinked, nil
+}
+
+// acquire returns the entry under key in m, created if there is none,
+// with its lock held: the caller fills it unless it is done. found
+// reports whether it existed. An entry that a cancelled fill abandoned
+// while the caller waited for its lock is looked up again.
+func acquire[K comparable, V any](c *BuildCache, m *memo[K, V], key K) (e *memoEntry[K, V], found bool) {
+	for {
+		c.mu.Lock()
+		e, found = m.lookup(key)
+		if !found {
+			c.evictOverLimitLocked()
+		}
+		c.mu.Unlock()
+		e.mu.Lock()
+		if !e.gone {
+			return e, found
+		}
+		e.mu.Unlock()
+	}
+}
+
+// abandon unpublishes e after a cancelled fill: it leaves m, so the
+// index holds what it held before, and whoever waits for its lock looks
+// the key up again. Caller holds e.mu.
+func abandon[K comparable, V any](c *BuildCache, m *memo[K, V], e *memoEntry[K, V]) {
+	e.gone = true
+	c.mu.Lock()
+	if m.entries[e.key] == e {
+		m.remove(e)
+	}
+	c.mu.Unlock()
 }
 
 func (c *BuildCache) count(field *int64) {
@@ -450,6 +484,7 @@ type memo[K comparable, V any] struct {
 type memoEntry[K comparable, V any] struct {
 	mu   sync.Mutex
 	done bool
+	gone bool // abandoned by a cancelled fill: look the key up again
 	key  K
 	val  V
 	elem *list.Element

@@ -2,11 +2,13 @@ package harness_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"accmos/internal/actors"
 	"accmos/internal/codegen"
@@ -509,5 +511,95 @@ func TestBuildCacheMemosEvictWithBinary(t *testing.T) {
 	cache.Admit([]byte("doc2"), func() (any, [32]byte) { return "ok", [32]byte{} })
 	if _, hit := cache.Admit([]byte("doc"), func() (any, [32]byte) { return "ok", model }); hit {
 		t.Error("admission memo kept two verdicts under a limit of one")
+	}
+}
+
+// waitForFile polls until a file matching pattern exists.
+func waitForFile(t *testing.T, pattern string) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if m, _ := filepath.Glob(pattern); len(m) > 0 {
+			return
+		}
+	}
+	t.Fatalf("no file matches %s", pattern)
+}
+
+// TestBuildCacheWaiterBuildsAfterCancel: a caller blocked on another
+// caller's build of the same program is not failed by that caller's
+// cancel. The cancelled build publishes nothing, and the waiter compiles
+// and links the program itself: one entry, one miss.
+func TestBuildCacheWaiterBuildsAfterCancel(t *testing.T) {
+	build(t, program(t)) // warm the toolchain memo
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	p := slowProgram()
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan error, 1)
+	go func() {
+		_, _, _, err := cache.BuildContext(ctx, p, nil)
+		first <- err
+	}()
+	waitForFile(t, filepath.Join(cache.Dir(), "*.go")) // the source is written: the compile runs
+
+	tr := obs.NewTracer()
+	type result struct {
+		bin string
+		hit bool
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		bin, _, hit, err := cache.Build(p, tr)
+		waiter <- result{bin, hit, err}
+	}()
+	// No event marks the waiter blocked on the entry's lock, so give it
+	// ample time to get there; the compile still has seconds to run.
+	time.Sleep(100 * time.Millisecond)
+	cancel()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: %v, want context.Canceled", err)
+	}
+	r := <-waiter
+	if r.err != nil || r.hit {
+		t.Fatalf("waiter: hit %v, %v; want a build of its own", r.hit, r.err)
+	}
+	if _, err := os.Stat(r.bin); err != nil {
+		t.Fatal(err)
+	}
+	if gc := spans(tr, "compile.gc"); gc != 1 {
+		t.Errorf("waiter recorded %d compile.gc spans, want 1", gc)
+	}
+	if st := cache.Stats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("stats %+v, want one entry and one miss", st)
+	}
+}
+
+// TestBuildCacheCancelledLinkKeepsObject: a build cancelled after its
+// object was compiled publishes no binary and leaves the entry count as
+// it was, but keeps the object, so the next build of a seed-only sibling
+// relinks it.
+func TestBuildCacheCancelledLinkKeepsObject(t *testing.T) {
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	if _, _, _, err := cache.Build(gainProgram(t, "4", 1, 100), nil); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	sibling := gainProgram(t, "4", 2, 100)
+	if _, _, _, err := cache.BuildContext(dead, sibling, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled relink: %v, want context.Canceled", err)
+	}
+	if st := cache.Stats(); st != before {
+		t.Errorf("a cancelled relink moved the stats from %+v to %+v", before, st)
+	}
+	tr := obs.NewTracer()
+	if _, _, hit, err := cache.Build(sibling, tr); err != nil || hit {
+		t.Fatalf("sibling after the cancel: hit %v, %v", hit, err)
+	}
+	if gc, st := spans(tr, "compile.gc"), cache.Stats(); gc != 0 || st.Relinks != 1 || st.Entries != 2 {
+		t.Errorf("sibling after the cancel: %d compile.gc spans, stats %+v; want a relink", gc, st)
 	}
 }

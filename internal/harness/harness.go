@@ -3,6 +3,10 @@
 // paper's "compile and execute the code" step), runs the binary, and
 // decodes its results into the shared simresult schema.
 //
+// A BuildCache is the one builder: it compiles and links a program at
+// most once per content, under the caller's context (BuildContext), so
+// a caller that gives up kills the compile or link in flight.
+//
 // Every run speaks one protocol: NDJSON requests on the binary's stdin
 // (-serve) and, per request, one ordered stream on its stdout: the
 // request's heartbeats, then its response frame. Stderr carries only
@@ -17,8 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -26,52 +28,6 @@ import (
 	"accmos/internal/obs"
 	"accmos/internal/simresult"
 )
-
-// Build compiles a generated program into a binary under dir (created if
-// needed) and returns the binary path plus the compile duration. It runs
-// the Go toolchain's compile and link tools directly against a memoized
-// import configuration (see loadToolchain), with the flags `go build
-// -ldflags="-s -w"` would pass them plus the -X flag that sets the
-// program's run parameters (codegen.Program.LDFlags). It records a
-// "compile" span on tr (nil ok) with "compile.gc" and "compile.link"
-// children, plus "compile.toolchain" when the memo had to be (re)built.
-// Cancelling ctx kills an in-flight compile or link instead of letting
-// it run to completion after the caller has given up on the result.
-// The compiled object is not kept: a BuildCache keeps it, so a program
-// that differs only in its run parameters is linked, not compiled.
-func Build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) (string, time.Duration, error) {
-	defer tr.Start("compile").End()
-	start := time.Now()
-	tc, err := loadToolchain(ctx, p.Imports(), tr)
-	if err == nil {
-		err = os.MkdirAll(dir, 0o755)
-	}
-	if err != nil {
-		return "", 0, buildError(ctx, p, err)
-	}
-	obj, err := os.CreateTemp(dir, artifactTag(p)+".*.a")
-	if err == nil {
-		obj.Close()
-		defer os.Remove(obj.Name())
-		err = compileProgram(ctx, tc, p, binPathFor(p, dir)+".go", obj.Name(), tr)
-	}
-	if err == nil {
-		err = tc.link(ctx, obj.Name(), binPathFor(p, dir), p.LDFlags(), tr)
-	}
-	if err != nil {
-		return "", 0, buildError(ctx, p, err)
-	}
-	return binPathFor(p, dir), time.Since(start), nil
-}
-
-// compileProgram writes p's source to src and compiles it into the archive
-// obj.
-func compileProgram(ctx context.Context, tc *toolchain, p *codegen.Program, src, obj string, tr *obs.Tracer) error {
-	if err := os.WriteFile(src, []byte(p.Source), 0o644); err != nil {
-		return fmt.Errorf("writing source: %w", err)
-	}
-	return tc.compile(ctx, src, obj, tr)
-}
 
 // buildError wraps a failed build of p: the context's error when it was
 // cancelled, else the tool's output with the offending source lines.
@@ -99,8 +55,7 @@ func artifactTag(p *codegen.Program) string {
 
 // codeTag names the source and compiled object a BuildCache keeps for a
 // program, which programs differing only in their run parameters share:
-// the same form as artifactTag, over the code hash. Build (uncached)
-// names the source after the binary instead.
+// the same form as artifactTag, over the code hash.
 func codeTag(p *codegen.Program) string {
 	return tagFor(p, p.CodeHash())
 }
@@ -115,11 +70,6 @@ func tagFor(p *codegen.Program, hash string) string {
 		return "sim_" + sanitizeFile(p.Model) + "_" + sanitizeFile(p.Opt) + "_" + hash
 	}
 	return "sim_" + sanitizeFile(p.Model) + "_" + hash
-}
-
-// binPathFor returns the binary path a build under dir produces.
-func binPathFor(p *codegen.Program, dir string) string {
-	return filepath.Join(dir, artifactTag(p))
 }
 
 // sanitizeFile keeps binary names filesystem-safe.

@@ -39,9 +39,20 @@ func program(t *testing.T) *codegen.Program {
 	return p
 }
 
+// build compiles p through a BuildCache of its own, the one builder, and
+// returns the binary.
+func build(t *testing.T, p *codegen.Program) string {
+	t.Helper()
+	bin, _, _, err := harness.NewBuildCache(t.TempDir()).Build(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bin
+}
+
 func TestBuildAndRun(t *testing.T) {
 	p := program(t)
-	bin, compileTime, err := harness.Build(context.Background(), p, t.TempDir(), nil)
+	bin, compileTime, _, err := harness.NewBuildCache(t.TempDir()).Build(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +73,7 @@ func TestBuildAndRun(t *testing.T) {
 
 func TestRunReusesBinary(t *testing.T) {
 	p := program(t)
-	bin, compileTime, err := harness.Build(context.Background(), p, t.TempDir(), nil)
+	bin, compileTime, _, err := harness.NewBuildCache(t.TempDir()).Build(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +95,7 @@ func TestRunReusesBinary(t *testing.T) {
 
 func TestRunBudgetMode(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Budget: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +107,7 @@ func TestRunBudgetMode(t *testing.T) {
 
 func TestBuildSurfacesCompilerErrors(t *testing.T) {
 	p := &codegen.Program{Model: "BAD", Source: "package main\nfunc main() { undefined() }\n"}
-	_, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
+	_, _, _, err := harness.NewBuildCache(t.TempDir()).Build(p, nil)
 	if err == nil {
 		t.Fatal("broken source must fail")
 	}
@@ -116,10 +124,7 @@ func TestRunMissingBinary(t *testing.T) {
 
 func TestRunHeartbeatTimeline(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	var viaCallback []obs.Snapshot
 	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{
 		Steps:     5_000_000,
@@ -161,10 +166,7 @@ func TestRunHeartbeatTimeline(t *testing.T) {
 
 func TestRunHeartbeatOffByDefault(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +325,7 @@ func TestRunSubMillisecondBudgetClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{
 		Budget:  500 * time.Microsecond,
 		Timeout: 30 * time.Second, // backstop so a regression fails fast
@@ -358,11 +357,12 @@ func main() {
 	dir := t.TempDir()
 	pa := &codegen.Program{Model: "m.1", Source: src("1")}
 	pb := &codegen.Program{Model: "m_1", Source: src("2")}
-	binA, _, err := harness.Build(context.Background(), pa, dir, nil)
+	cache := harness.NewBuildCache(dir)
+	binA, _, _, err := cache.Build(pa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binB, _, err := harness.Build(context.Background(), pb, dir, nil)
+	binB, _, _, err := cache.Build(pb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

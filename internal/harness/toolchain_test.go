@@ -27,12 +27,12 @@ import (
 // spans counts the spans named name that tr recorded.
 func spans(tr *obs.Tracer, name string) int { return len(tr.Trace().Find(name)) }
 
-// buildAndRun builds p into dir under its own tracer, runs the binary for
-// one step and returns the tracer.
+// buildAndRun builds p through a cache rooted at dir under its own
+// tracer, runs the binary for one step and returns the tracer.
 func buildAndRun(t *testing.T, p *codegen.Program, dir string) *obs.Tracer {
 	t.Helper()
 	tr := obs.NewTracer()
-	bin, _, err := harness.Build(context.Background(), p, dir, tr)
+	bin, _, _, err := harness.NewBuildCache(dir).Build(p, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,19 +89,19 @@ func TestBuildSurvivesGOCACHESwap(t *testing.T) {
 			t.Errorf("%s recorded %d times, want 1", name, n)
 		}
 	}
-	// The importcfg and object file are gone: only the source and the
-	// binary stay behind.
+	// The importcfg files and temporary outputs are gone: only the
+	// binary and the source and object the cache keeps stay behind.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var names []string
 	for _, e := range entries {
-		names = append(names, e.Name())
+		names = append(names, filepath.Ext(e.Name()))
 	}
 	sort.Strings(names)
-	if len(names) != 2 || !strings.HasSuffix(names[1], ".go") || names[1] != names[0]+".go" {
-		t.Errorf("build dir holds %v, want just the source and the binary", names)
+	if strings.Join(names, " ") != " .a .go" {
+		t.Errorf("build dir holds %v, want just the binary, the source and the object", entries)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestConcurrentColdBuildsListToolchainOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, errs[i] = harness.Build(context.Background(), p, dir, tracers[i])
+			_, _, _, errs[i] = harness.NewBuildCache(dir).Build(p, tracers[i])
 		}()
 	}
 	wg.Wait()
@@ -192,7 +192,7 @@ func TestRuntimeArchiveCancelKeepsMemo(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(20*time.Millisecond, cancel) // the compile takes ~100 ms or more
 	tr := obs.NewTracer()
-	if _, _, err := harness.Build(ctx, p, t.TempDir(), tr); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := harness.NewBuildCache(t.TempDir()).BuildContext(ctx, p, tr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("build cancelled during the archive compile: %v, want context.Canceled", err)
 	}
 	if n := spans(tr, "compile.runtime"); n != 1 {
@@ -235,7 +235,8 @@ func TestBuildCancelKillsCompilerAndKeepsMemo(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(200*time.Millisecond, cancel)
 	start := time.Now()
-	_, _, err := harness.Build(ctx, slowProgram(), t.TempDir(), nil)
+	cache := harness.NewBuildCache(t.TempDir())
+	_, _, _, err := cache.BuildContext(ctx, slowProgram(), nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("a build cancelled mid-compile succeeded")
@@ -246,6 +247,9 @@ func TestBuildCancelKillsCompilerAndKeepsMemo(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Errorf("cancelled compile returned after %v, want well under the compile's own time", elapsed)
 	}
+	if left, _ := os.ReadDir(cache.Dir()); len(left) != 0 || cache.Stats().Entries != 0 {
+		t.Errorf("the cancelled build published %d entries and left %v", cache.Stats().Entries, left)
+	}
 	if n := spans(buildAndRun(t, p, t.TempDir()), "compile.toolchain"); n != 0 {
 		t.Errorf("build after a cancelled compile listed the toolchain %d times, want 0", n)
 	}
@@ -253,7 +257,7 @@ func TestBuildCancelKillsCompilerAndKeepsMemo(t *testing.T) {
 	harness.ResetToolchain()
 	dead, kill := context.WithCancel(context.Background())
 	kill()
-	if _, _, err := harness.Build(dead, p, t.TempDir(), nil); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := harness.NewBuildCache(t.TempDir()).BuildContext(dead, p, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("build with a cancelled listing: %v, want context.Canceled", err)
 	}
 	if n := spans(buildAndRun(t, p, t.TempDir()), "compile.toolchain"); n != 1 {

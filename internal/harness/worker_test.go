@@ -19,10 +19,7 @@ import (
 
 func TestWorkerPoolReuseMatchesOneShot(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 
@@ -56,15 +53,12 @@ func TestWorkerPoolReuseMatchesOneShot(t *testing.T) {
 
 func TestWorkerPoolTimeoutKillsAndRespawns(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 
 	start := time.Now()
-	_, _, err = pool.RunContext(context.Background(), bin,
+	_, _, err := pool.RunContext(context.Background(), bin,
 		harness.RunOptions{Steps: 1 << 40, Timeout: 250 * time.Millisecond})
 	if err == nil {
 		t.Fatal("a run past its deadline must surface as an error")
@@ -171,10 +165,7 @@ func TestWorkerPoolClosedRejects(t *testing.T) {
 
 func TestWorkerPoolHeartbeatTimeline(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 
@@ -221,10 +212,7 @@ func TestWorkerPoolHeartbeatTimeline(t *testing.T) {
 
 func TestWorkerPoolConcurrentRuns(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	pool := harness.NewWorkerPool(2)
 	defer pool.Close()
 
@@ -292,10 +280,7 @@ func TestWorkerPoolBudgetMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 	res, _, err := pool.RunContext(context.Background(), bin, harness.RunOptions{
@@ -309,11 +294,15 @@ func TestWorkerPoolBudgetMode(t *testing.T) {
 	}
 }
 
+// TestBuildContextPreCanceled: a build under a context cancelled before
+// it starts fails with the cancellation, names the model and publishes
+// nothing.
 func TestBuildContextPreCanceled(t *testing.T) {
 	p := program(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := harness.Build(ctx, p, t.TempDir(), nil)
+	cache := harness.NewBuildCache(t.TempDir())
+	_, _, _, err := cache.BuildContext(ctx, p, nil)
 	if err == nil {
 		t.Fatal("a canceled context must abort the build")
 	}
@@ -323,25 +312,29 @@ func TestBuildContextPreCanceled(t *testing.T) {
 	if !strings.Contains(err.Error(), "H") {
 		t.Errorf("error should name the model: %v", err)
 	}
+	if st := cache.Stats(); st.Entries != 0 || st.Misses != 0 {
+		t.Errorf("a pre-canceled build published %+v", st)
+	}
 }
 
+// TestBuildContextDeadlineAbortsInFlightCompile: a deadline that passes
+// mid-compile kills the compiler. The program takes the compiler seconds,
+// so the 25 ms deadline always lands before the compile ends.
 func TestBuildContextDeadlineAbortsInFlightCompile(t *testing.T) {
-	p := program(t)
+	build(t, program(t)) // warm the toolchain memo: the deadline lands in the compile
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := harness.Build(ctx, p, t.TempDir(), nil)
+	_, _, _, err := harness.NewBuildCache(t.TempDir()).BuildContext(ctx, slowProgram(), nil)
 	elapsed := time.Since(start)
 	if err == nil {
-		// The compiler beat the deadline on this machine; the pre-canceled
-		// test above still covers the abort path.
-		t.Skip("compile finished before the 25ms deadline")
+		t.Fatal("a build past its deadline succeeded")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error should wrap the deadline: %v", err)
 	}
-	if elapsed > 10*time.Second {
-		t.Errorf("abort took %v after a 25ms deadline", elapsed)
+	if elapsed > 2*time.Second {
+		t.Errorf("abort took %v after a 25ms deadline, want well under the compile's own time", elapsed)
 	}
 }
 
@@ -363,10 +356,7 @@ func TestRunDecodeErrorReportsByteOffset(t *testing.T) {
 // coverage on its result.
 func TestWorkerBatchCoverageOnLastLane(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 	seeds := []uint64{1, 2, 3}
@@ -402,10 +392,7 @@ func TestWorkerBatchCoverageOnLastLane(t *testing.T) {
 // budget-only lane never falls back to the program's default step count.
 func TestWorkerBatchBudget(t *testing.T) {
 	p := program(t)
-	bin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, p)
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 	lanes, _, _, err := pool.RunBatch(context.Background(), bin,

@@ -185,8 +185,10 @@ func (s *Server) Pool() *accmos.WorkerPool { return s.pool }
 // Drain gracefully stops the scheduler: new submissions are refused with
 // 503, already-admitted jobs (queued and running) are completed, and the
 // call returns when the pool is idle. If ctx expires first, every
-// remaining job is canceled, the pool is awaited, and the context error
-// is returned — bounded shutdown either way.
+// remaining job is canceled, which kills its compile or its run, the
+// pool is awaited, and the context error is returned — bounded shutdown
+// either way. The daemon's private build cache is removed with its
+// directory; a Config.Cache belongs to the caller and is left alone.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -200,11 +202,17 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(idle)
 	}()
-	// Once the executors are idle no job can reach the pool again, so
-	// its warm child processes are safe to kill.
+	// Once the executors are idle no job can reach the pool or the cache
+	// again, so its warm child processes are safe to kill and the cache's
+	// files safe to delete.
+	defer func() {
+		s.pool.Close()
+		if s.cfg.Cache == nil {
+			s.cache.Remove()
+		}
+	}()
 	select {
 	case <-idle:
-		s.pool.Close()
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -220,7 +228,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		<-idle
-		s.pool.Close()
 		return ctx.Err()
 	}
 }

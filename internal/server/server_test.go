@@ -160,6 +160,63 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want server.JobStat
 	}
 }
 
+// cancelJob sends DELETE /v1/jobs/{id} and returns the job's view.
+func cancelJob(t *testing.T, ts *httptest.Server, id string) server.JobView {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel %s: %s", id, resp.Status)
+	}
+	var v server.JobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// compilingJob submits, to a server building into dir, a chain of 6,000
+// gains at O0, whose compile takes about a second on a 2-vCPU host, and
+// returns its ID once the program's source is in dir: the compiler runs.
+func compilingJob(t *testing.T, ts *httptest.Server, dir string) string {
+	t.Helper()
+	b := model.NewBuilder("CHAIN").
+		Add("In", "Inport", 0, 1, model.WithOutKind(types.F64), model.WithParam("Port", "1"))
+	prev := "In"
+	for i := 0; i < 6000; i++ {
+		g := fmt.Sprintf("G%d", i)
+		b.Add(g, "Gain", 1, 1, model.WithParam("Gain", fmt.Sprintf("1.%d", i+1))).Wire(prev, g, 0)
+		prev = g
+	}
+	var doc bytes.Buffer
+	if err := slx.Encode(&doc, b.Add("Out", "Outport", 1, 0, model.WithParam("Port", "1")).Wire(prev, "Out", 0).MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	o0 := 0
+	id := submitOK(t, ts, server.SubmitRequest{Model: doc.String(), Steps: 50, OptLevel: &o0})
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		if src, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(src) > 0 {
+			return id
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started compiling: %+v", id, getJob(t, ts, id))
+		}
+	}
+}
+
+// assertNothingBuilt checks that a cancelled compile left no object or
+// binary in the cache directory: the compiler was killed, not awaited.
+func assertNothingBuilt(t *testing.T, cache *accmos.BuildCache) {
+	t.Helper()
+	if left, _ := os.ReadDir(cache.Dir()); len(left) != 0 || cache.Stats().Entries != 0 {
+		t.Errorf("the cancelled compile published %d entries and left %v", cache.Stats().Entries, left)
+	}
+}
+
 // getMetrics scrapes /metrics and returns its samples keyed by series.
 func getMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	t.Helper()
@@ -435,27 +492,10 @@ func TestCancelQueuedAndRunningJobs(t *testing.T) {
 	waitState(t, ts, running, server.JobRunning)
 	queued := submitOK(t, ts, server.SubmitRequest{Model: doc})
 
-	del := func(id string) server.JobView {
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cancel %s: %s", id, resp.Status)
-		}
-		var v server.JobView
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-
-	if v := del(queued); v.State != server.JobCanceled {
+	if v := cancelJob(t, ts, queued); v.State != server.JobCanceled {
 		t.Errorf("queued job after DELETE: %s, want canceled immediately", v.State)
 	}
-	del(running) // running: cancellation is asynchronous
+	cancelJob(t, ts, running) // running: cancellation is asynchronous
 	if v := waitJob(t, ts, running); v.State != server.JobCanceled {
 		t.Errorf("running job after DELETE: %s (%s)", v.State, v.Error)
 	}
@@ -589,6 +629,72 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	if v := getJob(t, ts, id); v.State != server.JobCanceled {
 		t.Errorf("straggler after bounded drain: %s", v.State)
 	}
+}
+
+// TestCancelCompilingJob: a DELETE of a job whose program is compiling
+// through the real pipeline ends it canceled promptly, because the
+// compiler is killed rather than awaited.
+func TestCancelCompilingJob(t *testing.T) {
+	dir := t.TempDir()
+	cache := accmos.NewBuildCache(dir)
+	_, ts := newTestServer(t, server.Config{Workers: 1, Cache: cache})
+	id := compilingJob(t, ts, dir)
+	start := time.Now()
+	cancelJob(t, ts, id)
+	v := waitJob(t, ts, id)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("the job ended %v after the DELETE", elapsed)
+	}
+	if v.State != server.JobCanceled {
+		t.Errorf("compiling job after DELETE: %s (%s), want canceled", v.State, v.Error)
+	}
+	assertNothingBuilt(t, cache)
+}
+
+// TestDrainDeadlineStopsCompile: Drain with an expired context returns
+// promptly while a job's program compiles through the real pipeline: the
+// job is canceled and its compiler killed.
+func TestDrainDeadlineStopsCompile(t *testing.T) {
+	dir := t.TempDir()
+	cache := accmos.NewBuildCache(dir)
+	srv, ts := newTestServer(t, server.Config{Workers: 1, Cache: cache})
+	id := compilingJob(t, ts, dir)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	start := time.Now()
+	if err := srv.Drain(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("drain past its deadline: %v, want DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("drain returned %v after an expired deadline", elapsed)
+	}
+	if v := getJob(t, ts, id); v.State != server.JobCanceled {
+		t.Errorf("compiling job after a bounded drain: %s (%s), want canceled", v.State, v.Error)
+	}
+	assertNothingBuilt(t, cache)
+}
+
+// TestDrainRemovesPrivateCacheOnly: Drain deletes the directory of the
+// daemon's own build cache, and leaves a cache the caller passed in
+// Config.Cache as it was.
+func TestDrainRemovesPrivateCacheOnly(t *testing.T) {
+	own := accmos.NewBuildCache("")
+	for _, cfg := range []server.Config{{Workers: 1}, {Workers: 1, Cache: own}} {
+		srv, ts := newTestServer(t, cfg)
+		id := submitOK(t, ts, server.SubmitRequest{Model: slxDoc(t, "OWN", "5")})
+		if v := waitJob(t, ts, id); v.State != server.JobDone {
+			t.Fatalf("job: %s (%s)", v.State, v.Error)
+		}
+		dir := srv.Cache().Dir()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		_, err := os.Stat(dir)
+		if private := cfg.Cache == nil; private != os.IsNotExist(err) {
+			t.Errorf("private cache %v: after Drain, stat of its directory %s: %v", private, dir, err)
+		}
+	}
+	own.Remove()
 }
 
 func TestSubmitValidation(t *testing.T) {

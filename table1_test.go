@@ -174,7 +174,7 @@ func TestRelinkMatchesFreshBuild(t *testing.T) {
 			if d := simresult.Diff(gen.Results, ref.Results); d != "" {
 				t.Errorf("relinked vs interpreter: %s", d)
 			}
-			// The same program built from scratch, without the cache.
+			// The same program built from scratch, in a cache of its own.
 			p, err := accmos.GenerateProgram(m, relinked)
 			if err != nil {
 				t.Fatal(err)
@@ -183,7 +183,7 @@ func TestRelinkMatchesFreshBuild(t *testing.T) {
 			if err != nil || !hit {
 				t.Fatalf("the relinked binary is not cached: hit %v, %v", hit, err)
 			}
-			freshBin, _, err := harness.Build(context.Background(), p, t.TempDir(), nil)
+			freshBin, _, _, err := harness.NewBuildCache(t.TempDir()).Build(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
