@@ -47,6 +47,7 @@ import (
 	"accmos/internal/opt"
 	"accmos/internal/rapid"
 	"accmos/internal/simresult"
+	"accmos/internal/simrt"
 	"accmos/internal/slx"
 	"accmos/internal/testcase"
 )
@@ -442,10 +443,10 @@ func Lint(m *Model) ([]LintFinding, error) {
 
 // GenerateSource returns the instrumented simulation program AccMoS
 // generates for m, without compiling it — useful for inspection. A
-// header comment gives the `go build -ldflags` value that links in the
-// run parameters (steps default, uniform seeds and ranges), which the
-// source itself does not hold: a binary built without it exits with
-// status 2.
+// header comment gives the run parameters (steps default, uniform seeds
+// and ranges), which the source itself does not hold, and the command
+// that writes them to the params file beside a built binary: a binary
+// without that file exits with status 2.
 func GenerateSource(m *Model, opts Options) (string, error) {
 	if err := opts.begin(); err != nil {
 		return "", err
@@ -454,7 +455,8 @@ func GenerateSource(m *Model, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return "// Build inside module accmos: go build -ldflags='" + strings.Join(prog.LDFlags(), " ") + "'\n" + prog.Source, nil
+	return "// Build inside module accmos with go build -o BIN, then write its run parameters: printf %s '" +
+		prog.Params + "' > BIN" + simrt.ParamsSuffix + "\n" + prog.Source, nil
 }
 
 // ProgramHash returns the content-hash key the build cache would use for
@@ -636,8 +638,8 @@ func (s *SweepResult) MergedUncovered() []string {
 }
 
 // Sweep compiles the model once and executes it under one random test
-// suite per seedXor (each XORed into the uniform seeds the binary was
-// linked with), merging coverage across suites — the test-adequacy workflow the paper motivates:
+// suite per seedXor (each XORed into the uniform seeds of the binary's
+// params file), merging coverage across suites — the test-adequacy workflow the paper motivates:
 // keep adding random suites until the merged coverage stops growing.
 // Coverage is forced on, and every suite is one request that reports its
 // own coverage. Requests run concurrently up to Options.Parallelism

@@ -512,3 +512,41 @@ func TestSimulateContextCancelStopsCompile(t *testing.T) {
 		t.Errorf("generated vs interpreter after the cancel: %s", d)
 	}
 }
+
+// TestParamsOnlyJobsNeverLink: jobs that differ only in their run
+// parameters share one model binary. SPV through Simulate on one cache at
+// 500 steps, at 600 steps and with a new seed compiles and links once in
+// all, and each job matches the interpreter.
+func TestParamsOnlyJobsNeverLink(t *testing.T) {
+	m, err := accmos.LoadModel(filepath.Join("models", "SPV.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := accmos.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	tr := accmos.NewTracer()
+	for _, job := range []struct {
+		steps int64
+		seed  uint64
+	}{{500, 1}, {600, 1}, {600, 2}} {
+		opts := accmos.Options{
+			Steps: job.steps, Coverage: true, Diagnose: true,
+			TestCases: accmos.RandomTestCases(m, job.seed, -1, 1),
+		}
+		ref, err := accmos.Interpret(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Cache, opts.Trace = cache, tr
+		res, err := accmos.Simulate(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := simresult.Diff(res.Results, ref.Results); d != "" {
+			t.Errorf("%d steps, seed %d: generated vs interpreter: %s", job.steps, job.seed, d)
+		}
+	}
+	if gc, link := len(tr.Trace().Find("compile.gc")), len(tr.Trace().Find("compile.link")); gc != 1 || link != 1 {
+		t.Errorf("three parameter-only jobs recorded %d compile.gc and %d compile.link spans, want 1 and 1", gc, link)
+	}
+}

@@ -94,20 +94,21 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// -gen prints source that holds no run parameters, under a header
-	// giving the -ldflags value that links them in. A plain go build of
-	// it exits 2 naming the missing -X flag; a build with the header's
-	// flags runs the header's step count and matches the interpreter.
-	// The source imports accmos/internal/simrt, so it is built as a
-	// package inside this module through an overlay.
+	// giving them and the command that writes them to the params file
+	// beside a built binary. A go build of it without that file exits 2
+	// naming the file; with the header's file it runs the header's step
+	// count and matches the interpreter. The source imports
+	// accmos/internal/simrt, so it is built as a package inside this
+	// module through an overlay.
 	out, err = exec.Command(accmosBin, "-model", spv, "-steps", "700", "-gen").Output()
 	if err != nil {
 		t.Fatalf("accmos -gen: %v\n%s", err, out)
 	}
 	header, _, _ := strings.Cut(string(out), "\n")
-	_, ldflags, ok := strings.Cut(header, "go build -ldflags='")
-	ldflags, quoted := strings.CutSuffix(ldflags, "'")
-	if !ok || !quoted || !strings.HasPrefix(ldflags, "-X main.runParams=steps=700,u=") || strings.Contains(string(out[len(header):]), "runParams=steps") {
-		t.Fatalf("-gen header %q does not give the run parameters' -ldflags", header)
+	_, params, ok := strings.Cut(header, "printf %s '")
+	params, quoted := strings.CutSuffix(params, "' > BIN.params")
+	if !ok || !quoted || !strings.HasPrefix(params, "steps=700,u=") || strings.Contains(string(out[len(header):]), "steps=700") {
+		t.Fatalf("-gen header %q does not give the run parameters' params file", header)
 	}
 	wd, err := os.Getwd()
 	if err != nil {
@@ -121,24 +122,24 @@ func TestCLIPipeline(t *testing.T) {
 	if err := os.WriteFile(overlay, doc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	genBin := func(name string, flags ...string) string {
-		bin := filepath.Join(dir, name)
-		args := append([]string{"build", "-overlay", overlay, "-o", bin}, append(flags, "./accmos_gen_overlay")...)
-		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
-			t.Fatalf("go %v: %v\n%s", args, err, out)
-		}
-		return bin
+	genBin := filepath.Join(dir, "gen")
+	args := []string{"build", "-overlay", overlay, "-o", genBin, "./accmos_gen_overlay"}
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go %v: %v\n%s", args, err, out)
 	}
-	cmd := exec.Command(genBin("plain"), "-steps=5")
+	cmd := exec.Command(genBin, "-steps=5")
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	out, err = cmd.Output()
-	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 || len(out) != 0 || !strings.Contains(stderr.String(), "-X main.runParams=") {
-		t.Errorf("binary built without -ldflags: %v, stdout %q, stderr %q; want exit 2 naming the -X flag", err, out, stderr.String())
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 || len(out) != 0 || !strings.Contains(stderr.String(), "gen.params") {
+		t.Errorf("binary without its params file: %v, stdout %q, stderr %q; want exit 2 naming the file", err, out, stderr.String())
 	}
-	out, err = exec.Command(genBin("linked", "-ldflags="+ldflags)).Output()
+	if err := os.WriteFile(genBin+".params", []byte(params), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(genBin).Output()
 	if err != nil {
-		t.Fatalf("binary built with the header's -ldflags: %v\n%s", err, out)
+		t.Fatalf("binary beside the header's params file: %v\n%s", err, out)
 	}
 	var gen, ref struct {
 		Steps      int64

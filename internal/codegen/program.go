@@ -6,6 +6,12 @@
 // diagnostic functions per actor type and operator), then synthesises the
 // simulation main function with test-case import and result output —
 // the three-step pipeline of the paper's Figure 2 and Algorithm 1.
+//
+// A Program's source holds only the model. Its run parameters (the -steps
+// default and each uniform stimulus source's seed and range) are
+// Program.Params, which the harness writes to the params file beside the
+// binary, so programs that differ only in them share one compiled and
+// linked binary.
 package codegen
 
 import (
@@ -56,8 +62,8 @@ type Options struct {
 	// other kinds are compiled in.
 	TestCases *testcase.Set
 	// DefaultSteps is the -steps default. Like the uniform sources'
-	// seeds and ranges it is a run parameter (Program.Params), set at
-	// link time rather than compiled in.
+	// seeds and ranges it is a run parameter (Program.Params), read from
+	// the params file beside the binary rather than compiled in.
 	DefaultSteps int64
 	// Trace records "instrument" and "generate" phase spans (nil ok).
 	Trace *obs.Tracer
@@ -101,9 +107,10 @@ type Program struct {
 	Source string
 	// Params is the program's run parameters in canonical form
 	// (simrt.FormatParams): the -steps default and each uniform stimulus
-	// source's seed and range. They are link-time data (LDFlags), not
-	// source, so programs that differ only in them share Source and a
-	// compiled object.
+	// source's seed and range. They are not source: the harness writes
+	// them to the params file beside the binary (simrt.ParamsSuffix), so
+	// programs that differ only in them share Source and one linked
+	// binary.
 	Params string
 	Model  string
 	Layout *coverage.Layout
@@ -150,14 +157,6 @@ func (p *Program) Hash() string {
 	h.Write([]byte{0})
 	h.Write([]byte(p.Params))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// LDFlags returns the linker flags that set the program's run
-// parameters: what the harness passes the link, and, space-joined, the
-// -ldflags value of a `go build` of Source. A program linked without
-// them exits with status 2 naming the flag.
-func (p *Program) LDFlags() []string {
-	return []string{"-X", simrt.ParamsSymbol + "=" + p.Params}
 }
 
 // Imports returns the import paths the program's source declares, in

@@ -18,7 +18,7 @@ import (
 func (g *Generator) synthesize() (string, error) {
 	// Test-case sources (import code).
 	// Uniform sources read their seed and range from tcUniform, which
-	// the runtime fills from the link-time run parameters.
+	// the runtime fills from the params file beside the binary.
 	tcExprs := make([]string, len(g.opts.TestCases.Sources))
 	uniforms := 0
 	for i := range g.opts.TestCases.Sources {
@@ -153,7 +153,7 @@ func (g *Generator) synthesize() (string, error) {
 	// itself, once per request, so a request's lanes accumulate their
 	// OR-merge. seedXor is set first, because modelInit derives the
 	// uniform sources' RNG seeds from it and from tcUniform, which no
-	// reset touches: it holds the link-time run parameters.
+	// reset touches: it holds the run parameters the runtime read.
 	sb.WriteString("\nfunc modelReset(seed uint64) {\n")
 	sb.WriteString("\tseedXor = seed\n")
 	sb.WriteString("\toutputHash = 14695981039346656037\n")
@@ -297,7 +297,7 @@ func modelRun(from, to int64) int64 {
 
 func main() {
 	rt.Reset, rt.Run = modelReset, modelRun
-	rt.Main(runParams)
+	rt.Main()
 }
 `, args)
 }
@@ -317,17 +317,12 @@ func (g *Generator) params() string {
 // emitRuntimeView renders rt, the program as the simrt runtime sees it:
 // views of the result state above (the slices alias the arrays, the
 // pointers the variables), of the uniform sources' parameters, and the
-// model name. main sets the hooks. It also declares runParams, the
-// string the harness sets at link time: a program compiles once per
-// model and options, and links once per set of run parameters.
+// model name. main sets the hooks. The uniform sources' parameters are
+// not in the source: the runtime reads them from the params file beside
+// the binary, so a program compiles and links once per model and
+// options, whatever its run parameters.
 func (g *Generator) emitRuntimeView(sb *strings.Builder, uniforms int) {
 	fmt.Fprintf(sb, "\nconst modelName = %q\n", g.c.Model.Name)
-	sb.WriteString(`
-// runParams holds the run parameters, set at link time with
-// -ldflags='-X main.runParams=...': the -steps default and each uniform
-// source's seed and range, which the runtime reads into tcUniform.
-var runParams string
-`)
 	fmt.Fprintf(sb, "\nvar tcUniform [%d]simrt.Uniform\n", uniforms)
 	sb.WriteString(`
 var rt = &simrt.Program{

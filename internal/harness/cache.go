@@ -13,6 +13,7 @@ import (
 	"accmos/internal/codegen"
 	"accmos/internal/coverage"
 	"accmos/internal/obs"
+	"accmos/internal/simrt"
 )
 
 // BuildCache memoises compiled generated programs by content hash
@@ -23,21 +24,26 @@ import (
 // concurrent requests for the same program block on one build, and a
 // build whose caller cancels it publishes nothing (BuildContext).
 //
-// Beside the binaries it keeps each program's compiled object, keyed by
-// codegen.Program.CodeHash, which leaves out the run parameters (the
-// -steps default and the uniform stimulus seeds and ranges): a binary
-// miss whose object is resident only links it with its own parameters, a
-// relink. Concurrent builds of one object block on one compile, and a
-// compile error is cached with the object, so a sibling that differs only
-// in its run parameters gets it without compiling.
+// A program's binary is its model binary plus its params file. The model
+// binary is compiled and linked once per codegen.Program.CodeHash, which
+// leaves out the run parameters (the -steps default and the uniform
+// stimulus seeds and ranges); the program's binary is a hard link to it
+// (a copy where the filesystem refuses hard links), and the params file
+// beside it (simrt.ParamsSuffix) holds the run parameters. So a binary
+// miss whose model binary is resident neither compiles nor links: it
+// writes a link and a file. Concurrent builds of one model binary block on
+// one compile and link, and a build error is cached with the model
+// binary, so a sibling that differs only in its run parameters gets it
+// without compiling.
 //
 // A cache can be bounded with SetLimit: once more than limit programs
 // are resident, the least-recently-used completed entry (and its on-disk
 // artifacts) is evicted — the correctness requirement for a long-lived
 // process like the accmosd daemon, where an unbounded cache is a slow
-// leak of heap and disk. Objects are bounded by the same limit and
-// evicted apart from the binaries linked from them. Hit/miss/eviction counters are exposed through
-// Stats for the daemon's /metrics endpoint.
+// leak of heap and disk. Model binaries are bounded by the same limit
+// and evicted apart from the programs' binaries, which are links of their
+// own. Hit/miss/eviction counters are exposed through Stats for the
+// daemon's /metrics endpoint.
 //
 // Two memos ride on the binaries so a repeat job skips the work in front
 // of the compile: the front-end memo (Recall/Remember) maps an input
@@ -50,12 +56,12 @@ type BuildCache struct {
 	dir       string
 	owned     bool                      // dir was created (and may be deleted) by the cache
 	limit     int                       // max resident entries per index; 0 = unbounded
-	bins      memo[string, binary]      // program hash -> built binary
-	objs      memo[string, object]      // code hash -> compiled object
+	bins      memo[string, binary]      // program hash -> binary and params file
+	models    memo[string, modelBin]    // code hash -> model binary
 	front     memo[[32]byte, *Front]    // input digest -> front-end record
 	admit     memo[[32]byte, admission] // document digest -> admission verdict
 	evictions int64                     // binaries dropped by the limit
-	relinks   int64                     // binary misses served by a resident object
+	relinks   int64                     // binary misses served by a resident model binary
 }
 
 // binary is one program's build: its binary, or the build error.
@@ -65,11 +71,10 @@ type binary struct {
 	err     error
 }
 
-// object is one program's compile: its source and archive, and the
-// toolchain's link key they were compiled under, or the compile error.
-type object struct {
-	src, obj string
-	linkKey  string
+// modelBin is one code hash's build: its source and the binary linked
+// from it, which has no params file, or the compile or link error.
+type modelBin struct {
+	src, bin string
 	err      error
 }
 
@@ -84,8 +89,8 @@ type admission struct {
 // count lookups served by an existing binary (including waiters that
 // blocked on another goroutine's in-flight build, and front-end memo
 // hits); Misses count calls that had to build a binary; Relinks count
-// the misses among them whose object was resident, so they only linked;
-// Evictions count binaries dropped by the LRU bound.
+// the misses among them whose model binary was resident, so they neither
+// compiled nor linked; Evictions count binaries dropped by the LRU bound.
 // FrontHits/FrontMisses count front-end memo lookups (Recall),
 // AdmitHits/AdmitMisses admission memo lookups (Admit).
 type CacheStats struct {
@@ -115,7 +120,7 @@ func (s CacheStats) HitRate() float64 {
 func NewBuildCache(dir string) *BuildCache {
 	c := &BuildCache{dir: dir}
 	c.bins.init()
-	c.objs.init()
+	c.models.init()
 	c.front.init()
 	c.admit.init()
 	return c
@@ -154,25 +159,26 @@ func (c *BuildCache) Stats() CacheStats {
 }
 
 // evictOverLimitLocked drops least-recently-used entries until the
-// population fits the limit, binaries, objects and both memos alike.
-// Entries whose build is still in flight (or whose result is being read
-// or linked) hold their own lock and are skipped — they are by definition
-// recently used. Caller holds c.mu.
+// population fits the limit, binaries, model binaries and both memos
+// alike. Entries whose build is still in flight (or whose result is being
+// read or linked) hold their own lock and are skipped — they are by
+// definition recently used. Caller holds c.mu.
 func (c *BuildCache) evictOverLimitLocked() {
 	if c.limit <= 0 {
 		return
 	}
 	c.front.evictOver(c.limit, nil)
 	c.admit.evictOver(c.limit, nil)
-	c.objs.evictOver(c.limit, func(e *memoEntry[string, object]) {
-		if e.val.obj != "" {
-			os.Remove(e.val.obj)
+	c.models.evictOver(c.limit, func(e *memoEntry[string, modelBin]) {
+		if e.val.bin != "" {
+			os.Remove(e.val.bin)
 			os.Remove(e.val.src)
 		}
 	})
 	c.bins.evictOver(c.limit, func(e *memoEntry[string, binary]) {
 		if e.val.bin != "" {
 			os.Remove(e.val.bin)
+			os.Remove(e.val.bin + simrt.ParamsSuffix)
 		}
 		c.evictions++
 		c.dropMemosLocked(e.key)
@@ -241,13 +247,11 @@ func (c *BuildCache) Recall(digest [32]byte) (fr *Front, bin string, compileTime
 	}
 	c.mu.Unlock()
 	if e != nil {
-		e.mu.Lock()
-		if e.done && e.val.err == nil {
-			if _, err := os.Stat(e.val.bin); err == nil {
-				bin, compileTime, ok = e.val.bin, e.val.compile, true
-			}
+		e.lock <- struct{}{}
+		if e.done && e.val.err == nil && installed(e.val.bin) {
+			bin, compileTime, ok = e.val.bin, e.val.compile, true
 		}
-		e.mu.Unlock()
+		e.unlock()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -268,8 +272,8 @@ func (c *BuildCache) Recall(digest [32]byte) (fr *Front, bin string, compileTime
 // document was rejected), which ties the verdict to the binaries built
 // from the model: evicting one of them drops the verdict too.
 func (c *BuildCache) Admit(doc []byte, admit func() (verdict any, model [32]byte)) (verdict any, hit bool) {
-	e, found := acquire(c, &c.admit, sha256.Sum256(doc))
-	defer e.mu.Unlock()
+	e, found, _ := acquire(context.Background(), c, &c.admit, sha256.Sum256(doc))
+	defer e.unlock()
 	if !e.done {
 		e.val.verdict, e.val.model = admit()
 		e.done = true
@@ -292,14 +296,16 @@ func (c *BuildCache) Build(p *codegen.Program, tr *obs.Tracer) (bin string, comp
 // BuildContext returns a compiled binary for p, building at most once per
 // program content. hit reports whether an existing binary was reused;
 // compileTime is the original build's duration either way (so amortised
-// callers still see the one-time cost). A miss whose object is resident
-// links it without compiling (Stats counts it in Relinks), and its
-// compileTime is the link's. Compile errors are cached too — the same
-// source fails the same way, whatever its run parameters.
+// callers still see the one-time cost). A miss whose model binary is
+// resident neither compiles nor links (Stats counts it in Relinks), and
+// its compileTime is that of placing the binary and its params file.
+// Compile errors are cached too — the same source fails the same way,
+// whatever its run parameters.
 //
-// Cancelling ctx kills the compile or link in flight. The build then
-// fails with ctx's error and publishes nothing: no binary, no cached
-// error, and an object only if its compile had finished. A caller
+// Cancelling ctx kills the compile or link in flight, and a caller
+// waiting on another caller's build of the same program or model gives
+// up at once. The build then fails with ctx's error and publishes
+// nothing: no binary, no model binary and no cached error. A caller
 // waiting on the same program builds it itself.
 func (c *BuildCache) BuildContext(ctx context.Context, p *codegen.Program, tr *obs.Tracer) (bin string, compileTime time.Duration, hit bool, err error) {
 	c.mu.Lock()
@@ -315,14 +321,17 @@ func (c *BuildCache) BuildContext(ctx context.Context, p *codegen.Program, tr *o
 	dir := c.dir
 	c.mu.Unlock()
 
-	e, _ := acquire(c, &c.bins, p.Hash())
-	defer e.mu.Unlock()
+	e, _, err := acquire(ctx, c, &c.bins, p.Hash())
+	if err != nil {
+		return "", 0, false, buildError(ctx, p, err)
+	}
+	defer e.unlock()
 	b := &e.val
 	if e.done && b.err == nil {
-		// Revalidate: the binary may have been swept away (temp cleaners,
-		// tests removing the cache dir); rebuild instead of returning a
-		// dangling path.
-		if _, statErr := os.Stat(b.bin); statErr == nil {
+		// Revalidate: the binary or its params file may have been swept
+		// away (temp cleaners, tests removing the cache dir); rebuild
+		// instead of returning a dangling path.
+		if installed(b.bin) {
 			// A hit still records the (near-zero) compile span so a
 			// traced pipeline keeps its one-compile-per-run shape.
 			tr.Start("compile").End()
@@ -335,8 +344,8 @@ func (c *BuildCache) BuildContext(ctx context.Context, p *codegen.Program, tr *o
 		c.count(&c.bins.hits)
 		return "", 0, true, b.err
 	}
-	var relinked bool
-	b.bin, b.compile, relinked, b.err = c.build(ctx, p, dir, tr)
+	var resident bool
+	b.bin, b.compile, resident, b.err = c.build(ctx, p, dir, tr)
 	if b.err != nil && ctx.Err() != nil {
 		abandon(c, &c.bins, e)
 		return "", 0, false, b.err
@@ -344,72 +353,138 @@ func (c *BuildCache) BuildContext(ctx context.Context, p *codegen.Program, tr *o
 	e.done = true
 	c.mu.Lock()
 	c.bins.misses++
-	if relinked {
+	if resident {
 		c.relinks++
 	}
 	c.mu.Unlock()
 	return b.bin, b.compile, false, b.err
 }
 
-// build links p's binary under dir from its object, compiling the object
-// first unless the object index holds one compiled under the current
-// toolchain: relinked reports that it did not. It records a "compile"
-// span with "compile.gc" (not on a relink) and "compile.link" children,
-// plus "compile.toolchain" and "compile.runtime" when the toolchain memo
-// had to be filled. The object's lock is held through the link, so
-// eviction never removes an object while it is being linked.
-func (c *BuildCache) build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) (bin string, d time.Duration, relinked bool, err error) {
+// build places p's binary under dir: a link of its model binary, built
+// first unless the model index holds it (resident reports that it did),
+// and its params file. It records a "compile" span; building the model
+// binary adds "compile.gc" and "compile.link" children, plus
+// "compile.toolchain" and "compile.runtime" when the toolchain memo had
+// to be filled. The model entry's lock is held until the binary is
+// placed, so eviction never removes a model binary while it is linked
+// from.
+func (c *BuildCache) build(ctx context.Context, p *codegen.Program, dir string, tr *obs.Tracer) (bin string, d time.Duration, resident bool, err error) {
 	defer tr.Start("compile").End()
 	start := time.Now()
-	tc, err := loadToolchain(ctx, p.Imports(), tr)
-	if err == nil {
-		err = os.MkdirAll(dir, 0o755)
+	// A cancelled caller publishes nothing, even where no tool would run.
+	if err := ctx.Err(); err != nil {
+		return "", 0, false, buildError(ctx, p, err)
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", 0, false, buildError(ctx, p, err)
+	}
+	e, _, err := acquire(ctx, c, &c.models, p.CodeHash())
 	if err != nil {
 		return "", 0, false, buildError(ctx, p, err)
 	}
-	e, _ := acquire(c, &c.objs, p.CodeHash())
-	defer e.mu.Unlock()
-	o := &e.val
-	if e.done && o.err == nil {
-		if _, statErr := os.Stat(o.obj); statErr != nil || o.linkKey != tc.linkKey() {
+	defer e.unlock()
+	m := &e.val
+	if e.done && m.err == nil {
+		if _, statErr := os.Stat(m.bin); statErr != nil {
 			e.done = false
 		}
 	}
-	if e.done && o.err != nil {
-		return "", 0, false, o.err
+	if e.done && m.err != nil {
+		return "", 0, false, m.err
 	}
-	relinked = e.done
+	resident = e.done
 	if !e.done {
 		base := filepath.Join(dir, codeTag(p))
-		*o = object{src: base + ".go", obj: base + ".a", linkKey: tc.linkKey()}
-		err := os.WriteFile(o.src, []byte(p.Source), 0o644)
+		*m = modelBin{src: base + ".go", bin: base + ".model"}
+		tc, err := loadToolchain(ctx, p.Imports(), tr)
 		if err == nil {
-			err = tc.compile(ctx, o.src, o.obj, tr)
+			err = os.WriteFile(m.src, []byte(p.Source), 0o644)
+		}
+		if err == nil {
+			err = tc.build(ctx, m.src, m.bin, tr)
 		}
 		if err != nil && ctx.Err() != nil {
-			os.Remove(o.src)
-			abandon(c, &c.objs, e)
+			os.Remove(m.src)
+			abandon(c, &c.models, e)
 			return "", 0, false, buildError(ctx, p, err)
 		}
 		e.done = true
 		if err != nil {
-			o.err = buildError(ctx, p, err)
-			return "", 0, false, o.err
+			m.err = buildError(ctx, p, err)
+			return "", 0, false, m.err
 		}
 	}
 	bin = filepath.Join(dir, artifactTag(p))
-	if err := tc.link(ctx, o.obj, bin, p.LDFlags(), tr); err != nil {
+	if err := install(m.bin, bin, p.Params); err != nil {
 		return "", 0, false, buildError(ctx, p, err)
 	}
-	return bin, time.Since(start), relinked, nil
+	return bin, time.Since(start), resident, nil
+}
+
+// hardLink is os.Link; tests replace it to stand for a filesystem that
+// refuses hard links.
+var hardLink = os.Link
+
+// install writes bin's params file and makes bin a hard link to model,
+// or a copy where the filesystem refuses hard links. Each is written
+// under a temporary name and renamed into place, so a process starting
+// bin finds both whole, and one still running an older bin is not
+// disturbed.
+func install(model, bin, params string) error {
+	err := replaceFile(bin+simrt.ParamsSuffix, func(tmp string) error {
+		return os.WriteFile(tmp, []byte(params), 0o644)
+	})
+	if err != nil {
+		return err
+	}
+	return replaceFile(bin, func(tmp string) error {
+		if hardLink(model, tmp) == nil {
+			return nil
+		}
+		data, err := os.ReadFile(model)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(tmp, data, 0o755)
+	})
+}
+
+// replaceFile creates path's new content under a fresh temporary name
+// beside it with create, which must create the file, and renames it into
+// place.
+func replaceFile(path string, create func(tmp string) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	f.Close()
+	os.Remove(tmp) // reserved a unique name; a hard link needs it free
+	if err = create(tmp); err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// installed reports whether bin and its params file are both on disk.
+func installed(bin string) bool {
+	for _, name := range []string{bin, bin + simrt.ParamsSuffix} {
+		if _, err := os.Stat(name); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // acquire returns the entry under key in m, created if there is none,
 // with its lock held: the caller fills it unless it is done. found
 // reports whether it existed. An entry that a cancelled fill abandoned
-// while the caller waited for its lock is looked up again.
-func acquire[K comparable, V any](c *BuildCache, m *memo[K, V], key K) (e *memoEntry[K, V], found bool) {
+// while the caller waited for its lock is looked up again. A caller
+// whose ctx ends while it waits gives up with ctx's error.
+func acquire[K comparable, V any](ctx context.Context, c *BuildCache, m *memo[K, V], key K) (e *memoEntry[K, V], found bool, err error) {
 	for {
 		c.mu.Lock()
 		e, found = m.lookup(key)
@@ -417,17 +492,23 @@ func acquire[K comparable, V any](c *BuildCache, m *memo[K, V], key K) (e *memoE
 			c.evictOverLimitLocked()
 		}
 		c.mu.Unlock()
-		e.mu.Lock()
-		if !e.gone {
-			return e, found
+		if !e.tryLock() {
+			select {
+			case e.lock <- struct{}{}:
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
 		}
-		e.mu.Unlock()
+		if !e.gone {
+			return e, found, nil
+		}
+		e.unlock()
 	}
 }
 
 // abandon unpublishes e after a cancelled fill: it leaves m, so the
 // index holds what it held before, and whoever waits for its lock looks
-// the key up again. Caller holds e.mu.
+// the key up again. Caller holds e's lock.
 func abandon[K comparable, V any](c *BuildCache, m *memo[K, V], e *memoEntry[K, V]) {
 	e.gone = true
 	c.mu.Lock()
@@ -460,7 +541,7 @@ func (c *BuildCache) Remove() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bins.init()
-	c.objs.init()
+	c.models.init()
 	c.front.init()
 	c.admit.init()
 	if c.owned && c.dir != "" {
@@ -470,10 +551,10 @@ func (c *BuildCache) Remove() {
 	}
 }
 
-// memo is one LRU-ordered index of a BuildCache: the binaries, the
-// objects, the front-end records and the admission verdicts each live in
-// one. Its counters and structure are guarded by BuildCache.mu; an
-// entry's own mutex guards its value while it is being filled.
+// memo is one LRU-ordered index of a BuildCache: the binaries, the model
+// binaries, the front-end records and the admission verdicts each live
+// in one. Its counters and structure are guarded by BuildCache.mu; an
+// entry's own lock guards its value while it is being filled.
 type memo[K comparable, V any] struct {
 	entries map[K]*memoEntry[K, V]
 	order   *list.List // front = most recently used; values are *memoEntry[K, V]
@@ -482,7 +563,9 @@ type memo[K comparable, V any] struct {
 }
 
 type memoEntry[K comparable, V any] struct {
-	mu   sync.Mutex
+	// lock is a one-slot channel, not a mutex, so a caller waiting for
+	// another's fill still honours its own context (acquire).
+	lock chan struct{}
 	done bool
 	gone bool // abandoned by a cancelled fill: look the key up again
 	key  K
@@ -511,11 +594,23 @@ func (m *memo[K, V]) lookup(key K) (e *memoEntry[K, V], found bool) {
 	if e = m.get(key); e != nil {
 		return e, true
 	}
-	e = &memoEntry[K, V]{key: key}
+	e = &memoEntry[K, V]{key: key, lock: make(chan struct{}, 1)}
 	e.elem = m.order.PushFront(e)
 	m.entries[key] = e
 	return e, false
 }
+
+// tryLock takes e's lock if it is free, reporting whether it did.
+func (e *memoEntry[K, V]) tryLock() bool {
+	select {
+	case e.lock <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (e *memoEntry[K, V]) unlock() { <-e.lock }
 
 func (m *memo[K, V]) remove(e *memoEntry[K, V]) {
 	delete(m.entries, e.key)
@@ -529,14 +624,14 @@ func (m *memo[K, V]) evictOver(limit int, evicted func(*memoEntry[K, V])) {
 	for elem := m.order.Back(); elem != nil && len(m.entries) > limit; {
 		prev := elem.Prev()
 		e := elem.Value.(*memoEntry[K, V])
-		if e.mu.TryLock() {
+		if e.tryLock() {
 			if e.done {
 				m.remove(e)
 				if evicted != nil {
 					evicted(e)
 				}
 			}
-			e.mu.Unlock()
+			e.unlock()
 		}
 		elem = prev
 	}
@@ -547,11 +642,11 @@ func (m *memo[K, V]) drop(match func(*memoEntry[K, V]) bool) {
 	for elem := m.order.Front(); elem != nil; {
 		next := elem.Next()
 		e := elem.Value.(*memoEntry[K, V])
-		if e.mu.TryLock() {
+		if e.tryLock() {
 			if e.done && match(e) {
 				m.remove(e)
 			}
-			e.mu.Unlock()
+			e.unlock()
 		}
 		elem = next
 	}

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"accmos/internal/harness"
 	"accmos/internal/model"
 	"accmos/internal/obs"
+	"accmos/internal/simrt"
 	"accmos/internal/testcase"
 	"accmos/internal/types"
 )
@@ -49,9 +51,10 @@ func gainProgram(t *testing.T, gain string, seed uint64, steps int64) *codegen.P
 }
 
 // TestBuildCacheRelinksSeedOnlySibling: a program that differs from a
-// built one only in its seed is a binary miss that links the resident
-// object without compiling it: one miss, one relink, no compile.gc span.
-// The relinked binary runs its own seed.
+// built one only in its seed is a binary miss served by the resident
+// model binary: one miss, one relink, and neither a compile.gc nor a
+// compile.link span. The two binaries are byte-identical, and each runs
+// its own seed from its params file.
 func TestBuildCacheRelinksSeedOnlySibling(t *testing.T) {
 	cache := harness.NewBuildCache(t.TempDir())
 	defer cache.Remove()
@@ -73,8 +76,11 @@ func TestBuildCacheRelinksSeedOnlySibling(t *testing.T) {
 	if hit || bin2 == bin1 || st.Misses-before.Misses != 1 || st.Relinks-before.Relinks != 1 || before.Relinks != 0 {
 		t.Errorf("seed-only sibling: hit %v, stats before %+v after %+v; want one miss and one relink", hit, before, st)
 	}
-	if gc, link := spans(tr, "compile.gc"), spans(tr, "compile.link"); gc != 0 || link != 1 {
-		t.Errorf("relink recorded %d compile.gc and %d compile.link spans, want 0 and 1", gc, link)
+	if gc, link := spans(tr, "compile.gc"), spans(tr, "compile.link"); gc != 0 || link != 0 {
+		t.Errorf("seed-only sibling recorded %d compile.gc and %d compile.link spans, want none", gc, link)
+	}
+	if !sameBytes(t, bin1, bin2) {
+		t.Errorf("seed-only siblings %s and %s are different binaries", bin1, bin2)
 	}
 	r1, err := harness.RunContext(context.Background(), bin1, harness.RunOptions{})
 	if err != nil {
@@ -91,8 +97,8 @@ func TestBuildCacheRelinksSeedOnlySibling(t *testing.T) {
 }
 
 // TestBuildCacheConcurrentSeedOnlyBuildsCompileOnce: seed-only siblings
-// built at once wait for one compile of their shared object; the others
-// relink it.
+// built at once wait for one compile and link of their shared model
+// binary; the others link to it.
 func TestBuildCacheConcurrentSeedOnlyBuildsCompileOnce(t *testing.T) {
 	cache := harness.NewBuildCache(t.TempDir())
 	defer cache.Remove()
@@ -111,26 +117,28 @@ func TestBuildCacheConcurrentSeedOnlyBuildsCompileOnce(t *testing.T) {
 		}(tracers[i])
 	}
 	wg.Wait()
-	gc := 0
+	gc, link := 0, 0
 	for _, tr := range tracers {
 		gc += spans(tr, "compile.gc")
+		link += spans(tr, "compile.link")
 	}
-	if st := cache.Stats(); gc != 1 || st.Misses != n || st.Relinks != n-1 {
-		t.Errorf("%d concurrent seed-only builds compiled %d times, stats %+v; want 1 compile, %d misses, %d relinks", n, gc, st, n, n-1)
+	if st := cache.Stats(); gc != 1 || link != 1 || st.Misses != n || st.Relinks != n-1 {
+		t.Errorf("%d concurrent seed-only builds compiled %d and linked %d times, stats %+v; want 1 each, %d misses, %d relinks",
+			n, gc, link, st, n, n-1)
 	}
 }
 
-// TestBuildCacheEvictsObjects: objects are bounded by SetLimit apart
-// from binaries. Once an object is evicted, its file is gone and a
-// seed-only sibling compiles again instead of relinking.
-func TestBuildCacheEvictsObjects(t *testing.T) {
+// TestBuildCacheEvictsModelBinaries: model binaries are bounded by SetLimit
+// apart from programs' binaries. Once a model binary is evicted, its file
+// is gone and a seed-only sibling compiles and links again.
+func TestBuildCacheEvictsModelBinaries(t *testing.T) {
 	dir := t.TempDir()
 	cache := harness.NewBuildCache(dir)
 	defer cache.Remove()
 	cache.SetLimit(1)
-	objects := func() []string {
+	models := func() []string {
 		t.Helper()
-		names, err := filepath.Glob(filepath.Join(dir, "*.a"))
+		names, err := filepath.Glob(filepath.Join(dir, "*.model"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,24 +147,25 @@ func TestBuildCacheEvictsObjects(t *testing.T) {
 	if _, _, _, err := cache.Build(gainProgram(t, "4", 1, 10), nil); err != nil {
 		t.Fatal(err)
 	}
-	first := objects()
+	first := models()
 	if len(first) != 1 {
-		t.Fatalf("objects after one build: %v, want one", first)
+		t.Fatalf("model binaries after one build: %v, want one", first)
 	}
-	// A program with other code evicts the first object (and binary).
+	// A program with other code evicts the first model binary (and
+	// program binary).
 	if _, _, _, err := cache.Build(gainProgram(t, "5", 1, 10), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := objects(); len(got) != 1 || got[0] == first[0] {
-		t.Errorf("objects after a second program under a limit of one: %v, first was %v", got, first)
+	if got := models(); len(got) != 1 || got[0] == first[0] {
+		t.Errorf("model binaries after a second program under a limit of one: %v, first was %v", got, first)
 	}
 	tr := obs.NewTracer()
 	if _, _, _, err := cache.Build(gainProgram(t, "4", 2, 10), tr); err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Relinks != 0 || st.Misses != 3 || spans(tr, "compile.gc") != 1 {
-		t.Errorf("sibling of an evicted object: stats %+v, %d compile.gc spans; want no relink and one compile",
-			st, spans(tr, "compile.gc"))
+	if st := cache.Stats(); st.Relinks != 0 || st.Misses != 3 || spans(tr, "compile.gc") != 1 || spans(tr, "compile.link") != 1 {
+		t.Errorf("sibling of an evicted model binary: stats %+v, %d compile.gc and %d compile.link spans; want no relink, one of each",
+			st, spans(tr, "compile.gc"), spans(tr, "compile.link"))
 	}
 }
 
@@ -284,6 +293,61 @@ func TestBuildCacheRevalidatesDeletedBinary(t *testing.T) {
 	}
 	if _, err := os.Stat(bin2); err != nil {
 		t.Fatalf("rebuild did not restore the binary: %v", err)
+	}
+	// A deleted params file is a miss too, served by the model binary.
+	if err := os.Remove(bin2 + simrt.ParamsSuffix); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	if _, _, hit, err := cache.Build(p, tr); err != nil || hit || spans(tr, "compile.link") != 0 {
+		t.Fatalf("build after deleting the params file: hit %v, %d compile.link spans, %v; want a miss that does not link",
+			hit, spans(tr, "compile.link"), err)
+	}
+	if res, err := harness.RunContext(context.Background(), bin2, harness.RunOptions{}); err != nil || res.Steps != 100 {
+		t.Fatalf("binary with a restored params file: %+v, %v", res, err)
+	}
+}
+
+// sameBytes reports whether files a and b hold the same bytes.
+func sameBytes(t *testing.T, a, b string) bool {
+	t.Helper()
+	da, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(da, db)
+}
+
+// TestBuildCacheCopiesWhereHardLinksFail: on a filesystem that refuses
+// hard links, a program's binary is a copy of its model binary, and a
+// seed-only sibling still neither compiles nor links.
+func TestBuildCacheCopiesWhereHardLinksFail(t *testing.T) {
+	defer harness.RefuseHardLinks()()
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	bin1, _, _, err := cache.Build(gainProgram(t, "6", 1, 40), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	bin2, _, _, err := cache.Build(gainProgram(t, "6", 2, 40), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1, err1 := os.Stat(bin1)
+	st2, err2 := os.Stat(bin2)
+	if err1 != nil || err2 != nil || os.SameFile(st1, st2) || !sameBytes(t, bin1, bin2) || spans(tr, "compile.link") != 0 {
+		t.Fatalf("copies %s and %s: %v %v, same file %v, %d compile.link spans; want equal bytes in two files, no link",
+			bin1, bin2, err1, err2, os.SameFile(st1, st2), spans(tr, "compile.link"))
+	}
+	for _, bin := range []string{bin1, bin2} {
+		if res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{}); err != nil || res.Steps != 40 {
+			t.Errorf("%s: %+v, %v", bin, res, err)
+		}
 	}
 }
 
@@ -575,11 +639,11 @@ func TestBuildCacheWaiterBuildsAfterCancel(t *testing.T) {
 	}
 }
 
-// TestBuildCacheCancelledLinkKeepsObject: a build cancelled after its
-// object was compiled publishes no binary and leaves the entry count as
-// it was, but keeps the object, so the next build of a seed-only sibling
-// relinks it.
-func TestBuildCacheCancelledLinkKeepsObject(t *testing.T) {
+// TestBuildCacheCancelledSiblingKeepsModelBinary: a seed-only sibling's build
+// cancelled before it starts publishes no binary and leaves the stats as
+// they were, but the model binary stays, so the next build of the
+// sibling neither compiles nor links.
+func TestBuildCacheCancelledSiblingKeepsModelBinary(t *testing.T) {
 	cache := harness.NewBuildCache(t.TempDir())
 	defer cache.Remove()
 	if _, _, _, err := cache.Build(gainProgram(t, "4", 1, 100), nil); err != nil {
@@ -590,16 +654,49 @@ func TestBuildCacheCancelledLinkKeepsObject(t *testing.T) {
 	kill()
 	sibling := gainProgram(t, "4", 2, 100)
 	if _, _, _, err := cache.BuildContext(dead, sibling, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled relink: %v, want context.Canceled", err)
+		t.Fatalf("cancelled sibling build: %v, want context.Canceled", err)
 	}
 	if st := cache.Stats(); st != before {
-		t.Errorf("a cancelled relink moved the stats from %+v to %+v", before, st)
+		t.Errorf("a cancelled sibling build moved the stats from %+v to %+v", before, st)
 	}
 	tr := obs.NewTracer()
 	if _, _, hit, err := cache.Build(sibling, tr); err != nil || hit {
 		t.Fatalf("sibling after the cancel: hit %v, %v", hit, err)
 	}
-	if gc, st := spans(tr, "compile.gc"), cache.Stats(); gc != 0 || st.Relinks != 1 || st.Entries != 2 {
-		t.Errorf("sibling after the cancel: %d compile.gc spans, stats %+v; want a relink", gc, st)
+	if gc, link, st := spans(tr, "compile.gc"), spans(tr, "compile.link"), cache.Stats(); gc != 0 || link != 0 || st.Relinks != 1 || st.Entries != 2 {
+		t.Errorf("sibling after the cancel: %d compile.gc and %d compile.link spans, stats %+v; want neither, one relink", gc, link, st)
+	}
+}
+
+// TestBuildCacheWaiterHonoursDeadline: a caller waiting on another
+// caller's build of the same program gives up at its own deadline, and
+// the build it waited on still succeeds and publishes its entry.
+func TestBuildCacheWaiterHonoursDeadline(t *testing.T) {
+	build(t, program(t)) // warm the toolchain memo
+	cache := harness.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	p := slowProgram()
+	first := make(chan error, 1)
+	go func() {
+		_, _, _, err := cache.Build(p, nil)
+		first <- err
+	}()
+	waitForFile(t, filepath.Join(cache.Dir(), "*.go")) // the source is written: the compile runs
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, _, err := cache.BuildContext(ctx, p, nil)
+	if waited := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || waited > time.Second {
+		t.Fatalf("waiter returned %v after %v; want context.DeadlineExceeded near its 100 ms deadline", err, waited)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("the build waited on: %v", err)
+	}
+	if st := cache.Stats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("stats %+v, want one entry and one miss", st)
+	}
+	if _, _, hit, err := cache.Build(p, nil); err != nil || !hit {
+		t.Errorf("after the first build: hit %v, %v; want its published binary", hit, err)
 	}
 }

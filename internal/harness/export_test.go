@@ -1,6 +1,10 @@
 package harness
 
-import "sort"
+import (
+	"errors"
+	"os"
+	"sort"
+)
 
 // ResetToolchain drops the memoized toolchain, so the next build lists
 // it again as the first build of a process does.
@@ -33,4 +37,11 @@ func ToolchainPackages() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// RefuseHardLinks makes every hard link a build places fail, as on a
+// filesystem without them, until the returned function restores them.
+func RefuseHardLinks() (restore func()) {
+	hardLink = func(string, string) error { return errors.New("hard links refused") }
+	return func() { hardLink = os.Link }
 }

@@ -3,9 +3,12 @@
 // paper's "compile and execute the code" step), runs the binary, and
 // decodes its results into the shared simresult schema.
 //
-// A BuildCache is the one builder: it compiles and links a program at
-// most once per content, under the caller's context (BuildContext), so
-// a caller that gives up kills the compile or link in flight.
+// A BuildCache is the one builder: it compiles and links a model at most
+// once per code content, under the caller's context (BuildContext), so
+// a caller that gives up kills the compile or link in flight. A
+// program's binary is a hard link to its model binary plus a params file
+// holding its run parameters, so programs that differ only in those
+// cost no compile and no link.
 //
 // Every run speaks one protocol: NDJSON requests on the binary's stdin
 // (-serve) and, per request, one ordered stream on its stdout: the
@@ -53,7 +56,7 @@ func artifactTag(p *codegen.Program) string {
 	return tagFor(p, p.Hash())
 }
 
-// codeTag names the source and compiled object a BuildCache keeps for a
+// codeTag names the source and model binary a BuildCache keeps for a
 // program, which programs differing only in their run parameters share:
 // the same form as artifactTag, over the code hash.
 func codeTag(p *codegen.Program) string {
@@ -109,7 +112,7 @@ type RunOptions struct {
 	// Steps bounds the simulated step count. With Budget also set, the
 	// run stops at whichever bound is reached first; Steps <= 0 under a
 	// Budget means budget-only, and Steps <= 0 without one means the
-	// default the program was linked with.
+	// default from the program's params file.
 	Steps  int64
 	Budget time.Duration // wall-clock budget
 	// SeedXor perturbs the program's uniform test-case seeds, so one

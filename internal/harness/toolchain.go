@@ -327,39 +327,27 @@ func (tc *toolchain) importcfg() []byte {
 	return b.Bytes()
 }
 
-// linkKey identifies what an object compiled against tc may be linked
-// with: the environment and the runtime archive. An object compiled under
-// another key is compiled again rather than linked against export data
-// it was not compiled against.
-func (tc *toolchain) linkKey() string { return tc.key + "\x00" + tc.runtime }
-
-// compile compiles srcPath as package main into the archive obj under a
-// "compile.gc" span, with the flags `go build` passes plus -dwarf=false:
-// the link drops DWARF (-w) anyway, so the compiler need not generate it.
-// The archive is written under a temporary name and renamed into place,
-// so obj is either whole or absent.
-func (tc *toolchain) compile(ctx context.Context, srcPath, obj string, tr *obs.Tracer) error {
-	return tc.withImportcfg(obj, func(cfg, out string) error {
-		if err := tc.tool(ctx, tr, "compile.gc", "compile", "-o", out, "-p", "main", "-lang="+tc.lang,
+// build compiles srcPath as package main into an archive under a
+// "compile.gc" span and links the archive into binPath under a
+// "compile.link" span, with the flags `go build -ldflags="-s -w"` passes
+// plus -dwarf=false: the link drops DWARF (-w) anyway, so the compiler
+// need not generate it. -s -w drops the symbol table and DWARF: the
+// linker writes a third less, and the host never debugs a generated
+// binary (panics still print symbolized stacks). -trimpath records the
+// source by its base name, so the binary does not depend on the
+// directory it was built in. The archive does not outlive the link, and
+// the binary is renamed into place, so a process still running an older
+// binPath is not disturbed.
+func (tc *toolchain) build(ctx context.Context, srcPath, binPath string, tr *obs.Tracer) error {
+	return tc.withImportcfg(binPath, func(cfg, out string) error {
+		obj := out + ".a"
+		defer os.Remove(obj)
+		if err := tc.tool(ctx, tr, "compile.gc", "compile", "-o", obj, "-p", "main", "-lang="+tc.lang,
 			"-complete", "-goversion", tc.version, "-c="+strconv.Itoa(tc.concurrency()), "-nolocalimports",
-			"-importcfg", cfg, "-pack", "-dwarf=false", srcPath); err != nil {
+			"-importcfg", cfg, "-pack", "-dwarf=false", "-trimpath", filepath.Dir(srcPath)+"=>", srcPath); err != nil {
 			return err
 		}
-		return os.Rename(out, obj)
-	})
-}
-
-// link links the archive obj into binPath under a "compile.link" span,
-// with the flags `go build -ldflags="-s -w"` passes, plus ldflags (the
-// program's run parameters). -s -w drops the symbol table and DWARF: the
-// linker writes a third less, and the host never debugs a generated
-// binary (panics still print symbolized stacks). The binary is renamed
-// into place, so a process still running an older binPath is not
-// disturbed.
-func (tc *toolchain) link(ctx context.Context, obj, binPath string, ldflags []string, tr *obs.Tracer) error {
-	return tc.withImportcfg(binPath, func(cfg, out string) error {
-		args := append([]string{"-o", out, "-importcfg", cfg, "-buildmode=exe", "-s", "-w"}, ldflags...)
-		if err := tc.tool(ctx, tr, "compile.link", "link", append(args, obj)...); err != nil {
+		if err := tc.tool(ctx, tr, "compile.link", "link", "-o", out, "-importcfg", cfg, "-buildmode=exe", "-s", "-w", obj); err != nil {
 			return err
 		}
 		return os.Rename(out, binPath)

@@ -89,8 +89,9 @@ func TestBuildSurvivesGOCACHESwap(t *testing.T) {
 			t.Errorf("%s recorded %d times, want 1", name, n)
 		}
 	}
-	// The importcfg files and temporary outputs are gone: only the
-	// binary and the source and object the cache keeps stay behind.
+	// The importcfg files, the compiled archive and temporary outputs
+	// are gone: only the binary, its params file, and the source and
+	// model binary the cache keeps stay behind.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +101,8 @@ func TestBuildSurvivesGOCACHESwap(t *testing.T) {
 		names = append(names, filepath.Ext(e.Name()))
 	}
 	sort.Strings(names)
-	if strings.Join(names, " ") != " .a .go" {
-		t.Errorf("build dir holds %v, want just the binary, the source and the object", entries)
+	if strings.Join(names, " ") != " .go .model .params" {
+		t.Errorf("build dir holds %v, want just the binary, its params file, the source and the model binary", entries)
 	}
 }
 

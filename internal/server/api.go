@@ -171,8 +171,9 @@ type ErrorResponse struct {
 }
 
 // CacheView is the build-cache section of a debug bundle. Relinks counts
-// the misses whose compiled object was resident, so the job only linked
-// (a job that differs from a built one only in its run parameters).
+// the misses whose model binary was resident, so the job neither compiled
+// nor linked (a job that differs from a built one only in its run
+// parameters).
 // FrontHits and FrontMisses count jobs that did and did not skip the
 // front end (schedule/optimize/instrument/generate) through the front-end
 // memo; AdmitHits and AdmitMisses count submissions that did and did not

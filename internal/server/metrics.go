@@ -102,7 +102,7 @@ func newMetrics(s *Server) *metrics {
 		return float64(s.cache.Stats().Misses)
 	})
 	reg.CounterFunc("accmosd_cache_relinks_total",
-		"Build-cache misses served from a resident compiled object (jobs that linked but did not compile).", func() float64 {
+		"Build-cache misses served from a resident model binary (jobs that differ from a built one only in run parameters, so neither compiled nor linked).", func() float64 {
 			return float64(s.cache.Stats().Relinks)
 		})
 	reg.CounterFunc("accmosd_cache_evictions_total", "Build-cache evictions.", func() float64 {

@@ -316,9 +316,9 @@ func TestSubmitPollCacheHit(t *testing.T) {
 }
 
 // TestSeedOnlyJobRelinks: a job that differs from a built one only in its
-// seed is a cache miss whose compiled object is resident, so it links
-// without compiling: one miss and one relink in /metrics. It runs its own
-// seed.
+// seed is a cache miss whose model binary is resident, so it neither
+// compiles nor links: its phases hold no compile.gc or compile.link, and
+// /metrics counts one miss and one relink. It runs its own seed.
 func TestSeedOnlyJobRelinks(t *testing.T) {
 	cache := accmos.NewBuildCache(t.TempDir())
 	defer cache.Remove()
@@ -337,6 +337,14 @@ func TestSeedOnlyJobRelinks(t *testing.T) {
 	}
 	if first.Result.OutputHash == second.Result.OutputHash {
 		t.Error("seeds 1 and 2 produced the same output hash")
+	}
+	if _, ok := first.Phases["compile.link"]; !ok {
+		t.Errorf("the first job recorded no compile.link phase: %v", first.Phases)
+	}
+	for _, phase := range []string{"compile.gc", "compile.link"} {
+		if _, ok := second.Phases[phase]; ok {
+			t.Errorf("the fresh-seed job recorded a %s phase: %v", phase, second.Phases)
+		}
 	}
 	after := getMetrics(t, ts)
 	const misses, relinks = "accmosd_cache_misses_total", "accmosd_cache_relinks_total"

@@ -53,17 +53,11 @@ func decodeRequest(line []byte, req *Request) error {
 	return nil
 }
 
-// readParams reads the run parameters the program was linked with into
-// p.Uniform and returns the -steps default. The form is "steps=N"
-// followed by ",u=SEED:LO:HI" for each uniform source in order (see
-// FormatParams), with the bounds in strconv's shortest round-trip form,
-// so each arrives bit-exact. An empty string means the link set no -X
-// flag, and the error names the flag.
+// readParams reads run parameters into p.Uniform and returns the -steps
+// default. The form is "steps=N" followed by ",u=SEED:LO:HI" for each
+// uniform source in order (see FormatParams), with the bounds in
+// strconv's shortest round-trip form, so each arrives bit-exact.
 func (p *Program) readParams(s string) (int64, error) {
-	if s == "" {
-		return 0, inputError("no run parameters: link the program with -X " + ParamsSymbol +
-			"=<params> (accmos -gen prints the flag in the source's header)")
-	}
 	bad := func(why string) (int64, error) {
 		return 0, inputError("run parameters " + strconv.Quote(s) + ": " + why)
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -241,20 +242,40 @@ func TestParseArgs(t *testing.T) {
 	}
 }
 
-// TestMainExitCodes runs Main in a child process: -steps=N prints the
-// bare result document, the run parameters' step count is the default,
-// and an unknown argument, missing run parameters (a binary linked
-// without its -X flag) or ones that do not fit the program exit with
-// status 2 and a message on stderr.
+// TestMainExitCodes runs Main in a child process, a link of the test
+// binary beside its own params file: -steps=N prints the bare result
+// document, the run parameters' step count is the default, and an
+// unknown argument, a missing params file or run parameters that do not
+// fit the program exit with status 2 and a message on stderr that names
+// the file.
 func TestMainExitCodes(t *testing.T) {
 	if args, ok := os.LookupEnv("SIMRT_TEST_MAIN_ARGS"); ok {
 		os.Args = append([]string{"prog"}, strings.Fields(args)...)
-		testProgram().Main(os.Getenv("SIMRT_TEST_MAIN_PARAMS"))
+		testProgram().Main()
 		os.Exit(0)
 	}
-	run := func(params, args string) (stdout, stderr string, code int) {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestMainExitCodes$")
-		cmd.Env = append(os.Environ(), "SIMRT_TEST_MAIN_ARGS="+args, "SIMRT_TEST_MAIN_PARAMS="+params)
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(params *string, args string) (stdout, stderr string, code int) {
+		bin := filepath.Join(t.TempDir(), "prog")
+		if err := os.Link(self, bin); err != nil {
+			data, err := os.ReadFile(self)
+			if err == nil {
+				err = os.WriteFile(bin, data, 0o755)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if params != nil {
+			if err := os.WriteFile(bin+ParamsSuffix, []byte(*params), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cmd := exec.Command(bin, "-test.run=^TestMainExitCodes$")
+		cmd.Env = append(os.Environ(), "SIMRT_TEST_MAIN_ARGS="+args)
 		var out, errOut bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &out, &errOut
 		err := cmd.Run()
@@ -265,21 +286,27 @@ func TestMainExitCodes(t *testing.T) {
 		}
 		return out.String(), errOut.String(), code
 	}
+	params := func(s string) *string { return &s }
 	for _, args := range []string{"-steps=5", "-steps 5"} {
-		if out, _, code := run("steps=1", args); code != 0 || !strings.HasPrefix(out, `{"model":`) || !strings.Contains(out, `"steps":5,`) {
+		if out, _, code := run(params("steps=1"), args); code != 0 || !strings.HasPrefix(out, `{"model":`) || !strings.Contains(out, `"steps":5,`) {
 			t.Errorf("%s: exit %d, stdout %q", args, code, out)
 		}
 	}
-	if out, _, code := run("steps=7", ""); code != 0 || !strings.Contains(out, `"steps":7,`) {
+	if out, _, code := run(params("steps=7"), ""); code != 0 || !strings.Contains(out, `"steps":7,`) {
 		t.Errorf("default steps from the run parameters: exit %d, stdout %q", code, out)
 	}
-	if _, errOut, code := run("steps=1", "-bogus"); code != 2 || !strings.Contains(errOut, `unknown argument "-bogus"`) {
+	if _, errOut, code := run(params("steps=1"), "-bogus"); code != 2 || !strings.Contains(errOut, `unknown argument "-bogus"`) {
 		t.Errorf("-bogus: exit %d, stderr %q", code, errOut)
 	}
-	if out, errOut, code := run("", "-steps=5"); code != 2 || out != "" || !strings.Contains(errOut, "-X "+ParamsSymbol+"=") {
-		t.Errorf("no run parameters: exit %d, stdout %q, stderr %q", code, out, errOut)
+	if out, errOut, code := run(nil, "-steps=5"); code != 2 || out != "" || !strings.Contains(errOut, "prog"+ParamsSuffix+": no such file") {
+		t.Errorf("no params file: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
-	if _, errOut, code := run("steps=1,u=1:0:1", "-steps=5"); code != 2 || !strings.Contains(errOut, "want 0 uniform sources") {
+	for _, bad := range []string{"", "steps=1\n"} {
+		if out, errOut, code := run(params(bad), "-steps=5"); code != 2 || out != "" || !strings.Contains(errOut, "prog"+ParamsSuffix+": run parameters") {
+			t.Errorf("params file %q: exit %d, stdout %q, stderr %q", bad, code, out, errOut)
+		}
+	}
+	if _, errOut, code := run(params("steps=1,u=1:0:1"), "-steps=5"); code != 2 || !strings.Contains(errOut, "want 0 uniform sources") {
 		t.Errorf("run parameters for another program: exit %d, stderr %q", code, errOut)
 	}
 }

@@ -9,7 +9,11 @@
 // the model. The generated file keeps everything its step function
 // calls or may inline (hashing, conversions, the diagnosis reporter and
 // checkers, the tables and bitmaps) and hands its state to the runtime
-// as a Program: views of its globals plus the model-specific hooks.
+// as a Program: views of its globals plus the model-specific hooks. The
+// run parameters (the -steps default, each uniform source's seed and
+// range) are in neither: Main reads them from the params file beside the
+// executable, so one linked binary serves every seed, range and step
+// default of a model.
 //
 // simrt.go, encode.go and request.go are all of the runtime that a
 // generated program links; source.go serves the host. They import only
@@ -48,12 +52,13 @@ type Request struct {
 	Corr string `json:"corr,omitempty"`
 }
 
-// ParamsSymbol is the string variable a generated program reads its run
-// parameters from. The harness sets it at link time with
-// "-X main.runParams=<params>", so the compiled object holds only the
-// model: programs that differ only in their run parameters share it, and
-// a new seed, range or step default costs a link, not a compile.
-const ParamsSymbol = "main.runParams"
+// ParamsSuffix names a program's params file: the file beside the
+// executable, at its path plus this suffix, that holds its run
+// parameters in the FormatParams form. The harness writes it next to
+// each program it builds, so the binary holds only the model: programs
+// that differ only in their run parameters are one linked binary, and a
+// new seed, range or step default costs neither a compile nor a link.
+const ParamsSuffix = ".params"
 
 // Uniform is one uniform stimulus source's run parameters: its LCG seed
 // and its range [Lo, Hi). The generated source reads them, and Main
@@ -128,15 +133,15 @@ type Program struct {
 // a chunk is the granularity of both.
 const chunkSteps = 1024
 
-// Main is the program's entry point. params is the value of ParamsSymbol:
-// the -steps default and the uniform sources' parameters (see
-// readParams). With -serve it answers requests on stdin until EOF;
-// otherwise it runs one lane for -steps steps and prints its bare result
-// document. A program linked without its run parameters, or with ones
-// that do not fit it, exits with status 2 before running anything, as
-// does a bad argument.
-func (p *Program) Main(params string) {
-	defSteps, err := p.readParams(params)
+// Main is the program's entry point. It reads the run parameters, the
+// -steps default and the uniform sources' parameters (see readParams),
+// from the params file beside the executable (ParamsSuffix). With -serve
+// it answers requests on stdin until EOF; otherwise it runs one lane for
+// -steps steps and prints its bare result document. A program whose
+// params file is missing or does not fit it exits with status 2, naming
+// the file, before running anything, as does a bad argument.
+func (p *Program) Main() {
+	defSteps, err := p.loadParams()
 	if err != nil {
 		os.Stderr.WriteString("accmos: " + err.Error() + "\n")
 		os.Exit(2)
@@ -155,6 +160,25 @@ func (p *Program) Main(params string) {
 	}
 	lanes := p.run(&Request{Steps: steps, SeedXors: []uint64{0}}, steps, nil) // no heartbeats
 	os.Stdout.Write(append(lanes[0], '\n'))
+}
+
+// loadParams reads the params file beside the executable into p.Uniform
+// and returns the -steps default. Its errors name the file.
+func (p *Program) loadParams() (int64, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return 0, inputError("locating the run parameters: " + err.Error())
+	}
+	name := exe + ParamsSuffix
+	data, err := os.ReadFile(name)
+	if err != nil {
+		return 0, inputError("reading run parameters: " + err.Error() + " (accmos -gen prints them in the source's header)")
+	}
+	steps, err := p.readParams(string(data))
+	if err != nil {
+		return 0, inputError(name + ": " + err.Error())
+	}
+	return steps, nil
 }
 
 // parseArgs reads the program's arguments: -steps N or -steps=N, the

@@ -50,10 +50,10 @@ var Fingerprint = sync.OnceValue(func() string {
 })
 
 // FormatParams renders run parameters in the canonical form a program's
-// Main reads: "steps=N", then ",u=SEED:LO:HI" per uniform source. Floats
+// Main reads from its params file: "steps=N", then ",u=SEED:LO:HI" per uniform source. Floats
 // are written in strconv's shortest round-trip form ("NaN", "+Inf" and
 // "-0" included), so equal parameters always render alike and parse back
-// bit-exact. The form needs no quoting in a shell word or in -ldflags.
+// bit-exact. The form needs no quoting in a shell word.
 func FormatParams(steps int64, uniform []Uniform) string {
 	var sb strings.Builder
 	sb.WriteString("steps=")

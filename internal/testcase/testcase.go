@@ -200,8 +200,8 @@ func ReadCSV(r io.Reader) (*Set, error) {
 //
 // A Uniform source's seed and range are run parameters, not code: its
 // code reads them from params, an expression naming the simrt.Uniform
-// value the program fills from its link-time data, so programs that
-// differ only in them compile to the same object. The other kinds are
+// value the program fills from its params file, so programs that
+// differ only in them compile and link to the same binary. The other kinds are
 // compiled in as literals.
 func EmitGo(s *Source, prefix, params string) (globals, inits []string, expr string) {
 	lit := func(f float64) string {

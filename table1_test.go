@@ -1,13 +1,17 @@
 package accmos_test
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	accmos "accmos"
 	"accmos/internal/benchmodels"
+	"accmos/internal/codegen"
 	"accmos/internal/harness"
 	"accmos/internal/simresult"
 )
@@ -95,10 +99,10 @@ func TestGeneratedNonDyadicStimulusMatchesInterpreter(t *testing.T) {
 }
 
 // TestTable1CodeHashIgnoresRunParams: the run parameters (uniform seed and
-// range, -steps default) are link-time data. For each Table-1 model, two
-// seeds, two ranges (one non-dyadic) and two step counts give one code
-// hash, so one compiled object, and eight distinct program hashes, so
-// eight binaries.
+// range, -steps default) are params-file data, not code. For each
+// Table-1 model, two seeds, two ranges (one non-dyadic) and two step
+// counts give one code hash, so one model binary, and eight distinct
+// program hashes, so eight binaries with their own params files.
 func TestTable1CodeHashIgnoresRunParams(t *testing.T) {
 	for _, name := range benchmodels.Names() {
 		m, err := accmos.LoadModel(filepath.Join("models", name+".xml"))
@@ -130,10 +134,13 @@ func TestTable1CodeHashIgnoresRunParams(t *testing.T) {
 	}
 }
 
-// TestRelinkMatchesFreshBuild: a binary relinked from a cached object with
-// new run parameters (seed, non-dyadic range, step default) runs exactly
-// like a from-scratch build of the same program and like the
-// interpreter, in serve mode and on the one-shot -steps=N path.
+// TestRelinkMatchesFreshBuild: only the model is in the binary. For each
+// Table-1 model, the eight programs over two seeds, two ranges (one
+// non-dyadic) and two -steps defaults build in one cache with one compile
+// and one link. Their binaries are byte-identical to each other and to a
+// from-scratch build in a cache of its own, and each runs exactly like
+// the interpreter: through the facade in serve mode, and on the one-shot
+// path with its params file's step default.
 func TestRelinkMatchesFreshBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles ten generated programs")
@@ -148,69 +155,89 @@ func TestRelinkMatchesFreshBuild(t *testing.T) {
 			}
 			cache := accmos.NewBuildCache(t.TempDir())
 			defer cache.Remove()
-			opts := func(seed uint64, lo, hi float64, steps int64) accmos.Options {
-				return accmos.Options{
-					Steps: steps, OptLevel: accmos.OptO1, Coverage: true, Diagnose: true,
-					TestCases: accmos.RandomTestCases(m, seed, lo, hi), Cache: cache,
-				}
-			}
-			if _, err := accmos.Simulate(m, opts(1, -1, 1, 3000)); err != nil {
-				t.Fatal(err)
-			}
-			// Serve mode through the facade: the relinked binary against the
-			// interpreter.
-			relinked := opts(2, -0.1, 0.2, 2000)
-			gen, err := accmos.Simulate(m, relinked)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := cache.Stats(); gen.CacheHit || st.Misses != 2 || st.Relinks != 1 {
-				t.Fatalf("second job: cache hit %v, stats %+v; want a relink", gen.CacheHit, st)
-			}
-			ref, err := accmos.Interpret(m, relinked)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := simresult.Diff(gen.Results, ref.Results); d != "" {
-				t.Errorf("relinked vs interpreter: %s", d)
-			}
-			// The same program built from scratch, in a cache of its own.
-			p, err := accmos.GenerateProgram(m, relinked)
-			if err != nil {
-				t.Fatal(err)
-			}
-			relinkedBin, _, hit, err := cache.Build(p, nil)
-			if err != nil || !hit {
-				t.Fatalf("the relinked binary is not cached: hit %v, %v", hit, err)
-			}
-			freshBin, _, _, err := harness.NewBuildCache(t.TempDir()).Build(p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bin := range []string{relinkedBin, freshBin} {
-				res, err := harness.RunContext(context.Background(), bin, harness.RunOptions{Steps: 2000, Model: name})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := simresult.Diff(res, gen.Results); d != "" {
-					t.Errorf("%s serving vs the relinked facade run: %s", filepath.Base(bin), d)
-				}
-				// The one-shot path, with the step count given and with the
-				// linked-in default.
-				for _, args := range [][]string{{"-steps=2000"}, nil} {
-					out, err := exec.Command(bin, args...).Output()
-					if err != nil {
-						t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
-					}
-					var doc simresult.Results
-					if err := simresult.Decode(out, &doc); err != nil {
-						t.Fatal(err)
-					}
-					if d := simresult.Diff(&doc, gen.Results); d != "" {
-						t.Errorf("%s %v vs the relinked facade run: %s", filepath.Base(bin), args, d)
+			tr := accmos.NewTracer()
+			var model []byte
+			var last *codegen.Program
+			var lastRes *simresult.Results
+			for _, seed := range []uint64{1, 2} {
+				for _, r := range [][2]float64{{-1, 1}, {-0.1, 0.2}} {
+					for _, steps := range []int64{2000, 3000} {
+						opts := accmos.Options{
+							Steps: steps, OptLevel: accmos.OptO1, Coverage: true, Diagnose: true,
+							TestCases: accmos.RandomTestCases(m, seed, r[0], r[1]),
+						}
+						ref, err := accmos.Interpret(m, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.Cache, opts.Trace = cache, tr
+						gen, err := accmos.Simulate(m, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d := simresult.Diff(gen.Results, ref.Results); d != "" {
+							t.Errorf("seed %d, range %v, %d steps: generated vs interpreter: %s", seed, r, steps, d)
+						}
+						p, err := accmos.GenerateProgram(m, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						bin, _, hit, err := cache.Build(p, nil)
+						if err != nil || !hit {
+							t.Fatalf("the facade's binary is not cached: hit %v, %v", hit, err)
+						}
+						data, err := os.ReadFile(bin)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if model == nil {
+							model = data
+						} else if !bytes.Equal(data, model) {
+							t.Errorf("seed %d, range %v, %d steps: the binary differs from the first one", seed, r, steps)
+						}
+						oneShot(t, bin, nil, gen.Results)
+						last, lastRes = p, gen.Results
 					}
 				}
 			}
+			if gc, link, st := len(tr.Trace().Find("compile.gc")), len(tr.Trace().Find("compile.link")), cache.Stats(); gc != 1 || link != 1 || st.Misses != 8 || st.Relinks != 7 {
+				t.Errorf("eight run-parameter sets: %d compile.gc and %d compile.link spans, stats %+v; want one of each, 8 misses, 7 relinks", gc, link, st)
+			}
+			// The last program built from scratch, in a cache of its own.
+			fresh := harness.NewBuildCache(t.TempDir())
+			defer fresh.Remove()
+			freshBin, _, _, err := fresh.Build(last, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data, err := os.ReadFile(freshBin); err != nil || !bytes.Equal(data, model) {
+				t.Errorf("a fresh build's binary differs from the cached ones (%v)", err)
+			}
+			res, err := harness.RunContext(context.Background(), freshBin, harness.RunOptions{Steps: lastRes.Steps, Model: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := simresult.Diff(res, lastRes); d != "" {
+				t.Errorf("fresh build serving vs the cached facade run: %s", d)
+			}
+			oneShot(t, freshBin, []string{"-steps=" + strconv.FormatInt(lastRes.Steps, 10)}, lastRes)
 		})
+	}
+}
+
+// oneShot runs bin on the one-shot path with args and checks its result
+// document against want.
+func oneShot(t *testing.T, bin string, args []string, want *simresult.Results) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+	}
+	var doc simresult.Results
+	if err := simresult.Decode(out, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if d := simresult.Diff(&doc, want); d != "" {
+		t.Errorf("%s %v vs the facade run: %s", filepath.Base(bin), args, d)
 	}
 }
