@@ -584,7 +584,7 @@ func codegenOptions(opts Options, tcs *TestCases) codegen.Options {
 		TestCases:         tcs,
 		Trace:             opts.Trace,
 		Opt:               opts.OptLevel.String(),
-		DefaultSteps:      opts.Steps, // 0 links in codegen's 1000
+		DefaultSteps:      opts.Steps, // 0: codegen's 1000, written to the params file
 	}
 }
 

@@ -1,11 +1,14 @@
 package accmos_test
 
 import (
+	"context"
 	"testing"
 
 	accmos "accmos"
 	"accmos/internal/benchmodels"
+	"accmos/internal/coverage"
 	"accmos/internal/diagnose"
+	"accmos/internal/harness"
 	"accmos/internal/simresult"
 )
 
@@ -164,8 +167,72 @@ func TestSweepSharedPoolAcrossCalls(t *testing.T) {
 	}
 	st := pool.Stats()
 	// Every suite is one request: six requests on one worker, all but
-	// the first served warm, and no batch request.
-	if st.Spawns != 1 || st.Reuses != 5 || st.Batches != 0 {
+	// the first served warm.
+	if st.Spawns != 1 || st.Reuses != 5 {
 		t.Errorf("one worker should serve both sweeps: %+v", st)
 	}
+}
+
+// TestBackToBackRequestsMatchFreshProcess: requests with different seeds
+// served back to back on one pooled worker each equal a fresh process's
+// run of that seed, coverage included, at every opt level. The runtime
+// clears coverage at the start of every request; a worker that kept an
+// earlier run's bits would fail here, because some later seed covers
+// less than an earlier one.
+func TestBackToBackRequestsMatchFreshProcess(t *testing.T) {
+	m := sweepModel()
+	seeds := []uint64{0, 1, 0xDEAD, 0xBEEF, 42, 0xF00D, 7, 3}
+	for _, lvl := range []accmos.OptLevel{accmos.OptO0, accmos.OptO1, accmos.OptO2} {
+		t.Run(lvl.String(), func(t *testing.T) {
+			opts := accmos.Options{Steps: 60, OptLevel: lvl, TestCases: accmos.RandomTestCases(m, 77, -100, 100)}
+			bin, layout, err := accmos.SweepProgram(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := accmos.NewWorkerPool(1)
+			defer pool.Close()
+			ctx := context.Background()
+			seen := layout.NewRaw() // the OR of the earlier seeds' coverage
+			shrinks := false
+			for i, seed := range seeds {
+				ro := harness.RunOptions{Steps: opts.Steps, SeedXor: seed, Model: m.Name}
+				served, reused, err := pool.RunContext(ctx, bin, ro)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := harness.RunContext(ctx, bin, ro)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reused != (i > 0) {
+					t.Errorf("seed %#x: reused = %v on the one pooled worker", seed, reused)
+				}
+				if fresh.Coverage == nil {
+					t.Fatalf("seed %#x: the fresh run carries no coverage", seed)
+				}
+				if d := simresult.Diff(served, fresh); d != "" {
+					t.Errorf("seed %#x after %d requests: served vs fresh process: %s", seed, i, d)
+				}
+				shrinks = shrinks || covers(seen, fresh.Coverage)
+				if err := seen.Merge(fresh.Coverage); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !shrinks {
+				t.Error("no seed covers less than the seeds before it; the test cannot see leaked coverage")
+			}
+		})
+	}
+}
+
+// covers reports whether a holds a coverage bit that b lacks.
+func covers(a, b *coverage.Raw) bool {
+	for _, pair := range [][2][]byte{{a.Actor, b.Actor}, {a.Cond, b.Cond}, {a.Dec, b.Dec}, {a.MCDC, b.MCDC}} {
+		for i, x := range pair[0] {
+			if x != 0 && pair[1][i] == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -129,9 +129,9 @@ func actorComment(info *actors.Info) string {
 
 // markActor attaches an actor's coverage mark. A gated actor marks its
 // bit inside its gate, on the steps it runs. An ungated actor runs on
-// every step, so after a lane's first step its mark carries nothing: its
+// every step, so after a run's first step its mark carries nothing: its
 // index joins alwaysRun instead, whose bits modelRun sets once per call
-// that runs a step. The bitmap a lane reports is the same either way.
+// that runs a step. The bitmap a run reports is the same either way.
 func (g *Generator) markActor(info *actors.Info) {
 	if !g.opts.Coverage {
 		return

@@ -11,9 +11,9 @@
 // cost no compile and no link.
 //
 // Every run speaks one protocol: NDJSON requests on the binary's stdin
-// (-serve) and, per request, one ordered stream on its stdout: the
-// request's heartbeats, then its response frame. Stderr carries only
-// diagnostics. A WorkerPool keeps such processes warm across requests;
+// (-serve), each one run for one seed, and, per request, one ordered
+// stream on its stdout: the request's heartbeats, then its response
+// frame and result line. Stderr carries only diagnostics. A WorkerPool keeps such processes warm across requests;
 // RunContext is the ephemeral case, one request per process. Both kill a
 // wedged or runaway binary (its whole process group, so grandchildren
 // die too) when the context is cancelled or the per-run Timeout elapses,
@@ -207,7 +207,7 @@ func RunContext(ctx context.Context, binPath string, opts RunOptions) (*simresul
 	if err != nil {
 		return nil, fmt.Errorf("harness: starting %s: %w", opts.label(binPath), err)
 	}
-	lanes, timeline, err := w.run(ctx, opts, []uint64{opts.SeedXor})
+	res, timeline, err := w.run(ctx, opts)
 	if waitErr := w.reap(ctx); waitErr != nil {
 		var re *RunError
 		if err == nil || errors.As(err, &re) && re.Reason != ReasonTimeout && re.Reason != ReasonCanceled {
@@ -217,6 +217,5 @@ func RunContext(ctx context.Context, binPath string, opts RunOptions) (*simresul
 	if err != nil {
 		return nil, err
 	}
-	lanes[0].Timeline = timeline
-	return lanes[0], nil
+	return res, nil
 }

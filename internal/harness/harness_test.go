@@ -189,12 +189,12 @@ func fakeBinary(t *testing.T, script string) string {
 }
 
 // answerFrame is the shell a fake binary runs to answer its one request
-// with a one-lane response frame carrying doc (which must not hold a
-// single quote).
+// with a response frame carrying doc (which must not hold a single
+// quote).
 func answerFrame(doc string) string {
 	return `read line
 id=$(echo "$line" | sed 's/.*"id":"\([^"]*\)".*/\1/')
-printf '{"accmosRun":1,"id":"%s","laneCount":1}\n%s\n' "$id" '` + doc + `'
+printf '{"accmosRun":1,"id":"%s"}\n%s\n' "$id" '` + doc + `'
 `
 }
 
@@ -349,7 +349,7 @@ func TestSharedWorkDirDistinctPrograms(t *testing.T) {
 import ("bufio"; "fmt"; "os")
 func main() {
 	bufio.NewReader(os.Stdin).ReadString('\n')
-	fmt.Println(` + "`" + `{"accmosRun":1,"id":"r1","laneCount":1}` + "`" + `)
+	fmt.Println(` + "`" + `{"accmosRun":1,"id":"r1"}` + "`" + `)
 	fmt.Println(` + "`" + `{"model":"X","engine":"AccMoS","steps":` + steps + `,"execNanos":0,"outputHash":0,"diagTotal":0}` + "`" + `)
 }
 `

@@ -133,21 +133,26 @@ func TestWorkerRunErrorStructuredOnTimeout(t *testing.T) {
 	}
 }
 
-// The batch lane protocol has more ways to go wrong than a single-run
-// frame — a header promising lanes that never arrive, a lane count that
-// contradicts the request, lanes that aren't result documents, a worker
-// dying mid-batch — and each must surface as a structured *RunError with
-// the right machine-readable reason, not a hang or a misattributed lane.
+// RunBatch sends one request per seed to one worker, so a worker that
+// answers one of them wrong (a frame without its result line, more result
+// lines than requests, a result that is no result document, an error
+// frame, death between runs) fails the batch with a structured *RunError
+// carrying the right machine-readable reason, not a hang or a result
+// attributed to the wrong seed. The fake workers answer every request
+// with the frame header the harness expects, built by this shell:
+const frameHeader = `id=$(echo "$line" | sed 's/.*"id":"\([^"]*\)".*/\1/')
+echo "{\"accmosRun\":1,\"id\":\"$id\"}"
+`
 
-// TestWorkerBatchTruncatedLanes: the worker answers the batch header but
-// exits before writing its promised lanes. The lane read hits EOF and the
-// exchange must fail as a protocol error naming the missing lane.
+// okResult is one well-formed result line.
+const okResult = `echo '{"model":"X","engine":"AccMoS","steps":4,"execNanos":1,"outputHash":7,"diagTotal":0}'
+`
+
+// TestWorkerBatchTruncatedLanes: the worker answers the second request's
+// header but exits before writing its result line. The read hits EOF and
+// the batch must fail as a protocol error naming the missing line.
 func TestWorkerBatchTruncatedLanes(t *testing.T) {
-	bin := fakeBinary(t, `
-read line
-id=$(echo "$line" | sed 's/.*"id":"\([^"]*\)".*/\1/')
-echo "{\"accmosRun\":1,\"id\":\"$id\",\"laneCount\":2}"
-`)
+	bin := fakeBinary(t, "read line\n"+frameHeader+okResult+"read line\n"+frameHeader)
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 	_, _, _, err := pool.RunBatch(context.Background(), bin,
@@ -162,68 +167,52 @@ echo "{\"accmosRun\":1,\"id\":\"$id\",\"laneCount\":2}"
 	if re.Reason != harness.ReasonProtocol {
 		t.Errorf("reason %q, want %q", re.Reason, harness.ReasonProtocol)
 	}
-	if !strings.Contains(err.Error(), "reading lane 1 of 2") {
-		t.Errorf("error must name the missing lane: %v", err)
+	if !strings.Contains(err.Error(), "reading the result line") {
+		t.Errorf("error must name the missing result line: %v", err)
 	}
-	st := pool.Stats()
-	if st.Respawns != 1 {
+	if st := pool.Stats(); st.Respawns != 1 {
 		t.Errorf("a worker that truncates a batch must be retired: %+v", st)
-	}
-	if st.Batches != 0 {
-		t.Errorf("a failed batch must not count as dispatched: %+v", st)
 	}
 }
 
-// TestWorkerBatchLaneCountMismatch: a syntactically clean batch whose
-// lane count contradicts the request's seed count can never be
-// attributed lane-by-lane; it must be rejected before any decode.
+// TestWorkerBatchLaneCountMismatch: a worker that answers a request with
+// more result lines than the one it owes leaves the surplus where the
+// next request's frame belongs. That frame names no request, so the
+// batch must fail as a protocol error before any surplus line is taken
+// for a result.
 func TestWorkerBatchLaneCountMismatch(t *testing.T) {
-	bin := fakeBinary(t, `
-read line
-id=$(echo "$line" | sed 's/.*"id":"\([^"]*\)".*/\1/')
-echo "{\"accmosRun\":1,\"id\":\"$id\",\"laneCount\":3}"
-echo '{}'
-echo '{}'
-echo '{}'
-`)
+	bin := fakeBinary(t, "while read line; do\n"+frameHeader+okResult+okResult+"done\n")
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 	_, _, _, err := pool.RunBatch(context.Background(), bin,
 		harness.RunOptions{Steps: 4}, []uint64{1, 2})
 	var re *harness.RunError
 	if !errors.As(err, &re) || re.Reason != harness.ReasonProtocol {
-		t.Fatalf("lane-count mismatch must be a protocol RunError: %v", err)
+		t.Fatalf("a surplus result line must be a protocol RunError: %v", err)
 	}
-	if !strings.Contains(err.Error(), "frame mismatch (3 lanes for 2 seeds)") {
-		t.Errorf("error must name both counts: %v", err)
+	if !strings.Contains(err.Error(), `worker frame mismatch (marker 0, id "", want "r2")`) {
+		t.Errorf("error must name the second request's mismatched frame: %v", err)
 	}
 }
 
-// TestWorkerBatchBadLaneDecode: the lane count matches but a lane isn't a
-// result document — a decode failure, distinct from protocol breakage,
-// pointing at the offending lane.
+// TestWorkerBatchBadLaneDecode: the second run's result line isn't a
+// result document: a decode failure, distinct from protocol breakage.
 func TestWorkerBatchBadLaneDecode(t *testing.T) {
-	bin := fakeBinary(t, `
-read line
-id=$(echo "$line" | sed 's/.*"id":"\([^"]*\)".*/\1/')
-echo "{\"accmosRun\":1,\"id\":\"$id\",\"laneCount\":2}"
-echo '{"model":"X","engine":"AccMoS","steps":4,"execNanos":1,"outputHash":7,"diagTotal":0}'
-echo 'not a result document'
-`)
+	bin := fakeBinary(t, "read line\n"+frameHeader+okResult+"read line\n"+frameHeader+"echo 'not a result document'\n")
 	pool := harness.NewWorkerPool(1)
 	defer pool.Close()
 	_, _, _, err := pool.RunBatch(context.Background(), bin,
 		harness.RunOptions{Steps: 4}, []uint64{1, 2})
 	var re *harness.RunError
 	if !errors.As(err, &re) || re.Reason != harness.ReasonDecode {
-		t.Fatalf("a garbage lane must be a decode RunError: %v", err)
+		t.Fatalf("a garbage result must be a decode RunError: %v", err)
 	}
-	if !strings.Contains(err.Error(), "decoding lane 1") {
-		t.Errorf("error must point at the bad lane: %v", err)
+	if !strings.Contains(err.Error(), "decoding the result") {
+		t.Errorf("error must name the result decode: %v", err)
 	}
 }
 
-// TestWorkerBatchErrorFrame: a worker can refuse a batch with an error
+// TestWorkerBatchErrorFrame: a worker can refuse a request with an error
 // frame; that's a clean exchange, but the batch fails as a worker error
 // and the worker is retired.
 func TestWorkerBatchErrorFrame(t *testing.T) {
@@ -245,6 +234,25 @@ echo "{\"accmosRun\":1,\"id\":\"$id\",\"error\":\"lanes exploded\"}"
 	}
 	if st := pool.Stats(); st.Respawns != 1 {
 		t.Errorf("an error frame must still retire the worker: %+v", st)
+	}
+}
+
+// TestWorkerBatchTimeoutBoundsEachRun: opts.Timeout bounds each run of a
+// batch, not the batch: three runs of about 200 ms each pass under a
+// 1.5 s timeout that their sum would not, and a run past it is killed.
+func TestWorkerBatchTimeoutBoundsEachRun(t *testing.T) {
+	bin := fakeBinary(t, "while read line; do\nsleep 0.2\n"+frameHeader+okResult+"done\n")
+	pool := harness.NewWorkerPool(1)
+	defer pool.Close()
+	seeds := make([]uint64, 10)
+	res, _, _, err := pool.RunBatch(context.Background(), bin, harness.RunOptions{Steps: 4, Timeout: 1500 * time.Millisecond}, seeds)
+	if err != nil || len(res) != len(seeds) {
+		t.Fatalf("ten 200 ms runs under a 1.5 s per-run timeout: %d results, %v", len(res), err)
+	}
+	_, _, _, err = pool.RunBatch(context.Background(), bin, harness.RunOptions{Steps: 4, Timeout: 50 * time.Millisecond}, []uint64{1})
+	var re *harness.RunError
+	if !errors.As(err, &re) || re.Reason != harness.ReasonTimeout {
+		t.Fatalf("a 200 ms run under a 50 ms timeout must be a timeout RunError: %v", err)
 	}
 }
 
@@ -276,17 +284,12 @@ exit 3
 }
 
 // TestWorkerBatchDeathMidBatchCarriesStderr: a worker that crashes
-// between lanes must fail the batch with its exit code AND preserve its
+// between runs must fail the batch with its exit code AND preserve its
 // dying words in the structured stderr tail — the forensic trail for
-// "which lane killed it".
+// "which run killed it".
 func TestWorkerBatchDeathMidBatchCarriesStderr(t *testing.T) {
-	bin := fakeBinary(t, `
-read line
-id=$(echo "$line" | sed 's/.*"id":"\([^"]*\)".*/\1/')
-echo 'boom: lane 2 panicked' >&2
-echo "{\"accmosRun\":1,\"id\":\"$id\",\"laneCount\":3}"
-echo '{"model":"X","engine":"AccMoS","steps":4,"execNanos":1,"outputHash":7,"diagTotal":0}'
-sleep 0.3
+	bin := fakeBinary(t, "read line\n"+frameHeader+okResult+`read line
+echo 'boom: run 2 panicked' >&2
 exit 2
 `)
 	pool := harness.NewWorkerPool(1)
@@ -302,7 +305,7 @@ exit 2
 	}
 	found := false
 	for _, line := range re.StderrTail {
-		if strings.Contains(line, "boom: lane 2 panicked") {
+		if strings.Contains(line, "boom: run 2 panicked") {
 			found = true
 		}
 	}
@@ -321,7 +324,7 @@ exit 2
 func TestEphemeralTruncatedFrame(t *testing.T) {
 	bin := fakeBinary(t, `
 read line
-printf '{"accmosRun":1,"id":"r1","laneCount":1}\n{"model":"X"'
+printf '{"accmosRun":1,"id":"r1"}\n{"model":"X"'
 exit 0
 `)
 	start := time.Now()

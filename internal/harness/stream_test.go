@@ -44,7 +44,7 @@ echo '{"accmosHB":1,"model":"S","steps":1,"run":"r1"}'
 echo '{"accmosHB":1,"model":"S","steps":2,"run":"r1"}'
 echo '{"accmosHB":1,"model":"S","steps":3,"final":true,"run":"r1"}'
 id=$(echo "$line" | sed 's/.*"id":"\([^"]*\)".*/\1/')
-printf '{"accmosRun":1,"id":"%s","laneCount":1}\n%s\n' "$id" '`+streamDoc+`'
+printf '{"accmosRun":1,"id":"%s"}\n%s\n' "$id" '`+streamDoc+`'
 `)
 	for _, path := range runPaths {
 		var returned atomic.Int64

@@ -318,7 +318,7 @@ func main() {
 	bufio.NewReader(os.Stdin).ReadString('\n')
 	l := list.New()
 	l.PushBack("STR")
-	fmt.Println(` + "`" + `{"accmosRun":1,"id":"r1","laneCount":1}` + "`" + `)
+	fmt.Println(` + "`" + `{"accmosRun":1,"id":"r1"}` + "`" + `)
 	fmt.Println(strings.Replace(` + "`" + `{"model":"M","engine":"AccMoS","steps":1,"execNanos":0,"outputHash":0,"diagTotal":0}` + "`" + `, "M", l.Front().Value.(string), 1))
 }
 `}

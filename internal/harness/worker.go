@@ -19,13 +19,12 @@ import (
 )
 
 // serveFrame is the response header line on a worker's stdout: exactly
-// one per request, carrying an error or the count of raw result lines
-// that follow it, one per lane.
+// one per request, carrying an error or followed by the run's raw result
+// line.
 type serveFrame struct {
-	Marker    int    `json:"accmosRun"`
-	ID        string `json:"id"`
-	Error     string `json:"error,omitempty"`
-	LaneCount int    `json:"laneCount,omitempty"`
+	Marker int    `json:"accmosRun"`
+	ID     string `json:"id"`
+	Error  string `json:"error,omitempty"`
 }
 
 // WorkerStats summarizes a pool's lifetime activity. Spawns counts
@@ -33,15 +32,13 @@ type serveFrame struct {
 // already-warm worker (the startup cost the pool amortized away), and
 // Respawns counts workers destroyed after a failed request (a deadline,
 // a protocol error, the worker's own death) — their slot respawns lazily
-// on the next request. Batches counts batch
-// requests dispatched (each covering many lanes in one frame). Warm is
+// on the next request. A RunBatch call counts as one request. Warm is
 // the number of workers currently parked idle (a live gauge, not a
 // lifetime counter).
 type WorkerStats struct {
 	Spawns    int64 `json:"spawns"`
 	Reuses    int64 `json:"reuses"`
 	Respawns  int64 `json:"respawns"`
-	Batches   int64 `json:"batches,omitempty"`
 	Artifacts int   `json:"artifacts"`
 	Warm      int   `json:"warm"`
 }
@@ -60,7 +57,7 @@ type WorkerPool struct {
 	arts   map[string]*poolArtifact
 	closed bool
 
-	spawns, reuses, respawns, batches int64
+	spawns, reuses, respawns int64
 }
 
 // poolArtifact is the per-binary worker set: slots holds one token per
@@ -96,7 +93,7 @@ func (p *WorkerPool) Stats() WorkerStats {
 	}
 	return WorkerStats{
 		Spawns: p.spawns, Reuses: p.reuses, Respawns: p.respawns,
-		Batches: p.batches, Artifacts: len(p.arts), Warm: warm,
+		Artifacts: len(p.arts), Warm: warm,
 	}
 }
 
@@ -109,12 +106,8 @@ func (p *WorkerPool) Stats() WorkerStats {
 // an already-warm worker served the request.
 func (p *WorkerPool) RunContext(ctx context.Context, binPath string, opts RunOptions) (res *simresult.Results, reused bool, err error) {
 	defer opts.Trace.Start("run").End()
-	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) error {
-		lanes, timeline, err := w.run(ctx, opts, []uint64{opts.SeedXor})
-		if err == nil {
-			res = lanes[0]
-			res.Timeline = timeline
-		}
+	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) (err error) {
+		res, _, err = w.run(ctx, opts)
 		return err
 	})
 	if err != nil {
@@ -123,32 +116,37 @@ func (p *WorkerPool) RunContext(ctx context.Context, binPath string, opts RunOpt
 	return res, reused, nil
 }
 
-// RunBatch executes one multi-lane request on a warm worker for binPath:
-// one lane per seedXor, each a full run bounded by opts.Steps and
-// opts.Budget like a single run, which the program runs back to back
-// behind a single request/response frame. It returns per-lane results in
-// seed order plus the lanes' OR-merged coverage (nil when coverage is
-// off), which it moves off the last lane; the lanes carry no coverage.
-// opts.Timeout bounds the whole request — callers scale it by the lane
-// count when they mean a per-run deadline. The request's heartbeats sum
-// steps over its lanes.
+// RunBatch runs one request per seedXor, in seed order, on one warm
+// worker for binPath: each a full run bounded by opts.Steps, opts.Budget
+// and opts.Timeout, as RunContext runs it with that SeedXor. It returns
+// the results in seed order plus the OR-merge of their coverage (nil when
+// coverage is off); the results carry none. A run that fails fails the
+// batch and retires the worker.
 func (p *WorkerPool) RunBatch(ctx context.Context, binPath string, opts RunOptions, seedXors []uint64) (res []*simresult.Results, cov *coverage.Raw, reused bool, err error) {
 	defer opts.Trace.Start("run").End()
 	if len(seedXors) == 0 {
 		return nil, nil, false, errors.New("harness: RunBatch needs at least one seed")
 	}
 	reused, err = p.withWorker(ctx, binPath, &opts, func(w *serveWorker) error {
-		res, _, err = w.run(ctx, opts, seedXors) // request heartbeats aggregate lanes; no lane owns them
-		return err
+		for _, seed := range seedXors {
+			opts.SeedXor = seed
+			r, _, err := w.run(ctx, opts)
+			if err != nil {
+				return err
+			}
+			if cov == nil {
+				cov = r.Coverage
+			} else if err := cov.Merge(r.Coverage); err != nil {
+				return fmt.Errorf("harness: running %s: %w", opts.label(binPath), err)
+			}
+			r.Coverage = nil
+			res = append(res, r)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, nil, reused, err
 	}
-	last := res[len(res)-1]
-	cov, last.Coverage = last.Coverage, nil
-	p.mu.Lock()
-	p.batches++
-	p.mu.Unlock()
 	return res, cov, reused, nil
 }
 
@@ -376,46 +374,39 @@ func (w *serveWorker) fail(opts RunOptions, timeline []obs.Snapshot, reason stri
 	}
 }
 
-// run sends one request, one lane per seed, and decodes the per-lane
-// result lines in seed order, returning them with the request's
-// heartbeat timeline (on failure too). The request carries the step
-// count AND the budget: with both set each lane stops at whichever bound
-// is reached first. A worker that errors here must not be reused.
-func (w *serveWorker) run(ctx context.Context, opts RunOptions, seedXors []uint64) ([]*simresult.Results, []obs.Snapshot, error) {
-	req := simrt.Request{SeedXors: seedXors, Steps: opts.Steps}
+// run sends one request, for opts.SeedXor, and decodes its result,
+// whose Timeline is the request's heartbeats; it returns the timeline on
+// failure too. The request carries the step count AND the budget: with
+// both set the run stops at whichever bound is reached first. A worker
+// that errors here must not be reused.
+func (w *serveWorker) run(ctx context.Context, opts RunOptions) (*simresult.Results, []obs.Snapshot, error) {
+	req := simrt.Request{SeedXor: opts.SeedXor, Steps: opts.Steps}
 	if opts.Budget > 0 {
 		req.BudgetMS = clampMS(opts.Budget)
 	}
-	lanes, timeline, err := w.exchange(ctx, opts, req)
+	line, timeline, err := w.exchange(ctx, opts, req)
 	if err != nil {
 		return nil, timeline, err
 	}
-	if len(lanes) != len(seedXors) {
-		return nil, timeline, w.fail(opts, timeline, ReasonProtocol, nil,
-			fmt.Sprintf("harness: running %s: frame mismatch (%d lanes for %d seeds)",
-				opts.label(w.bin), len(lanes), len(seedXors)))
+	res := new(simresult.Results)
+	if err := simresult.Decode(line, res); err != nil {
+		return nil, timeline, w.fail(opts, timeline, ReasonDecode, err,
+			fmt.Sprintf("harness: running %s: decoding the result: %v", opts.label(w.bin), err))
 	}
-	out := make([]*simresult.Results, len(lanes))
-	for i, lane := range lanes {
-		out[i] = new(simresult.Results)
-		if err := simresult.Decode(lane, out[i]); err != nil {
-			return nil, timeline, w.fail(opts, timeline, ReasonDecode, err,
-				fmt.Sprintf("harness: running %s: decoding lane %d: %v", opts.label(w.bin), i, err))
-		}
-	}
-	return out, timeline, nil
+	res.Timeline = timeline
+	return res, timeline, nil
 }
 
 // exchange assigns the request id, sends one request line and reads the
 // worker's stdout up to and through the response frame, returning the
-// raw lane lines and the request's timeline. Heartbeat lines ahead of the
+// raw result line and the request's timeline. Heartbeat lines ahead of the
 // frame are handled as they arrive: stamped with opts.RunID, appended to
 // the timeline and passed to opts.Progress, so every Progress call has
 // returned when exchange does. It enforces the per-request Timeout by
 // killing the process group — the reading goroutine then unblocks on the
 // closed pipe. Frame validation (marker, id, worker error) happens here;
 // result decoding is the caller's.
-func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.Request) ([][]byte, []obs.Snapshot, error) {
+func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.Request) ([]byte, []obs.Snapshot, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
@@ -440,7 +431,7 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 		timeline []obs.Snapshot
 		frame    serveFrame
 		frameErr error // the frame line arrived but did not decode
-		lanes    [][]byte
+		result   []byte
 		err      error // the stream broke
 	}
 	ch := make(chan exchanged, 1)
@@ -470,16 +461,13 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 			}
 		}
 		ex.frameErr = json.Unmarshal(raw, &ex.frame)
-		// The header frame is followed by one raw result line per lane;
-		// read them here so the cancellation kill path below covers a
-		// worker wedged mid-request too.
-		for i := 0; ex.frameErr == nil && i < ex.frame.LaneCount; i++ {
-			lane, err := w.out.ReadBytes('\n')
-			if err != nil {
-				ex.err = fmt.Errorf("reading lane %d of %d: %w", i+1, ex.frame.LaneCount, err)
-				return
+		// A frame of this request that is no error is followed by the
+		// result line; read it here so the cancellation kill path below
+		// covers a worker wedged mid-request too.
+		if ex.frameErr == nil && ex.frame.Marker == 1 && ex.frame.ID == id && ex.frame.Error == "" {
+			if ex.result, ex.err = w.out.ReadBytes('\n'); ex.err != nil {
+				ex.err = fmt.Errorf("reading the result line: %w", ex.err)
 			}
-			ex.lanes = append(ex.lanes, lane)
 		}
 	}()
 	var ex exchanged
@@ -533,7 +521,7 @@ func (w *serveWorker) exchange(ctx context.Context, opts RunOptions, req simrt.R
 		return nil, timeline, w.fail(opts, timeline, ReasonWorker, nil,
 			fmt.Sprintf("harness: running %s: worker: %s", opts.label(w.bin), frame.Error))
 	}
-	return ex.lanes, timeline, nil
+	return ex.result, timeline, nil
 }
 
 // reaped starts, once, the goroutine that waits for the process to exit

@@ -119,7 +119,7 @@ func TestWorkerPoolFrameMismatchRejected(t *testing.T) {
 	// attributed to this one.
 	bin := fakeBinary(t, `
 while read line; do
-  echo '{"accmosRun":1,"id":"bogus","laneCount":1}'
+  echo '{"accmosRun":1,"id":"bogus"}'
   echo '{"model":"H","engine":"AccMoS","steps":1}'
 done
 `)
@@ -349,12 +349,11 @@ func TestRunDecodeErrorReportsByteOffset(t *testing.T) {
 	}
 }
 
-// TestWorkerBatchCoverageOnLastLane: the program puts a request's
-// OR-merged coverage on its last lane. RunBatch moves it off that lane
-// and returns it as the request's coverage, equal to the OR-merge of the
-// same seeds run one request each; RunContext leaves a run's own
-// coverage on its result.
-func TestWorkerBatchCoverageOnLastLane(t *testing.T) {
+// TestWorkerBatchMergesCoverage: RunBatch moves each run's coverage off
+// its result and returns the OR-merge, equal to the OR-merge of the same
+// seeds run through RunContext, which leaves a run's own coverage on its
+// result.
+func TestWorkerBatchMergesCoverage(t *testing.T) {
 	p := program(t)
 	bin := build(t, p)
 	pool := harness.NewWorkerPool(1)
@@ -379,17 +378,17 @@ func TestWorkerBatchCoverageOnLastLane(t *testing.T) {
 	}
 	for i, r := range lanes {
 		if r.Coverage != nil || r.Steps != 5 {
-			t.Errorf("lane %d: steps %d, coverage %+v; want 5 steps and no coverage", i, r.Steps, r.Coverage)
+			t.Errorf("run %d: steps %d, coverage %+v; want 5 steps and no coverage", i, r.Steps, r.Coverage)
 		}
 	}
 	if cov == nil || !reflect.DeepEqual(*cov, *merged) {
-		t.Errorf("request coverage %+v, want the per-run OR-merge %+v", cov, merged)
+		t.Errorf("batch coverage %+v, want the per-run OR-merge %+v", cov, merged)
 	}
 }
 
-// TestWorkerBatchBudget: a budget bounds each lane of a multi-lane
-// request like a single run, read between chunks of 1024 steps; a
-// budget-only lane never falls back to the program's default step count.
+// TestWorkerBatchBudget: a budget bounds each run of a batch like a
+// single run, read between chunks of 1024 steps; a budget-only run never
+// falls back to the program's default step count.
 func TestWorkerBatchBudget(t *testing.T) {
 	p := program(t)
 	bin := build(t, p)
@@ -402,7 +401,7 @@ func TestWorkerBatchBudget(t *testing.T) {
 	}
 	for i, r := range lanes {
 		if r.Steps < 1024 || r.Steps%1024 != 0 {
-			t.Errorf("budget-only lane %d ran %d steps, want whole chunks of 1024", i, r.Steps)
+			t.Errorf("budget-only run %d took %d steps, want whole chunks of 1024", i, r.Steps)
 		}
 	}
 	lanes, _, _, err = pool.RunBatch(context.Background(), bin,
@@ -412,7 +411,7 @@ func TestWorkerBatchBudget(t *testing.T) {
 	}
 	for i, r := range lanes {
 		if r.Steps != 700 {
-			t.Errorf("lane %d under steps and a long budget ran %d steps, want 700", i, r.Steps)
+			t.Errorf("run %d under steps and a long budget took %d steps, want 700", i, r.Steps)
 		}
 	}
 }

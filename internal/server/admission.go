@@ -20,7 +20,8 @@ type AdmissionError struct {
 func (e *AdmissionError) Error() string { return e.Msg }
 
 // SpecFromRequest validates a submission and builds the runnable JobSpec:
-// reject negative run bounds, admit the model document (parse, elaborate,
+// reject negative run bounds and a stimulus range whose hi is below its
+// lo, admit the model document (parse, elaborate,
 // lint-gate), then map the wire fields onto the spec's facade options
 // with the daemon's defaults (opt level, heartbeat, seed 1 and the
 // [-1, 1] stimulus range of a job that sets only part of its stimulus)
@@ -39,6 +40,10 @@ func SpecFromRequest(cache *accmos.BuildCache, req SubmitRequest, defaultOpt acc
 	if req.Steps < 0 || req.BudgetMS < 0 || req.TimeoutMS < 0 {
 		return JobSpec{}, nil, &AdmissionError{Msg: fmt.Sprintf(
 			"negative run bound (steps %d, budgetMs %d, timeoutMs %d)", req.Steps, req.BudgetMS, req.TimeoutMS)}
+	}
+	if req.Hi < req.Lo {
+		return JobSpec{}, nil, &AdmissionError{Msg: fmt.Sprintf(
+			"stimulus range has hi below lo (lo %g, hi %g)", req.Lo, req.Hi)}
 	}
 	doc := []byte(req.Model)
 	v, _ := cache.Admit(doc, func() (any, [32]byte) {

@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -892,6 +893,38 @@ func TestSubmitNegativeBoundsRejected(t *testing.T) {
 	}
 	if got := getMetrics(t, ts)[jobsSeries("submitted")]; got != 0 {
 		t.Errorf("a rejected submission became a job: %v submitted", got)
+	}
+}
+
+// TestSubmitInvertedStimulusRangeRejected: a stimulus range whose hi is
+// below its lo could only fail in the queue, when the source is
+// generated, so admission refuses it with a 400 naming both bounds and
+// SpecFromRequest returns an AdmissionError. An empty range (lo = hi) is
+// a constant stimulus and stays valid.
+func TestSubmitInvertedStimulusRangeRejected(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Workers: 1})
+	doc := slxDoc(t, "INV", "2")
+	for _, req := range []server.SubmitRequest{
+		{Model: doc, Lo: 5, Hi: 1},
+		{Model: doc, Lo: 0, Hi: -1},
+		{Model: doc, Seed: 3, Lo: 2.5, Hi: -2.5},
+	} {
+		resp, payload := submit(t, ts, req)
+		want := fmt.Sprintf("(lo %g, hi %g)", req.Lo, req.Hi)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(payload), want) {
+			t.Errorf("lo %g hi %g: %s: %s, want a 400 naming %s", req.Lo, req.Hi, resp.Status, payload, want)
+		}
+		_, _, err := server.SpecFromRequest(accmos.NewBuildCache(t.TempDir()), req, accmos.OptO1, 0)
+		var ae *server.AdmissionError
+		if !errors.As(err, &ae) {
+			t.Errorf("lo %g hi %g: SpecFromRequest returned %v, want an AdmissionError", req.Lo, req.Hi, err)
+		}
+	}
+	if got := getMetrics(t, ts)[jobsSeries("submitted")]; got != 0 {
+		t.Errorf("a rejected submission became a job: %v submitted", got)
+	}
+	if _, _, err := server.SpecFromRequest(accmos.NewBuildCache(t.TempDir()), server.SubmitRequest{Model: doc, Lo: 1, Hi: 1}, accmos.OptO1, 0); err != nil {
+		t.Errorf("an empty range lo = hi: %v", err)
 	}
 }
 

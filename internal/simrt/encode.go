@@ -9,11 +9,10 @@ import (
 
 // Result renders the result document in the simresult.Results schema,
 // append-based and in the fixed field order simresult.Decode reads:
-// model, engine, steps, execNanos, outputHash, coverage (withCov only),
+// model, engine, steps, execNanos, outputHash, coverage (when on),
 // diagTotal, then the diagnosis and monitor sections that carry
-// anything. Only a request's last lane passes withCov: the bitmaps hold
-// the OR-merge of every lane, rendered once.
-func (p *Program) Result(steps, execNanos int64, withCov bool) []byte {
+// anything.
+func (p *Program) Result(steps, execNanos int64) []byte {
 	b := make([]byte, 0, 192+len(p.Model)+p.coverageLen())
 	b = append(b, `{"model":`...)
 	b = appendStr(b, p.Model)
@@ -23,7 +22,7 @@ func (p *Program) Result(steps, execNanos int64, withCov bool) []byte {
 	b = strconv.AppendInt(b, execNanos, 10)
 	b = append(b, `,"outputHash":`...)
 	b = strconv.AppendUint(b, *p.OutputHash, 10)
-	if p.Coverage != nil && withCov {
+	if p.Coverage != nil {
 		b = append(b, `,"coverage":`...)
 		b = p.appendCov(b)
 	}
@@ -247,23 +246,20 @@ func jsonFloat(f float64) string {
 }
 
 // writeFrame emits one response frame and flushes: a small header line
-// naming the request id and either the error or the lane count, then
-// one line per lane result, so the host reads the header with
-// encoding/json and hands each lane to simresult.Decode without scanning
-// one giant JSON value.
-func writeFrame(out *bufio.Writer, id string, lanes [][]byte, errMsg string) {
+// naming the request id and the error, if any, then the result line of a
+// request that ran, so the host reads the header with encoding/json and
+// hands the result to simresult.Decode without scanning one giant JSON
+// value.
+func writeFrame(out *bufio.Writer, id string, result []byte, errMsg string) {
 	out.WriteString(`{"accmosRun":1,"id":`)
 	out.Write(appendStr(nil, id))
 	if errMsg != "" {
 		out.WriteString(`,"error":`)
 		out.Write(appendStr(nil, errMsg))
-	} else {
-		out.WriteString(`,"laneCount":`)
-		out.WriteString(strconv.Itoa(len(lanes)))
 	}
 	out.WriteString("}\n")
-	for _, lane := range lanes {
-		out.Write(lane)
+	if errMsg == "" {
+		out.Write(result)
 		out.WriteByte('\n')
 	}
 	out.Flush()

@@ -8,11 +8,11 @@ import (
 // decodeRequest decodes one request line into req. It reads the JSON the
 // harness writes with encoding/json and decodes it as encoding/json
 // would: an object whose keys are Request's JSON names, spelled exactly
-// (a repeated key overrides), with integer numbers, strings and a
-// seedXors that is an array or null. It rejects everything else, such as
-// unknown keys, case-folded names, non-integer numbers, null outside
-// seedXors and surrogate escapes, none of which encoding/json writes for
-// a Request.
+// (a repeated key overrides), with integer numbers (seedXor unsigned)
+// and strings. An absent key leaves its field zero, so a request without
+// seedXor runs seed 0. It rejects everything else, such as unknown keys,
+// case-folded names, non-integer numbers, null and surrogate escapes,
+// none of which encoding/json writes for a Request.
 func decodeRequest(line []byte, req *Request) error {
 	r := reqReader{buf: line}
 	if !r.byte('{') {
@@ -37,8 +37,8 @@ func decodeRequest(line []byte, req *Request) error {
 			req.BudgetMS, ok = r.int()
 		case "heartbeatMs":
 			req.HeartbeatMS, ok = r.int()
-		case "seedXors":
-			req.SeedXors, ok = r.seeds()
+		case "seedXor":
+			req.SeedXor, ok = r.uint()
 		default:
 			return inputError("unknown field " + strconv.Quote(key))
 		}
@@ -176,29 +176,10 @@ func (r *reqReader) int() (int64, bool) {
 	return n, ok && err == nil
 }
 
-// seeds reads an array of unsigned integers, or null for a nil slice.
-func (r *reqReader) seeds() ([]uint64, bool) {
-	r.space()
-	if len(r.buf)-r.off >= 4 && string(r.buf[r.off:r.off+4]) == "null" {
-		r.off += 4
-		return nil, true
-	}
-	if !r.byte('[') {
-		return nil, false
-	}
-	out := []uint64{}
-	for !r.byte(']') {
-		if len(out) > 0 && !r.byte(',') {
-			return nil, false
-		}
-		s, ok := r.integer()
-		n, err := strconv.ParseUint(s, 10, 64)
-		if !ok || err != nil {
-			return nil, false
-		}
-		out = append(out, n)
-	}
-	return out, true
+func (r *reqReader) uint() (uint64, bool) {
+	s, ok := r.integer()
+	n, err := strconv.ParseUint(s, 10, 64)
+	return n, ok && err == nil
 }
 
 // str reads a string, unescaped as encoding/json does: each byte of

@@ -22,14 +22,14 @@ import (
 
 // validRequests decode as encoding/json decodes them.
 var validRequests = []string{
-	`{"id":"r1","steps":42,"seedXors":[5],"corr":"j-1"}`,
-	`{"id":"r2","steps":8,"budgetMs":0,"seedXors":[1,2],"heartbeatMs":25}`,
-	` { "id" : "sp" , "steps" : -3 , "seedXors" : [ 0 , 18446744073709551615 ] } `,
-	"{\t\"id\":\r\n\"ws\",\"seedXors\":[]}",
+	`{"id":"r1","steps":42,"seedXor":5,"corr":"j-1"}`,
+	`{"id":"r2","steps":8,"budgetMs":0,"seedXor":1,"heartbeatMs":25}`,
+	` { "id" : "sp" , "steps" : -3 , "seedXor" : 18446744073709551615 } `,
+	"{\t\"id\":\r\n\"ws\",\"seedXor\":0}",
 	`{}`,
-	`{"seedXors":null}`,
-	`{"id":"a","id":"b","seedXors":[1,2],"seedXors":[3]}`,
-	`{"seedXors":[1],"seedXors":[]}`,
+	`{"seedXor":7}`,
+	`{"id":"a","id":"b","seedXor":1,"seedXor":3}`,
+	`{"seedXor":1,"seedXor":0}`,
 	`{"id":"\"\\\/\b\f\n\r\tA\u00e9中🙂"}`,
 	`{"id":"\u0000\u001f\u2028\uFFFD\ufffe"}`,
 	"{\"id\":\"raw \xff\xc3 utf8 \xe9\"}",
@@ -42,10 +42,11 @@ var validRequests = []string{
 // them too, or accepts them but never writes them for a Request.
 var malformedRequests = []string{
 	`null`, `[]`, `{"id":"x",}`, `{"steps":1.5}`, `{"steps":1e3}`, `{"steps":01}`,
-	`{"steps":"5"}`, `{"steps":9223372036854775808}`, `{"seedXors":[-1]}`, `{"seedXors":[1,]}`,
-	`{"seedXors":[null]}`, `{"ID":"folded"}`, `{"extra":1}`, `{"id":"a"} x`, `{"id":"a`, "{\"id\":\"\x01\"}",
-	`{"id":"\u12"}`, `{"id":"\q"}`, `{"id" "a"}`, `{"seedXors":[1 2]}`, `{"steps":true}`, `{"id":nul}`,
+	`{"steps":"5"}`, `{"steps":9223372036854775808}`, `{"seedXor":-1}`, `{"seedXor":18446744073709551616}`,
+	`{"seedXor":null}`, `{"ID":"folded"}`, `{"extra":1}`, `{"id":"a"} x`, `{"id":"a`, "{\"id\":\"\x01\"}",
+	`{"id":"\u12"}`, `{"id":"\q"}`, `{"id" "a"}`, `{"seedXor":[1]}`, `{"steps":true}`, `{"id":nul}`,
 	`{"id":null}`, `{"steps":null}`, `{"id":"\ud800\udc00"}`, `{"id":"\udc00"}`, `{,}`, `{"id":"a"`,
+	`{"seedXors":[1,2]}`, `{"seedXor":-0}`,
 }
 
 // FuzzDecodeRequest: any line the reader accepts decodes to the same
@@ -72,15 +73,14 @@ func FuzzDecodeRequest(f *testing.F) {
 // TestDecodeRequestAcceptsMarshal: every request json.Marshal writes, as
 // the harness does, and every valid corpus line, decodes to what
 // encoding/json decodes from it: escaped ids, negative bounds, extreme
-// seeds and a null seedXors.
+// seeds and an absent seedXor.
 func TestDecodeRequestAcceptsMarshal(t *testing.T) {
 	reqs := []Request{
 		{},
-		{ID: "r1", Steps: 1000, SeedXors: []uint64{7, 8}},
-		{ID: `q"uo\te` + "\n\t\x00\x1f\x7f<>&  é中🙂\xff\xc3", Corr: "j-<9>", SeedXors: []uint64{0}},
-		{ID: "neg", Steps: -1, BudgetMS: math.MinInt64, HeartbeatMS: -25, SeedXors: []uint64{math.MaxUint64}},
-		{ID: "max", Steps: math.MaxInt64, BudgetMS: math.MaxInt64, HeartbeatMS: math.MaxInt64, SeedXors: []uint64{}},
-		{ID: "nil", Steps: 3, SeedXors: nil},
+		{ID: "r1", Steps: 1000, SeedXor: 7},
+		{ID: `q"uo\te` + "\n\t\x00\x1f\x7f<>&  é中🙂\xff\xc3", Corr: "j-<9>"},
+		{ID: "neg", Steps: -1, BudgetMS: math.MinInt64, HeartbeatMS: -25, SeedXor: math.MaxUint64},
+		{ID: "max", Steps: math.MaxInt64, BudgetMS: math.MaxInt64, HeartbeatMS: math.MaxInt64, SeedXor: 1 << 63},
 	}
 	rng := rand.New(rand.NewSource(1))
 	for range 200 {
@@ -89,10 +89,8 @@ func TestDecodeRequestAcceptsMarshal(t *testing.T) {
 			Steps:       rng.Int63() - rng.Int63(),
 			BudgetMS:    rng.Int63n(3) - 1,
 			HeartbeatMS: rng.Int63n(100),
+			SeedXor:     rng.Uint64() >> rng.Intn(64),
 			Corr:        randString(rng),
-		}
-		for range rng.Intn(5) {
-			r.SeedXors = append(r.SeedXors, rng.Uint64())
 		}
 		reqs = append(reqs, r)
 	}
@@ -118,11 +116,10 @@ func TestDecodeRequestAcceptsMarshal(t *testing.T) {
 		}
 	}
 
-	// A null seedXors decodes, and the serve loop answers it with the
-	// no-seeds error frame.
-	lines = serveLines(t, newLaneProgram().Program, `{"id":"n","steps":5,"seedXors":null}`)
-	if len(lines) != 1 || !strings.Contains(lines[0], `"id":"n","error":"request carries no seedXors"`) {
-		t.Errorf("null seedXors answered %q", lines)
+	// A request without seedXor runs seed 0, as the one-shot run does.
+	lp := newLaneProgram()
+	if res := frameResults(t, serveLines(t, lp.Program, `{"id":"n","steps":5}`)); res[0].Steps != 5 || lp.log[0] != "reset 0" {
+		t.Errorf("a request without seedXor ran %d steps, hook calls %v", res[0].Steps, lp.log)
 	}
 }
 
@@ -143,7 +140,9 @@ func randString(rng *rand.Rand) string {
 }
 
 // TestMalformedRequestsGetErrorFrames: every line the reader rejects is
-// answered with one "decoding request" error frame, and serving goes on.
+// answered with one "decoding request" error frame and no result line,
+// and serving goes on. The old multi-run key seedXors is an unknown
+// field.
 func TestMalformedRequestsGetErrorFrames(t *testing.T) {
 	bad := malformedRequests
 	for _, line := range bad {
@@ -152,7 +151,7 @@ func TestMalformedRequestsGetErrorFrames(t *testing.T) {
 		}
 	}
 	lp := newLaneProgram()
-	lines := serveLines(t, lp.Program, slices.Concat(bad, []string{`{"id":"ok","steps":1,"seedXors":[1]}`})...)
+	lines := serveLines(t, lp.Program, slices.Concat(bad, []string{`{"id":"ok","steps":1,"seedXor":1}`})...)
 	if len(lines) != len(bad)+2 {
 		t.Fatalf("serve wrote %d lines for %d bad requests and one good one:\n%s", len(lines), len(bad), strings.Join(lines, "\n"))
 	}
@@ -162,8 +161,11 @@ func TestMalformedRequestsGetErrorFrames(t *testing.T) {
 			t.Errorf("request %q answered %s (%v)", bad[i], line, err)
 		}
 	}
-	if res := laneResults(t, lines[len(bad):]); res[0].Steps != 1 {
+	if res := frameResults(t, lines[len(bad):]); res[0].Steps != 1 {
 		t.Errorf("the good request after the bad ones ran %d steps", res[0].Steps)
+	}
+	if err := decodeRequest([]byte(`{"seedXors":[1,2]}`), &Request{}); err == nil || err.Error() != `unknown field "seedXors"` {
+		t.Errorf("a seedXors key gets %v, want the unknown-field error", err)
 	}
 }
 
@@ -214,7 +216,8 @@ func TestDetailsMatchEngineFormat(t *testing.T) {
 }
 
 // TestParseArgs: the forms the harness and the benchmark pass are read
-// as the flag package read them; anything else is an error.
+// as the flag package read them; anything else is an error, and so is a
+// negative step count.
 func TestParseArgs(t *testing.T) {
 	for _, c := range []struct {
 		args  []string
@@ -225,7 +228,7 @@ func TestParseArgs(t *testing.T) {
 		{[]string{"-serve"}, 100, true},
 		{[]string{"-steps=3000"}, 3000, false},
 		{[]string{"-steps", "7"}, 7, false},
-		{[]string{"-steps", "-4", "-serve"}, -4, true},
+		{[]string{"-steps", "0", "-serve"}, 0, true},
 		{[]string{"-serve", "-steps=0"}, 0, true},
 	} {
 		steps, serve, err := parseArgs(c.args, 100)
@@ -235,6 +238,7 @@ func TestParseArgs(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-bogus"}, {"serve"}, {"-steps"}, {"-steps="}, {"-steps=x"}, {"-steps", "1.5"}, {"-stepsx=1"}, {"-serve=true"},
+		{"-steps=-5"}, {"-steps", "-4", "-serve"},
 	} {
 		if _, _, err := parseArgs(args, 100); err == nil {
 			t.Errorf("parseArgs(%q) accepted", args)
@@ -244,10 +248,11 @@ func TestParseArgs(t *testing.T) {
 
 // TestMainExitCodes runs Main in a child process, a link of the test
 // binary beside its own params file: -steps=N prints the bare result
-// document, the run parameters' step count is the default, and an
-// unknown argument, a missing params file or run parameters that do not
-// fit the program exit with status 2 and a message on stderr that names
-// the file.
+// document, -steps 0 is a 0-step run, the run parameters' step count is
+// the default, a negative -steps exits with status 2 and a message, and
+// an unknown argument, a missing params file or run parameters that do
+// not fit the program exit with status 2 and a message on stderr that
+// names the file.
 func TestMainExitCodes(t *testing.T) {
 	if args, ok := os.LookupEnv("SIMRT_TEST_MAIN_ARGS"); ok {
 		os.Args = append([]string{"prog"}, strings.Fields(args)...)
@@ -294,6 +299,14 @@ func TestMainExitCodes(t *testing.T) {
 	}
 	if out, _, code := run(params("steps=7"), ""); code != 0 || !strings.Contains(out, `"steps":7,`) {
 		t.Errorf("default steps from the run parameters: exit %d, stdout %q", code, out)
+	}
+	if out, _, code := run(params("steps=7"), "-steps 0"); code != 0 || !strings.Contains(out, `"steps":0,`) {
+		t.Errorf("-steps 0: exit %d, stdout %q", code, out)
+	}
+	for _, args := range []string{"-steps=-5", "-steps -5"} {
+		if out, errOut, code := run(params("steps=1"), args); code != 2 || out != "" || !strings.Contains(errOut, "negative run bound: -steps -5") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q", args, code, out, errOut)
+		}
 	}
 	if _, errOut, code := run(params("steps=1"), "-bogus"); code != 2 || !strings.Contains(errOut, `unknown argument "-bogus"`) {
 		t.Errorf("-bogus: exit %d, stderr %q", code, errOut)

@@ -1,8 +1,9 @@
 // Package simrt is the model-independent runtime every AccMoS-generated
 // program links: the -steps/-serve entry point, the NDJSON serve loop
-// and its request decoding, the step loop that drives the model's lanes,
-// the response frames and the heartbeats that precede them on stdout, the
-// result document encoder and the signal monitor's sample recorder.
+// and its request decoding, the step loop that drives one run per
+// request, the response frames and the heartbeats that precede them on
+// stdout, the result document encoder and the signal monitor's sample
+// recorder.
 //
 // The harness compiles this package once per process into an archive
 // and links every generated program against it, so a build compiles only
@@ -36,17 +37,17 @@ import (
 // Request is one run request: a single NDJSON line on a serve-mode
 // program's stdin. The harness encodes it with encoding/json, and the
 // serve loop decodes it with decodeRequest.
-// It runs one lane per seed in SeedXors, each a full run from a fresh
-// reset; a single run is a one-lane request. Steps and BudgetMS each
-// bound every lane when positive; with both set, whichever is reached
-// first wins, and with neither the program's -steps default applies.
-// HeartbeatMS <= 0 disables heartbeats.
+// It carries one run: a fresh reset with SeedXor perturbing the uniform
+// sources' seeds, then steps. Steps and BudgetMS each bound the run when
+// positive; with both set, whichever is reached first wins, and with
+// neither the program's -steps default applies. HeartbeatMS <= 0
+// disables heartbeats.
 type Request struct {
-	ID          string   `json:"id"`
-	Steps       int64    `json:"steps"`
-	BudgetMS    int64    `json:"budgetMs"`
-	SeedXors    []uint64 `json:"seedXors"`
-	HeartbeatMS int64    `json:"heartbeatMs"`
+	ID          string `json:"id"`
+	Steps       int64  `json:"steps"`
+	BudgetMS    int64  `json:"budgetMs"`
+	SeedXor     uint64 `json:"seedXor"`
+	HeartbeatMS int64  `json:"heartbeatMs"`
 	// Corr is the run's correlation ID, carried for log joinability; the
 	// program ignores it.
 	Corr string `json:"corr,omitempty"`
@@ -107,8 +108,8 @@ type Program struct {
 	MonSamples            [][]MonitorSample
 	MonNames              []string
 	MaxMonitorSamples     int
-	// Coverage is nil when coverage is off. The runtime clears it once
-	// per request, before the first Reset.
+	// Coverage is nil when coverage is off. The runtime clears it at the
+	// start of every request, before Reset.
 	Coverage *Coverage
 	// Uniform views the parameters of the program's uniform stimulus
 	// sources, in inport order; Main fills it from the run parameters.
@@ -121,7 +122,7 @@ type Program struct {
 	// model state and returns the step after the last one it ran: to, or
 	// earlier when a stop-on diagnosis fires. A stop holds until the next
 	// Reset: Run then returns from at once, so a stop on the last step of
-	// a chunk ends the lane at the next call. The runtime calls it once
+	// a chunk ends the run at the next call. The runtime calls it once
 	// per chunk of at most chunkSteps steps, always with from < to: a
 	// generated program sets its always-run actors' coverage bits at the
 	// top of every call that runs a step.
@@ -129,14 +130,14 @@ type Program struct {
 }
 
 // chunkSteps is the most steps one Run call executes. Between chunks the
-// runtime reads the lane's budget and the request's heartbeat clock, so
-// a chunk is the granularity of both.
+// runtime reads the run's budget and heartbeat clock, so a chunk is the
+// granularity of both.
 const chunkSteps = 1024
 
 // Main is the program's entry point. It reads the run parameters, the
 // -steps default and the uniform sources' parameters (see readParams),
 // from the params file beside the executable (ParamsSuffix). With -serve
-// it answers requests on stdin until EOF; otherwise it runs one lane for
+// it answers requests on stdin until EOF; otherwise it runs seed 0 for
 // -steps steps and prints its bare result document. A program whose
 // params file is missing or does not fit it exits with status 2, naming
 // the file, before running anything, as does a bad argument.
@@ -158,8 +159,7 @@ func (p *Program) Main() {
 		}
 		return
 	}
-	lanes := p.run(&Request{Steps: steps, SeedXors: []uint64{0}}, steps, nil) // no heartbeats
-	os.Stdout.Write(append(lanes[0], '\n'))
+	os.Stdout.Write(append(p.run(&Request{Steps: steps}, steps, nil), '\n')) // no heartbeats
 }
 
 // loadParams reads the params file beside the executable into p.Uniform
@@ -182,7 +182,7 @@ func (p *Program) loadParams() (int64, error) {
 }
 
 // parseArgs reads the program's arguments: -steps N or -steps=N, the
-// step count (steps by default), and -serve.
+// step count (steps by default), which may not be negative, and -serve.
 func parseArgs(args []string, steps int64) (int64, bool, error) {
 	serve := false
 	for i := 0; i < len(args); i++ {
@@ -203,6 +203,9 @@ func parseArgs(args []string, steps int64) (int64, bool, error) {
 		if err != nil {
 			return 0, false, inputError("-steps wants an integer, got " + strconv.Quote(arg[7:]))
 		}
+		if n < 0 {
+			return 0, false, inputError("negative run bound: -steps " + arg[7:])
+		}
 		steps = n
 	}
 	return steps, serve, nil
@@ -211,10 +214,10 @@ func parseArgs(args []string, steps int64) (int64, bool, error) {
 // serve is the -serve mode, the host's only way to run the program: read
 // NDJSON requests from in, run each against freshly reset model state,
 // and answer each on out with one frame, flushed at once: a header line
-// naming the request id and lane count (or an error), then one result
-// line per lane. The request's heartbeats go to out too, each flushed as
-// it is written and tagged with the request id, so they reach the host
-// in order, ahead of the frame. Stderr carries only diagnostics. It
+// naming the request id (or an error), then, unless it is an error, the
+// run's result line. The request's heartbeats go to out too, each
+// flushed as it is written and tagged with the request id, so they reach
+// the host in order, ahead of the frame. Stderr carries only diagnostics. It
 // returns at EOF, or with the error that ended reading.
 func (p *Program) serve(in io.Reader, out io.Writer, defSteps int64) error {
 	sc := bufio.NewScanner(in)
@@ -230,25 +233,18 @@ func (p *Program) serve(in io.Reader, out io.Writer, defSteps int64) error {
 			writeFrame(w, req.ID, nil, "decoding request: "+err.Error())
 			continue
 		}
-		if len(req.SeedXors) == 0 {
-			writeFrame(w, req.ID, nil, "request carries no seedXors")
-			continue
-		}
 		writeFrame(w, req.ID, p.run(&req, defSteps, w), "")
 	}
 	return sc.Err()
 }
 
-// run executes a request: one lane per seed, in order, each from a fresh
-// reset and stepped to the request's bounds, returning one result
-// document per lane. A lane's execNanos is its own loop time. Coverage is
-// cleared once, so when the request ends the bitmaps hold the OR-merge
-// of every lane (instrumentation writes are idempotent 1-sets); the last
-// lane's document carries them. The request heartbeats on one clock:
-// steps summed over its lanes, elapsed time from its start, records no
-// faster than its interval, and one final record after the last lane,
-// each written to hb (unused when the request's heartbeats are off).
-func (p *Program) run(req *Request, defSteps int64, hb *bufio.Writer) [][]byte {
+// run executes a request: it clears coverage, resets the model for the
+// request's seed, steps it to the request's bounds and returns its result
+// document, whose execNanos is the loop time. Its heartbeats count the
+// run's steps on the loop's clock, no faster than the request's interval,
+// with one final record after the last step, each written to hb (unused
+// when the request's heartbeats are off).
+func (p *Program) run(req *Request, defSteps int64, hb *bufio.Writer) []byte {
 	steps, budget := req.Steps, time.Duration(req.BudgetMS)*time.Millisecond
 	if steps <= 0 {
 		steps = defSteps
@@ -257,36 +253,29 @@ func (p *Program) run(req *Request, defSteps int64, hb *bufio.Writer) [][]byte {
 		}
 	}
 	every := time.Duration(req.HeartbeatMS) * time.Millisecond
+	p.clearCoverage()
+	p.Reset(req.SeedXor)
 	start := time.Now()
 	next := start.Add(every)
-	var done int64 // steps executed by the finished lanes
-	p.clearCoverage()
-	lanes := make([][]byte, len(req.SeedXors))
-	for i, seed := range req.SeedXors {
-		p.Reset(seed)
-		laneStart := time.Now()
-		step := int64(0)
-		for step < steps && (budget <= 0 || time.Since(laneStart) < budget) {
-			to := step + min(chunkSteps, steps-step)
-			step = p.Run(step, to)
-			if every > 0 {
-				if now := time.Now(); !now.Before(next) {
-					next = now.Add(every)
-					p.heartbeat(hb, req.ID, done+step, now.Sub(start), false)
-				}
-			}
-			if step < to {
-				break // a stop-on diagnosis fired
+	step := int64(0)
+	for step < steps && (budget <= 0 || time.Since(start) < budget) {
+		to := step + min(chunkSteps, steps-step)
+		step = p.Run(step, to)
+		if every > 0 {
+			if now := time.Now(); !now.Before(next) {
+				next = now.Add(every)
+				p.heartbeat(hb, req.ID, step, now.Sub(start), false)
 			}
 		}
-		elapsed := time.Since(laneStart)
-		done += step
-		lanes[i] = p.Result(step, elapsed.Nanoseconds(), i == len(lanes)-1)
+		if step < to {
+			break // a stop-on diagnosis fired
+		}
 	}
+	elapsed := time.Since(start)
 	if every > 0 {
-		p.heartbeat(hb, req.ID, done, time.Since(start), true)
+		p.heartbeat(hb, req.ID, step, elapsed, true)
 	}
-	return lanes
+	return p.Result(step, elapsed.Nanoseconds())
 }
 
 // clearCoverage zeroes the coverage bitmaps.

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"accmos/internal/coverage"
 	"accmos/internal/diagnose"
 	"accmos/internal/obs"
 	"accmos/internal/simresult"
@@ -106,15 +105,16 @@ func testProgram() *Program {
 	return p
 }
 
-// TestFramesDecodeWithSimresult: the frames the serve loop writes for a
-// one-lane request, a two-lane request and a bad request are what the
-// harness decodes: a header through encoding/json, then each lane's
-// result document through simresult.Decode, field for field.
+// TestFramesDecodeWithSimresult: the frames the serve loop writes for
+// two requests and a bad one are what the harness decodes: a header
+// through encoding/json, then the run's result document through
+// simresult.Decode, field for field. A header names only the request
+// (and the error of one that did not run).
 func TestFramesDecodeWithSimresult(t *testing.T) {
 	p := testProgram()
 	in := strings.Join([]string{
-		`{"id":"r1","steps":42,"seedXors":[5],"corr":"j-1"}`,
-		`{"id":"r2","steps":8,"seedXors":[1,2]}`,
+		`{"id":"r1","steps":42,"seedXor":5,"corr":"j-1"}`,
+		`{"id":"r2","steps":8,"seedXor":2}`,
 		`{"id":"r3","steps":"many"}`,
 	}, "\n") + "\n"
 	var out bytes.Buffer
@@ -122,17 +122,13 @@ func TestFramesDecodeWithSimresult(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("serve wrote %d lines, want (1+1) + (1+2) + 1:\n%s", len(lines), out.String())
+	if len(lines) != 5 {
+		t.Fatalf("serve wrote %d lines, want (1+1) + (1+1) + 1:\n%s", len(lines), out.String())
 	}
-	var frame struct {
-		Marker    int    `json:"accmosRun"`
-		ID        string `json:"id"`
-		Error     string `json:"error"`
-		LaneCount int    `json:"laneCount"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &frame); err != nil || frame.Marker != 1 || frame.ID != "r1" || frame.LaneCount != 1 {
-		t.Fatalf("one-lane header %s: %+v %v", lines[0], frame, err)
+	for i, want := range map[int]string{0: `{"accmosRun":1,"id":"r1"}`, 2: `{"accmosRun":1,"id":"r2"}`} {
+		if lines[i] != want {
+			t.Errorf("header %s, want %s", lines[i], want)
+		}
 	}
 	var res simresult.Results
 	if err := simresult.Decode([]byte(lines[1]), &res); err != nil {
@@ -162,20 +158,18 @@ func TestFramesDecodeWithSimresult(t *testing.T) {
 		t.Errorf("decoded result\n got  %+v\n want %+v", res, want)
 	}
 
-	frame.LaneCount = 0
-	if err := json.Unmarshal([]byte(lines[2]), &frame); err != nil || frame.ID != "r2" || frame.LaneCount != 2 {
-		t.Fatalf("two-lane header %s: %+v %v", lines[2], frame, err)
-	}
-	for i, lane := range lines[3:5] {
-		var r simresult.Results
-		if err := simresult.Decode([]byte(lane), &r); err != nil || r.Steps != 8 || (r.Coverage != nil) != (i == 1) {
-			t.Errorf("lane %d %s: steps %d, coverage %v, %v", i, lane, r.Steps, r.Coverage, err)
-		}
+	var r simresult.Results
+	if err := simresult.Decode([]byte(lines[3]), &r); err != nil || r.Steps != 8 || r.Coverage == nil {
+		t.Errorf("second result %s: steps %d, coverage %v, %v", lines[3], r.Steps, r.Coverage, err)
 	}
 
-	frame.Error, frame.LaneCount = "", 0
-	if err := json.Unmarshal([]byte(lines[5]), &frame); err != nil || !strings.Contains(frame.Error, "decoding request") || frame.LaneCount != 0 {
-		t.Errorf("bad request frame %s: %+v, %v", lines[5], frame, err)
+	var frame struct {
+		Marker    int `json:"accmosRun"`
+		ID, Error string
+	}
+	if err := json.Unmarshal([]byte(lines[4]), &frame); err != nil || frame.Marker != 1 || frame.ID != "r3" ||
+		!strings.Contains(frame.Error, "decoding request") {
+		t.Errorf("bad request frame %s: %+v, %v", lines[4], frame, err)
 	}
 }
 
@@ -250,7 +244,7 @@ func TestServeReportsReadError(t *testing.T) {
 // laneProgram is a Program whose hooks stand in for a generated model
 // and log every call. Reset sets the premark bit Actor[0], as modelInit
 // does for bits the optimizer proved statically. Run marks Actor[seed],
-// sleeps delay, and stops the lane of a seed listed in stopAt after that
+// sleeps delay, and stops the run of a seed listed in stopAt after that
 // many steps, the way a stop-on diagnosis ends modelRun early. As in a
 // generated program, the stop holds until the next Reset.
 type laneProgram struct {
@@ -278,7 +272,7 @@ func newLaneProgram() *laneProgram {
 	}
 	lp.Run = func(from, to int64) int64 {
 		if len(lp.log) > 1000 {
-			panic("the runtime keeps calling Run: a lane never ends")
+			panic("the runtime keeps calling Run: a run never ends")
 		}
 		if from >= to {
 			// Generated programs mark their always-run actors on every
@@ -311,62 +305,51 @@ func serveLines(t *testing.T, p *Program, reqs ...string) []string {
 	return strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 }
 
-// laneResults decodes the lanes of the one response frame in lines,
-// checking its header.
-func laneResults(t *testing.T, lines []string) []simresult.Results {
+// frameResults decodes the response frames in lines, one per request:
+// each a header without an error, then its result line.
+func frameResults(t *testing.T, lines []string) []simresult.Results {
 	t.Helper()
-	var h struct{ LaneCount int }
-	if err := json.Unmarshal([]byte(lines[0]), &h); err != nil || h.LaneCount != len(lines)-1 {
-		t.Fatalf("header %s announces %d lanes, %d follow (%v)", lines[0], h.LaneCount, len(lines)-1, err)
+	if len(lines)%2 != 0 {
+		t.Fatalf("%d lines are not whole frames:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
-	out := make([]simresult.Results, len(lines)-1)
-	for i, lane := range lines[1:] {
-		if err := simresult.Decode([]byte(lane), &out[i]); err != nil {
-			t.Fatalf("lane %d %s: %v", i, lane, err)
+	out := make([]simresult.Results, len(lines)/2)
+	for i := range out {
+		var h struct {
+			Marker int `json:"accmosRun"`
+			Error  string
+		}
+		if err := json.Unmarshal([]byte(lines[2*i]), &h); err != nil || h.Marker != 1 || h.Error != "" {
+			t.Fatalf("header %s: %+v %v", lines[2*i], h, err)
+		}
+		if err := simresult.Decode([]byte(lines[2*i+1]), &out[i]); err != nil {
+			t.Fatalf("result %d %s: %v", i, lines[2*i+1], err)
 		}
 	}
 	return out
 }
 
-// TestBatchResetsEachLaneInSeedOrder: a request runs its lanes back to
-// back, each from its own reset, in the request's seed order, and
-// answers with the lanes in that order.
-func TestBatchResetsEachLaneInSeedOrder(t *testing.T) {
-	lp := newLaneProgram()
-	lp.stopAt = map[uint64]int64{1: 10, 2: 20}
-	lanes := laneResults(t, serveLines(t, lp.Program, `{"id":"b","steps":25,"seedXors":[3,1,2]}`))
-	want := []string{"reset 3", "run 3 [0,25)", "reset 1", "run 1 [0,25)", "reset 2", "run 2 [0,25)"}
-	if !reflect.DeepEqual(lp.log, want) {
-		t.Errorf("hook calls %v, want %v", lp.log, want)
-	}
-	for i, steps := range []int64{25, 10, 20} {
-		if lanes[i].Steps != steps {
-			t.Errorf("lane %d ran %d steps, want %d", i, lanes[i].Steps, steps)
-		}
-	}
-}
-
-// TestRunChunkBoundaries: the runtime steps a lane through the Run hook
-// in chunks of 1024 steps, the last one cut at the step bound.
+// TestRunChunkBoundaries: the runtime steps a run through the Run hook
+// in chunks of 1024 steps, the last one cut at the step bound. A request
+// without seedXor runs seed 0.
 func TestRunChunkBoundaries(t *testing.T) {
 	lp := newLaneProgram()
-	lanes := laneResults(t, serveLines(t, lp.Program, `{"id":"c","steps":2500,"seedXors":[1]}`))
-	want := []string{"reset 1", "run 1 [0,1024)", "run 1 [1024,2048)", "run 1 [2048,2500)"}
+	res := frameResults(t, serveLines(t, lp.Program, `{"id":"c","steps":2500,"seedXor":1}`, `{"id":"z","steps":5}`))
+	want := []string{"reset 1", "run 1 [0,1024)", "run 1 [1024,2048)", "run 1 [2048,2500)", "reset 0", "run 0 [0,5)"}
 	if !reflect.DeepEqual(lp.log, want) {
 		t.Errorf("hook calls %v, want %v", lp.log, want)
 	}
-	if lanes[0].Steps != 2500 {
-		t.Errorf("lane ran %d steps, want 2500", lanes[0].Steps)
+	if res[0].Steps != 2500 || res[1].Steps != 5 {
+		t.Errorf("runs took %d and %d steps, want 2500 and 5", res[0].Steps, res[1].Steps)
 	}
 }
 
 // TestStopMidChunkEndsLane: when Run returns before the end of its chunk
-// (a stop-on diagnosis fired) the lane ends at the step it returned, and
-// the next lane runs in full.
+// (a stop-on diagnosis fired) the run ends at the step it returned, and
+// the next request runs in full.
 func TestStopMidChunkEndsLane(t *testing.T) {
 	lp := newLaneProgram()
 	lp.stopAt = map[uint64]int64{1: 1500}
-	lanes := laneResults(t, serveLines(t, lp.Program, `{"id":"s","steps":2500,"seedXors":[1,2]}`))
+	res := frameResults(t, serveLines(t, lp.Program, `{"id":"s1","steps":2500,"seedXor":1}`, `{"id":"s2","steps":2500,"seedXor":2}`))
 	want := []string{
 		"reset 1", "run 1 [0,1024)", "run 1 [1024,2048)",
 		"reset 2", "run 2 [0,1024)", "run 2 [1024,2048)", "run 2 [2048,2500)",
@@ -374,18 +357,18 @@ func TestStopMidChunkEndsLane(t *testing.T) {
 	if !reflect.DeepEqual(lp.log, want) {
 		t.Errorf("hook calls %v, want %v", lp.log, want)
 	}
-	if lanes[0].Steps != 1500 || lanes[1].Steps != 2500 {
-		t.Errorf("lanes ran %d and %d steps, want 1500 and 2500", lanes[0].Steps, lanes[1].Steps)
+	if res[0].Steps != 1500 || res[1].Steps != 2500 {
+		t.Errorf("runs took %d and %d steps, want 1500 and 2500", res[0].Steps, res[1].Steps)
 	}
 }
 
 // TestStopOnChunkEndEndsLane: a stop on the last step of a chunk leaves
 // Run returning the chunk's end, so the runtime calls it once more; that
-// call runs nothing and ends the lane at the stop.
+// call runs nothing and ends the run at the stop.
 func TestStopOnChunkEndEndsLane(t *testing.T) {
 	lp := newLaneProgram()
 	lp.stopAt = map[uint64]int64{1: 1024}
-	lanes := laneResults(t, serveLines(t, lp.Program, `{"id":"e","steps":2500,"seedXors":[1,2]}`))
+	res := frameResults(t, serveLines(t, lp.Program, `{"id":"e1","steps":2500,"seedXor":1}`, `{"id":"e2","steps":2500,"seedXor":2}`))
 	want := []string{
 		"reset 1", "run 1 [0,1024)", "run 1 [1024,2048)",
 		"reset 2", "run 2 [0,1024)", "run 2 [1024,2048)", "run 2 [2048,2500)",
@@ -393,109 +376,80 @@ func TestStopOnChunkEndEndsLane(t *testing.T) {
 	if !reflect.DeepEqual(lp.log, want) {
 		t.Errorf("hook calls %v, want %v", lp.log, want)
 	}
-	if lanes[0].Steps != 1024 || lanes[1].Steps != 2500 {
-		t.Errorf("lanes ran %d and %d steps, want 1024 and 2500", lanes[0].Steps, lanes[1].Steps)
+	if res[0].Steps != 1024 || res[1].Steps != 2500 {
+		t.Errorf("runs took %d and %d steps, want 1024 and 2500", res[0].Steps, res[1].Steps)
 	}
 }
 
-// TestBudgetLanesInOneRequest: a budget bounds every lane of a multi-lane
-// request on the lane's own clock, read before each chunk. Budget-only
-// lanes end on a chunk boundary after at least one chunk; with a step
-// bound too, whichever is reached first ends the lane.
-func TestBudgetLanesInOneRequest(t *testing.T) {
+// TestRunBudget: a budget bounds a run on its own clock, read before
+// each chunk. A budget-only run ends on a chunk boundary after at least
+// one chunk; with a step bound too, whichever is reached first ends it.
+func TestRunBudget(t *testing.T) {
 	const delay = 2 * time.Millisecond
 	// A chunk takes at least delay, so a 10 ms budget admits at most 5.
 	for _, c := range []struct {
-		req       string
-		exact     int64 // 0: ended by the budget
-		wantCalls int
+		req   string
+		exact int64 // 0: ended by the budget
 	}{
-		{`{"id":"b","budgetMs":10,"seedXors":[1,2,3]}`, 0, 0},
-		{`{"id":"sb","steps":1000000000,"budgetMs":10,"seedXors":[1,2,3]}`, 0, 0},
-		{`{"id":"s","steps":3000,"budgetMs":5000,"seedXors":[1,2,3]}`, 3000, 3 * (1 + 3)},
+		{`{"id":"b","budgetMs":10,"seedXor":1}`, 0},
+		{`{"id":"sb","steps":1000000000,"budgetMs":10,"seedXor":2}`, 0},
+		{`{"id":"s","steps":3000,"budgetMs":5000,"seedXor":3}`, 3000},
 	} {
 		lp := newLaneProgram()
 		lp.delay = delay
-		lanes := laneResults(t, serveLines(t, lp.Program, c.req))
-		for i, r := range lanes {
-			switch {
-			case c.exact > 0 && r.Steps != c.exact:
-				t.Errorf("%s: lane %d ran %d steps, want the step bound %d", c.req, i, r.Steps, c.exact)
-			case c.exact == 0 && (r.Steps < 1024 || r.Steps > 5*1024 || r.Steps%1024 != 0):
-				t.Errorf("%s: lane %d ran %d steps, want 1 to 5 whole chunks", c.req, i, r.Steps)
-			}
-		}
-		if c.wantCalls > 0 && len(lp.log) != c.wantCalls {
-			t.Errorf("%s: hook calls %v", c.req, lp.log)
+		r := frameResults(t, serveLines(t, lp.Program, c.req))[0]
+		switch {
+		case c.exact > 0 && (r.Steps != c.exact || len(lp.log) != 1+3):
+			t.Errorf("%s: ran %d steps in %v, want the step bound %d in 3 chunks", c.req, r.Steps, lp.log, c.exact)
+		case c.exact == 0 && (r.Steps < 1024 || r.Steps > 5*1024 || r.Steps%1024 != 0):
+			t.Errorf("%s: ran %d steps, want 1 to 5 whole chunks", c.req, r.Steps)
 		}
 	}
 }
 
-// TestEmptySeedXorsErrorFrame: a request without seeds runs nothing and
-// answers with an error frame and no lanes.
-func TestEmptySeedXorsErrorFrame(t *testing.T) {
+// TestBackToBackRequestsMatchFreshProgram: requests served one after
+// another on one Program, with different seeds and a stop among them,
+// each answer what a fresh Program answers for that request alone,
+// coverage included. The runtime clears coverage at the start of every
+// request, before Reset, so the premark bits Reset sets survive and no
+// earlier run's bits leak into a later result.
+func TestBackToBackRequestsMatchFreshProgram(t *testing.T) {
+	reqs := []string{
+		`{"id":"a","steps":3000,"seedXor":3}`,
+		`{"id":"b","steps":3000,"seedXor":1}`,
+		`{"id":"c","steps":100,"seedXor":5}`,
+		`{"id":"d","steps":3000,"seedXor":3}`,
+		`{"id":"e","steps":100,"seedXor":2}`,
+	}
+	stopAt := map[uint64]int64{1: 1500}
 	lp := newLaneProgram()
-	lines := serveLines(t, lp.Program, `{"id":"e","steps":5}`, `{"id":"f","steps":5,"seedXors":[]}`)
-	if len(lines) != 2 || len(lp.log) != 0 {
-		t.Fatalf("serve wrote %q and called %v", lines, lp.log)
-	}
-	for i, id := range []string{"e", "f"} {
-		var h struct {
-			ID, Error string
-			LaneCount int
-		}
-		if err := json.Unmarshal([]byte(lines[i]), &h); err != nil || h.ID != id ||
-			!strings.Contains(h.Error, "no seedXors") || h.LaneCount != 0 {
-			t.Errorf("frame %s: %+v %v", lines[i], h, err)
+	lp.stopAt = stopAt
+	served := frameResults(t, serveLines(t, lp.Program, reqs...))
+	for i, req := range reqs {
+		fresh := newLaneProgram()
+		fresh.stopAt = stopAt
+		want := frameResults(t, serveLines(t, fresh.Program, req))[0]
+		got := served[i]
+		got.ExecNanos, want.ExecNanos = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("request %s after %d others: %+v, a fresh program answers %+v", req, i, got, want)
 		}
 	}
-}
-
-// TestCoverageClearedOncePerRequest: the runtime clears coverage once per
-// request, before the first reset. Only the last lane of a request
-// carries coverage, and it holds every lane's bits; a one-lane request
-// served after it carries only its own, and the premark bits Reset sets
-// survive the clear.
-func TestCoverageClearedOncePerRequest(t *testing.T) {
-	lp := newLaneProgram()
-	lines := serveLines(t, lp.Program,
-		`{"id":"b1","steps":100,"seedXors":[3,1]}`,
-		`{"id":"s","steps":100,"seedXors":[5]}`,
-		`{"id":"b2","steps":100,"seedXors":[2]}`,
-	)
-	if len(lines) != 3+2+2 {
-		t.Fatalf("serve wrote %d lines:\n%s", len(lines), strings.Join(lines, "\n"))
-	}
-	b1, s, b2 := laneResults(t, lines[0:3]), laneResults(t, lines[3:5]), laneResults(t, lines[5:7])
-	if b1[0].Coverage != nil {
-		t.Errorf("lane 0 of 2 carries coverage %+v", b1[0].Coverage)
-	}
-	for _, c := range []struct {
-		name string
-		cov  *coverage.Raw
-		want []byte
-	}{
-		{"request [3 1]", b1[1].Coverage, []byte{1, 1, 0, 1, 0, 0, 0, 0}},
-		{"request [5] after it", s[0].Coverage, []byte{1, 0, 0, 0, 0, 1, 0, 0}},
-		{"request [2] after that", b2[0].Coverage, []byte{1, 0, 1, 0, 0, 0, 0, 0}},
-	} {
-		if c.cov == nil || !bytes.Equal(c.cov.Actor, c.want) {
-			t.Errorf("%s: last lane's coverage %+v, want actor bits %v", c.name, c.cov, c.want)
-		}
+	if c := served[4].Coverage; c == nil || !bytes.Equal(c.Actor, []byte{1, 0, 1, 0, 0, 0, 0, 0}) {
+		t.Errorf("the last request's coverage %+v, want only the premark and its own seed's bit", c)
 	}
 }
 
 // TestBatchHeartbeatContract: a request heartbeats on one clock, on the
-// serve output ahead of its frame. Steps sum over lanes and never
-// decrease, elapsed time runs from the request's start, records come no
-// faster than the request's interval, and exactly one final record comes
-// last, carrying the sum of the lanes' steps.
+// serve output ahead of its frame. Steps never decrease, elapsed time
+// runs from the run's start, records come no faster than the request's
+// interval, and exactly one final record comes last, carrying the run's
+// steps, at or after its loop time.
 func TestBatchHeartbeatContract(t *testing.T) {
 	const hbMS = 2
 	lp := newLaneProgram()
 	lp.delay = time.Millisecond
-	lp.stopAt = map[uint64]int64{1: 2100}
-	lines := serveLines(t, lp.Program, `{"id":"hb","steps":5000,"seedXors":[3,1,2],"heartbeatMs":2}`)
+	lines := serveLines(t, lp.Program, `{"id":"hb","steps":12000,"seedXor":3,"heartbeatMs":2}`)
 	var beats []obs.Snapshot
 	for len(lines) > 0 {
 		s, ok := obs.ParseHeartbeat([]byte(lines[0]))
@@ -508,21 +462,17 @@ func TestBatchHeartbeatContract(t *testing.T) {
 		beats = append(beats, s)
 		lines = lines[1:]
 	}
-	lanes := laneResults(t, lines) // the frame follows its heartbeats, with nothing after
-	var laneNanos int64
-	for _, r := range lanes {
-		laneNanos += r.ExecNanos
-	}
+	res := frameResults(t, lines) // the frame follows its heartbeats, with nothing after
 	if len(beats) < 3 {
 		t.Fatalf("%d heartbeats; the contract is not exercised", len(beats))
 	}
 	last := beats[len(beats)-1]
-	if !last.Final || last.Steps != 5000+2100+5000 {
-		t.Errorf("last heartbeat %+v, want the final one with %d steps", last, 5000+2100+5000)
+	if !last.Final || last.Steps != 12000 {
+		t.Errorf("last heartbeat %+v, want the final one with 12000 steps", last)
 	}
-	if last.ElapsedNanos < laneNanos {
-		t.Errorf("final heartbeat at %v, before the lanes' summed loop time %v: not the request's clock",
-			time.Duration(last.ElapsedNanos), time.Duration(laneNanos))
+	if last.ElapsedNanos < res[0].ExecNanos {
+		t.Errorf("final heartbeat at %v, before the run's loop time %v",
+			time.Duration(last.ElapsedNanos), time.Duration(res[0].ExecNanos))
 	}
 	var prev obs.Snapshot
 	for i, s := range beats {
