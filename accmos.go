@@ -728,7 +728,7 @@ func newExecutor(ctx context.Context, m *Model, opts *Options, suites bool) (*ex
 		return nil, err
 	}
 	x.hash, x.layout, x.stats = prog.Hash(), prog.Layout, optStats(opts, or)
-	cache.Remember(digest, &harness.Front{Model: fp, Hash: x.hash, Layout: x.layout, Opt: x.stats})
+	cache.Remember(digest, &harness.Front{Hash: x.hash, Layout: x.layout, Opt: x.stats})
 	return x, nil
 }
 

@@ -324,7 +324,7 @@ func telemetrySummary(runID string, cache *accmos.BuildCache) string {
 	line := "accmos: run " + runID
 	if cache != nil {
 		cs := cache.Stats()
-		line += fmt.Sprintf("  cache %d hit / %d miss (%.0f%% hit rate)", cs.Hits, cs.Misses, cs.HitRate()*100)
+		line += fmt.Sprintf("  cache %d hit / %d miss (%.0f%% hit rate)", cs.Hits, cs.Misses, cs.HitRate*100)
 	}
 	return line
 }

@@ -9,13 +9,9 @@
 //
 // Scales default to laptop-size runs; raise -steps / -budget-scale to
 // approach the paper's setting (50 M steps, 5/15/60 s budgets).
-// -daemon URL runs Table 2 through a running accmosd instead; its rows
-// are printed only, so it cannot be combined with -metrics-json.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -45,12 +41,8 @@ func main() {
 		metricsJSON = flag.String("metrics-json", "", "write machine-readable benchmark rows (accmos-metrics/v1) to this file")
 		heartbeatMS = flag.Int64("heartbeat-ms", 25, "progress/heartbeat interval for -metrics-json timelines (0 disables)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
-		daemon      = flag.String("daemon", "", "drive table2 through a running accmosd at this base URL (e.g. http://localhost:7070) instead of in-process")
 	)
 	flag.Parse()
-	if *daemon != "" && *metricsJSON != "" {
-		fatal(errors.New("-daemon and -metrics-json cannot be combined: daemon-driven Table 2 rows are not recorded as metrics"))
-	}
 	if *pprofAddr != "" {
 		go func() {
 			fmt.Fprintln(os.Stderr, "experiments: pprof:", http.ListenAndServe(*pprofAddr, nil))
@@ -83,23 +75,14 @@ func main() {
 	ran := false
 	if want("table2") {
 		ran = true
-		if *daemon != "" {
-			rows, err := experiments.RemoteTable2(context.Background(), cfg, *daemon)
-			if err != nil {
-				fatal(err)
-			}
-			experiments.FormatRemoteTable2(os.Stdout, rows)
-			fmt.Println()
-		} else {
-			rows, err := experiments.Table2(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			experiments.FormatTable2(os.Stdout, rows)
-			fmt.Println()
-			if metrics != nil {
-				metrics.AddTable2(rows)
-			}
+		rows, err := experiments.Table2(cfg)
+		if err != nil {
+			fatal(err)
+		}
+		experiments.FormatTable2(os.Stdout, rows)
+		fmt.Println()
+		if metrics != nil {
+			metrics.AddTable2(rows)
 		}
 	}
 	if want("table3") {

@@ -35,7 +35,6 @@ func inputDigest(model [32]byte, oo *opt.Options, co *codegen.Options) [32]byte 
 	d.bool(co.Diagnose)
 	d.strs(co.Monitor)
 	d.checks(co.Custom)
-	d.int(int64(co.MaxDiagRecords))
 	d.int(int64(co.MaxMonitorSamples))
 	d.str(string(co.StopOnDiag))
 	d.str(co.StopOnActor)

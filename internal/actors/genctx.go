@@ -56,44 +56,50 @@ type GenCtx struct {
 
 	Prog ProgramSink
 
+	LineWriter
+	errs []error
+}
+
+// LineWriter accumulates indented lines of generated Go code, one tab
+// deeper than the function they go in.
+type LineWriter struct {
 	lines  []string
 	indent int
-	errs   []error
 }
 
 // L emits one indented line of Go code.
-func (gc *GenCtx) L(format string, args ...interface{}) {
-	gc.lines = append(gc.lines,
-		strings.Repeat("\t", gc.indent+1)+fmt.Sprintf(format, args...))
+func (w *LineWriter) L(format string, args ...interface{}) {
+	w.lines = append(w.lines,
+		strings.Repeat("\t", w.indent+1)+fmt.Sprintf(format, args...))
 }
 
 // Block emits "head {", runs fn one level deeper, then emits "}". A head
 // starting with "else" fuses with the preceding block's closing brace
 // ("} else ... {"), as Go's grammar requires.
-func (gc *GenCtx) Block(head string, fn func()) {
-	ind := strings.Repeat("\t", gc.indent+1)
-	if strings.HasPrefix(head, "else") && len(gc.lines) > 0 && gc.lines[len(gc.lines)-1] == ind+"}" {
-		gc.lines[len(gc.lines)-1] = ind + "} " + head + " {"
+func (w *LineWriter) Block(head string, fn func()) {
+	ind := strings.Repeat("\t", w.indent+1)
+	if strings.HasPrefix(head, "else") && len(w.lines) > 0 && w.lines[len(w.lines)-1] == ind+"}" {
+		w.lines[len(w.lines)-1] = ind + "} " + head + " {"
 	} else {
-		gc.L("%s {", head)
+		w.L("%s {", head)
 	}
-	gc.indent++
+	w.indent++
 	fn()
-	gc.indent--
-	gc.L("}")
+	w.indent--
+	w.L("}")
+}
+
+// Body returns the emitted code.
+func (w *LineWriter) Body() string {
+	if len(w.lines) == 0 {
+		return ""
+	}
+	return strings.Join(w.lines, "\n") + "\n"
 }
 
 // Errf records a generation error surfaced after Gen returns.
 func (gc *GenCtx) Errf(format string, args ...interface{}) {
 	gc.errs = append(gc.errs, fmt.Errorf(format, args...))
-}
-
-// Body returns the emitted code.
-func (gc *GenCtx) Body() string {
-	if len(gc.lines) == 0 {
-		return ""
-	}
-	return strings.Join(gc.lines, "\n") + "\n"
 }
 
 // Err returns the first recorded error.

@@ -89,10 +89,6 @@ func lookup1D(bp, table []float64, x float64) float64 {
 	return table[lo] + t*(table[lo+1]-table[lo])
 }
 
-// Lookup1DInterp is exported for tests that cross-check the generated
-// runtime helper against the interpreter's implementation.
-func Lookup1DInterp(bp, table []float64, x float64) float64 { return lookup1D(bp, table, x) }
-
 func f64SliceLiteral(vals []float64) string {
 	s := fmt.Sprintf("[%d]float64{", len(vals))
 	for i, v := range vals {

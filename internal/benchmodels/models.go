@@ -51,12 +51,6 @@ func Names() []string {
 // Description returns the Table 1 functionality string.
 func Description(name string) string { return descriptions[name] }
 
-// ProfileOf returns the published profile for a benchmark model.
-func ProfileOf(name string) (Profile, bool) {
-	p, ok := profiles[name]
-	return p, ok
-}
-
 // Build constructs the named benchmark model.
 func Build(name string) (*model.Model, error) {
 	p, ok := profiles[name]

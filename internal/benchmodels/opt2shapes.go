@@ -29,22 +29,6 @@ import (
 // Opt2Names returns the O2-sensitive shapes in suite order.
 func Opt2Names() []string { return []string{"OPTF", "OPTV", "OPTH", "OPTN"} }
 
-// opt2Description returns the one-line functionality string of an
-// O2-sensitive shape ("" for unknown names).
-func opt2Description(name string) string {
-	switch name {
-	case "OPTF":
-		return "Scalar single-consumer arithmetic chains (O2 expression fusion)"
-	case "OPTV":
-		return "Wide vector arithmetic chains (O2 loop fusion)"
-	case "OPTH":
-		return "Constant math chains beside a data store (O2 invariant hoisting)"
-	case "OPTN":
-		return "Bounded int32 vector lattice (O2 storage narrowing)"
-	}
-	return ""
-}
-
 // buildOpt2 constructs the named O2-sensitive shape (nil for unknown
 // names).
 func buildOpt2(name string) *model.Model {

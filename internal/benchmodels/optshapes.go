@@ -28,20 +28,6 @@ func OptNames() []string {
 	return append([]string{"OPTC", "OPTD", "OPTI"}, Opt2Names()...)
 }
 
-// OptDescription returns the one-line functionality string of an
-// optimizer benchmark shape.
-func OptDescription(name string) string {
-	switch name {
-	case "OPTC":
-		return "Constant subgraph feeding a live chain (constant folding)"
-	case "OPTD":
-		return "Duplicated parallel branches (CSE + dead-actor elimination)"
-	case "OPTI":
-		return "Unreachable island beside a live chain (dead-actor elimination)"
-	}
-	return opt2Description(name)
-}
-
 // BuildOpt constructs the named optimizer benchmark shape.
 func BuildOpt(name string) (*model.Model, error) {
 	switch name {

@@ -20,16 +20,9 @@ import (
 
 // diagWriter accumulates one diagnosis function body.
 type diagWriter struct {
-	lines []string
-	ind   int
+	actors.LineWriter
 	flags map[string]bool
 	tmpN  int
-}
-
-// L emits one indented line.
-func (d *diagWriter) L(format string, args ...interface{}) {
-	d.lines = append(d.lines,
-		strings.Repeat("\t", d.ind+1)+fmt.Sprintf(format, args...))
 }
 
 // Ls emits each statement on its own line.
@@ -37,29 +30,6 @@ func (d *diagWriter) Ls(stmts []string) {
 	for _, s := range stmts {
 		d.L("%s", s)
 	}
-}
-
-// block emits a braced block; "else"-heads fuse with the previous closing
-// brace per Go's grammar.
-func (d *diagWriter) block(head string, fn func()) {
-	ind := strings.Repeat("\t", d.ind+1)
-	if strings.HasPrefix(head, "else") && len(d.lines) > 0 && d.lines[len(d.lines)-1] == ind+"}" {
-		d.lines[len(d.lines)-1] = ind + "} " + head + " {"
-	} else {
-		d.L("%s {", head)
-	}
-	d.ind++
-	fn()
-	d.ind--
-	d.L("}")
-}
-
-// body renders the accumulated lines.
-func (d *diagWriter) body() string {
-	if len(d.lines) == 0 {
-		return ""
-	}
-	return strings.Join(d.lines, "\n") + "\n"
 }
 
 // flag returns the named flag variable, recording that it must be declared.
@@ -128,7 +98,7 @@ func (g *Generator) emitDiagnose(info *actors.Info, rules []diagnose.Kind, inExp
 			fmt.Fprintf(&g.diagFuncs, "\t%s := false\n", f)
 		}
 	}
-	g.diagFuncs.WriteString(d.body())
+	g.diagFuncs.WriteString(d.Body())
 	g.diagFuncs.WriteString(reports)
 	g.diagFuncs.WriteString("}\n")
 	return nil
@@ -217,7 +187,7 @@ func (d *diagWriter) forWidth(width int, fn func(ix string)) {
 		fn("")
 		return
 	}
-	d.block(fmt.Sprintf("for i := 0; i < %d; i++", width), func() { fn("[i]") })
+	d.Block(fmt.Sprintf("for i := 0; i < %d; i++", width), func() { fn("[i]") })
 }
 
 // diagBody dispatches recompute emission by actor type.

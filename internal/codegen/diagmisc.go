@@ -49,17 +49,17 @@ func (g *Generator) dtcChecks(d *diagWriter, info *actors.Info, has func(diagnos
 			if has(diagnose.OutOfRange) {
 				oor := d.flag("oor")
 				if to.IsSigned() {
-					d.block(fmt.Sprintf("if math.IsNaN(%s) || %s >= 9223372036854775807 || %s <= -9223372036854775808", f, f, f), func() {
+					d.Block(fmt.Sprintf("if math.IsNaN(%s) || %s >= 9223372036854775807 || %s <= -9223372036854775808", f, f, f), func() {
 						d.L("%s = true", oor)
 					})
-					d.block(fmt.Sprintf("else if int64(%s) != int64(%s)", out, f), func() {
+					d.Block(fmt.Sprintf("else if int64(%s) != int64(%s)", out, f), func() {
 						d.L("%s = true", oor)
 					})
 				} else {
-					d.block(fmt.Sprintf("if math.IsNaN(%s) || %s >= 18446744073709551615 || %s < 0", f, f, f), func() {
+					d.Block(fmt.Sprintf("if math.IsNaN(%s) || %s >= 18446744073709551615 || %s < 0", f, f, f), func() {
 						d.L("%s = true", oor)
 					})
-					d.block(fmt.Sprintf("else if uint64(%s) != uint64(%s)", out, f), func() {
+					d.Block(fmt.Sprintf("else if uint64(%s) != uint64(%s)", out, f), func() {
 						d.L("%s = true", oor)
 					})
 				}
@@ -104,7 +104,7 @@ func (g *Generator) miscChecks(d *diagWriter, info *actors.Info,
 			if width <= 1 {
 				fn("")
 			} else {
-				d.block(fmt.Sprintf("for i := 0; i < %d; i++", width), func() { fn("[i]") })
+				d.Block(fmt.Sprintf("for i := 0; i < %d; i++", width), func() { fn("[i]") })
 			}
 		}
 		wrap(func(ix string) {
@@ -141,7 +141,7 @@ func (g *Generator) miscChecks(d *diagWriter, info *actors.Info,
 			if width <= 1 {
 				fn("")
 			} else {
-				d.block(fmt.Sprintf("for i := 0; i < %d; i++", width), func() { fn("[i]") })
+				d.Block(fmt.Sprintf("for i := 0; i < %d; i++", width), func() { fn("[i]") })
 			}
 		}
 		wrap(func(ix string) {
@@ -175,13 +175,13 @@ func (g *Generator) miscChecks(d *diagWriter, info *actors.Info,
 		}
 		t := d.tmp("t")
 		d.L("%s := %s", t, castElem(0, ""))
-		d.block(fmt.Sprintf("if %s < %s", t, start.GoLiteral()), func() {
+		d.Block(fmt.Sprintf("if %s < %s", t, start.GoLiteral()), func() {
 			r := d.tmp("r")
 			d.L("var %s %s", r, k.GoType())
 			d.Ls(actors.CheckedSubStmts(k, r, t, start.GoLiteral(), d.flag("ovf")))
 			d.L("_ = %s", r)
 		})
-		d.block(fmt.Sprintf("else if %s > %s", t, end.GoLiteral()), func() {
+		d.Block(fmt.Sprintf("else if %s > %s", t, end.GoLiteral()), func() {
 			r := d.tmp("r")
 			d.L("var %s %s", r, k.GoType())
 			d.Ls(actors.CheckedSubStmts(k, r, t, end.GoLiteral(), d.flag("ovf")))

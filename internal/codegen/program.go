@@ -48,8 +48,6 @@ type Options struct {
 	// supported in generated code (a Go closure cannot be serialised);
 	// use RangeCheck or DeltaCheck.
 	Custom []diagnose.CustomCheck
-	// MaxDiagRecords bounds verbatim diagnostic records (default 64).
-	MaxDiagRecords int
 	// MaxMonitorSamples bounds per-actor monitor samples (default 16).
 	MaxMonitorSamples int
 	// StopOnDiag stops the simulation loop at the end of the step in
@@ -87,9 +85,6 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.MaxDiagRecords == 0 {
-		o.MaxDiagRecords = 64
-	}
 	if o.MaxMonitorSamples == 0 {
 		o.MaxMonitorSamples = 16
 	}

@@ -4,11 +4,12 @@ package codegen
 // own file: what modelExe calls or may inline. Deterministic conversions
 // (matching types.Convert), the FNV-1a output hash (matching
 // simresult.HashU64), scalar value formatting (matching
-// types.Value.String), 1-D table interpolation (matching
-// actors.Lookup1DInterp), the bounded diagnosis reporter and the shared
-// NaN/Inf checkers. Editing any of it can reshape the compiled step code
-// and flip a NaN payload in the output hash. Everything model-independent
-// beyond that lives in internal/simrt, compiled once per process.
+// types.Value.String), 1-D table interpolation (a copy of the
+// interpreter's actors.lookup1D), the bounded diagnosis reporter and the
+// shared NaN/Inf checkers. Editing any of it can reshape the compiled
+// step code and flip a NaN payload in the output hash. Everything
+// model-independent beyond that lives in internal/simrt, compiled once
+// per process.
 const runtimeSrc = `
 // b2i converts a bool to 0/1.
 func b2i(b bool) int64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/simrt"
 	"accmos/internal/testcase"
 	"accmos/internal/types"
@@ -50,7 +51,7 @@ func (g *Generator) synthesize() (string, error) {
 	sb.WriteString(")\n")
 
 	// Configuration constants.
-	fmt.Fprintf(&sb, "\nconst maxDiagRecords = %d\n", g.opts.MaxDiagRecords)
+	fmt.Fprintf(&sb, "\nconst maxDiagRecords = %d\n", diagnose.MaxRecords)
 	fmt.Fprintf(&sb, "const maxMonitorSamples = %d\n", g.opts.MaxMonitorSamples)
 	fmt.Fprintf(&sb, "const optLevel = %q\n", g.opts.Opt)
 

@@ -265,6 +265,10 @@ type Sink struct {
 	Total       int64
 }
 
+// MaxRecords is the number of verbatim records a run keeps, in the
+// interpreter's sink and in a generated program alike.
+const MaxRecords = 64
+
 // NewSink creates a sink keeping at most cap verbatim records.
 func NewSink(cap int) *Sink {
 	return &Sink{

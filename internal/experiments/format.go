@@ -31,21 +31,6 @@ func FormatTable2(w io.Writer, rows []Table2Row) {
 	}
 }
 
-// FormatRemoteTable2 prints the daemon-driven Table 2 variant: each
-// model submitted twice to a running accmosd, proving the second
-// request's latency excludes the compile.
-func FormatRemoteTable2(w io.Writer, rows []RemoteRow) {
-	fmt.Fprintln(w, "Table 2 (remote): cross-request compile amortization via accmosd")
-	fmt.Fprintf(w, "%-6s %10s %12s %12s | %10s %12s %12s %6s\n",
-		"Model", "steps", "cold", "cold cmpl", "warm", "warm cmpl", "amortized", "hit")
-	for _, r := range rows {
-		saved := r.Cold - r.Warm
-		fmt.Fprintf(w, "%-6s %10d %12s %12s | %10s %12s %12s %6v\n",
-			r.Model, r.Steps, fmtDur(r.Cold), fmtDur(r.ColdCompile),
-			fmtDur(r.Warm), fmtDur(r.WarmCompile), fmtDur(saved), r.WarmHit)
-	}
-}
-
 func stepsOf(rows []Table2Row) int64 {
 	if len(rows) == 0 {
 		return 0

@@ -49,19 +49,20 @@ import (
 // of the compile: the front-end memo (Recall/Remember) maps an input
 // digest to the program hash and what results need from the front end,
 // and the admission memo (Admit) maps a model document to a daemon's
-// admission verdict. Each is bounded by the same limit, and both drop
-// what hangs off a binary when the binary is evicted.
+// admission verdict. Each is its own LRU under the same limit, so a memo
+// entry outlives an evicted binary only until the LRU drops it; a
+// front-end record whose binary is gone is a Recall miss.
 type BuildCache struct {
 	mu        sync.Mutex
 	dir       string
-	owned     bool                      // dir was created (and may be deleted) by the cache
-	limit     int                       // max resident entries per index; 0 = unbounded
-	bins      memo[string, binary]      // program hash -> binary and params file
-	models    memo[string, modelBin]    // code hash -> model binary
-	front     memo[[32]byte, *Front]    // input digest -> front-end record
-	admit     memo[[32]byte, admission] // document digest -> admission verdict
-	evictions int64                     // binaries dropped by the limit
-	relinks   int64                     // binary misses served by a resident model binary
+	owned     bool                   // dir was created (and may be deleted) by the cache
+	limit     int                    // max resident entries per index; 0 = unbounded
+	bins      memo[string, binary]   // program hash -> binary and params file
+	models    memo[string, modelBin] // code hash -> model binary
+	front     memo[[32]byte, *Front] // input digest -> front-end record
+	admit     memo[[32]byte, any]    // document digest -> admission verdict
+	evictions int64                  // binaries dropped by the limit
+	relinks   int64                  // binary misses served by a resident model binary
 }
 
 // binary is one program's build: its binary, or the build error.
@@ -78,41 +79,27 @@ type modelBin struct {
 	err      error
 }
 
-// admission is one document's admission verdict, tied to the fingerprint
-// of the model it admitted (zero when the document was rejected).
-type admission struct {
-	verdict any
-	model   [32]byte
-}
-
 // CacheStats is a point-in-time snapshot of a cache's counters. Hits
 // count lookups served by an existing binary (including waiters that
 // blocked on another goroutine's in-flight build, and front-end memo
 // hits); Misses count calls that had to build a binary; Relinks count
 // the misses among them whose model binary was resident, so they neither
 // compiled nor linked; Evictions count binaries dropped by the LRU bound.
+// HitRate is Hits / (Hits + Misses), or 0 before any lookup.
 // FrontHits/FrontMisses count front-end memo lookups (Recall),
 // AdmitHits/AdmitMisses admission memo lookups (Admit).
 type CacheStats struct {
-	Entries     int   `json:"entries"`
-	Limit       int   `json:"limit"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Relinks     int64 `json:"relinks"`
-	Evictions   int64 `json:"evictions"`
-	FrontHits   int64 `json:"frontHits"`
-	FrontMisses int64 `json:"frontMisses"`
-	AdmitHits   int64 `json:"admitHits"`
-	AdmitMisses int64 `json:"admitMisses"`
-}
-
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
+	Entries     int     `json:"entries"`
+	Limit       int     `json:"limit"`
+	Hits        int64   `json:"hits"`
+	Misses      int64   `json:"misses"`
+	Relinks     int64   `json:"relinks"`
+	Evictions   int64   `json:"evictions"`
+	HitRate     float64 `json:"hitRate"`
+	FrontHits   int64   `json:"frontHits"`
+	FrontMisses int64   `json:"frontMisses"`
+	AdmitHits   int64   `json:"admitHits"`
+	AdmitMisses int64   `json:"admitMisses"`
 }
 
 // NewBuildCache creates a cache rooted at dir; with dir == "" a private
@@ -144,7 +131,7 @@ func (c *BuildCache) SetLimit(n int) {
 func (c *BuildCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	st := CacheStats{
 		Entries:     len(c.bins.entries),
 		Limit:       c.limit,
 		Hits:        c.bins.hits,
@@ -156,6 +143,10 @@ func (c *BuildCache) Stats() CacheStats {
 		AdmitHits:   c.admit.hits,
 		AdmitMisses: c.admit.misses,
 	}
+	if total := st.Hits + st.Misses; total > 0 {
+		st.HitRate = float64(st.Hits) / float64(total)
+	}
+	return st
 }
 
 // evictOverLimitLocked drops least-recently-used entries until the
@@ -181,34 +172,13 @@ func (c *BuildCache) evictOverLimitLocked() {
 			os.Remove(e.val.bin + simrt.ParamsSuffix)
 		}
 		c.evictions++
-		c.dropMemosLocked(e.key)
 	})
-}
-
-// dropMemosLocked forgets what hangs off the evicted binary key: the
-// front-end records that name it, and the admission verdicts for the
-// models those records were generated from. Caller holds c.mu.
-func (c *BuildCache) dropMemosLocked(key string) {
-	models := make(map[[32]byte]bool)
-	c.front.drop(func(e *memoEntry[[32]byte, *Front]) bool {
-		if e.val.Hash == key {
-			models[e.val.Model] = true
-			return true
-		}
-		return false
-	})
-	if len(models) > 0 {
-		c.admit.drop(func(e *memoEntry[[32]byte, admission]) bool { return models[e.val.model] })
-	}
 }
 
 // Front is what the front end produced for one input digest: enough for a
 // repeat of the same inputs to run the built program without parsing,
 // scheduling, optimizing, instrumenting or generating it again.
 type Front struct {
-	// Model is the structural fingerprint of the model the program was
-	// generated from; it ties the record to the model's admission verdict.
-	Model [32]byte
 	// Hash is the generated program's codegen.Program.Hash: the key of
 	// its binary in this cache.
 	Hash string
@@ -267,15 +237,12 @@ func (c *BuildCache) Recall(digest [32]byte) (fr *Front, bin string, compileTime
 // Admit returns the admission verdict memoised for a model document under
 // its SHA-256, calling admit on the first submission of the document.
 // Concurrent submissions of one document wait for a single admit call and
-// share its verdict, which callers must treat as read-only. admit also
-// returns the admitted model's structural fingerprint (zero when the
-// document was rejected), which ties the verdict to the binaries built
-// from the model: evicting one of them drops the verdict too.
-func (c *BuildCache) Admit(doc []byte, admit func() (verdict any, model [32]byte)) (verdict any, hit bool) {
+// share its verdict, which callers must treat as read-only.
+func (c *BuildCache) Admit(doc []byte, admit func() any) (verdict any, hit bool) {
 	e, found, _ := acquire(context.Background(), c, &c.admit, sha256.Sum256(doc))
 	defer e.unlock()
 	if !e.done {
-		e.val.verdict, e.val.model = admit()
+		e.val = admit()
 		e.done = true
 	}
 	c.mu.Lock()
@@ -285,7 +252,7 @@ func (c *BuildCache) Admit(doc []byte, admit func() (verdict any, model [32]byte
 		c.admit.misses++
 	}
 	c.mu.Unlock()
-	return e.val.verdict, found
+	return e.val, found
 }
 
 // Build is BuildContext under context.Background().
@@ -634,20 +601,5 @@ func (m *memo[K, V]) evictOver(limit int, evicted func(*memoEntry[K, V])) {
 			e.unlock()
 		}
 		elem = prev
-	}
-}
-
-// drop removes every filled entry for which match reports true.
-func (m *memo[K, V]) drop(match func(*memoEntry[K, V]) bool) {
-	for elem := m.order.Front(); elem != nil; {
-		next := elem.Next()
-		e := elem.Value.(*memoEntry[K, V])
-		if e.tryLock() {
-			if e.done && match(e) {
-				m.remove(e)
-			}
-			e.unlock()
-		}
-		elem = next
 	}
 }

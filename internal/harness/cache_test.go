@@ -403,7 +403,7 @@ func TestBuildCacheLRUEvictionAndStats(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 {
 		t.Errorf("counters: %+v, want hits 1 / misses 3 / evictions 1", st)
 	}
-	if got, want := st.HitRate(), 0.25; got != want {
+	if got, want := st.HitRate, 0.25; got != want {
 		t.Errorf("hit rate %v, want %v", got, want)
 	}
 	if _, err := os.Stat(bin2); !os.IsNotExist(err) {
@@ -468,7 +468,7 @@ func TestBuildCacheFrontMemo(t *testing.T) {
 		t.Fatal("recall of an unknown digest hit")
 	}
 	p := cacheProgram(t, 100)
-	fr := &harness.Front{Model: [32]byte{9}, Hash: p.Hash(), Layout: p.Layout, Opt: "stats"}
+	fr := &harness.Front{Hash: p.Hash(), Layout: p.Layout, Opt: "stats"}
 	// A record whose binary is not resident is not kept.
 	cache.Remember(digest, fr)
 	if _, _, _, ok := cache.Recall(digest); ok {
@@ -498,9 +498,9 @@ func TestBuildCacheAdmitMemo(t *testing.T) {
 	cache := harness.NewBuildCache(t.TempDir())
 	defer cache.Remove()
 	var calls int
-	admit := func() (any, [32]byte) {
+	admit := func() any {
 		calls++
-		return calls, [32]byte{}
+		return calls
 	}
 	v1, hit1 := cache.Admit([]byte("doc"), admit)
 	v2, hit2 := cache.Admit([]byte("doc"), admit)
@@ -526,11 +526,11 @@ func TestBuildCacheAdmitSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], _ = cache.Admit([]byte("doc"), func() (any, [32]byte) {
+			got[i], _ = cache.Admit([]byte("doc"), func() any {
 				mu.Lock()
 				defer mu.Unlock()
 				calls++
-				return new(int), [32]byte{}
+				return new(int)
 			})
 		}(i)
 	}
@@ -545,36 +545,51 @@ func TestBuildCacheAdmitSingleFlight(t *testing.T) {
 	}
 }
 
-// Both memos hold at most limit records, and evicting a binary drops the
-// front-end records naming it and the admission verdicts of their model.
+// Each memo is its own LRU under the cache's limit: evicting a binary
+// turns the front-end records naming it into Recall misses but leaves
+// the admission memo alone, and neither memo holds more than limit
+// records while their binaries are resident.
 func TestBuildCacheMemosEvictWithBinary(t *testing.T) {
 	cache := harness.NewBuildCache(t.TempDir())
 	defer cache.Remove()
-	cache.SetLimit(1)
-	model := [32]byte{7}
-	cache.Admit([]byte("doc"), func() (any, [32]byte) { return "ok", model })
-	p1 := cacheProgram(t, 100)
-	if _, _, _, err := cache.Build(p1, nil); err != nil {
-		t.Fatal(err)
+	cache.SetLimit(2)
+	admit := func() any { return "ok" }
+	cache.Admit([]byte("doc"), admit)
+	p1, p2 := cacheProgram(t, 100), cacheProgram(t, 200)
+	for _, p := range []*codegen.Program{p1, p2} {
+		if _, _, _, err := cache.Build(p, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cache.Remember([32]byte{1}, &harness.Front{Model: model, Hash: p1.Hash()})
-	if _, _, _, ok := cache.Recall([32]byte{1}); !ok {
+	cache.Remember([32]byte{1}, &harness.Front{Hash: p1.Hash()})
+	cache.Remember([32]byte{2}, &harness.Front{Hash: p2.Hash()})
+	cache.Remember([32]byte{3}, &harness.Front{Hash: p1.Hash()})
+	// The third record pushed the least recently used one out, though
+	// its binary is still resident.
+	if _, _, _, ok := cache.Recall([32]byte{1}); ok {
+		t.Error("front-end memo kept three records under a limit of two")
+	}
+	if _, _, _, ok := cache.Recall([32]byte{3}); !ok {
 		t.Fatal("remembered record missed")
 	}
-	// A second binary evicts the first under the limit of one.
-	if _, _, _, err := cache.Build(cacheProgram(t, 200), nil); err != nil {
+	// A third binary evicts p2, the least recently used one.
+	if _, _, _, err := cache.Build(cacheProgram(t, 300), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := cache.Recall([32]byte{1}); ok {
-		t.Error("front-end record outlived its evicted binary")
+	if _, _, _, ok := cache.Recall([32]byte{2}); ok {
+		t.Error("front-end record served its evicted binary")
 	}
-	if _, hit := cache.Admit([]byte("doc"), func() (any, [32]byte) { return "again", model }); hit {
-		t.Error("admission verdict outlived the evicted binary built from its model")
+	if _, _, _, ok := cache.Recall([32]byte{3}); !ok {
+		t.Error("front-end record of a resident binary missed")
+	}
+	if _, hit := cache.Admit([]byte("doc"), admit); !hit {
+		t.Error("admission verdict dropped with a binary eviction")
 	}
 	// The admission memo is bounded by the same limit.
-	cache.Admit([]byte("doc2"), func() (any, [32]byte) { return "ok", [32]byte{} })
-	if _, hit := cache.Admit([]byte("doc"), func() (any, [32]byte) { return "ok", model }); hit {
-		t.Error("admission memo kept two verdicts under a limit of one")
+	cache.Admit([]byte("doc2"), admit)
+	cache.Admit([]byte("doc3"), admit)
+	if _, hit := cache.Admit([]byte("doc"), admit); hit {
+		t.Error("admission memo kept three verdicts under a limit of two")
 	}
 }
 

@@ -34,13 +34,14 @@ type serveFrame struct {
 // a protocol error, the worker's own death) — their slot respawns lazily
 // on the next request. A RunBatch call counts as one request. Warm is
 // the number of workers currently parked idle (a live gauge, not a
-// lifetime counter).
+// lifetime counter). PerArtifact is the pool's per-binary worker cap.
 type WorkerStats struct {
-	Spawns    int64 `json:"spawns"`
-	Reuses    int64 `json:"reuses"`
-	Respawns  int64 `json:"respawns"`
-	Artifacts int   `json:"artifacts"`
-	Warm      int   `json:"warm"`
+	PerArtifact int   `json:"perArtifact"`
+	Spawns      int64 `json:"spawns"`
+	Reuses      int64 `json:"reuses"`
+	Respawns    int64 `json:"respawns"`
+	Artifacts   int   `json:"artifacts"`
+	Warm        int   `json:"warm"`
 }
 
 // WorkerPool keeps warm serve-mode processes per built artifact, so a
@@ -79,9 +80,6 @@ func NewWorkerPool(perArtifact int) *WorkerPool {
 	return &WorkerPool{perArtifact: perArtifact, arts: make(map[string]*poolArtifact)}
 }
 
-// PerArtifact returns the pool's per-binary worker cap.
-func (p *WorkerPool) PerArtifact() int { return p.perArtifact }
-
 // Stats returns the pool's lifetime counters and the current warm-idle
 // worker count.
 func (p *WorkerPool) Stats() WorkerStats {
@@ -92,8 +90,12 @@ func (p *WorkerPool) Stats() WorkerStats {
 		warm += len(art.idle)
 	}
 	return WorkerStats{
-		Spawns: p.spawns, Reuses: p.reuses, Respawns: p.respawns,
-		Artifacts: len(p.arts), Warm: warm,
+		PerArtifact: p.perArtifact,
+		Spawns:      p.spawns,
+		Reuses:      p.reuses,
+		Respawns:    p.respawns,
+		Artifacts:   len(p.arts),
+		Warm:        warm,
 	}
 }
 

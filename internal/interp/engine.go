@@ -39,8 +39,6 @@ type Options struct {
 	Monitor []string
 	// Custom lists custom signal diagnoses (§3.2.B).
 	Custom []diagnose.CustomCheck
-	// MaxDiagRecords bounds verbatim diagnostic records (default 64).
-	MaxDiagRecords int
 	// MaxMonitorSamples bounds per-actor monitor samples (default 16).
 	MaxMonitorSamples int
 	// StopOnDiag, when non-empty, stops the run at the end of the step in
@@ -69,9 +67,6 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.MaxDiagRecords == 0 {
-		o.MaxDiagRecords = 64
-	}
 	if o.MaxMonitorSamples == 0 {
 		o.MaxMonitorSamples = 16
 	}
@@ -147,7 +142,7 @@ func New(c *actors.Compiled, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("interp: premark bitmaps do not match the coverage layout: %w", err)
 		}
 	}
-	e.sink = diagnose.NewSink(opts.MaxDiagRecords)
+	e.sink = diagnose.NewSink(diagnose.MaxRecords)
 
 	e.ecs = make([]actors.EvalCtx, len(c.Order))
 	e.states = make([]actors.State, len(c.Order))
@@ -248,7 +243,7 @@ func (e *Engine) reset() {
 	} else {
 		e.collector = nil
 	}
-	e.sink = diagnose.NewSink(e.opts.MaxDiagRecords)
+	e.sink = diagnose.NewSink(diagnose.MaxRecords)
 	e.monitor = make(map[string][]simresult.MonitorSample)
 	e.monitorHits = make(map[string]int64)
 	for k := range e.lastValue {

@@ -46,13 +46,7 @@ func SpecFromRequest(cache *accmos.BuildCache, req SubmitRequest, defaultOpt acc
 			"stimulus range has hi below lo (lo %g, hi %g)", req.Lo, req.Hi)}
 	}
 	doc := []byte(req.Model)
-	v, _ := cache.Admit(doc, func() (any, [32]byte) {
-		ad := admitDocument(doc)
-		if ad.err != nil {
-			return ad, [32]byte{}
-		}
-		return ad, ad.model.Fingerprint()
-	})
+	v, _ := cache.Admit(doc, func() any { return admitDocument(doc) })
 	ad := v.(*admission)
 	if ad.err != nil {
 		return JobSpec{}, ad.findings, ad.err

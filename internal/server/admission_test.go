@@ -152,6 +152,29 @@ func TestAdmissionMemoEvictsAtCacheEntries(t *testing.T) {
 	}
 }
 
+// Evicting a binary leaves the admission verdict of its document to the
+// admission memo's own bound: three seed-only jobs of one document under
+// CacheEntries 2 evict the first job's binary, and a fourth submission
+// of the document is still admitted from the memo.
+func TestBinaryEvictionKeepsAdmissionVerdict(t *testing.T) {
+	srv, ts := newTestServer(t, server.Config{Workers: 1, CacheEntries: 2})
+	doc := slxDoc(t, "KEEP", "3")
+	for seed := uint64(1); seed <= 4; seed++ {
+		v := waitJob(t, ts, submitOK(t, ts, server.SubmitRequest{Model: doc, Steps: 100, Seed: seed}))
+		if v.State != server.JobDone {
+			t.Fatalf("seed %d: %s (%s)", seed, v.State, v.Error)
+		}
+		if seed == 3 {
+			if st := srv.Cache().Stats(); st.Evictions == 0 {
+				t.Fatalf("three binaries under a limit of two evicted none: %+v", st)
+			}
+		}
+	}
+	if st := srv.Cache().Stats(); st.AdmitMisses != 1 || st.AdmitHits != 3 {
+		t.Errorf("admission memo stats %+v, want 1 miss and 3 hits", st)
+	}
+}
+
 // A full queue refuses a submission before admission: the 429 costs no
 // parse, so the admission memo records no miss.
 func TestQueueFullShedsBeforeAdmission(t *testing.T) {

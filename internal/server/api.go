@@ -170,42 +170,6 @@ type ErrorResponse struct {
 	Lint          []LintLine `json:"lint,omitempty"`
 }
 
-// CacheView is the build-cache section of a debug bundle. Relinks counts
-// the misses whose model binary was resident, so the job neither compiled
-// nor linked (a job that differs from a built one only in its run
-// parameters).
-// FrontHits and FrontMisses count jobs that did and did not skip the
-// front end (schedule/optimize/instrument/generate) through the front-end
-// memo; AdmitHits and AdmitMisses count submissions that did and did not
-// skip parse, elaboration and lint through the admission memo.
-type CacheView struct {
-	Entries     int     `json:"entries"`
-	Limit       int     `json:"limit"`
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	Relinks     int64   `json:"relinks"`
-	Evictions   int64   `json:"evictions"`
-	HitRate     float64 `json:"hitRate"`
-	FrontHits   int64   `json:"frontHits"`
-	FrontMisses int64   `json:"frontMisses"`
-	AdmitHits   int64   `json:"admitHits"`
-	AdmitMisses int64   `json:"admitMisses"`
-}
-
-// WorkerPoolView is the warm-worker-pool section of a debug bundle: how
-// many serve-mode processes were spawned, how many runs an already-warm
-// worker served (the amortized process startups), how many workers were
-// killed and left to respawn after a deadline or protocol error, and how
-// many are parked idle right now (Warm, a live gauge).
-type WorkerPoolView struct {
-	PerArtifact int   `json:"perArtifact"`
-	Spawns      int64 `json:"spawns"`
-	Reuses      int64 `json:"reuses"`
-	Respawns    int64 `json:"respawns"`
-	Artifacts   int   `json:"artifacts"`
-	Warm        int   `json:"warm"`
-}
-
 // DebugBundle is the GET /v1/jobs/{id}/debug payload: the bounded
 // forensic record the daemon captures the moment a job reaches failed or
 // canceled — what died (correlated by the job ID), why (reason, exit
@@ -245,10 +209,10 @@ type DebugBundle struct {
 
 	// Daemon state at capture time, for correlating the failure with
 	// load (was the queue saturated? the cache thrashing?).
-	QueueDepth int             `json:"queueDepth"`
-	Running    int             `json:"running"`
-	Cache      CacheView       `json:"cache"`
-	WorkerPool *WorkerPoolView `json:"workerPool,omitempty"`
+	QueueDepth int                 `json:"queueDepth"`
+	Running    int                 `json:"running"`
+	Cache      accmos.CacheStats   `json:"cache"`
+	WorkerPool *accmos.WorkerStats `json:"workerPool,omitempty"`
 }
 
 // HealthView is the GET /healthz payload: enough readiness detail for a

@@ -367,6 +367,7 @@ const debugHeartbeats = 8
 // daemon state around the failure. Caller holds s.mu; everything stored
 // is bounded.
 func (s *Server) captureDebugLocked(j *job, tr *accmos.Tracer) {
+	ws := s.pool.Stats()
 	b := &DebugBundle{
 		ID:          j.id,
 		Corr:        j.id,
@@ -378,8 +379,8 @@ func (s *Server) captureDebugLocked(j *job, tr *accmos.Tracer) {
 		Phases:      j.phases,
 		QueueDepth:  len(s.queue),
 		Running:     s.running,
-		Cache:       cacheView(s.cache.Stats()),
-		WorkerPool:  s.poolView(),
+		Cache:       s.cache.Stats(),
+		WorkerPool:  &ws,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -682,36 +683,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	s.metrics.writePrometheus(w)
-}
-
-// cacheView shapes build-cache stats for a debug bundle.
-func cacheView(cs accmos.CacheStats) CacheView {
-	return CacheView{
-		Entries:     cs.Entries,
-		Limit:       cs.Limit,
-		Hits:        cs.Hits,
-		Misses:      cs.Misses,
-		Relinks:     cs.Relinks,
-		Evictions:   cs.Evictions,
-		HitRate:     cs.HitRate(),
-		FrontHits:   cs.FrontHits,
-		FrontMisses: cs.FrontMisses,
-		AdmitHits:   cs.AdmitHits,
-		AdmitMisses: cs.AdmitMisses,
-	}
-}
-
-// poolView shapes worker-pool stats for a debug bundle.
-func (s *Server) poolView() *WorkerPoolView {
-	ws := s.pool.Stats()
-	return &WorkerPoolView{
-		PerArtifact: s.pool.PerArtifact(),
-		Spawns:      ws.Spawns,
-		Reuses:      ws.Reuses,
-		Respawns:    ws.Respawns,
-		Artifacts:   ws.Artifacts,
-		Warm:        ws.Warm,
-	}
 }
 
 // handleDebug serves a failed or canceled job's forensic bundle. A job

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -385,6 +386,68 @@ func TestFailedJobDebugBundle(t *testing.T) {
 	}
 	getDebug(t, ts, okID, http.StatusNotFound)
 	getDebug(t, ts, "j-999999", http.StatusNotFound)
+}
+
+// TestDebugBundleStatsKeys pins the JSON keys of a debug bundle's cache
+// and workerPool sections, which scripts read by name, and that hitRate
+// is hits / (hits + misses): two identical jobs (a miss, then a hit)
+// run the real pipeline before a stub failure captures the bundle.
+func TestDebugBundleStatsKeys(t *testing.T) {
+	cache := accmos.NewBuildCache(t.TempDir())
+	defer cache.Remove()
+	pipeline := server.PipelineRunner(cache, nil)
+	runner := func(ctx context.Context, spec server.JobSpec, tr *accmos.Tracer, progress func(obs.Snapshot)) (*server.Outcome, error) {
+		if spec.Model.Name == "KEYF" {
+			return nil, fmt.Errorf("stub failure")
+		}
+		return pipeline(ctx, spec, tr, progress)
+	}
+	_, ts := newTestServer(t, server.Config{Workers: 1, Cache: cache, Runner: runner})
+	for range 2 {
+		id := submitOK(t, ts, server.SubmitRequest{Model: slxDoc(t, "KEYS", "2"), Steps: 100})
+		if v := waitJob(t, ts, id); v.State != server.JobDone {
+			t.Fatalf("job %s: %s (%s)", id, v.State, v.Error)
+		}
+	}
+	id := submitOK(t, ts, server.SubmitRequest{Model: slxDoc(t, "KEYF", "2")})
+	if v := waitJob(t, ts, id); v.State != server.JobFailed {
+		t.Fatalf("state %s, want failed", v.State)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/debug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var bundle struct {
+		Cache      map[string]float64 `json:"cache"`
+		WorkerPool map[string]float64 `json:"workerPool"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&bundle); err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []struct {
+		name string
+		got  map[string]float64
+		want []string
+	}{
+		{"cache", bundle.Cache, []string{"entries", "limit", "hits", "misses", "relinks", "evictions",
+			"hitRate", "frontHits", "frontMisses", "admitHits", "admitMisses"}},
+		{"workerPool", bundle.WorkerPool, []string{"perArtifact", "spawns", "reuses", "respawns", "artifacts", "warm"}},
+	} {
+		var keys []string
+		for k := range sec.got {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		slices.Sort(sec.want)
+		if !slices.Equal(keys, sec.want) {
+			t.Errorf("%s keys %v, want %v", sec.name, keys, sec.want)
+		}
+	}
+	c := bundle.Cache
+	if c["hits"] != 1 || c["misses"] != 1 || c["hitRate"] != c["hits"]/(c["hits"]+c["misses"]) {
+		t.Errorf("cache section %v: want 1 hit, 1 miss and hitRate = hits/(hits+misses)", c)
+	}
 }
 
 // TestCanceledJobDebugBundle: canceling a running job also captures a
