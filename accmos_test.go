@@ -19,6 +19,14 @@ import (
 	"accmos/internal/types"
 )
 
+// TestMain removes the build directory of the facade's default cache,
+// which the tests build through, when the test binary exits.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	accmos.DefaultBuildCache().Remove()
+	os.Exit(code)
+}
+
 func demoModel() *accmos.Model {
 	return accmos.NewModelBuilder("DEMO").
 		Add("In", "Inport", 0, 1, model.WithOutKind(types.I32), model.WithParam("Port", "1")).

@@ -5,7 +5,11 @@
 //	experiments -run opt        # optimizing middle-end: O0 vs O1 vs O2 on all engines
 //	experiments -run casestudy  # §4 error-injection study on CSEV
 //	experiments -run figure1    # Figure 1 motivating measurement
+//	experiments -run ablation   # A1 instrumentation overhead, A4 front-end and build cost
 //	experiments -run all
+//
+// With -metrics-json, every experiment's rows also go to one
+// accmos-metrics/v1 document.
 //
 // Scales default to laptop-size runs; raise -steps / -budget-scale to
 // approach the paper's setting (50 M steps, 5/15/60 s budgets).
@@ -14,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -29,7 +34,7 @@ func main() {
 	// private temporary directory every exit removes (fatal too).
 	defer accmos.DefaultBuildCache().Remove()
 	var (
-		run         = flag.String("run", "all", "experiment: table2 | table3 | opt | casestudy | figure1 | all")
+		run         = flag.String("run", "all", "experiment: table2 | table3 | opt | casestudy | figure1 | ablation | all")
 		steps       = flag.Int64("steps", 200_000, "Table 2 simulation steps (paper: 50000000)")
 		budgetScale = flag.Float64("budget-scale", 0.1, "Table 3 budget scale; 1.0 = the paper's 5/15/60s")
 		models      = flag.String("models", "", "comma-separated model subset (default: all ten)")
@@ -71,60 +76,38 @@ func main() {
 		metrics = experiments.NewMetrics(cfg)
 	}
 
-	want := func(name string) bool { return *run == "all" || *run == name }
 	ran := false
-	if want("table2") {
+	for _, e := range []struct {
+		name   string
+		run    func(experiments.Config) ([]experiments.MetricRow, error)
+		format func(io.Writer, []experiments.MetricRow)
+	}{
+		{"table2", experiments.Table2, experiments.FormatTable2},
+		{"table3", experiments.Table3, experiments.FormatTable3},
+		{"opt", experiments.BenchOpt, experiments.FormatOpt},
+		{"casestudy", experiments.CaseStudy, func(w io.Writer, rows []experiments.MetricRow) {
+			experiments.FormatCaseStudy(w, *chargeRate, rows)
+		}},
+		{"figure1", func(cfg experiments.Config) ([]experiments.MetricRow, error) {
+			return experiments.Figure1(cfg, *increment)
+		}, func(w io.Writer, rows []experiments.MetricRow) {
+			experiments.FormatFigure1(w, *increment, rows)
+		}},
+		{"ablation", experiments.Ablation, experiments.FormatAblation},
+	} {
+		if *run != "all" && *run != e.name {
+			continue
+		}
 		ran = true
-		rows, err := experiments.Table2(cfg)
+		rows, err := e.run(cfg)
 		if err != nil {
 			fatal(err)
 		}
-		experiments.FormatTable2(os.Stdout, rows)
+		e.format(os.Stdout, rows)
 		fmt.Println()
 		if metrics != nil {
-			metrics.AddTable2(rows)
+			metrics.Rows = append(metrics.Rows, rows...)
 		}
-	}
-	if want("table3") {
-		ran = true
-		rows, err := experiments.Table3(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.FormatTable3(os.Stdout, rows)
-		fmt.Println()
-		if metrics != nil {
-			metrics.AddTable3(rows)
-		}
-	}
-	if want("opt") {
-		ran = true
-		rows, err := experiments.BenchOpt(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.FormatOpt(os.Stdout, rows)
-		fmt.Println()
-		if metrics != nil {
-			metrics.AddOpt(rows)
-		}
-	}
-	if want("casestudy") {
-		ran = true
-		res, err := experiments.CaseStudy(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.FormatCaseStudy(os.Stdout, res)
-		fmt.Println()
-	}
-	if want("figure1") {
-		ran = true
-		res, err := experiments.Figure1(cfg, *increment)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.FormatFigure1(os.Stdout, res)
 	}
 	if !ran {
 		fatal(fmt.Errorf("unknown experiment %q", *run))

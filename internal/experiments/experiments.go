@@ -6,7 +6,13 @@
 // budgets are scaled by configuration — the paper uses 50 M steps and
 // 5/15/60 s budgets; defaults here are laptop-scale with the same shape.
 //
-// BenchOpt adds the optimizer benchmark (O0 vs O1 vs O2 on every engine).
+// BenchOpt adds the optimizer benchmark (O0 vs O1 vs O2 on every engine),
+// and Ablation the pipeline's own costs: the instrumentation overhead of
+// generated code and the one-time front-end and build cost.
+//
+// Every experiment returns its measurements as MetricRows, the rows of
+// the -metrics-json document; the Format functions print the text tables
+// from the same rows.
 //
 // Every engine run goes through the accmos facade (Simulate, Interpret,
 // Accelerate, RapidAccelerate), the same path the CLI and the daemon
@@ -21,8 +27,6 @@ import (
 
 	accmos "accmos"
 	"accmos/internal/benchmodels"
-	"accmos/internal/coverage"
-	"accmos/internal/obs"
 	"accmos/internal/simresult"
 	"accmos/internal/testcase"
 )
@@ -88,42 +92,32 @@ func (c *Config) options(m *accmos.Model) accmos.Options {
 	}
 }
 
-// Table2Row is one line of the simulation-time comparison.
-type Table2Row struct {
-	Model   string
-	Steps   int64
-	AccMoS  time.Duration // execution time of the generated binary
-	Compile time.Duration // one-time code generation + compilation
-	SSE     time.Duration
-	SSEac   time.Duration
-	SSErac  time.Duration
-
-	SpeedupSSE float64 // SSE / AccMoS
-	SpeedupAc  float64
-	SpeedupRac float64
-
-	HashOK bool // all four engines produced the same output stream
-
-	// CacheHit reports that the generated binary came from the build
-	// cache (Compile is then the original build's amortised cost).
-	CacheHit bool
-
-	// Coverage-over-time timelines, recorded when Config.Heartbeat > 0.
-	AccMoSTimeline []obs.Snapshot
-	SSETimeline    []obs.Snapshot
+// resultRow is the row one facade run records: its steps, wall clock and
+// throughput, and for AccMoS its compile cost and build-cache hit.
+func resultRow(experiment, model, engine string, r *accmos.Result) MetricRow {
+	return MetricRow{
+		Experiment: experiment, Model: model, Engine: engine,
+		Steps: r.Steps, WallNanos: r.ExecNanos,
+		StepsPerSec:  stepsPerSec(r.Steps, r.ExecNanos),
+		CompileNanos: r.CompileNanos,
+		CacheHit:     r.CacheHit,
+	}
 }
 
-// Table2 measures simulation time on every configured model, one row
-// after another so no two rows contend for cores.
-func Table2(cfg Config) ([]Table2Row, error) {
+// Table2 measures simulation time on every configured model, one model
+// after another so no two runs contend for cores. Each model gets one
+// row per engine (AccMoS, SSE, SSEac, SSErac); the AccMoS row carries
+// the verdict that all four engines produced the same output stream and,
+// when Config.Heartbeat > 0, AccMoS and SSE carry coverage-over-time
+// timelines.
+func Table2(cfg Config) ([]MetricRow, error) {
 	cfg.fillDefaults()
-	rows := make([]Table2Row, 0, len(cfg.Models))
+	rows := make([]MetricRow, 0, 4*len(cfg.Models))
 	for _, name := range cfg.Models {
 		m, err := benchmodels.Build(name)
 		if err != nil {
 			return nil, err
 		}
-		row := Table2Row{Model: name, Steps: cfg.Steps}
 		bare := cfg.options(m)
 		bare.Steps = cfg.Steps
 		// AccMoS and SSE run fully instrumented; the accelerator modes
@@ -136,73 +130,57 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		row.AccMoS = time.Duration(acc.ExecNanos)
-		row.Compile = time.Duration(acc.CompileNanos)
-		row.CacheHit = acc.CacheHit
-		row.AccMoSTimeline = acc.Timeline
-		cfg.logf("table2 %s: AccMoS %v (compile %v, cached %v)", name, row.AccMoS, row.Compile, row.CacheHit)
+		cfg.logf("table2 %s: AccMoS %v (compile %v, cached %v)", name,
+			time.Duration(acc.ExecNanos), time.Duration(acc.CompileNanos), acc.CacheHit)
 
 		// SSE: full-service interpreter.
 		sse, err := accmos.Interpret(m, full)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		row.SSE = time.Duration(sse.ExecNanos)
-		row.SSETimeline = sse.Timeline
-		cfg.logf("table2 %s: SSE %v", name, row.SSE)
+		cfg.logf("table2 %s: SSE %v", name, time.Duration(sse.ExecNanos))
 
 		// SSE Accelerator and Rapid Accelerator modes.
 		ac, err := accmos.Accelerate(m, bare)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		row.SSEac = time.Duration(ac.ExecNanos)
 		rac, err := accmos.RapidAccelerate(m, bare)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		row.SSErac = time.Duration(rac.ExecNanos)
-		cfg.logf("table2 %s: ac %v rac %v", name, row.SSEac, row.SSErac)
+		cfg.logf("table2 %s: ac %v rac %v", name, time.Duration(ac.ExecNanos), time.Duration(rac.ExecNanos))
 
-		row.HashOK = simresult.SameOutputs(acc.Results, sse.Results) &&
+		ok := simresult.SameOutputs(acc.Results, sse.Results) &&
 			simresult.SameOutputs(acc.Results, ac.Results) &&
 			simresult.SameOutputs(acc.Results, rac.Results)
-		row.SpeedupSSE = ratio(row.SSE, row.AccMoS)
-		row.SpeedupAc = ratio(row.SSEac, row.AccMoS)
-		row.SpeedupRac = ratio(row.SSErac, row.AccMoS)
-		rows = append(rows, row)
+		accRow := resultRow("table2", name, "AccMoS", acc)
+		accRow.Timeline, accRow.HashOK = acc.Timeline, &ok
+		sseRow := resultRow("table2", name, "SSE", sse)
+		sseRow.Timeline = sse.Timeline
+		rows = append(rows, accRow, sseRow,
+			resultRow("table2", name, "SSEac", ac),
+			resultRow("table2", name, "SSErac", rac))
 	}
 	return rows, nil
 }
 
-func ratio(a, b time.Duration) float64 {
+func ratio(a, b int64) float64 {
 	if b <= 0 {
 		return 0
 	}
 	return float64(a) / float64(b)
 }
 
-// Table3Cell is the coverage achieved by one engine within one budget.
-type Table3Cell struct {
-	Steps  int64
-	Report coverage.Report
-}
-
-// Table3Row compares coverage of AccMoS and SSE at one budget.
-type Table3Row struct {
-	Model  string
-	Budget time.Duration
-	AccMoS Table3Cell
-	SSE    Table3Cell
-}
-
 // Table3 measures coverage within equal wall-clock budgets, using random
-// test cases as the paper does. Budgets bound execution; AccMoS's one-time
-// compilation is not charged against the budget (reported separately in
-// Table 2).
-func Table3(cfg Config) ([]Table3Row, error) {
+// test cases as the paper does: one AccMoS and one SSE row per (model,
+// budget), each with the steps run and the coverage reached. Budgets
+// bound execution; AccMoS's one-time compilation is not charged against
+// the budget (reported separately in Table 2), and a row's wall time is
+// its budget.
+func Table3(cfg Config) ([]MetricRow, error) {
 	cfg.fillDefaults()
-	rows := make([]Table3Row, 0, len(cfg.Models)*len(cfg.Budgets))
+	rows := make([]MetricRow, 0, 2*len(cfg.Models)*len(cfg.Budgets))
 	for _, name := range cfg.Models {
 		m, err := benchmodels.Build(name)
 		if err != nil {
@@ -221,93 +199,83 @@ func Table3(cfg Config) ([]Table3Row, error) {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			cfg.logf("table3 %s @%v: AccMoS %d steps / SSE %d steps", name, budget, acc.Steps, sse.Steps)
-			rows = append(rows, Table3Row{
-				Model: name, Budget: budget,
-				AccMoS: Table3Cell{Steps: acc.Steps, Report: acc.CoverageReport()},
-				SSE:    Table3Cell{Steps: sse.Steps, Report: sse.CoverageReport()},
-			})
+			for _, r := range []struct {
+				engine string
+				res    *accmos.Result
+			}{{"AccMoS", acc}, {"SSE", sse}} {
+				rep := r.res.CoverageReport()
+				rows = append(rows, MetricRow{
+					Experiment: "table3", Model: name, Engine: r.engine,
+					Steps: r.res.Steps, WallNanos: budget.Nanoseconds(),
+					BudgetNanos: budget.Nanoseconds(),
+					StepsPerSec: stepsPerSec(r.res.Steps, budget.Nanoseconds()),
+					Coverage:    &rep,
+				})
+			}
 		}
 	}
 	return rows, nil
 }
 
-// Detection describes one engine's detection of an injected error.
-type Detection struct {
-	Step    int64         // first step the diagnosis fired (-1 = not found)
-	Wall    time.Duration // wall-clock simulation time until detection
-	Compile time.Duration // AccMoS only
+// detectionRow is the row of one engine's detection run: the steps it
+// ran, its wall clock (and for AccMoS its compile time) and the first
+// step the diagnosis fired (-1 = not found).
+func detectionRow(experiment, variant, engine string, r *accmos.Result, step int64) MetricRow {
+	row := resultRow(experiment, r.Model, engine, r)
+	row.Variant, row.FirstDetect = variant, &step
+	return row
 }
 
-// CaseStudyResult reproduces the §4 error-injection study.
-type CaseStudyResult struct {
-	ChargeRate     int64
-	PredictedStep  int64 // analytic overflow step of the quantity store
-	OverflowAccMoS Detection
-	OverflowSSE    Detection
-	DowncastAccMoS Detection
-	DowncastSSE    Detection
-}
-
-// CaseStudy injects the two CSEV errors and measures detection latency.
-func CaseStudy(cfg Config) (*CaseStudyResult, error) {
+// CaseStudy injects the two CSEV errors and measures detection latency:
+// one AccMoS and one SSE row for each error, the "overflow" variant
+// (error 1, the long-latent quantity wrap) and the "downcast" variant
+// (error 2, immediate).
+func CaseStudy(cfg Config) ([]MetricRow, error) {
 	cfg.fillDefaults()
 	m := benchmodels.CSEVInjected(cfg.ChargeRate)
-	res := &CaseStudyResult{
-		ChargeRate:    cfg.ChargeRate,
-		PredictedStep: benchmodels.OverflowStepOf(cfg.ChargeRate),
-	}
 	opts := cfg.options(m)
-	opts.Steps, opts.Diagnose = res.PredictedStep*4, true
+	opts.Steps, opts.Diagnose = benchmodels.OverflowStepOf(cfg.ChargeRate)*4, true
 
-	measure := func(stop accmos.DiagKind, actor string) (acc, sse Detection, err error) {
-		opts.StopOnDiag, opts.StopOnActor = stop, actor
-		key := actor + "|" + string(stop)
-		a, err := accmos.Simulate(m, opts)
+	var rows []MetricRow
+	for _, e := range []struct {
+		variant string
+		stop    accmos.DiagKind
+		actor   string
+	}{
+		{"overflow", accmos.WrapOnOverflow, "CSEVINJ_QuantityAdd"},
+		{"downcast", accmos.Downcast, "CSEVINJ_ChargePower"},
+	} {
+		opts.StopOnDiag, opts.StopOnActor = e.stop, e.actor
+		key := e.actor + "|" + string(e.stop)
+		acc, err := accmos.Simulate(m, opts)
 		if err != nil {
-			return acc, sse, err
+			return nil, err
 		}
-		s, err := accmos.Interpret(m, opts)
+		sse, err := accmos.Interpret(m, opts)
 		if err != nil {
-			return acc, sse, err
+			return nil, err
 		}
-		return detection(a, key), detection(s, key), nil
+		rows = append(rows,
+			detectionRow("casestudy", e.variant, "AccMoS", acc, firstDetect(acc, key)),
+			detectionRow("casestudy", e.variant, "SSE", sse, firstDetect(sse, key)))
 	}
-	var err error
-	res.OverflowAccMoS, res.OverflowSSE, err = measure(accmos.WrapOnOverflow, "CSEVINJ_QuantityAdd")
-	if err != nil {
-		return nil, err
-	}
-	res.DowncastAccMoS, res.DowncastSSE, err = measure(accmos.Downcast, "CSEVINJ_ChargePower")
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return rows, nil
 }
 
-// detection reads one engine's detection of the (actor|kind) diagnosis
-// key from its result: the first-detect step (-1 = not found), the
-// simulation wall clock and, for AccMoS, the compile time.
-func detection(r *accmos.Result, key string) Detection {
-	step, ok := r.FirstDetect[key]
-	if !ok {
-		step = -1
+// firstDetect is the first step the (actor|kind) diagnosis key fired in
+// r, or -1.
+func firstDetect(r *accmos.Result, key string) int64 {
+	if step, ok := r.FirstDetect[key]; ok {
+		return step
 	}
-	return Detection{Step: step, Wall: time.Duration(r.ExecNanos), Compile: time.Duration(r.CompileNanos)}
+	return -1
 }
 
-// Figure1Result is the motivating measurement: time to detect the
-// long-horizon overflow of the Figure 1 sample model.
-type Figure1Result struct {
-	Increment   int64 // per-step accumulation of each input
-	DetectStep  int64
-	SSE         Detection
-	AccMoS      Detection
-	SpeedupWall float64
-}
-
-// Figure1 runs the motivating experiment. increment tunes latency: the
-// combining Sum overflows int32 near step 2^31 / (2*increment).
-func Figure1(cfg Config, increment int64) (*Figure1Result, error) {
+// Figure1 runs the motivating experiment, time to detect the
+// long-horizon overflow of the Figure 1 sample model: one SSE and one
+// AccMoS row. increment tunes latency: the combining Sum overflows int32
+// near step 2^31 / (2*increment).
+func Figure1(cfg Config, increment int64) ([]MetricRow, error) {
 	cfg.fillDefaults()
 	m := benchmodels.Figure1Model()
 	opts := cfg.options(m)
@@ -326,18 +294,8 @@ func Figure1(cfg Config, increment int64) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Figure1Result{
-		Increment:  increment,
-		DetectStep: acc.FirstDetectOf(accmos.WrapOnOverflow),
-		AccMoS: Detection{
-			Step: acc.FirstDetectOf(accmos.WrapOnOverflow),
-			Wall: time.Duration(acc.ExecNanos), Compile: time.Duration(acc.CompileNanos),
-		},
-		SSE: Detection{
-			Step: sse.FirstDetectOf(accmos.WrapOnOverflow),
-			Wall: time.Duration(sse.ExecNanos),
-		},
-	}
-	out.SpeedupWall = ratio(out.SSE.Wall, out.AccMoS.Wall)
-	return out, nil
+	return []MetricRow{
+		detectionRow("figure1", "", "SSE", sse, sse.FirstDetectOf(accmos.WrapOnOverflow)),
+		detectionRow("figure1", "", "AccMoS", acc, acc.FirstDetectOf(accmos.WrapOnOverflow)),
+	}, nil
 }

@@ -16,13 +16,17 @@ import (
 const MetricsSchema = "accmos-metrics/v1"
 
 // MetricRow is one machine-readable measurement: one (experiment, model,
-// engine) triple with its wall time, throughput, one-time compile cost,
-// coverage outcome and coverage-over-time timeline. Rows are the unit a
-// perf dashboard tracks PR-over-PR.
+// engine, variant) run with its wall time, throughput, one-time compile
+// cost, coverage outcome and coverage-over-time timeline. Every
+// experiment returns rows, and its text table prints from them.
 type MetricRow struct {
-	Experiment   string           `json:"experiment"`
-	Model        string           `json:"model"`
-	Engine       string           `json:"engine"`
+	Experiment string `json:"experiment"`
+	Model      string `json:"model"`
+	Engine     string `json:"engine"`
+	// Variant tells apart rows of one (experiment, model, engine): the
+	// instrumentation or build an ablation row measured, or the error a
+	// detection row found.
+	Variant      string           `json:"variant,omitempty"`
 	Steps        int64            `json:"steps"`
 	WallNanos    int64            `json:"wallNanos"`
 	StepsPerSec  float64          `json:"stepsPerSec"`
@@ -50,6 +54,13 @@ type MetricRow struct {
 	NsPerActorStep  float64 `json:"nsPerActorStep,omitempty"`
 	Speedup         float64 `json:"speedup,omitempty"`
 	SpeedupOK       bool    `json:"speedupOK,omitempty"`
+	// FirstDetect is the first step a detection row's diagnosis fired
+	// (-1 = not found).
+	FirstDetect *int64 `json:"firstDetect,omitempty"`
+	// Phases holds the pipeline cost of an ablation row by trace span
+	// name (generate, compile.gc, compile.link, ...), in nanoseconds,
+	// summed over every span of that name.
+	Phases map[string]int64 `json:"phases,omitempty"`
 }
 
 // Metrics is the -metrics-json document: run configuration plus rows.
@@ -82,117 +93,11 @@ func NewMetrics(cfg Config) *Metrics {
 	}
 }
 
-// AddTable2 appends one row per (model, engine) from the Table 2 runs.
-func (m *Metrics) AddTable2(rows []Table2Row) {
-	for _, r := range rows {
-		ok := r.HashOK
-		m.Rows = append(m.Rows,
-			MetricRow{
-				Experiment: "table2", Model: r.Model, Engine: "AccMoS",
-				Steps: r.Steps, WallNanos: r.AccMoS.Nanoseconds(),
-				StepsPerSec:  stepsPerSec(r.Steps, r.AccMoS),
-				CompileNanos: r.Compile.Nanoseconds(),
-				Timeline:     r.AccMoSTimeline, HashOK: &ok,
-				CacheHit: r.CacheHit,
-			},
-			MetricRow{
-				Experiment: "table2", Model: r.Model, Engine: "SSE",
-				Steps: r.Steps, WallNanos: r.SSE.Nanoseconds(),
-				StepsPerSec: stepsPerSec(r.Steps, r.SSE),
-				Timeline:    r.SSETimeline,
-			},
-			MetricRow{
-				Experiment: "table2", Model: r.Model, Engine: "SSEac",
-				Steps: r.Steps, WallNanos: r.SSEac.Nanoseconds(),
-				StepsPerSec: stepsPerSec(r.Steps, r.SSEac),
-			},
-			MetricRow{
-				Experiment: "table2", Model: r.Model, Engine: "SSErac",
-				Steps: r.Steps, WallNanos: r.SSErac.Nanoseconds(),
-				StepsPerSec: stepsPerSec(r.Steps, r.SSErac),
-			})
-	}
-}
-
-// AddTable3 appends one row per (model, budget, engine) from the Table 3
-// coverage-within-budget runs.
-func (m *Metrics) AddTable3(rows []Table3Row) {
-	for _, r := range rows {
-		accRep, sseRep := r.AccMoS.Report, r.SSE.Report
-		m.Rows = append(m.Rows,
-			MetricRow{
-				Experiment: "table3", Model: r.Model, Engine: "AccMoS",
-				Steps: r.AccMoS.Steps, WallNanos: r.Budget.Nanoseconds(),
-				BudgetNanos: r.Budget.Nanoseconds(),
-				StepsPerSec: stepsPerSec(r.AccMoS.Steps, r.Budget),
-				Coverage:    &accRep,
-			},
-			MetricRow{
-				Experiment: "table3", Model: r.Model, Engine: "SSE",
-				Steps: r.SSE.Steps, WallNanos: r.Budget.Nanoseconds(),
-				BudgetNanos: r.Budget.Nanoseconds(),
-				StepsPerSec: stepsPerSec(r.SSE.Steps, r.Budget),
-				Coverage:    &sseRep,
-			})
-	}
-}
-
-// AddOpt appends three rows per (model, engine) from the optimizer
-// benchmark — one at each level, sharing the model's equivalence verdict,
-// with the O2 rows carrying the fusion report — plus the one aggregate
-// TOTAL gate row (geomean AccMoS O1→O2 speedup with its pass verdict).
-func (m *Metrics) AddOpt(rows []OptRow) {
-	for _, r := range rows {
-		ok := r.EquivOK
-		if r.Model == "TOTAL" {
-			m.Rows = append(m.Rows, MetricRow{
-				Experiment: "opt", Model: r.Model, Engine: r.Engine,
-				HashOK: &ok, OptLevel: "O2",
-				Speedup: r.SpeedupO2, SpeedupOK: r.SpeedupOK,
-			})
-			continue
-		}
-		m.Rows = append(m.Rows,
-			MetricRow{
-				Experiment: "opt", Model: r.Model, Engine: r.Engine,
-				Steps: r.Steps, WallNanos: r.O0.Nanoseconds(),
-				StepsPerSec:  stepsPerSec(r.Steps, r.O0),
-				CompileNanos: r.CompileO0.Nanoseconds(),
-				HashOK:       &ok, OptLevel: "O0",
-				ActorsBefore: r.ActorsBefore, ActorsAfter: r.ActorsAfter,
-				NsPerActorStep: r.NsPerActorStepO0,
-			},
-			MetricRow{
-				Experiment: "opt", Model: r.Model, Engine: r.Engine,
-				Steps: r.Steps, WallNanos: r.O1.Nanoseconds(),
-				StepsPerSec:  stepsPerSec(r.Steps, r.O1),
-				CompileNanos: r.CompileO1.Nanoseconds(),
-				HashOK:       &ok, OptLevel: "O1",
-				ActorsBefore: r.ActorsBefore, ActorsAfter: r.ActorsAfter,
-				NsPerActorStep: r.NsPerActorStepO1,
-			},
-			MetricRow{
-				Experiment: "opt", Model: r.Model, Engine: r.Engine,
-				Steps: r.Steps, WallNanos: r.O2.Nanoseconds(),
-				StepsPerSec:  stepsPerSec(r.Steps, r.O2),
-				CompileNanos: r.CompileO2.Nanoseconds(),
-				HashOK:       &ok, OptLevel: "O2",
-				ActorsBefore: r.ActorsBefore, ActorsAfter: r.ActorsAfter,
-				ActorsEffective: r.ActorsEffective,
-				FusedExprs:      r.FusedExprs,
-				HoistedExprs:    r.HoistedExprs,
-				NarrowedSignals: r.NarrowedSignals,
-				NsPerActorStep:  r.NsPerActorStepO2,
-				Speedup:         r.SpeedupO2,
-			})
-	}
-}
-
-func stepsPerSec(steps int64, wall time.Duration) float64 {
-	if wall <= 0 {
+func stepsPerSec(steps, wallNanos int64) float64 {
+	if wallNanos <= 0 {
 		return 0
 	}
-	return float64(steps) / wall.Seconds()
+	return float64(steps) / time.Duration(wallNanos).Seconds()
 }
 
 // WriteFile serializes the document as indented JSON.

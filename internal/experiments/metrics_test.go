@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"accmos/internal/coverage"
-	"accmos/internal/obs"
+	accmos "accmos"
+	"accmos/internal/simresult"
 )
 
 func TestMetricsConversion(t *testing.T) {
@@ -17,43 +17,33 @@ func TestMetricsConversion(t *testing.T) {
 	if m.Schema != MetricsSchema || m.Steps != 1000 || m.Seed != 7 {
 		t.Fatalf("document header: %+v", m)
 	}
-	m.AddTable2([]Table2Row{{
-		Model: "SPV", Steps: 1000,
-		AccMoS: 2 * time.Millisecond, Compile: 80 * time.Millisecond,
-		SSE: 200 * time.Millisecond, SSEac: 20 * time.Millisecond, SSErac: 4 * time.Millisecond,
-		HashOK:         true,
-		AccMoSTimeline: []obs.Snapshot{{Steps: 500}, {Steps: 1000, Final: true}},
-	}})
-	m.AddTable3([]Table3Row{{
-		Model: "SPV", Budget: 500 * time.Millisecond,
-		AccMoS: Table3Cell{Steps: 9000, Report: coverage.Report{Actor: 100}},
-		SSE:    Table3Cell{Steps: 300, Report: coverage.Report{Actor: 40}},
-	}})
-	if len(m.Rows) != 6 {
-		t.Fatalf("want 4 table2 + 2 table3 rows, got %d", len(m.Rows))
+	res := &accmos.Result{
+		Results: &simresult.Results{
+			Steps: 1000, ExecNanos: (2 * time.Millisecond).Nanoseconds(),
+			CompileNanos: (80 * time.Millisecond).Nanoseconds(),
+		},
+		CacheHit: true,
 	}
-	acc := m.Rows[0]
-	if acc.Engine != "AccMoS" || acc.CompileNanos != (80*time.Millisecond).Nanoseconds() {
-		t.Errorf("AccMoS row: %+v", acc)
+	row := resultRow("table2", "SPV", "AccMoS", res)
+	if row.Experiment != "table2" || row.Model != "SPV" || row.Engine != "AccMoS" || row.Steps != 1000 {
+		t.Errorf("row identity: %+v", row)
 	}
-	if acc.StepsPerSec != 500_000 {
-		t.Errorf("steps/sec: %v", acc.StepsPerSec)
+	if row.WallNanos != res.ExecNanos || row.CompileNanos != res.CompileNanos || !row.CacheHit {
+		t.Errorf("row lost the run's costs: %+v", row)
 	}
-	if acc.HashOK == nil || !*acc.HashOK || len(acc.Timeline) != 2 {
-		t.Errorf("AccMoS row lost timeline or hash check: %+v", acc)
+	if row.StepsPerSec != 500_000 {
+		t.Errorf("steps/sec: %v", row.StepsPerSec)
 	}
-	t3 := m.Rows[4]
-	if t3.Experiment != "table3" || t3.Coverage == nil || t3.Coverage.Actor != 100 {
-		t.Errorf("table3 row: %+v", t3)
-	}
-	if t3.BudgetNanos != (500 * time.Millisecond).Nanoseconds() {
-		t.Errorf("table3 budget: %v", t3.BudgetNanos)
+	d := detectionRow("casestudy", "downcast", "SSE", res, 0)
+	if d.Variant != "downcast" || d.FirstDetect == nil || *d.FirstDetect != 0 {
+		t.Errorf("detection row must keep a step-0 detection: %+v", d)
 	}
 }
 
 func TestMetricsWriteFile(t *testing.T) {
 	m := NewMetrics(Config{Steps: 10})
-	m.AddTable2([]Table2Row{{Model: "X", Steps: 10, AccMoS: time.Millisecond}})
+	step := int64(0)
+	m.Rows = append(m.Rows, MetricRow{Experiment: "casestudy", Model: "X", Engine: "SSE", Steps: 10, WallNanos: 1, FirstDetect: &step})
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -66,7 +56,7 @@ func TestMetricsWriteFile(t *testing.T) {
 	if err := json.Unmarshal(b, &decoded); err != nil {
 		t.Fatalf("written metrics are not valid JSON: %v", err)
 	}
-	if decoded.Schema != MetricsSchema || len(decoded.Rows) != 4 {
+	if decoded.Schema != MetricsSchema || len(decoded.Rows) != 1 || decoded.Rows[0].FirstDetect == nil {
 		t.Errorf("round trip: %+v", decoded)
 	}
 	if b[len(b)-1] != '\n' {
@@ -78,7 +68,7 @@ func TestMetricsWriteFile(t *testing.T) {
 // baseline still decodes into Metrics with no field left over, so a
 // MetricRow field can go only if no kept baseline sets it.
 func TestCommittedBaselinesDecode(t *testing.T) {
-	for _, name := range []string{"BENCH_table2.json", "BENCH_o2.json"} {
+	for _, name := range []string{"BENCH_table2.json", "BENCH_o2.json", "BENCH_ablation.json"} {
 		b, err := os.ReadFile(filepath.Join("..", "..", name))
 		if err != nil {
 			t.Fatal(err)

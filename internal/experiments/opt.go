@@ -10,56 +10,6 @@ import (
 	"accmos/internal/simresult"
 )
 
-// OptRow is one (shape, engine) comparison of the optimizing middle-end:
-// the same model simulated at -O0, -O1 and -O2 on one engine. The row
-// with Model "TOTAL" is the aggregate O2 gate: the geomean AccMoS O1→O2
-// speedup over the O2-sensitive shapes with its pass verdict.
-type OptRow struct {
-	Model  string
-	Engine string
-	Steps  int64
-
-	// ActorsBefore/ActorsAfter are the scheduled actor counts around the
-	// O1 pipeline (identical for every engine of one model).
-	ActorsBefore int
-	ActorsAfter  int
-	Passes       []accmos.OptPassStat
-
-	// O2 middle-end fusion report (identical for every engine of one
-	// model): how many actors the typed-lowering plan inlined, how many
-	// invariant subexpressions it hoisted to init-time globals, how many
-	// signals it stores narrower than their semantic kind, and the
-	// post-fusion step-loop statement count that remains.
-	FusedExprs      int
-	HoistedExprs    int
-	NarrowedSignals int
-	ActorsEffective int
-
-	O0, O1, O2                      time.Duration
-	CompileO0, CompileO1, CompileO2 time.Duration // AccMoS only
-	Speedup                         float64       // O0 / O1
-	SpeedupO2                       float64       // O1 / O2
-
-	// NsPerActorStep normalizes wall time by scheduled work: the per-level
-	// cost of one actor evaluation. Roughly flat across levels when the
-	// speedup comes purely from executing fewer actors. The O2 denominator
-	// is ActorsEffective — fused actors emit no statement of their own.
-	NsPerActorStepO0 float64
-	NsPerActorStepO1 float64
-	NsPerActorStepO2 float64
-
-	// SpeedupOK is set on the TOTAL gate row: geomean O1→O2 AccMoS
-	// speedup over the O2-sensitive shapes at or above the 1.3x bar.
-	SpeedupOK bool
-
-	// EquivOK reports the O0-vs-O1-vs-O2 oracle for this model:
-	// identical output hashes on this engine's timing runs, plus the
-	// instrumented runs of the generated program and the interpreter
-	// agreeing on every field simresult.Diff compares (coverage
-	// bitmaps, diagnosis counts, first-detect steps and records).
-	EquivOK bool
-}
-
 // o2GeomeanBar is the aggregate acceptance bar: the AccMoS O1→O2
 // speedup geomean over the O2-sensitive shapes must reach it.
 const o2GeomeanBar = 1.3
@@ -73,14 +23,24 @@ const equivSteps = 20_000
 var optLevels = []accmos.OptLevel{accmos.OptO0, accmos.OptO1, accmos.OptO2}
 
 // BenchOpt measures the optimizer benchmark shapes (the O1 trio plus the
-// O2-sensitive quartet) at O0, O1 and O2 on all four engines. Timing runs
-// are uninstrumented — the configuration a perf-sensitive sweep uses —
-// and a separate instrumented pass checks the O0-vs-O1-vs-O2 equivalence
-// oracle with coverage and diagnosis on, exercising the premark machinery
-// end to end. O2 only changes the generated program, so the interpreted
-// engines run the O1-optimized graph at both levels — their O2 columns
-// document that the typed-lowering win is codegen-only.
-func BenchOpt(cfg Config) ([]OptRow, error) {
+// O2-sensitive quartet) at O0, O1 and O2 on all four engines: three rows
+// per (shape, engine), one per level, then the one aggregate TOTAL gate
+// row (geomean AccMoS O1→O2 speedup with its pass verdict). Every row
+// carries the scheduled actor counts around the O1 pipeline and the wall
+// time per actor evaluation at its level; the O2 rows carry the
+// typed-lowering fusion report and the O1-over-O2 speedup (the O2
+// denominator is the post-fusion ActorsEffective, since fused actors
+// emit no statement of their own).
+//
+// Timing runs are uninstrumented — the configuration a perf-sensitive
+// sweep uses — and a separate instrumented pass checks the
+// O0-vs-O1-vs-O2 equivalence oracle with coverage and diagnosis on,
+// exercising the premark machinery end to end. A row's HashOK is that
+// oracle for its model and identical output hashes across this engine's
+// three timing runs. O2 only changes the generated program, so the
+// interpreted engines run the O1-optimized graph at both levels — their
+// O2 rows document that the typed-lowering win is codegen-only.
+func BenchOpt(cfg Config) ([]MetricRow, error) {
 	names := optBenchNames(cfg.Models)
 	cfg.fillDefaults()
 	engines := []struct {
@@ -93,7 +53,7 @@ func BenchOpt(cfg Config) ([]OptRow, error) {
 		{"SSErac", accmos.RapidAccelerate},
 	}
 
-	var rows []OptRow
+	var rows []MetricRow
 	for _, name := range names {
 		m, err := benchmodels.BuildOpt(name)
 		if err != nil {
@@ -105,7 +65,6 @@ func BenchOpt(cfg Config) ([]OptRow, error) {
 		}
 
 		for i, eng := range engines {
-			row := OptRow{Model: name, Engine: eng.name, Steps: cfg.Steps, EquivOK: equivOK}
 			var res [3]*accmos.Result
 			for lv, level := range optLevels {
 				opts := cfg.options(m)
@@ -114,31 +73,32 @@ func BenchOpt(cfg Config) ([]OptRow, error) {
 					return nil, fmt.Errorf("%s %s %s: %w", name, eng.name, level, err)
 				}
 			}
-			row.O0, row.O1, row.O2 = time.Duration(res[0].ExecNanos), time.Duration(res[1].ExecNanos), time.Duration(res[2].ExecNanos)
-			// Zero for the in-process engines, which compile nothing.
-			row.CompileO0, row.CompileO1, row.CompileO2 = time.Duration(res[0].CompileNanos), time.Duration(res[1].CompileNanos), time.Duration(res[2].CompileNanos)
-			if !simresult.SameOutputs(res[0].Results, res[1].Results) || !simresult.SameOutputs(res[0].Results, res[2].Results) {
-				row.EquivOK = false
-			}
+			ok := equivOK && simresult.SameOutputs(res[0].Results, res[1].Results) &&
+				simresult.SameOutputs(res[0].Results, res[2].Results)
 			// The actor counts come from the O1 pipeline and the fusion
 			// report from the O2 one; both are identical for every engine.
 			o1, o2 := res[1].Opt, res[2].Opt
-			row.ActorsBefore, row.ActorsAfter, row.Passes = o1.ActorsBefore, o1.ActorsAfter, o1.Passes
-			row.FusedExprs, row.HoistedExprs = o2.FusedExprs, o2.HoistedExprs
-			row.NarrowedSignals, row.ActorsEffective = o2.NarrowedSignals, o2.EffectiveActors
-			row.Speedup = ratio(row.O0, row.O1)
-			row.SpeedupO2 = ratio(row.O1, row.O2)
-			row.NsPerActorStepO0 = nsPerActorStep(row.O0, row.Steps, row.ActorsBefore)
-			row.NsPerActorStepO1 = nsPerActorStep(row.O1, row.Steps, row.ActorsAfter)
-			row.NsPerActorStepO2 = nsPerActorStep(row.O2, row.Steps, row.ActorsEffective)
-			if i == 0 {
-				cfg.logf("opt %s: %d -> %d actors (%v)", name, row.ActorsBefore, row.ActorsAfter, row.Passes)
-				cfg.logf("opt %s: O2 fused %d, hoisted %d, narrowed %d (%d effective actors)",
-					name, row.FusedExprs, row.HoistedExprs, row.NarrowedSignals, row.ActorsEffective)
+			actors := [3]int{o1.ActorsBefore, o1.ActorsAfter, o2.EffectiveActors}
+			for lv, level := range optLevels {
+				row := resultRow("opt", name, eng.name, res[lv])
+				row.HashOK, row.OptLevel = &ok, level.String()
+				row.ActorsBefore, row.ActorsAfter = o1.ActorsBefore, o1.ActorsAfter
+				row.NsPerActorStep = nsPerActorStep(row.WallNanos, row.Steps, actors[lv])
+				if level == accmos.OptO2 {
+					row.ActorsEffective, row.FusedExprs = o2.EffectiveActors, o2.FusedExprs
+					row.HoistedExprs, row.NarrowedSignals = o2.HoistedExprs, o2.NarrowedSignals
+					row.Speedup = ratio(res[1].ExecNanos, res[2].ExecNanos)
+				}
+				rows = append(rows, row)
 			}
-			cfg.logf("opt %s %s: O0 %v O1 %v O2 %v (%.1fx, %.1fx)",
-				name, eng.name, row.O0, row.O1, row.O2, row.Speedup, row.SpeedupO2)
-			rows = append(rows, row)
+			if i == 0 {
+				cfg.logf("opt %s: %d -> %d actors (%v)", name, o1.ActorsBefore, o1.ActorsAfter, o1.Passes)
+				cfg.logf("opt %s: O2 fused %d, hoisted %d, narrowed %d (%d effective actors)",
+					name, o2.FusedExprs, o2.HoistedExprs, o2.NarrowedSignals, o2.EffectiveActors)
+			}
+			cfg.logf("opt %s %s: O0 %v O1 %v O2 %v (%.1fx, %.1fx)", name, eng.name,
+				time.Duration(res[0].ExecNanos), time.Duration(res[1].ExecNanos), time.Duration(res[2].ExecNanos),
+				ratio(res[0].ExecNanos, res[1].ExecNanos), ratio(res[1].ExecNanos, res[2].ExecNanos))
 		}
 	}
 	rows = append(rows, o2GateRow(rows))
@@ -175,35 +135,35 @@ func optBenchNames(subset []string) []string {
 // o2GeomeanBar with every per-model oracle green. The O1 trio is
 // excluded by construction — it collapses to a handful of actors before
 // the typed-lowering stage runs, so its O2 column is pure noise.
-func o2GateRow(rows []OptRow) OptRow {
+func o2GateRow(rows []MetricRow) MetricRow {
 	sensitive := make(map[string]bool)
 	for _, n := range benchmodels.Opt2Names() {
 		sensitive[n] = true
 	}
 	logSum, n, equiv := 0.0, 0, true
 	for _, r := range rows {
-		if r.Engine != "AccMoS" || !sensitive[r.Model] {
+		if r.Engine != "AccMoS" || r.OptLevel != "O2" || !sensitive[r.Model] {
 			continue
 		}
-		if r.SpeedupO2 > 0 {
-			logSum += math.Log(r.SpeedupO2)
+		if r.Speedup > 0 {
+			logSum += math.Log(r.Speedup)
 			n++
 		}
-		equiv = equiv && r.EquivOK
+		equiv = equiv && *r.HashOK
 	}
-	gate := OptRow{Model: "TOTAL", Engine: "AccMoS", EquivOK: equiv}
+	gate := MetricRow{Experiment: "opt", Model: "TOTAL", Engine: "AccMoS", HashOK: &equiv, OptLevel: "O2"}
 	if n > 0 {
-		gate.SpeedupO2 = math.Exp(logSum / float64(n))
-		gate.SpeedupOK = equiv && gate.SpeedupO2 >= o2GeomeanBar
+		gate.Speedup = math.Exp(logSum / float64(n))
+		gate.SpeedupOK = equiv && gate.Speedup >= o2GeomeanBar
 	}
 	return gate
 }
 
-func nsPerActorStep(wall time.Duration, steps int64, actorCount int) float64 {
+func nsPerActorStep(wallNanos, steps int64, actorCount int) float64 {
 	if steps <= 0 || actorCount <= 0 {
 		return 0
 	}
-	return float64(wall.Nanoseconds()) / (float64(steps) * float64(actorCount))
+	return float64(wallNanos) / (float64(steps) * float64(actorCount))
 }
 
 // optEquivalent runs the instrumented O0-vs-O1-vs-O2 oracle for one

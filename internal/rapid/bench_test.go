@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"accmos/internal/actors"
+	"accmos/internal/benchmodels"
 	"accmos/internal/model"
 	"accmos/internal/rapid"
 	"accmos/internal/testcase"
@@ -14,7 +15,7 @@ import (
 // BenchmarkRapidPerActorStep reports the Rapid-Accelerator cost on a
 // fully-specialized chain (unboxed registers, batched sync) — the number
 // to compare against the interp package's per-actor-step benchmarks and
-// the root Table 2 AccMoS bench.
+// the Table 2 AccMoS rows of cmd/experiments.
 func BenchmarkRapidPerActorStep(b *testing.B) {
 	const n = 100
 	mb := model.NewBuilder("CHAIN")
@@ -51,4 +52,43 @@ func BenchmarkRapidPerActorStep(b *testing.B) {
 		total += res.ExecNanos
 	}
 	b.ReportMetric(float64(total)/float64(b.N)/float64(steps)/float64(n+2), "ns/actor-step")
+}
+
+// BenchmarkAblationRapidSpecialization isolates the unboxed-register
+// specialization's contribution to Rapid-Accelerator speed by comparing
+// against a bridge-only build of the same model (DESIGN.md A2).
+func BenchmarkAblationRapidSpecialization(b *testing.B) {
+	c, err := actors.Compile(benchmodels.MustBuild("LANS"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := testcase.NewRandomSet(len(c.Inports), 2024, -100, 100)
+	const steps = 50_000
+	run := func(b *testing.B, e *rapid.Engine) {
+		var exec int64
+		for i := 0; i < b.N; i++ {
+			res, err := e.Run(set, steps, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			exec += res.ExecNanos
+		}
+		b.ReportMetric(float64(exec)/float64(b.N)/float64(steps), "ns/step")
+	}
+	b.Run("specialized", func(b *testing.B) {
+		e, err := rapid.New(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec, bridged := e.Stats()
+		b.Logf("specialized %d, bridged %d", spec, bridged)
+		run(b, e)
+	})
+	b.Run("bridge-only", func(b *testing.B) {
+		e, err := rapid.NewBridgeOnly(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, e)
+	})
 }
