@@ -232,6 +232,28 @@ func TestEnginesRejectNegativeBounds(t *testing.T) {
 	}
 }
 
+// TestEnginesRejectUnknownDataStore: a DataStoreRead whose Store names
+// no DataStoreMemory is refused at elaboration, with the same error at
+// every entry point, before any engine or code generator sees it.
+func TestEnginesRejectUnknownDataStore(t *testing.T) {
+	m := accmos.NewModelBuilder("DSBAD").
+		Add("Rd", "DataStoreRead", 0, 1, model.WithParam("Store", "nope")).
+		Add("Out", "Outport", 1, 0, model.WithParam("Port", "1")).
+		Wire("Rd", "Out", 0).
+		MustBuild()
+	const want = `actor Rd (DataStoreRead) references unknown data store "nope"`
+	_, err := accmos.GenerateSource(m, accmos.Options{Steps: 10})
+	errs := map[string]error{"GenerateSource": err}
+	for _, e := range engines {
+		_, errs[e.name] = e.run(m, accmos.Options{Steps: 10})
+	}
+	for name, err := range errs {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
+}
+
 // sweepModel has a rare branch (input > 99): individual random suites
 // may miss it, so sweeps exercise real coverage merging.
 func sweepModel() *accmos.Model {

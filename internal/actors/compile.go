@@ -32,7 +32,9 @@ func (c *Compiled) Info(name string) *Info { return c.ByName[name] }
 //  3. topologically sort it (deterministic tie-break) — the paper's
 //     schedule convert module,
 //  4. iterate port kind/width propagation to a fixpoint,
-//  5. run each actor's Prepare hook.
+//  5. run each actor's Prepare hook,
+//  6. collect the model's boundary and check its data stores: names are
+//     unique, and every access names a DataStoreMemory.
 func Compile(m *model.Model) (*Compiled, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -173,6 +175,22 @@ func Compile(m *model.Model) (*Compiled, error) {
 	}
 
 	c.collectBoundary()
+	stores := make(map[string]bool, len(c.DataStores))
+	for _, ds := range c.DataStores {
+		if stores[storeName(ds)] {
+			return nil, fmt.Errorf("actor %s: duplicate data store %q", ds.Actor.Name, storeName(ds))
+		}
+		stores[storeName(ds)] = true
+	}
+	for _, info := range c.Order {
+		switch info.Actor.Type {
+		case "DataStoreRead", "DataStoreWrite":
+			if !stores[storeName(info)] {
+				return nil, fmt.Errorf("actor %s (%s) references unknown data store %q",
+					info.Actor.Name, info.Actor.Type, storeName(info))
+			}
+		}
+	}
 	return c, nil
 }
 

@@ -91,7 +91,7 @@ func registerIntegrator() {
 			gc.Prog.Global(fmt.Sprintf("var %s float64", sv))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, f64Lit(a.ic)))
 			gc.L("%s = %s", gc.Out[0], sv)
-			u := CastToF64(gc.In[0], gc.Info.InKinds[0])
+			u := castToF64(gc.In[0], gc.Info.InKinds[0])
 			gc.Prog.UpdateStmt(fmt.Sprintf("%s = %s + %s*%s", sv, sv, f64Lit(a.dt), u))
 			return nil
 		},
@@ -167,7 +167,7 @@ func registerFirstOrderLag() {
 			gc.Prog.Global(fmt.Sprintf("var %s float64", sv))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, f64Lit(a.ic)))
 			gc.L("%s = %s", gc.Out[0], sv)
-			u := CastToF64(gc.In[0], gc.Info.InKinds[0])
+			u := castToF64(gc.In[0], gc.Info.InKinds[0])
 			dt, tau := f64Lit(a.dt), f64Lit(a.tau)
 			// The emitted operation sequences mirror lagStep exactly.
 			switch gc.Info.Operator {

@@ -3,6 +3,7 @@ package actors
 import (
 	"fmt"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/types"
 )
 
@@ -76,7 +77,7 @@ func registerSwitch() {
 		Gen: func(gc *GenCtx) error {
 			a := gc.Info.Aux.(switchAux)
 			k := gc.Info.OutKind()
-			ctrl := CastToF64(gc.In[1], gc.Info.InKinds[1])
+			ctrl := castToF64(gc.In[1], gc.Info.InKinds[1])
 			var cond string
 			switch gc.Info.Operator {
 			case ">=":
@@ -191,6 +192,8 @@ func registerMultiportSwitch() {
 			})
 			return nil
 		},
+		DiagRules: indexRules,
+		DiagGen:   func(dc *DiagCtx) { dc.index(0, dc.Info.NumIn()-1) },
 	})
 }
 
@@ -276,7 +279,7 @@ func registerMerge() {
 			k := gc.Info.OutKind()
 			sv := gc.V("merge")
 			gc.Prog.Global(fmt.Sprintf("var %s %s", sv, k.GoType()))
-			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, GoZero(k)))
+			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, goZero(k)))
 			cond := "if " + TruthExpr(gc.In[0], gc.Info.InKinds[0])
 			gc.Block(cond, func() {
 				gc.L("%s = %s", gc.Out[0], castIn(gc, 0, "", k))
@@ -356,7 +359,7 @@ func registerRelay() {
 			sv := gc.V("relayOn")
 			gc.Prog.Global(fmt.Sprintf("var %s bool", sv))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = false", sv))
-			u := CastToF64(gc.In[0], gc.Info.InKinds[0])
+			u := castToF64(gc.In[0], gc.Info.InKinds[0])
 			uv := gc.V("u")
 			gc.L("%s := %s", uv, u)
 			gc.Block(fmt.Sprintf("if %s >= %s", uv, f64Lit(a.onPoint)), func() {
@@ -445,13 +448,6 @@ func registerSaturation() {
 // dzAux holds DeadZone parameters in the output kind.
 type dzAux struct{ start, end types.Value }
 
-// DeadZoneBounds exposes a DeadZone actor's zone bounds for the code
-// generator's diagnosis emission.
-func DeadZoneBounds(in *Info) (start, end types.Value, ok bool) {
-	a, ok := in.Aux.(dzAux)
-	return a.start, a.end, ok
-}
-
 func registerDeadZone() {
 	register(&Spec{
 		Type: "DeadZone", MinIn: 1, MaxIn: 1, NumOut: 1,
@@ -510,9 +506,27 @@ func registerDeadZone() {
 			})
 			gc.Block("else", func() {
 				gc.CondCov(1)
-				gc.L("%s = %s", gc.Out[0], GoZero(k))
+				gc.L("%s = %s", gc.Out[0], goZero(k))
 			})
 			return nil
+		},
+		DiagRules: func(in *Info) []diagnose.Kind {
+			return ruleIf(in.OutKind().IsInteger(), diagnose.WrapOnOverflow)
+		},
+		DiagGen: func(dc *DiagCtx) {
+			a := dc.Info.Aux.(dzAux)
+			t := dc.tmp("t")
+			dc.L("%s := %s", t, dc.castElem(0, ""))
+			sub := func(bound string) func() {
+				return func() {
+					r := dc.tmp("r")
+					dc.L("var %s %s", r, dc.Info.OutKind().GoType())
+					dc.arith(r, t, '-', bound)
+					dc.L("_ = %s", r)
+				}
+			}
+			dc.Block(fmt.Sprintf("if %s < %s", t, a.start.GoLiteral()), sub(a.start.GoLiteral()))
+			dc.Block(fmt.Sprintf("else if %s > %s", t, a.end.GoLiteral()), sub(a.end.GoLiteral()))
 		},
 	})
 }
@@ -543,7 +557,7 @@ func registerQuantizer() {
 		Gen: func(gc *GenCtx) error {
 			q := gc.Info.Aux.(float64)
 			gc.Prog.Import("math")
-			x := CastToF64(gc.In[0], gc.Info.InKinds[0])
+			x := castToF64(gc.In[0], gc.Info.InKinds[0])
 			expr := fmt.Sprintf("(%s * math.Round(%s / %s))", f64Lit(q), x, f64Lit(q))
 			gc.L("%s = %s", gc.Out[0], Cast(expr, types.F64, gc.Info.OutKind()))
 			return nil

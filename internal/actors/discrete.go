@@ -2,7 +2,9 @@ package actors
 
 import (
 	"fmt"
+	"strings"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/model"
 	"accmos/internal/types"
 )
@@ -176,32 +178,33 @@ func registerDiscreteIntegrator() {
 			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, aux[0].GoLiteral()))
 			gc.L("%s = %s", gc.Out[0], sv)
 			u := Cast(gc.In[0], gc.Info.InKinds[0], k)
-			slot := gc.Prog.DiagSlot(gc.Info, "WrapOnOverflow")
+			slot := gc.Prog.DiagSlot(gc.Info, diagnose.WrapOnOverflow)
 			if k.IsInteger() && slot >= 0 {
 				stmts := []string{
 					"ovf := false",
 					fmt.Sprintf("var inc %s", k.GoType()),
 					fmt.Sprintf("var next %s", k.GoType()),
 				}
-				stmts = append(stmts, CheckedMulStmts(k, "inc", aux[1].GoLiteral(), u, "ovf", gc.V("di"))...)
-				stmts = append(stmts, CheckedAddStmts(k, "next", sv, "inc", "ovf")...)
+				stmts = append(stmts, checkedMulStmts(k, "inc", aux[1].GoLiteral(), u, "ovf", gc.V("di"))...)
+				stmts = append(stmts, checkedAddStmts(k, "next", sv, "inc", "ovf")...)
 				stmts = append(stmts,
 					fmt.Sprintf("if ovf { reportDiag(%d, step, \"\") }", slot),
 					fmt.Sprintf("%s = next", sv))
-				gc.Prog.UpdateStmt("{ " + joinStmts(stmts) + " }")
+				gc.Prog.UpdateStmt("{ " + strings.Join(stmts, "; ") + " }")
 				return nil
 			}
 			inc := binExpr(k, aux[1].GoLiteral(), "*", u)
 			next := binExpr(k, sv, "+", inc)
-			if nanSlot := gc.Prog.DiagSlot(gc.Info, "NaNOrInf"); k.IsFloat() && nanSlot >= 0 {
+			if nanSlot := gc.Prog.DiagSlot(gc.Info, diagnose.NaNOrInf); k.IsFloat() && nanSlot >= 0 {
 				gc.Prog.UpdateStmt(fmt.Sprintf(
 					"{ next := %s; if %s { reportDiag(%d, step, \"\") }; %s = next }",
-					next, NaNOrInfCond("next"), nanSlot, sv))
+					next, nanOrInfCond("next"), nanSlot, sv))
 				return nil
 			}
 			gc.Prog.UpdateStmt(fmt.Sprintf("%s = %s", sv, next))
 			return nil
 		},
+		DiagRules: arithRules(false),
 	})
 }
 
@@ -240,7 +243,7 @@ func registerDiscreteDerivative() {
 			gain := gc.Info.Aux.(types.Value)
 			sv := gc.V("prev")
 			gc.Prog.Global(fmt.Sprintf("var %s %s", sv, k.GoType()))
-			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, GoZero(k)))
+			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, goZero(k)))
 			diff := binExpr(k, Cast(gc.In[0], gc.Info.InKinds[0], k), "-", sv)
 			gc.L("%s = %s", gc.Out[0], binExpr(k, gain.GoLiteral(), "*", diff))
 			gc.Prog.UpdateStmt(fmt.Sprintf("%s = %s", sv, Cast(gc.In[0], gc.Info.InKinds[0], k)))
@@ -287,9 +290,9 @@ func registerDiscreteFilter() {
 			k := gc.Info.OutKind()
 			sv := gc.V("y")
 			gc.Prog.Global(fmt.Sprintf("var %s %s", sv, k.GoType()))
-			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, GoZero(k)))
+			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, goZero(k)))
 			expr := fmt.Sprintf("(%s*float64(%s) + %s*%s)",
-				f64Lit(a.a), sv, f64Lit(a.b), CastToF64(gc.In[0], gc.Info.InKinds[0]))
+				f64Lit(a.a), sv, f64Lit(a.b), castToF64(gc.In[0], gc.Info.InKinds[0]))
 			gc.L("%s = %s", gc.Out[0], Cast(expr, types.F64, k))
 			gc.Prog.UpdateStmt(fmt.Sprintf("%s = %s", sv, gc.Out[0]))
 			return nil
@@ -330,7 +333,7 @@ func registerZeroOrderHold() {
 			k := gc.Info.OutKind()
 			sv := gc.V("hold")
 			gc.Prog.Global(fmt.Sprintf("var %s %s", sv, k.GoType()))
-			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, GoZero(k)))
+			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, goZero(k)))
 			gc.Block(fmt.Sprintf("if step%%%d == 0", n), func() {
 				gc.L("%s = %s", sv, Cast(gc.In[0], gc.Info.InKinds[0], k))
 			})
@@ -389,7 +392,7 @@ func registerRateLimiter() {
 			gc.Prog.Global(fmt.Sprintf("var %s float64", sv))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = 0", sv))
 			uv, yv := gc.V("rlU"), gc.V("rlY")
-			gc.L("%s := %s", uv, CastToF64(gc.In[0], gc.Info.InKinds[0]))
+			gc.L("%s := %s", uv, castToF64(gc.In[0], gc.Info.InKinds[0]))
 			gc.L("%s := %s", yv, uv)
 			gc.Block(fmt.Sprintf("if %s > %s+%s", uv, sv, f64Lit(a.up)), func() {
 				gc.L("%s = %s + %s", yv, sv, f64Lit(a.up))

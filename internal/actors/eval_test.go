@@ -54,7 +54,15 @@ func newRig(t *testing.T, typ model.ActorType, op string, inKinds []types.Kind, 
 		b.Add("T", "Terminator", 1, 0)
 		b.Wire("X", "T", 0)
 	}
-	c, err := Compile(b.MustBuild())
+	m := b.MustBuild()
+	if store := m.Actor("X").Param("Store", ""); store != "" {
+		// Elaboration refuses a data-store access naming no store.
+		if err := m.AddActor(&model.Actor{Name: "DS", Type: "DataStoreMemory",
+			Params: map[string]string{"Store": store}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func registerPID() {
 			gc.Prog.Global(fmt.Sprintf("var %s float64", pv))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = 0", iv))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = 0", pv))
-			e := CastToF64(gc.In[0], gc.Info.InKinds[0])
+			e := castToF64(gc.In[0], gc.Info.InKinds[0])
 			ev := gc.V("pidE")
 			gc.L("%s := %s", ev, e)
 			// Identical operation order to Eval: kp*e + I + kd*(e-prev).
@@ -128,7 +128,7 @@ func registerMovingAverage() {
 			gc.Prog.InitStmt(fmt.Sprintf("for i := range %s { %s[i] = 0 }", buf, buf))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = 0", pos))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = 0", sum))
-			u := CastToF64(gc.In[0], gc.Info.InKinds[0])
+			u := castToF64(gc.In[0], gc.Info.InKinds[0])
 			gc.L("%s = (%s - %s[%s] + %s) / %d.0", gc.Out[0], sum, buf, pos, u, n)
 			gc.Prog.UpdateStmt(fmt.Sprintf(
 				"{ u := %s; %s = %s - %s[%s] + u; %s[%s] = u; %s = (%s + 1) %% %d }",
@@ -150,8 +150,8 @@ func registerAtan2() {
 		},
 		Gen: func(gc *GenCtx) error {
 			gc.Prog.Import("math")
-			y := CastToF64(gc.In[0], gc.Info.InKinds[0])
-			x := CastToF64(gc.In[1], gc.Info.InKinds[1])
+			y := castToF64(gc.In[0], gc.Info.InKinds[0])
+			x := castToF64(gc.In[1], gc.Info.InKinds[1])
 			gc.L("%s = math.Atan2(%s, %s)", gc.Out[0], y, x)
 			return nil
 		},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/types"
 )
 
@@ -30,10 +31,10 @@ type ProgramSink interface {
 	// DataStoreKind returns the declared kind of the named data store.
 	DataStoreKind(name string) types.Kind
 	// DiagSlot returns the diagnosis report slot for this actor and error
-	// kind (a diagnose.Kind string), or -1 when that diagnosis is not
-	// collected. Actor templates use it for checks that must live inside
-	// state-update code (integrator and counter overflow).
-	DiagSlot(info *Info, kind string) int
+	// kind, or -1 when that diagnosis is not collected. Actor templates use
+	// it for checks that must live inside state-update code (integrator and
+	// counter overflow).
+	DiagSlot(info *Info, kind diagnose.Kind) int
 }
 
 // GenCtx is passed to Spec.Gen. The framework pre-declares the output
@@ -207,11 +208,11 @@ func Cast(expr string, from, to types.Kind) string {
 	}
 }
 
-// CastToF64 converts expr of kind k to a float64 expression.
-func CastToF64(expr string, k types.Kind) string { return Cast(expr, k, types.F64) }
+// castToF64 converts expr of kind k to a float64 expression.
+func castToF64(expr string, k types.Kind) string { return Cast(expr, k, types.F64) }
 
-// GoZero returns the Go zero-value literal for kind k.
-func GoZero(k types.Kind) string {
+// goZero returns the Go zero-value literal for kind k.
+func goZero(k types.Kind) string {
 	if k == types.Bool {
 		return "false"
 	}

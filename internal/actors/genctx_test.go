@@ -40,11 +40,11 @@ func TestTruthExprAndZero(t *testing.T) {
 	if got := TruthExpr("v", types.F64); got != "(v != 0)" {
 		t.Errorf("TruthExpr f64 = %q", got)
 	}
-	if got := GoZero(types.Bool); got != "false" {
-		t.Errorf("GoZero bool = %q", got)
+	if got := goZero(types.Bool); got != "false" {
+		t.Errorf("goZero bool = %q", got)
 	}
-	if got := GoZero(types.I16); got != "int16(0)" {
-		t.Errorf("GoZero i16 = %q", got)
+	if got := goZero(types.I16); got != "int16(0)" {
+		t.Errorf("goZero i16 = %q", got)
 	}
 	if got := GoVarType(types.F32, 1); got != "float32" {
 		t.Errorf("GoVarType scalar = %q", got)
@@ -83,31 +83,31 @@ func TestGenCtxErrf(t *testing.T) {
 }
 
 func TestCheckedStmtsShapes(t *testing.T) {
-	add := CheckedAddStmts(types.I32, "r", "a", "b", "ovf")
+	add := checkedAddStmts(types.I32, "r", "a", "b", "ovf")
 	if len(add) != 2 || !strings.Contains(add[1], "^") {
 		t.Errorf("signed add stmts = %v", add)
 	}
-	addU := CheckedAddStmts(types.U16, "r", "a", "b", "ovf")
+	addU := checkedAddStmts(types.U16, "r", "a", "b", "ovf")
 	if !strings.Contains(addU[1], "r < a") {
 		t.Errorf("unsigned add carry check = %v", addU)
 	}
-	addF := CheckedAddStmts(types.F64, "r", "a", "b", "ovf")
+	addF := checkedAddStmts(types.F64, "r", "a", "b", "ovf")
 	if len(addF) != 1 {
 		t.Errorf("float add needs no check: %v", addF)
 	}
-	mul := CheckedMulStmts(types.I16, "r", "a", "b", "ovf", "t")
+	mul := checkedMulStmts(types.I16, "r", "a", "b", "ovf", "t")
 	if len(mul) != 3 || !strings.Contains(mul[0], "int64(a) * int64(b)") {
 		t.Errorf("i16 mul widening = %v", mul)
 	}
-	mul64 := CheckedMulStmts(types.I64, "r", "a", "b", "ovf", "t")
+	mul64 := checkedMulStmts(types.I64, "r", "a", "b", "ovf", "t")
 	if !strings.Contains(mul64[1], "r/a != b") {
 		t.Errorf("i64 mul division check = %v", mul64)
 	}
-	div := CheckedDivStmts(types.I8, "r", "a", "b", "dbz", "ovf")
+	div := checkedDivStmts(types.I8, "r", "a", "b", "dbz", "ovf")
 	if !strings.Contains(div[0], "== -128") {
 		t.Errorf("i8 div MIN/-1 check = %v", div)
 	}
-	divF := CheckedDivStmts(types.F32, "r", "a", "b", "dbz", "")
+	divF := checkedDivStmts(types.F32, "r", "a", "b", "dbz", "")
 	if !strings.Contains(divF[0], "dbz = true") {
 		t.Errorf("float div zero flag = %v", divF)
 	}

@@ -3,6 +3,7 @@ package actors
 import (
 	"fmt"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/types"
 )
 
@@ -309,7 +310,7 @@ func registerCompareToZero() {
 					gc.L("%s = (b2i(%s) %s 0)", gc.Out[0], gc.In[0], relGoOp(gc.Info.Operator))
 				}
 			} else {
-				gc.L("%s = (%s %s %s)", gc.Out[0], gc.In[0], relGoOp(gc.Info.Operator), GoZero(k))
+				gc.L("%s = (%s %s %s)", gc.Out[0], gc.In[0], relGoOp(gc.Info.Operator), goZero(k))
 			}
 			gc.DecCov(gc.Out[0])
 			return nil
@@ -447,6 +448,13 @@ func registerShift() {
 			}
 			gc.L("%s = %s %s %d", gc.Out[0], castIn(gc, 0, "", k), op, n)
 			return nil
+		},
+		DiagRules: func(in *Info) []diagnose.Kind {
+			return ruleIf(in.Operator == "left", diagnose.WrapOnOverflow)
+		},
+		DiagGen: func(dc *DiagCtx) {
+			in := dc.Info
+			dc.raise("ovf", fmt.Sprintf("(out >> %d) != %s", in.Aux.(int64), Cast("in0", in.InKinds[0], in.OutKind())))
 		},
 	})
 }

@@ -58,7 +58,7 @@ func registerLookup1D() {
 			gc.Prog.Global(fmt.Sprintf("var %s = %s", bp, f64SliceLiteral(a.bp)))
 			gc.Prog.Global(fmt.Sprintf("var %s = %s", tb, f64SliceLiteral(a.table)))
 			x := gc.V("x")
-			gc.L("%s := %s", x, CastToF64(gc.In[0], gc.Info.InKinds[0]))
+			gc.L("%s := %s", x, castToF64(gc.In[0], gc.Info.InKinds[0]))
 			gc.L("%s = %s", gc.Out[0], Cast(fmt.Sprintf("lookup1D(%s[:], %s[:], %s)", bp, tb, x), types.F64, k))
 			return nil
 		},
@@ -102,15 +102,6 @@ func f64SliceLiteral(vals []float64) string {
 
 // lutDirectAux holds the direct-lookup table in the output kind.
 type lutDirectAux struct{ table []types.Value }
-
-// LookupDirectTableLen exposes a LookupDirect actor's table size for the
-// code generator's out-of-bounds diagnosis.
-func LookupDirectTableLen(in *Info) int {
-	if a, ok := in.Aux.(lutDirectAux); ok {
-		return len(a.table)
-	}
-	return 0
-}
 
 func registerLookupDirect() {
 	register(&Spec{
@@ -159,5 +150,7 @@ func registerLookupDirect() {
 			gc.L("%s = %s[%s-1]", gc.Out[0], tb, iv)
 			return nil
 		},
+		DiagRules: indexRules,
+		DiagGen:   func(dc *DiagCtx) { dc.index(0, len(dc.Info.Aux.(lutDirectAux).table)) },
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/model"
 	"accmos/internal/types"
 )
@@ -113,7 +114,7 @@ func registerSum() {
 				if signs[0] == '+' {
 					expr = castIn(gc, 0, ix, k)
 				} else {
-					expr = binExpr(k, GoZero(k), "-", castIn(gc, 0, ix, k))
+					expr = binExpr(k, goZero(k), "-", castIn(gc, 0, ix, k))
 				}
 				for i := 1; i < len(gc.In); i++ {
 					expr = binExpr(k, expr, string(signs[i]), castIn(gc, i, ix, k))
@@ -122,7 +123,43 @@ func registerSum() {
 			})
 			return nil
 		},
+		DiagRules: arithRules(true),
+		DiagGen: func(dc *DiagCtx) {
+			signs := dc.Info.Aux.(string)
+			k := dc.Info.OutKind()
+			if (len(signs) > 1 || signs[0] == '-') && dc.outputNaN() {
+				return
+			}
+			if !k.IsInteger() && !k.IsFloat() {
+				return
+			}
+			dc.forWidth(dc.Info.OutWidth(), func(ix string) {
+				t := dc.tmp("t")
+				if signs[0] == '+' {
+					dc.L("%s := %s", t, dc.castElem(0, ix))
+				} else if k.IsInteger() {
+					dc.L("var %s %s", t, k.GoType())
+					dc.arith(t, goZero(k), '-', dc.castElem(0, ix))
+				} else {
+					dc.L("%s := %s", t, binExpr(k, goZero(k), "-", dc.castElem(0, ix)))
+					dc.nanCheck(t)
+				}
+				dc.chain(t, signs, ix)
+			})
+		},
 	})
+}
+
+// chain emits the running Sum or Product of inputs 1.. onto t, one
+// checked operation per sign, then marks the result used.
+func (dc *DiagCtx) chain(t, signs, ix string) {
+	for i := 1; i < len(signs); i++ {
+		nt := dc.tmp("t")
+		dc.L("var %s %s", nt, dc.Info.OutKind().GoType())
+		dc.arith(nt, t, signs[i], dc.castElem(i, ix))
+		t = nt
+	}
+	dc.L("_ = %s", t)
 }
 
 // maxInWidth is the OutWidth rule for elementwise actors: the widest
@@ -258,6 +295,32 @@ func registerProduct() {
 			})
 			return nil
 		},
+		DiagRules: arithRules(true),
+		DiagGen: func(dc *DiagCtx) {
+			signs := dc.Info.Aux.(string)
+			k := dc.Info.OutKind()
+			if len(signs) > 1 && dc.outputNaN() {
+				return
+			}
+			if !k.IsInteger() && !k.IsFloat() {
+				return
+			}
+			one := Cast("1.0", types.F64, k)
+			if k.IsInteger() {
+				v, _ := types.ParseValue(k, "1")
+				one = v.GoLiteral()
+			}
+			dc.forWidth(dc.Info.OutWidth(), func(ix string) {
+				t := dc.tmp("t")
+				dc.L("var %s %s", t, k.GoType())
+				if signs[0] == '*' {
+					dc.L("%s = %s", t, dc.castElem(0, ix))
+				} else {
+					dc.arith(t, one, '/', dc.castElem(0, ix))
+				}
+				dc.chain(t, signs, ix)
+			})
+		},
 	})
 }
 
@@ -296,7 +359,26 @@ func registerGain() {
 			})
 			return nil
 		},
+		DiagRules: arithRules(false),
+		DiagGen:   diagConstOp('*'),
 	})
+}
+
+// diagConstOp is the check emitter of Gain ('*') and Bias ('+'): the
+// operation with the actor's constant, checked per element.
+func diagConstOp(op byte) func(*DiagCtx) {
+	return func(dc *DiagCtx) {
+		if dc.outputNaN() {
+			return
+		}
+		lit := dc.Info.Aux.(types.Value).GoLiteral()
+		dc.forWidth(dc.Info.OutWidth(), func(ix string) {
+			t := dc.tmp("t")
+			dc.L("var %s %s", t, dc.Info.OutKind().GoType())
+			dc.arith(t, dc.castElem(0, ix), op, lit)
+			dc.L("_ = %s", t)
+		})
+	}
 }
 
 func registerBias() {
@@ -326,6 +408,8 @@ func registerBias() {
 			})
 			return nil
 		},
+		DiagRules: arithRules(true),
+		DiagGen:   diagConstOp('+'),
 	})
 }
 
@@ -363,6 +447,22 @@ func registerAbs() {
 			})
 			return nil
 		},
+		DiagRules: negOverflowRules,
+		DiagGen:   diagNegOverflow,
+	})
+}
+
+// negOverflowRules is the rule set of Abs and UnaryMinus: a signed
+// output overflows on its minimum.
+func negOverflowRules(in *Info) []diagnose.Kind {
+	return ruleIf(in.OutKind().IsSigned(), diagnose.WrapOnOverflow)
+}
+
+// diagNegOverflow flags a negative input whose negation stayed negative.
+func diagNegOverflow(dc *DiagCtx) {
+	w := dc.Info.OutWidth()
+	dc.forWidth(w, func(ix string) {
+		dc.raise("ovf", fmt.Sprintf("(%s < 0 && %s < 0)", dc.castElem(0, ix), elem("out", w, ix)))
 	})
 }
 
@@ -382,10 +482,12 @@ func registerUnaryMinus() {
 				// (0 - x), not -x: keeps -0.0 handling identical to the
 				// interpreter's Sub-from-zero definition.
 				gc.L("%s = %s", gc.OutElem(0, ix),
-					binExpr(k, GoZero(k), "-", castIn(gc, 0, ix, k)))
+					binExpr(k, goZero(k), "-", castIn(gc, 0, ix, k)))
 			})
 			return nil
 		},
+		DiagRules: negOverflowRules,
+		DiagGen:   diagNegOverflow,
 	})
 }
 
@@ -403,6 +505,8 @@ func registerMath() {
 		OutKind:         func(in *Info) types.Kind { return floatOrF64(in.InKinds[0]) },
 		Eval:            evalMathUnary,
 		Gen:             genMathUnary,
+		DiagRules:       mathRules,
+		DiagGen:         diagMathUnary,
 	})
 }
 
@@ -415,6 +519,8 @@ func registerSqrt() {
 		OutKind:         func(in *Info) types.Kind { return floatOrF64(in.InKinds[0]) },
 		Eval:            evalMathUnary,
 		Gen:             genMathUnary,
+		DiagRules:       mathRules,
+		DiagGen:         diagMathUnary,
 	})
 }
 
@@ -442,7 +548,7 @@ func genMathUnary(gc *GenCtx) error {
 		gc.Prog.Import("math")
 	}
 	gc.ForEachOut(func(ix string) {
-		x := CastToF64(gc.InElem(0, ix), gc.Info.InKinds[0])
+		x := castToF64(gc.InElem(0, ix), gc.Info.InKinds[0])
 		expr := types.MathGoExpr(op, x)
 		if expr == "" {
 			gc.Errf("Math: no Go template for operator %q", op)
@@ -451,6 +557,49 @@ func genMathUnary(gc *GenCtx) error {
 		gc.L("%s = %s", gc.OutElem(0, ix), Cast(expr, types.F64, k))
 	})
 	return gc.Err()
+}
+
+// mathRules is the rule set of Math, Sqrt and Rounding: the operator's
+// domain or zero-divisor error, and NaN/Inf on a float output.
+func mathRules(in *Info) []diagnose.Kind {
+	var ks []diagnose.Kind
+	switch in.Operator {
+	case "log", "log10", "log2", "sqrt", "asin", "acos":
+		ks = append(ks, diagnose.DomainError)
+	case "reciprocal":
+		ks = append(ks, diagnose.DivisionByZero)
+	}
+	if in.OutKind().IsFloat() {
+		ks = append(ks, diagnose.NaNOrInf)
+	}
+	return ks
+}
+
+// diagMathUnary checks each element's argument against the operator's
+// domain and its result for NaN/Inf.
+func diagMathUnary(dc *DiagCtx) {
+	if dc.outputNaN() {
+		return
+	}
+	in := dc.Info
+	x := dc.tmp("x")
+	dc.forWidth(in.OutWidth(), func(ix string) {
+		dc.L("%s := %s", x, castToF64(elem("in0", in.InWidths[0], ix), in.InKinds[0]))
+		switch in.Operator {
+		case "log", "log10", "log2":
+			dc.raise("dom", x+" <= 0")
+		case "sqrt":
+			dc.raise("dom", x+" < 0")
+		case "asin", "acos":
+			dc.raise("dom", fmt.Sprintf("%s < -1 || %s > 1", x, x))
+		case "reciprocal":
+			dc.raise("dbz", x+" == 0")
+		default:
+			dc.L("_ = %s", x)
+		}
+		dc.nanCheck(elem("out", in.OutWidth(), ix))
+		x = dc.tmp("x")
+	})
 }
 
 func registerMinMax() {
@@ -534,7 +683,7 @@ func registerSign() {
 			gc.ForEachOut(func(ix string) {
 				out := gc.OutElem(0, ix)
 				in := gc.InElem(0, ix)
-				zero := GoZero(gc.Info.InKinds[0])
+				zero := goZero(gc.Info.InKinds[0])
 				gc.Block(fmt.Sprintf("if %s > %s", in, zero), func() {
 					gc.L("%s = %s(1)", out, k.GoType())
 				})
@@ -565,6 +714,8 @@ func registerRounding() {
 		OutKind:         func(in *Info) types.Kind { return floatOrF64(in.InKinds[0]) },
 		Eval:            evalMathUnary,
 		Gen:             genMathUnary,
+		DiagRules:       mathRules,
+		DiagGen:         diagMathUnary,
 	})
 }
 
@@ -600,7 +751,7 @@ func registerPolynomial() {
 		},
 		Gen: func(gc *GenCtx) error {
 			coeffs := gc.Info.Aux.([]float64)
-			x := CastToF64(gc.In[0], gc.Info.InKinds[0])
+			x := castToF64(gc.In[0], gc.Info.InKinds[0])
 			xv := gc.V("px")
 			gc.L("%s := %s", xv, x)
 			expr := f64Lit(coeffs[0])
@@ -610,6 +761,10 @@ func registerPolynomial() {
 			gc.L("%s = %s", gc.Out[0], Cast(expr, types.F64, gc.Info.OutKind()))
 			return nil
 		},
+		DiagRules: func(in *Info) []diagnose.Kind {
+			return ruleIf(in.OutKind().IsFloat(), diagnose.NaNOrInf)
+		},
+		DiagGen: func(dc *DiagCtx) { dc.outputNaN() },
 	})
 }
 
@@ -641,7 +796,7 @@ func registerDotProduct() {
 			if gc.Info.InWidths[1] > width {
 				width = gc.Info.InWidths[1]
 			}
-			gc.L("%s = %s", gc.Out[0], GoZero(k))
+			gc.L("%s = %s", gc.Out[0], goZero(k))
 			body := func(ix string) {
 				prod := binExpr(k, castIn(gc, 0, ix, k), "*", castIn(gc, 1, ix, k))
 				gc.L("%s = %s", gc.Out[0], binExpr(k, gc.Out[0], "+", prod))
@@ -653,6 +808,25 @@ func registerDotProduct() {
 			}
 			return nil
 		},
+		DiagRules: arithRules(true),
+		DiagGen: func(dc *DiagCtx) {
+			k := dc.Info.OutKind()
+			if !k.IsInteger() && !k.IsFloat() {
+				return
+			}
+			acc := dc.tmp("acc")
+			dc.L("var %s %s", acc, k.GoType())
+			dc.forWidth(max(dc.Info.InWidths[0], dc.Info.InWidths[1]), func(ix string) {
+				p := dc.tmp("p")
+				n := dc.tmp("n")
+				dc.L("var %s %s", p, k.GoType())
+				dc.L("var %s %s", n, k.GoType())
+				dc.arith(p, dc.castElem(0, ix), '*', dc.castElem(1, ix))
+				dc.arith(n, acc, '+', p)
+				dc.L("%s = %s", acc, n)
+			})
+			dc.L("_ = %s", acc)
+		},
 	})
 }
 
@@ -661,10 +835,12 @@ func registerReduce() {
 		typ  string
 		op   string // "+" or "*"
 		init string
+		// downcast: the type reports a downcast once.
+		downcast bool
 	}
 	for _, cfg := range []reduceCfg{
-		{"SumOfElements", "+", "0"},
-		{"ProductOfElements", "*", "1"},
+		{"SumOfElements", "+", "0", true},
+		{"ProductOfElements", "*", "1", false},
 	} {
 		cfg := cfg
 		register(&Spec{
@@ -700,6 +876,27 @@ func registerReduce() {
 					gc.Block(fmt.Sprintf("for i := 0; i < %d; i++", width), func() { body("[i]") })
 				}
 				return nil
+			},
+			DiagRules: arithRules(cfg.downcast),
+			DiagGen: func(dc *DiagCtx) {
+				k := dc.Info.OutKind()
+				if !k.IsInteger() && !k.IsFloat() {
+					return
+				}
+				acc := dc.tmp("acc")
+				if cfg.op == "+" {
+					dc.L("var %s %s", acc, k.GoType())
+				} else {
+					init, _ := types.ParseValue(k, cfg.init)
+					dc.L("%s := %s", acc, init.GoLiteral())
+				}
+				dc.forWidth(dc.Info.InWidths[0], func(ix string) {
+					n := dc.tmp("n")
+					dc.L("var %s %s", n, k.GoType())
+					dc.arith(n, acc, cfg.op[0], dc.castElem(0, ix))
+					dc.L("%s = %s", acc, n)
+				})
+				dc.L("_ = %s", acc)
 			},
 		})
 	}
@@ -737,6 +934,12 @@ func registerMod() {
 				})
 			})
 			return nil
+		},
+		DiagRules: func(*Info) []diagnose.Kind { return []diagnose.Kind{diagnose.DivisionByZero} },
+		DiagGen: func(dc *DiagCtx) {
+			dc.forWidth(dc.Info.OutWidth(), func(ix string) {
+				dc.raise("dbz", fmt.Sprintf("%s == %s", dc.castElem(1, ix), goZero(dc.Info.OutKind())))
+			})
 		},
 	})
 }

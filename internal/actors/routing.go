@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/types"
 )
 
@@ -213,6 +214,8 @@ func registerSelector() {
 			}
 			return nil
 		},
+		DiagRules: func(in *Info) []diagnose.Kind { return ruleIf(in.NumIn() == 2, diagnose.IndexOutOfBounds) },
+		DiagGen:   func(dc *DiagCtx) { dc.index(1, dc.Info.InWidths[0]) },
 	})
 }
 
@@ -242,6 +245,89 @@ func registerDataTypeConversion() {
 			})
 			return nil
 		},
+		DiagRules: func(in *Info) []diagnose.Kind {
+			var ks []diagnose.Kind
+			from, to := in.InKinds[0], in.OutKind()
+			if hasDowncast(in) {
+				ks = append(ks, diagnose.Downcast, diagnose.OutOfRange)
+			}
+			if from.IsFloat() && to.IsInteger() || (from == types.I64 || from == types.U64) && to.IsFloat() {
+				ks = append(ks, diagnose.PrecisionLoss)
+			}
+			return ks
+		},
+		DiagGen: diagConversion,
+	})
+}
+
+// diagConversion emits the DataTypeConversion checks: out-of-range and
+// precision-loss conditions per (source, target) kind pair, mirroring
+// types.Convert's flag semantics case by case.
+func diagConversion(dc *DiagCtx) {
+	from := dc.Info.InKinds[0]
+	to := dc.Info.OutKind()
+	w := dc.Info.OutWidth()
+	oor, ploss := dc.has(diagnose.OutOfRange), dc.has(diagnose.PrecisionLoss)
+	dc.forWidth(w, func(ix string) {
+		in := elem("in0", dc.Info.InWidths[0], ix)
+		out := elem("out", w, ix)
+		switch {
+		case to == types.Bool || from == types.Bool:
+			// Bool conversions are always lossless in the flag sense.
+		case to.IsSigned() && from.IsSigned():
+			if oor {
+				dc.raise("oor", fmt.Sprintf("int64(%s) != int64(%s)", out, in))
+			}
+		case to.IsSigned() && from.IsUnsigned():
+			if oor {
+				dc.raise("oor", fmt.Sprintf("uint64(%s) > 9223372036854775807 || int64(%s) != int64(%s)", in, out, in))
+			}
+		case to.IsUnsigned() && from.IsSigned():
+			if oor {
+				dc.raise("oor", fmt.Sprintf("int64(%s) < 0 || uint64(%s) != uint64(%s)", in, out, in))
+			}
+		case to.IsUnsigned() && from.IsUnsigned():
+			if oor {
+				dc.raise("oor", fmt.Sprintf("uint64(%s) != uint64(%s)", out, in))
+			}
+		case to.IsInteger() && from.IsFloat():
+			dc.Prog.Import("math")
+			f := dc.tmp("f")
+			dc.L("%s := float64(%s)", f, in)
+			if ploss {
+				dc.raise("ploss", fmt.Sprintf("(%s != math.Trunc(%s) && !math.IsNaN(%s))", f, f, f))
+			}
+			if oor {
+				flag := dc.flag("oor")
+				bounds, wide := "%s >= 9223372036854775807 || %s <= -9223372036854775808", "int64"
+				if to.IsUnsigned() {
+					bounds, wide = "%s >= 18446744073709551615 || %s < 0", "uint64"
+				}
+				dc.Block(fmt.Sprintf("if math.IsNaN(%s) || "+bounds, f, f, f), func() {
+					dc.L("%s = true", flag)
+				})
+				dc.Block(fmt.Sprintf("else if %s(%s) != %s(%s)", wide, out, wide, f), func() {
+					dc.L("%s = true", flag)
+				})
+			}
+		case to.IsFloat() && from.IsInteger():
+			// Only 64-bit integers can lose precision (rule gate).
+			switch {
+			case !ploss:
+			case from == types.I64 && to == types.F64:
+				dc.raise("ploss", fmt.Sprintf("int64(float64(%s)) != %s", in, in))
+			case from == types.U64 && to == types.F64:
+				dc.raise("ploss", fmt.Sprintf("uint64(float64(%s)) != %s", in, in))
+			case to == types.F32:
+				f := dc.tmp("f")
+				dc.L("%s := float64(%s)", f, in)
+				dc.raise("ploss", fmt.Sprintf("float64(float32(%s)) != %s", f, f))
+			}
+		case to == types.F32 && from == types.F64:
+			// Narrowing float: interp flags PrecisionLoss only, which the
+			// DataTypeConversion rule set does not include for this pair,
+			// so there is nothing to report.
+		}
 	})
 }
 

@@ -3,7 +3,9 @@ package actors
 import (
 	"fmt"
 	"math"
+	"strings"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/types"
 )
 
@@ -90,7 +92,7 @@ func registerGround() {
 		},
 		Gen: func(gc *GenCtx) error {
 			gc.ForEachOut(func(ix string) {
-				gc.L("%s = %s", gc.OutElem(0, ix), GoZero(gc.Info.OutKind()))
+				gc.L("%s = %s", gc.OutElem(0, ix), goZero(gc.Info.OutKind()))
 			})
 			return nil
 		},
@@ -473,21 +475,21 @@ func registerCounter() {
 			gc.Prog.Global(fmt.Sprintf("var %s %s", sv, k.GoType()))
 			gc.Prog.InitStmt(fmt.Sprintf("%s = %s", sv, a.start.GoLiteral()))
 			gc.L("%s = %s", gc.Out[0], sv)
-			slot := gc.Prog.DiagSlot(gc.Info, "WrapOnOverflow")
+			slot := gc.Prog.DiagSlot(gc.Info, diagnose.WrapOnOverflow)
 			switch {
 			case k.IsInteger() && slot >= 0:
 				stmts := append([]string{"ovf := false", fmt.Sprintf("var next %s", k.GoType())},
-					CheckedAddStmts(k, "next", sv, a.inc.GoLiteral(), "ovf")...)
+					checkedAddStmts(k, "next", sv, a.inc.GoLiteral(), "ovf")...)
 				stmts = append(stmts,
 					fmt.Sprintf("if ovf { reportDiag(%d, step, \"\") }", slot),
 					fmt.Sprintf("%s = next", sv))
-				gc.Prog.UpdateStmt("{ " + joinStmts(stmts) + " }")
+				gc.Prog.UpdateStmt("{ " + strings.Join(stmts, "; ") + " }")
 			case k.IsFloat():
 				next := Cast(fmt.Sprintf("(float64(%s) + float64(%s))", sv, a.inc.GoLiteral()), types.F64, k)
-				if nanSlot := gc.Prog.DiagSlot(gc.Info, "NaNOrInf"); nanSlot >= 0 {
+				if nanSlot := gc.Prog.DiagSlot(gc.Info, diagnose.NaNOrInf); nanSlot >= 0 {
 					gc.Prog.UpdateStmt(fmt.Sprintf(
 						"{ next := %s; if %s { reportDiag(%d, step, \"\") }; %s = next }",
-						next, NaNOrInfCond("next"), nanSlot, sv))
+						next, nanOrInfCond("next"), nanSlot, sv))
 					break
 				}
 				gc.Prog.UpdateStmt(fmt.Sprintf("%s = %s", sv, next))
@@ -496,5 +498,6 @@ func registerCounter() {
 			}
 			return nil
 		},
+		DiagRules: arithRules(false),
 	})
 }

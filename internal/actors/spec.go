@@ -1,8 +1,10 @@
 // Package actors is the actor semantics registry: for each supported actor
 // type it defines port rules, scheduling properties (feedthrough vs
 // stateful), coverage characteristics (branch / boolean logic / combination
-// condition), interpreter semantics (Eval/Update) and code-generation
-// templates (Gen). It also implements model elaboration: schedule
+// condition), interpreter semantics (Eval/Update), code-generation
+// templates (Gen) and calculation diagnosis: the rules that pick an
+// instance's error classes (DiagRules) and the emitter of its generated
+// check (DiagGen). It also implements model elaboration: schedule
 // conversion via delay-aware topological sorting and port type resolution,
 // producing the Compiled form every simulation engine consumes.
 package actors
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"accmos/internal/diagnose"
 	"accmos/internal/model"
 	"accmos/internal/types"
 )
@@ -71,6 +74,13 @@ type Spec struct {
 
 	// Gen emits the actor's computation into generated code.
 	Gen func(gc *GenCtx) error
+
+	// Calculation diagnosis (diag.go). DiagRules returns the error classes
+	// an instance is checked for (nil: the type is never diagnosed);
+	// DiagGen emits the instance's generated check body (nil: Gen raises
+	// the type's checks itself).
+	DiagRules func(info *Info) []diagnose.Kind
+	DiagGen   func(dc *DiagCtx)
 }
 
 // registry holds every known actor type.

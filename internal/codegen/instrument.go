@@ -229,7 +229,7 @@ func (g *Generator) emitMonitorCall(info *actors.Info, slot int) {
 
 // emitCustomCheck inlines a range or delta custom signal diagnosis.
 func (g *Generator) emitCustomCheck(info *actors.Info, chk *diagnose.CustomCheck) {
-	slot := g.DiagSlotFor(info.Actor.Name, diagnose.Custom)
+	slot := g.DiagSlot(info, diagnose.Custom)
 	out := fmt.Sprintf("float64(%s)", g.varName(info, 0))
 	if info.OutKind() == types.Bool {
 		out = fmt.Sprintf("b2f(%s)", g.varName(info, 0))

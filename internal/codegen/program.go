@@ -312,9 +312,6 @@ func Generate(c *actors.Compiled, opts Options) (*Program, error) {
 func (g *Generator) prepare() error {
 	for _, ds := range g.c.DataStores {
 		name := actors.StoreName(ds)
-		if _, dup := g.storeVars[name]; dup {
-			return fmt.Errorf("codegen: duplicate data store %q", name)
-		}
 		v := fmt.Sprintf("ds_%s", sanitize(name))
 		g.storeVars[name] = v
 		k := actors.StoreKind(ds)
@@ -336,7 +333,7 @@ func (g *Generator) prepare() error {
 	}
 	if g.opts.Diagnose {
 		for _, info := range g.c.Order {
-			rs := diagnose.RulesFor(info)
+			rs := info.DiagRules()
 			if len(rs) > 0 {
 				g.rules[info.Actor.Name] = rs
 				for _, k := range rs {
@@ -468,17 +465,12 @@ func (g *Generator) DataStoreVar(name string) string { return g.storeVars[name] 
 // DataStoreKind returns the declared kind of a named store.
 func (g *Generator) DataStoreKind(name string) types.Kind { return g.storeKinds[name] }
 
-// DiagSlotFor returns the report slot for (actor, kind), or -1.
-func (g *Generator) DiagSlotFor(actor string, kind diagnose.Kind) int {
-	if slot, ok := g.diagSlots[actor+"|"+string(kind)]; ok {
+// DiagSlot returns the report slot for (actor, kind), or -1.
+func (g *Generator) DiagSlot(info *actors.Info, kind diagnose.Kind) int {
+	if slot, ok := g.diagSlots[info.Actor.Name+"|"+string(kind)]; ok {
 		return slot
 	}
 	return -1
-}
-
-// DiagSlot implements actors.ProgramSink for actor templates.
-func (g *Generator) DiagSlot(info *actors.Info, kind string) int {
-	return g.DiagSlotFor(info.Actor.Name, diagnose.Kind(kind))
 }
 
 // varName returns the generated variable for an actor's output port.

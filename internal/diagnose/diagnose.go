@@ -1,16 +1,16 @@
-// Package diagnose implements the paper's calculation-diagnosis layer
-// (§3.2.B): a rule library keyed by actor type and operator that decides
-// which error classes each actor is checked for, the runtime records those
-// checks produce, and the custom signal diagnosis mechanism (range, delta,
-// and callback checks). The same rules drive the interpreter's flag
-// filtering and the code generator's diagnosis-function emission, keeping
-// the two engines' findings identical.
+// Package diagnose holds the vocabulary of the paper's calculation
+// diagnosis (§3.2.B): the error classes (Kind), the records checks
+// produce and the sink that aggregates them, the translation of raised
+// operation flags into error classes, and the custom signal diagnosis
+// mechanism (range, delta and callback checks). Which classes an actor is
+// checked for, and the generated check that finds them, are stated per
+// actor type on its actors.Spec.
 package diagnose
 
 import (
 	"fmt"
+	"slices"
 
-	"accmos/internal/actors"
 	"accmos/internal/types"
 )
 
@@ -51,129 +51,11 @@ func optDetail(d string) string {
 	return " (" + d + ")"
 }
 
-// RulesFor returns the error classes diagnosed for an actor, derived from
-// its type and operator exactly as the paper describes: a Product actor
-// with a "/" operator is checked for division by zero, the same actor with
-// only "*" is not, and so on. An empty result means the actor gets no
-// diagnosis function.
-func RulesFor(info *actors.Info) []Kind {
-	var ks []Kind
-	add := func(k Kind) { ks = append(ks, k) }
-	outInt := info.OutKind().IsInteger()
-	outFloat := info.OutKind().IsFloat()
-
-	switch info.Actor.Type {
-	case "Sum", "Bias", "DotProduct", "SumOfElements":
-		if outInt {
-			add(WrapOnOverflow)
-		}
-		if outFloat {
-			add(NaNOrInf)
-		}
-		if hasDowncast(info) {
-			add(Downcast)
-		}
-	case "Product", "ProductOfElements":
-		if outInt {
-			add(WrapOnOverflow)
-		}
-		if outFloat {
-			add(NaNOrInf)
-		}
-		for i := 0; i < len(info.Operator); i++ {
-			if info.Operator[i] == '/' {
-				add(DivisionByZero)
-				break
-			}
-		}
-		if info.Actor.Type == "Product" && hasDowncast(info) {
-			add(Downcast)
-		}
-	case "Gain", "DiscreteIntegrator", "Counter":
-		if outInt {
-			add(WrapOnOverflow)
-		}
-		if outFloat {
-			add(NaNOrInf)
-		}
-	case "Abs", "UnaryMinus":
-		if info.OutKind().IsSigned() {
-			add(WrapOnOverflow)
-		}
-	case "Math", "Sqrt", "Rounding":
-		switch info.Operator {
-		case "log", "log10", "log2", "sqrt", "asin", "acos":
-			add(DomainError)
-		case "reciprocal":
-			add(DivisionByZero)
-		}
-		if outFloat {
-			add(NaNOrInf)
-		}
-	case "Mod":
-		add(DivisionByZero)
-	case "DataTypeConversion":
-		if hasDowncast(info) {
-			add(Downcast)
-			add(OutOfRange)
-		}
-		if info.InKinds[0].IsFloat() && info.OutKind().IsInteger() {
-			add(PrecisionLoss)
-		}
-		if info.InKinds[0] == types.I64 || info.InKinds[0] == types.U64 {
-			if info.OutKind().IsFloat() {
-				add(PrecisionLoss)
-			}
-		}
-	case "Shift":
-		if info.Operator == "left" {
-			add(WrapOnOverflow)
-		}
-	case "LookupDirect", "MultiportSwitch":
-		add(IndexOutOfBounds)
-	case "Selector":
-		if info.NumIn() == 2 {
-			add(IndexOutOfBounds)
-		}
-	case "Polynomial":
-		if outFloat {
-			add(NaNOrInf)
-		}
-	case "DeadZone":
-		if outInt {
-			add(WrapOnOverflow)
-		}
-	}
-	return ks
-}
-
-// hasDowncast reports whether any input kind is strictly wider than the
-// output kind — the paper's sizeof()-based downcast condition.
-func hasDowncast(info *actors.Info) bool {
-	out := info.OutKind()
-	for _, ik := range info.InKinds {
-		if ik == types.Invalid {
-			continue
-		}
-		if !out.Wider(ik) {
-			return true
-		}
-	}
-	return false
-}
-
 // FlagKinds translates raised operation flags into the error classes they
 // evidence, filtered by the actor's rule set. The order is fixed so both
 // engines report findings identically.
 func FlagKinds(rules []Kind, flags types.OpResult) []Kind {
-	has := func(k Kind) bool {
-		for _, r := range rules {
-			if r == k {
-				return true
-			}
-		}
-		return false
-	}
+	has := func(k Kind) bool { return slices.Contains(rules, k) }
 	var out []Kind
 	if flags.Overflow && has(WrapOnOverflow) {
 		out = append(out, WrapOnOverflow)

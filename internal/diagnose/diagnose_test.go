@@ -4,137 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"accmos/internal/actors"
-	"accmos/internal/model"
 	"accmos/internal/types"
 )
-
-// infoFor compiles a tiny model around one actor and returns its info.
-func infoFor(t *testing.T, typ model.ActorType, op string, inKinds []types.Kind, outKind types.Kind, params map[string]string) *actors.Info {
-	t.Helper()
-	b := model.NewBuilder("D")
-	opts := []model.ActorOpt{}
-	if op != "" {
-		opts = append(opts, model.WithOperator(op))
-	}
-	if outKind != types.Invalid {
-		opts = append(opts, model.WithOutKind(outKind))
-	}
-	for k, v := range params {
-		opts = append(opts, model.WithParam(k, v))
-	}
-	b.Add("X", typ, len(inKinds), 1, opts...)
-	for i, k := range inKinds {
-		src := "C" + string(rune('0'+i))
-		val := "1"
-		if k.IsFloat() {
-			val = "1.5"
-		}
-		b.Add(src, "Constant", 0, 1, model.WithOutKind(k), model.WithParam("Value", val))
-		b.Wire(src, "X", i)
-	}
-	b.Add("T", "Terminator", 1, 0)
-	b.Wire("X", "T", 0)
-	c, err := actors.Compile(b.MustBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.Info("X")
-}
-
-func hasKind(ks []Kind, k Kind) bool {
-	for _, x := range ks {
-		if x == k {
-			return true
-		}
-	}
-	return false
-}
-
-func TestRulesForSum(t *testing.T) {
-	intSum := infoFor(t, "Sum", "++", []types.Kind{types.I32, types.I32}, types.Invalid, nil)
-	ks := RulesFor(intSum)
-	if !hasKind(ks, WrapOnOverflow) {
-		t.Errorf("int Sum rules = %v, want WrapOnOverflow", ks)
-	}
-	if hasKind(ks, DivisionByZero) || hasKind(ks, NaNOrInf) {
-		t.Errorf("int Sum rules = %v", ks)
-	}
-	floatSum := infoFor(t, "Sum", "++", []types.Kind{types.F64, types.F64}, types.Invalid, nil)
-	ks = RulesFor(floatSum)
-	if !hasKind(ks, NaNOrInf) || hasKind(ks, WrapOnOverflow) {
-		t.Errorf("float Sum rules = %v", ks)
-	}
-	// Narrower output than inputs: the paper's downcast condition.
-	narrowSum := infoFor(t, "Sum", "++", []types.Kind{types.I32, types.I32}, types.I16, nil)
-	if !hasKind(RulesFor(narrowSum), Downcast) {
-		t.Error("narrow Sum must have Downcast rule")
-	}
-}
-
-func TestRulesForProductOperatorSensitivity(t *testing.T) {
-	// The paper's example: a Product with "/" diagnoses division by zero,
-	// the same actor with only "*" does not.
-	div := infoFor(t, "Product", "*/", []types.Kind{types.I32, types.I32}, types.Invalid, nil)
-	if !hasKind(RulesFor(div), DivisionByZero) {
-		t.Error(`Product "*/" must diagnose division by zero`)
-	}
-	mul := infoFor(t, "Product", "**", []types.Kind{types.I32, types.I32}, types.Invalid, nil)
-	if hasKind(RulesFor(mul), DivisionByZero) {
-		t.Error(`Product "**" must not diagnose division by zero`)
-	}
-}
-
-func TestRulesForMathOperators(t *testing.T) {
-	log := infoFor(t, "Math", "log", []types.Kind{types.F64}, types.Invalid, nil)
-	if !hasKind(RulesFor(log), DomainError) {
-		t.Error("log must diagnose domain errors")
-	}
-	rec := infoFor(t, "Math", "reciprocal", []types.Kind{types.F64}, types.Invalid, nil)
-	if !hasKind(RulesFor(rec), DivisionByZero) {
-		t.Error("reciprocal must diagnose division by zero")
-	}
-	sin := infoFor(t, "Math", "sin", []types.Kind{types.F64}, types.Invalid, nil)
-	if hasKind(RulesFor(sin), DomainError) {
-		t.Error("sin has no domain error")
-	}
-}
-
-func TestRulesForConversionAndLookup(t *testing.T) {
-	dtc := infoFor(t, "DataTypeConversion", "", []types.Kind{types.F64}, types.I16, nil)
-	ks := RulesFor(dtc)
-	if !hasKind(ks, Downcast) || !hasKind(ks, OutOfRange) || !hasKind(ks, PrecisionLoss) {
-		t.Errorf("F64->I16 conversion rules = %v", ks)
-	}
-	widen := infoFor(t, "DataTypeConversion", "", []types.Kind{types.I16}, types.I64, nil)
-	if len(RulesFor(widen)) != 0 {
-		t.Errorf("widening conversion rules = %v, want none", RulesFor(widen))
-	}
-	ld := infoFor(t, "LookupDirect", "", []types.Kind{types.I32}, types.Invalid,
-		map[string]string{"Table": "[1 2 3]"})
-	if !hasKind(RulesFor(ld), IndexOutOfBounds) {
-		t.Error("LookupDirect must diagnose index out of bounds")
-	}
-}
-
-func TestRulesForAbsAndShift(t *testing.T) {
-	abs := infoFor(t, "Abs", "", []types.Kind{types.I8}, types.Invalid, nil)
-	if !hasKind(RulesFor(abs), WrapOnOverflow) {
-		t.Error("signed Abs must diagnose overflow (abs(MIN))")
-	}
-	absU := infoFor(t, "Abs", "", []types.Kind{types.U8}, types.Invalid, nil)
-	if len(RulesFor(absU)) != 0 {
-		t.Error("unsigned Abs has nothing to diagnose")
-	}
-	shl := infoFor(t, "Shift", "left", []types.Kind{types.I32}, types.Invalid, nil)
-	if !hasKind(RulesFor(shl), WrapOnOverflow) {
-		t.Error("left Shift must diagnose overflow")
-	}
-	shr := infoFor(t, "Shift", "right", []types.Kind{types.I32}, types.Invalid, nil)
-	if len(RulesFor(shr)) != 0 {
-		t.Error("right Shift has nothing to diagnose")
-	}
-}
 
 func TestFlagKindsFilterAndOrder(t *testing.T) {
 	rules := []Kind{WrapOnOverflow, DivisionByZero, NaNOrInf}

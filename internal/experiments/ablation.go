@@ -6,7 +6,6 @@ import (
 
 	accmos "accmos"
 	"accmos/internal/benchmodels"
-	"accmos/internal/obs"
 	"accmos/internal/simresult"
 )
 
@@ -27,12 +26,18 @@ var instrumentations = []struct {
 //   - A1, the instrumentation overhead of generated code: one AccMoS row
 //     per instrumentation variant of LANS at Config.Steps, each with a
 //     HashOK verdict against an uninstrumented SSE run of the same
-//     stimulus.
+//     stimulus. Each variant is built through a build cache private to
+//     the run, so each compiles and links, and its Phases hold its
+//     trace's span durations by name: the first build in a process also
+//     pays the per-process toolchain listing and runtime archive, so
+//     compile.gc + compile.link is the cost that compares across
+//     variants.
 //   - A4, the one-time front end: a "generate" row that generates the
 //     instrumented RAC program without compiling it, and a "cold-build"
 //     row that generates, compiles and links the instrumented CSEV
-//     program through a fresh build cache and runs it. Their Phases hold
-//     the trace's span durations by name.
+//     program through the same private cache, which holds no CSEV
+//     build, and runs it. Their Phases hold the trace's span durations
+//     by name.
 func Ablation(cfg Config) ([]MetricRow, error) {
 	cfg.fillDefaults()
 	lans := benchmodels.MustBuild("LANS")
@@ -42,17 +47,19 @@ func Ablation(cfg Config) ([]MetricRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ablation LANS SSE: %w", err)
 	}
+	cache := accmos.NewBuildCache("")
+	defer cache.Remove()
 	var rows []MetricRow
 	for _, v := range instrumentations {
 		opts := ref
-		opts.Coverage, opts.Diagnose = v.cov, v.dia
+		opts.Coverage, opts.Diagnose, opts.Cache, opts.Trace = v.cov, v.dia, cache, accmos.NewTracer()
 		res, err := accmos.Simulate(lans, opts)
 		if err != nil {
 			return nil, fmt.Errorf("ablation LANS %s: %w", v.variant, err)
 		}
 		ok := simresult.SameOutputs(res.Results, sse.Results)
 		row := resultRow("ablation", "LANS", "AccMoS", res)
-		row.Variant, row.HashOK = v.variant, &ok
+		row.Variant, row.HashOK, row.Phases = v.variant, &ok, opts.Trace.Trace().Totals()
 		cfg.logf("ablation LANS %s: %v", v.variant, time.Duration(res.ExecNanos))
 		rows = append(rows, row)
 	}
@@ -66,12 +73,10 @@ func Ablation(cfg Config) ([]MetricRow, error) {
 	}
 	rows = append(rows, MetricRow{
 		Experiment: "ablation", Model: "RAC", Engine: "AccMoS", Variant: "generate",
-		WallNanos: time.Since(start).Nanoseconds(), Phases: phases(opts.Trace),
+		WallNanos: time.Since(start).Nanoseconds(), Phases: opts.Trace.Trace().Totals(),
 	})
 
 	csev := benchmodels.MustBuild("CSEV")
-	cache := accmos.NewBuildCache("")
-	defer cache.Remove()
 	opts = cfg.options(csev)
 	opts.Coverage, opts.Diagnose, opts.Cache, opts.Trace = true, true, cache, accmos.NewTracer()
 	res, err := accmos.Simulate(csev, opts)
@@ -79,21 +84,7 @@ func Ablation(cfg Config) ([]MetricRow, error) {
 		return nil, fmt.Errorf("ablation CSEV cold build: %w", err)
 	}
 	row := resultRow("ablation", "CSEV", "AccMoS", res)
-	row.Variant, row.Phases = "cold-build", phases(opts.Trace)
+	row.Variant, row.Phases = "cold-build", opts.Trace.Trace().Totals()
 	cfg.logf("ablation CSEV cold build: compile %v", time.Duration(res.CompileNanos))
 	return append(rows, row), nil
-}
-
-// phases sums the durations of tr's spans by name, at every depth.
-func phases(tr *accmos.Tracer) map[string]int64 {
-	out := make(map[string]int64)
-	var walk func([]*obs.Span)
-	walk = func(spans []*obs.Span) {
-		for _, s := range spans {
-			out[s.Name] += s.Duration().Nanoseconds()
-			walk(s.Children)
-		}
-	}
-	walk(tr.Trace().Spans)
-	return out
 }

@@ -164,8 +164,8 @@ func TestBenchOptSmall(t *testing.T) {
 // Coverage never changes the generated program's outputs, and with both
 // instrumentations on its output stream equals SSE's. The
 // diagnosis-off variants may differ from SSE (the known NaN-payload
-// defect, DESIGN.md), which this test neither hides nor asserts. The A4
-// rows carry the front end's and the build's trace spans.
+// defect, DESIGN.md), which this test neither hides nor asserts. Every
+// row carries the build's trace spans, and the A4 rows the front end's.
 func TestAblationSmall(t *testing.T) {
 	cfg := Config{Steps: 3000}
 	rows, err := Ablation(cfg)
@@ -176,8 +176,12 @@ func TestAblationSmall(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(instrumentations)+2)
 	}
 	for _, v := range instrumentations {
-		if r := find(rows, v.variant, "AccMoS"); r.Model != "LANS" || r.Steps != cfg.Steps || r.WallNanos <= 0 || r.HashOK == nil {
+		r := find(rows, v.variant, "AccMoS")
+		if r.Model != "LANS" || r.Steps != cfg.Steps || r.WallNanos <= 0 || r.HashOK == nil {
 			t.Errorf("A1 %s row: %+v", v.variant, r)
+		}
+		if r.Phases["compile.gc"] <= 0 || r.Phases["compile.link"] <= 0 {
+			t.Errorf("A1 %s row has no compile.gc and compile.link phases: %v", v.variant, r.Phases)
 		}
 	}
 	if r := find(rows, "both", "AccMoS"); !*r.HashOK {

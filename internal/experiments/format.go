@@ -169,15 +169,16 @@ func FormatFigure1(w io.Writer, increment int64, rows []MetricRow) {
 // a4Spans are the trace spans the A4 table prints, in pipeline order.
 var a4Spans = []string{"schedule", "optimize", "instrument", "generate", "compile.gc", "compile.link"}
 
-// FormatAblation prints the ablation rows: A1's per-variant wall clock
-// and output verdict, then A4's front-end and build cost by trace span.
+// FormatAblation prints the ablation rows: A1's per-variant wall clock,
+// compile and link cost (compile.gc + compile.link) and output verdict,
+// then A4's front-end and build cost by trace span.
 func FormatAblation(w io.Writer, rows []MetricRow) {
 	fmt.Fprintf(w, "Ablation A1: instrumentation overhead of generated LANS (%d steps)\n", find(rows, "none", "AccMoS").Steps)
 	fmt.Fprintf(w, "%-10s %10s %10s %10s | %s\n", "Variant", "AccMoS", "ns/step", "compile", "outputs vs SSE")
 	for _, r := range rows {
-		if r.Phases == nil {
+		if isA1(r) {
 			fmt.Fprintf(w, "%-10s %10s %10.1f %10s | %s\n", r.Variant, fmtDur(r.WallNanos),
-				ratio(r.WallNanos, r.Steps), fmtDur(r.CompileNanos), verdict(r))
+				ratio(r.WallNanos, r.Steps), fmtDur(r.Phases["compile.gc"]+r.Phases["compile.link"]), verdict(r))
 		}
 	}
 	fmt.Fprintf(w, "Ablation A4: one-time pipeline cost by trace span\n%-6s %-10s", "Model", "Variant")
@@ -185,7 +186,7 @@ func FormatAblation(w io.Writer, rows []MetricRow) {
 		fmt.Fprintf(w, " %12s", s)
 	}
 	for _, r := range rows {
-		if r.Phases != nil {
+		if !isA1(r) {
 			fmt.Fprintf(w, "\n%-6s %-10s", r.Model, r.Variant)
 			for _, s := range a4Spans {
 				fmt.Fprintf(w, " %12s", fmtDur(r.Phases[s]))
@@ -193,6 +194,16 @@ func FormatAblation(w io.Writer, rows []MetricRow) {
 		}
 	}
 	fmt.Fprintln(w)
+}
+
+// isA1 reports whether r is an A1 instrumentation-variant row.
+func isA1(r MetricRow) bool {
+	for _, v := range instrumentations {
+		if v.variant == r.Variant {
+			return true
+		}
+	}
+	return false
 }
 
 // fmtDur renders a duration in nanoseconds ("-" when not positive).

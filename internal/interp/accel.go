@@ -123,13 +123,6 @@ func NewAccel(c *actors.Compiled) (*AccelEngine, error) {
 		for p := range e.zeroOuts[i] {
 			e.zeroOuts[i][p] = types.ZeroVector(info.OutKinds[p], info.OutWidths[p])
 		}
-		switch info.Actor.Type {
-		case "DataStoreRead", "DataStoreWrite":
-			name := actors.StoreName(info)
-			if _, ok := e.storeKinds[name]; !ok {
-				return nil, fmt.Errorf("accel: %s references unknown data store %q", info.Actor.Name, name)
-			}
-		}
 	}
 	for _, info := range c.Inports {
 		e.inportOrder = append(e.inportOrder, info.Index)

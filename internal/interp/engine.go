@@ -32,7 +32,7 @@ import (
 type Options struct {
 	// Coverage enables the four-metric coverage collection.
 	Coverage bool
-	// Diagnose enables calculation diagnosis per the rule library.
+	// Diagnose enables calculation diagnosis per actor (Info.DiagRules).
 	Diagnose bool
 	// Monitor lists actor names whose outputs are signal-monitored
 	// (the collectList of Algorithm 1).
@@ -152,11 +152,7 @@ func New(c *actors.Compiled, opts Options) (*Engine, error) {
 	e.zeroOuts = make([][]types.Value, len(c.Order))
 
 	for _, ds := range c.DataStores {
-		name := actors.StoreName(ds)
-		if _, dup := e.storeKinds[name]; dup {
-			return nil, fmt.Errorf("interp: duplicate data store %q", name)
-		}
-		e.storeKinds[name] = actors.StoreKind(ds)
+		e.storeKinds[actors.StoreName(ds)] = actors.StoreKind(ds)
 	}
 	for i, info := range c.Order {
 		ec := &e.ecs[i]
@@ -173,14 +169,7 @@ func New(c *actors.Compiled, opts Options) (*Engine, error) {
 			e.zeroOuts[i][p] = types.ZeroVector(info.OutKinds[p], info.OutWidths[p])
 		}
 		if e.opts.Diagnose {
-			e.rules[i] = diagnose.RulesFor(info)
-		}
-		switch info.Actor.Type {
-		case "DataStoreRead", "DataStoreWrite":
-			name := actors.StoreName(info)
-			if _, ok := e.storeKinds[name]; !ok {
-				return nil, fmt.Errorf("interp: %s references unknown data store %q", info.Actor.Name, name)
-			}
+			e.rules[i] = info.DiagRules()
 		}
 	}
 	for i := range opts.Custom {

@@ -126,7 +126,7 @@ func Check(c *actors.Compiled) []Finding {
 		}
 
 		// Rule: static downcast (the paper's sizeof-based condition).
-		for _, k := range diagnose.RulesFor(info) {
+		for _, k := range info.DiagRules() {
 			if k == diagnose.Downcast {
 				add(Warning, RuleDowncast, info, "output type %s is narrower than its inputs (downcast, wrap on overflow possible)", info.OutKind())
 			}

@@ -190,6 +190,21 @@ func (t *Tracer) Summary() string {
 	return sb.String()
 }
 
+// Totals sums the span durations by name, at every depth, in
+// nanoseconds: the per-phase cost of one traced run.
+func (tr *Trace) Totals() map[string]int64 {
+	out := make(map[string]int64)
+	var walk func([]*Span)
+	walk = func(spans []*Span) {
+		for _, s := range spans {
+			out[s.Name] += s.Duration().Nanoseconds()
+			walk(s.Children)
+		}
+	}
+	walk(tr.Spans)
+	return out
+}
+
 // Find returns the spans with the given name anywhere in the trace, in
 // depth-first order.
 func (tr *Trace) Find(name string) []*Span {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,23 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 	if len(got.Find("inner")) != 1 {
 		t.Error("nested span lost in round trip")
+	}
+}
+
+// TestTraceTotals: Totals sums span durations by name across depths.
+func TestTraceTotals(t *testing.T) {
+	tr := &Trace{Spans: []*Span{
+		{Name: "compile", StartNanos: 0, EndNanos: 10, Children: []*Span{
+			{Name: "compile.gc", StartNanos: 0, EndNanos: 4},
+			{Name: "compile.gc", StartNanos: 4, EndNanos: 7},
+		}},
+		{Name: "run", StartNanos: 10, EndNanos: 15},
+		{Name: "open", StartNanos: 15, EndNanos: -1},
+	}}
+	got := tr.Totals()
+	want := map[string]int64{"compile": 10, "compile.gc": 7, "run": 5, "open": 0}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Totals = %v, want %v", got, want)
 	}
 }
 

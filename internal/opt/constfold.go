@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"accmos/internal/actors"
-	"accmos/internal/diagnose"
 	"accmos/internal/model"
 	"accmos/internal/types"
 )
@@ -143,7 +142,7 @@ func (s *session) foldable(info *actors.Info) bool {
 		// it is instrumented); that is not static.
 		return false
 	}
-	if s.o.Diagnose && len(diagnose.RulesFor(info)) > 0 {
+	if s.o.Diagnose && len(info.DiagRules()) > 0 {
 		// A diagnosis rule could fire on any step; replacing the actor
 		// would silently drop those records.
 		return false

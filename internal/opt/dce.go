@@ -2,7 +2,6 @@ package opt
 
 import (
 	"accmos/internal/actors"
-	"accmos/internal/diagnose"
 	"accmos/internal/model"
 )
 
@@ -95,7 +94,7 @@ func (s *session) removable(info *actors.Info) bool {
 			return false // runtime-valued coverage points
 		}
 	}
-	if s.o.Diagnose && len(diagnose.RulesFor(info)) > 0 {
+	if s.o.Diagnose && len(info.DiagRules()) > 0 {
 		return false
 	}
 	return true

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"accmos/internal/actors"
-	"accmos/internal/diagnose"
 	"accmos/internal/types"
 )
 
@@ -189,7 +188,7 @@ func lower(c *actors.Compiled, info *actors.Info, cfg Config) (Expr, string) {
 	if len(info.Actor.Outputs) != 1 {
 		return nil, "not single-output"
 	}
-	if cfg.Diagnose && len(diagnose.RulesFor(info)) > 0 {
+	if cfg.Diagnose && len(info.DiagRules()) > 0 {
 		// The generated diagnosis block reads the template's input
 		// expressions and flags; a fused emission has neither.
 		return nil, "diagnosis rules"

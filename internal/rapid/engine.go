@@ -163,13 +163,6 @@ func build(c *actors.Compiled, forceBridge bool) (*Engine, error) {
 	e.states = make([]actors.State, len(c.Order))
 
 	for i, info := range c.Order {
-		switch info.Actor.Type {
-		case "DataStoreRead", "DataStoreWrite":
-			if _, ok := e.storeKinds[actors.StoreName(info)]; !ok {
-				return nil, fmt.Errorf("rapid: %s references unknown data store %q",
-					info.Actor.Name, actors.StoreName(info))
-			}
-		}
 		if err := e.compileActor(i, info); err != nil {
 			return nil, err
 		}

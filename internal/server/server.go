@@ -308,7 +308,7 @@ func (s *Server) finishLocked(j *job, state JobState, errMsg string, tr *accmos.
 	j.cancelRun = nil
 	if tr != nil {
 		s.metrics.recordTrace(tr)
-		j.phases = phaseTotals(tr)
+		j.phases = tr.Trace().Totals()
 	}
 	if j.outcome != nil {
 		s.metrics.recordOpt(j.outcome.Opt)
@@ -423,20 +423,6 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-// phaseTotals flattens a trace into per-phase total nanoseconds.
-func phaseTotals(tr *accmos.Tracer) map[string]int64 {
-	out := make(map[string]int64)
-	var walk func(spans []*obs.Span)
-	walk = func(spans []*obs.Span) {
-		for _, sp := range spans {
-			out[sp.Name] += sp.Duration().Nanoseconds()
-			walk(sp.Children)
-		}
-	}
-	walk(tr.Trace().Spans)
-	return out
 }
 
 // --- HTTP handlers ---

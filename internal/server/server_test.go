@@ -875,6 +875,30 @@ func TestSubmitLintRejection(t *testing.T) {
 	}
 }
 
+// TestSubmitUnknownDataStoreRejected: a data-store access naming no
+// DataStoreMemory is refused at admission with a 400, before it becomes
+// a job that would fail after its compile.
+func TestSubmitUnknownDataStoreRejected(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Workers: 1})
+	m := model.NewBuilder("DSBAD").
+		Add("Rd", "DataStoreRead", 0, 1, model.WithParam("Store", "nope")).
+		Add("Out", "Outport", 1, 0, model.WithParam("Port", "1")).
+		Chain("Rd", "Out").
+		MustBuild()
+	var buf bytes.Buffer
+	if err := slx.Encode(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	resp, payload := submit(t, ts, server.SubmitRequest{Model: buf.String()})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(payload), "elaborating model") ||
+		!strings.Contains(string(payload), `unknown data store \"nope\"`) {
+		t.Errorf("unknown data store: %s: %s, want a 400 from elaboration", resp.Status, payload)
+	}
+	if got := getMetrics(t, ts)[jobsSeries("submitted")]; got != 0 {
+		t.Errorf("a rejected submission became a job: %v submitted", got)
+	}
+}
+
 // TestSubmitNegativeBoundsRejected: a negative steps, budgetMs or
 // timeoutMs is refused at admission with a 400, before it becomes a job.
 func TestSubmitNegativeBoundsRejected(t *testing.T) {
